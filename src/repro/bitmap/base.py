@@ -15,6 +15,7 @@ paper's Section 4.
 from __future__ import annotations
 
 import abc
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,7 +27,13 @@ from repro.errors import DomainError, IndexBuildError, QueryError
 from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
-from repro.query.model import Interval, MissingSemantics, RangeQuery
+from repro.query.model import (
+    BOTH,
+    Interval,
+    MissingSemantics,
+    RangeQuery,
+    ThreeValued,
+)
 
 #: Pre-built metric names so hot paths don't format strings per call.
 _MISSING_CONSULTED_METRIC = {
@@ -62,6 +69,19 @@ def _record_counter_deltas(
         _obs_record(
             "bitmap.words_processed", counter.words_processed - words
         )
+
+
+#: What an execution step runs under when nothing is listening.
+_UNOBSERVED = nullcontext()
+
+
+@contextmanager
+def _observed_step(counter: OpCounter, span):
+    """One evaluation step inside ``span``, its tallies recorded on it."""
+    with span:
+        marks = _counter_marks(counter)
+        yield
+        _record_counter_deltas(counter, marks)
 
 
 def record_missing_consultation(semantics: MissingSemantics) -> None:
@@ -284,65 +304,52 @@ class BitmapIndex(abc.ABC):
             counter.record_binary(possible, missing)
         return possible.andnot(missing)
 
-    def evaluate_interval_cached(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-        counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
-    ):
-        """Cache-aware front door to :meth:`evaluate_interval`.
-
-        With no ``cache`` this is exactly :meth:`evaluate_interval`.  With
-        one, cache-worthy sub-results are looked up under a key extending
-        ``cache_key`` (the engine passes the attached index's name) with
-        everything that determines the answer: encoding, codec, mutation
-        generation, attribute, bounds, and semantics.  On a hit the stored
-        bitvector is returned as-is and no evaluation counters move — reuse
-        is exactly the work the cost model no longer pays.
-        """
-        if cache is None or not self.interval_cache_worthy(
-            attribute, interval, semantics
-        ):
-            return self.evaluate_interval(attribute, interval, semantics, counter)
-        key = (
-            *cache_key,
-            self.encoding,
-            self._codec,
-            self._generation,
-            attribute,
-            interval.lo,
-            interval.hi,
-            semantics.value,
-        )
-        result = cache.get(key)
-        if result is not None:
-            return result
-        result = self.evaluate_interval(attribute, interval, semantics, counter)
-        cache.put(key, result)
-        return result
-
-    def evaluate_interval_cached_both(
-        self,
-        attribute: str,
-        interval: Interval,
-        counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
-    ):
-        """Cache-aware front door to :meth:`evaluate_interval_both`.
-
-        The pair shares the *single-semantics* cache entries: each bound is
-        probed and stored under the same key :meth:`evaluate_interval_cached`
-        uses, so a both-mode query warms the cache for later single-bound
-        queries and vice versa.  A partial hit derives the missing bound
-        from the cached one (``possible = certain OR B_0``,
-        ``certain = possible ANDNOT B_0``) instead of re-evaluating.
-        """
-        if cache is None:
+    def _evaluate_uncached(
+        self, attribute, interval, semantics, counter
+    ) -> tuple:
+        """The paper's interval algorithm for the requested arity."""
+        if semantics is BOTH:
             return self.evaluate_interval_both(attribute, interval, counter)
+        return (
+            self.evaluate_interval(attribute, interval, semantics, counter),
+        )
+
+    def evaluate_bounds(
+        self,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics | ThreeValued,
+        counter: OpCounter | None = None,
+        cache=None,
+        cache_key: tuple = (),
+    ) -> tuple:
+        """Cache-aware front door to interval evaluation, at any arity.
+
+        Returns one bitvector per bound in ``semantics.bounds``: a single
+        semantics goes through :meth:`evaluate_interval`, ``BOTH`` through
+        the one-pass :meth:`evaluate_interval_both`.  With no ``cache``
+        that is all it does.  With one, each cache-worthy bound is looked
+        up under a key extending ``cache_key`` (the engine passes the
+        attached index's name) with everything that determines the answer:
+        encoding, codec, mutation generation, attribute, interval, and the
+        bound's own semantics — so single-bound and both-mode queries warm
+        the cache for each other.  On a hit the stored bitvector is
+        returned as-is and no evaluation counters move — reuse is exactly
+        the work the cost model no longer pays.  When only one bound of a
+        pair is cached the other is derived from it (``possible = certain
+        OR B_0``, ``certain = possible ANDNOT B_0``) instead of
+        re-evaluated.
+        """
+        wanted = semantics.bounds
+        worthy = [] if cache is None else [
+            bound
+            for bound in wanted
+            if self.interval_cache_worthy(attribute, interval, bound)
+        ]
+        if not worthy:
+            return self._evaluate_uncached(
+                attribute, interval, semantics, counter
+            )
         base_key = (
             *cache_key,
             self.encoding,
@@ -352,41 +359,32 @@ class BitmapIndex(abc.ABC):
             interval.lo,
             interval.hi,
         )
-        certain_key = (*base_key, MissingSemantics.NOT_MATCH.value)
-        possible_key = (*base_key, MissingSemantics.IS_MATCH.value)
-        certain = cache.get(certain_key)
-        possible = cache.get(possible_key)
-        if certain is not None and possible is not None:
-            return certain, possible
-        family = self._family(attribute)
-        if certain is not None:
+        hits = {}
+        for bound in worthy:
+            cached = cache.get((*base_key, bound.value))
+            if cached is not None:
+                hits[bound] = cached
+        if len(hits) == len(wanted):
+            return tuple(hits[bound] for bound in wanted)
+        if hits:
+            # One bound of a pair is cached: derive the other from it.
             _obs_record("semantics.cache_derived_bounds")
-            possible = self._widen_to_possible(family, certain, counter)
-            if self.interval_cache_worthy(
-                attribute, interval, MissingSemantics.IS_MATCH
-            ):
-                cache.put(possible_key, possible)
-            return certain, possible
-        if possible is not None:
-            _obs_record("semantics.cache_derived_bounds")
-            certain = self._narrow_to_certain(family, possible, counter)
-            if self.interval_cache_worthy(
-                attribute, interval, MissingSemantics.NOT_MATCH
-            ):
-                cache.put(certain_key, certain)
-            return certain, possible
-        certain, possible = self.evaluate_interval_both(
-            attribute, interval, counter
-        )
-        if self.interval_cache_worthy(
-            attribute, interval, MissingSemantics.NOT_MATCH
-        ):
-            cache.put(certain_key, certain)
-        if self.interval_cache_worthy(
-            attribute, interval, MissingSemantics.IS_MATCH
-        ):
-            cache.put(possible_key, possible)
-        return certain, possible
+            family = self._family(attribute)
+            certain = hits.get(MissingSemantics.NOT_MATCH)
+            possible = hits.get(MissingSemantics.IS_MATCH)
+            if possible is None:
+                possible = self._widen_to_possible(family, certain, counter)
+            else:
+                certain = self._narrow_to_certain(family, possible, counter)
+            results = (certain, possible)
+        else:
+            results = self._evaluate_uncached(
+                attribute, interval, semantics, counter
+            )
+        for bound, result in zip(wanted, results):
+            if bound in worthy and bound not in hits:
+                cache.put((*base_key, bound.value), result)
+        return results
 
     # -- accessors ---------------------------------------------------------
 
@@ -449,6 +447,64 @@ class BitmapIndex(abc.ABC):
 
     # -- query execution -------------------------------------------------------
 
+    def execute_bounds(
+        self,
+        query: RangeQuery,
+        semantics: MissingSemantics | ThreeValued,
+        counter: OpCounter | None = None,
+        cache=None,
+        cache_key: tuple = (),
+    ) -> tuple:
+        """Answer a conjunctive range query; one result bitvector per bound.
+
+        Per-attribute interval results are ANDed together, as in Section 4's
+        "range queries are executed by first ORing together all bit vectors
+        specified by each range in the search key and then ANDing the answers
+        together".  Tombstoned (deleted) records are masked out last.  Under
+        ``BOTH`` each attribute's ``(certain, possible)`` pair is evaluated
+        together (shared stored-bitmap work, shared sub-result cache) and
+        the pairs are ANDed bound-by-bound; for a conjunctive query
+        ``certain`` is always a subset of ``possible``.
+
+        When observability is on (a real metrics registry or an active
+        trace), each interval evaluation runs inside its own span and its
+        bitvector/word tallies are recorded per dimension; otherwise no
+        span or tally is built.
+
+        With a :class:`~repro.core.cache.SubResultCache` in ``cache``,
+        per-interval sub-results are memoized and reused across the queries
+        of a batch (see :meth:`evaluate_bounds`); results are identical
+        either way.
+        """
+        observing = _obs_enabled()
+        track = OpCounter() if observing and counter is None else counter
+        columns = []
+        for name, interval in query.items():
+            with (
+                _observed_step(track, _trace_span(
+                    f"{self.encoding}.interval",
+                    attribute=name, interval=str(interval),
+                ))
+                if observing
+                else _UNOBSERVED
+            ):
+                columns.append(
+                    self.evaluate_bounds(
+                        name, interval, semantics, track, cache, cache_key
+                    )
+                )
+        with (
+            _observed_step(track, _trace_span(
+                "bitmap.and", operands=sum(map(len, columns))
+            ))
+            if observing
+            else _UNOBSERVED
+        ):
+            return tuple(
+                self._mask_deleted(big_and(parts, track), track)
+                for parts in zip(*columns)
+            )
+
     def execute(
         self,
         query: RangeQuery,
@@ -457,51 +513,10 @@ class BitmapIndex(abc.ABC):
         cache=None,
         cache_key: tuple = (),
     ):
-        """Answer a conjunctive range query; returns the result bitvector.
-
-        Per-attribute interval results are ANDed together, as in Section 4's
-        "range queries are executed by first ORing together all bit vectors
-        specified by each range in the search key and then ANDing the answers
-        together".  Tombstoned (deleted) records are masked out last.
-
-        When observability is on (a real metrics registry or an active
-        trace), each interval evaluation runs inside its own span and its
-        bitvector/word tallies are recorded per dimension; otherwise this is
-        the plain uninstrumented path.
-
-        With a :class:`~repro.core.cache.SubResultCache` in ``cache``,
-        per-interval sub-results are memoized and reused across the queries
-        of a batch (see :meth:`evaluate_interval_cached`); results are
-        identical either way.
-        """
-        if not _obs_enabled():
-            partials = [
-                self.evaluate_interval_cached(
-                    name, interval, semantics, counter, cache, cache_key
-                )
-                for name, interval in query.items()
-            ]
-            result = big_and(partials, counter)
-            return self._mask_deleted(result, counter)
-        track = counter if counter is not None else OpCounter()
-        partials = []
-        for name, interval in query.items():
-            with _trace_span(
-                f"{self.encoding}.interval",
-                attribute=name, interval=str(interval),
-            ):
-                marks = _counter_marks(track)
-                partials.append(
-                    self.evaluate_interval_cached(
-                        name, interval, semantics, track, cache, cache_key
-                    )
-                )
-                _record_counter_deltas(track, marks)
-        with _trace_span("bitmap.and", operands=len(partials)):
-            marks = _counter_marks(track)
-            result = big_and(partials, track)
-            result = self._mask_deleted(result, track)
-            _record_counter_deltas(track, marks)
+        """Answer a query under one semantics; returns the result bitvector."""
+        (result,) = self.execute_bounds(
+            query, semantics, counter, cache, cache_key
+        )
         return result
 
     def execute_both(
@@ -511,48 +526,8 @@ class BitmapIndex(abc.ABC):
         cache=None,
         cache_key: tuple = (),
     ):
-        """Answer a query under both bounds; returns ``(certain, possible)``.
-
-        The one-pass counterpart of running :meth:`execute` twice: each
-        attribute's interval pair is evaluated together (shared stored-
-        bitmap work, shared sub-result cache), then the per-attribute pairs
-        are ANDed bound-by-bound and tombstones masked from each result.
-        For a conjunctive query ``certain`` is always a subset of
-        ``possible``.
-        """
-        if not _obs_enabled():
-            certain_parts = []
-            possible_parts = []
-            for name, interval in query.items():
-                certain, possible = self.evaluate_interval_cached_both(
-                    name, interval, counter, cache, cache_key
-                )
-                certain_parts.append(certain)
-                possible_parts.append(possible)
-            certain = self._mask_deleted(big_and(certain_parts, counter), counter)
-            possible = self._mask_deleted(big_and(possible_parts, counter), counter)
-            return certain, possible
-        track = counter if counter is not None else OpCounter()
-        certain_parts = []
-        possible_parts = []
-        for name, interval in query.items():
-            with _trace_span(
-                f"{self.encoding}.interval",
-                attribute=name, interval=str(interval), semantics="both",
-            ):
-                marks = _counter_marks(track)
-                certain, possible = self.evaluate_interval_cached_both(
-                    name, interval, track, cache, cache_key
-                )
-                certain_parts.append(certain)
-                possible_parts.append(possible)
-                _record_counter_deltas(track, marks)
-        with _trace_span("bitmap.and", operands=2 * len(certain_parts)):
-            marks = _counter_marks(track)
-            certain = self._mask_deleted(big_and(certain_parts, track), track)
-            possible = self._mask_deleted(big_and(possible_parts, track), track)
-            _record_counter_deltas(track, marks)
-        return certain, possible
+        """Answer a query under both bounds; returns ``(certain, possible)``."""
+        return self.execute_bounds(query, BOTH, counter, cache, cache_key)
 
     def _mask_deleted(self, result, counter: OpCounter | None):
         if self._deleted is None:
@@ -618,6 +593,22 @@ class BitmapIndex(abc.ABC):
         self._alive_cache = None
         return mapping
 
+    def execute_bound_ids(
+        self,
+        query: RangeQuery,
+        semantics: MissingSemantics | ThreeValued,
+        counter: OpCounter | None = None,
+        cache=None,
+        cache_key: tuple = (),
+    ) -> tuple[np.ndarray, ...]:
+        """Answer a query as sorted record-id arrays, one per bound."""
+        return tuple(
+            result.to_indices()
+            for result in self.execute_bounds(
+                query, semantics, counter, cache, cache_key
+            )
+        )
+
     def execute_ids(
         self,
         query: RangeQuery,
@@ -652,8 +643,7 @@ class BitmapIndex(abc.ABC):
         cache_key: tuple = (),
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both bounds as sorted id arrays: ``(certain_ids, possible_ids)``."""
-        certain, possible = self.execute_both(query, counter, cache, cache_key)
-        return certain.to_indices(), possible.to_indices()
+        return self.execute_bound_ids(query, BOTH, counter, cache, cache_key)
 
     def execute_count_both(
         self,
@@ -661,8 +651,35 @@ class BitmapIndex(abc.ABC):
         counter: OpCounter | None = None,
     ) -> tuple[int, int]:
         """Both bounds' match counts without materializing record ids."""
-        certain, possible = self.execute_both(query, counter)
-        return certain.count(), possible.count()
+        return tuple(r.count() for r in self.execute_bounds(query, BOTH, counter))
+
+    def execute_predicate_bound_ids(
+        self,
+        predicate,
+        semantics: MissingSemantics | ThreeValued,
+        counter: OpCounter | None = None,
+    ) -> tuple[np.ndarray, ...]:
+        """Answer a boolean predicate tree (AND/OR/NOT of atoms) per bound.
+
+        Atoms go through the encoding's paper-faithful interval evaluation
+        (:meth:`evaluate_bounds`, uncached); the combinators become the
+        corresponding bitvector operations in
+        :func:`repro.query.boolean.evaluate_tree`.
+        """
+        from repro.query.boolean import evaluate_tree
+
+        results = evaluate_tree(
+            predicate,
+            semantics,
+            lambda atom, bound_semantics: self.evaluate_bounds(
+                atom.attribute, atom.interval, bound_semantics, counter
+            ),
+            counter,
+        )
+        return tuple(
+            self._mask_deleted(result, counter).to_indices()
+            for result in results
+        )
 
     def execute_predicate_ids(
         self,
@@ -671,10 +688,8 @@ class BitmapIndex(abc.ABC):
         counter: OpCounter | None = None,
     ) -> np.ndarray:
         """Answer an arbitrary boolean predicate tree (AND/OR/NOT of atoms)."""
-        from repro.query.boolean import execute_on_bitmap_index
-
-        result = execute_on_bitmap_index(self, predicate, semantics, counter)
-        return self._mask_deleted(result, counter).to_indices()
+        (ids,) = self.execute_predicate_bound_ids(predicate, semantics, counter)
+        return ids
 
     def execute_predicate_ids_both(
         self,
@@ -682,13 +697,7 @@ class BitmapIndex(abc.ABC):
         counter: OpCounter | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both bounds of a boolean predicate tree as sorted id arrays."""
-        from repro.query.boolean import execute_on_bitmap_index_both
-
-        certain, possible = execute_on_bitmap_index_both(self, predicate, counter)
-        return (
-            self._mask_deleted(certain, counter).to_indices(),
-            self._mask_deleted(possible, counter).to_indices(),
-        )
+        return self.execute_predicate_bound_ids(predicate, BOTH, counter)
 
     # -- appends -----------------------------------------------------------------
 

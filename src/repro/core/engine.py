@@ -123,6 +123,11 @@ class QueryReport:
         """Number of matching records."""
         return len(self.record_ids)
 
+    @property
+    def bound_ids(self) -> tuple[np.ndarray, ...]:
+        """The answer as one id array per requested bound (arity 1 here)."""
+        return (self.record_ids,)
+
 
 @dataclass
 class ThreeValuedReport:
@@ -155,6 +160,36 @@ class ThreeValuedReport:
     def possible_only_ids(self) -> np.ndarray:
         """Rows that are possible but not certain matches."""
         return np.setdiff1d(self.possible_ids, self.certain_ids)
+
+    @property
+    def bound_ids(self) -> tuple[np.ndarray, ...]:
+        """The answer as ``(certain_ids, possible_ids)``."""
+        return (self.certain_ids, self.possible_ids)
+
+
+#: What a trace root calls each bound's match count, by answer arity.
+_BOUND_LABELS = {1: ("matches",), 2: ("certain", "possible")}
+
+
+def _engine_report(
+    name: str,
+    kind: str,
+    bound_ids: tuple[np.ndarray, ...],
+    trace: obs.QueryTrace | None = None,
+    elapsed_ns: int | None = None,
+) -> QueryReport | ThreeValuedReport:
+    """The report type the answer's arity calls for."""
+    if len(bound_ids) == 1:
+        return QueryReport(
+            index_name=name, kind=kind, record_ids=bound_ids[0],
+            trace=trace, elapsed_ns=elapsed_ns,
+        )
+    certain_ids, possible_ids = bound_ids
+    return ThreeValuedReport(
+        index_name=name, kind=kind,
+        certain_ids=certain_ids, possible_ids=possible_ids,
+        trace=trace, elapsed_ns=elapsed_ns,
+    )
 
 
 @dataclass
@@ -637,6 +672,34 @@ class IncompleteDatabase:
         rank = {kind: pos for pos, kind in enumerate(_PREFERENCE)}
         return min(covering, key=lambda ix: rank.get(ix.kind, len(rank))), []
 
+    def _resolve_plan(
+        self,
+        query: RangeQuery,
+        costing: MissingSemantics,
+        using: str | None,
+    ) -> tuple:
+        """The ``(chosen, estimate, forced)`` triple one execution runs on.
+
+        ``using`` forces a covering index (no estimate); otherwise the
+        planner picks one under ``costing`` and its estimate rides along.
+        ``chosen`` is None for the sequential-scan fallback.
+        """
+        if using is not None:
+            chosen = self.get_index(using)
+            if not chosen.covers(query):
+                raise QueryError(
+                    f"index {using!r} does not cover attributes "
+                    f"{sorted(set(query.attributes) - set(chosen.attributes))}"
+                )
+            return chosen, None, True
+        chosen, plans = self._plan(query, costing)
+        estimate = None
+        if chosen is not None:
+            estimate = next(
+                (p for p in plans if p.index_name == chosen.name), None
+            )
+        return chosen, estimate, False
+
     def explain(
         self,
         query: RangeQuery,
@@ -735,22 +798,39 @@ class IncompleteDatabase:
             query = RangeQuery.from_bounds(query)
         semantics = resolve_semantics(semantics)
         with self._rwlock.read():
-            if semantics is BOTH:
-                return self._execute_query_both(query, using, trace)
             return self._execute_query(query, semantics, using, trace)
+
+    def _drop_tombstoned(
+        self, ids: tuple[np.ndarray, ...]
+    ) -> tuple[np.ndarray, ...]:
+        """Each bound's ids minus the logically deleted rows."""
+        if self._tombstones is None:
+            return ids
+        return tuple(
+            bound_ids[~self._tombstones[bound_ids]] for bound_ids in ids
+        )
 
     def _execute_query(
         self,
         query: RangeQuery,
-        semantics: MissingSemantics,
+        semantics: MissingSemantics | ThreeValued,
         using: str | None,
         trace: bool,
         cache: SubResultCache | None = None,
         shared_masks: dict | None = None,
         planned: tuple | None = None,
         recorded: bool = True,
-    ) -> QueryReport:
+    ) -> QueryReport | ThreeValuedReport:
         """Shared single-query path behind :meth:`execute` / :meth:`execute_batch`.
+
+        One path for every semantics: the answer is a tuple of id arrays,
+        one per bound in ``semantics.bounds``, and the report type follows
+        its arity.  One plan serves every bound (costed under the widest —
+        see :func:`repro.core.planner.semantics_for_costing`); bitmap
+        indexes and VA-files evaluate all requested bounds in one pass
+        (``execute_bound_ids``), and any other access method — the scan
+        included — answers with one ``execute_ids`` call per bound on the
+        same chosen index, so ``using=`` is always honored.
 
         ``planned`` is the batch executor's precomputed
         ``(chosen, estimate, forced)`` triple; when given, the plan span is
@@ -766,6 +846,8 @@ class IncompleteDatabase:
         log wants span trees, a trace is force-built for the log but never
         attached to the report unless the caller asked for one.
         """
+        from repro.core.planner import semantics_for_costing
+
         recorder = obs.get_recorder()
         recording = recorded and recorder.active
         qtrace = (
@@ -779,25 +861,13 @@ class IncompleteDatabase:
         with context:
             observing = obs.enabled()
             with obs.trace_span("plan") as plan_span:
-                estimate = None
-                if planned is not None:
-                    chosen, estimate, forced = planned
-                elif using is not None:
-                    chosen = self.get_index(using)
-                    if not chosen.covers(query):
-                        raise QueryError(
-                            f"index {using!r} does not cover attributes "
-                            f"{sorted(set(query.attributes) - set(chosen.attributes))}"
-                        )
-                    forced = True
-                else:
-                    chosen, plans = self._plan(query, semantics)
-                    forced = False
-                    if chosen is not None:
-                        estimate = next(
-                            (p for p in plans if p.index_name == chosen.name),
-                            None,
-                        )
+                chosen, estimate, forced = (
+                    planned
+                    if planned is not None
+                    else self._resolve_plan(
+                        query, semantics_for_costing(semantics), using
+                    )
+                )
                 if plan_span is not None:
                     plan_span.set(
                         "chosen", chosen.name if chosen else "<scan>"
@@ -811,31 +881,26 @@ class IncompleteDatabase:
                         )
             name = chosen.name if chosen is not None else "<scan>"
             kind = chosen.kind if chosen is not None else "scan"
+            index = chosen.index if chosen is not None else self._scan
             track = None
             start = time.perf_counter_ns()
-            if chosen is None:
-                with obs.trace_span("execute.scan"):
-                    ids = self._scan.execute_ids(query, semantics)
-            else:
-                with obs.trace_span(f"execute.{kind}", index=name):
-                    index = chosen.index
-                    kwargs = {}
-                    if isinstance(index, BitmapIndex):
-                        if cache is not None:
-                            kwargs["cache"] = cache
-                            kwargs["cache_key"] = (chosen.name,)
-                    elif isinstance(index, VAFile):
-                        if shared_masks is not None:
-                            kwargs["shared_masks"] = shared_masks
-                    if observing and isinstance(index, (BitmapIndex, VAFile)):
-                        track = OpCounter()
-                        kwargs["counter"] = track
-                    ids = np.asarray(
-                        index.execute_ids(query, semantics, **kwargs)
+            with obs.trace_span(f"execute.{kind}", index=name):
+                if isinstance(index, (BitmapIndex, VAFile)):
+                    track = OpCounter() if observing else None
+                    stores = (
+                        {"shared_masks": shared_masks}
+                        if isinstance(index, VAFile)
+                        else {"cache": cache, "cache_key": (name,)}
                     )
-            if self._tombstones is not None:
-                ids = np.asarray(ids)
-                ids = ids[~self._tombstones[ids]]
+                    ids = index.execute_bound_ids(
+                        query, semantics, counter=track, **stores
+                    )
+                else:
+                    ids = tuple(
+                        np.asarray(index.execute_ids(query, bound))
+                        for bound in semantics.bounds
+                    )
+            ids = self._drop_tombstoned(ids)
             elapsed_ns = time.perf_counter_ns() - start
             with self._counts_lock:
                 self._query_counts[name] = self._query_counts.get(name, 0) + 1
@@ -844,7 +909,15 @@ class IncompleteDatabase:
                 obs.record(f"engine.queries.{kind}")
                 obs.observe(f"engine.query_ns.{kind}", elapsed_ns)
                 obs.record(f"planner.plan_chosen.{kind}")
-                if estimate is not None and track is not None:
+                if semantics is BOTH:
+                    # The estimate prices one bound, the tally covers the
+                    # pair: keep it out of the planner-accuracy counters.
+                    obs.record("semantics.both_queries")
+                    obs.record(
+                        "semantics.possible_only_rows",
+                        len(ids[-1]) - len(ids[0]),
+                    )
+                elif estimate is not None and track is not None:
                     obs.record(
                         "planner.estimated_items", round(estimate.items)
                     )
@@ -853,7 +926,8 @@ class IncompleteDatabase:
                     )
         if qtrace is not None:
             qtrace.root.set("index", name)
-            qtrace.root.set("matches", len(ids))
+            for label, bound_ids in zip(_BOUND_LABELS[len(ids)], ids):
+                qtrace.root.set(label, len(bound_ids))
             if track is not None:
                 qtrace.root.set("actual_items", track.words_processed)
             qtrace.close()
@@ -865,159 +939,13 @@ class IncompleteDatabase:
                 semantics=semantics,
                 index=name,
                 kind=kind,
-                matches=len(ids),
+                # The widest bound: every other bound is a subset of it.
+                matches=len(ids[-1]),
                 elapsed_ns=elapsed_ns,
                 trace=qtrace,
             )
-        return QueryReport(
-            index_name=name,
-            kind=kind,
-            record_ids=ids,
-            trace=qtrace if trace else None,
-            elapsed_ns=elapsed_ns,
-        )
-
-    def _execute_query_both(
-        self,
-        query: RangeQuery,
-        using: str | None,
-        trace: bool,
-        cache: SubResultCache | None = None,
-        shared_masks: dict | None = None,
-        planned: tuple | None = None,
-        recorded: bool = True,
-    ) -> ThreeValuedReport:
-        """One-pass both-bounds path behind :meth:`execute` with ``BOTH``.
-
-        Mirrors :meth:`_execute_query`: one plan (costed under the
-        possible bound, which dominates the pair's work — see
-        :func:`repro.core.planner.semantics_for_costing`) serves both
-        bounds, and access methods with a native pair evaluation
-        (``execute_ids_both``) share all per-interval work between them.
-        Index kinds without one fall back to two single-bound runs on the
-        same chosen index, so ``using=`` is always honored.
-        """
-        from repro.core.planner import semantics_for_costing
-        from repro.query.ground_truth import evaluate_mask_both
-
-        costing = semantics_for_costing(BOTH)
-        recorder = obs.get_recorder()
-        recording = recorded and recorder.active
-        qtrace = (
-            obs.QueryTrace("query", query=repr(query), semantics="both")
-            if trace or (recording and recorder.wants_trace)
-            else None
-        )
-        context = obs.activate(qtrace) if qtrace is not None else nullcontext()
-        with context:
-            observing = obs.enabled()
-            with obs.trace_span("plan") as plan_span:
-                estimate = None
-                if planned is not None:
-                    chosen, estimate, forced = planned
-                elif using is not None:
-                    chosen = self.get_index(using)
-                    if not chosen.covers(query):
-                        raise QueryError(
-                            f"index {using!r} does not cover attributes "
-                            f"{sorted(set(query.attributes) - set(chosen.attributes))}"
-                        )
-                    forced = True
-                else:
-                    chosen, plans = self._plan(query, costing)
-                    forced = False
-                    if chosen is not None:
-                        estimate = next(
-                            (p for p in plans if p.index_name == chosen.name),
-                            None,
-                        )
-                if plan_span is not None:
-                    plan_span.set("chosen", chosen.name if chosen else "<scan>")
-                    plan_span.set("forced", forced)
-                    plan_span.set("semantics", "both")
-                    if estimate is not None:
-                        plan_span.set("estimated_items", round(estimate.items))
-            name = chosen.name if chosen is not None else "<scan>"
-            kind = chosen.kind if chosen is not None else "scan"
-            track = None
-            start = time.perf_counter_ns()
-            if chosen is None:
-                with obs.trace_span("execute.scan", semantics="both"):
-                    certain_mask, possible_mask = evaluate_mask_both(
-                        self._table, query
-                    )
-                    certain = np.flatnonzero(certain_mask)
-                    possible = np.flatnonzero(possible_mask)
-            else:
-                with obs.trace_span(f"execute.{kind}", index=name):
-                    index = chosen.index
-                    if hasattr(index, "execute_ids_both"):
-                        kwargs = {}
-                        if isinstance(index, BitmapIndex):
-                            if cache is not None:
-                                kwargs["cache"] = cache
-                                kwargs["cache_key"] = (chosen.name,)
-                        elif isinstance(index, VAFile):
-                            if shared_masks is not None:
-                                kwargs["shared_masks"] = shared_masks
-                        if observing and isinstance(index, (BitmapIndex, VAFile)):
-                            track = OpCounter()
-                            kwargs["counter"] = track
-                        certain, possible = index.execute_ids_both(
-                            query, **kwargs
-                        )
-                    else:
-                        # Two single-bound runs on the same index: correct
-                        # for every access method, just without the shared
-                        # per-interval work.
-                        certain = index.execute_ids(
-                            query, MissingSemantics.NOT_MATCH
-                        )
-                        possible = index.execute_ids(
-                            query, MissingSemantics.IS_MATCH
-                        )
-                    certain = np.asarray(certain)
-                    possible = np.asarray(possible)
-            if self._tombstones is not None:
-                certain = certain[~self._tombstones[certain]]
-                possible = possible[~self._tombstones[possible]]
-            elapsed_ns = time.perf_counter_ns() - start
-            with self._counts_lock:
-                self._query_counts[name] = self._query_counts.get(name, 0) + 1
-            if observing:
-                obs.record("engine.queries")
-                obs.record(f"engine.queries.{kind}")
-                obs.observe(f"engine.query_ns.{kind}", elapsed_ns)
-                obs.record(f"planner.plan_chosen.{kind}")
-                obs.record("semantics.both_queries")
-                obs.record(
-                    "semantics.possible_only_rows",
-                    len(possible) - len(certain),
-                )
-        if qtrace is not None:
-            qtrace.root.set("index", name)
-            qtrace.root.set("certain", len(certain))
-            qtrace.root.set("possible", len(possible))
-            qtrace.close()
-        if recording:
-            recorder.record_query(
-                source="engine",
-                batch=planned is not None,
-                query=query,
-                semantics=BOTH,
-                index=name,
-                kind=kind,
-                matches=len(possible),
-                elapsed_ns=elapsed_ns,
-                trace=qtrace,
-            )
-        return ThreeValuedReport(
-            index_name=name,
-            kind=kind,
-            certain_ids=certain,
-            possible_ids=possible,
-            trace=qtrace if trace else None,
-            elapsed_ns=elapsed_ns,
+        return _engine_report(
+            name, kind, ids, qtrace if trace else None, elapsed_ns
         )
 
     def execute_batch(
@@ -1088,25 +1016,10 @@ class IncompleteDatabase:
         with self._rwlock.read():
             # Plan + run under one shared hold, so a writer can never swap
             # the index set between a batch's planning and its execution.
-            planned: list[tuple] = []
-            for query in normalized:
-                if using is not None:
-                    chosen = self.get_index(using)
-                    if not chosen.covers(query):
-                        raise QueryError(
-                            f"index {using!r} does not cover attributes "
-                            f"{sorted(set(query.attributes) - set(chosen.attributes))}"
-                        )
-                    planned.append((chosen, None, True))
-                else:
-                    chosen, plans = self._plan(query, costing)
-                    estimate = None
-                    if chosen is not None:
-                        estimate = next(
-                            (p for p in plans if p.index_name == chosen.name),
-                            None,
-                        )
-                    planned.append((chosen, estimate, False))
+            planned = [
+                self._resolve_plan(query, costing, using)
+                for query in normalized
+            ]
             reports = self._run_planned_batch(
                 normalized, planned, semantics, trace, sub_cache, parallel,
                 max_workers,
@@ -1120,7 +1033,7 @@ class IncompleteDatabase:
         self,
         normalized: Sequence[RangeQuery],
         planned: Sequence[tuple],
-        semantics: MissingSemantics,
+        semantics: MissingSemantics | ThreeValued,
         trace: bool,
         sub_cache: SubResultCache | None,
         parallel: bool = False,
@@ -1149,27 +1062,16 @@ class IncompleteDatabase:
             # simply never read it.
             shared_masks: dict = {}
             for pos in group.positions:
-                if semantics is BOTH:
-                    reports[pos] = self._execute_query_both(
-                        normalized[pos],
-                        using=None,
-                        trace=trace,
-                        cache=sub_cache,
-                        shared_masks=shared_masks,
-                        planned=planned[pos],
-                        recorded=recorded,
-                    )
-                else:
-                    reports[pos] = self._execute_query(
-                        normalized[pos],
-                        semantics,
-                        using=None,
-                        trace=trace,
-                        cache=sub_cache,
-                        shared_masks=shared_masks,
-                        planned=planned[pos],
-                        recorded=recorded,
-                    )
+                reports[pos] = self._execute_query(
+                    normalized[pos],
+                    semantics,
+                    using=None,
+                    trace=trace,
+                    cache=sub_cache,
+                    shared_masks=shared_masks,
+                    planned=planned[pos],
+                    recorded=recorded,
+                )
 
         if max_workers is not None and max_workers < 1:
             # `max_workers or default` used to swallow 0 here and silently
@@ -1267,18 +1169,13 @@ class IncompleteDatabase:
         ``semantics="both"`` the tree is evaluated three-valued in one pass
         (NOT swaps the bounds) and a :class:`ThreeValuedReport` comes back.
         """
-        from repro.query.boolean import (
-            Predicate,
-            evaluate_predicate,
-            evaluate_predicate_both,
-        )
+        from repro.query.boolean import Predicate, evaluate_predicate
 
         if not isinstance(predicate, Predicate):
             raise QueryError(
                 f"expected a Predicate, got {type(predicate).__name__}"
             )
         semantics = resolve_semantics(semantics)
-        both = semantics is BOTH
         attrs = predicate.attributes()
         with self._rwlock.read():
             if using is not None:
@@ -1295,50 +1192,29 @@ class IncompleteDatabase:
                     ix
                     for ix in self._indexes.values()
                     if attrs <= set(ix.attributes)
-                    and hasattr(ix.index, "execute_predicate_ids")
+                    and isinstance(ix.index, (BitmapIndex, VAFile))
                 ]
                 if covering:
                     chosen = min(
                         covering, key=lambda ix: rank.get(ix.kind, len(rank))
                     )
-            if both:
-                if chosen is None or not hasattr(
-                    chosen.index, "execute_predicate_ids_both"
-                ):
-                    certain, possible = evaluate_predicate_both(
-                        self._table, predicate
-                    )
-                    name, kind = "<scan>", "scan"
-                else:
-                    certain, possible = (
-                        chosen.index.execute_predicate_ids_both(predicate)
-                    )
-                    name, kind = chosen.name, chosen.kind
-                certain = np.asarray(certain)
-                possible = np.asarray(possible)
-                if self._tombstones is not None:
-                    certain = certain[~self._tombstones[certain]]
-                    possible = possible[~self._tombstones[possible]]
-                if obs.enabled():
-                    obs.record("semantics.both_predicates")
-                return ThreeValuedReport(
-                    index_name=name,
-                    kind=kind,
-                    certain_ids=certain,
-                    possible_ids=possible,
-                )
-            if chosen is None or not hasattr(
-                chosen.index, "execute_predicate_ids"
+            if chosen is None or not isinstance(
+                chosen.index, (BitmapIndex, VAFile)
             ):
-                ids = evaluate_predicate(self._table, predicate, semantics)
+                ids = tuple(
+                    evaluate_predicate(self._table, predicate, bound)
+                    for bound in semantics.bounds
+                )
                 name, kind = "<scan>", "scan"
             else:
-                ids = chosen.index.execute_predicate_ids(predicate, semantics)
+                ids = chosen.index.execute_predicate_bound_ids(
+                    predicate, semantics
+                )
                 name, kind = chosen.name, chosen.kind
-            if self._tombstones is not None:
-                ids = np.asarray(ids)
-                ids = ids[~self._tombstones[ids]]
-        return QueryReport(index_name=name, kind=kind, record_ids=ids)
+            ids = self._drop_tombstoned(ids)
+            if semantics is BOTH and obs.enabled():
+                obs.record("semantics.both_predicates")
+        return _engine_report(name, kind, ids)
 
     def fetch(
         self,

@@ -117,11 +117,10 @@ def semantics_for_costing(semantics) -> MissingSemantics:
     essentially the possible bound's (the certain bound is one missing-
     bitmap adjustment away), so :data:`~repro.query.model.BOTH` is costed
     as ``IS_MATCH`` — the superset bound — and one plan serves both
-    bounds.  Single-semantics requests cost as themselves.
+    bounds.  Single-semantics requests cost as themselves.  Either way
+    that is the widest bound the request asks for.
     """
-    if isinstance(semantics, MissingSemantics):
-        return semantics
-    return MissingSemantics.IS_MATCH
+    return semantics.bounds[-1]
 
 
 def estimate_cost(

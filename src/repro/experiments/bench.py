@@ -11,8 +11,6 @@ prove its speedup (or be caught regressing) by diffing committed numbers:
 * ``fig5_latency`` — the Figure 5(a) query-latency sweep.
 * ``batch_hit_rate`` — the batch executor + sub-result cache experiment.
 * ``sharded_scaling`` — the sharded scatter-gather scaling sweep.
-* ``serve_concurrency`` — HTTP clients vs the epoch-pinned query service
-  (throughput, latency quantiles, concurrent-correctness check).
 
 Every file records the schema version, the git commit, interpreter/numpy
 versions, the active kernel backend, and the suite's results; see
@@ -168,15 +166,6 @@ def bench_sharded_scaling(scale: dict) -> dict:
     return _result_as_dict(result)
 
 
-def bench_serve_concurrency(scale: dict) -> dict:
-    from repro.experiments.serve_bench import run_serve_concurrency
-
-    result = run_serve_concurrency(
-        num_records=scale["records"], num_queries=scale["queries"]
-    )
-    return _result_as_dict(result)
-
-
 def bench_semantics(scale: dict) -> dict:
     from repro.experiments.fig_semantics import run_fig_semantics
 
@@ -191,7 +180,6 @@ _SUITES: dict[str, Callable[[dict, int], dict]] = {
     "fig5_latency": lambda scale, repeats: bench_fig5_latency(scale),
     "batch_hit_rate": lambda scale, repeats: bench_batch_hit_rate(scale),
     "sharded_scaling": lambda scale, repeats: bench_sharded_scaling(scale),
-    "serve_concurrency": lambda scale, repeats: bench_serve_concurrency(scale),
     "semantics": lambda scale, repeats: bench_semantics(scale),
 }
 

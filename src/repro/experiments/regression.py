@@ -8,8 +8,7 @@ CI runner:
 
 * **ratios within one run** — ``speedup_vs_python`` (micro_ops),
   ``speedup`` / ``cache_hit_rate`` (batch_hit_rate), ``speedup`` /
-  ``pruned_frac`` / ``identical`` (sharded_scaling), ``identical``
-  (serve_concurrency — concurrent HTTP responses match the oracle);
+  ``pruned_frac`` / ``identical`` (sharded_scaling);
 * **deterministic cost-model counts** — the ``*_words`` / ``*_bitmaps``
   columns of ``fig5_latency``, which depend only on the seeded dataset
   and the algorithms, never the hardware.

@@ -27,22 +27,28 @@ pinned by regression tests.)  ``And``/``Or`` remain ordinary set
 operations bound-by-bound, which keeps every execution engine (oracle
 scan, bitmap indexes, VA-file) consistent.
 
-The ``*_both`` variants evaluate one predicate tree into its
-``(certain, possible)`` pair in a single pass: each atom's two bitvectors
-are derived together (possible = certain ∪ missing), combinators apply
-pairwise, and ``Not`` swaps the bounds — see ``docs/semantics.md``.
+Index execution is one walker, :func:`evaluate_tree`, shared by every
+access method: a node evaluates to a tuple of bounds whose length the
+requested semantics fixes (``semantics.bounds`` — one element, or
+``(certain, possible)`` under ``BOTH``), ``And``/``Or`` combine
+element-wise, and ``Not`` evaluates its child under ``semantics.opposite``,
+complements each element and reverses the tuple — see ``docs/semantics.md``.
+The ground-truth evaluators above it (``evaluate_predicate_mask[_both]``)
+are the reference the tests compare against and deliberately do not use
+the walker.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.errors import QueryError
-from repro.query.model import Interval, MissingSemantics, RangeQuery
+from repro.query.model import Interval, MissingSemantics, RangeQuery, ThreeValued
 
 
 class Predicate(abc.ABC):
@@ -253,159 +259,44 @@ def evaluate_predicate_both(
 
 # -- index execution -------------------------------------------------------------
 
-def execute_on_bitmap_index(
-    index,
+def evaluate_tree(
     predicate: Predicate,
-    semantics: MissingSemantics,
+    semantics: "MissingSemantics | ThreeValued",
+    leaf,
     counter=None,
-):
-    """Evaluate a predicate tree on any bitmap index; returns a bitvector.
+) -> tuple:
+    """Evaluate a predicate tree on any access method; returns its bounds.
 
-    Atoms go through the index's paper-faithful interval evaluation; the
-    combinators become the corresponding bitvector operations.
+    ``leaf(atom, semantics)`` is the access method's own atom evaluation
+    and returns one operand per bound in ``semantics.bounds`` — bitvectors
+    for the bitmap indexes, boolean masks for the VA-file; anything with
+    ``&``, ``|`` and ``~`` works.  The result has the same arity: ``(x,)``
+    under a single semantics, ``(certain, possible)`` under ``BOTH``.
+    ``counter`` (an :class:`~repro.bitvector.ops.OpCounter`) tallies the
+    combinator operations when given.
     """
     if isinstance(predicate, Atom):
-        return index.evaluate_interval(
-            predicate.attribute, predicate.interval, semantics, counter
-        )
+        return tuple(leaf(predicate, semantics))
     if isinstance(predicate, (And, Or)):
-        results = [
-            execute_on_bitmap_index(index, child, semantics, counter)
+        combine = operator.and_ if isinstance(predicate, And) else operator.or_
+        combined, *rest = (
+            evaluate_tree(child, semantics, leaf, counter)
             for child in predicate.children
-        ]
-        combined = results[0]
-        for nxt in results[1:]:
+        )
+        for nxt in rest:
             if counter is not None:
-                counter.record_binary(combined, nxt)
-            combined = (combined & nxt) if isinstance(predicate, And) else (
-                combined | nxt
-            )
+                for left, right in zip(combined, nxt):
+                    counter.record_binary(left, right)
+            combined = tuple(map(combine, combined, nxt))
         return combined
     if isinstance(predicate, Not):
         # certain(¬p) = ¬possible(p) and vice versa: complement the child
-        # evaluated under the opposite bound.
-        inner = execute_on_bitmap_index(
-            index, predicate.child, semantics.opposite, counter
-        )
+        # evaluated under the opposite semantics and reverse the bounds —
+        # a no-op at arity 1, the swap at arity 2 (BOTH is its own
+        # opposite).
+        inner = evaluate_tree(predicate.child, semantics.opposite, leaf, counter)
         if counter is not None:
-            counter.record_not(inner)
-        return ~inner
-    raise QueryError(f"unknown predicate type {type(predicate).__name__}")
-
-
-def execute_on_bitmap_index_both(
-    index,
-    predicate: Predicate,
-    counter=None,
-):
-    """One-pass ``(certain, possible)`` bitvector pair on a bitmap index.
-
-    Atoms go through :meth:`~repro.bitmap.base.BitmapIndex.evaluate_interval_both`
-    so the expensive interval work (bitmap ORs / cumulative lookups) is
-    shared between the two bounds; ``And``/``Or`` combine pairwise and
-    ``Not`` swaps the bounds.
-    """
-    if isinstance(predicate, Atom):
-        return index.evaluate_interval_both(
-            predicate.attribute, predicate.interval, counter
-        )
-    if isinstance(predicate, (And, Or)):
-        pairs = [
-            execute_on_bitmap_index_both(index, child, counter)
-            for child in predicate.children
-        ]
-        certain, possible = pairs[0]
-        for next_certain, next_possible in pairs[1:]:
-            if counter is not None:
-                counter.record_binary(certain, next_certain)
-                counter.record_binary(possible, next_possible)
-            if isinstance(predicate, And):
-                certain = certain & next_certain
-                possible = possible & next_possible
-            else:
-                certain = certain | next_certain
-                possible = possible | next_possible
-        return certain, possible
-    if isinstance(predicate, Not):
-        certain, possible = execute_on_bitmap_index_both(
-            index, predicate.child, counter
-        )
-        if counter is not None:
-            counter.record_not(certain)
-            counter.record_not(possible)
-        return ~possible, ~certain
-    raise QueryError(f"unknown predicate type {type(predicate).__name__}")
-
-
-def execute_on_vafile(
-    vafile,
-    predicate: Predicate,
-    semantics: MissingSemantics,
-    stats=None,
-) -> np.ndarray:
-    """Evaluate a predicate tree on a VA-file; returns a boolean mask.
-
-    Each atom runs the full scan-and-refine pipeline (so the result is
-    exact), then the combinators merge the per-atom masks.
-    """
-    if isinstance(predicate, Atom):
-        query = RangeQuery({predicate.attribute: predicate.interval})
-        ids = vafile.execute_ids(query, semantics, stats)
-        mask = np.zeros(vafile.num_records, dtype=bool)
-        mask[ids] = True
-        return mask
-    if isinstance(predicate, And):
-        masks = [
-            execute_on_vafile(vafile, child, semantics, stats)
-            for child in predicate.children
-        ]
-        return np.logical_and.reduce(masks)
-    if isinstance(predicate, Or):
-        masks = [
-            execute_on_vafile(vafile, child, semantics, stats)
-            for child in predicate.children
-        ]
-        return np.logical_or.reduce(masks)
-    if isinstance(predicate, Not):
-        # Same bound-swap as the other engines: negate the opposite bound.
-        return ~execute_on_vafile(
-            vafile, predicate.child, semantics.opposite, stats
-        )
-    raise QueryError(f"unknown predicate type {type(predicate).__name__}")
-
-
-def execute_on_vafile_both(
-    vafile,
-    predicate: Predicate,
-    stats=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-pass ``(certain, possible)`` boolean mask pair on a VA-file.
-
-    Each atom runs the paired scan-and-refine once
-    (:meth:`~repro.vafile.vafile.VAFile.execute_ids_both` shares the
-    per-attribute approximation scan between bounds), then the combinators
-    merge bound-by-bound with ``Not`` swapping the pair.
-    """
-    if isinstance(predicate, Atom):
-        query = RangeQuery({predicate.attribute: predicate.interval})
-        certain_ids, possible_ids = vafile.execute_ids_both(query, stats)
-        certain = np.zeros(vafile.num_records, dtype=bool)
-        certain[certain_ids] = True
-        possible = np.zeros(vafile.num_records, dtype=bool)
-        possible[possible_ids] = True
-        return certain, possible
-    if isinstance(predicate, (And, Or)):
-        pairs = [
-            execute_on_vafile_both(vafile, child, stats)
-            for child in predicate.children
-        ]
-        combine = np.logical_and if isinstance(predicate, And) else np.logical_or
-        certain, possible = pairs[0]
-        for next_certain, next_possible in pairs[1:]:
-            certain = combine(certain, next_certain)
-            possible = combine(possible, next_possible)
-        return certain, possible
-    if isinstance(predicate, Not):
-        certain, possible = execute_on_vafile_both(vafile, predicate.child, stats)
-        return ~possible, ~certain
+            for bound in inner:
+                counter.record_not(bound)
+        return tuple(~bound for bound in reversed(inner))
     raise QueryError(f"unknown predicate type {type(predicate).__name__}")

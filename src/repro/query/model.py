@@ -15,7 +15,12 @@ Two query semantics are defined for incomplete data:
 The two semantics are the poles of the three-valued (certain, possible)
 answer model — ``NOT_MATCH`` computes the *certain* answers, ``IS_MATCH``
 the *possible* answers — and :data:`BOTH` requests both bounds in one
-pass (see ``docs/semantics.md``).  :func:`resolve_semantics` normalizes
+pass (see ``docs/semantics.md``).  This module is the one place that knows
+how many bounds a request asks for: every resolved semantics exposes
+``bounds`` (the tuple of single semantics it evaluates to, narrowest first)
+and ``opposite`` (the semantics a ``Not`` evaluates its child under), and
+every execution tier is written once against those two properties.
+:func:`resolve_semantics` normalizes
 user-facing spellings (enum members or the strings ``"is_match"``,
 ``"not_match"``, ``"both"``) into either a :class:`MissingSemantics`
 member or the :data:`BOTH` sentinel.
@@ -37,6 +42,11 @@ class MissingSemantics(enum.Enum):
     IS_MATCH = "is_match"
     #: A missing value disqualifies the record for that attribute.
     NOT_MATCH = "not_match"
+
+    @property
+    def bounds(self) -> "tuple[MissingSemantics, ...]":
+        """The bounds this semantics asks for: itself, at arity 1."""
+        return (self,)
 
     @property
     def opposite(self) -> "MissingSemantics":
@@ -61,6 +71,16 @@ class ThreeValued(enum.Enum):
     """
 
     BOTH = "both"
+
+    @property
+    def bounds(self) -> "tuple[MissingSemantics, ...]":
+        """``(certain, possible)``: narrowest bound first, widest last."""
+        return (MissingSemantics.NOT_MATCH, MissingSemantics.IS_MATCH)
+
+    @property
+    def opposite(self) -> "ThreeValued":
+        """``BOTH`` is its own opposite: negation swaps the pair in place."""
+        return self
 
 
 #: Request a one-pass ``(certain, possible)`` evaluation.

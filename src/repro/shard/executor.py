@@ -46,7 +46,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.errors import ShardError
-from repro.query.model import MissingSemantics, RangeQuery
+from repro.query.model import MissingSemantics, RangeQuery, ThreeValued
 
 __all__ = [
     "EXECUTOR_ENV_VAR",
@@ -82,7 +82,8 @@ class ShardQueryTask:
 
     shard_id: int
     query: RangeQuery
-    semantics: MissingSemantics
+    #: Any resolved semantics, ``BOTH`` included; fixes the outcome's arity.
+    semantics: MissingSemantics | ThreeValued
     #: Chosen index name (None = sequential scan fallback).
     index_name: str | None
     #: This shard's pre-computed cost estimate for the chosen index.
@@ -101,7 +102,7 @@ class ShardBatchTask:
     queries: tuple[RangeQuery, ...]
     #: Per-position ``(index_name, estimate, forced)`` plan descriptors.
     plans: tuple[tuple, ...]
-    semantics: MissingSemantics
+    semantics: MissingSemantics | ThreeValued
     trace: bool
 
 
@@ -110,8 +111,9 @@ class ShardOutcome:
     """One shard's answer to a :class:`ShardQueryTask`."""
 
     shard_id: int
-    #: Shard-local record ids, ascending int64.
-    record_ids: np.ndarray = field(repr=False)
+    #: Shard-local record ids (ascending int64), one array per bound the
+    #: task's semantics asked for.
+    bound_ids: tuple[np.ndarray, ...] = field(repr=False)
     elapsed_ns: int = 0
     #: The shard-side query span tree, when the task asked for tracing.
     trace_root: object | None = field(default=None, repr=False)
@@ -123,33 +125,40 @@ class ShardBatchOutcome:
 
     shard_id: int
     positions: tuple[int, ...]
-    #: Per-position ``(record_ids, elapsed_ns)`` pairs.
-    results: tuple[tuple[np.ndarray, int], ...]
+    #: Per-position ``(bound_ids, elapsed_ns)`` pairs; ``bound_ids`` is one
+    #: id array per bound, as in :class:`ShardOutcome`.
+    results: tuple[tuple[tuple[np.ndarray, ...], int], ...]
 
 
 # -- shared in-process evaluation ----------------------------------------------
 
+def _as_int64(bound_ids) -> tuple[np.ndarray, ...]:
+    """Each bound's ids as the int64 array outcomes carry."""
+    return tuple(np.asarray(ids, dtype=np.int64) for ids in bound_ids)
+
+
+def _planned(database, index_name, estimate, forced) -> tuple:
+    """A task's plan descriptor resolved against the receiving engine."""
+    if index_name is None:
+        return None, None, False
+    return database.get_index(index_name), estimate, forced
+
+
 def _run_query_task(database, task: ShardQueryTask) -> ShardOutcome:
     """Evaluate one query task against a (local or worker-resident) engine."""
-    if task.index_name is None:
-        planned = (None, None, False)
-    else:
-        planned = (
-            database.get_index(task.index_name),
-            task.estimate,
-            task.forced,
-        )
     report = database._execute_query(
         task.query,
         task.semantics,
         using=None,
         trace=task.trace,
-        planned=planned,
+        planned=_planned(
+            database, task.index_name, task.estimate, task.forced
+        ),
         recorded=False,
     )
     return ShardOutcome(
         shard_id=task.shard_id,
-        record_ids=np.asarray(report.record_ids, dtype=np.int64),
+        bound_ids=_as_int64(report.bound_ids),
         elapsed_ns=report.elapsed_ns or 0,
         trace_root=report.trace.root if report.trace is not None else None,
     )
@@ -159,17 +168,9 @@ def _run_batch_task(database, task: ShardBatchTask) -> ShardBatchOutcome:
     """Evaluate one batch task through the engine's grouped batch executor."""
     if not task.positions:
         return ShardBatchOutcome(task.shard_id, (), ())
-    sub_planned = []
-    for index_name, estimate, forced in task.plans:
-        if index_name is None:
-            sub_planned.append((None, None, False))
-        else:
-            sub_planned.append(
-                (database.get_index(index_name), estimate, forced)
-            )
     reports = database._run_planned_batch(
         list(task.queries),
-        sub_planned,
+        [_planned(database, *plan) for plan in task.plans],
         task.semantics,
         task.trace,
         database.sub_result_cache,
@@ -179,8 +180,7 @@ def _run_batch_task(database, task: ShardBatchTask) -> ShardBatchOutcome:
         shard_id=task.shard_id,
         positions=tuple(task.positions),
         results=tuple(
-            (np.asarray(r.record_ids, dtype=np.int64), r.elapsed_ns or 0)
-            for r in reports
+            (_as_int64(r.bound_ids), r.elapsed_ns or 0) for r in reports
         ),
     )
 
@@ -453,7 +453,7 @@ def _worker_main(conn) -> None:
                     payload = [
                         (
                             o.shard_id,
-                            o.record_ids,
+                            o.bound_ids,
                             o.elapsed_ns,
                             o.trace_root.to_payload()
                             if o.trace_root is not None
@@ -837,10 +837,10 @@ class ProcessShardExecutor(ShardExecutor):
         replies = self._dispatch(db, tasks, "query")
         by_shard = {}
         for reply in replies.values():
-            for shard_id, record_ids, elapsed_ns, trace_payload in reply:
+            for shard_id, bound_ids, elapsed_ns, trace_payload in reply:
                 by_shard[shard_id] = ShardOutcome(
                     shard_id=shard_id,
-                    record_ids=np.asarray(record_ids, dtype=np.int64),
+                    bound_ids=_as_int64(bound_ids),
                     elapsed_ns=elapsed_ns,
                     trace_root=(
                         Span.from_payload(trace_payload)
@@ -864,8 +864,8 @@ class ProcessShardExecutor(ShardExecutor):
                     shard_id=shard_id,
                     positions=tuple(positions),
                     results=tuple(
-                        (np.asarray(ids, dtype=np.int64), elapsed)
-                        for ids, elapsed in results
+                        (_as_int64(bound_ids), elapsed)
+                        for bound_ids, elapsed in results
                     ),
                 )
         return [by_shard[task.shard_id] for task in tasks]

@@ -41,6 +41,7 @@ import numpy as np
 from repro import observability as obs
 from repro.core.cache import DEFAULT_CACHE_BYTES, CacheStats
 from repro.core.engine import (
+    _BOUND_LABELS,
     _PREFERENCE,
     IncompleteDatabase,
     QueryReport,
@@ -56,7 +57,12 @@ from repro.core.planner import (
 from repro.core.statistics import TableStatistics
 from repro.dataset.table import IncompleteTable
 from repro.errors import QueryError, ReproError, ShardError
-from repro.query.model import BOTH, MissingSemantics, RangeQuery, resolve_semantics
+from repro.query.model import (
+    BOTH,
+    MissingSemantics,
+    RangeQuery,
+    resolve_semantics,
+)
 from repro.shard.executor import (
     ShardBatchTask,
     ShardExecutor,
@@ -99,22 +105,10 @@ class _IndexMeta:
         return set(query.attributes) <= set(self.attributes)
 
 
-@dataclass(frozen=True)
-class ShardedQueryReport:
-    """Outcome of one scatter-gather query execution."""
+class _PerShardStats:
+    """Per-shard slice statistics both sharded report types expose."""
 
-    index_name: str
-    kind: str
-    #: Global record ids, ascending — bit-identical to the unsharded result.
-    record_ids: np.ndarray = field(repr=False)
-    per_shard: tuple[ShardReportSlice, ...] = ()
-    trace: obs.QueryTrace | None = field(default=None, repr=False)
-    elapsed_ns: int | None = None
-
-    @property
-    def num_matches(self) -> int:
-        """Number of matching records across all shards."""
-        return len(self.record_ids)
+    per_shard: tuple[ShardReportSlice, ...]
 
     @property
     def num_pruned(self) -> int:
@@ -132,6 +126,24 @@ class ShardedQueryReport:
             return 0.0
         return max(executed) / mean
 
+
+@dataclass(frozen=True)
+class ShardedQueryReport(_PerShardStats):
+    """Outcome of one scatter-gather query execution."""
+
+    index_name: str
+    kind: str
+    #: Global record ids, ascending — bit-identical to the unsharded result.
+    record_ids: np.ndarray = field(repr=False)
+    per_shard: tuple[ShardReportSlice, ...] = ()
+    trace: obs.QueryTrace | None = field(default=None, repr=False)
+    elapsed_ns: int | None = None
+
+    @property
+    def num_matches(self) -> int:
+        """Number of matching records across all shards."""
+        return len(self.record_ids)
+
     def __repr__(self) -> str:
         return (
             f"ShardedQueryReport(index={self.index_name!r}, "
@@ -141,7 +153,7 @@ class ShardedQueryReport:
 
 
 @dataclass(frozen=True)
-class ShardedThreeValuedReport:
+class ShardedThreeValuedReport(_PerShardStats):
     """Outcome of one scatter-gather both-bounds (``semantics="both"``) query.
 
     Per-shard slices report the *possible* bound's match count (the pair's
@@ -156,6 +168,7 @@ class ShardedThreeValuedReport:
     #: Global ids that possibly match (superset of certain), ascending.
     possible_ids: np.ndarray = field(repr=False)
     per_shard: tuple[ShardReportSlice, ...] = ()
+    trace: obs.QueryTrace | None = field(default=None, repr=False)
     elapsed_ns: int | None = None
 
     @property
@@ -167,11 +180,6 @@ class ShardedThreeValuedReport:
     def num_possible(self) -> int:
         """Number of possible matches across all shards."""
         return len(self.possible_ids)
-
-    @property
-    def num_pruned(self) -> int:
-        """How many shards the planner skipped outright."""
-        return sum(1 for s in self.per_shard if s.pruned)
 
     @property
     def possible_only_ids(self) -> np.ndarray:
@@ -204,6 +212,39 @@ class _Shard:
     def to_global(self, local_ids: np.ndarray) -> np.ndarray:
         """Map shard-local record ids back to global ids."""
         return self.global_ids[np.asarray(local_ids, dtype=np.int64)]
+
+
+def _merge_ids(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate per-shard global ids and sort them ascending.
+
+    Shards partition the row space and every access method returns
+    ascending ids, so one sort makes the result bit-identical to the
+    unsharded database's.
+    """
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    return np.sort(np.concatenate(parts))
+
+
+def _sharded_report(
+    index_name: str,
+    kind: str,
+    bound_ids: tuple[np.ndarray, ...],
+    per_shard: tuple[ShardReportSlice, ...],
+    trace: obs.QueryTrace | None = None,
+    elapsed_ns: int | None = None,
+) -> "ShardedQueryReport | ShardedThreeValuedReport":
+    """The report type the answer's arity calls for."""
+    common = dict(
+        index_name=index_name, kind=kind, per_shard=per_shard,
+        trace=trace, elapsed_ns=elapsed_ns,
+    )
+    if len(bound_ids) == 1:
+        return ShardedQueryReport(record_ids=bound_ids[0], **common)
+    certain_ids, possible_ids = bound_ids
+    return ShardedThreeValuedReport(
+        certain_ids=certain_ids, possible_ids=possible_ids, **common
+    )
 
 
 def _finalize_executor(executor: ShardExecutor) -> None:
@@ -632,18 +673,19 @@ class ShardedDatabase:
 
         Plans once against the merged shard statistics, prunes shards whose
         histograms rule out any match, fans the survivors out, and merges
-        local ids back into one ascending global id array.  With
+        local ids back into one ascending global id array per bound.  With
         ``trace=True`` the report carries a root span whose children are the
         per-shard query traces (one subtree per executed shard, tagged with
-        its shard id).  With ``semantics="both"`` each shard computes its
-        (certain, possible) pair in one pass and a
-        :class:`ShardedThreeValuedReport` comes back.
+        its shard id).  With ``semantics="both"`` the same task list carries
+        ``BOTH`` to the shards, each computes its (certain, possible) pair in
+        one pass, and a :class:`ShardedThreeValuedReport` comes back.
+        Planning and pruning run under the widest requested bound: one plan
+        serves the pair, and no possible match rules out a certain one.
         """
         self._ensure_open()
         query = self._normalize(query)
         semantics = resolve_semantics(semantics)
-        if semantics is BOTH:
-            return self._execute_both(query, using)
+        costing = semantics_for_costing(semantics)
         start = time.perf_counter_ns()
         observing = obs.enabled()
         recorder = obs.get_recorder()
@@ -661,12 +703,12 @@ class ShardedDatabase:
         )
         plan_start = time.perf_counter_ns()
         chosen, forced, per_shard_estimates = self._resolve_plan(
-            query, semantics, using
+            query, costing, using
         )
         survivors: list[_Shard] = []
         pruned_ids: list[int] = []
         for shard in self._shards:
-            if self._shard_can_match(shard, query, semantics):
+            if self._shard_can_match(shard, query, costing):
                 survivors.append(shard)
             else:
                 pruned_ids.append(shard.shard_id)
@@ -686,11 +728,7 @@ class ShardedDatabase:
                 query=query,
                 semantics=semantics,
                 index_name=chosen,
-                estimate=(
-                    per_shard_estimates[shard.shard_id]
-                    if chosen is not None
-                    else None
-                ),
+                estimate=per_shard_estimates[shard.shard_id],
                 forced=forced,
                 trace=tracing,
             )
@@ -702,14 +740,13 @@ class ShardedDatabase:
         if observing:
             obs.record("shard.fanout_tasks", len(tasks))
         merge_start = time.perf_counter_ns()
-        parts = [
-            shard.to_global(outcome.record_ids)
-            for shard, outcome in zip(survivors, outcomes)
-        ]
-        if parts:
-            merged = np.sort(np.concatenate(parts))
-        else:
-            merged = np.empty(0, dtype=np.int64)
+        merged = tuple(
+            _merge_ids([
+                shard.to_global(outcome.bound_ids[position])
+                for shard, outcome in zip(survivors, outcomes)
+            ])
+            for position in range(len(semantics.bounds))
+        )
         merge_ns = time.perf_counter_ns() - merge_start
 
         slices = {
@@ -720,36 +757,32 @@ class ShardedDatabase:
             slices[shard.shard_id] = ShardReportSlice(
                 shard.shard_id,
                 False,
-                len(outcome.record_ids),
+                len(outcome.bound_ids[-1]),
                 outcome.elapsed_ns,
             )
             if qtrace is not None and outcome.trace_root is not None:
                 outcome.trace_root.set("shard", shard.shard_id)
                 qtrace.root.children.append(outcome.trace_root)
-        per_shard = tuple(
-            slices[shard_id] for shard_id in sorted(slices)
-        )
         elapsed_ns = time.perf_counter_ns() - start
         if observing:
             obs.observe("shard.fanout_ns", fan_ns)
             obs.observe("shard.merge_ns", merge_ns)
             for outcome in outcomes:
                 obs.observe("shard.task_ns", outcome.elapsed_ns)
-        result = ShardedQueryReport(
-            index_name=chosen if chosen else "<scan>",
-            kind=(
-                self._index_meta[chosen].kind if chosen else "scan"
-            ),
-            record_ids=merged,
-            per_shard=per_shard,
-            trace=qtrace if trace else None,
-            elapsed_ns=elapsed_ns,
+        result = _sharded_report(
+            chosen if chosen else "<scan>",
+            self._index_meta[chosen].kind if chosen else "scan",
+            merged,
+            tuple(slices[shard_id] for shard_id in sorted(slices)),
+            qtrace if trace else None,
+            elapsed_ns,
         )
         if observing:
             obs.observe("shard.skew", result.skew)
         if qtrace is not None:
             qtrace.root.set("index", result.index_name)
-            qtrace.root.set("matches", result.num_matches)
+            for label, bound_ids in zip(_BOUND_LABELS[len(merged)], merged):
+                qtrace.root.set(label, len(bound_ids))
             qtrace.root.set("pruned", len(pruned_ids))
             qtrace.close()
         if recording:
@@ -760,71 +793,13 @@ class ShardedDatabase:
                 semantics=semantics,
                 index=result.index_name,
                 kind=result.kind,
-                matches=result.num_matches,
+                matches=len(merged[-1]),
                 elapsed_ns=elapsed_ns,
                 trace=qtrace,
                 shards_executed=len(survivors),
                 shards_pruned=len(pruned_ids),
             )
         return result
-
-    def _execute_both(
-        self, query: RangeQuery, using: str | None
-    ) -> ShardedThreeValuedReport:
-        """Scatter-gather both-bounds execution (sequential fan-out).
-
-        Plans once (costed under the possible bound — one plan serves the
-        pair), prunes with the *is-a-match* histogram check (no possible
-        match rules out both bounds, since certain is a subset of
-        possible), then runs each surviving shard's one-pass both-bounds
-        engine path and merges the two global id sets independently.
-        """
-        start = time.perf_counter_ns()
-        observing = obs.enabled()
-        costing = semantics_for_costing(BOTH)
-        chosen, forced, _ = self._resolve_plan(query, costing, using)
-        certain_parts: list[np.ndarray] = []
-        possible_parts: list[np.ndarray] = []
-        slices: list[ShardReportSlice] = []
-        executed = 0
-        for shard in self._shards:
-            if not self._shard_can_match(
-                shard, query, MissingSemantics.IS_MATCH
-            ):
-                slices.append(ShardReportSlice(shard.shard_id, True, 0, 0))
-                continue
-            task_start = time.perf_counter_ns()
-            report = shard.database.execute(query, BOTH, chosen)
-            task_ns = time.perf_counter_ns() - task_start
-            certain_parts.append(shard.to_global(report.certain_ids))
-            possible_parts.append(shard.to_global(report.possible_ids))
-            slices.append(ShardReportSlice(
-                shard.shard_id, False, report.num_possible, task_ns,
-            ))
-            executed += 1
-        certain = (
-            np.sort(np.concatenate(certain_parts))
-            if certain_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        possible = (
-            np.sort(np.concatenate(possible_parts))
-            if possible_parts
-            else np.empty(0, dtype=np.int64)
-        )
-        elapsed_ns = time.perf_counter_ns() - start
-        if observing:
-            obs.record("shard.queries")
-            obs.record("shard.pruned", len(slices) - executed)
-            obs.record("shard.fanout_tasks", executed)
-        return ShardedThreeValuedReport(
-            index_name=chosen if chosen else "<scan>",
-            kind=self._index_meta[chosen].kind if chosen else "scan",
-            certain_ids=certain,
-            possible_ids=possible,
-            per_shard=tuple(slices),
-            elapsed_ns=elapsed_ns,
-        )
 
     def execute_batch(
         self,
@@ -839,25 +814,24 @@ class ShardedDatabase:
         shard then runs its surviving (un-pruned) slice of the workload
         through the engine's grouped batch executor with that shard's own
         sub-result cache, and per-query results merge back in submission
-        order.  With ``semantics="both"`` each query runs through the
-        sequential both-bounds fan-out (plans are still memoized across the
-        workload) and :class:`ShardedThreeValuedReport` objects come back.
+        order.  ``semantics="both"`` takes the same path — the batch tasks
+        carry ``BOTH``, so the per-shard caches and shared VA-file scans
+        apply — and :class:`ShardedThreeValuedReport` objects come back.
         """
         self._ensure_open()
         normalized = [self._normalize(q) for q in queries]
         semantics = resolve_semantics(semantics)
-        if semantics is BOTH:
-            return [self._execute_both(q, using) for q in normalized]
+        costing = semantics_for_costing(semantics)
         observing = obs.enabled()
         recorder = obs.get_recorder()
         plans = {}
         for query in normalized:
             if query not in plans:
-                plans[query] = self._resolve_plan(query, semantics, using)
+                plans[query] = self._resolve_plan(query, costing, using)
         prunable = {}
         for query in plans:
             prunable[query] = [
-                not self._shard_can_match(shard, query, semantics)
+                not self._shard_can_match(shard, query, costing)
                 for shard in self._shards
             ]
 
@@ -872,14 +846,9 @@ class ShardedDatabase:
             sub_plans = []
             for query in sub_queries:
                 chosen, forced, per_shard_estimates = plans[query]
-                if chosen is None:
-                    sub_plans.append((None, None, False))
-                else:
-                    sub_plans.append((
-                        chosen,
-                        per_shard_estimates[shard.shard_id],
-                        forced,
-                    ))
+                sub_plans.append(
+                    (chosen, per_shard_estimates[shard.shard_id], forced)
+                )
             tasks.append(ShardBatchTask(
                 shard_id=shard.shard_id,
                 positions=positions,
@@ -895,19 +864,23 @@ class ShardedDatabase:
         if observing:
             obs.record("shard.fanout_tasks", len(tasks))
 
-        parts: list[list[np.ndarray]] = [[] for _ in normalized]
+        arity = len(semantics.bounds)
+        parts: list[tuple[list[np.ndarray], ...]] = [
+            tuple([] for _ in range(arity)) for _ in normalized
+        ]
         slices: list[dict[int, ShardReportSlice]] = [
             {} for _ in normalized
         ]
         for shard, outcome in zip(self._shards, outcomes):
-            for pos, (record_ids, task_ns) in zip(
+            for pos, (bound_ids, task_ns) in zip(
                 outcome.positions, outcome.results
             ):
-                parts[pos].append(shard.to_global(record_ids))
+                for bound_parts, ids in zip(parts[pos], bound_ids):
+                    bound_parts.append(shard.to_global(ids))
                 slices[pos][shard.shard_id] = ShardReportSlice(
                     shard.shard_id,
                     False,
-                    len(record_ids),
+                    len(bound_ids[-1]),
                     task_ns,
                 )
         out: list[ShardedQueryReport] = []
@@ -918,21 +891,12 @@ class ShardedDatabase:
                     slices[pos][shard_id] = ShardReportSlice(
                         shard_id, True, 0, 0
                     )
-            if parts[pos]:
-                merged = np.sort(np.concatenate(parts[pos]))
-            else:
-                merged = np.empty(0, dtype=np.int64)
-            report = ShardedQueryReport(
-                index_name=chosen if chosen else "<scan>",
-                kind=(
-                    self._index_meta[chosen].kind
-                    if chosen
-                    else "scan"
-                ),
-                record_ids=merged,
-                per_shard=tuple(
-                    slices[pos][sid] for sid in sorted(slices[pos])
-                ),
+            merged = tuple(_merge_ids(p) for p in parts[pos])
+            report = _sharded_report(
+                chosen if chosen else "<scan>",
+                self._index_meta[chosen].kind if chosen else "scan",
+                merged,
+                tuple(slices[pos][sid] for sid in sorted(slices[pos])),
             )
             if recorder.active:
                 executed = [s for s in report.per_shard if not s.pruned]
@@ -943,7 +907,7 @@ class ShardedDatabase:
                     semantics=semantics,
                     index=report.index_name,
                     kind=report.kind,
-                    matches=report.num_matches,
+                    matches=len(merged[-1]),
                     # No whole-query wall clock in the batched fan-out;
                     # the summed per-shard task time is the best proxy.
                     elapsed_ns=sum(s.elapsed_ns for s in executed),
@@ -1065,10 +1029,8 @@ class ShardedDatabase:
         """
         self._ensure_open()
         semantics = resolve_semantics(semantics)
-        both = semantics is BOTH
         start = time.perf_counter_ns()
-        parts = []
-        possible_parts = []
+        parts = tuple([] for _ in semantics.bounds)
         slices = []
         names = set()
         kinds = set()
@@ -1078,48 +1040,23 @@ class ShardedDatabase:
                 predicate, semantics, using=using
             )
             task_ns = time.perf_counter_ns() - task_start
-            if both:
-                parts.append(shard.to_global(report.certain_ids))
-                possible_parts.append(shard.to_global(report.possible_ids))
-                matched = report.num_possible
-            else:
-                parts.append(shard.to_global(report.record_ids))
-                matched = report.num_matches
+            for bound_parts, ids in zip(parts, report.bound_ids):
+                bound_parts.append(shard.to_global(ids))
             slices.append(ShardReportSlice(
-                shard.shard_id, False, matched, task_ns,
+                shard.shard_id, False, len(report.bound_ids[-1]), task_ns,
             ))
             names.add(report.index_name)
             kinds.add(report.kind)
-        merged = (
-            np.sort(np.concatenate(parts))
-            if parts
-            else np.empty(0, dtype=np.int64)
-        )
+        merged = tuple(_merge_ids(bound_parts) for bound_parts in parts)
         elapsed_ns = time.perf_counter_ns() - start
         if obs.enabled():
             obs.record("shard.queries")
             obs.record("shard.fanout_tasks", len(self._shards))
-        index_name = names.pop() if len(names) == 1 else "<mixed>"
-        kind = kinds.pop() if len(kinds) == 1 else "mixed"
-        if both:
-            possible = (
-                np.sort(np.concatenate(possible_parts))
-                if possible_parts
-                else np.empty(0, dtype=np.int64)
-            )
-            return ShardedThreeValuedReport(
-                index_name=index_name,
-                kind=kind,
-                certain_ids=merged,
-                possible_ids=possible,
-                per_shard=tuple(slices),
-                elapsed_ns=elapsed_ns,
-            )
-        return ShardedQueryReport(
-            index_name=index_name,
-            kind=kind,
-            record_ids=merged,
-            per_shard=tuple(slices),
+        return _sharded_report(
+            names.pop() if len(names) == 1 else "<mixed>",
+            kinds.pop() if len(kinds) == 1 else "mixed",
+            merged,
+            tuple(slices),
             elapsed_ns=elapsed_ns,
         )
 

@@ -28,7 +28,13 @@ from repro.errors import DomainError, IndexBuildError, QueryError
 from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
-from repro.query.model import Interval, MissingSemantics, RangeQuery
+from repro.query.model import (
+    BOTH,
+    Interval,
+    MissingSemantics,
+    RangeQuery,
+    ThreeValued,
+)
 from repro.vafile.quantizer import MISSING_CODE, QuantileQuantizer, UniformQuantizer
 
 
@@ -180,35 +186,51 @@ class VAFile:
             quantizer.encode_value(interval.hi),
         )
 
-    def _interval_mask(
+    def _interval_masks(
         self,
         name: str,
         interval: Interval,
-        semantics: MissingSemantics,
+        semantics: MissingSemantics | ThreeValued,
         stats: VaQueryStats | None,
         counter: OpCounter | None,
         shared_masks: dict | None = None,
-    ) -> np.ndarray:
-        """One dimension's approximate match mask, optionally memoized.
+    ) -> list[np.ndarray]:
+        """One dimension's approximate match masks, one per bound.
+
+        One pass over the stored codes serves every bound asked for: the
+        in-range comparison is the certain mask, and ORing in the
+        missing-code rows gives the possible mask.
 
         ``shared_masks`` is the batch executor's per-group memo: within one
-        batch every distinct ``(attribute, interval, semantics)`` scans the
+        batch every distinct ``(attribute, interval, bound)`` scans the
         stored codes once, and queries repeating it reuse the boolean mask
         without re-touching the approximations (the reuse is what the
-        ``vafile.batch_mask_reuses`` counter tallies).
+        ``vafile.batch_mask_reuses`` counter tallies).  Masks are memoized
+        per bound, so both-mode and single-bound queries in one batch share
+        scans either way.
         """
-        key = (name, interval.lo, interval.hi, semantics.value)
+        wanted = semantics.bounds
         if shared_masks is not None:
-            cached = shared_masks.get(key)
-            if cached is not None:
+            keys = [
+                (name, interval.lo, interval.hi, bound.value)
+                for bound in wanted
+            ]
+            cached = [shared_masks.get(key) for key in keys]
+            if all(mask is not None for mask in cached):
                 if _obs_enabled():
-                    _obs_record("vafile.batch_mask_reuses")
+                    _obs_record("vafile.batch_mask_reuses", len(cached))
                 return cached
         codes = self.codes(name)
         lo_code, hi_code = self._code_bounds(name, interval)
         in_range = (codes >= lo_code) & (codes <= hi_code)
-        if semantics is MissingSemantics.IS_MATCH:
-            in_range |= codes == MISSING_CODE
+        masks = [in_range] * len(wanted)
+        if wanted[-1] is MissingSemantics.IS_MATCH:
+            # The possible bound, when asked for, is the widest: last.
+            # ORed into the missing-code mask's own buffer, so no bound
+            # costs an allocation the other does not need.
+            possible = codes == MISSING_CODE
+            possible |= in_range
+            masks[-1] = possible
         if stats is not None:
             stats.codes_scanned += len(codes)
         if _obs_enabled():
@@ -222,9 +244,38 @@ class VAFile:
             # substantially fewer words" (Section 5.3).
             counter.words_processed += len(codes)
         if shared_masks is not None:
-            in_range.setflags(write=False)
-            shared_masks[key] = in_range
-        return in_range
+            for key, mask in zip(keys, masks):
+                mask.setflags(write=False)
+                shared_masks[key] = mask
+        return masks
+
+    def _candidate_masks(
+        self,
+        query: RangeQuery,
+        semantics: MissingSemantics | ThreeValued,
+        stats: VaQueryStats | None = None,
+        counter: OpCounter | None = None,
+        shared_masks: dict | None = None,
+    ) -> list[np.ndarray]:
+        """Phase 1: the approximate (no-false-dismissal) candidates per bound."""
+        observing = _obs_enabled()
+        masks = [
+            np.ones(self.num_records, dtype=bool) for _ in semantics.bounds
+        ]
+        for name, interval in query.items():
+            dimensions = self._interval_masks(
+                name, interval, semantics, stats, counter, shared_masks
+            )
+            for mask, dimension in zip(masks, dimensions):
+                mask &= dimension
+        if stats is not None or observing:
+            # The widest bound's candidates are a superset of every other's.
+            candidates = int(masks[-1].sum())
+            if stats is not None:
+                stats.candidates += candidates
+            if observing:
+                _obs_record("vafile.candidates", candidates)
+        return masks
 
     def candidate_mask(
         self,
@@ -234,66 +285,53 @@ class VAFile:
         counter: OpCounter | None = None,
         shared_masks: dict | None = None,
     ) -> np.ndarray:
-        """Phase 1: the approximate (no-false-dismissal) candidate set."""
-        observing = _obs_enabled()
-        mask = np.ones(self.num_records, dtype=bool)
-        for name, interval in query.items():
-            mask &= self._interval_mask(
-                name, interval, semantics, stats, counter, shared_masks
-            )
-        if stats is not None or observing:
-            candidates = int(mask.sum())
-            if stats is not None:
-                stats.candidates += candidates
-            if observing:
-                _obs_record("vafile.candidates", candidates)
+        """Phase 1 under one semantics: the approximate candidate set."""
+        (mask,) = self._candidate_masks(
+            query, semantics, stats, counter, shared_masks
+        )
         return mask
 
-    def _interval_mask_both(
+    def _exact_masks(
         self,
-        name: str,
-        interval: Interval,
-        stats: VaQueryStats | None,
-        counter: OpCounter | None,
+        query: RangeQuery,
+        semantics: MissingSemantics | ThreeValued,
+        stats: VaQueryStats | None = None,
+        counter: OpCounter | None = None,
         shared_masks: dict | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One dimension's ``(certain, possible)`` approximate masks.
+    ) -> list[np.ndarray]:
+        """Exact answer masks, one per bound: scan then refine.
 
-        One pass over the stored codes yields both bounds: the in-range
-        comparison is the certain mask, and ORing in the missing-code rows
-        gives the possible mask.  Both are memoized under the same
-        per-semantics keys :meth:`_interval_mask` uses, so both-mode and
-        single-bound queries in one batch share scans either way.
+        Phase 1 scans the stored codes once per dimension for every bound;
+        phase 2 refines boundary bins once, against the widest bound's
+        candidates (see :meth:`_refine`).
         """
-        certain_key = (
-            name, interval.lo, interval.hi, MissingSemantics.NOT_MATCH.value
-        )
-        possible_key = (
-            name, interval.lo, interval.hi, MissingSemantics.IS_MATCH.value
-        )
-        if shared_masks is not None:
-            certain = shared_masks.get(certain_key)
-            possible = shared_masks.get(possible_key)
-            if certain is not None and possible is not None:
-                if _obs_enabled():
-                    _obs_record("vafile.batch_mask_reuses", 2)
-                return certain, possible
-        codes = self.codes(name)
-        lo_code, hi_code = self._code_bounds(name, interval)
-        certain = (codes >= lo_code) & (codes <= hi_code)
-        possible = certain | (codes == MISSING_CODE)
+        with _trace_span("vafile.scan", dimensions=query.dimensionality):
+            candidates = self._candidate_masks(
+                query, semantics, stats, counter, shared_masks
+            )
+        with _trace_span("vafile.refine"):
+            exact = self._refine(candidates, query, stats)
+        _obs_record("vafile.queries")
         if stats is not None:
-            stats.codes_scanned += len(codes)
-        if _obs_enabled():
-            _obs_record("vafile.codes_scanned", len(codes))
-        if counter is not None:
-            counter.words_processed += len(codes)
-        if shared_masks is not None:
-            certain.setflags(write=False)
-            possible.setflags(write=False)
-            shared_masks[certain_key] = certain
-            shared_masks[possible_key] = possible
-        return certain, possible
+            stats.queries += 1
+        return exact
+
+    def execute_bound_ids(
+        self,
+        query: RangeQuery,
+        semantics: MissingSemantics | ThreeValued,
+        stats: VaQueryStats | None = None,
+        counter: OpCounter | None = None,
+        shared_masks: dict | None = None,
+    ) -> tuple[np.ndarray, ...]:
+        """Exact sorted record ids, one array per bound.
+
+        ``shared_masks`` (a plain dict owned by the caller) lets a batch of
+        queries share the per-interval scan — see :meth:`_interval_masks`.
+        """
+        return tuple(map(np.flatnonzero, self._exact_masks(
+            query, semantics, stats, counter, shared_masks
+        )))
 
     def execute_ids(
         self,
@@ -303,21 +341,11 @@ class VAFile:
         counter: OpCounter | None = None,
         shared_masks: dict | None = None,
     ) -> np.ndarray:
-        """Exact sorted record ids: scan then refine.
-
-        ``shared_masks`` (a plain dict owned by the caller) lets a batch of
-        queries share the per-interval scan — see :meth:`_interval_mask`.
-        """
-        with _trace_span("vafile.scan", dimensions=query.dimensionality):
-            mask = self.candidate_mask(
-                query, semantics, stats, counter, shared_masks
-            )
-        with _trace_span("vafile.refine"):
-            exact = self._refine(mask, query, semantics, stats)
-        _obs_record("vafile.queries")
-        if stats is not None:
-            stats.queries += 1
-        return np.flatnonzero(exact)
+        """Exact sorted record ids under one semantics."""
+        (ids,) = self.execute_bound_ids(
+            query, semantics, stats, counter, shared_masks
+        )
+        return ids
 
     def execute_ids_both(
         self,
@@ -326,35 +354,33 @@ class VAFile:
         counter: OpCounter | None = None,
         shared_masks: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Both bounds exactly, sharing one scan and one refinement pass.
+        """Sorted ``(certain_ids, possible_ids)`` from one scan and one refinement."""
+        return self.execute_bound_ids(query, BOTH, stats, counter, shared_masks)
 
-        Phase 1 scans the stored codes once per dimension for both masks;
-        phase 2 refines boundary bins against the possible candidate set
-        (a superset of the certain one, so its corrections apply to both).
-        Returns sorted ``(certain_ids, possible_ids)``.
+    def execute_predicate_bound_ids(
+        self,
+        predicate,
+        semantics: MissingSemantics | ThreeValued,
+        stats: VaQueryStats | None = None,
+    ) -> tuple[np.ndarray, ...]:
+        """Answer a boolean predicate tree (AND/OR/NOT of atoms) per bound.
+
+        Each atom runs the full scan-and-refine pipeline (so its masks are
+        exact), then :func:`repro.query.boolean.evaluate_tree` merges the
+        per-atom masks.
         """
-        observing = _obs_enabled()
-        with _trace_span("vafile.scan", dimensions=query.dimensionality):
-            certain = np.ones(self.num_records, dtype=bool)
-            possible = np.ones(self.num_records, dtype=bool)
-            for name, interval in query.items():
-                certain_dim, possible_dim = self._interval_mask_both(
-                    name, interval, stats, counter, shared_masks
-                )
-                certain &= certain_dim
-                possible &= possible_dim
-            if stats is not None or observing:
-                candidates = int(possible.sum())
-                if stats is not None:
-                    stats.candidates += candidates
-                if observing:
-                    _obs_record("vafile.candidates", candidates)
-        with _trace_span("vafile.refine"):
-            certain, possible = self._refine_pair(certain, possible, query, stats)
-        _obs_record("vafile.queries")
-        if stats is not None:
-            stats.queries += 1
-        return np.flatnonzero(certain), np.flatnonzero(possible)
+        from repro.query.boolean import evaluate_tree
+
+        masks = evaluate_tree(
+            predicate,
+            semantics,
+            lambda atom, bound_semantics: self._exact_masks(
+                RangeQuery({atom.attribute: atom.interval}),
+                bound_semantics,
+                stats,
+            ),
+        )
+        return tuple(map(np.flatnonzero, masks))
 
     def execute_predicate_ids(
         self,
@@ -363,10 +389,8 @@ class VAFile:
         stats: VaQueryStats | None = None,
     ) -> np.ndarray:
         """Answer an arbitrary boolean predicate tree (AND/OR/NOT of atoms)."""
-        from repro.query.boolean import execute_on_vafile
-
-        mask = execute_on_vafile(self, predicate, semantics, stats)
-        return np.flatnonzero(mask)
+        (ids,) = self.execute_predicate_bound_ids(predicate, semantics, stats)
+        return ids
 
     def execute_predicate_ids_both(
         self,
@@ -374,21 +398,24 @@ class VAFile:
         stats: VaQueryStats | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both bounds of a boolean predicate tree as sorted id arrays."""
-        from repro.query.boolean import execute_on_vafile_both
-
-        certain, possible = execute_on_vafile_both(self, predicate, stats)
-        return np.flatnonzero(certain), np.flatnonzero(possible)
+        return self.execute_predicate_bound_ids(predicate, BOTH, stats)
 
     def _refine(
         self,
-        candidates: np.ndarray,
+        candidates: list[np.ndarray],
         query: RangeQuery,
-        semantics: MissingSemantics,
         stats: VaQueryStats | None,
-    ) -> np.ndarray:
-        """Phase 2: read actual values for boundary-bin candidates."""
+    ) -> list[np.ndarray]:
+        """Phase 2: read actual values for boundary-bin candidates.
+
+        Boundary bins are located against the widest bound's candidate set
+        (the last element); every other bound is a subset of it and a
+        missing value never occupies a boundary *value* bin, so the same
+        per-attribute correction ``ok OR NOT boundary`` is exact for every
+        bound and the boundary rows are read once.
+        """
         observing = _obs_enabled()
-        exact = candidates.copy()
+        exact = [mask.copy() for mask in candidates]
         needs_read = np.zeros(self.num_records, dtype=bool)
         for name, interval in query.items():
             quantizer = self.quantizer(name)
@@ -401,17 +428,16 @@ class VAFile:
             ]
             if not partial_codes:
                 continue
-            boundary = candidates & np.isin(codes, partial_codes)
+            boundary = candidates[-1] & np.isin(codes, partial_codes)
             if not boundary.any():
                 continue
             needs_read |= boundary
             if observing:
                 _obs_record("vafile.cells_visited", int(boundary.sum()))
             column = self._table.column(name)
-            ok = (column >= interval.lo) & (column <= interval.hi)
-            # A missing value never sits in a boundary *value* bin, so no
-            # missing-semantics branch is needed here; keep non-boundary rows.
-            exact &= ok | ~boundary
+            keep = ((column >= interval.lo) & (column <= interval.hi)) | ~boundary
+            for mask in exact:
+                mask &= keep
         if stats is not None or observing:
             refined = int(needs_read.sum())
             if stats is not None:
@@ -419,54 +445,6 @@ class VAFile:
             if observing:
                 _obs_record("vafile.records_refined", refined)
         return exact
-
-    def _refine_pair(
-        self,
-        certain: np.ndarray,
-        possible: np.ndarray,
-        query: RangeQuery,
-        stats: VaQueryStats | None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 2 for both bounds with one set of boundary reads.
-
-        Boundary bins are located against the possible candidate set; since
-        ``certain ⊆ possible`` and a missing value never occupies a boundary
-        *value* bin, the same per-attribute correction
-        ``ok OR NOT boundary`` is exact for both masks.
-        """
-        observing = _obs_enabled()
-        certain_exact = certain.copy()
-        possible_exact = possible.copy()
-        needs_read = np.zeros(self.num_records, dtype=bool)
-        for name, interval in query.items():
-            quantizer = self.quantizer(name)
-            codes = self.codes(name)
-            lo_code, hi_code = self._code_bounds(name, interval)
-            partial_codes = [
-                code
-                for code in {lo_code, hi_code}
-                if not _bin_inside(quantizer.bin_range(code), interval)
-            ]
-            if not partial_codes:
-                continue
-            boundary = possible & np.isin(codes, partial_codes)
-            if not boundary.any():
-                continue
-            needs_read |= boundary
-            if observing:
-                _obs_record("vafile.cells_visited", int(boundary.sum()))
-            column = self._table.column(name)
-            ok = (column >= interval.lo) & (column <= interval.hi)
-            keep = ok | ~boundary
-            certain_exact &= keep
-            possible_exact &= keep
-        if stats is not None or observing:
-            refined = int(needs_read.sum())
-            if stats is not None:
-                stats.records_refined += refined
-            if observing:
-                _obs_record("vafile.records_refined", refined)
-        return certain_exact, possible_exact
 
 
 def _bin_inside(bin_range: tuple[int, int], interval: Interval) -> bool:

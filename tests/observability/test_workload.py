@@ -25,6 +25,10 @@ from repro.query.model import MissingSemantics, RangeQuery
 from repro.shard import ShardedDatabase
 
 
+#: Every request arity goes through the same scatter-gather bookkeeping.
+SEMANTICS = ("is_match", "not_match", "both")
+
+
 def _record(recorder, elapsed_ns=1000, attr="a", lo=1, hi=5, **kwargs):
     defaults = dict(
         source="engine",
@@ -264,34 +268,48 @@ class TestShardedIntegration:
         yield db
         db.close()
 
-    def test_one_record_per_scatter_gather(self, sharded):
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_one_record_per_scatter_gather(self, sharded, semantics):
         with use_recorder() as recorder:
-            report = sharded.execute({"mid": (2, 5)})
+            report = sharded.execute({"mid": (2, 5)}, semantics)
         assert recorder.total_recorded == 1  # never one per shard
         (rec,) = recorder.records()
         assert rec.source == "shard"
-        assert rec.matches == len(report.record_ids)
+        assert rec.semantics == semantics
+        # The widest requested bound: possible ids under "both".
+        assert rec.matches == (
+            report.num_possible if semantics == "both" else report.num_matches
+        )
         assert rec.shards_executed + rec.shards_pruned == 3
 
-    def test_batch_records_per_query_once(self, sharded):
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_batch_records_per_query_once(self, sharded, semantics):
         queries = [{"mid": (2, 5)}, {"high": (1, 30)}]
         with use_recorder() as recorder:
-            sharded.execute_batch(queries)
+            sharded.execute_batch(queries, semantics)
         assert recorder.total_recorded == 2
         assert all(rec.source == "shard" for rec in recorder.records())
         assert all(rec.batch for rec in recorder.records())
 
-    def test_sharded_slow_log_captures_fanout_trace(self, sharded):
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_sharded_slow_log_captures_fanout_trace(self, sharded, semantics):
         recorder = WorkloadRecorder(slow_log=SlowQueryLog(threshold_ms=0.0))
         with use_recorder(recorder):
-            report = sharded.execute({"mid": (2, 5)})
+            report = sharded.execute({"mid": (2, 5)}, semantics)
         assert report.trace is None
         (entry,) = recorder.slow_log.entries()
         assert entry.trace is not None
+        assert entry.trace.root.name == "sharded_query"
 
-    def test_metrics_registry_with_recorder(self, sharded):
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    def test_metrics_registry_with_recorder(self, sharded, semantics):
         with use_registry() as registry, use_recorder():
-            sharded.execute({"mid": (2, 5)})
-        counters = registry.snapshot().counters
-        assert counters["workload.records"] == 1
-        assert counters["shard.queries"] == 1
+            report = sharded.execute({"mid": (2, 5)}, semantics)
+        snapshot = registry.snapshot()
+        assert snapshot.counters["workload.records"] == 1
+        assert snapshot.counters["shard.queries"] == 1
+        executed = sum(1 for s in report.per_shard if not s.pruned)
+        assert snapshot.counters["shard.fanout_tasks"] == executed
+        for name in ("shard.fanout_ns", "shard.merge_ns", "shard.skew"):
+            assert snapshot.histograms[name].count == 1
+        assert snapshot.histograms["shard.task_ns"].count == executed

@@ -13,6 +13,8 @@ Two families of guarantees, both pinned against the brute-force oracle:
   the sharded database, every encoding, and every kernel backend.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.bitmap.bitsliced import BitSlicedIndex
 from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
+from repro.baselines.seqscan import SequentialScan
 from repro.bitvector.kernels import available_backends, use_backend
 from repro.core.engine import (
     IncompleteDatabase,
@@ -30,17 +33,17 @@ from repro.core.engine import (
 )
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import QueryError
+from repro.query import boolean, ground_truth
 from repro.query.boolean import (
     And,
     Atom,
     Not,
     Or,
+    evaluate_predicate,
+    evaluate_predicate_both,
     evaluate_predicate_mask,
     evaluate_predicate_mask_both,
-    execute_on_bitmap_index,
-    execute_on_bitmap_index_both,
-    execute_on_vafile,
-    execute_on_vafile_both,
+    evaluate_tree,
 )
 from repro.query.ground_truth import evaluate_mask, evaluate_mask_both
 from repro.query.model import (
@@ -52,6 +55,36 @@ from repro.query.model import (
 )
 from repro.shard.sharded import ShardedDatabase, ShardedThreeValuedReport
 from repro.vafile.vafile import VAFile
+
+
+
+def bitmap_bounds(index, predicate, semantics, counter=None):
+    """The one walker over a bitmap index: a tuple of bitvectors."""
+    return evaluate_tree(
+        predicate,
+        semantics,
+        lambda atom, sem: index.evaluate_bounds(
+            atom.attribute, atom.interval, sem, counter
+        ),
+        counter,
+    )
+
+
+def vafile_bounds(va, predicate, semantics):
+    """The one walker over a VA-file: a tuple of exact boolean masks."""
+
+    def leaf(atom, sem):
+        masks = []
+        for ids in va.execute_bound_ids(
+            RangeQuery({atom.attribute: atom.interval}), sem
+        ):
+            mask = np.zeros(va.num_records, dtype=bool)
+            mask[ids] = True
+            masks.append(mask)
+        return masks
+
+    return evaluate_tree(predicate, semantics, leaf)
+
 
 BITMAP_CLASSES = [
     EqualityEncodedBitmapIndex,
@@ -100,6 +133,15 @@ class TestResolveSemantics:
         assert (
             MissingSemantics.NOT_MATCH.opposite is MissingSemantics.IS_MATCH
         )
+        assert BOTH.opposite is BOTH
+
+    def test_bounds_fix_the_arity(self):
+        for single in MissingSemantics:
+            assert single.bounds == (single,)
+        # Narrowest bound first, widest last.
+        assert BOTH.bounds == (
+            MissingSemantics.NOT_MATCH, MissingSemantics.IS_MATCH,
+        )
 
 
 class TestNotBugRegression:
@@ -132,17 +174,15 @@ class TestNotBugRegression:
         missing = self._missing_rows(table)
         predicate = Not(Atom.of("a", 2, 6))
         is_match = np.zeros(table.num_records, dtype=bool)
-        is_match[
-            execute_on_bitmap_index(
-                index, predicate, MissingSemantics.IS_MATCH
-            ).to_indices()
-        ] = True
+        (possible,) = bitmap_bounds(
+            index, predicate, MissingSemantics.IS_MATCH
+        )
+        is_match[possible.to_indices()] = True
         not_match = np.zeros(table.num_records, dtype=bool)
-        not_match[
-            execute_on_bitmap_index(
-                index, predicate, MissingSemantics.NOT_MATCH
-            ).to_indices()
-        ] = True
+        (certain,) = bitmap_bounds(
+            index, predicate, MissingSemantics.NOT_MATCH
+        )
+        not_match[certain.to_indices()] = True
         assert np.all(is_match[missing])
         assert not np.any(not_match[missing])
 
@@ -150,8 +190,8 @@ class TestNotBugRegression:
         va = VAFile(table, bits={"a": 2, "b": 2})
         missing = self._missing_rows(table)
         predicate = Not(Atom.of("a", 2, 6))
-        is_match = execute_on_vafile(va, predicate, MissingSemantics.IS_MATCH)
-        not_match = execute_on_vafile(
+        (is_match,) = vafile_bounds(va, predicate, MissingSemantics.IS_MATCH)
+        (not_match,) = vafile_bounds(
             va, predicate, MissingSemantics.NOT_MATCH
         )
         assert np.all(is_match[missing])
@@ -165,14 +205,19 @@ class TestNotBugRegression:
         for semantics in MissingSemantics:
             expect = evaluate_predicate_mask(table, predicate, semantics)
             bitmap_mask = np.zeros(table.num_records, dtype=bool)
-            bitmap_mask[
-                execute_on_bitmap_index(
-                    index, predicate, semantics
-                ).to_indices()
-            ] = True
+            (bound,) = bitmap_bounds(index, predicate, semantics)
+            bitmap_mask[bound.to_indices()] = True
             assert np.array_equal(bitmap_mask, expect)
+            (va_mask,) = vafile_bounds(va, predicate, semantics)
+            assert np.array_equal(va_mask, expect)
+            # The public per-index entry points sit on the same walker.
             assert np.array_equal(
-                execute_on_vafile(va, predicate, semantics), expect
+                index.execute_predicate_ids(predicate, semantics),
+                np.flatnonzero(expect),
+            )
+            assert np.array_equal(
+                va.execute_predicate_ids(predicate, semantics),
+                np.flatnonzero(expect),
             )
 
 
@@ -223,19 +268,22 @@ class TestBothBounds:
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_bitmap_predicate_both(self, table, cls, predicate):
         index = cls(table, codec="wah")
-        certain, possible = execute_on_bitmap_index_both(index, predicate)
-        assert np.array_equal(
-            certain.to_indices(),
-            execute_on_bitmap_index(
-                index, predicate, MissingSemantics.NOT_MATCH
-            ).to_indices(),
+        certain, possible = bitmap_bounds(index, predicate, BOTH)
+        (single_certain,) = bitmap_bounds(
+            index, predicate, MissingSemantics.NOT_MATCH
+        )
+        (single_possible,) = bitmap_bounds(
+            index, predicate, MissingSemantics.IS_MATCH
         )
         assert np.array_equal(
-            possible.to_indices(),
-            execute_on_bitmap_index(
-                index, predicate, MissingSemantics.IS_MATCH
-            ).to_indices(),
+            certain.to_indices(), single_certain.to_indices()
         )
+        assert np.array_equal(
+            possible.to_indices(), single_possible.to_indices()
+        )
+        pair = index.execute_predicate_ids_both(predicate)
+        assert np.array_equal(pair[0], certain.to_indices())
+        assert np.array_equal(pair[1], possible.to_indices())
 
     def test_vafile_both(self, table, query):
         va = VAFile(table, bits={"a": 3, "b": 2})
@@ -246,15 +294,166 @@ class TestBothBounds:
         assert np.array_equal(
             possible, va.execute_ids(query, MissingSemantics.IS_MATCH)
         )
-        c_mask, p_mask = execute_on_vafile_both(va, PREDICATES[1])
-        assert np.array_equal(
-            c_mask,
-            execute_on_vafile(va, PREDICATES[1], MissingSemantics.NOT_MATCH),
+        c_mask, p_mask = vafile_bounds(va, PREDICATES[1], BOTH)
+        (single_certain,) = vafile_bounds(
+            va, PREDICATES[1], MissingSemantics.NOT_MATCH
         )
-        assert np.array_equal(
-            p_mask,
-            execute_on_vafile(va, PREDICATES[1], MissingSemantics.IS_MATCH),
+        (single_possible,) = vafile_bounds(
+            va, PREDICATES[1], MissingSemantics.IS_MATCH
         )
+        assert np.array_equal(c_mask, single_certain)
+        assert np.array_equal(p_mask, single_possible)
+        pair = va.execute_predicate_ids_both(PREDICATES[1])
+        assert np.array_equal(pair[0], np.flatnonzero(c_mask))
+        assert np.array_equal(pair[1], np.flatnonzero(p_mask))
+
+
+class TestWalker:
+    """``evaluate_tree`` itself: arity, element-wise combinators, the NOT rule.
+
+    Driven through a recording leaf over fixed masks, so every assertion is
+    about the walker and none about an access method.
+    """
+
+    CERTAIN = {
+        "a": np.array([1, 1, 0, 0, 0, 0], dtype=bool),
+        "b": np.array([1, 0, 1, 0, 0, 0], dtype=bool),
+    }
+    POSSIBLE = {
+        "a": np.array([1, 1, 1, 1, 0, 0], dtype=bool),
+        "b": np.array([1, 0, 1, 0, 1, 0], dtype=bool),
+    }
+
+    def walk(self, predicate, semantics):
+        calls = []
+
+        def leaf(atom, leaf_semantics):
+            calls.append((atom.attribute, leaf_semantics))
+            by_bound = {
+                MissingSemantics.NOT_MATCH: self.CERTAIN,
+                MissingSemantics.IS_MATCH: self.POSSIBLE,
+            }
+            return [
+                by_bound[bound][atom.attribute]
+                for bound in leaf_semantics.bounds
+            ]
+
+        return evaluate_tree(predicate, semantics, leaf), calls
+
+    @pytest.mark.parametrize("semantics", [*MissingSemantics, BOTH])
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    def test_arity_follows_the_semantics(self, predicate, semantics):
+        bounds, _ = self.walk(predicate, semantics)
+        assert isinstance(bounds, tuple)
+        assert len(bounds) == len(semantics.bounds)
+
+    def test_and_or_combine_element_wise(self):
+        a, b = Atom.of("a", 1), Atom.of("b", 1)
+        (certain, possible), calls = self.walk(a & b, BOTH)
+        assert np.array_equal(certain, self.CERTAIN["a"] & self.CERTAIN["b"])
+        assert np.array_equal(
+            possible, self.POSSIBLE["a"] & self.POSSIBLE["b"]
+        )
+        assert calls == [("a", BOTH), ("b", BOTH)]  # each atom once
+        (certain, possible), _ = self.walk(a | b, BOTH)
+        assert np.array_equal(certain, self.CERTAIN["a"] | self.CERTAIN["b"])
+        assert np.array_equal(
+            possible, self.POSSIBLE["a"] | self.POSSIBLE["b"]
+        )
+
+    def test_not_at_arity_one_evaluates_the_opposite_bound(self):
+        atom = Atom.of("a", 1)
+        (certain,), calls = self.walk(Not(atom), MissingSemantics.NOT_MATCH)
+        assert calls == [("a", MissingSemantics.IS_MATCH)]
+        assert np.array_equal(certain, ~self.POSSIBLE["a"])
+        (possible,), calls = self.walk(Not(atom), MissingSemantics.IS_MATCH)
+        assert calls == [("a", MissingSemantics.NOT_MATCH)]
+        assert np.array_equal(possible, ~self.CERTAIN["a"])
+
+    def test_not_at_arity_two_complements_and_swaps(self):
+        (certain, possible), calls = self.walk(Not(Atom.of("a", 1)), BOTH)
+        assert calls == [("a", BOTH)]  # BOTH is its own opposite
+        assert np.array_equal(certain, ~self.POSSIBLE["a"])
+        assert np.array_equal(possible, ~self.CERTAIN["a"])
+
+    @pytest.mark.parametrize("semantics", [*MissingSemantics, BOTH])
+    def test_nested_not_is_the_identity(self, semantics):
+        atom = Atom.of("a", 1)
+        plain, _ = self.walk(atom, semantics)
+        doubled, calls = self.walk(Not(Not(atom)), semantics)
+        assert calls == [("a", semantics)]  # two swaps cancel
+        for want, got in zip(plain, doubled, strict=True):
+            assert np.array_equal(want, got)
+        tripled, calls = self.walk(Not(Not(Not(atom))), semantics)
+        assert calls == [("a", semantics.opposite)]
+        single, _ = self.walk(Not(atom), semantics)
+        for want, got in zip(single, tripled, strict=True):
+            assert np.array_equal(want, got)
+
+    def test_reference_evaluators_do_not_use_the_walker(self):
+        # The NOT bug survived because oracle and indexes shared a rule;
+        # the references must stay independent of the walker they check.
+        for reference in (
+            evaluate_predicate_mask,
+            evaluate_predicate_mask_both,
+            evaluate_predicate,
+            evaluate_predicate_both,
+        ):
+            assert reference.__module__ == boolean.__name__
+            assert "evaluate_tree" not in inspect.getsource(reference)
+        source = inspect.getsource(ground_truth)
+        assert "evaluate_tree" not in source
+        assert "repro.query.boolean" not in source
+        assert not hasattr(ground_truth, "evaluate_tree")
+
+
+TIERS = ("index", "engine", "sharded-sequential", "sharded-threads")
+ACCESS_METHODS = ("bre", "bee", "vafile", "scan")
+
+
+@pytest.mark.parametrize("semantics", ["is_match", "not_match", "both"])
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("access", ACCESS_METHODS)
+def test_every_tier_matches_ground_truth(table, query, semantics, tier, access):
+    """One path: every semantics x tier x access method, same id arrays."""
+    semantics = resolve_semantics(semantics)
+    if semantics is BOTH:
+        masks = evaluate_mask_both(table, query)
+    else:
+        masks = (evaluate_mask(table, query, semantics),)
+    expected = [np.flatnonzero(mask) for mask in masks]
+    using = None if access == "scan" else access
+
+    def attach(db):
+        if using is not None:
+            db.create_index(using, using)
+        return db
+
+    if tier == "index":
+        if using is None:
+            scan = SequentialScan(table)
+            got = [scan.execute_ids(query, b) for b in semantics.bounds]
+        else:
+            index = attach(IncompleteDatabase(table)).get_index(using).index
+            got = index.execute_bound_ids(query, semantics)
+    elif tier == "engine":
+        report = attach(IncompleteDatabase(table)).execute(
+            query, semantics, using=using
+        )
+        got = report.bound_ids
+    else:
+        executor = tier.removeprefix("sharded-")
+        with ShardedDatabase(table, num_shards=3, executor=executor) as db:
+            report = attach(db).execute(query, semantics, using=using)
+        got = (
+            (report.certain_ids, report.possible_ids)
+            if semantics is BOTH
+            else (report.record_ids,)
+        )
+        assert report.kind == ("scan" if using is None else using)
+    assert len(got) == len(expected)
+    for want, ids in zip(expected, got):
+        assert np.array_equal(want, ids)
 
 
 class TestEngineBoth:
@@ -406,6 +605,22 @@ class TestShardedBoth:
         assert np.array_equal(got.certain_ids, want.certain_ids)
         assert np.array_equal(got.possible_ids, want.possible_ids)
 
+    def test_sharded_batch_shares_sub_results(self, pair):
+        # BOTH batches ride ShardBatchTask, so each shard's SubResultCache
+        # serves the interval the workload repeats.
+        ref, sharded = pair
+        queries = [
+            RangeQuery.from_bounds({"a": (3, 9), "b": (lo, 4)})
+            for lo in (1, 2, 3, 1, 2, 3)
+        ]
+        reports = sharded.execute_batch(queries, "both")
+        assert sharded.cache_stats().hits > 0
+        for q, report in zip(queries, reports):
+            assert isinstance(report, ShardedThreeValuedReport)
+            for other in (sharded.execute(q, BOTH), ref.execute(q, BOTH)):
+                assert np.array_equal(report.certain_ids, other.certain_ids)
+                assert np.array_equal(report.possible_ids, other.possible_ids)
+
     def test_sharded_ranked_matches_unsharded(self, pair, query):
         ref, sharded = pair
         mine = sharded.execute_ranked(query, threshold=0.1, limit=40)
@@ -480,12 +695,12 @@ def test_property_three_valued_consistency(predicate, backend):
             ),
         )
         # bitmap and VA-file one-pass executors agree with the oracle pair
-        b_certain, b_possible = execute_on_bitmap_index_both(index, predicate)
+        b_certain, b_possible = bitmap_bounds(index, predicate, BOTH)
         assert np.array_equal(b_certain.to_indices(), np.flatnonzero(certain))
         assert np.array_equal(
             b_possible.to_indices(), np.flatnonzero(possible)
         )
-        v_certain, v_possible = execute_on_vafile_both(va, predicate)
+        v_certain, v_possible = vafile_bounds(va, predicate, BOTH)
         assert np.array_equal(v_certain, certain)
         assert np.array_equal(v_possible, possible)
         # complete columns admit no uncertainty

@@ -1,8 +1,8 @@
 """Tests for the pluggable shard-fanout executors.
 
 Covers the three-way equivalence property (``processes`` ≡ ``threads`` ≡
-``sequential`` under both missing semantics, through both ``execute`` and
-``execute_batch``), the executor-lifecycle bugfixes (``max_workers=0``
+``sequential`` under ``is_match``, ``not_match`` and ``both``, through both
+``execute`` and ``execute_batch``), the executor-lifecycle bugfixes (``max_workers=0``
 rejection, double-close, use-after-close, GC finalizer), and the
 stale-worker fence that re-ships indexes to resident worker processes
 after append/delete/compact generation bumps and create/drop epoch bumps.
@@ -27,7 +27,7 @@ from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
 from repro.errors import ShardError
-from repro.query.model import Interval, MissingSemantics, RangeQuery
+from repro.query.model import BOTH, Interval, MissingSemantics, RangeQuery
 from repro.shard.executor import (
     EXECUTOR_ENV_VAR,
     ProcessShardExecutor,
@@ -44,6 +44,24 @@ from repro.shard.sharded import ShardedDatabase
 def _table(n=900, seed=11):
     return generate_uniform_table(
         n, {"a": 10, "b": 5}, {"a": 0.2, "b": 0.1}, seed=seed
+    )
+
+
+#: Every request arity: the two single bounds and the one-pass pair.
+ALL_SEMANTICS = (*MissingSemantics, BOTH)
+
+
+def _ids(report) -> tuple:
+    """A report's id arrays, one per requested bound."""
+    if hasattr(report, "certain_ids"):
+        return report.certain_ids, report.possible_ids
+    return (report.record_ids,)
+
+
+def _same_ids(left, right) -> bool:
+    return all(
+        np.array_equal(a, b)
+        for a, b in zip(_ids(left), _ids(right), strict=True)
     )
 
 
@@ -113,15 +131,15 @@ def test_process_threads_sequential_equivalence(case):
         for db in databases.values():
             db.create_index("ix", "bre")
         reference = databases["sequential"]
-        for semantics in MissingSemantics:
+        for semantics in ALL_SEMANTICS:
             expected = [reference.execute(q, semantics) for q in workload]
             for name in ("threads", "processes"):
                 for exp, query in zip(expected, workload):
                     got = databases[name].execute(query, semantics)
-                    assert np.array_equal(exp.record_ids, got.record_ids)
+                    assert _same_ids(exp, got)
                 batch = databases[name].execute_batch(workload, semantics)
                 for exp, got in zip(expected, batch):
-                    assert np.array_equal(exp.record_ids, got.record_ids)
+                    assert _same_ids(exp, got)
     finally:
         for db in databases.values():
             db.close()
@@ -139,11 +157,11 @@ def test_spawn_equivalence():
     ) as proc:
         seq.create_index("ix", "bre")
         proc.create_index("ix", "bre")
-        for semantics in MissingSemantics:
+        for semantics in ALL_SEMANTICS:
             for query in QUERIES:
-                assert np.array_equal(
-                    seq.execute(query, semantics).record_ids,
-                    proc.execute(query, semantics).record_ids,
+                assert _same_ids(
+                    seq.execute(query, semantics),
+                    proc.execute(query, semantics),
                 )
 
 
@@ -162,6 +180,25 @@ def test_process_executor_records_cross_process_fanouts():
     assert counters.get("shard.process_fanouts", 0) >= 2
     # Worker-side engine counters must merge back into the parent registry.
     assert counters.get("engine.queries", 0) > 0
+
+
+def test_both_tasks_reach_the_process_workers():
+    """``BOTH`` rides the same task lists, so it fans out across processes."""
+    table = _table()
+    with obs.use_registry() as registry:
+        with ShardedDatabase(
+            table,
+            num_shards=3,
+            executor=ProcessShardExecutor(start_method="fork"),
+        ) as db:
+            db.create_index("ix", "bre")
+            db.execute(QUERIES[0], BOTH)
+            db.execute_batch(QUERIES, BOTH)
+        counters = registry.snapshot().counters
+    assert counters["shard.process_fanouts"] == 2
+    # One worker-side engine query per shard task, both-mode each.
+    assert counters["semantics.both_queries"] == counters["engine.queries"]
+    assert counters["engine.queries"] >= 3
 
 
 def test_worker_metrics_match_sequential():

@@ -182,9 +182,10 @@ def test_cache_stats_aggregate(table):
         assert db.cache_stats().entries == 0
 
 
-def test_trace_has_per_shard_children(table):
+@pytest.mark.parametrize("semantics", ["is_match", "not_match", "both"])
+def test_trace_has_per_shard_children(table, semantics):
     with make_sharded(table, num_shards=4) as db:
-        report = db.execute({"a": (1, 30)}, trace=True)
+        report = db.execute({"a": (1, 30)}, semantics, trace=True)
         trace = report.trace
         assert trace is not None
         assert trace.root.name == "sharded_query"

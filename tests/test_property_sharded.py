@@ -1,10 +1,10 @@
 """Property tests: sharding never changes results.
 
 Random two-attribute tables, random small workloads, every partitioner,
-shard counts {1, 2, 7}, both missing-data semantics, through both
-``execute`` and ``execute_batch`` — the scatter-gather merge must return
-exactly the record-id arrays the unsharded engine produces, element for
-element and in the same order.  This is the sharded extension of the
+shard counts {1, 2, 7}, every semantics (``is_match``, ``not_match`` and
+the one-pass ``both``), through both ``execute`` and ``execute_batch`` —
+the scatter-gather merge must return exactly the record-id arrays the
+unsharded engine produces, element for element and in the same order.  This is the sharded extension of the
 "tracing never changes results" / "batching never changes results"
 properties from earlier PRs.
 """
@@ -16,11 +16,25 @@ from hypothesis import strategies as st
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import IncompleteTable
-from repro.query.model import Interval, MissingSemantics, RangeQuery
+from repro.query.model import BOTH, Interval, MissingSemantics, RangeQuery
 from repro.shard.partition import PARTITIONERS
 from repro.shard.sharded import ShardedDatabase
 
 SHARD_COUNTS = (1, 2, 7)
+ALL_SEMANTICS = (*MissingSemantics, BOTH)
+
+
+def _same_ids(left, right) -> bool:
+    """Whether two reports carry the same id array for every bound."""
+    def ids(report):
+        if hasattr(report, "certain_ids"):
+            return report.certain_ids, report.possible_ids
+        return (report.record_ids,)
+
+    return all(
+        np.array_equal(a, b)
+        for a, b in zip(ids(left), ids(right), strict=True)
+    )
 
 
 @st.composite
@@ -70,14 +84,13 @@ def test_sharded_execution_matches_unsharded(case):
         parallel=False,
     ) as db:
         db.create_index("ix", "bre")
-        for semantics in MissingSemantics:
+        for semantics in ALL_SEMANTICS:
             expected = [unsharded.execute(q, semantics) for q in workload]
             for exp, query in zip(expected, workload):
-                got = db.execute(query, semantics)
-                assert np.array_equal(exp.record_ids, got.record_ids)
+                assert _same_ids(exp, db.execute(query, semantics))
             batch = db.execute_batch(workload, semantics)
             for exp, got in zip(expected, batch):
-                assert np.array_equal(exp.record_ids, got.record_ids)
+                assert _same_ids(exp, got)
 
 
 @settings(max_examples=15, deadline=None)
@@ -93,8 +106,7 @@ def test_parallel_fanout_matches_unsharded(case):
         parallel=True,
     ) as db:
         db.create_index("ix", "bre")
-        for semantics in MissingSemantics:
+        for semantics in ALL_SEMANTICS:
             for query in workload:
                 exp = unsharded.execute(query, semantics)
-                got = db.execute(query, semantics)
-                assert np.array_equal(exp.record_ids, got.record_ids)
+                assert _same_ids(exp, db.execute(query, semantics))
