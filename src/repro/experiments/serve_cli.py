@@ -67,11 +67,11 @@ def serve_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--executor", default=None,
-        help="shard executor for --directory loads (default: manifest's)",
+        help="shard executor for --directory loads (default: inline)",
     )
     parser.add_argument(
-        "--max-inflight", type=int, default=8,
-        help="concurrently executing requests (default: 8)",
+        "--max-inflight", type=int, default=1,
+        help="concurrently executing reads (default: 1)",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=16,

@@ -9,7 +9,11 @@ introspection routes are scraped *while* the traffic runs.  Then
 validate:
 
 * every reader and writer request returned 200 — zero 5xx (or any other
-  non-200) across the whole run;
+  non-200) across the whole run, and zero admission rejections
+  (``serve.rejected.*``) with the service's default one-wide read lane;
+* connections are kept alive: each client thread's whole script rides
+  one accepted connection (``serve.connections`` equals the number of
+  clients, far below ``serve.requests``);
 * the epoch lifecycle actually cycled: epochs were published, stale
   snapshots were garbage-collected (``gcs > 0``), and after the drain
   exactly one epoch remains retained with zero pins;
@@ -27,12 +31,11 @@ Exit status is non-zero on any failure, so CI can gate on it::
 
 from __future__ import annotations
 
+import http.client
 import json
 import sys
 import tempfile
 import threading
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +45,6 @@ from repro.dataset.synthetic import generate_uniform_table
 from repro.experiments.obs_smoke import (
     SmokeFailure,
     _check,
-    _fetch,
     validate_prometheus,
 )
 from repro.query.model import MissingSemantics
@@ -57,23 +59,37 @@ _READS_PER_READER = 25
 _WRITER_ROUNDS = 4  # each round: append, delete, compact = 3 epochs
 
 
-def _post(url: str, payload: dict) -> tuple[int, dict]:
-    """POST JSON; returns (status, decoded body). HTTP errors don't raise."""
-    request = urllib.request.Request(
-        url,
-        data=json.dumps(payload).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=30) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as err:
-        try:
-            body = json.loads(err.read())
-        except (ValueError, OSError):
-            body = {}
-        return err.code, body
+class _Client:
+    """One keep-alive connection, the way a real client holds one."""
+
+    def __init__(self, service: QueryService):
+        self._conn = http.client.HTTPConnection(
+            service.host, service.port, timeout=30
+        )
+
+    def get(self, route: str) -> tuple[int, str, str]:
+        """Returns (status, content-type, body text)."""
+        self._conn.request("GET", route)
+        response = self._conn.getresponse()
+        return (
+            response.status,
+            response.getheader("Content-Type", ""),
+            response.read().decode("utf-8"),
+        )
+
+    def post(self, route: str, payload: dict) -> tuple[int, dict]:
+        """Returns (status, decoded JSON body)."""
+        self._conn.request(
+            "POST",
+            route,
+            body=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        response = self._conn.getresponse()
+        return response.status, json.loads(response.read())
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 def _read_bodies(seed: int) -> list[tuple[str, dict]]:
@@ -109,14 +125,14 @@ def _read_bodies(seed: int) -> list[tuple[str, dict]]:
     return requests
 
 
-def _reader(url: str, seed: int, failures: list) -> None:
+def _reader(client: _Client, seed: int, failures: list) -> None:
     for route, body in _read_bodies(seed):
-        status, payload = _post(url + route, body)
+        status, payload = client.post(route, body)
         if status != 200:
             failures.append((route, status, payload.get("error")))
 
 
-def _writer(url: str, failures: list, epochs: list) -> None:
+def _writer(client: _Client, failures: list, epochs: list) -> None:
     """Publish epochs through the service while the readers run."""
     rng = np.random.default_rng(99)
     for _ in range(_WRITER_ROUNDS):
@@ -134,7 +150,7 @@ def _writer(url: str, failures: list, epochs: list) -> None:
             ("/compact", {}),
         ]
         for route, body in ops:
-            status, payload = _post(url + route, body)
+            status, payload = client.post(route, body)
             if status != 200:
                 failures.append((route, status, payload.get("error")))
             else:
@@ -152,21 +168,24 @@ def serve_smoke_main() -> int:
             db.create_index("ix", "bre")
             save_sharded(db, directory)
 
-        service = QueryService(
-            directory=directory, max_inflight=8, queue_limit=64
-        ).start()
+        # Defaults on purpose: one read at a time, 16 queue places — the
+        # readers below must fit without a single rejection.
+        service = QueryService(directory=directory).start()
+        # One connection per reader, one for the writer, one for scrapes.
+        clients = [_Client(service) for _ in range(_READERS + 2)]
+        *reader_clients, writer_client, scraper = clients
         try:
             failures: list = []
             epochs: list[int] = []
             threads = [
                 threading.Thread(
-                    target=_reader, args=(service.url, 100 + i, failures)
+                    target=_reader, args=(client, 100 + i, failures)
                 )
-                for i in range(_READERS)
+                for i, client in enumerate(reader_clients)
             ]
             threads.append(
                 threading.Thread(
-                    target=_writer, args=(service.url, failures, epochs)
+                    target=_writer, args=(writer_client, failures, epochs)
                 )
             )
             for thread in threads:
@@ -175,7 +194,7 @@ def serve_smoke_main() -> int:
             live_scrapes = 0
             while any(thread.is_alive() for thread in threads):
                 for route in ("/healthz", "/epochs", "/metrics"):
-                    status, _, _ = _fetch(service.url + route)
+                    status, _, _ = scraper.get(route)
                     _check(status == 200, f"{route} returned {status} mid-run")
                     live_scrapes += 1
             for thread in threads:
@@ -189,7 +208,7 @@ def serve_smoke_main() -> int:
                 f"monotonically increasing",
             )
 
-            status, _, body = _fetch(service.url + "/epochs")
+            status, _, body = scraper.get("/epochs")
             _check(status == 200, f"/epochs returned {status}")
             stats = json.loads(body)
             _check(
@@ -207,9 +226,7 @@ def serve_smoke_main() -> int:
                 f"published {epochs[-1]}",
             )
 
-            status, content_type, metrics_body = _fetch(
-                service.url + "/metrics"
-            )
+            status, content_type, metrics_body = scraper.get("/metrics")
             _check(status == 200, f"/metrics returned {status}")
             _check(
                 content_type.startswith("text/plain")
@@ -227,7 +244,24 @@ def serve_smoke_main() -> int:
                     f"{family} missing from /metrics",
                 )
             gcs_total = stats["gcs"]
+
+            counters = obs.get_registry().snapshot().counters
+            rejected = {
+                name: value
+                for name, value in counters.items()
+                if name.startswith("serve.rejected.")
+            }
+            _check(not rejected, f"admission rejected requests: {rejected}")
+            connections = counters.get("serve.connections", 0)
+            requests = counters.get("serve.requests", 0)
+            _check(
+                connections == len(clients),
+                f"{connections} connections accepted for {len(clients)} "
+                f"keep-alive clients ({requests} requests)",
+            )
         finally:
+            for client in clients:
+                client.close()
             service.stop()
 
         # After the drain only the committed generation may survive, and
@@ -247,8 +281,9 @@ def serve_smoke_main() -> int:
     print(
         f"serve-smoke OK: {_READERS} readers x {_READS_PER_READER} requests "
         f"+ {expected_epochs} epochs published, {gcs_total} GC'd, zero "
-        f"non-200s, {live_scrapes} live scrapes, {num_samples} Prometheus "
-        f"samples, final generation fsck clean"
+        f"non-200s, zero rejections, {requests} requests over "
+        f"{connections} connections, {live_scrapes} live scrapes, "
+        f"{num_samples} Prometheus samples, final generation fsck clean"
     )
     return 0
 

@@ -65,8 +65,13 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     with use_registry() as registry:
         for partitioner in sorted(PARTITIONERS):
+            # ``threads`` by name: the default executor runs inline and
+            # would record no parallel fan-out for the check below.
             with ShardedDatabase(
-                table, num_shards=4, partitioner=partitioner
+                table,
+                num_shards=4,
+                partitioner=partitioner,
+                executor="threads",
             ) as db:
                 db.create_index("ix", "bre")
                 for semantics in MissingSemantics:

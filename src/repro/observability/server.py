@@ -48,13 +48,39 @@ class _TelemetryHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
 
-class _TelemetryHandler(BaseHTTPRequestHandler):
+class KeepAliveHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keep-alive base shared with the query service's handler.
+
+    One handler thread serves a connection for its life, not one request.
+    """
+
+    protocol_version = "HTTP/1.1"
+    # A buffered wfile sends headers and body in one write, and TCP_NODELAY
+    # covers replies larger than the buffer: with neither, the body is a
+    # second small segment that waits out the client's delayed ACK (~40 ms).
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
+    #: Seconds an idle connection is kept before its handler thread exits.
+    timeout = 60
+
+    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+        pass  # requests must not spam the service's stdout
+
+    def reply(self, body: str, content_type: str, status: int = 200) -> None:
+        data = body.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(data)
+
+
+class _TelemetryHandler(KeepAliveHandler):
     """Routes one scrape; the owning :class:`TelemetryServer` is on the server."""
 
     server_version = "repro-telemetry/1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # scrapes must not spam the service's stdout
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         telemetry: TelemetryServer = self.server.telemetry
@@ -65,7 +91,7 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             body = render_prometheus(
                 get_registry().snapshot(), prefix=telemetry.prefix
             )
-            self._reply(body, "text/plain; version=0.0.4; charset=utf-8")
+            self.reply(body, "text/plain; version=0.0.4; charset=utf-8")
         elif path == "/healthz":
             record("telemetry.requests.healthz")
             self._reply_json(telemetry.health())
@@ -77,25 +103,18 @@ class _TelemetryHandler(BaseHTTPRequestHandler):
             self._reply_json(telemetry.workload())
         else:
             record("telemetry.requests.unknown")
-            self._reply(
+            self.reply(
                 f"404: unknown route {path!r}; try {', '.join(_ROUTES)}\n",
                 "text/plain; charset=utf-8",
                 status=404,
             )
 
     def _reply_json(self, payload: dict) -> None:
-        self._reply(
+        self.reply(
             json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
             "application/json; charset=utf-8",
         )
 
-    def _reply(self, body: str, content_type: str, status: int = 200) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
 
 class TelemetryServer:

@@ -30,24 +30,31 @@ Read requests accept ``semantics`` (``"is_match"`` / ``"not_match"`` /
 ``docs/semantics.md``), ``using`` (force an index), ``limit`` (cap
 returned record ids), and ``deadline_ms`` (also settable via an
 ``X-Deadline-Ms`` header).  ``/ranked`` additionally accepts
-``threshold`` (minimum match probability).
+``threshold`` (minimum match probability).  Replies are compact JSON;
+``?pretty=1`` on any route indents them.  Connections are HTTP/1.1
+keep-alive.
 
-Admission control: at most ``max_inflight`` requests execute at once;
-up to ``queue_limit`` more wait their turn.  Beyond that the service
-answers **429** (queue full).  A request whose deadline expires while
-queued gets **408**; once :meth:`QueryService.stop` starts draining, new
-requests get **503** while in-flight ones finish.  Every outcome is
-metered under ``serve.*`` (see ``docs/observability.md``) and every
-executed query flows through the installed workload recorder via the
-engine's own instrumentation.
+Admission control: at most ``max_inflight`` reads execute at once — one
+by default, because reads are CPU-bound Python and two handler threads
+sharing the GIL finish fewer requests than one (``docs/serving.md``) —
+and up to ``queue_limit`` more wait their turn.  Beyond that the service
+answers **429** (queue full).  A read whose deadline expires while
+queued gets **408**.  Writes take no read slot: they serialise on the
+:class:`~repro.serve.writer.SnapshotWriter` mutex instead, so a slow
+publish never holds readers out.  Once :meth:`QueryService.stop` starts
+draining, new reads and writes get **503** while in-flight ones finish.
+Every outcome is metered under ``serve.*`` (see
+``docs/observability.md``) and every executed query flows through the
+installed workload recorder via the engine's own instrumentation.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +62,7 @@ import numpy as np
 from repro.errors import QueryError, ReproError
 from repro.observability import get_registry, record
 from repro.observability.export import render_prometheus
+from repro.observability.server import KeepAliveHandler
 from repro.query.boolean import And, Atom, Not, Or, Predicate
 from repro.query.model import BOTH, MissingSemantics, RangeQuery, resolve_semantics
 from repro.serve.epoch import EpochManager
@@ -81,6 +89,10 @@ _ROUTE_KEYS = {
     "/drop-index": "drop_index",
 }
 
+_READ_ROUTES = frozenset(
+    {"/query", "/count", "/batch", "/boolean", "/ranked", "/explain"}
+)
+
 _MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
@@ -90,6 +102,18 @@ class _Reject(Exception):
     def __init__(self, status: int, message: str):
         super().__init__(message)
         self.status = status
+
+
+def _parse_body(raw: bytes) -> dict:
+    if not raw:
+        return {}
+    try:
+        body = json.loads(raw)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise _Reject(400, f"request body is not valid JSON: {exc}")
+    if not isinstance(body, dict):
+        raise _Reject(400, "request body must be a JSON object")
+    return body
 
 
 def _parse_semantics(value):
@@ -159,13 +183,24 @@ def _parse_predicate(node) -> Predicate:
     raise _Reject(400, f"unknown predicate operator {op!r}")
 
 
-def _ids_payload(record_ids: np.ndarray, limit) -> dict:
-    matches = int(len(record_ids))
+def _parse_limit(body: dict) -> int | None:
+    limit = body.get("limit")
+    if limit is None:
+        return None
+    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 0:
+        raise _Reject(
+            400, f"limit must be a non-negative integer, got {limit!r}"
+        )
+    return limit
+
+
+def _ids_payload(record_ids: np.ndarray, limit: int | None) -> dict:
+    matches = len(record_ids)
     if limit is not None:
-        record_ids = record_ids[: int(limit)]
+        record_ids = record_ids[:limit]
     return {
         "matches": matches,
-        "record_ids": [int(i) for i in record_ids],
+        "record_ids": record_ids.tolist(),
         "truncated": matches > len(record_ids),
     }
 
@@ -178,11 +213,12 @@ class _ServiceHTTPServer(ThreadingHTTPServer):
     daemon_threads = True
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
+class _ServiceHandler(KeepAliveHandler):
     server_version = "repro-serve/1"
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
+    def setup(self) -> None:
+        super().setup()
+        record("serve.connections")
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         self.server.service._handle(self, body_allowed=False)
@@ -193,21 +229,18 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # -- response helpers ------------------------------------------------
 
     def reply_json(self, payload: dict, status: int = 200) -> None:
+        # indent=None keeps json.dumps on its C encoder.  The space after
+        # a key's colon stays: payloads have a handful of keys, and
+        # bench/tests corrupts a reply by matching ``"matches": ``.
+        if "pretty=1" in self.path.partition("?")[2].split("&"):
+            layout = {"indent": 2}
+        else:
+            layout = {"separators": (",", ": ")}
         self.reply(
-            json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n",
+            json.dumps(payload, sort_keys=True, default=str, **layout) + "\n",
             "application/json; charset=utf-8",
             status=status,
         )
-
-    def reply(
-        self, body: str, content_type: str, status: int = 200
-    ) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
 
 class QueryService:
@@ -227,9 +260,10 @@ class QueryService:
     host / port:
         Bind address; ``port=0`` picks a free port (read :attr:`port`).
     max_inflight:
-        Requests allowed to execute concurrently.
+        Requests allowed to execute concurrently.  Gates the read routes;
+        writes serialise on the snapshot writer instead.
     queue_limit:
-        Requests allowed to wait for a slot before 429s start.
+        Reads allowed to wait for a slot before 429s start.
     default_deadline_ms:
         Deadline applied when a request does not set its own (``None``
         disables).
@@ -245,7 +279,7 @@ class QueryService:
         directory: str | Path | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_inflight: int = 8,
+        max_inflight: int = 1,
         queue_limit: int = 16,
         default_deadline_ms: float | None = None,
         executor: str | None = None,
@@ -271,7 +305,10 @@ class QueryService:
         self._queue_limit = queue_limit
         self._default_deadline_ms = default_deadline_ms
         self._adm = threading.Condition()
+        #: Requests executing (reads and writes); what a drain waits on.
         self._inflight = 0
+        #: Reads holding one of the ``max_inflight`` slots.
+        self._reading = 0
         self._queued = 0
         self._draining = False
         self._httpd = _ServiceHTTPServer((host, port), _ServiceHandler)
@@ -337,19 +374,21 @@ class QueryService:
 
     # -- admission control ------------------------------------------------
 
-    def _admit(self, deadline: float | None) -> int:
-        """Block until an execution slot is free; returns queue-wait ns.
+    def _admit(self, deadline: float | None, read: bool = True) -> int:
+        """Block until a read slot is free; returns queue-wait ns.
 
         Raises :class:`_Reject` with 503 while draining, 429 when the
         wait queue is full, and 408 when ``deadline`` (monotonic seconds)
-        passes before a slot opens.
+        passes before a slot opens.  A write (``read=False``) takes no
+        slot and never queues here — it is refused only while draining,
+        and counted so the drain waits for it.
         """
         wait_start = time.perf_counter_ns()
         with self._adm:
             if self._draining:
                 record("serve.rejected.draining")
                 raise _Reject(503, "service is draining")
-            if self._inflight >= self._max_inflight:
+            if read and self._reading >= self._max_inflight:
                 if self._queued >= self._queue_limit:
                     record("serve.rejected.queue_full")
                     raise _Reject(
@@ -361,7 +400,7 @@ class QueryService:
                 get_registry().gauge("serve.queued").inc()
                 try:
                     while (
-                        self._inflight >= self._max_inflight
+                        self._reading >= self._max_inflight
                         and not self._draining
                     ):
                         timeout = None
@@ -380,12 +419,14 @@ class QueryService:
                     record("serve.rejected.draining")
                     raise _Reject(503, "service is draining")
             self._inflight += 1
+            self._reading += read
         get_registry().gauge("serve.inflight").inc()
         return time.perf_counter_ns() - wait_start
 
-    def _release(self) -> None:
+    def _release(self, read: bool = True) -> None:
         with self._adm:
             self._inflight -= 1
+            self._reading -= read
             self._adm.notify_all()
         get_registry().gauge("serve.inflight").dec()
 
@@ -395,35 +436,45 @@ class QueryService:
         path = handler.path.split("?", 1)[0].rstrip("/") or "/healthz"
         route = _ROUTE_KEYS.get(path)
         record("serve.requests")
-        if route is None:
-            record("serve.requests.unknown")
-            handler.reply_json(
-                {"error": f"unknown route {path!r}",
-                 "routes": sorted(_ROUTE_KEYS)},
-                status=404,
-            )
-            return
-        record(f"serve.requests.{route}")
+        record(f"serve.requests.{route or 'unknown'}")
         start = time.perf_counter_ns()
         try:
-            body = self._read_body(handler) if body_allowed else {}
+            # Whatever the route or verb, take the declared body off the
+            # socket first: left unread, it would be parsed as the next
+            # request line of a kept-alive connection.
+            raw = self._read_body(handler)
+            if route is None:
+                handler.reply_json(
+                    {"error": f"unknown route {path!r}",
+                     "routes": sorted(_ROUTE_KEYS)},
+                    status=404,
+                )
+                return
+            body = _parse_body(raw) if body_allowed else {}
             deadline = self._deadline(handler, body)
             if path in ("/healthz", "/metrics", "/epochs"):
                 # Introspection stays admission-exempt so operators can
                 # scrape a saturated (or draining) service.
                 payload, content = self._introspect(path)
             else:
-                wait_ns = self._admit(deadline)
+                read = path in _READ_ROUTES
+                wait_ns = self._admit(deadline, read)
                 try:
-                    get_registry().histogram("serve.wait_ns").observe(
-                        wait_ns
-                    )
+                    if read:
+                        get_registry().histogram("serve.wait_ns").observe(
+                            wait_ns
+                        )
                     if deadline is not None and time.monotonic() > deadline:
                         record("serve.rejected.deadline")
                         raise _Reject(408, "deadline expired")
-                    payload, content = self._dispatch(path, body), None
+                    payload = (
+                        self._read(path, body)
+                        if read
+                        else self._write(path, body)
+                    )
+                    content = None
                 finally:
-                    self._release()
+                    self._release(read)
             if content is not None:
                 handler.reply(payload, content)
             else:
@@ -452,30 +503,45 @@ class QueryService:
                 time.perf_counter_ns() - start
             )
 
-    def _read_body(self, handler: _ServiceHandler) -> dict:
-        length = int(handler.headers.get("Content-Length") or 0)
-        if length == 0:
-            return {}
-        if length > _MAX_BODY_BYTES:
-            raise _Reject(400, f"request body over {_MAX_BODY_BYTES} bytes")
+    def _read_body(self, handler: _ServiceHandler) -> bytes:
+        """The request body as sent; the connection stays parseable.
+
+        A body whose length is unknown or over the cap is not read, so
+        the reply closes the connection instead.
+        """
+        declared = handler.headers.get("Content-Length") or "0"
         try:
-            body = json.loads(handler.rfile.read(length))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _Reject(400, f"request body is not valid JSON: {exc}")
-        if not isinstance(body, dict):
-            raise _Reject(400, "request body must be a JSON object")
-        return body
+            length = int(declared)
+            if length < 0:
+                raise ValueError(declared)
+        except ValueError:
+            handler.close_connection = True
+            raise _Reject(
+                400,
+                f"Content-Length must be a non-negative integer, "
+                f"got {declared!r}",
+            )
+        if length > _MAX_BODY_BYTES:
+            handler.close_connection = True
+            raise _Reject(400, f"request body over {_MAX_BODY_BYTES} bytes")
+        return handler.rfile.read(length) if length else b""
 
     def _deadline(self, handler: _ServiceHandler, body: dict) -> float | None:
-        ms = body.get("deadline_ms")
+        field, ms = "deadline_ms", body.get("deadline_ms")
         if ms is None:
-            header = handler.headers.get("X-Deadline-Ms")
-            ms = float(header) if header else self._default_deadline_ms
+            field, ms = "X-Deadline-Ms", handler.headers.get("X-Deadline-Ms")
+        if ms is None:
+            ms = self._default_deadline_ms
         if ms is None:
             return None
-        ms = float(ms)
-        if ms <= 0:
-            raise _Reject(400, f"deadline_ms must be positive, got {ms}")
+        try:
+            ms = float(ms)
+        except (TypeError, ValueError):
+            raise _Reject(400, f"{field} must be a number, got {ms!r}")
+        if not (ms > 0 and math.isfinite(ms)):
+            raise _Reject(
+                400, f"{field} must be positive and finite, got {ms}"
+            )
         return time.monotonic() + ms / 1000.0
 
     def _introspect(self, path: str):
@@ -497,14 +563,9 @@ class QueryService:
             "status": "draining" if self._draining else "ok",
             "epoch": self.epochs.current_epoch,
             "uptime_seconds": round(time.time() - self.started_at, 3),
+            "inflight": self._inflight,
+            "queued": self._queued,
         }, None
-
-    def _dispatch(self, path: str, body: dict) -> dict:
-        if path in (
-            "/query", "/count", "/batch", "/boolean", "/ranked", "/explain",
-        ):
-            return self._read(path, body)
-        return self._write(path, body)
 
     # -- read routes ------------------------------------------------------
 
@@ -512,11 +573,11 @@ class QueryService:
         semantics = _parse_semantics(body.get("semantics"))
         both = semantics is BOTH
         using = body.get("using")
-        limit = body.get("limit")
+        limit = _parse_limit(body)
         with self.epochs.pin() as pin:
             db = pin.database
             if path == "/ranked":
-                return self._ranked(pin, db, body, using)
+                return self._ranked(pin, db, body, using, limit)
             if path == "/batch":
                 queries = body.get("queries")
                 if not isinstance(queries, list) or not queries:
@@ -588,19 +649,15 @@ class QueryService:
                     payload.update(_ids_payload(report.record_ids, limit))
             return payload
 
-    def _ranked(self, pin, db, body: dict, using) -> dict:
+    def _ranked(self, pin, db, body: dict, using, limit) -> dict:
         query = _parse_bounds(body)
         raw = body.get("threshold", 0.0)
         try:
             threshold = float(raw)
         except (TypeError, ValueError):
             raise _Reject(400, f"threshold must be a number, got {raw!r}")
-        limit = body.get("limit")
         report = db.execute_ranked(
-            query,
-            threshold=threshold,
-            limit=int(limit) if limit is not None else None,
-            using=using,
+            query, threshold=threshold, limit=limit, using=using
         )
         return {
             "epoch": pin.epoch,
@@ -608,9 +665,9 @@ class QueryService:
             "kind": report.kind,
             "matches": report.num_matches,
             "certain_matches": report.num_certain,
-            "record_ids": [int(i) for i in report.record_ids],
+            "record_ids": report.record_ids.tolist(),
             "probabilities": [
-                round(float(p), 6) for p in report.probabilities
+                round(p, 6) for p in report.probabilities.tolist()
             ],
         }
 

@@ -79,7 +79,6 @@ class SnapshotWriter:
             table,
             num_shards=min(current.num_shards, table.num_records),
             partitioner=current.partitioner_name,
-            parallel=current._parallel,
             max_workers=(
                 current._max_workers
                 if current._max_workers_explicit

@@ -5,12 +5,15 @@ surviving shards actually evaluate their slice of the work is this module's
 job.  Three backends implement one interface:
 
 ``sequential``
-    Evaluate shards one after another in the caller's thread.  Zero setup,
-    deterministic, and the reference the other two are tested against.
+    The default: evaluate shards one after another in the caller's thread.
+    Zero setup, deterministic, and the reference the other two are tested
+    against.
 ``threads``
-    The historical default: a lazily-created worker-thread pool.  Cheap
-    fan-out, shared address space — but bitvector decoding is pure Python
-    + numpy, so the GIL caps the speedup well below the shard count.
+    Opt-in: a lazily-created worker-thread pool.  Shared address space —
+    but a shard task is a run of sub-100 µs numpy kernels that hand the
+    GIL over at every call, so pool threads convoy instead of overlapping
+    and the pool has lost to ``sequential`` at every scale measured
+    (``docs/sharding.md`` has the sweep).
 ``processes``
     Long-lived worker processes, each holding resident
     :class:`~repro.core.engine.IncompleteDatabase` engines for its shards.
@@ -23,8 +26,9 @@ job.  Three backends implement one interface:
 
 Backends are selected by the ``executor=`` argument of
 :class:`~repro.shard.sharded.ShardedDatabase`, or — when that is left unset
-— by the ``REPRO_SHARD_EXECUTOR`` environment variable, falling back to
-``threads``/``sequential`` according to the legacy ``parallel`` flag.
+— by the ``REPRO_SHARD_EXECUTOR`` environment variable, then by the legacy
+``parallel`` flag (``threads`` when true); with none of the three given,
+shard tasks run inline (``sequential``).
 
 Exactness contract: every backend returns word-identical record-id sets
 under both missing semantics.  Worker processes replicate parent-side index
@@ -891,13 +895,13 @@ EXECUTORS: dict[str, type[ShardExecutor]] = {
 
 
 def resolve_executor(
-    spec: str | ShardExecutor | None = None, parallel: bool = True
+    spec: str | ShardExecutor | None = None, parallel: bool | None = None
 ) -> ShardExecutor:
     """Turn an executor spec into an instance.
 
     Resolution order: an explicit instance or registry name wins; otherwise
     the ``REPRO_SHARD_EXECUTOR`` environment variable; otherwise the legacy
-    ``parallel`` flag (``threads`` when true, ``sequential`` when false).
+    ``parallel`` flag (``threads`` when true); otherwise ``sequential``.
     """
     if isinstance(spec, ShardExecutor):
         return spec

@@ -400,7 +400,7 @@ def _load_rows(path: Path, context: str) -> np.ndarray:
 
 def load_sharded(
     directory: str | os.PathLike,
-    parallel: bool = True,
+    parallel: bool | None = None,
     max_workers: int | None = None,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     executor=None,

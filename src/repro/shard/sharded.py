@@ -277,9 +277,9 @@ class ShardedDatabase:
         A :class:`~repro.shard.partition.Partitioner` instance or registry
         name (``"contiguous"``, ``"round-robin"``, ``"missing-density"``).
     parallel:
-        Legacy fan-out switch: picks the ``threads`` executor when true and
-        ``sequential`` when false.  Ignored when ``executor`` (or the
-        ``REPRO_SHARD_EXECUTOR`` environment variable) selects a backend.
+        Legacy fan-out switch: ``True`` picks the ``threads`` executor.
+        Ignored when ``executor`` (or the ``REPRO_SHARD_EXECUTOR``
+        environment variable) selects a backend.
     max_workers:
         Fan-out worker cap (threads or processes); must be ``>= 1``.
         Defaults to ``min(num_shards, 32)``.
@@ -288,7 +288,9 @@ class ShardedDatabase:
     executor:
         A :class:`~repro.shard.executor.ShardExecutor` instance or registry
         name (``"sequential"``, ``"threads"``, ``"processes"``).  ``None``
-        consults ``REPRO_SHARD_EXECUTOR``, then falls back to ``parallel``.
+        consults ``REPRO_SHARD_EXECUTOR``, then ``parallel``; with none of
+        the three given, shard tasks run inline on the caller's thread
+        (``sequential``) — see ``docs/sharding.md`` for the measurement.
     """
 
     def __init__(
@@ -296,7 +298,7 @@ class ShardedDatabase:
         table: IncompleteTable,
         num_shards: int = 4,
         partitioner: str | Partitioner = "contiguous",
-        parallel: bool = True,
+        parallel: bool | None = None,
         max_workers: int | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
@@ -324,7 +326,6 @@ class ShardedDatabase:
             # `max_workers or default` used to swallow 0 silently and run
             # with the default pool size; reject it loudly instead.
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._parallel = parallel
         self._max_workers_explicit = max_workers is not None
         self._max_workers = (
             max_workers
@@ -361,7 +362,7 @@ class ShardedDatabase:
         table: IncompleteTable,
         assignment,
         shard_tables,
-        parallel: bool = True,
+        parallel: bool | None = None,
         max_workers: int | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,

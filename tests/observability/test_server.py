@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -107,6 +108,26 @@ class TestRoutes:
         assert counters["telemetry.requests"] == 2
         assert counters["telemetry.requests.metrics"] == 1
         assert counters["telemetry.requests.healthz"] == 1
+
+
+class TestKeepAlive:
+    def test_scrapes_share_one_connection(self, stack):
+        server, _, _, _ = stack
+        conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            response.read()
+            assert response.status == 200 and response.version == 11
+            sock = conn.sock
+            for route, expected in (("/nope", 404), ("/metrics", 200)):
+                conn.request("GET", route)
+                response = conn.getresponse()
+                response.read()
+                assert response.status == expected
+                assert conn.sock is sock
+        finally:
+            conn.close()
 
 
 class TestLifecycle:

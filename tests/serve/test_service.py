@@ -1,18 +1,23 @@
 """QueryService HTTP behaviour: routes, admission control, lifecycle."""
 
+import contextlib
+import http.client
 import json
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import ReproError
 from repro.query.model import MissingSemantics
 from repro.serve import QueryService
+from repro.serve import service as service_module
 from repro.shard import ShardedDatabase, save_sharded
 
 
@@ -48,6 +53,35 @@ def _get(url):
             return response.status, response.read().decode("utf-8")
     except urllib.error.HTTPError as err:
         return err.code, err.read().decode("utf-8")
+
+
+@contextlib.contextmanager
+def _gated_service(target, **kwargs):
+    """A started service whose ``target`` method blocks until released.
+
+    Yields ``(service, entered, release)``: ``entered`` is set when a
+    request reaches the method, which then waits for ``release``.
+    """
+    svc = QueryService(database=_db(), **kwargs)
+    owner = svc
+    *parents, name = target.split(".")
+    for parent in parents:
+        owner = getattr(owner, parent)
+    original = getattr(owner, name)
+    entered, release = threading.Event(), threading.Event()
+
+    def gated(*args, **kw):
+        entered.set()
+        release.wait(timeout=10)
+        return original(*args, **kw)
+
+    setattr(owner, name, gated)
+    svc.start()
+    try:
+        yield svc, entered, release
+    finally:
+        release.set()
+        svc.stop()
 
 
 @pytest.fixture()
@@ -259,6 +293,66 @@ class TestErrors:
         )
         assert status == 408
 
+    @pytest.mark.parametrize(
+        ("payload", "headers", "field"),
+        [
+            ({"deadline_ms": "abc"}, {}, "deadline_ms"),
+            ({"deadline_ms": [5]}, {}, "deadline_ms"),
+            ({"deadline_ms": "inf"}, {}, "deadline_ms"),
+            ({}, {"X-Deadline-Ms": "soon"}, "X-Deadline-Ms"),
+            ({"limit": "x"}, {}, "limit"),
+            ({"limit": -3}, {}, "limit"),
+            ({"limit": 2.5}, {}, "limit"),
+            ({"limit": True}, {}, "limit"),
+        ],
+    )
+    def test_malformed_fields_are_400_naming_the_field(
+        self, service, payload, headers, field
+    ):
+        with obs.use_registry() as registry:
+            for route in ("/query", "/ranked"):
+                conn = http.client.HTTPConnection(
+                    service.host, service.port, timeout=10
+                )
+                conn.request(
+                    "POST",
+                    route,
+                    body=json.dumps({"bounds": {"a": [1, 9]}, **payload}),
+                    headers=headers,
+                )
+                response = conn.getresponse()
+                body = json.loads(response.read())
+                conn.close()
+                assert response.status == 400, (route, body)
+                assert field in body["error"]
+        counters = registry.snapshot().counters
+        assert counters["serve.errors.client"] == 2
+        assert "serve.errors.server" not in counters
+
+    def test_non_numeric_content_length_is_400(self, service):
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: many\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):   # the server closes: no
+                reply += chunk                # way to find the next request
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"connection: close" in head.lower()
+        assert "Content-Length" in json.loads(body)["error"]
+
+    def test_limit_zero_returns_the_count_only(self, service):
+        status, body = _post(
+            service.url + "/query", {"bounds": {"a": [1, 9]}, "limit": 0}
+        )
+        assert status == 200
+        assert body["record_ids"] == [] and body["truncated"] is True
+        assert body["matches"] > 0
+
 
 class TestAdmission:
     def test_queue_full_is_429(self):
@@ -301,6 +395,118 @@ class TestAdmission:
             release.set()
             svc.stop()
 
+    def test_deadline_expiring_in_the_queue_is_408(self):
+        with _gated_service(
+            "_read", max_inflight=1, queue_limit=1
+        ) as (svc, entered, release):
+            first = threading.Thread(
+                target=_post, args=(svc.url + "/query", {"bounds": {"a": [1, 9]}})
+            )
+            first.start()
+            assert entered.wait(timeout=10)
+            status, body = _post(
+                svc.url + "/query",
+                {"bounds": {"a": [1, 2]}, "deadline_ms": 50},
+            )
+            assert status == 408 and "while queued" in body["error"]
+            release.set()
+            first.join(timeout=10)
+            assert not first.is_alive()
+
+    def test_default_service_runs_one_read_at_a_time(self):
+        svc = QueryService(database=_db())
+        lock = threading.Lock()
+        running = []
+        overlaps = []
+        original = svc._read
+
+        def tracked_read(path, body):
+            with lock:
+                running.append(path)
+                overlaps.append(len(running))
+            try:
+                time.sleep(0.05)
+                return original(path, body)
+            finally:
+                with lock:
+                    running.remove(path)
+
+        svc._read = tracked_read
+        statuses = []
+
+        def request(route):
+            status, _ = _post(svc.url + route, {"bounds": {"a": [1, 9]}})
+            statuses.append(status)
+
+        with obs.use_registry() as registry:
+            svc.start()
+            try:
+                threads = [
+                    threading.Thread(target=request, args=(route,))
+                    for route in ("/query", "/count", "/explain")
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                    assert not thread.is_alive()
+            finally:
+                svc.stop()
+            snapshot = registry.snapshot()
+        assert statuses == [200, 200, 200]
+        assert overlaps == [1, 1, 1]
+        # The reads that waited for the lane show it as queue time.
+        waits = snapshot.histograms["serve.wait_ns"]
+        assert waits.count == 3 and waits.max >= 0.04e9
+        assert "serve.rejected.queue_full" not in snapshot.counters
+
+    def test_reads_proceed_while_a_write_is_mid_publish(self):
+        with _gated_service(
+            "writer.compact", max_inflight=1, queue_limit=0
+        ) as (svc, entered, release):
+            outcome = []
+            writer = threading.Thread(
+                target=lambda: outcome.append(_post(svc.url + "/compact", {}))
+            )
+            writer.start()
+            assert entered.wait(timeout=10)
+            # The write is in flight and the only read slot is still free.
+            status, body = _post(svc.url + "/query", {"bounds": {"a": [1, 9]}})
+            assert status == 200 and body["epoch"] == 1
+            status, text = _get(svc.url + "/healthz")
+            assert json.loads(text)["inflight"] == 1
+            release.set()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert outcome[0][0] == 200 and outcome[0][1]["epoch"] == 2
+
+    def test_draining_service_waits_for_writes_and_refuses_new_ones(self):
+        with _gated_service("writer.compact") as (svc, entered, release):
+            outcome = []
+            writer = threading.Thread(
+                target=lambda: outcome.append(_post(svc.url + "/compact", {}))
+            )
+            writer.start()
+            assert entered.wait(timeout=10)
+            stopper = threading.Thread(target=svc.stop)
+            stopper.start()
+            deadline = time.monotonic() + 10
+            while not svc._draining and time.monotonic() < deadline:
+                time.sleep(0.005)
+            # Draining, but the listener stays up for the in-flight write.
+            for route, payload in (
+                ("/append", {"rows": {"a": [1], "b": [1]}}),
+                ("/query", {"bounds": {"a": [1, 9]}}),
+            ):
+                status, body = _post(svc.url + route, payload)
+                assert status == 503 and "draining" in body["error"]
+            assert stopper.is_alive()
+            release.set()
+            writer.join(timeout=10)
+            stopper.join(timeout=10)
+            assert not writer.is_alive() and not stopper.is_alive()
+            assert outcome[0][0] == 200
+
     def test_draining_service_rejects_with_503(self):
         svc = QueryService(database=_db()).start()
         svc.stop()
@@ -316,6 +522,99 @@ class TestAdmission:
         svc = QueryService(database=_db()).start()
         svc.stop()
         svc.stop()
+
+
+class TestKeepAlive:
+    def _request(self, conn, route, payload=None, raw=None):
+        body = raw if raw is not None else json.dumps(payload or {})
+        conn.request("POST", route, body=body)
+        response = conn.getresponse()
+        return response, response.read()
+
+    def test_connection_is_reused_across_requests_and_errors(self, service):
+        with obs.use_registry() as registry:
+            conn = http.client.HTTPConnection(
+                service.host, service.port, timeout=10
+            )
+            try:
+                response, _ = self._request(
+                    conn, "/query", {"bounds": {"a": [2, 6]}}
+                )
+                assert response.status == 200 and response.version == 11
+                sock = conn.sock
+                for route, kwargs, expected in (
+                    ("/nope", {"payload": {"bounds": {"a": [2, 6]}}}, 404),
+                    ("/query", {"raw": "not json"}, 400),
+                    ("/query", {"payload": {"bounds": {"a": [1, 2]},
+                                            "limit": "x"}}, 400),
+                    ("/query", {"payload": {"bounds": {"a": [1, 2]},
+                                            "deadline_ms": 0.0001}}, 408),
+                    ("/count", {"payload": {"bounds": {"a": [2, 6]}}}, 200),
+                ):
+                    response, _ = self._request(conn, route, **kwargs)
+                    assert response.status == expected, route
+                    assert response.version == 11
+                    assert conn.sock is sock, f"reconnected after {expected}"
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200 and conn.sock is sock
+            finally:
+                conn.close()
+            counters = registry.snapshot().counters
+        assert counters["serve.connections"] == 1
+        assert counters["serve.requests"] == 7
+
+    def test_oversize_body_closes_but_the_client_recovers(
+        self, service, monkeypatch
+    ):
+        monkeypatch.setattr(service_module, "_MAX_BODY_BYTES", 64)
+        conn = http.client.HTTPConnection(
+            service.host, service.port, timeout=10
+        )
+        try:
+            response, body = self._request(
+                conn, "/query", {"bounds": {"a": [2, 6]}, "pad": "x" * 100}
+            )
+            assert response.status == 400 and b"over 64 bytes" in body
+            # The unread body makes the stream unparseable: the reply says
+            # so, and http.client reconnects on the next request.
+            assert response.getheader("Connection") == "close"
+            response, _ = self._request(
+                conn, "/count", {"bounds": {"a": [2, 6]}}
+            )
+            assert response.status == 200
+        finally:
+            conn.close()
+
+    def test_idle_connection_times_out(self, service, monkeypatch):
+        monkeypatch.setattr(service_module._ServiceHandler, "timeout", 0.1)
+        with socket.create_connection(
+            (service.host, service.port), timeout=10
+        ) as sock:
+            assert sock.recv(1) == b""   # closed by the server, not by us
+
+    def test_compact_by_default_pretty_on_request(self, service):
+        payload = {"bounds": {"a": [2, 6]}, "limit": 3}
+        conn = http.client.HTTPConnection(
+            service.host, service.port, timeout=10
+        )
+        try:
+            _, compact = self._request(conn, "/query", payload)
+            _, pretty = self._request(conn, "/query?pretty=1", payload)
+        finally:
+            conn.close()
+        assert b", " not in compact and compact.count(b"\n") == 1
+        assert b'\n  "record_ids": [\n' in pretty
+        compact, pretty = json.loads(compact), json.loads(pretty)
+        del compact["elapsed_ms"], pretty["elapsed_ms"]
+        assert compact == pretty
+
+    def test_healthz_reports_the_admission_gauges(self, service):
+        status, text = _get(service.url + "/healthz")
+        body = json.loads(text)
+        assert status == 200
+        assert body["inflight"] == 0 and body["queued"] == 0
 
 
 class TestConcurrentReads:

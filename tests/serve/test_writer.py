@@ -46,6 +46,23 @@ class TestMutations:
         ).record_ids
         assert n + 2 not in not_match  # the a=0 row is excluded
 
+    def test_rebuilt_snapshot_inherits_the_executor(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SHARD_EXECUTOR", raising=False)
+        for kwargs, expected in (
+            ({}, "sequential"),
+            ({"executor": "threads"}, "threads"),
+        ):
+            manager = EpochManager(
+                ShardedDatabase(_table(), num_shards=2, **kwargs)
+            )
+            try:
+                assert manager.current_database.executor.name == expected
+                SnapshotWriter(manager).compact()
+                assert manager.current_epoch == 2
+                assert manager.current_database.executor.name == expected
+            finally:
+                manager.close()
+
     def test_append_table_form(self, served):
         manager, writer = served
         writer.append(_table(seed=6, n=10))

@@ -382,13 +382,52 @@ class TestResolveExecutor:
             resolve_executor("processes"), ProcessShardExecutor
         )
 
-    def test_parallel_flag_fallback(self):
+    def test_default_is_inline(self, monkeypatch):
+        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+        assert isinstance(resolve_executor(), SequentialShardExecutor)
+
+    def test_parallel_flag_fallback(self, monkeypatch):
+        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         assert isinstance(
             resolve_executor(None, parallel=False), SequentialShardExecutor
         )
         assert isinstance(
             resolve_executor(None, parallel=True), ThreadShardExecutor
         )
+
+    def test_databases_default_to_inline(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+        with ShardedDatabase(_table(), num_shards=3) as db:
+            db.create_index("ix", "bre")
+            assert db.executor.name == "sequential"
+            save_sharded(db, tmp_path)
+            with obs.use_registry() as registry:
+                db.execute(QUERIES[0])
+                db.execute_batch(QUERIES)
+            counters = registry.snapshot().counters
+            assert counters["shard.sequential_fanouts"] == 2
+            assert "shard.parallel_fanouts" not in counters
+        with load_sharded(tmp_path) as loaded:
+            assert loaded.executor.name == "sequential"
+
+    def test_databases_keep_explicit_choices(self, monkeypatch, tmp_path):
+        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+        table = _table()
+        with ShardedDatabase(table, num_shards=2, executor="threads") as db:
+            assert db.executor.name == "threads"
+            db.create_index("ix", "bre")
+            save_sharded(db, tmp_path)
+        with ShardedDatabase(table, num_shards=2, parallel=True) as db:
+            assert db.executor.name == "threads"
+        with load_sharded(tmp_path, executor="threads") as loaded:
+            assert loaded.executor.name == "threads"
+        with load_sharded(tmp_path, parallel=True) as loaded:
+            assert loaded.executor.name == "threads"
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "threads")
+        with ShardedDatabase(table, num_shards=2) as db:
+            assert db.executor.name == "threads"
+        with load_sharded(tmp_path) as loaded:
+            assert loaded.executor.name == "threads"
 
     def test_env_var_wins_over_parallel(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "sequential")
