@@ -2,11 +2,13 @@
 
 The paper's central performance claim is that compressed bitmap query
 execution "only accesses words".  This module is where those word accesses
-actually happen: every WAH/BBC encode, decode, logical operation, and
-population count is implemented here as a *kernel* over numpy word arrays
-(``uint32`` WAH words, ``uint8`` BBC bytes), and the codec classes in
-:mod:`repro.bitvector.wah` / :mod:`repro.bitvector.bbc` dispatch to the
-active :class:`KernelBackend`.
+actually happen: every WAH/BBC encode, decode, run-merge logical
+operation, and population count over a word stream is implemented here as
+a *kernel* over numpy word arrays (``uint32`` WAH words, ``uint8`` BBC
+bytes), and the codec classes in :mod:`repro.bitvector.wah` /
+:mod:`repro.bitvector.bbc` dispatch to the active :class:`KernelBackend`.
+Operations on already-decoded group arrays are plain ufuncs and live with
+the codec (:mod:`repro.bitvector.wah`), the same for every backend.
 
 Three backends are provided:
 
@@ -22,8 +24,7 @@ Three backends are provided:
     merged with one ``union1d``/``searchsorted`` pass, and the result is
     re-encoded with scatter writes — O(stored words), never materializing
     the verbatim bitmap, so even a ``MAX_FILL_GROUPS``-long fill costs a
-    handful of array ops.  Dense operands (mostly literals) switch to a
-    decode → ufunc → re-encode path, which is faster when runs are short.
+    handful of array ops.
 
 ``numba``
     Registered only when :mod:`numba` is importable: the reference run-pair
@@ -127,6 +128,44 @@ def _wah_run_view(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         is_fill, (words & np.uint32(MAX_FILL_GROUPS)).astype(np.int64), 1
     )
     return values, lengths
+
+
+def _group_runs(groups: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal ``(group value, run length)`` runs of a non-empty group array."""
+    change = np.empty(len(groups), dtype=bool)
+    change[0] = True
+    np.not_equal(groups[1:], groups[:-1], out=change[1:])
+    run_starts = np.flatnonzero(change)
+    run_lengths = np.empty(len(run_starts), dtype=np.int64)
+    np.subtract(run_starts[1:], run_starts[:-1], out=run_lengths[:-1])
+    run_lengths[-1] = len(groups) - run_starts[-1]
+    return groups[run_starts], run_lengths
+
+
+def wah_run_words(values: np.ndarray, lengths: np.ndarray) -> int:
+    """Words :func:`_encode_runs` emits for adjacent-distinct runs, unbuilt.
+
+    One word per literal group; one per ``MAX_FILL_GROUPS`` (or part) of
+    each 0 / all-ones run.
+    """
+    is_fill = (values == 0) | (values == _ALL_ONES_GROUP)
+    fill_words = (lengths + (MAX_FILL_GROUPS - 1)) // MAX_FILL_GROUPS
+    return int(np.where(is_fill, fill_words, lengths).sum())
+
+
+def wah_encoded_length(groups: np.ndarray) -> int:
+    """Length of the canonical stream of a group array, without building it."""
+    ngroups = len(groups)
+    if ngroups > MAX_FILL_GROUPS:  # a fill run may need splitting
+        return wah_run_words(*_group_runs(groups))
+    if ngroups == 0:
+        return 0
+    # One word per literal group plus one per fill run; a fill run starts
+    # at each fill group that differs from its predecessor.
+    is_fill = (groups == 0) | (groups == _ALL_ONES_GROUP)
+    starts = is_fill[1:] & (groups[1:] != groups[:-1])
+    fill_runs = int(is_fill[0]) + int(np.count_nonzero(starts))
+    return ngroups - int(np.count_nonzero(is_fill)) + fill_runs
 
 
 def _encode_runs(
@@ -304,12 +343,6 @@ class KernelBackend:
         """Compressed-domain binary op; ``opcode`` is one of WAH_OPCODES."""
         raise NotImplementedError
 
-    def wah_or_many(
-        self, operands: list[np.ndarray], ngroups: int
-    ) -> np.ndarray:
-        """OR of several word streams (wide unions)."""
-        raise NotImplementedError
-
     def wah_count(self, words: np.ndarray) -> int:
         """Population count computed on the compressed words."""
         raise NotImplementedError
@@ -388,14 +421,6 @@ class PythonKernels(KernelBackend):
             right.consume(take)
             remaining -= take
         return np.asarray(builder.words, dtype=np.uint32)
-
-    def wah_or_many(
-        self, operands: list[np.ndarray], ngroups: int
-    ) -> np.ndarray:
-        result = operands[0]
-        for other in operands[1:]:
-            result = self.wah_binary("or", result, other, ngroups)
-        return result
 
     def wah_count(self, words: np.ndarray) -> int:
         total = 0
@@ -488,18 +513,10 @@ class NumpyKernels(KernelBackend):
     name = "numpy"
 
     def wah_encode(self, groups: np.ndarray) -> np.ndarray:
-        ngroups = len(groups)
-        if ngroups == 0:
+        if len(groups) == 0:
             return _EMPTY_U32
         groups = groups.astype(np.uint32, copy=False)
-        change = np.empty(ngroups, dtype=bool)
-        change[0] = True
-        np.not_equal(groups[1:], groups[:-1], out=change[1:])
-        run_starts = np.flatnonzero(change)
-        run_lengths = np.empty(len(run_starts), dtype=np.int64)
-        np.subtract(run_starts[1:], run_starts[:-1], out=run_lengths[:-1])
-        run_lengths[-1] = ngroups - run_starts[-1]
-        return _encode_runs(groups[run_starts], run_lengths, merged=True)
+        return _encode_runs(*_group_runs(groups), merged=True)
 
     def wah_decode(self, words: np.ndarray, ngroups: int) -> np.ndarray:
         if len(words) == 0:
@@ -517,13 +534,6 @@ class NumpyKernels(KernelBackend):
         if ngroups == 0:
             return _EMPTY_U32
         ufunc = _NP_OPS[opcode]
-        # Mostly-literal operands: decoding to one group array and applying
-        # the ufunc beats the run merge (whose sorts pay off only when runs
-        # are long).  Both paths re-encode canonically, so the resulting
-        # words are identical either way.
-        if len(a) + len(b) > ngroups // 4:
-            merged = ufunc(self.wah_decode(a, ngroups), self.wah_decode(b, ngroups))
-            return self.wah_encode(merged)
         va, la = _wah_run_view(a)
         vb, lb = _wah_run_view(b)
         ends_a = np.cumsum(la)
@@ -539,16 +549,6 @@ class NumpyKernels(KernelBackend):
             raise CorruptIndexError("WAH stream ended before all groups read")
         values = ufunc(va[ai], vb[bi])
         return _encode_runs(values, ends - starts)
-
-    def wah_or_many(
-        self, operands: list[np.ndarray], ngroups: int
-    ) -> np.ndarray:
-        # Wide unions densify: decode each operand once into a group-array
-        # accumulator (FastBit does the same) and re-encode at the end.
-        acc = self.wah_decode(operands[0], ngroups).copy()
-        for other in operands[1:]:
-            np.bitwise_or(acc, self.wah_decode(other, ngroups), out=acc)
-        return self.wah_encode(acc)
 
     def wah_count(self, words: np.ndarray) -> int:
         if len(words) == 0:

@@ -16,10 +16,20 @@ compressed bitvector — exactly the property the paper relies on for fast
 bitmap query execution.
 
 Words are stored as a read-only ``numpy`` ``uint32`` array, and every
-encode/decode/logical-op/count kernel lives in
+encode/decode/run-merge/count kernel over them lives in
 :mod:`repro.bitvector.kernels` behind a pluggable backend registry
 (``python`` reference, vectorized ``numpy`` default, optional ``numba``).
 All backends emit identical canonical words; see ``docs/kernels.md``.
+
+Compressed is the *storage* form.  A vector built from data or loaded from
+a file holds its word stream; the result of a logical operation holds its
+decoded 31-bit group array instead and builds the canonical stream only
+when something asks for :attr:`WahBitVector.words` (storage, the
+sub-result cache's ``nbytes()``, ``==``, ``hash``, pickling) — at which
+point the groups are dropped, so a vector holds exactly one form.  A query
+therefore decodes each stored operand once, chains its AND/OR/XOR/NOT as
+ufuncs over group arrays, and reads ``count()`` / ``to_indices()`` off the
+last one without ever encoding an intermediate.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from repro.bitvector.kernels import (  # noqa: F401  (re-exported API)
     WORD_BITS,
     _ALL_ONES_GROUP,
     _Builder,
+    _NP_OPS,
     _RunReader,
 )
 from repro.errors import CorruptIndexError, ReproError
@@ -73,23 +84,23 @@ def _fill_words_in(words: np.ndarray) -> int:
     return int(((words & np.uint32(FILL_FLAG)) != 0).sum())
 
 
-def _record_op_metrics(
-    operands: list["WahBitVector"], result: "WahBitVector", ops: int = 1
-) -> None:
-    """Account one compressed-domain logical operation's decode/emit work.
+def _record_op_metrics(decoded: list[np.ndarray], ops: int = 1) -> None:
+    """Account the decode work of ``ops`` logical operations.
 
-    Counts are derived from the operand word streams themselves, so they
-    are identical whichever kernel backend produced the result.  Callers
-    gate on ``enabled()`` — the fill/literal breakdown is a full pass over
-    the operand words, which the null-registry fast path must not pay.
+    ``decoded`` holds the word streams the operation actually read — the
+    operands that were in compressed form; operands carried as group arrays
+    cost no decode and are not in it.  Counts are derived from those
+    streams themselves, so they are identical whichever kernel backend
+    ran.  Callers gate on ``enabled()`` — the fill/literal breakdown is a
+    full pass over the words, which the null-registry fast path must not
+    pay.
     """
-    decoded = sum(len(op._words) for op in operands)
-    fills = sum(_fill_words_in(op._words) for op in operands)
+    words = sum(len(stream) for stream in decoded)
+    fills = sum(_fill_words_in(stream) for stream in decoded)
     _obs_record("wah.ops", ops)
-    _obs_record("wah.words_decoded", decoded)
+    _obs_record("wah.words_decoded", words)
     _obs_record("wah.fill_words", fills)
-    _obs_record("wah.literal_words", decoded - fills)
-    _obs_record("wah.words_emitted", len(result._words))
+    _obs_record("wah.literal_words", words - fills)
 
 
 class WahBitVector:
@@ -97,15 +108,22 @@ class WahBitVector:
 
     Instances are immutable.  Build one with :meth:`compress`,
     :meth:`from_bools`, :meth:`zeros`, or :meth:`ones`.
+
+    Exactly one of ``_words`` (the canonical stream) and ``_groups`` (the
+    decoded group array of a logical-op result) is held at a time; readers
+    take each into a local before testing it, and :attr:`words` publishes
+    the stream before dropping the groups, so another thread never finds
+    neither.
     """
 
-    __slots__ = ("_words", "_nbits", "_hash")
+    __slots__ = ("_words", "_groups", "_nbits", "_hash")
 
     def __init__(self, nbits: int, words: "np.ndarray | list[int]"):
         if nbits < 0:
             raise ReproError(f"nbits must be >= 0, got {nbits}")
         self._nbits = nbits
         self._words = _as_word_array(words)
+        self._groups = None
         self._hash: int | None = None
         covered = int(_kernels.wah_stream_lengths(self._words).sum())
         if covered != self.ngroups:
@@ -124,24 +142,38 @@ class WahBitVector:
         if words.flags.writeable:
             words.setflags(write=False)
         vec._words = words
+        vec._groups = None
+        vec._hash = None
+        return vec
+
+    @classmethod
+    def _from_groups(cls, nbits: int, groups: np.ndarray) -> "WahBitVector":
+        """Wrap a logical op's group array; the stream is built on demand."""
+        vec = object.__new__(cls)
+        vec._nbits = nbits
+        vec._words = None
+        vec._groups = groups
         vec._hash = None
         return vec
 
     @classmethod
     def compress(cls, vec: BitVector) -> "WahBitVector":
         """Compress a verbatim bitvector."""
-        return cls._from_group_array(vec.nbits, _groups_of(vec))
+        return cls.from_bools(vec.to_bools())
 
-    @classmethod
-    def _from_group_array(cls, nbits: int, groups: np.ndarray) -> "WahBitVector":
-        """Encode an array of 31-bit group values (canonical form)."""
-        return cls._from_words(
-            nbits, _kernels.get_backend().wah_encode(groups)
-        )
+    def _group_array(self, decoded: list | None = None) -> np.ndarray:
+        """The per-group value array, decoding the stream if that is held.
 
-    def _group_array(self) -> np.ndarray:
-        """Decode the compressed words to a per-group value array."""
-        return _kernels.get_backend().wah_decode(self._words, self.ngroups)
+        A stream that had to be decoded is appended to ``decoded`` (the
+        ``wah.*`` counters charge for exactly those).
+        """
+        groups = self._groups
+        if groups is None:
+            words = self._words
+            groups = _kernels.get_backend().wah_decode(words, self.ngroups)
+            if decoded is not None:
+                decoded.append(words)
+        return groups
 
     @classmethod
     def from_bools(cls, bools: np.ndarray) -> "WahBitVector":
@@ -152,7 +184,7 @@ class WahBitVector:
         padded = np.zeros(ngroups * GROUP_BITS, dtype=bool)
         padded[:nbits] = bools
         groups = _pack_groups(padded, ngroups)
-        return cls._from_group_array(nbits, groups)
+        return cls._from_words(nbits, _kernels.get_backend().wah_encode(groups))
 
     @classmethod
     def zeros(cls, nbits: int) -> "WahBitVector":
@@ -186,27 +218,51 @@ class WahBitVector:
 
     @property
     def words(self) -> np.ndarray:
-        """The compressed 32-bit words as a read-only uint32 array."""
-        return self._words
+        """The compressed 32-bit words as a read-only uint32 array.
+
+        On a logical-op result this is where the stream gets built; the
+        group array is dropped once it exists.
+        """
+        words = self._words
+        if words is None:
+            groups = self._groups
+            if groups is None:  # another thread published it meanwhile
+                return self._words
+            words = _kernels.get_backend().wah_encode(groups)
+            words.setflags(write=False)
+            _obs_record("wah.words_emitted", len(words))
+            self._words = words
+            self._groups = None
+        return words
 
     def words32(self) -> int:
-        """Stored size in 32-bit word units (the paper's cost currency)."""
-        return len(self._words)
+        """Stored size in 32-bit word units (the paper's cost currency).
+
+        A logical-op result reports the length its canonical stream would
+        have without building it.
+        """
+        groups = self._groups
+        if groups is None:
+            return len(self._words)
+        return _kernels.wah_encoded_length(groups)
 
     def nbytes(self) -> int:
         """Compressed payload size in bytes (4 bytes per WAH word)."""
-        return int(self._words.nbytes)
+        return int(self.words.nbytes)
 
     def compression_ratio(self) -> float:
         """Compressed size over verbatim size; < 1 means compression helped."""
         verbatim = (self._nbits + 7) // 8
         if verbatim == 0:
             return 1.0
-        return self.nbytes() / verbatim
+        return 4 * self.words32() / verbatim
 
     def count(self) -> int:
-        """Number of 1-bits, computed on the compressed form."""
-        return _kernels.get_backend().wah_count(self._words)
+        """Number of 1-bits, off whichever form is held (no conversion)."""
+        groups = self._groups
+        if groups is None:
+            return _kernels.get_backend().wah_count(self._words)
+        return int(np.bitwise_count(groups).sum(dtype=np.int64))
 
     def density(self) -> float:
         """Fraction of 1-bits."""
@@ -216,25 +272,23 @@ class WahBitVector:
 
     def decompress(self) -> BitVector:
         """Expand back to a verbatim :class:`BitVector`."""
-        groups = self._group_array()
-        bits = (
-            groups[:, None].astype(np.uint64)
-            >> np.arange(GROUP_BITS, dtype=np.uint64)[None, :]
-        ) & np.uint64(1)
-        bools = bits.reshape(-1)[: self._nbits].astype(bool)
-        return BitVector.from_bools(bools)
+        return BitVector.from_bools(self.to_bools())
 
     def to_bools(self) -> np.ndarray:
         """Expand to a boolean array."""
-        return self.decompress().to_bools()
+        # One unpack of the groups' little-endian bytes: 32 bits per group,
+        # of which the first 31 are the group's.
+        as_bytes = self._group_array().astype("<u4", copy=False).view(np.uint8)
+        bits = np.unpackbits(as_bytes, bitorder="little").view(bool)
+        return bits.reshape(-1, WORD_BITS)[:, :GROUP_BITS].reshape(-1)[: self._nbits]
 
     def to_indices(self) -> np.ndarray:
         """Sorted positions of the 1-bits."""
-        return self.decompress().to_indices()
+        return np.flatnonzero(self.to_bools())
 
     def runs(self) -> Iterator[tuple[bool, int, int]]:
         """Yield ``(is_fill, literal_or_fill_value, ngroups)`` per word."""
-        for word in self._words.tolist():
+        for word in self.words.tolist():
             if word & FILL_FLAG:
                 bit = 1 if word & FILL_BIT_FLAG else 0
                 yield True, bit, word & MAX_FILL_GROUPS
@@ -250,12 +304,33 @@ class WahBitVector:
             raise ReproError(
                 f"bitvector length mismatch: {self._nbits} vs {other._nbits}"
             )
-        words = _kernels.get_backend().wah_binary(
-            opcode, self._words, other._words, self.ngroups
-        )
-        result = WahBitVector._from_words(self._nbits, words)
+        ngroups = self.ngroups
+        left, right = self._words, other._words
+        if (
+            left is not None
+            and right is not None
+            and len(left) + len(right) <= ngroups // 4
+        ):
+            # Two sparse stored operands: merge runs on the compressed
+            # words, O(stored words) however long the fills are.
+            decoded = [left, right]
+            words = _kernels.get_backend().wah_binary(
+                opcode, left, right, ngroups
+            )
+            result = WahBitVector._from_words(self._nbits, words)
+            _obs_record("wah.words_emitted", len(words))
+        else:
+            # Otherwise one ufunc over group arrays (the run merge's sorts
+            # pay off only when runs are long); nothing is encoded.
+            decoded = []
+            result = WahBitVector._from_groups(
+                self._nbits,
+                _NP_OPS[opcode](
+                    self._group_array(decoded), other._group_array(decoded)
+                ),
+            )
         if _obs_enabled():
-            _record_op_metrics([self, other], result)
+            _record_op_metrics(decoded)
         return result
 
     @classmethod
@@ -266,8 +341,8 @@ class WahBitVector:
         bitmaps) degrade under pairwise compressed ops because the
         accumulating result densifies and every subsequent op pays for it.
         The standard fix (FastBit does the same) is to decode each operand
-        once into an uncompressed accumulator and re-encode at the end: the
-        compressed words *read* are just the operands' own words.
+        once into an uncompressed accumulator: the compressed words *read*
+        are just the operands' own words.
         """
         if not operands:
             raise ReproError("or_many requires at least one operand")
@@ -279,13 +354,15 @@ class WahBitVector:
                 )
         if len(operands) == 1:
             return first
-        words = _kernels.get_backend().wah_or_many(
-            [op._words for op in operands], first.ngroups
+        decoded: list[np.ndarray] = []
+        acc = np.bitwise_or(
+            first._group_array(decoded), operands[1]._group_array(decoded)
         )
-        result = cls._from_words(first._nbits, words)
+        for other in operands[2:]:
+            np.bitwise_or(acc, other._group_array(decoded), out=acc)
         if _obs_enabled():
-            _record_op_metrics(operands, result, ops=len(operands) - 1)
-        return result
+            _record_op_metrics(decoded, ops=len(operands) - 1)
+        return cls._from_groups(first._nbits, acc)
 
     def __and__(self, other: "WahBitVector") -> "WahBitVector":
         return self._binary_op(other, "and")
@@ -311,19 +388,23 @@ class WahBitVector:
         if not isinstance(other, WahBitVector):
             return NotImplemented
         return self._nbits == other._nbits and bool(
-            np.array_equal(self._words, other._words)
+            np.array_equal(self.words, other.words)
         )
 
     def __hash__(self) -> int:
         # Cached: SubResultCache hashes the same vector once per probe, and
         # instances are immutable so the digest never changes.
         if self._hash is None:
-            self._hash = hash((self._nbits, self._words.tobytes()))
+            self._hash = hash((self._nbits, self.words.tobytes()))
         return self._hash
+
+    def __reduce__(self):
+        # The stream is the interchange form; the digest is per-process.
+        return type(self)._from_words, (self._nbits, self.words)
 
     def __repr__(self) -> str:
         return (
-            f"WahBitVector(nbits={self._nbits}, words={len(self._words)}, "
+            f"WahBitVector(nbits={self._nbits}, words={self.words32()}, "
             f"ratio={self.compression_ratio():.3f})"
         )
 
@@ -351,18 +432,3 @@ def _pack_groups(padded: np.ndarray, ngroups: int) -> np.ndarray:
     wide[:, :GROUP_BITS] = padded.reshape(ngroups, GROUP_BITS)
     packed = np.packbits(wide.reshape(-1), bitorder="little")
     return packed.view("<u4").astype(np.uint32, copy=False)
-
-
-def _groups_of(vec: BitVector) -> np.ndarray:
-    """The 31-bit groups of a verbatim bitvector as a uint32 array."""
-    bools = vec.to_bools()
-    ngroups = (len(bools) + GROUP_BITS - 1) // GROUP_BITS
-    padded = np.zeros(ngroups * GROUP_BITS, dtype=bool)
-    padded[: len(bools)] = bools
-    return _pack_groups(padded, ngroups)
-
-
-def _word_groups(word: int) -> int:
-    if word & FILL_FLAG:
-        return word & MAX_FILL_GROUPS
-    return 1

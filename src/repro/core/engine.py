@@ -301,6 +301,12 @@ class IncompleteDatabase:
         # per-index delete support.
         self._tombstones: np.ndarray | None = None
         forksafe.register(self._rwlock)
+        forksafe.register(self)
+
+    def _reset_after_fork(self) -> None:
+        # A fork child must not inherit the tally lock mid-held by a parent
+        # thread (every query takes it); the counts themselves carry over.
+        self._counts_lock = threading.Lock()
 
     @classmethod
     def from_columns(

@@ -34,6 +34,9 @@ from repro.query.model import MissingSemantics
 from repro.query.workload import WorkloadGenerator
 from repro.vafile.vafile import VAFile, VaQueryStats
 
+#: Timed passes per technique and cell; the best one is reported.
+_PASSES = 3
+
 _COLUMNS = [
     "bee_ms",
     "bre_ms",
@@ -44,6 +47,7 @@ _COLUMNS = [
     "va_words",
     "bee_bitmaps",
     "bre_bitmaps",
+    "bre_over_va",
 ]
 
 
@@ -63,6 +67,34 @@ class Fig5Cell:
     bee_bitmaps: int
     bre_bitmaps: int
 
+    @property
+    def bre_over_va(self) -> float:
+        """BRE wall-clock over the VA-file's — the ordering Fig. 5 is about."""
+        return self.bre_ms / self.va_ms
+
+
+def _best_passes(runs: list) -> list[tuple[float, object]]:
+    """Best wall-clock ms of each callable in ``runs``, and what it returned.
+
+    Every callable does identical work on every pass (the counts it
+    returns are the same), so its minimum over ``_PASSES`` filters
+    scheduler noise out of the ``*_ms`` columns.  The passes go round-robin
+    over the techniques rather than technique by technique, so a slow
+    spell of the machine costs each of them one pass instead of costing one
+    of them all: single-shot timing moved the ``bre_over_va`` ratio the
+    regression gate guards by up to +60 % between runs, this by about
+    +25 %.
+    """
+    best = [float("inf")] * len(runs)
+    values: list = [None] * len(runs)
+    for _ in range(_PASSES):
+        for position, run in enumerate(runs):
+            start = time.perf_counter()
+            values[position] = run()
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            best[position] = min(best[position], elapsed_ms)
+    return list(zip(best, values))
+
 
 def _measure_cell(
     table: IncompleteTable,
@@ -81,30 +113,36 @@ def _measure_cell(
     bre = RangeEncodedBitmapIndex(table, attributes, codec=codec)
     va = VAFile(table, attributes)
 
-    bee_counter = OpCounter()
-    start = time.perf_counter()
-    for query in queries:
-        bee.execute(query, semantics, bee_counter)
-    bee_ms = (time.perf_counter() - start) * 1000.0
+    def bee_pass() -> OpCounter:
+        counter = OpCounter()
+        for query in queries:
+            bee.execute(query, semantics, counter)
+        return counter
 
-    bre_counter = OpCounter()
-    start = time.perf_counter()
-    for query in queries:
-        bre.execute(query, semantics, bre_counter)
-    bre_ms = (time.perf_counter() - start) * 1000.0
+    def bre_pass() -> OpCounter:
+        counter = OpCounter()
+        for query in queries:
+            bre.execute(query, semantics, counter)
+        return counter
 
-    cache = SubResultCache()
-    start = time.perf_counter()
-    for query in queries:
-        bre.execute(query, semantics, cache=cache)
-    bre_cached_ms = (time.perf_counter() - start) * 1000.0
+    def bre_cached_pass() -> None:
+        cache = SubResultCache()  # cold every pass: warm-up is measured
+        for query in queries:
+            bre.execute(query, semantics, cache=cache)
 
-    va_counter = OpCounter()
-    va_stats = VaQueryStats()
-    start = time.perf_counter()
-    for query in queries:
-        va.execute_ids(query, semantics, va_stats, va_counter)
-    va_ms = (time.perf_counter() - start) * 1000.0
+    def va_pass() -> OpCounter:
+        counter = OpCounter()
+        stats = VaQueryStats()
+        for query in queries:
+            va.execute_ids(query, semantics, stats, counter)
+        return counter
+
+    (
+        (bee_ms, bee_counter),
+        (bre_ms, bre_counter),
+        (bre_cached_ms, _),
+        (va_ms, va_counter),
+    ) = _best_passes([bee_pass, bre_pass, bre_cached_pass, va_pass])
 
     return Fig5Cell(
         bee_ms=bee_ms,
@@ -251,4 +289,5 @@ def _cell_values(cell: Fig5Cell) -> tuple:
         cell.va_words,
         cell.bee_bitmaps,
         cell.bre_bitmaps,
+        cell.bre_over_va,
     )

@@ -41,6 +41,28 @@ class TestLookupAndStore:
         assert "entries=1" in repr(cache)
 
 
+class TestStoredForm:
+    """A cached WAH sub-result holds one form: its compressed stream."""
+
+    def test_cached_op_result_drops_its_group_array(self):
+        a, b = _vector(nbits=5000, every=2), _vector(nbits=5000, every=3)
+        derived = a | b
+        assert derived._groups is not None and derived._words is None
+        cache = SubResultCache()
+        cache.put("k", derived)  # nbytes() builds the stream
+        cached = cache.get("k")
+        assert cached._groups is None
+        assert cache.nbytes == cached.words.nbytes
+        expect = np.zeros(5000, dtype=bool)
+        expect[::2] = True
+        expect[::3] = True
+        assert cached.count() == int(expect.sum())
+        assert np.array_equal(cached.to_indices(), np.flatnonzero(expect))
+        masked = cached & a
+        assert np.array_equal(masked.to_indices(), a.to_indices())
+        assert masked.count() == a.count()
+
+
 class TestByteBudget:
     def test_lru_eviction_order(self):
         vec = _vector()

@@ -55,6 +55,34 @@ class TestGuardedMetrics:
         # No *_ms column is guarded: wall clock moves with the machine.
         assert not any("_ms" in name for name in metrics)
 
+    def test_bre_over_va_is_guarded_lower_is_better(self):
+        results = {
+            "columns": ["bre_ms", "va_ms", "bre_over_va"],
+            "rows": [[10, 25.0, 10.0, 2.5]],
+        }
+        metrics = guarded_metrics("fig5_latency", results)
+        assert metrics == {"fig5_latency[x=10].bre_over_va": (2.5, False)}
+        slower = {**results, "rows": [[10, 40.0, 10.0, 4.0]]}
+        failures = compare_payloads(
+            _payload("fig5_latency", results), slower, 0.25
+        )
+        assert len(failures) == 1 and "bre_over_va" in failures[0]
+        closer = {**results, "rows": [[10, 15.0, 10.0, 1.5]]}
+        assert compare_payloads(
+            _payload("fig5_latency", results), closer, 0.25
+        ) == []
+
+    def test_fig5_suite_reports_the_ratio_it_guards(self):
+        from repro.experiments.fig5 import run_fig5a
+
+        result = run_fig5a(
+            num_records=600, cardinalities=(5,), dimensionality=2,
+            num_queries=3,
+        )
+        (ratio,) = result.column("bre_over_va")
+        (bre_ms,), (va_ms,) = result.column("bre_ms"), result.column("va_ms")
+        assert ratio == pytest.approx(bre_ms / va_ms)
+
     def test_ratio_columns_are_higher_is_better(self):
         results = {
             "columns": ["speedup", "cache_hit_rate", "total_ms"],

@@ -36,57 +36,89 @@ def wah_pair():
 
 
 class TestWahCounters:
+    """``wah.*`` says what was done: streams decoded, streams built.
+
+    A logical-op result carries its group array, so an op charges only for
+    the operands it found in compressed form, and ``wah.words_emitted``
+    moves when a stream is actually built — by the run-merge kernel, or on
+    the first read of a result's ``.words``.
+    """
+
     def test_and_counts_words_fills_literals_exactly(self, wah_pair):
         a, b = wah_pair
         with use_registry() as reg:
             result = a & b
-        counters = reg.snapshot().counters
-        assert counters == {
+        assert reg.snapshot().counters == {
             "wah.ops": 1,
             "wah.words_decoded": 3,   # 1 word of a + 2 words of b
             "wah.fill_words": 2,      # a's fill + b's trailing zero fill
             "wah.literal_words": 1,   # b's alternating-bit word
-            "wah.words_emitted": 2,   # result == b: literal + fill
-        }
-        assert len(result.words) == 2
+        }                             # ... and no stream was built
+        with use_registry() as reg:
+            assert len(result.words) == 2  # result == b: literal + fill
+            result.words                   # already built: free
+        assert reg.snapshot().counters == {"wah.words_emitted": 2}
 
     def test_or_counts_exactly(self, wah_pair):
         a, b = wah_pair
         with use_registry() as reg:
             result = a | b
+            assert len(result.words) == 1  # all-ones single fill
         counters = reg.snapshot().counters
         assert counters["wah.ops"] == 1
         assert counters["wah.words_decoded"] == 3
-        assert counters["wah.words_emitted"] == 1  # all-ones single fill
-        assert len(result.words) == 1
+        assert counters["wah.words_emitted"] == 1
+
+    def test_derived_operands_cost_no_decode(self, wah_pair):
+        a, b = wah_pair
+        with use_registry() as reg:
+            ((a & b) | a).count()
+        counters = reg.snapshot().counters
+        assert counters["wah.ops"] == 2
+        assert counters["wah.words_decoded"] == 4  # a, b, then a again
+        assert "wah.words_emitted" not in counters
 
     def test_or_many_counts_all_operands(self, wah_pair):
         a, b = wah_pair
-        c = a & b  # 2 words: literal + fill
+        c = a & b  # carried as groups until its stream is asked for
         with use_registry() as reg:
             WahBitVector.or_many([a, b, c])
         counters = reg.snapshot().counters
         assert counters["wah.ops"] == 2  # n-1 pairwise merges
+        assert counters["wah.words_decoded"] == 3  # 1 + 2; c is decoded
+        assert counters["wah.fill_words"] == 2
+        assert counters["wah.literal_words"] == 1
+        assert len(c.words) == 2  # literal + fill: now c is a stream
+        with use_registry() as reg:
+            WahBitVector.or_many([a, b, c])
+        counters = reg.snapshot().counters
         assert counters["wah.words_decoded"] == 5  # 1 + 2 + 2
         assert counters["wah.fill_words"] == 3
         assert counters["wah.literal_words"] == 2
 
     def test_both_execution_paths_agree(self):
-        # Force the run-pair path (sparse) and the vectorized path (dense)
-        # on equal-length inputs; derived counts must not depend on path.
+        # Force the run-merge path (sparse) and the group-array path
+        # (dense) on equal-length inputs: both read exactly their stored
+        # operands; only the run merge builds a stream on the spot.
         rng = np.random.default_rng(11)
-        dense_a = WahBitVector.from_bools(rng.random(31 * 40) < 0.5)
-        dense_b = WahBitVector.from_bools(rng.random(31 * 40) < 0.5)
-        sparse_a = WahBitVector.from_bools(rng.random(31 * 40) < 0.01)
-        sparse_b = WahBitVector.from_bools(rng.random(31 * 40) < 0.01)
-        for x, y in ((dense_a, dense_b), (sparse_a, sparse_b)):
+        dense_a = WahBitVector.from_bools(rng.random(31 * 400) < 0.5)
+        dense_b = WahBitVector.from_bools(rng.random(31 * 400) < 0.5)
+        sparse_a = WahBitVector.from_bools(rng.random(31 * 400) < 0.0005)
+        sparse_b = WahBitVector.from_bools(rng.random(31 * 400) < 0.0005)
+        assert len(sparse_a.words) + len(sparse_b.words) <= 400 // 4
+        for x, y, merged in (
+            (dense_a, dense_b, False), (sparse_a, sparse_b, True)
+        ):
             with use_registry() as reg:
-                x & y
+                result = x & y
             counters = reg.snapshot().counters
             assert counters["wah.words_decoded"] == len(x.words) + len(y.words)
             assert (
                 counters["wah.fill_words"] + counters["wah.literal_words"]
                 == counters["wah.words_decoded"]
+            )
+            assert counters.get("wah.words_emitted", 0) == (
+                len(result.words) if merged else 0
             )
 
 
