@@ -31,6 +31,7 @@ from repro.bitmap import (
 from repro.bitvector import BbcBitVector, BitVector, WahBitVector
 from repro.core import (
     IncompleteDatabase,
+    QueryReport,
     Recommendation,
     SubResultCache,
     WorkloadProfile,
@@ -67,7 +68,6 @@ from repro.shard import (
     Partitioner,
     RoundRobinPartitioner,
     ShardedDatabase,
-    ShardedQueryReport,
     load_sharded,
     save_sharded,
 )
@@ -126,6 +126,7 @@ __all__ = [
     "MissingSemantics",
     "PlanningError",
     "QueryError",
+    "QueryReport",
     "RangeEncodedBitmapIndex",
     "RangeQuery",
     "Recommendation",
@@ -134,7 +135,6 @@ __all__ = [
     "SchemaError",
     "ShardError",
     "ShardedDatabase",
-    "ShardedQueryReport",
     "ContiguousPartitioner",
     "MissingDensityPartitioner",
     "Partitioner",

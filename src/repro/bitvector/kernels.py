@@ -26,10 +26,6 @@ Three backends are provided:
     the verbatim bitmap, so even a ``MAX_FILL_GROUPS``-long fill costs a
     handful of array ops.
 
-``numba``
-    Registered only when :mod:`numba` is importable: the reference run-pair
-    loop compiled with ``@njit``.  Auto-selected at import when present.
-
 Every backend produces **word-identical** output — the same ``uint32``
 words, not merely the same bits — because every kernel emits the canonical
 WAH encoding (adjacent fills merged, all-zero/all-one literals folded into
@@ -38,7 +34,7 @@ property tests in ``tests/bitvector/test_kernels.py`` enforce this across
 all registered backends.
 
 Backend selection: the ``REPRO_BITVECTOR_BACKEND`` environment variable
-wins, then ``numba`` when importable, then ``numpy``.  At runtime use
+wins, then ``numpy``.  At runtime use
 :func:`set_backend` / :func:`use_backend`; see ``docs/kernels.md``.
 """
 
@@ -324,7 +320,7 @@ class KernelBackend:
     encodings so results are word-identical across backends.
     """
 
-    #: Registry name (``python`` | ``numpy`` | ``numba`` | ...).
+    #: Registry name (``python`` | ``numpy`` | ...).
     name: str = "abstract"
 
     # WAH ------------------------------------------------------------------
@@ -668,151 +664,6 @@ class NumpyKernels(KernelBackend):
         return out, tokens
 
 
-# -- numba backend (registered only when numba imports) ----------------------
-
-
-def _build_numba_backend() -> KernelBackend | None:
-    try:
-        import numba
-    except ImportError:
-        return None
-
-    u32 = np.uint32
-
-    @numba.njit(cache=True)
-    def _nb_binary(a, b, ngroups, opcode):  # pragma: no cover - needs numba
-        out = np.empty(len(a) + len(b) + 2, dtype=u32)
-        n = 0
-        ai = 0
-        bi = 0
-        a_len = 0
-        a_val = u32(0)
-        a_fill = False
-        b_len = 0
-        b_val = u32(0)
-        b_fill = False
-        remaining = ngroups
-        while remaining > 0:
-            if a_len == 0:
-                if ai >= len(a):
-                    raise ValueError("WAH stream ended before all groups read")
-                word = a[ai]
-                ai += 1
-                if word & u32(FILL_FLAG):
-                    a_fill = True
-                    a_len = int(word & u32(MAX_FILL_GROUPS))
-                    if a_len == 0:
-                        raise ValueError("WAH fill word with zero length")
-                    a_val = (
-                        u32(_ALL_ONES_GROUP)
-                        if word & u32(FILL_BIT_FLAG)
-                        else u32(0)
-                    )
-                else:
-                    a_fill = False
-                    a_len = 1
-                    a_val = word
-            if b_len == 0:
-                if bi >= len(b):
-                    raise ValueError("WAH stream ended before all groups read")
-                word = b[bi]
-                bi += 1
-                if word & u32(FILL_FLAG):
-                    b_fill = True
-                    b_len = int(word & u32(MAX_FILL_GROUPS))
-                    if b_len == 0:
-                        raise ValueError("WAH fill word with zero length")
-                    b_val = (
-                        u32(_ALL_ONES_GROUP)
-                        if word & u32(FILL_BIT_FLAG)
-                        else u32(0)
-                    )
-                else:
-                    b_fill = False
-                    b_len = 1
-                    b_val = word
-            if opcode == 0:
-                merged = a_val & b_val
-            elif opcode == 1:
-                merged = a_val | b_val
-            elif opcode == 2:
-                merged = a_val ^ b_val
-            else:
-                merged = a_val & (b_val ^ u32(_ALL_ONES_GROUP))
-            if a_fill and b_fill:
-                take = a_len if a_len < b_len else b_len
-            else:
-                take = 1
-            if merged == u32(0) or merged == u32(_ALL_ONES_GROUP):
-                flag = u32(FILL_FLAG)
-                if merged == u32(_ALL_ONES_GROUP):
-                    flag |= u32(FILL_BIT_FLAG)
-                pending = take
-                if n > 0 and (out[n - 1] & ~u32(MAX_FILL_GROUPS)) == flag:
-                    combined = int(out[n - 1] & u32(MAX_FILL_GROUPS)) + pending
-                    if combined <= MAX_FILL_GROUPS:
-                        out[n - 1] = flag | u32(combined)
-                        pending = 0
-                    else:
-                        out[n - 1] = flag | u32(MAX_FILL_GROUPS)
-                        pending = combined - MAX_FILL_GROUPS
-                while pending > MAX_FILL_GROUPS:
-                    out[n] = flag | u32(MAX_FILL_GROUPS)
-                    n += 1
-                    pending -= MAX_FILL_GROUPS
-                if pending > 0:
-                    out[n] = flag | u32(pending)
-                    n += 1
-            else:
-                out[n] = merged
-                n += 1
-            a_len -= take
-            b_len -= take
-            remaining -= take
-        return out[:n].copy()
-
-    @numba.njit(cache=True)
-    def _nb_count(words):  # pragma: no cover - needs numba
-        total = 0
-        for word in words:
-            if word & u32(FILL_FLAG):
-                if word & u32(FILL_BIT_FLAG):
-                    total += GROUP_BITS * int(word & u32(MAX_FILL_GROUPS))
-            else:
-                w = int(word)
-                bits = 0
-                while w:
-                    w &= w - 1
-                    bits += 1
-                total += bits
-        return total
-
-    _NB_OPCODES = {"and": 0, "or": 1, "xor": 2, "andnot": 3}
-
-    class NumbaKernels(NumpyKernels):
-        """Reference run-pair loop compiled with numba's ``@njit``.
-
-        Encode/decode and the BBC kernels inherit the vectorized numpy
-        implementations — the run-pair logical op and popcount are the
-        paths where a compiled loop beats array arithmetic.
-        """
-
-        name = "numba"
-
-        def wah_binary(self, opcode, a, b, ngroups):
-            if ngroups == 0:
-                return _EMPTY_U32
-            try:
-                return _nb_binary(a, b, ngroups, _NB_OPCODES[opcode])
-            except ValueError as exc:
-                raise CorruptIndexError(str(exc)) from exc
-
-        def wah_count(self, words):
-            return int(_nb_count(words))
-
-    return NumbaKernels()
-
-
 # -- registry -----------------------------------------------------------------
 
 _REGISTRY: dict[str, KernelBackend] = {}
@@ -872,14 +723,9 @@ def _default_backend_name() -> str:
                 f"available: {sorted(_REGISTRY)}"
             )
         return forced
-    if "numba" in _REGISTRY:
-        return "numba"
     return "numpy"
 
 
 register_backend(PythonKernels())
 register_backend(NumpyKernels())
-_numba_backend = _build_numba_backend()
-if _numba_backend is not None:  # pragma: no cover - exercised only with numba
-    register_backend(_numba_backend)
 set_backend(_default_backend_name())

@@ -18,7 +18,7 @@ bitmap query execution.
 Words are stored as a read-only ``numpy`` ``uint32`` array, and every
 encode/decode/run-merge/count kernel over them lives in
 :mod:`repro.bitvector.kernels` behind a pluggable backend registry
-(``python`` reference, vectorized ``numpy`` default, optional ``numba``).
+(``python`` reference, vectorized ``numpy`` default).
 All backends emit identical canonical words; see ``docs/kernels.md``.
 
 Compressed is the *storage* form.  A vector built from data or loaded from

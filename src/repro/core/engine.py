@@ -106,90 +106,114 @@ class AttachedIndex:
         return set(query.attributes) <= set(self.attributes)
 
 
+@dataclass(frozen=True, slots=True)
+class ShardReportSlice:
+    """One shard's contribution to a scatter-gather answer."""
+
+    shard_id: int
+    #: True when the shard was skipped by statistics-based pruning.
+    pruned: bool
+    #: Match count of the widest bound (every other bound is a subset).
+    num_matches: int
+    elapsed_ns: int
+
+
 @dataclass
 class QueryReport:
-    """Outcome of one engine query execution."""
+    """Outcome of one query execution, at any tier and under any semantics.
 
-    index_name: str
-    kind: str
-    record_ids: np.ndarray = field(repr=False)
-    #: Span tree populated when the query ran with ``trace=True``.
-    trace: obs.QueryTrace | None = field(default=None, repr=False)
-    #: Wall-clock execution time (planning excluded); None for legacy paths.
-    elapsed_ns: int | None = None
-
-    @property
-    def num_matches(self) -> int:
-        """Number of matching records."""
-        return len(self.record_ids)
-
-    @property
-    def bound_ids(self) -> tuple[np.ndarray, ...]:
-        """The answer as one id array per requested bound (arity 1 here)."""
-        return (self.record_ids,)
-
-
-@dataclass
-class ThreeValuedReport:
-    """Outcome of one both-bounds (three-valued) query execution.
-
-    ``certain_ids`` are rows that match no matter what the missing values
-    turn out to be; ``possible_ids`` additionally include every row some
-    completion of the missing values would admit.  For conjunctive range
-    queries ``certain_ids`` is always a subset of ``possible_ids``.
+    The answer is ``bound_ids``: one ascending id array per bound the
+    semantics asked for (``semantics.bounds``, narrowest first).  A single
+    semantics reads it through ``record_ids`` / ``num_matches``;
+    ``semantics="both"`` through ``certain_ids`` (rows that match whatever
+    the missing values turn out to be) and ``possible_ids`` (rows some
+    completion of the missing values admits — a superset for conjunctive
+    range queries).  Reading the view the semantics did not ask for raises
+    :class:`~repro.errors.QueryError`.
     """
 
     index_name: str
     kind: str
-    certain_ids: np.ndarray = field(repr=False)
-    possible_ids: np.ndarray = field(repr=False)
+    bound_ids: tuple[np.ndarray, ...] = field(repr=False)
+    #: One slice per shard for a scatter-gather answer; empty unsharded.
+    per_shard: tuple[ShardReportSlice, ...] = field(default=(), repr=False)
+    #: Span tree populated when the query ran with ``trace=True``.
     trace: obs.QueryTrace | None = field(default=None, repr=False)
+    #: Wall-clock execution time (engine: planning excluded).
     elapsed_ns: int | None = None
+
+    def _single(self, name: str) -> np.ndarray:
+        if len(self.bound_ids) != 1:
+            raise QueryError(
+                f"{name} needs a single semantics ('is_match' or "
+                f"'not_match'); this report answers semantics='both' — "
+                f"read certain_ids / possible_ids"
+            )
+        return self.bound_ids[0]
+
+    def _pair(self, name: str) -> tuple[np.ndarray, ...]:
+        if len(self.bound_ids) != 2:
+            raise QueryError(
+                f"{name} needs semantics='both'; this report answers a "
+                f"single semantics — read record_ids"
+            )
+        return self.bound_ids
+
+    @property
+    def record_ids(self) -> np.ndarray:
+        """The matching ids of a single-semantics answer."""
+        return self._single("record_ids")
+
+    @property
+    def num_matches(self) -> int:
+        """Number of matching records of a single-semantics answer."""
+        return len(self._single("num_matches"))
+
+    @property
+    def certain_ids(self) -> np.ndarray:
+        """Ids certain to match (``semantics="both"``)."""
+        return self._pair("certain_ids")[0]
+
+    @property
+    def possible_ids(self) -> np.ndarray:
+        """Ids that possibly match (``semantics="both"``)."""
+        return self._pair("possible_ids")[1]
 
     @property
     def num_certain(self) -> int:
         """Number of certain matches."""
-        return len(self.certain_ids)
+        return len(self._pair("num_certain")[0])
 
     @property
     def num_possible(self) -> int:
         """Number of possible matches."""
-        return len(self.possible_ids)
+        return len(self._pair("num_possible")[1])
 
     @property
     def possible_only_ids(self) -> np.ndarray:
         """Rows that are possible but not certain matches."""
-        return np.setdiff1d(self.possible_ids, self.certain_ids)
+        certain_ids, possible_ids = self._pair("possible_only_ids")
+        return np.setdiff1d(possible_ids, certain_ids)
 
     @property
-    def bound_ids(self) -> tuple[np.ndarray, ...]:
-        """The answer as ``(certain_ids, possible_ids)``."""
-        return (self.certain_ids, self.possible_ids)
+    def num_pruned(self) -> int:
+        """How many shards the planner skipped outright."""
+        return sum(1 for s in self.per_shard if s.pruned)
+
+    @property
+    def skew(self) -> float:
+        """Max over mean executed-shard latency (1.0 = perfectly even)."""
+        executed = [s.elapsed_ns for s in self.per_shard if not s.pruned]
+        if not executed:
+            return 0.0
+        mean = sum(executed) / len(executed)
+        if mean == 0:
+            return 0.0
+        return max(executed) / mean
 
 
 #: What a trace root calls each bound's match count, by answer arity.
 _BOUND_LABELS = {1: ("matches",), 2: ("certain", "possible")}
-
-
-def _engine_report(
-    name: str,
-    kind: str,
-    bound_ids: tuple[np.ndarray, ...],
-    trace: obs.QueryTrace | None = None,
-    elapsed_ns: int | None = None,
-) -> QueryReport | ThreeValuedReport:
-    """The report type the answer's arity calls for."""
-    if len(bound_ids) == 1:
-        return QueryReport(
-            index_name=name, kind=kind, record_ids=bound_ids[0],
-            trace=trace, elapsed_ns=elapsed_ns,
-        )
-    certain_ids, possible_ids = bound_ids
-    return ThreeValuedReport(
-        index_name=name, kind=kind,
-        certain_ids=certain_ids, possible_ids=possible_ids,
-        trace=trace, elapsed_ns=elapsed_ns,
-    )
 
 
 @dataclass
@@ -788,8 +812,8 @@ class IncompleteDatabase:
             Missing-data semantics to apply: a
             :class:`~repro.query.model.MissingSemantics`, its string value,
             or ``"both"`` / :data:`~repro.query.model.BOTH` to compute the
-            ``(certain, possible)`` pair in one pass — in which case a
-            :class:`ThreeValuedReport` is returned instead.
+            ``(certain, possible)`` pair in one pass (the report then
+            reads through ``certain_ids`` / ``possible_ids``).
         using:
             Force a specific attached index by name; defaults to automatic
             selection with sequential-scan fallback.
@@ -826,13 +850,13 @@ class IncompleteDatabase:
         shared_masks: dict | None = None,
         planned: tuple | None = None,
         recorded: bool = True,
-    ) -> QueryReport | ThreeValuedReport:
+    ) -> QueryReport:
         """Shared single-query path behind :meth:`execute` / :meth:`execute_batch`.
 
         One path for every semantics: the answer is a tuple of id arrays,
-        one per bound in ``semantics.bounds``, and the report type follows
-        its arity.  One plan serves every bound (costed under the widest —
-        see :func:`repro.core.planner.semantics_for_costing`); bitmap
+        one per bound in ``semantics.bounds``.  One plan serves every bound
+        (costed under the widest — see
+        :func:`repro.core.planner.semantics_for_costing`); bitmap
         indexes and VA-files evaluate all requested bounds in one pass
         (``execute_bound_ids``), and any other access method — the scan
         included — answers with one ``execute_ids`` call per bound on the
@@ -950,8 +974,9 @@ class IncompleteDatabase:
                 elapsed_ns=elapsed_ns,
                 trace=qtrace,
             )
-        return _engine_report(
-            name, kind, ids, qtrace if trace else None, elapsed_ns
+        return QueryReport(
+            name, kind, ids,
+            trace=qtrace if trace else None, elapsed_ns=elapsed_ns,
         )
 
     def execute_batch(
@@ -1117,10 +1142,10 @@ class IncompleteDatabase:
         With ``semantics="both"`` returns the ``(certain, possible)``
         count pair instead of a single int.
         """
-        report = self.query(query, semantics, using)
-        if isinstance(report, ThreeValuedReport):
-            return report.num_certain, report.num_possible
-        return report.num_matches
+        counts = tuple(
+            len(ids) for ids in self.query(query, semantics, using).bound_ids
+        )
+        return counts[0] if len(counts) == 1 else counts
 
     def execute_ranked(
         self,
@@ -1173,54 +1198,78 @@ class IncompleteDatabase:
         Bitmap indexes and VA-files evaluate predicate trees natively; the
         other access methods fall back to a ground-truth scan.  With
         ``semantics="both"`` the tree is evaluated three-valued in one pass
-        (NOT swaps the bounds) and a :class:`ThreeValuedReport` comes back.
+        (NOT swaps the bounds) and the report carries both bounds.
         """
-        from repro.query.boolean import Predicate, evaluate_predicate
+        semantics = resolve_semantics(semantics)
+        with self._rwlock.read():
+            return self._execute_predicate(
+                predicate, semantics, self._plan_predicate(predicate, using)
+            )
+
+    def _plan_predicate(self, predicate, using: str | None):
+        """The index a predicate evaluates on; None means ground-truth scan.
+
+        Predicates are not costed: ``using`` forces a covering index,
+        otherwise the static preference order picks among the covering
+        bitmap indexes and VA-files (the only predicate-capable kinds).
+        """
+        from repro.query.boolean import Predicate
 
         if not isinstance(predicate, Predicate):
             raise QueryError(
                 f"expected a Predicate, got {type(predicate).__name__}"
             )
-        semantics = resolve_semantics(semantics)
         attrs = predicate.attributes()
-        with self._rwlock.read():
-            if using is not None:
-                chosen = self.get_index(using)
-                if not attrs <= set(chosen.attributes):
-                    raise QueryError(
-                        f"index {using!r} does not cover attributes "
-                        f"{sorted(attrs - set(chosen.attributes))}"
-                    )
-            else:
-                chosen = None
-                rank = {kind: pos for pos, kind in enumerate(_PREFERENCE)}
-                covering = [
-                    ix
-                    for ix in self._indexes.values()
-                    if attrs <= set(ix.attributes)
-                    and isinstance(ix.index, (BitmapIndex, VAFile))
-                ]
-                if covering:
-                    chosen = min(
-                        covering, key=lambda ix: rank.get(ix.kind, len(rank))
-                    )
-            if chosen is None or not isinstance(
-                chosen.index, (BitmapIndex, VAFile)
-            ):
-                ids = tuple(
-                    evaluate_predicate(self._table, predicate, bound)
-                    for bound in semantics.bounds
+        if using is not None:
+            chosen = self.get_index(using)
+            if not attrs <= set(chosen.attributes):
+                raise QueryError(
+                    f"index {using!r} does not cover attributes "
+                    f"{sorted(attrs - set(chosen.attributes))}"
                 )
-                name, kind = "<scan>", "scan"
-            else:
-                ids = chosen.index.execute_predicate_bound_ids(
-                    predicate, semantics
-                )
-                name, kind = chosen.name, chosen.kind
-            ids = self._drop_tombstoned(ids)
-            if semantics is BOTH and obs.enabled():
-                obs.record("semantics.both_predicates")
-        return _engine_report(name, kind, ids)
+            covering = [chosen]
+        else:
+            covering = [
+                ix for ix in self._indexes.values()
+                if attrs <= set(ix.attributes)
+            ]
+        rank = {kind: pos for pos, kind in enumerate(_PREFERENCE)}
+        return min(
+            [
+                ix for ix in covering
+                if isinstance(ix.index, (BitmapIndex, VAFile))
+            ],
+            key=lambda ix: rank.get(ix.kind, len(rank)),
+            default=None,
+        )
+
+    def _execute_predicate(
+        self,
+        predicate,
+        semantics: MissingSemantics | ThreeValued,
+        chosen: AttachedIndex | None,
+    ) -> QueryReport:
+        """Evaluate a planned predicate (see :meth:`_plan_predicate`)."""
+        from repro.query.boolean import evaluate_predicate
+
+        start = time.perf_counter_ns()
+        if chosen is None:
+            ids = tuple(
+                evaluate_predicate(self._table, predicate, bound)
+                for bound in semantics.bounds
+            )
+            name, kind = "<scan>", "scan"
+        else:
+            ids = chosen.index.execute_predicate_bound_ids(
+                predicate, semantics
+            )
+            name, kind = chosen.name, chosen.kind
+        ids = self._drop_tombstoned(ids)
+        if semantics is BOTH and obs.enabled():
+            obs.record("semantics.both_predicates")
+        return QueryReport(
+            name, kind, ids, elapsed_ns=time.perf_counter_ns() - start
+        )
 
     def fetch(
         self,

@@ -22,12 +22,10 @@ under both missing semantics:
   unsharded :class:`IncompleteDatabase` (verified in-driver, both
   semantics).
 
-On a single-core host neither fan-out backend can overlap CPU-bound WAH
-work, so pruning is where the speedup comes from; on multi-core hosts the
-``threads`` rows gain a little (the GIL caps them) and the ``processes``
-rows are where the multi-core scaling shows up — the workers hold
-resident shard engines, so per query only plan descriptors and result-id
-arrays cross the process boundary.
+The ``sequential`` rows run every shard task inline, so pruning is where
+their speedup comes from; the ``processes`` rows are the only multi-core
+path — the workers hold resident shard engines, so per query only plan
+descriptors and result-id arrays cross the process boundary.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ def run_fig4_sharded(
     shard_counts: tuple[int, ...] = (1, 2, 4, 8),
     partitioner: str = "contiguous",
     repeats: int = 3,
-    executors: tuple[str, ...] = ("threads", "processes"),
+    executors: tuple[str, ...] = ("sequential", "processes"),
 ) -> ExperimentResult:
     """Sweep fan-out executors x shard counts over a clustered workload."""
     table = generate_uniform_table(

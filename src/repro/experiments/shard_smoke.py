@@ -1,14 +1,13 @@
 """CI smoke check for the sharded scatter-gather subsystem.
 
 Runs a mixed workload through :class:`~repro.shard.ShardedDatabase` for
-every partitioner, under both missing-data semantics, via both ``execute``
-and ``execute_batch``, and fails loudly if
+every partitioner on the default (inline) executor, under both missing-data
+semantics, via both ``execute`` and ``execute_batch``, and fails loudly if
 
 * any sharded result diverges from the unsharded engine's (the merge must
   be bit-identical), or
-* the run records zero parallel fan-outs or zero fan-out tasks — the
-  worker-pool path must actually execute, so zero means the fan-out
-  silently degraded to something else.
+* the run records zero ``shard.sequential_fanouts`` or zero fan-out tasks
+  — the path every served read takes must actually execute.
 
 A second leg repeats one partitioner's workload through the ``processes``
 executor (:class:`~repro.shard.ProcessShardExecutor`) and fails on any
@@ -48,6 +47,29 @@ def _workload(seed: int, num_queries: int) -> list[RangeQuery]:
     return queries
 
 
+def _divergences(db, label: str, queries, expected) -> int:
+    """Run the workload both ways; report and count every mismatch."""
+    failures = 0
+    for semantics in MissingSemantics:
+        answers = {
+            "execute": [db.execute(q, semantics) for q in queries],
+            "execute_batch": db.execute_batch(queries, semantics),
+        }
+        for entry, reports in answers.items():
+            for position, (exp, got) in enumerate(
+                zip(expected[semantics], reports)
+            ):
+                if not np.array_equal(got.record_ids, exp.record_ids):
+                    failures += 1
+                    print(
+                        f"FAIL: {label} {entry}, query {position} under "
+                        f"{semantics.value}: sharded {got.num_matches} "
+                        f"ids, unsharded {exp.num_matches}",
+                        file=sys.stderr,
+                    )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     table = generate_uniform_table(
         12_000, {"a": 30, "b": 12}, {"a": 0.1, "b": 0.25}, seed=2006
@@ -65,46 +87,11 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     with use_registry() as registry:
         for partitioner in sorted(PARTITIONERS):
-            # ``threads`` by name: the default executor runs inline and
-            # would record no parallel fan-out for the check below.
             with ShardedDatabase(
-                table,
-                num_shards=4,
-                partitioner=partitioner,
-                executor="threads",
+                table, num_shards=4, partitioner=partitioner
             ) as db:
                 db.create_index("ix", "bre")
-                for semantics in MissingSemantics:
-                    for position, query in enumerate(queries):
-                        got = db.execute(query, semantics)
-                        exp = expected[semantics][position]
-                        if not np.array_equal(
-                            got.record_ids, exp.record_ids
-                        ):
-                            failures += 1
-                            print(
-                                f"FAIL: {partitioner} execute, query "
-                                f"{position} under {semantics.value}: "
-                                f"sharded {got.num_matches} ids, "
-                                f"unsharded {exp.num_matches}",
-                                file=sys.stderr,
-                            )
-                    batch = db.execute_batch(queries, semantics)
-                    for position, (exp, got) in enumerate(
-                        zip(expected[semantics], batch)
-                    ):
-                        if not np.array_equal(
-                            got.record_ids, exp.record_ids
-                        ):
-                            failures += 1
-                            print(
-                                f"FAIL: {partitioner} execute_batch, "
-                                f"query {position} under "
-                                f"{semantics.value}: sharded "
-                                f"{got.num_matches} ids, unsharded "
-                                f"{exp.num_matches}",
-                                file=sys.stderr,
-                            )
+                failures += _divergences(db, partitioner, queries, expected)
         # Process-backend leg: same workload, resident worker processes
         # bootstrapped from shared memory. Two workers so the fan-out
         # genuinely crosses process boundaries even on a 1-CPU runner.
@@ -115,50 +102,25 @@ def main(argv: list[str] | None = None) -> int:
             executor=ProcessShardExecutor(max_workers=2),
         ) as db:
             db.create_index("ix", "bre")
-            for semantics in MissingSemantics:
-                for position, query in enumerate(queries):
-                    got = db.execute(query, semantics)
-                    exp = expected[semantics][position]
-                    if not np.array_equal(got.record_ids, exp.record_ids):
-                        failures += 1
-                        print(
-                            f"FAIL: processes execute, query {position} "
-                            f"under {semantics.value}: sharded "
-                            f"{got.num_matches} ids, unsharded "
-                            f"{exp.num_matches}",
-                            file=sys.stderr,
-                        )
-                batch = db.execute_batch(queries, semantics)
-                for position, (exp, got) in enumerate(
-                    zip(expected[semantics], batch)
-                ):
-                    if not np.array_equal(got.record_ids, exp.record_ids):
-                        failures += 1
-                        print(
-                            f"FAIL: processes execute_batch, query "
-                            f"{position} under {semantics.value}: sharded "
-                            f"{got.num_matches} ids, unsharded "
-                            f"{exp.num_matches}",
-                            file=sys.stderr,
-                        )
+            failures += _divergences(db, "processes", queries, expected)
         snapshot = registry.snapshot()
 
     counters = snapshot.counters
-    parallel_fanouts = counters.get("shard.parallel_fanouts", 0)
+    sequential_fanouts = counters.get("shard.sequential_fanouts", 0)
     process_fanouts = counters.get("shard.process_fanouts", 0)
     fanout_tasks = counters.get("shard.fanout_tasks", 0)
     print(
         f"shard smoke: {len(queries)} queries x {len(MissingSemantics)} "
         f"semantics x {len(PARTITIONERS)} partitioners; "
-        f"{parallel_fanouts} parallel fan-outs, {process_fanouts} "
+        f"{sequential_fanouts} inline fan-outs, {process_fanouts} "
         f"cross-process fan-outs, {fanout_tasks} fan-out tasks, "
         f"{counters.get('shard.pruned', 0)} shard prunes"
     )
-    if parallel_fanouts == 0:
+    if sequential_fanouts == 0:
         failures += 1
         print(
-            "FAIL: zero parallel fan-outs recorded — the worker-pool path "
-            "never ran",
+            "FAIL: zero sequential fan-outs recorded — the default inline "
+            "executor never ran",
             file=sys.stderr,
         )
     if process_fanouts == 0:

@@ -10,7 +10,7 @@ operator installs a real registry with :func:`set_registry` or
 :func:`use_registry`.
 
 Instruments are thread-safe: ``execute_batch(parallel=True)`` and the
-shard worker pool increment counters from worker threads, so every
+query service's handlers increment counters from several threads, so every
 mutation (``inc``/``set``/``observe``) takes a per-instrument lock —
 ``self.value += amount`` spans three bytecodes in CPython and *does* lose
 updates under contention without one.  Instrument creation is

@@ -16,8 +16,8 @@ Like the metrics registry, the default recorder is a shared no-op
 (:data:`NULL_RECORDER`), so the engine's hot path pays one attribute read
 per query until an operator installs a real recorder with
 :func:`set_recorder` / :func:`use_recorder`.  Recording is thread-safe:
-the engine's batch fan-out and the shard worker pool record from worker
-threads.
+the engine's batch fan-out and the query service's handlers record from
+several threads.
 """
 
 from __future__ import annotations

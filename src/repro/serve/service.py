@@ -64,7 +64,7 @@ from repro.observability import get_registry, record
 from repro.observability.export import render_prometheus
 from repro.observability.server import KeepAliveHandler
 from repro.query.boolean import And, Atom, Not, Or, Predicate
-from repro.query.model import BOTH, MissingSemantics, RangeQuery, resolve_semantics
+from repro.query.model import BOTH, RangeQuery, resolve_semantics
 from repro.serve.epoch import EpochManager
 from repro.serve.writer import SnapshotWriter
 from repro.shard.sharded import ShardedDatabase

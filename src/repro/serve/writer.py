@@ -79,11 +79,7 @@ class SnapshotWriter:
             table,
             num_shards=min(current.num_shards, table.num_records),
             partitioner=current.partitioner_name,
-            max_workers=(
-                current._max_workers
-                if current._max_workers_explicit
-                else None
-            ),
+            max_workers=current._max_workers,
             cache_bytes=current._cache_bytes,
             executor=current.executor.name,
         )

@@ -4,13 +4,13 @@ See :mod:`repro.shard.sharded` for the execution model, and
 ``docs/sharding.md`` for the manifest format and partitioner guide.
 """
 
+from repro.core.engine import ShardReportSlice
 from repro.shard.executor import (
     EXECUTOR_ENV_VAR,
     EXECUTORS,
     ProcessShardExecutor,
     SequentialShardExecutor,
     ShardExecutor,
-    ThreadShardExecutor,
     resolve_executor,
 )
 from repro.shard.manifest import MANIFEST_NAME, load_sharded, save_sharded
@@ -23,11 +23,7 @@ from repro.shard.partition import (
     ShardAssignment,
     get_partitioner,
 )
-from repro.shard.sharded import (
-    ShardedDatabase,
-    ShardedQueryReport,
-    ShardReportSlice,
-)
+from repro.shard.sharded import ShardedDatabase
 
 __all__ = [
     "ContiguousPartitioner",
@@ -44,9 +40,8 @@ __all__ = [
     "ShardExecutor",
     "ShardReportSlice",
     "ShardedDatabase",
-    "ShardedQueryReport",
-    "ThreadShardExecutor",
     "get_partitioner",
     "load_sharded",
+    "resolve_executor",
     "save_sharded",
 ]

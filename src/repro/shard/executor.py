@@ -1,19 +1,13 @@
-"""Pluggable shard-fanout executors: sequential, threads, and processes.
+"""Pluggable shard-fanout executors: sequential and processes.
 
 :class:`~repro.shard.sharded.ShardedDatabase` plans and merges; *how* the
 surviving shards actually evaluate their slice of the work is this module's
-job.  Three backends implement one interface:
+job.  Two backends implement one interface:
 
 ``sequential``
     The default: evaluate shards one after another in the caller's thread.
-    Zero setup, deterministic, and the reference the other two are tested
+    Zero setup, deterministic, and the reference ``processes`` is tested
     against.
-``threads``
-    Opt-in: a lazily-created worker-thread pool.  Shared address space —
-    but a shard task is a run of sub-100 µs numpy kernels that hand the
-    GIL over at every call, so pool threads convoy instead of overlapping
-    and the pool has lost to ``sequential`` at every scale measured
-    (``docs/sharding.md`` has the sweep).
 ``processes``
     Long-lived worker processes, each holding resident
     :class:`~repro.core.engine.IncompleteDatabase` engines for its shards.
@@ -26,8 +20,7 @@ job.  Three backends implement one interface:
 
 Backends are selected by the ``executor=`` argument of
 :class:`~repro.shard.sharded.ShardedDatabase`, or — when that is left unset
-— by the ``REPRO_SHARD_EXECUTOR`` environment variable, then by the legacy
-``parallel`` flag (``threads`` when true); with none of the three given,
+— by the ``REPRO_SHARD_EXECUTOR`` environment variable; with neither given,
 shard tasks run inline (``sequential``).
 
 Exactness contract: every backend returns word-identical record-id sets
@@ -43,7 +36,6 @@ from __future__ import annotations
 import os
 import traceback
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,12 +49,9 @@ __all__ = [
     "EXECUTORS",
     "ProcessShardExecutor",
     "SequentialShardExecutor",
-    "ShardBatchOutcome",
-    "ShardBatchTask",
     "ShardExecutor",
     "ShardOutcome",
-    "ShardQueryTask",
-    "ThreadShardExecutor",
+    "ShardTask",
     "resolve_executor",
 ]
 
@@ -75,124 +64,96 @@ _SHIPPABLE_KINDS = _BITMAP_KINDS | {"vafile"}
 
 # -- task / outcome descriptors ------------------------------------------------
 #
-# Everything that crosses an executor boundary is one of these four compact,
+# Everything that crosses an executor boundary is one of these two compact,
 # picklable records.  Index objects never travel in them: tasks carry index
 # *names* plus the pre-combined cost estimate, and the receiving side looks
 # the index up in its own (resident) engine.
 
 @dataclass(frozen=True, slots=True)
-class ShardQueryTask:
-    """One shard's slice of a single scatter-gather query."""
+class ShardTask:
+    """One shard's surviving slice of a scatter-gather call.
+
+    A single query is a one-position task; a predicate call is a task
+    whose one item is a :class:`~repro.query.boolean.Predicate`.
+    """
 
     shard_id: int
-    query: RangeQuery
-    #: Any resolved semantics, ``BOTH`` included; fixes the outcome's arity.
-    semantics: MissingSemantics | ThreeValued
-    #: Chosen index name (None = sequential scan fallback).
-    index_name: str | None
-    #: This shard's pre-computed cost estimate for the chosen index.
-    estimate: object | None
-    forced: bool
-    trace: bool
-
-
-@dataclass(frozen=True, slots=True)
-class ShardBatchTask:
-    """One shard's surviving slice of a batched workload."""
-
-    shard_id: int
-    #: Submission-order positions of the queries this shard executes.
+    #: Submission-order positions of the items this shard executes.
     positions: tuple[int, ...]
-    queries: tuple[RangeQuery, ...]
-    #: Per-position ``(index_name, estimate, forced)`` plan descriptors.
+    #: The :class:`RangeQuery` (or predicate) at each position.
+    items: tuple
+    #: Per-position ``(index_name, estimate, forced)`` plan descriptors;
+    #: ``index_name`` None is the scan fallback.
     plans: tuple[tuple, ...]
+    #: Any resolved semantics, ``BOTH`` included; fixes the results' arity.
     semantics: MissingSemantics | ThreeValued
     trace: bool
 
 
 @dataclass(frozen=True, slots=True)
 class ShardOutcome:
-    """One shard's answer to a :class:`ShardQueryTask`."""
+    """One shard's answers to a :class:`ShardTask`, in position order."""
 
     shard_id: int
-    #: Shard-local record ids (ascending int64), one array per bound the
-    #: task's semantics asked for.
-    bound_ids: tuple[np.ndarray, ...] = field(repr=False)
-    elapsed_ns: int = 0
-    #: The shard-side query span tree, when the task asked for tracing.
-    trace_root: object | None = field(default=None, repr=False)
-
-
-@dataclass(frozen=True, slots=True)
-class ShardBatchOutcome:
-    """One shard's answers to a :class:`ShardBatchTask`."""
-
-    shard_id: int
-    positions: tuple[int, ...]
-    #: Per-position ``(bound_ids, elapsed_ns)`` pairs; ``bound_ids`` is one
-    #: id array per bound, as in :class:`ShardOutcome`.
-    results: tuple[tuple[tuple[np.ndarray, ...], int], ...]
+    #: Per-position ``(bound_ids, elapsed_ns, trace_root)``: shard-local
+    #: record ids (ascending int64) one array per bound, the shard-side
+    #: execution time, and the span tree when the task asked for tracing.
+    results: tuple[tuple, ...] = field(repr=False)
 
 
 # -- shared in-process evaluation ----------------------------------------------
 
-def _as_int64(bound_ids) -> tuple[np.ndarray, ...]:
-    """Each bound's ids as the int64 array outcomes carry."""
-    return tuple(np.asarray(ids, dtype=np.int64) for ids in bound_ids)
+def _run_task(database, task: ShardTask) -> ShardOutcome:
+    """Evaluate one task against a (local or worker-resident) engine.
 
-
-def _planned(database, index_name, estimate, forced) -> tuple:
-    """A task's plan descriptor resolved against the receiving engine."""
-    if index_name is None:
-        return None, None, False
-    return database.get_index(index_name), estimate, forced
-
-
-def _run_query_task(database, task: ShardQueryTask) -> ShardOutcome:
-    """Evaluate one query task against a (local or worker-resident) engine."""
-    report = database._execute_query(
-        task.query,
-        task.semantics,
-        using=None,
-        trace=task.trace,
-        planned=_planned(
-            database, task.index_name, task.estimate, task.forced
-        ),
-        recorded=False,
-    )
-    return ShardOutcome(
-        shard_id=task.shard_id,
-        bound_ids=_as_int64(report.bound_ids),
-        elapsed_ns=report.elapsed_ns or 0,
-        trace_root=report.trace.root if report.trace is not None else None,
-    )
-
-
-def _run_batch_task(database, task: ShardBatchTask) -> ShardBatchOutcome:
-    """Evaluate one batch task through the engine's grouped batch executor."""
-    if not task.positions:
-        return ShardBatchOutcome(task.shard_id, (), ())
-    reports = database._run_planned_batch(
-        list(task.queries),
-        [_planned(database, *plan) for plan in task.plans],
-        task.semantics,
-        task.trace,
-        database.sub_result_cache,
-        recorded=False,
-    )
-    return ShardBatchOutcome(
-        shard_id=task.shard_id,
-        positions=tuple(task.positions),
-        results=tuple(
-            (_as_int64(r.bound_ids), r.elapsed_ns or 0) for r in reports
-        ),
-    )
+    A lone query runs direct and cache-free, exactly as the engine's own
+    ``execute`` does; several run through the engine's grouped batch
+    executor with the shard's sub-result cache.
+    """
+    # Plan descriptors resolved against the receiving engine's indexes.
+    plans = [
+        (database.get_index(name), estimate, forced)
+        if name is not None
+        else (None, None, False)
+        for name, estimate, forced in task.plans
+    ]
+    if not isinstance(task.items[0], RangeQuery):
+        reports = [
+            database._execute_predicate(item, task.semantics, chosen)
+            for item, (chosen, _, _) in zip(task.items, plans)
+        ]
+    elif len(task.items) == 1:
+        reports = [database._execute_query(
+            task.items[0],
+            task.semantics,
+            using=None,
+            trace=task.trace,
+            planned=plans[0],
+            recorded=False,
+        )]
+    else:
+        reports = database._run_planned_batch(
+            list(task.items),
+            plans,
+            task.semantics,
+            task.trace,
+            database.sub_result_cache,
+            recorded=False,
+        )
+    return ShardOutcome(task.shard_id, tuple(
+        (
+            tuple(np.asarray(ids, dtype=np.int64) for ids in r.bound_ids),
+            r.elapsed_ns,
+            r.trace.root if r.trace is not None else None,
+        )
+        for r in reports
+    ))
 
 
 # -- the executor interface ----------------------------------------------------
 
 class ShardExecutor:
-    """How a :class:`ShardedDatabase` evaluates its per-shard task lists.
+    """How a :class:`ShardedDatabase` evaluates its per-shard task list.
 
     Implementations receive the owning database on every call (executors
     hold no strong reference to it, so ``weakref.finalize`` cleanup on the
@@ -203,16 +164,12 @@ class ShardExecutor:
 
     name = "?"
 
-    def run_query_tasks(self, db, tasks) -> list[ShardOutcome]:
-        """Evaluate query tasks; outcomes in task order."""
-        raise NotImplementedError
-
-    def run_batch_tasks(self, db, tasks) -> list[ShardBatchOutcome]:
-        """Evaluate batch tasks; outcomes in task order."""
+    def run(self, db, tasks) -> list[ShardOutcome]:
+        """Evaluate the tasks (each non-empty); outcomes in task order."""
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release pools/processes/shared memory (idempotent)."""
+        """Release processes/shared memory (idempotent)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -223,78 +180,10 @@ class SequentialShardExecutor(ShardExecutor):
 
     name = "sequential"
 
-    def run_query_tasks(self, db, tasks):
+    def run(self, db, tasks):
         if obs.enabled():
             obs.record("shard.sequential_fanouts")
-        return [
-            _run_query_task(db._shards[t.shard_id].database, t) for t in tasks
-        ]
-
-    def run_batch_tasks(self, db, tasks):
-        if obs.enabled():
-            obs.record("shard.sequential_fanouts")
-        return [
-            _run_batch_task(db._shards[t.shard_id].database, t) for t in tasks
-        ]
-
-
-class ThreadShardExecutor(ShardExecutor):
-    """Fan shards out over a lazily-created worker-thread pool.
-
-    Single-task fan-outs run inline (and count as sequential), exactly as
-    the pre-executor thread pool did.  Worker exceptions re-raise unwrapped
-    in the caller — ``Future.result()`` propagates the original object.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: int | None = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-        self._closed = False
-
-    def _ensure_pool(self, db) -> ThreadPoolExecutor:
-        if self._closed:
-            raise ShardError("this shard executor has been closed")
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._max_workers or db._max_workers,
-                thread_name_prefix="repro-shard",
-            )
-        return self._pool
-
-    def _fan_out(self, db, tasks, runner):
-        observing = obs.enabled()
-        if len(tasks) > 1:
-            pool = self._ensure_pool(db)
-            futures = [
-                pool.submit(runner, db._shards[t.shard_id].database, t)
-                for t in tasks
-            ]
-            results = [future.result() for future in futures]
-            if observing:
-                obs.record("shard.parallel_fanouts")
-        else:
-            results = [
-                runner(db._shards[t.shard_id].database, t) for t in tasks
-            ]
-            if observing:
-                obs.record("shard.sequential_fanouts")
-        return results
-
-    def run_query_tasks(self, db, tasks):
-        return self._fan_out(db, tasks, _run_query_task)
-
-    def run_batch_tasks(self, db, tasks):
-        return self._fan_out(db, tasks, _run_batch_task)
-
-    def close(self) -> None:
-        self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        return [_run_task(db._shards[t.shard_id].database, t) for t in tasks]
 
 
 # -- process backend -----------------------------------------------------------
@@ -437,39 +326,34 @@ def _worker_main(conn) -> None:
                 for entry in entries:
                     _load_index_entry(database, entry, shm_view)
                 reply = ("ok", None, None)
-            elif kind in ("query", "batch"):
+            elif kind == "run":
                 _, tasks, observing = message
-                runner = (
-                    _run_query_task if kind == "query" else _run_batch_task
-                )
                 if observing:
                     registry = obs.MetricsRegistry()
                     with obs.use_registry(registry):
                         outcomes = [
-                            runner(engines[t.shard_id], t) for t in tasks
+                            _run_task(engines[t.shard_id], t) for t in tasks
                         ]
                     metrics = registry.dump_state()
                 else:
                     outcomes = [
-                        runner(engines[t.shard_id], t) for t in tasks
+                        _run_task(engines[t.shard_id], t) for t in tasks
                     ]
-                if kind == "query":
-                    payload = [
-                        (
-                            o.shard_id,
-                            o.bound_ids,
-                            o.elapsed_ns,
-                            o.trace_root.to_payload()
-                            if o.trace_root is not None
-                            else None,
-                        )
-                        for o in outcomes
-                    ]
-                else:
-                    payload = [
-                        (o.shard_id, o.positions, o.results)
-                        for o in outcomes
-                    ]
+                # Span trees cross the pipe as plain payload dicts.
+                payload = [
+                    (
+                        o.shard_id,
+                        [
+                            (
+                                ids,
+                                ns,
+                                root.to_payload() if root is not None else None,
+                            )
+                            for ids, ns, root in o.results
+                        ],
+                    )
+                    for o in outcomes
+                ]
                 reply = ("ok", payload, metrics)
             else:
                 raise ShardError(f"unknown worker message {kind!r}")
@@ -690,7 +574,7 @@ class ProcessShardExecutor(ShardExecutor):
     def _worker_count(self, db) -> int:
         if self._max_workers is not None:
             workers = self._max_workers
-        elif db._max_workers_explicit:
+        elif db._max_workers is not None:
             workers = db._max_workers
         else:
             workers = os.cpu_count() or 1
@@ -805,13 +689,15 @@ class ProcessShardExecutor(ShardExecutor):
             raise exc
         return payload
 
-    def _dispatch(self, db, tasks, kind: str) -> dict:
+    def run(self, db, tasks):
         """Send every worker its task slice, then gather all replies.
 
         Replies are drained from every messaged worker even if one raised,
         so a failed fan-out never leaves stale replies queued for the next
         one; the first worker error re-raises after the drain.
         """
+        from repro.observability.trace import Span
+
         self._ensure_ready(db)
         observing = obs.enabled()
         by_worker: dict[int, list] = {}
@@ -820,12 +706,20 @@ class ProcessShardExecutor(ShardExecutor):
                 self._shard_worker[task.shard_id], []
             ).append(task)
         for worker_id, worker_tasks in by_worker.items():
-            self._send(worker_id, (kind, worker_tasks, observing))
-        replies: dict[int, list] = {}
+            self._send(worker_id, ("run", worker_tasks, observing))
+        by_shard: dict[int, ShardOutcome] = {}
         failure: BaseException | None = None
         for worker_id in by_worker:
             try:
-                replies[worker_id] = self._recv(worker_id)
+                for shard_id, results in self._recv(worker_id):
+                    by_shard[shard_id] = ShardOutcome(shard_id, tuple(
+                        (
+                            ids,
+                            ns,
+                            Span.from_payload(root) if root is not None else None,
+                        )
+                        for ids, ns, root in results
+                    ))
             except BaseException as exc:
                 if failure is None:
                     failure = exc
@@ -833,45 +727,6 @@ class ProcessShardExecutor(ShardExecutor):
             raise failure
         if observing:
             obs.record("shard.process_fanouts")
-        return replies
-
-    def run_query_tasks(self, db, tasks):
-        from repro.observability.trace import Span
-
-        replies = self._dispatch(db, tasks, "query")
-        by_shard = {}
-        for reply in replies.values():
-            for shard_id, bound_ids, elapsed_ns, trace_payload in reply:
-                by_shard[shard_id] = ShardOutcome(
-                    shard_id=shard_id,
-                    bound_ids=_as_int64(bound_ids),
-                    elapsed_ns=elapsed_ns,
-                    trace_root=(
-                        Span.from_payload(trace_payload)
-                        if trace_payload is not None
-                        else None
-                    ),
-                )
-        return [by_shard[task.shard_id] for task in tasks]
-
-    def run_batch_tasks(self, db, tasks):
-        # Shards with no surviving queries need no round trip.
-        live = [task for task in tasks if task.positions]
-        replies = self._dispatch(db, live, "batch")
-        by_shard = {
-            task.shard_id: ShardBatchOutcome(task.shard_id, (), ())
-            for task in tasks
-        }
-        for reply in replies.values():
-            for shard_id, positions, results in reply:
-                by_shard[shard_id] = ShardBatchOutcome(
-                    shard_id=shard_id,
-                    positions=tuple(positions),
-                    results=tuple(
-                        (_as_int64(bound_ids), elapsed)
-                        for bound_ids, elapsed in results
-                    ),
-                )
         return [by_shard[task.shard_id] for task in tasks]
 
     def close(self) -> None:
@@ -889,27 +744,24 @@ class ProcessShardExecutor(ShardExecutor):
 
 EXECUTORS: dict[str, type[ShardExecutor]] = {
     "sequential": SequentialShardExecutor,
-    "threads": ThreadShardExecutor,
     "processes": ProcessShardExecutor,
 }
 
 
 def resolve_executor(
-    spec: str | ShardExecutor | None = None, parallel: bool | None = None
+    spec: str | ShardExecutor | None = None,
 ) -> ShardExecutor:
     """Turn an executor spec into an instance.
 
     Resolution order: an explicit instance or registry name wins; otherwise
-    the ``REPRO_SHARD_EXECUTOR`` environment variable; otherwise the legacy
-    ``parallel`` flag (``threads`` when true); otherwise ``sequential``.
+    the ``REPRO_SHARD_EXECUTOR`` environment variable; otherwise
+    ``sequential``.
     """
     if isinstance(spec, ShardExecutor):
         return spec
     name = spec
     if name is None:
-        name = os.environ.get(EXECUTOR_ENV_VAR) or None
-    if name is None:
-        name = "threads" if parallel else "sequential"
+        name = os.environ.get(EXECUTOR_ENV_VAR) or "sequential"
     try:
         factory = EXECUTORS[name]
     except KeyError:

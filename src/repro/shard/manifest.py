@@ -400,7 +400,6 @@ def _load_rows(path: Path, context: str) -> np.ndarray:
 
 def load_sharded(
     directory: str | os.PathLike,
-    parallel: bool | None = None,
     max_workers: int | None = None,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     executor=None,
@@ -479,7 +478,6 @@ def load_sharded(
         table,
         assignment,
         shard_tables,
-        parallel=parallel,
         max_workers=max_workers,
         cache_bytes=cache_bytes,
         executor=executor,

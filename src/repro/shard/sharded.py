@@ -19,15 +19,18 @@ same query API by scatter-gather:
    sharded speedup comes from.
 3. **Fan out.**  Surviving shards evaluate through a pluggable
    :class:`~repro.shard.executor.ShardExecutor` — ``sequential`` (caller's
-   thread), ``threads`` (worker-thread pool; the default), or
-   ``processes`` (long-lived worker processes holding resident shard
-   engines; see :mod:`repro.shard.executor`).  In-process worker
-   exceptions re-raise unwrapped in the caller.
+   thread; the default) or ``processes`` (long-lived worker processes
+   holding resident shard engines; see :mod:`repro.shard.executor`).
+   In-process exceptions re-raise unwrapped in the caller.
 4. **Merge.**  Per-shard local record ids map through each shard's
    ``global_ids`` and concatenate; because shards partition the row space
    and every access method returns ascending ids, one final sort makes the
    result bit-identical to the unsharded database under both missing
    semantics.
+
+:meth:`ShardedDatabase._scatter` is the one body that does all four, for
+``execute`` (one query), ``execute_batch`` (many) and ``query_predicate``
+(one predicate: never costed, never pruned) alike.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from repro.core.engine import (
     IncompleteDatabase,
     QueryReport,
     RankedReport,
+    ShardReportSlice,
     rank_both_bounds,
 )
 from repro.core.planner import (
@@ -63,31 +67,10 @@ from repro.query.model import (
     RangeQuery,
     resolve_semantics,
 )
-from repro.shard.executor import (
-    ShardBatchTask,
-    ShardExecutor,
-    ShardQueryTask,
-    resolve_executor,
-)
+from repro.shard.executor import ShardExecutor, ShardTask, resolve_executor
 from repro.shard.partition import Partitioner, get_partitioner
 
-__all__ = [
-    "ShardReportSlice",
-    "ShardedDatabase",
-    "ShardedQueryReport",
-    "ShardedThreeValuedReport",
-]
-
-
-@dataclass(frozen=True, slots=True)
-class ShardReportSlice:
-    """One shard's contribution to a sharded query."""
-
-    shard_id: int
-    #: True when the shard was skipped by statistics-based pruning.
-    pruned: bool
-    num_matches: int
-    elapsed_ns: int
+__all__ = ["ShardedDatabase"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,95 +86,6 @@ class _IndexMeta:
 
     def covers(self, query: RangeQuery) -> bool:
         return set(query.attributes) <= set(self.attributes)
-
-
-class _PerShardStats:
-    """Per-shard slice statistics both sharded report types expose."""
-
-    per_shard: tuple[ShardReportSlice, ...]
-
-    @property
-    def num_pruned(self) -> int:
-        """How many shards the planner skipped outright."""
-        return sum(1 for s in self.per_shard if s.pruned)
-
-    @property
-    def skew(self) -> float:
-        """Max over mean executed-shard latency (1.0 = perfectly even)."""
-        executed = [s.elapsed_ns for s in self.per_shard if not s.pruned]
-        if not executed:
-            return 0.0
-        mean = sum(executed) / len(executed)
-        if mean == 0:
-            return 0.0
-        return max(executed) / mean
-
-
-@dataclass(frozen=True)
-class ShardedQueryReport(_PerShardStats):
-    """Outcome of one scatter-gather query execution."""
-
-    index_name: str
-    kind: str
-    #: Global record ids, ascending — bit-identical to the unsharded result.
-    record_ids: np.ndarray = field(repr=False)
-    per_shard: tuple[ShardReportSlice, ...] = ()
-    trace: obs.QueryTrace | None = field(default=None, repr=False)
-    elapsed_ns: int | None = None
-
-    @property
-    def num_matches(self) -> int:
-        """Number of matching records across all shards."""
-        return len(self.record_ids)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedQueryReport(index={self.index_name!r}, "
-            f"matches={self.num_matches}, shards={len(self.per_shard)}, "
-            f"pruned={self.num_pruned})"
-        )
-
-
-@dataclass(frozen=True)
-class ShardedThreeValuedReport(_PerShardStats):
-    """Outcome of one scatter-gather both-bounds (``semantics="both"``) query.
-
-    Per-shard slices report the *possible* bound's match count (the pair's
-    superset); shards pruned under the possible bound contribute to neither
-    bound, since certain matches are a subset of possible matches.
-    """
-
-    index_name: str
-    kind: str
-    #: Global ids certain to match, ascending.
-    certain_ids: np.ndarray = field(repr=False)
-    #: Global ids that possibly match (superset of certain), ascending.
-    possible_ids: np.ndarray = field(repr=False)
-    per_shard: tuple[ShardReportSlice, ...] = ()
-    trace: obs.QueryTrace | None = field(default=None, repr=False)
-    elapsed_ns: int | None = None
-
-    @property
-    def num_certain(self) -> int:
-        """Number of certain matches across all shards."""
-        return len(self.certain_ids)
-
-    @property
-    def num_possible(self) -> int:
-        """Number of possible matches across all shards."""
-        return len(self.possible_ids)
-
-    @property
-    def possible_only_ids(self) -> np.ndarray:
-        """Rows that are possible but not certain matches."""
-        return np.setdiff1d(self.possible_ids, self.certain_ids)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedThreeValuedReport(index={self.index_name!r}, "
-            f"certain={self.num_certain}, possible={self.num_possible}, "
-            f"shards={len(self.per_shard)}, pruned={self.num_pruned})"
-        )
 
 
 class _Shard:
@@ -226,27 +120,6 @@ def _merge_ids(parts: list[np.ndarray]) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _sharded_report(
-    index_name: str,
-    kind: str,
-    bound_ids: tuple[np.ndarray, ...],
-    per_shard: tuple[ShardReportSlice, ...],
-    trace: obs.QueryTrace | None = None,
-    elapsed_ns: int | None = None,
-) -> "ShardedQueryReport | ShardedThreeValuedReport":
-    """The report type the answer's arity calls for."""
-    common = dict(
-        index_name=index_name, kind=kind, per_shard=per_shard,
-        trace=trace, elapsed_ns=elapsed_ns,
-    )
-    if len(bound_ids) == 1:
-        return ShardedQueryReport(record_ids=bound_ids[0], **common)
-    certain_ids, possible_ids = bound_ids
-    return ShardedThreeValuedReport(
-        certain_ids=certain_ids, possible_ids=possible_ids, **common
-    )
-
-
 def _finalize_executor(executor: ShardExecutor) -> None:
     """GC fallback: shut the fan-out executor down when the database drops.
 
@@ -276,21 +149,17 @@ class ShardedDatabase:
     partitioner:
         A :class:`~repro.shard.partition.Partitioner` instance or registry
         name (``"contiguous"``, ``"round-robin"``, ``"missing-density"``).
-    parallel:
-        Legacy fan-out switch: ``True`` picks the ``threads`` executor.
-        Ignored when ``executor`` (or the ``REPRO_SHARD_EXECUTOR``
-        environment variable) selects a backend.
     max_workers:
-        Fan-out worker cap (threads or processes); must be ``>= 1``.
-        Defaults to ``min(num_shards, 32)``.
+        Worker-process cap for the ``processes`` executor; must be
+        ``>= 1``.  Defaults to one per core, at most one per shard.
     cache_bytes:
         Per-shard sub-result cache budget.
     executor:
         A :class:`~repro.shard.executor.ShardExecutor` instance or registry
-        name (``"sequential"``, ``"threads"``, ``"processes"``).  ``None``
-        consults ``REPRO_SHARD_EXECUTOR``, then ``parallel``; with none of
-        the three given, shard tasks run inline on the caller's thread
-        (``sequential``) — see ``docs/sharding.md`` for the measurement.
+        name (``"sequential"``, ``"processes"``).  ``None`` consults
+        ``REPRO_SHARD_EXECUTOR``; with neither given, shard tasks run
+        inline on the caller's thread (``sequential``) — see
+        ``docs/sharding.md`` for the measurement.
     """
 
     def __init__(
@@ -298,7 +167,6 @@ class ShardedDatabase:
         table: IncompleteTable,
         num_shards: int = 4,
         partitioner: str | Partitioner = "contiguous",
-        parallel: bool | None = None,
         max_workers: int | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
@@ -306,10 +174,7 @@ class ShardedDatabase:
         self._table = table
         self._partitioner = get_partitioner(partitioner)
         self._assignment = self._partitioner.partition(table, num_shards)
-        self._init_common(
-            parallel, max_workers, cache_bytes, executor,
-            self._assignment.num_shards,
-        )
+        self._init_common(max_workers, cache_bytes, executor)
         self._shards: list[_Shard] = [
             _Shard(
                 shard_id,
@@ -319,19 +184,10 @@ class ShardedDatabase:
             for shard_id, ids in enumerate(self._assignment.shards)
         ]
 
-    def _init_common(
-        self, parallel, max_workers, cache_bytes, executor, num_shards
-    ) -> None:
+    def _init_common(self, max_workers, cache_bytes, executor) -> None:
         if max_workers is not None and max_workers < 1:
-            # `max_workers or default` used to swallow 0 silently and run
-            # with the default pool size; reject it loudly instead.
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers_explicit = max_workers is not None
-        self._max_workers = (
-            max_workers
-            if max_workers is not None
-            else min(num_shards, 32)
-        )
+        self._max_workers = max_workers
         self._cache_bytes = cache_bytes
         #: Whole-table statistics, built lazily for the ranked answer mode.
         self._stats: TableStatistics | None = None
@@ -351,7 +207,7 @@ class ShardedDatabase:
         #: Epoch number stamped by the serving layer's EpochManager when
         #: this database is published as a snapshot; None outside serving.
         self.snapshot_epoch: int | None = None
-        self._executor_impl = resolve_executor(executor, parallel)
+        self._executor_impl = resolve_executor(executor)
         self._finalizer = weakref.finalize(
             self, _finalize_executor, self._executor_impl
         )
@@ -362,7 +218,6 @@ class ShardedDatabase:
         table: IncompleteTable,
         assignment,
         shard_tables,
-        parallel: bool | None = None,
         max_workers: int | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
@@ -377,10 +232,7 @@ class ShardedDatabase:
         self._table = table
         self._partitioner = None
         self._assignment = assignment
-        self._init_common(
-            parallel, max_workers, cache_bytes, executor,
-            assignment.num_shards,
-        )
+        self._init_common(max_workers, cache_bytes, executor)
         self._shards = [
             _Shard(
                 shard_id,
@@ -603,23 +455,43 @@ class ShardedDatabase:
 
     def _resolve_plan(
         self,
-        query: RangeQuery,
-        semantics: MissingSemantics,
+        item,
+        costing: MissingSemantics,
         using: str | None,
-    ) -> tuple[str | None, bool, list[CostEstimate | None]]:
-        """Chosen index name, forced flag, per-shard cost estimates."""
-        if using is not None:
+    ) -> tuple[str | None, bool, list[CostEstimate | None], list[int]]:
+        """Chosen index name, forced flag, per-shard estimates, pruned ids.
+
+        A predicate is neither costed nor pruned (a NOT over a pruned-out
+        shard could still match): shard 0 picks by the engine's static
+        preference order, and every shard holds the same index set.
+        """
+        no_estimates = [None] * self.num_shards
+        if not isinstance(item, RangeQuery):
+            chosen = self._shards[0].database._plan_predicate(item, using)
+            return (
+                chosen.name if chosen else None,
+                using is not None,
+                no_estimates,
+                [],
+            )
+        if using is None:
+            chosen, _, estimates = self._plan_sharded(item, costing)
+        else:
             meta = self._index_meta.get(using)
             if meta is None:
                 raise ReproError(f"no index named {using!r}")
-            if not meta.covers(query):
+            if not meta.covers(item):
                 raise QueryError(
                     f"index {using!r} does not cover attributes "
-                    f"{sorted(set(query.attributes) - set(meta.attributes))}"
+                    f"{sorted(set(item.attributes) - set(meta.attributes))}"
                 )
-            return using, True, [None] * self.num_shards
-        chosen, _, per_shard = self._plan_sharded(query, semantics)
-        return chosen, False, per_shard
+            chosen, estimates = using, no_estimates
+        pruned = [
+            shard.shard_id
+            for shard in self._shards
+            if not self._shard_can_match(shard, item, costing)
+        ]
+        return chosen, using is not None, estimates, pruned
 
     # -- pruning ---------------------------------------------------------------
 
@@ -663,144 +535,182 @@ class ShardedDatabase:
             else RangeQuery.from_bounds(query)
         )
 
+    def _scatter(
+        self, items, semantics, using: str | None, trace: bool, batch: bool
+    ) -> list[QueryReport]:
+        """Plan, prune, fan out and merge ``items``; one report per item.
+
+        The one scatter-gather body.  Each item is planned against the
+        merged shard statistics and pruned under the widest requested bound
+        (one plan serves every bound, and no possible match rules out a
+        certain one); every shard with surviving work gets one
+        :class:`~repro.shard.executor.ShardTask`; local ids map back through
+        ``global_ids`` and merge per bound.  Each report's ``elapsed_ns`` is
+        its share of the call's wall clock: its own planning and merge plus
+        the fan-out apportioned by shard task time (all of it for a single
+        item).  When tracing, each report carries a ``sharded_query`` root
+        whose children are its plan span and one subtree per executed shard.
+        """
+        self._ensure_open()
+        costing = semantics_for_costing(semantics)
+        observing = obs.enabled()
+        recorder = obs.get_recorder()
+        # A predicate has no interval list for a workload record to hold.
+        recording = (
+            recorder.active and bool(items)
+            and isinstance(items[0], RangeQuery)
+        )
+        tracing = trace or (recording and recorder.wants_trace)
+
+        # Per shard: the positions, items and plan descriptors of its task.
+        work: list[tuple[list, list, list]] = [
+            ([], [], []) for _ in self._shards
+        ]
+        planned: list[tuple] = []
+        num_pruned = 0
+        for pos, item in enumerate(items):
+            qtrace = (
+                obs.QueryTrace(
+                    "sharded_query",
+                    query=repr(item),
+                    semantics=semantics.value,
+                    shards=self.num_shards,
+                )
+                if tracing
+                else None
+            )
+            plan_start = time.perf_counter_ns()
+            chosen, forced, estimates, pruned_ids = self._resolve_plan(
+                item, costing, using
+            )
+            for shard_id, (positions, task_items, plans) in enumerate(work):
+                if shard_id not in pruned_ids:
+                    positions.append(pos)
+                    task_items.append(item)
+                    plans.append((chosen, estimates[shard_id], forced))
+            if qtrace is not None:
+                with qtrace.span("plan") as plan_span:
+                    plan_span.start_ns = plan_start
+                    plan_span.set("chosen", chosen if chosen else "<scan>")
+                    plan_span.set("forced", forced)
+                    plan_span.set("pruned_shards", pruned_ids)
+            num_pruned += len(pruned_ids)
+            planned.append((
+                chosen, pruned_ids, time.perf_counter_ns() - plan_start,
+                qtrace,
+            ))
+
+        tasks = [
+            ShardTask(
+                shard_id, tuple(positions), tuple(task_items), tuple(plans),
+                semantics, tracing,
+            )
+            for shard_id, (positions, task_items, plans) in enumerate(work)
+            if positions
+        ]
+        fan_start = time.perf_counter_ns()
+        outcomes = self._executor_impl.run(self, tasks)
+        fan_ns = time.perf_counter_ns() - fan_start
+        gathered: list[list[tuple]] = [[] for _ in items]
+        total_task_ns = 0
+        for task, outcome in zip(tasks, outcomes):
+            shard = self._shards[task.shard_id]
+            for pos, result in zip(task.positions, outcome.results):
+                gathered[pos].append((shard, result))
+                total_task_ns += result[1]
+        if observing:
+            if batch:
+                obs.record("shard.batches")
+                obs.record("shard.batch_queries", len(items))
+            else:
+                obs.record("shard.queries")
+            obs.record("shard.pruned", num_pruned)
+            obs.record("shard.fanout_tasks", len(tasks))
+            obs.observe("shard.fanout_ns", fan_ns)
+
+        reports = []
+        for item, (chosen, pruned_ids, plan_ns, qtrace), results in zip(
+            items, planned, gathered
+        ):
+            merge_start = time.perf_counter_ns()
+            merged = tuple(
+                _merge_ids([
+                    shard.to_global(bound_ids[position])
+                    for shard, (bound_ids, _, _) in results
+                ])
+                for position in range(len(semantics.bounds))
+            )
+            merge_ns = time.perf_counter_ns() - merge_start
+            slices = {
+                shard_id: ShardReportSlice(shard_id, True, 0, 0)
+                for shard_id in pruned_ids
+            }
+            own_task_ns = 0
+            for shard, (bound_ids, task_ns, trace_root) in results:
+                slices[shard.shard_id] = ShardReportSlice(
+                    shard.shard_id, False, len(bound_ids[-1]), task_ns
+                )
+                own_task_ns += task_ns
+                if qtrace is not None and trace_root is not None:
+                    trace_root.set("shard", shard.shard_id)
+                    qtrace.root.children.append(trace_root)
+            elapsed_ns = plan_ns + merge_ns
+            if total_task_ns:
+                elapsed_ns += fan_ns * own_task_ns // total_task_ns
+            report = QueryReport(
+                chosen if chosen else "<scan>",
+                self._index_meta[chosen].kind if chosen else "scan",
+                merged,
+                per_shard=tuple(slices[sid] for sid in sorted(slices)),
+                trace=qtrace if trace else None,
+                elapsed_ns=elapsed_ns,
+            )
+            if observing:
+                obs.observe("shard.merge_ns", merge_ns)
+                for _, (_, task_ns, _) in results:
+                    obs.observe("shard.task_ns", task_ns)
+                obs.observe("shard.skew", report.skew)
+            if qtrace is not None:
+                qtrace.root.set("index", report.index_name)
+                for label, ids in zip(_BOUND_LABELS[len(merged)], merged):
+                    qtrace.root.set(label, len(ids))
+                qtrace.root.set("pruned", len(pruned_ids))
+                qtrace.close()
+            if recording:
+                recorder.record_query(
+                    source="shard",
+                    batch=batch,
+                    query=item,
+                    semantics=semantics,
+                    index=report.index_name,
+                    kind=report.kind,
+                    matches=len(merged[-1]),
+                    elapsed_ns=elapsed_ns,
+                    trace=qtrace,
+                    shards_executed=len(results),
+                    shards_pruned=len(pruned_ids),
+                )
+            reports.append(report)
+        return reports
+
     def execute(
         self,
         query,
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         using: str | None = None,
         trace: bool = False,
-    ) -> ShardedQueryReport:
-        """Scatter-gather execution of one query.
+    ) -> QueryReport:
+        """Scatter-gather execution of one query (see :meth:`_scatter`).
 
-        Plans once against the merged shard statistics, prunes shards whose
-        histograms rule out any match, fans the survivors out, and merges
-        local ids back into one ascending global id array per bound.  With
-        ``trace=True`` the report carries a root span whose children are the
-        per-shard query traces (one subtree per executed shard, tagged with
-        its shard id).  With ``semantics="both"`` the same task list carries
-        ``BOTH`` to the shards, each computes its (certain, possible) pair in
-        one pass, and a :class:`ShardedThreeValuedReport` comes back.
-        Planning and pruning run under the widest requested bound: one plan
-        serves the pair, and no possible match rules out a certain one.
+        The report's ``per_shard`` has one slice per shard, pruned ones
+        flagged; with ``trace=True`` it carries the ``sharded_query`` span
+        tree; with ``semantics="both"`` each shard computes its (certain,
+        possible) pair in one pass and the report carries both bounds.
         """
-        self._ensure_open()
-        query = self._normalize(query)
-        semantics = resolve_semantics(semantics)
-        costing = semantics_for_costing(semantics)
-        start = time.perf_counter_ns()
-        observing = obs.enabled()
-        recorder = obs.get_recorder()
-        recording = recorder.active
-        tracing = trace or (recording and recorder.wants_trace)
-        qtrace = (
-            obs.QueryTrace(
-                "sharded_query",
-                query=repr(query),
-                semantics=semantics.value,
-                shards=self.num_shards,
-            )
-            if tracing
-            else None
-        )
-        plan_start = time.perf_counter_ns()
-        chosen, forced, per_shard_estimates = self._resolve_plan(
-            query, costing, using
-        )
-        survivors: list[_Shard] = []
-        pruned_ids: list[int] = []
-        for shard in self._shards:
-            if self._shard_can_match(shard, query, costing):
-                survivors.append(shard)
-            else:
-                pruned_ids.append(shard.shard_id)
-        if qtrace is not None:
-            with qtrace.span("plan") as plan_span:
-                plan_span.start_ns = plan_start
-                plan_span.set("chosen", chosen if chosen else "<scan>")
-                plan_span.set("forced", forced)
-                plan_span.set("pruned_shards", pruned_ids)
-        if observing:
-            obs.record("shard.queries")
-            obs.record("shard.pruned", len(pruned_ids))
-
-        tasks = [
-            ShardQueryTask(
-                shard_id=shard.shard_id,
-                query=query,
-                semantics=semantics,
-                index_name=chosen,
-                estimate=per_shard_estimates[shard.shard_id],
-                forced=forced,
-                trace=tracing,
-            )
-            for shard in survivors
-        ]
-        fan_start = time.perf_counter_ns()
-        outcomes = self._executor_impl.run_query_tasks(self, tasks)
-        fan_ns = time.perf_counter_ns() - fan_start
-        if observing:
-            obs.record("shard.fanout_tasks", len(tasks))
-        merge_start = time.perf_counter_ns()
-        merged = tuple(
-            _merge_ids([
-                shard.to_global(outcome.bound_ids[position])
-                for shard, outcome in zip(survivors, outcomes)
-            ])
-            for position in range(len(semantics.bounds))
-        )
-        merge_ns = time.perf_counter_ns() - merge_start
-
-        slices = {
-            shard_id: ShardReportSlice(shard_id, True, 0, 0)
-            for shard_id in pruned_ids
-        }
-        for shard, outcome in zip(survivors, outcomes):
-            slices[shard.shard_id] = ShardReportSlice(
-                shard.shard_id,
-                False,
-                len(outcome.bound_ids[-1]),
-                outcome.elapsed_ns,
-            )
-            if qtrace is not None and outcome.trace_root is not None:
-                outcome.trace_root.set("shard", shard.shard_id)
-                qtrace.root.children.append(outcome.trace_root)
-        elapsed_ns = time.perf_counter_ns() - start
-        if observing:
-            obs.observe("shard.fanout_ns", fan_ns)
-            obs.observe("shard.merge_ns", merge_ns)
-            for outcome in outcomes:
-                obs.observe("shard.task_ns", outcome.elapsed_ns)
-        result = _sharded_report(
-            chosen if chosen else "<scan>",
-            self._index_meta[chosen].kind if chosen else "scan",
-            merged,
-            tuple(slices[shard_id] for shard_id in sorted(slices)),
-            qtrace if trace else None,
-            elapsed_ns,
-        )
-        if observing:
-            obs.observe("shard.skew", result.skew)
-        if qtrace is not None:
-            qtrace.root.set("index", result.index_name)
-            for label, bound_ids in zip(_BOUND_LABELS[len(merged)], merged):
-                qtrace.root.set(label, len(bound_ids))
-            qtrace.root.set("pruned", len(pruned_ids))
-            qtrace.close()
-        if recording:
-            recorder.record_query(
-                source="shard",
-                batch=False,
-                query=query,
-                semantics=semantics,
-                index=result.index_name,
-                kind=result.kind,
-                matches=len(merged[-1]),
-                elapsed_ns=elapsed_ns,
-                trace=qtrace,
-                shards_executed=len(survivors),
-                shards_pruned=len(pruned_ids),
-            )
-        return result
+        return self._scatter(
+            [self._normalize(query)], resolve_semantics(semantics),
+            using, trace, batch=False,
+        )[0]
 
     def execute_batch(
         self,
@@ -808,123 +718,19 @@ class ShardedDatabase:
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         using: str | None = None,
         trace: bool = False,
-    ) -> list[ShardedQueryReport]:
-        """Scatter-gather execution of a workload.
+    ) -> list[QueryReport]:
+        """Scatter-gather execution of a workload, in submission order.
 
         Every distinct query is planned once at the sharded level; each
         shard then runs its surviving (un-pruned) slice of the workload
         through the engine's grouped batch executor with that shard's own
-        sub-result cache, and per-query results merge back in submission
-        order.  ``semantics="both"`` takes the same path — the batch tasks
-        carry ``BOTH``, so the per-shard caches and shared VA-file scans
-        apply — and :class:`ShardedThreeValuedReport` objects come back.
+        sub-result cache (``semantics="both"`` included).  Reports have the
+        same shape :meth:`execute` returns, traces and ``elapsed_ns`` too.
         """
-        self._ensure_open()
-        normalized = [self._normalize(q) for q in queries]
-        semantics = resolve_semantics(semantics)
-        costing = semantics_for_costing(semantics)
-        observing = obs.enabled()
-        recorder = obs.get_recorder()
-        plans = {}
-        for query in normalized:
-            if query not in plans:
-                plans[query] = self._resolve_plan(query, costing, using)
-        prunable = {}
-        for query in plans:
-            prunable[query] = [
-                not self._shard_can_match(shard, query, costing)
-                for shard in self._shards
-            ]
-
-        tasks = []
-        for shard in self._shards:
-            positions = tuple(
-                pos
-                for pos, query in enumerate(normalized)
-                if not prunable[query][shard.shard_id]
-            )
-            sub_queries = tuple(normalized[pos] for pos in positions)
-            sub_plans = []
-            for query in sub_queries:
-                chosen, forced, per_shard_estimates = plans[query]
-                sub_plans.append(
-                    (chosen, per_shard_estimates[shard.shard_id], forced)
-                )
-            tasks.append(ShardBatchTask(
-                shard_id=shard.shard_id,
-                positions=positions,
-                queries=sub_queries,
-                plans=tuple(sub_plans),
-                semantics=semantics,
-                trace=trace,
-            ))
-
-        fan_start = time.perf_counter_ns()
-        outcomes = self._executor_impl.run_batch_tasks(self, tasks)
-        fan_ns = time.perf_counter_ns() - fan_start
-        if observing:
-            obs.record("shard.fanout_tasks", len(tasks))
-
-        arity = len(semantics.bounds)
-        parts: list[tuple[list[np.ndarray], ...]] = [
-            tuple([] for _ in range(arity)) for _ in normalized
-        ]
-        slices: list[dict[int, ShardReportSlice]] = [
-            {} for _ in normalized
-        ]
-        for shard, outcome in zip(self._shards, outcomes):
-            for pos, (bound_ids, task_ns) in zip(
-                outcome.positions, outcome.results
-            ):
-                for bound_parts, ids in zip(parts[pos], bound_ids):
-                    bound_parts.append(shard.to_global(ids))
-                slices[pos][shard.shard_id] = ShardReportSlice(
-                    shard.shard_id,
-                    False,
-                    len(bound_ids[-1]),
-                    task_ns,
-                )
-        out: list[ShardedQueryReport] = []
-        for pos, query in enumerate(normalized):
-            chosen, _, _ = plans[query]
-            for shard_id, was_pruned in enumerate(prunable[query]):
-                if was_pruned:
-                    slices[pos][shard_id] = ShardReportSlice(
-                        shard_id, True, 0, 0
-                    )
-            merged = tuple(_merge_ids(p) for p in parts[pos])
-            report = _sharded_report(
-                chosen if chosen else "<scan>",
-                self._index_meta[chosen].kind if chosen else "scan",
-                merged,
-                tuple(slices[pos][sid] for sid in sorted(slices[pos])),
-            )
-            if recorder.active:
-                executed = [s for s in report.per_shard if not s.pruned]
-                recorder.record_query(
-                    source="shard",
-                    batch=True,
-                    query=query,
-                    semantics=semantics,
-                    index=report.index_name,
-                    kind=report.kind,
-                    matches=len(merged[-1]),
-                    # No whole-query wall clock in the batched fan-out;
-                    # the summed per-shard task time is the best proxy.
-                    elapsed_ns=sum(s.elapsed_ns for s in executed),
-                    shards_executed=len(executed),
-                    shards_pruned=report.num_pruned,
-                )
-            out.append(report)
-        if observing:
-            obs.record("shard.batches")
-            obs.record("shard.batch_queries", len(normalized))
-            obs.observe("shard.fanout_ns", fan_ns)
-            total_pruned = sum(
-                sum(flags) for flags in prunable.values()
-            )
-            obs.record("shard.pruned", total_pruned)
-        return out
+        return self._scatter(
+            [self._normalize(q) for q in queries],
+            resolve_semantics(semantics), using, trace, batch=True,
+        )
 
     # -- conveniences ----------------------------------------------------------
 
@@ -933,7 +739,7 @@ class ShardedDatabase:
         query,
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         using: str | None = None,
-    ) -> ShardedQueryReport:
+    ) -> QueryReport:
         """Alias of :meth:`execute` without tracing."""
         return self.execute(query, semantics, using)
 
@@ -948,10 +754,10 @@ class ShardedDatabase:
         With ``semantics="both"`` returns the ``(certain, possible)``
         count pair instead of a single int.
         """
-        report = self.execute(query, semantics, using)
-        if isinstance(report, ShardedThreeValuedReport):
-            return report.num_certain, report.num_possible
-        return report.num_matches
+        counts = tuple(
+            len(ids) for ids in self.execute(query, semantics, using).bound_ids
+        )
+        return counts[0] if len(counts) == 1 else counts
 
     def fetch(
         self,
@@ -1014,52 +820,22 @@ class ShardedDatabase:
         predicate,
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         using: str | None = None,
-    ) -> ShardedQueryReport:
+    ) -> QueryReport:
         """Scatter-gather execution of a boolean predicate (AND/OR/NOT).
 
-        Each shard evaluates the predicate against its own row slice (the
-        engine picks a predicate-capable index or falls back to a scan);
-        local ids map back through ``global_ids`` and merge sorted, so the
+        Every shard evaluates the predicate against its own row slice on
+        the one index picked up front (or a ground-truth scan); the merged
         result is bit-identical to the unsharded engine's
         :meth:`~repro.core.engine.IncompleteDatabase.query_predicate`.
         Predicates are not planned through the cost model or pruned — a
         NOT over a pruned-out shard could still match — so every shard
         executes.  With ``semantics="both"`` each shard evaluates the tree
-        three-valued in one pass and a :class:`ShardedThreeValuedReport`
-        comes back.
+        three-valued in one pass.
         """
-        self._ensure_open()
-        semantics = resolve_semantics(semantics)
-        start = time.perf_counter_ns()
-        parts = tuple([] for _ in semantics.bounds)
-        slices = []
-        names = set()
-        kinds = set()
-        for shard in self._shards:
-            task_start = time.perf_counter_ns()
-            report = shard.database.query_predicate(
-                predicate, semantics, using=using
-            )
-            task_ns = time.perf_counter_ns() - task_start
-            for bound_parts, ids in zip(parts, report.bound_ids):
-                bound_parts.append(shard.to_global(ids))
-            slices.append(ShardReportSlice(
-                shard.shard_id, False, len(report.bound_ids[-1]), task_ns,
-            ))
-            names.add(report.index_name)
-            kinds.add(report.kind)
-        merged = tuple(_merge_ids(bound_parts) for bound_parts in parts)
-        elapsed_ns = time.perf_counter_ns() - start
-        if obs.enabled():
-            obs.record("shard.queries")
-            obs.record("shard.fanout_tasks", len(self._shards))
-        return _sharded_report(
-            names.pop() if len(names) == 1 else "<mixed>",
-            kinds.pop() if len(kinds) == 1 else "mixed",
-            merged,
-            tuple(slices),
-            elapsed_ns=elapsed_ns,
-        )
+        return self._scatter(
+            [predicate], resolve_semantics(semantics), using,
+            trace=False, batch=False,
+        )[0]
 
     def explain(
         self,

@@ -79,8 +79,8 @@ class TestRegistry:
         if forced:
             assert kernels.get_backend().name == forced
         else:
-            # numba when importable, else numpy; the reference loop is opt-in.
-            assert kernels.get_backend().name in ("numpy", "numba")
+            # The reference loop is opt-in.
+            assert kernels.get_backend().name == "numpy"
 
     def test_set_backend_returns_previous(self):
         previous = kernels.set_backend("python")
@@ -109,21 +109,29 @@ class TestRegistry:
 
 
 class TestEnvVarSelection:
-    def _default_in_subprocess(self, value: str | None) -> str:
+    def _import_in_subprocess(self, value: str | None):
         env = dict(os.environ)
         env.pop(kernels.BACKEND_ENV_VAR, None)
         if value is not None:
             env[kernels.BACKEND_ENV_VAR] = value
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c",
              "from repro.bitvector import kernels; "
              "print(kernels.get_backend().name)"],
             capture_output=True, text=True, env=env, timeout=60,
         )
+
+    def _default_in_subprocess(self, value: str | None) -> str:
+        out = self._import_in_subprocess(value)
         assert out.returncode == 0, out.stderr
         return out.stdout.strip()
+
+    def test_unregistered_name_fails_the_import(self):
+        out = self._import_in_subprocess("numba")
+        assert out.returncode != 0
+        assert "names an unknown backend" in out.stderr
 
     def test_env_var_forces_reference_backend(self):
         assert self._default_in_subprocess("python") == "python"
@@ -131,8 +139,8 @@ class TestEnvVarSelection:
     def test_empty_env_var_means_default(self):
         # CI matrix legs export REPRO_BITVECTOR_BACKEND="" for the
         # non-override combinations; that must not be treated as a name.
-        assert self._default_in_subprocess("") in ("numpy", "numba")
-        assert self._default_in_subprocess(None) in ("numpy", "numba")
+        assert self._default_in_subprocess("") == "numpy"
+        assert self._default_in_subprocess(None) == "numpy"
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,11 +26,7 @@ from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.baselines.seqscan import SequentialScan
 from repro.bitvector.kernels import available_backends, use_backend
-from repro.core.engine import (
-    IncompleteDatabase,
-    RankedReport,
-    ThreeValuedReport,
-)
+from repro.core.engine import IncompleteDatabase, RankedReport
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import QueryError
 from repro.query import boolean, ground_truth
@@ -53,7 +49,8 @@ from repro.query.model import (
     RangeQuery,
     resolve_semantics,
 )
-from repro.shard.sharded import ShardedDatabase, ShardedThreeValuedReport
+from repro.shard.executor import ProcessShardExecutor
+from repro.shard.sharded import ShardedDatabase
 from repro.vafile.vafile import VAFile
 
 
@@ -407,7 +404,7 @@ class TestWalker:
         assert not hasattr(ground_truth, "evaluate_tree")
 
 
-TIERS = ("index", "engine", "sharded-sequential", "sharded-threads")
+TIERS = ("index", "engine", "sharded-sequential", "sharded-processes")
 ACCESS_METHODS = ("bre", "bee", "vafile", "scan")
 
 
@@ -442,14 +439,14 @@ def test_every_tier_matches_ground_truth(table, query, semantics, tier, access):
         )
         got = report.bound_ids
     else:
-        executor = tier.removeprefix("sharded-")
+        executor = (
+            ProcessShardExecutor(start_method="fork")
+            if tier == "sharded-processes"
+            else "sequential"
+        )
         with ShardedDatabase(table, num_shards=3, executor=executor) as db:
             report = attach(db).execute(query, semantics, using=using)
-        got = (
-            (report.certain_ids, report.possible_ids)
-            if semantics is BOTH
-            else (report.record_ids,)
-        )
+        got = report.bound_ids
         assert report.kind == ("scan" if using is None else using)
     assert len(got) == len(expected)
     for want, ids in zip(expected, got):
@@ -465,7 +462,7 @@ class TestEngineBoth:
 
     def test_execute_returns_pair_report(self, db, table, query):
         report = db.execute(query, "both")
-        assert isinstance(report, ThreeValuedReport)
+        assert len(report.bound_ids) == 2
         certain, possible = evaluate_mask_both(table, query)
         assert np.array_equal(report.certain_ids, np.flatnonzero(certain))
         assert np.array_equal(report.possible_ids, np.flatnonzero(possible))
@@ -493,7 +490,7 @@ class TestEngineBoth:
     def test_query_predicate_both(self, db, table):
         predicate = PREDICATES[2]
         report = db.query_predicate(predicate, "both")
-        assert isinstance(report, ThreeValuedReport)
+        assert len(report.bound_ids) == 2
         certain, possible = evaluate_predicate_mask_both(table, predicate)
         assert np.array_equal(report.certain_ids, np.flatnonzero(certain))
         assert np.array_equal(report.possible_ids, np.flatnonzero(possible))
@@ -585,7 +582,7 @@ class TestShardedBoth:
         ref, sharded = pair
         expect = ref.execute(query, BOTH)
         report = sharded.execute(query, "both")
-        assert isinstance(report, ShardedThreeValuedReport)
+        assert len(report.bound_ids) == 2
         assert np.array_equal(report.certain_ids, expect.certain_ids)
         assert np.array_equal(report.possible_ids, expect.possible_ids)
         assert sharded.count(query, BOTH) == (
@@ -606,7 +603,7 @@ class TestShardedBoth:
         assert np.array_equal(got.possible_ids, want.possible_ids)
 
     def test_sharded_batch_shares_sub_results(self, pair):
-        # BOTH batches ride ShardBatchTask, so each shard's SubResultCache
+        # BOTH batches ride the same ShardTask, so each shard's SubResultCache
         # serves the interval the workload repeats.
         ref, sharded = pair
         queries = [
@@ -616,7 +613,7 @@ class TestShardedBoth:
         reports = sharded.execute_batch(queries, "both")
         assert sharded.cache_stats().hits > 0
         for q, report in zip(queries, reports):
-            assert isinstance(report, ShardedThreeValuedReport)
+            assert len(report.bound_ids) == 2
             for other in (sharded.execute(q, BOTH), ref.execute(q, BOTH)):
                 assert np.array_equal(report.certain_ids, other.certain_ids)
                 assert np.array_equal(report.possible_ids, other.possible_ids)

@@ -103,7 +103,7 @@ def serve_cases(draw):
 @given(case=serve_cases())
 def test_concurrent_pinned_reads_match_single_threaded(case):
     table, workload, mutations = case
-    db = ShardedDatabase(table, num_shards=2, parallel=False)
+    db = ShardedDatabase(table, num_shards=2, executor="sequential")
     db.create_index("ix", "bre")
     manager = EpochManager(db)
     writer = SnapshotWriter(manager)

@@ -50,7 +50,7 @@ class TestMutations:
         monkeypatch.delenv("REPRO_SHARD_EXECUTOR", raising=False)
         for kwargs, expected in (
             ({}, "sequential"),
-            ({"executor": "threads"}, "threads"),
+            ({"executor": "processes"}, "processes"),
         ):
             manager = EpochManager(
                 ShardedDatabase(_table(), num_shards=2, **kwargs)

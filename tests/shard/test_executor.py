@@ -1,9 +1,10 @@
 """Tests for the pluggable shard-fanout executors.
 
-Covers the three-way equivalence property (``processes`` ≡ ``threads`` ≡
-``sequential`` under ``is_match``, ``not_match`` and ``both``, through both
-``execute`` and ``execute_batch``), the executor-lifecycle bugfixes (``max_workers=0``
-rejection, double-close, use-after-close, GC finalizer), and the
+Covers the equivalence property (``processes`` ≡ ``sequential`` under
+``is_match``, ``not_match`` and ``both``, through ``execute``,
+``execute_batch`` and ``query_predicate``), the executor-lifecycle bugfixes
+(``max_workers=0`` rejection, double-close, use-after-close, GC finalizer),
+and the
 stale-worker fence that re-ships indexes to resident worker processes
 after append/delete/compact generation bumps and create/drop epoch bumps.
 
@@ -27,13 +28,13 @@ from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
 from repro.errors import ShardError
+from repro.query.boolean import Not, from_range_query
 from repro.query.model import BOTH, Interval, MissingSemantics, RangeQuery
 from repro.shard.executor import (
     EXECUTOR_ENV_VAR,
     ProcessShardExecutor,
     SequentialShardExecutor,
     ShardExecutor,
-    ThreadShardExecutor,
     resolve_executor,
 )
 from repro.shard.manifest import load_sharded, save_sharded
@@ -51,17 +52,10 @@ def _table(n=900, seed=11):
 ALL_SEMANTICS = (*MissingSemantics, BOTH)
 
 
-def _ids(report) -> tuple:
-    """A report's id arrays, one per requested bound."""
-    if hasattr(report, "certain_ids"):
-        return report.certain_ids, report.possible_ids
-    return (report.record_ids,)
-
-
 def _same_ids(left, right) -> bool:
     return all(
         np.array_equal(a, b)
-        for a, b in zip(_ids(left), _ids(right), strict=True)
+        for a, b in zip(left.bound_ids, right.bound_ids, strict=True)
     )
 
 
@@ -72,7 +66,7 @@ QUERIES = [
 ]
 
 
-# -- three-way equivalence -----------------------------------------------------
+# -- executor equivalence ------------------------------------------------------
 
 
 @st.composite
@@ -111,38 +105,39 @@ def executor_cases(draw):
 
 @settings(max_examples=8, deadline=None)
 @given(case=executor_cases())
-def test_process_threads_sequential_equivalence(case):
-    """Every backend returns word-identical ids for every workload."""
+def test_process_sequential_equivalence(case):
+    """Both backends return word-identical ids for every workload."""
     table, workload, partitioner, num_shards = case
-    databases = {
-        name: ShardedDatabase(
+    reference, processes = (
+        ShardedDatabase(
             table,
             num_shards=num_shards,
             partitioner=partitioner,
             executor=executor,
         )
-        for name, executor in (
-            ("sequential", "sequential"),
-            ("threads", "threads"),
-            ("processes", ProcessShardExecutor(start_method="fork")),
+        for executor in (
+            "sequential", ProcessShardExecutor(start_method="fork"),
         )
-    }
+    )
     try:
-        for db in databases.values():
+        for db in (reference, processes):
             db.create_index("ix", "bre")
-        reference = databases["sequential"]
         for semantics in ALL_SEMANTICS:
             expected = [reference.execute(q, semantics) for q in workload]
-            for name in ("threads", "processes"):
-                for exp, query in zip(expected, workload):
-                    got = databases[name].execute(query, semantics)
-                    assert _same_ids(exp, got)
-                batch = databases[name].execute_batch(workload, semantics)
-                for exp, got in zip(expected, batch):
-                    assert _same_ids(exp, got)
+            for exp, query in zip(expected, workload):
+                assert _same_ids(exp, processes.execute(query, semantics))
+                assert _same_ids(
+                    exp,
+                    processes.query_predicate(
+                        from_range_query(query), semantics
+                    ),
+                )
+            batch = processes.execute_batch(workload, semantics)
+            for exp, got in zip(expected, batch):
+                assert _same_ids(exp, got)
     finally:
-        for db in databases.values():
-            db.close()
+        reference.close()
+        processes.close()
 
 
 def test_spawn_equivalence():
@@ -251,11 +246,6 @@ class TestMaxWorkersValidation:
             ShardedDatabase(_table(200), num_shards=2, max_workers=bad)
 
     @pytest.mark.parametrize("bad", [0, -1])
-    def test_thread_executor_rejects(self, bad):
-        with pytest.raises(ValueError, match="max_workers"):
-            ThreadShardExecutor(max_workers=bad)
-
-    @pytest.mark.parametrize("bad", [0, -1])
     def test_process_executor_rejects(self, bad):
         with pytest.raises(ValueError, match="max_workers"):
             ProcessShardExecutor(max_workers=bad)
@@ -296,20 +286,10 @@ class TestCloseLifecycle:
     def test_executor_close_is_idempotent(self):
         for executor in (
             SequentialShardExecutor(),
-            ThreadShardExecutor(),
             ProcessShardExecutor(start_method="fork"),
         ):
             executor.close()
             executor.close()
-
-    def test_closed_thread_executor_rejects_work(self):
-        executor = ThreadShardExecutor()
-        db = ShardedDatabase(_table(200), num_shards=2, executor=executor)
-        db.create_index("ix", "bre")
-        executor.close()
-        with pytest.raises(ShardError, match="closed"):
-            db.execute(QUERIES[0])
-        db.close()  # first database close still succeeds (idempotent pool)
 
     def test_closed_process_executor_rejects_work(self):
         executor = ProcessShardExecutor(start_method="fork")
@@ -320,16 +300,22 @@ class TestCloseLifecycle:
             db.execute(QUERIES[0])
 
     def test_finalizer_closes_executor_when_database_dropped(self):
-        """Dropping the database without close() must not leak the pool."""
-        executor = ThreadShardExecutor()
+        """Dropping the database without close() must still close it."""
+
+        class Closable(SequentialShardExecutor):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        executor = Closable()
         db = ShardedDatabase(_table(200), num_shards=2, executor=executor)
         db.create_index("ix", "bre")
-        db.execute(QUERIES[0])  # force pool creation
-        assert executor._pool is not None
+        db.execute(QUERIES[0])
+        assert not executor.closed
         del db
         gc.collect()
-        assert executor._closed
-        assert executor._pool is None
+        assert executor.closed
 
     def test_finalizer_reaps_worker_processes(self):
         executor = ProcessShardExecutor(start_method="fork")
@@ -370,14 +356,13 @@ class TestCloseLifecycle:
 
 class TestResolveExecutor:
     def test_instance_passes_through(self):
-        executor = ThreadShardExecutor()
+        executor = SequentialShardExecutor()
         assert resolve_executor(executor) is executor
 
     def test_names_resolve(self):
         assert isinstance(
             resolve_executor("sequential"), SequentialShardExecutor
         )
-        assert isinstance(resolve_executor("threads"), ThreadShardExecutor)
         assert isinstance(
             resolve_executor("processes"), ProcessShardExecutor
         )
@@ -385,15 +370,6 @@ class TestResolveExecutor:
     def test_default_is_inline(self, monkeypatch):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         assert isinstance(resolve_executor(), SequentialShardExecutor)
-
-    def test_parallel_flag_fallback(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        assert isinstance(
-            resolve_executor(None, parallel=False), SequentialShardExecutor
-        )
-        assert isinstance(
-            resolve_executor(None, parallel=True), ThreadShardExecutor
-        )
 
     def test_databases_default_to_inline(self, monkeypatch, tmp_path):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
@@ -406,38 +382,38 @@ class TestResolveExecutor:
                 db.execute_batch(QUERIES)
             counters = registry.snapshot().counters
             assert counters["shard.sequential_fanouts"] == 2
-            assert "shard.parallel_fanouts" not in counters
         with load_sharded(tmp_path) as loaded:
             assert loaded.executor.name == "sequential"
 
     def test_databases_keep_explicit_choices(self, monkeypatch, tmp_path):
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
         table = _table()
-        with ShardedDatabase(table, num_shards=2, executor="threads") as db:
-            assert db.executor.name == "threads"
+        # Workers start at the first fan-out, so none is spawned here.
+        with ShardedDatabase(
+            table, num_shards=2, executor="processes"
+        ) as db:
+            assert db.executor.name == "processes"
             db.create_index("ix", "bre")
             save_sharded(db, tmp_path)
-        with ShardedDatabase(table, num_shards=2, parallel=True) as db:
-            assert db.executor.name == "threads"
-        with load_sharded(tmp_path, executor="threads") as loaded:
-            assert loaded.executor.name == "threads"
-        with load_sharded(tmp_path, parallel=True) as loaded:
-            assert loaded.executor.name == "threads"
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "threads")
+        with load_sharded(tmp_path, executor="processes") as loaded:
+            assert loaded.executor.name == "processes"
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
         with ShardedDatabase(table, num_shards=2) as db:
-            assert db.executor.name == "threads"
+            assert db.executor.name == "processes"
         with load_sharded(tmp_path) as loaded:
-            assert loaded.executor.name == "threads"
+            assert loaded.executor.name == "processes"
 
-    def test_env_var_wins_over_parallel(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV_VAR, "sequential")
-        assert isinstance(
-            resolve_executor(None, parallel=True), SequentialShardExecutor
-        )
+    def test_removed_selectors_are_rejected(self):
+        with pytest.raises(ShardError, match="unknown shard executor"):
+            resolve_executor("threads")
+        with pytest.raises(TypeError, match="parallel"):
+            ShardedDatabase(_table(200), num_shards=2, parallel=True)
 
     def test_explicit_name_beats_env_var(self, monkeypatch):
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "sequential")
-        assert isinstance(resolve_executor("threads"), ThreadShardExecutor)
+        assert isinstance(
+            resolve_executor("processes"), ProcessShardExecutor
+        )
 
     def test_unknown_name_raises(self):
         with pytest.raises(ShardError, match="unknown shard executor"):
@@ -453,15 +429,17 @@ class TestResolveExecutor:
             assert isinstance(db.executor, SequentialShardExecutor)
 
     def test_custom_executor_subclass(self):
+        """The single ``run`` override sees every entry point's tasks."""
+
         class Recorder(SequentialShardExecutor):
             name = "recorder"
 
             def __init__(self):
-                self.calls = 0
+                self.seen = []
 
-            def run_query_tasks(self, db, tasks):
-                self.calls += 1
-                return super().run_query_tasks(db, tasks)
+            def run(self, db, tasks):
+                self.seen.append([type(t.items[0]) for t in tasks])
+                return super().run(db, tasks)
 
         recorder = Recorder()
         with ShardedDatabase(
@@ -469,7 +447,9 @@ class TestResolveExecutor:
         ) as db:
             db.create_index("ix", "bre")
             db.execute(QUERIES[0])
-        assert recorder.calls == 1
+            db.execute_batch(QUERIES)
+            db.query_predicate(Not(from_range_query(QUERIES[0])))
+        assert recorder.seen == [[RangeQuery] * 2, [RangeQuery] * 2, [Not] * 2]
         assert isinstance(recorder, ShardExecutor)
 
 

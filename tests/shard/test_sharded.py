@@ -1,5 +1,5 @@
 """ShardedDatabase behaviour: identity with the unsharded engine, pruning,
-error propagation out of worker threads, and the query API surface."""
+error propagation out of the fan-out, and the query API surface."""
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ def test_execute_batch_identical_to_unsharded(table, unsharded, semantics):
 
 
 def test_sequential_fallback_identical(table, unsharded):
-    with make_sharded(table, num_shards=4, parallel=False) as db:
+    with make_sharded(table, num_shards=4, executor="sequential") as db:
         for query in QUERIES:
             expected = unsharded.execute(query)
             assert np.array_equal(
@@ -140,10 +140,10 @@ def test_domain_error_not_masked_by_pruning(table, unsharded):
 
 
 def test_worker_exceptions_unwrapped(table):
-    # An error raised inside a fan-out worker thread must surface in the
+    # An error raised inside an in-process shard task must surface in the
     # caller as the original exception object, not a wrapper.
     sentinel = PlanningError("boom from worker")
-    with make_sharded(table, num_shards=4, parallel=True) as db:
+    with make_sharded(table, num_shards=4) as db:
         for shard in db.shards:
             def explode(*args, _exc=sentinel, **kwargs):
                 raise _exc
@@ -196,6 +196,42 @@ def test_trace_has_per_shard_children(table, semantics):
         ]
         executed = sum(1 for s in report.per_shard if not s.pruned)
         assert len(shard_roots) == executed
+
+
+def test_batch_trace_has_the_execute_shape(table):
+    """A traced batch report carries the tree ``execute(trace=True)`` does,
+    and an untraced batch asks no shard for spans."""
+    from repro.shard.executor import SequentialShardExecutor
+
+    class Spy(SequentialShardExecutor):
+        def run(self, db, tasks):
+            self.traced = [task.trace for task in tasks]
+            return super().run(db, tasks)
+
+    def shape(span):
+        return span.name, [shape(child) for child in span.children]
+
+    spy = Spy()
+    with make_sharded(table, num_shards=4, executor=spy) as db:
+        for report in db.execute_batch(QUERIES, "both"):
+            assert report.trace is None
+        assert spy.traced == [False] * 4
+        traced = db.execute_batch(QUERIES, "both", trace=True)
+        assert spy.traced == [True] * 4
+        for query, report in zip(QUERIES, traced):
+            single = db.execute(query, "both", trace=True)
+            assert shape(report.trace.root) == shape(single.trace.root)
+            root = report.trace.root
+            assert root.name == "sharded_query"
+            assert root.attributes["pruned"] == report.num_pruned
+            shard_ids = [
+                child.attributes["shard"]
+                for child in root.children
+                if "shard" in child.attributes
+            ]
+            assert shard_ids == [
+                s.shard_id for s in report.per_shard if not s.pruned
+            ]
 
 
 def test_shard_counters_recorded(table):

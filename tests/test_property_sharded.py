@@ -7,16 +7,33 @@ the scatter-gather merge must return exactly the record-id arrays the
 unsharded engine produces, element for element and in the same order.  This is the sharded extension of the
 "tracing never changes results" / "batching never changes results"
 properties from earlier PRs.
+
+``test_report_conformance`` pins the one report contract on top: every
+tier, executor, entry point and semantics answers with the same
+``QueryReport`` type and the same ``bound_ids``.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import QueryReport
 from repro.core.engine import IncompleteDatabase
+from repro.dataset.reorder import lexicographic_order
 from repro.dataset.schema import AttributeSpec, Schema
+from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
-from repro.query.model import BOTH, Interval, MissingSemantics, RangeQuery
+from repro.errors import QueryError
+from repro.query.boolean import Not, from_range_query
+from repro.query.model import (
+    BOTH,
+    Interval,
+    MissingSemantics,
+    RangeQuery,
+    resolve_semantics,
+)
+from repro.shard.executor import ProcessShardExecutor
 from repro.shard.partition import PARTITIONERS
 from repro.shard.sharded import ShardedDatabase
 
@@ -26,14 +43,9 @@ ALL_SEMANTICS = (*MissingSemantics, BOTH)
 
 def _same_ids(left, right) -> bool:
     """Whether two reports carry the same id array for every bound."""
-    def ids(report):
-        if hasattr(report, "certain_ids"):
-            return report.certain_ids, report.possible_ids
-        return (report.record_ids,)
-
     return all(
         np.array_equal(a, b)
-        for a, b in zip(ids(left), ids(right), strict=True)
+        for a, b in zip(left.bound_ids, right.bound_ids, strict=True)
     )
 
 
@@ -81,7 +93,7 @@ def test_sharded_execution_matches_unsharded(case):
         table,
         num_shards=num_shards,
         partitioner=partitioner,
-        parallel=False,
+        executor="sequential",
     ) as db:
         db.create_index("ix", "bre")
         for semantics in ALL_SEMANTICS:
@@ -103,10 +115,114 @@ def test_parallel_fanout_matches_unsharded(case):
         table,
         num_shards=num_shards,
         partitioner=partitioner,
-        parallel=True,
+        executor=ProcessShardExecutor(start_method="fork"),
     ) as db:
         db.create_index("ix", "bre")
         for semantics in ALL_SEMANTICS:
             for query in workload:
                 exp = unsharded.execute(query, semantics)
                 assert _same_ids(exp, db.execute(query, semantics))
+
+
+# -- one report at every tier ---------------------------------------------------
+
+CONFORMANCE_QUERIES = [
+    RangeQuery.from_bounds({"a": (2, 3)}),
+    RangeQuery.from_bounds({"a": (4, 9), "b": (2, 5)}),
+]
+
+
+@pytest.fixture(scope="module")
+def clustered_table() -> IncompleteTable:
+    # Sorted on ``a`` so contiguous shards have disjoint value ranges and
+    # the narrow query prunes some of them.
+    table = generate_uniform_table(
+        600, {"a": 12, "b": 6}, {"a": 0.2, "b": 0.1}, seed=19
+    )
+    return table.take(lexicographic_order(table, ["a"]))
+
+
+def _answers(db, entry: str, semantics) -> list:
+    """One report per conformance query through the named entry point."""
+    if entry == "execute_batch":
+        return db.execute_batch(CONFORMANCE_QUERIES, semantics)
+    if entry == "execute":
+        return [db.execute(q, semantics) for q in CONFORMANCE_QUERIES]
+    return [
+        db.query_predicate(Not(from_range_query(q)), semantics)
+        for q in CONFORMANCE_QUERIES
+    ]
+
+
+def _assert_contract(report, semantics) -> None:
+    """One type; the arity's accessors read, the other arity's raise."""
+    assert type(report) is QueryReport
+    assert len(report.bound_ids) == len(semantics.bounds)
+    if semantics is BOTH:
+        assert report.certain_ids is report.bound_ids[0]
+        assert report.possible_ids is report.bound_ids[1]
+        assert report.num_certain <= report.num_possible
+        wrong = ("record_ids", "num_matches")
+    else:
+        assert report.record_ids is report.bound_ids[0]
+        assert report.num_matches == len(report.record_ids)
+        wrong = (
+            "certain_ids", "possible_ids", "num_certain", "num_possible",
+            "possible_only_ids",
+        )
+    for name in wrong:
+        with pytest.raises(QueryError, match="semantics"):
+            getattr(report, name)
+
+
+@pytest.mark.parametrize("semantics", ["is_match", "not_match", "both"])
+@pytest.mark.parametrize(
+    "entry", ["execute", "execute_batch", "query_predicate"]
+)
+@pytest.mark.parametrize("executor", ["sequential", "processes"])
+@pytest.mark.parametrize("num_shards", [1, 4])
+def test_report_conformance(
+    clustered_table, num_shards, executor, entry, semantics
+):
+    semantics = resolve_semantics(semantics)
+    engine = IncompleteDatabase(clustered_table)
+    engine.create_index("ix", "bre")
+    expected = _answers(engine, entry, semantics)
+    for report in expected:
+        _assert_contract(report, semantics)
+        assert report.per_shard == ()
+        assert (report.num_pruned, report.skew) == (0, 0.0)
+        assert report.elapsed_ns is not None
+    with ShardedDatabase(
+        clustered_table,
+        num_shards=num_shards,
+        executor=(
+            ProcessShardExecutor(start_method="fork")
+            if executor == "processes"
+            else executor
+        ),
+    ) as db:
+        db.create_index("ix", "bre")
+        reports = _answers(db, entry, semantics)
+    pruned_anywhere = 0
+    for want, report in zip(expected, reports, strict=True):
+        _assert_contract(report, semantics)
+        assert (report.index_name, report.kind) == ("ix", "bre")
+        assert report.elapsed_ns is not None
+        for want_ids, ids in zip(want.bound_ids, report.bound_ids):
+            assert ids.dtype == np.int64
+            assert np.array_equal(want_ids, ids)
+        assert [s.shard_id for s in report.per_shard] == list(
+            range(num_shards)
+        )
+        assert report.num_pruned == sum(s.pruned for s in report.per_shard)
+        assert all(s.num_matches == 0 for s in report.per_shard if s.pruned)
+        # Slices count the widest bound, and shards partition the rows.
+        assert sum(s.num_matches for s in report.per_shard) == len(
+            report.bound_ids[-1]
+        )
+        pruned_anywhere += report.num_pruned
+    if entry == "query_predicate":
+        assert pruned_anywhere == 0
+    elif num_shards == 4 and semantics is MissingSemantics.NOT_MATCH:
+        assert pruned_anywhere > 0
