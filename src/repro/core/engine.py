@@ -13,10 +13,9 @@ and the work done per query, which is what the paper studies.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
@@ -36,7 +35,13 @@ from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.bitvector.ops import OpCounter
-from repro.core.cache import DEFAULT_CACHE_BYTES, SubResultCache
+from repro.core.cache import DEFAULT_CACHE_BYTES, CacheStats, SubResultCache
+from repro.core.planner import (
+    choose_plan,
+    plan_batch,
+    rank_plans,
+    semantics_for_costing,
+)
 from repro.core.sync import ReadWriteLock
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import IncompleteTable, concat_tables
@@ -78,14 +83,6 @@ _BUILDERS: dict[str, Callable] = {
         table, attributes, **opts
     ),
 }
-
-#: Preference order used when several indexes cover a query, mirroring the
-#: paper's conclusions: BRE typically fastest for ranges, then BEE, then the
-#: VA-file, then the prior-work baselines.
-_PREFERENCE = (
-    "bre", "bie", "bee", "bsl", "vafile", "mosaic", "rtree-sentinel",
-    "gridfile", "bitstring",
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,8 +247,8 @@ def rank_both_bounds(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Turn a (certain, possible) answer pair into a ranked answer.
 
-    Shared by the engine's and the sharded database's ``execute_ranked``:
-    certain rows score 1.0; each possible-only row scores the product, over
+    The scoring half of ``execute_ranked``: certain rows score 1.0; each
+    possible-only row scores the product, over
     the query attributes where it is missing, of the chance an imputation
     from the attribute's observed value distribution lands in the interval
     (attribute-independent, the paper's GS assumption).  Returns
@@ -289,7 +286,323 @@ def rank_both_bounds(
     return ids, probabilities, num_certain
 
 
-class IncompleteDatabase:
+def _as_query(query) -> RangeQuery:
+    """The one coercion every public entry point takes its query through."""
+    if isinstance(query, RangeQuery):
+        return query
+    if isinstance(query, Mapping):
+        return RangeQuery.from_bounds(query)
+    raise QueryError(
+        f"expected a RangeQuery or an {{attribute: (lo, hi)}} mapping, "
+        f"got {type(query).__name__}"
+    )
+
+
+class _QuerySurface:
+    """What an engine and a sharded database say once.
+
+    A database is N >= 1 *partitions*, each an :class:`IncompleteDatabase`
+    holding the same index set over its own rows; an engine is its own
+    single partition.  A subclass provides ``_table``, ``_partitions``,
+    ``execute`` and ``_plan(query, costing)`` (a tuple that starts
+    ``(chosen, ranking)``); the registry view, the estimates, the
+    convenience queries, ``explain`` and ``summary`` are defined here over
+    those, so a sharded database adds partition, prune, scatter and merge
+    and nothing else.
+    """
+
+    _table: IncompleteTable
+    _statistics = None
+
+    def _read_fence(self):
+        """Held across execute + ``take`` by :meth:`fetch`.
+
+        Only an engine mutates in place, so only an engine overrides this
+        with a real fence.
+        """
+        return nullcontext()
+
+    @property
+    def table(self) -> IncompleteTable:
+        """The whole (unpartitioned) table."""
+        return self._table
+
+    @property
+    def statistics(self):
+        """Lazy whole-table histograms (see :mod:`repro.core.statistics`)."""
+        if self._statistics is None:
+            from repro.core.statistics import TableStatistics
+
+            self._statistics = TableStatistics(self._table)
+        return self._statistics
+
+    def estimate_count(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+    ) -> int:
+        """Estimated matches without executing (GS product estimator)."""
+        return self.statistics.estimate_count(_as_query(query), semantics)
+
+    @property
+    def index_names(self) -> tuple[str, ...]:
+        """Names of attached indexes, in attachment order."""
+        return tuple(self._partitions[0]._indexes)
+
+    def cache_stats(self) -> CacheStats:
+        """Sub-result cache tallies, summed over partitions."""
+        totals = [part._cache.stats() for part in self._partitions]
+        return CacheStats(
+            hits=sum(s.hits for s in totals),
+            misses=sum(s.misses for s in totals),
+            stores=sum(s.stores for s in totals),
+            evictions=sum(s.evictions for s in totals),
+            invalidations=sum(s.invalidations for s in totals),
+            entries=sum(s.entries for s in totals),
+            bytes=sum(s.bytes for s in totals),
+        )
+
+    def invalidate_cache(self, index_name: str | None = None) -> int:
+        """Drop cached sub-results (all, or one index's); returns the count.
+
+        Index mutations (append/delete/compact) are already fenced by the
+        generation tag in every cache key; this is the explicit hatch for
+        anything the engine cannot see, e.g. replacing the table out from
+        under an index.
+        """
+        return sum(
+            part._cache.invalidate(index_name) for part in self._partitions
+        )
+
+    def _forced_index(self, using: str, attributes) -> AttachedIndex:
+        """The index ``using=`` names, checked to cover ``attributes``."""
+        chosen = self._partitions[0].get_index(using)
+        uncovered = set(attributes) - set(chosen.attributes)
+        if uncovered:
+            raise QueryError(
+                f"index {using!r} does not cover attributes "
+                f"{sorted(uncovered)}"
+            )
+        return chosen
+
+    def choose_index(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+    ) -> AttachedIndex | None:
+        """The index that will serve ``query``; None means sequential scan.
+
+        Covering indexes with a cost model (bitmaps, VA-files) compete on
+        estimated cost-model items, summed over partitions (see
+        :func:`repro.core.planner.choose_plan`); if none is costable, the
+        paper-informed preference order
+        BRE > BIE > BEE > VA-file > MOSAIC > R-tree > bitstring decides.
+        On a sharded database the entry returned is the first shard's:
+        name, kind, attributes and options are the same on every shard.
+        """
+        return self._plan(_as_query(query), semantics)[0]
+
+    def _shard_lines(self, query=None, costing=None) -> list[str]:
+        """Lines ``explain`` / ``summary`` add when there are shards."""
+        return []
+
+    def explain(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        analyze: bool = False,
+    ) -> str:
+        """Human-readable plan description for a query, with costs.
+
+        With ``analyze=True`` the query is actually executed (with tracing
+        on) and the rendered span tree — timings plus the counters each
+        access method recorded — is appended to the plan, in the spirit of
+        ``EXPLAIN ANALYZE``.
+
+        ``semantics="both"`` explains the one-pass pair execution: costing
+        runs under the possible bound (which dominates the pair's work)
+        and the single chosen plan serves both bounds.  A sharded database
+        adds its shard count, executor and pruning decisions; plan costs
+        are then sums over shards.
+        """
+        query = _as_query(query)
+        semantics = resolve_semantics(semantics)
+        costing = semantics_for_costing(semantics)
+        chosen, plans = self._plan(query, costing)[:2]
+        estimated = [
+            self.statistics.estimate_count(query, bound)
+            for bound in semantics.bounds
+        ]
+        lines = [
+            f"query: {query!r}",
+            f"semantics: {semantics.value}",
+        ]
+        if semantics is BOTH:
+            lines.append(
+                f"estimated matches: {estimated[0]} certain .. "
+                f"{estimated[1]} possible"
+            )
+            lines.append(
+                "bounds: one plan, costed under is_match (superset bound)"
+            )
+        else:
+            lines.append(f"estimated matches: {estimated[0]}")
+        lines.extend(self._shard_lines(query, costing))
+        if chosen is None:
+            lines.append("plan: sequential scan (no covering index)")
+        else:
+            lines.append(f"plan: index {chosen.name!r} ({chosen.kind})")
+            if chosen.kind in ("bee", "bre", "bie", "bsl"):
+                total = sum(
+                    chosen.index.bitmaps_for_interval(name, interval, costing)
+                    for name, interval in query.items()
+                )
+                lines.append(f"bitvectors used: {total}")
+            for plan in plans:
+                marker = "->" if plan.index_name == chosen.name else "  "
+                lines.append(
+                    f"{marker} {plan.index_name} ({plan.kind}): "
+                    f"~{plan.items:,.0f} items ({plan.detail})"
+                )
+        if analyze:
+            report = self.execute(query, semantics, trace=True)
+            lines.append("")
+            lines.append(report.trace.format())
+        return "\n".join(lines)
+
+    def query(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        using: str | None = None,
+    ) -> QueryReport:
+        """Alias of :meth:`execute` without tracing (kept for callers)."""
+        return self.execute(query, semantics, using)
+
+    def count(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        using: str | None = None,
+    ):
+        """Number of records matching a query.
+
+        With ``semantics="both"`` returns the ``(certain, possible)``
+        count pair instead of a single int.
+        """
+        counts = tuple(
+            len(ids) for ids in self.execute(query, semantics, using).bound_ids
+        )
+        return counts[0] if len(counts) == 1 else counts
+
+    def fetch(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        using: str | None = None,
+    ) -> IncompleteTable:
+        """Materialize the matching rows (id order) as a new table.
+
+        Requires a single semantics: a both-bounds answer is two row sets,
+        so there is no one table to materialize — fetch the bound you want.
+        """
+        semantics = resolve_semantics(semantics)
+        if semantics is BOTH:
+            raise QueryError(
+                "fetch needs a single semantics ('is_match' or 'not_match'); "
+                "a both-bounds answer has two row sets"
+            )
+        with self._read_fence():
+            report = self.execute(query, semantics, using)
+            return self._table.take(report.record_ids)
+
+    def execute_ranked(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        threshold: float = 0.0,
+        limit: int | None = None,
+        using: str | None = None,
+    ) -> RankedReport:
+        """Probabilistic answers: possible matches ranked by match chance.
+
+        Runs the one-pass both-bounds execution, then scores every
+        possible-but-not-certain row with the probability that imputing its
+        missing values from the attribute's observed value distribution
+        (``dataset.stats`` histograms, attribute-independent — the same
+        assumption the paper's GS formula makes) satisfies the query;
+        certain rows score 1.0.  Rows are returned by descending
+        probability (ties by record id), filtered to ``probability >=
+        threshold`` and capped at ``limit`` when given.  The histograms are
+        the *whole table's*, so a sharded database scores every row exactly
+        as the engine does however the rows were partitioned.
+        """
+        query = _as_query(query)
+        report = self.execute(query, BOTH, using)
+        ids, probabilities, num_certain = rank_both_bounds(
+            self._table,
+            self.statistics,
+            query,
+            report.certain_ids,
+            report.possible_ids,
+            threshold,
+            limit,
+        )
+        if obs.enabled():
+            obs.record("semantics.ranked_queries")
+        return RankedReport(
+            index_name=report.index_name,
+            kind=report.kind,
+            record_ids=ids,
+            probabilities=probabilities,
+            num_certain=num_certain,
+        )
+
+    def summary(self) -> str:
+        """Multi-line overview: table shape, indexes, query counts, caches.
+
+        Per-index tallies count partition executions, so a query that
+        reaches three of four shards adds three.
+        """
+        from repro.bitvector.kernels import get_backend
+
+        parts = self._partitions
+        indexes = parts[0]._indexes
+        lines = [
+            f"{type(self).__name__}: {self._table.num_records} records, "
+            f"{len(self._table.schema.names)} attributes",
+            f"  bitvector kernels: {get_backend().name} backend",
+        ]
+        lines.extend(f"  {line}" for line in self._shard_lines())
+        served = Counter()
+        for part in parts:
+            served.update(part._query_counts)
+        if not indexes:
+            lines.append("  indexes: (none; queries fall back to scan)")
+        else:
+            lines.append("  indexes:")
+            for ix in indexes.values():
+                attrs = ", ".join(ix.attributes)
+                lines.append(
+                    f"    {ix.name} ({ix.kind}) on [{attrs}] — "
+                    f"{served[ix.name]} "
+                    f"quer{'y' if served[ix.name] == 1 else 'ies'} served"
+                )
+        if served["<scan>"]:
+            lines.append(f"  sequential scans: {served['<scan>']}")
+        stats = self.cache_stats()
+        caches = (
+            "sub-result cache" if len(parts) == 1
+            else f"sub-result caches ({len(parts)} shards)"
+        )
+        lines.append(
+            f"  {caches}: {stats.entries} entries, "
+            f"{stats.bytes} bytes, hit rate {stats.hit_rate:.1%} "
+            f"({stats.hits} hits / {stats.misses} misses)"
+        )
+        return "\n".join(lines)
+
+
+class IncompleteDatabase(_QuerySurface):
     """A queryable incomplete table with pluggable access methods.
 
     Parameters
@@ -310,7 +623,6 @@ class IncompleteDatabase:
         self._table = table
         self._indexes: dict[str, AttachedIndex] = {}
         self._scan = SequentialScan(table)
-        self._statistics = None
         self._query_counts: dict[str, int] = {}
         self._counts_lock = threading.Lock()
         self._cache = SubResultCache(max_bytes=cache_bytes)
@@ -355,44 +667,36 @@ class IncompleteDatabase:
         """The per-interval bitvector cache :meth:`execute_batch` reuses."""
         return self._cache
 
-    def invalidate_cache(self, index_name: str | None = None) -> int:
-        """Drop cached sub-results (all, or one index's); returns the count.
+    def _check_registration(
+        self, name: str, kind: str, overwrite: bool = True
+    ) -> None:
+        """Reject a taken name (unless overwriting) and an unknown kind."""
+        if name in self._indexes and not overwrite:
+            raise ReproError(
+                f"an index named {name!r} already exists "
+                f"(pass overwrite=True to replace it)"
+            )
+        if kind not in _BUILDERS:
+            raise ReproError(
+                f"unknown index kind {kind!r}; expected one of {sorted(_BUILDERS)}"
+            )
 
-        Index mutations (append/delete/compact) are already fenced by the
-        generation tag in every cache key; this is the explicit hatch for
-        anything the engine cannot see, e.g. replacing the table out from
-        under an index.
-        """
-        return self._cache.invalidate(index_name)
-
-    @property
-    def statistics(self):
-        """Lazy per-attribute histograms (see :mod:`repro.core.statistics`)."""
-        if self._statistics is None:
-            from repro.core.statistics import TableStatistics
-
-            self._statistics = TableStatistics(self._table)
-        return self._statistics
-
-    def estimate_count(
-        self,
-        query: RangeQuery | Mapping[str, tuple[int, int]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-    ) -> int:
-        """Estimated matches without executing (GS product estimator)."""
-        if not isinstance(query, RangeQuery):
-            query = RangeQuery.from_bounds(query)
-        return self.statistics.estimate_count(query, semantics)
-
-    @property
-    def table(self) -> IncompleteTable:
-        """The underlying table."""
-        return self._table
-
-    @property
-    def index_names(self) -> tuple[str, ...]:
-        """Names of attached indexes, in attachment order."""
-        return tuple(self._indexes)
+    def _register(
+        self, name: str, kind: str, index: object, attributes, options=None
+    ) -> AttachedIndex:
+        """Install a built index; the caller holds the write lock."""
+        attrs = (
+            tuple(attributes)
+            if attributes is not None
+            else tuple(getattr(index, "attributes", self._table.schema.names))
+        )
+        attached = AttachedIndex(
+            name=name, kind=kind, index=index, attributes=attrs,
+            options=dict(options or {}),
+        )
+        self._cache.invalidate(name)
+        self._indexes[name] = attached
+        return attached
 
     def create_index(
         self,
@@ -422,27 +726,11 @@ class IncompleteDatabase:
             Passed to the index constructor (e.g. ``codec="wah"`` for
             bitmaps, ``bits={...}`` for VA-files).
         """
-        if name in self._indexes and not overwrite:
-            raise ReproError(
-                f"an index named {name!r} already exists "
-                f"(pass overwrite=True to replace it)"
-            )
-        try:
-            builder = _BUILDERS[kind]
-        except KeyError:
-            raise ReproError(
-                f"unknown index kind {kind!r}; expected one of {sorted(_BUILDERS)}"
-            )
+        self._check_registration(name, kind, overwrite)
         attrs = tuple(attributes) if attributes is not None else self._table.schema.names
         with self._rwlock.write():
-            index = builder(self._table, list(attrs), **options)
-            attached = AttachedIndex(
-                name=name, kind=kind, index=index, attributes=attrs,
-                options=dict(options),
-            )
-            self._cache.invalidate(name)
-            self._indexes[name] = attached
-        return attached
+            index = _BUILDERS[kind](self._table, list(attrs), **options)
+            return self._register(name, kind, index, attrs, options)
 
     def attach_index(
         self,
@@ -463,15 +751,7 @@ class IncompleteDatabase:
         a loaded index file that covers the wrong number of rows would
         otherwise answer queries with silently wrong record ids.
         """
-        if name in self._indexes and not overwrite:
-            raise ReproError(
-                f"an index named {name!r} already exists "
-                f"(pass overwrite=True to replace it)"
-            )
-        if kind not in _BUILDERS:
-            raise ReproError(
-                f"unknown index kind {kind!r}; expected one of {sorted(_BUILDERS)}"
-            )
+        self._check_registration(name, kind, overwrite)
         covered = getattr(index, "num_records", None)
         if covered is not None and covered != self._table.num_records:
             raise ReproError(
@@ -479,19 +759,8 @@ class IncompleteDatabase:
                 f"has {self._table.num_records}; it was built over a "
                 f"different table"
             )
-        attrs = (
-            tuple(attributes)
-            if attributes is not None
-            else tuple(getattr(index, "attributes", self._table.schema.names))
-        )
-        attached = AttachedIndex(
-            name=name, kind=kind, index=index, attributes=attrs,
-            options=dict(options or {}),
-        )
         with self._rwlock.write():
-            self._cache.invalidate(name)
-            self._indexes[name] = attached
-        return attached
+            return self._register(name, kind, index, attributes, options)
 
     def attach_loaded_index(
         self,
@@ -515,10 +784,7 @@ class IncompleteDatabase:
         carry, so cache keys and alive-masks in the worker match the
         parent's exactly.
         """
-        if kind not in _BUILDERS:
-            raise ReproError(
-                f"unknown index kind {kind!r}; expected one of {sorted(_BUILDERS)}"
-            )
+        self._check_registration(name, kind)
         if isinstance(index, BitmapIndex):
             if generation is not None:
                 index._generation = int(generation)
@@ -526,16 +792,8 @@ class IncompleteDatabase:
                 mask = np.frombuffer(deleted, dtype=bool).copy()
                 index._deleted = mask
                 index._alive_cache = None
-        attrs = (
-            tuple(attributes)
-            if attributes is not None
-            else tuple(getattr(index, "attributes", self._table.schema.names))
-        )
-        attached = AttachedIndex(name=name, kind=kind, index=index, attributes=attrs)
         with self._rwlock.write():
-            self._cache.invalidate(name)
-            self._indexes[name] = attached
-        return attached
+            return self._register(name, kind, index, attributes)
 
     def drop_index(self, name: str) -> None:
         """Detach an index by name, dropping its cached sub-results."""
@@ -675,32 +933,19 @@ class IncompleteDatabase:
 
     # -- planning ----------------------------------------------------------
 
-    def choose_index(
-        self,
-        query: RangeQuery,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-    ) -> AttachedIndex | None:
-        """The index that will serve ``query``; None means sequential scan.
+    @property
+    def _partitions(self) -> tuple:
+        return (self,)
 
-        Covering indexes with a cost model (bitmaps, VA-files) compete on
-        estimated cost-model items (see :mod:`repro.core.planner`); if none
-        is costable, the paper-informed preference order
-        BRE > BIE > BEE > VA-file > MOSAIC > R-tree > bitstring decides.
-        """
-        return self._plan(query, semantics)[0]
+    def _read_fence(self):
+        return self._rwlock.read()
 
     def _plan(self, query: RangeQuery, semantics: MissingSemantics):
         """The chosen index plus every costable plan, cheapest first."""
-        from repro.core.planner import rank_plans
-
         covering = [ix for ix in self._indexes.values() if ix.covers(query)]
         if not covering:
             return None, []
-        plans = rank_plans(covering, query, semantics)
-        if plans:
-            return self._indexes[plans[0].index_name], plans
-        rank = {kind: pos for pos, kind in enumerate(_PREFERENCE)}
-        return min(covering, key=lambda ix: rank.get(ix.kind, len(rank))), []
+        return choose_plan(covering, [rank_plans(covering, query, semantics)])
 
     def _resolve_plan(
         self,
@@ -715,13 +960,7 @@ class IncompleteDatabase:
         ``chosen`` is None for the sequential-scan fallback.
         """
         if using is not None:
-            chosen = self.get_index(using)
-            if not chosen.covers(query):
-                raise QueryError(
-                    f"index {using!r} does not cover attributes "
-                    f"{sorted(set(query.attributes) - set(chosen.attributes))}"
-                )
-            return chosen, None, True
+            return self._forced_index(using, query.attributes), None, True
         chosen, plans = self._plan(query, costing)
         estimate = None
         if chosen is not None:
@@ -729,69 +968,6 @@ class IncompleteDatabase:
                 (p for p in plans if p.index_name == chosen.name), None
             )
         return chosen, estimate, False
-
-    def explain(
-        self,
-        query: RangeQuery,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        analyze: bool = False,
-    ) -> str:
-        """Human-readable plan description for a query, with costs.
-
-        With ``analyze=True`` the query is actually executed (with tracing
-        on) and the rendered span tree — timings plus the counters each
-        access method recorded — is appended to the plan, in the spirit of
-        ``EXPLAIN ANALYZE``.
-
-        ``semantics="both"`` explains the one-pass pair execution: costing
-        runs under the possible bound (which dominates the pair's work)
-        and the single chosen plan serves both bounds.
-        """
-        from repro.core.planner import rank_plans, semantics_for_costing
-
-        semantics = resolve_semantics(semantics)
-        costing = semantics_for_costing(semantics)
-        chosen = self.choose_index(query, costing)
-        lines = [
-            f"query: {query!r}",
-            f"semantics: {semantics.value}",
-        ]
-        if semantics is BOTH:
-            lines.append(
-                f"estimated matches: {self.estimate_count(query, MissingSemantics.NOT_MATCH)}"
-                f" certain .. {self.estimate_count(query, MissingSemantics.IS_MATCH)}"
-                " possible"
-            )
-            lines.append(
-                "bounds: one plan, costed under is_match (superset bound)"
-            )
-        else:
-            lines.append(
-                f"estimated matches: {self.estimate_count(query, semantics)}"
-            )
-        if chosen is None:
-            lines.append("plan: sequential scan (no covering index)")
-        else:
-            lines.append(f"plan: index {chosen.name!r} ({chosen.kind})")
-            if chosen.kind in ("bee", "bre", "bie", "bsl"):
-                total = sum(
-                    chosen.index.bitmaps_for_interval(name, interval, costing)
-                    for name, interval in query.items()
-                )
-                lines.append(f"bitvectors used: {total}")
-            covering = [ix for ix in self._indexes.values() if ix.covers(query)]
-            plans = rank_plans(covering, query, costing)
-            for plan in plans:
-                marker = "->" if plan.index_name == chosen.name else "  "
-                lines.append(
-                    f"{marker} {plan.index_name} ({plan.kind}): "
-                    f"~{plan.items:,.0f} items ({plan.detail})"
-                )
-        if analyze:
-            report = self.execute(query, semantics, trace=True)
-            lines.append("")
-            lines.append(report.trace.format())
-        return "\n".join(lines)
 
     # -- execution -----------------------------------------------------------
 
@@ -824,8 +1000,7 @@ class IncompleteDatabase:
             adds per-span timings and the cost-model counters the access
             methods record (see ``docs/observability.md``).
         """
-        if not isinstance(query, RangeQuery):
-            query = RangeQuery.from_bounds(query)
+        query = _as_query(query)
         semantics = resolve_semantics(semantics)
         with self._rwlock.read():
             return self._execute_query(query, semantics, using, trace)
@@ -876,8 +1051,6 @@ class IncompleteDatabase:
         log wants span trees, a trace is force-built for the log but never
         attached to the report unless the caller asked for one.
         """
-        from repro.core.planner import semantics_for_costing
-
         recorder = obs.get_recorder()
         recording = recorded and recorder.active
         qtrace = (
@@ -986,8 +1159,6 @@ class IncompleteDatabase:
         using: str | None = None,
         trace: bool = False,
         cache: bool | SubResultCache | None = True,
-        parallel: bool = False,
-        max_workers: int | None = None,
     ) -> list[QueryReport]:
         """Execute a workload of queries, reusing sub-results across them.
 
@@ -1012,30 +1183,15 @@ class IncompleteDatabase:
         using:
             Force one attached index for the whole batch.
         trace:
-            Attach a per-query span tree to each report.  Traces stay
-            isolated per query even under ``parallel=True`` (span context is
-            thread-local).
+            Attach a per-query span tree to each report; each query's tree
+            holds only its own spans.
         cache:
             ``True`` (default) uses the database's own cache, ``False`` /
             ``None`` disables sub-result memoization, or pass an explicit
             :class:`~repro.core.cache.SubResultCache` to control the budget
             per batch.
-        parallel:
-            Run per-index groups concurrently on a thread pool.  Groups
-            never share per-group state; the sub-result cache itself is
-            thread-safe.
-        max_workers:
-            Thread-pool size cap when ``parallel=True``; must be at least 1
-            when given.
         """
-        from repro.core.planner import semantics_for_costing
-
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        normalized = [
-            q if isinstance(q, RangeQuery) else RangeQuery.from_bounds(q)
-            for q in queries
-        ]
+        normalized = [_as_query(q) for q in queries]
         semantics = resolve_semantics(semantics)
         costing = semantics_for_costing(semantics)
         if cache is True:
@@ -1052,8 +1208,7 @@ class IncompleteDatabase:
                 for query in normalized
             ]
             reports = self._run_planned_batch(
-                normalized, planned, semantics, trace, sub_cache, parallel,
-                max_workers,
+                normalized, planned, semantics, trace, sub_cache
             )
         if obs.enabled():
             obs.record("engine.batches")
@@ -1067,8 +1222,6 @@ class IncompleteDatabase:
         semantics: MissingSemantics | ThreeValued,
         trace: bool,
         sub_cache: SubResultCache | None,
-        parallel: bool = False,
-        max_workers: int | None = None,
         recorded: bool = True,
     ) -> list[QueryReport]:
         """Run pre-planned queries grouped per index (batch back half).
@@ -1079,16 +1232,13 @@ class IncompleteDatabase:
         ``planned[i]`` is the ``(chosen, estimate, forced)`` triple for
         ``normalized[i]``; reports come back in submission order.
         """
-        from repro.core.planner import plan_batch
-
         chosen_names = [
             chosen.name if chosen is not None else None
             for chosen, _, _ in planned
         ]
         groups = plan_batch(list(normalized), chosen_names)
         reports: list[QueryReport | None] = [None] * len(normalized)
-
-        def run_group(group) -> None:
+        for group in groups:
             # Per-group memo for VA-file interval masks; bitmap groups
             # simply never read it.
             shared_masks: dict = {}
@@ -1103,89 +1253,7 @@ class IncompleteDatabase:
                     planned=planned[pos],
                     recorded=recorded,
                 )
-
-        if max_workers is not None and max_workers < 1:
-            # `max_workers or default` used to swallow 0 here and silently
-            # fall back to the default pool size; reject it loudly instead.
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        if parallel and len(groups) > 1:
-            workers = (
-                max_workers
-                if max_workers is not None
-                else min(len(groups), os.cpu_count() or 1)
-            )
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for future in [pool.submit(run_group, g) for g in groups]:
-                    future.result()
-        else:
-            for group in groups:
-                run_group(group)
         return reports
-
-    def query(
-        self,
-        query: RangeQuery | Mapping[str, tuple[int, int]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ) -> QueryReport:
-        """Alias of :meth:`execute` without tracing (kept for callers)."""
-        return self.execute(query, semantics, using)
-
-    def count(
-        self,
-        query: RangeQuery | Mapping[str, tuple[int, int]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ):
-        """Number of records matching a query.
-
-        With ``semantics="both"`` returns the ``(certain, possible)``
-        count pair instead of a single int.
-        """
-        counts = tuple(
-            len(ids) for ids in self.query(query, semantics, using).bound_ids
-        )
-        return counts[0] if len(counts) == 1 else counts
-
-    def execute_ranked(
-        self,
-        query: RangeQuery | Mapping[str, tuple[int, int]],
-        threshold: float = 0.0,
-        limit: int | None = None,
-        using: str | None = None,
-    ) -> RankedReport:
-        """Probabilistic answers: possible matches ranked by match chance.
-
-        Runs the one-pass both-bounds execution, then scores every
-        possible-but-not-certain row with the probability that imputing its
-        missing values from the attribute's observed value distribution
-        (``dataset.stats`` histograms, attribute-independent — the same
-        assumption the paper's GS formula makes) satisfies the query;
-        certain rows score 1.0.  Rows are returned by descending
-        probability (ties by record id), filtered to ``probability >=
-        threshold`` and capped at ``limit`` when given.
-        """
-        if not isinstance(query, RangeQuery):
-            query = RangeQuery.from_bounds(query)
-        report = self.execute(query, BOTH, using)
-        ids, probabilities, num_certain = rank_both_bounds(
-            self._table,
-            self.statistics,
-            query,
-            report.certain_ids,
-            report.possible_ids,
-            threshold,
-            limit,
-        )
-        if obs.enabled():
-            obs.record("semantics.ranked_queries")
-        return RankedReport(
-            index_name=report.index_name,
-            kind=report.kind,
-            record_ids=ids,
-            probabilities=probabilities,
-            num_certain=num_certain,
-        )
 
     def query_predicate(
         self,
@@ -1221,27 +1289,17 @@ class IncompleteDatabase:
             )
         attrs = predicate.attributes()
         if using is not None:
-            chosen = self.get_index(using)
-            if not attrs <= set(chosen.attributes):
-                raise QueryError(
-                    f"index {using!r} does not cover attributes "
-                    f"{sorted(attrs - set(chosen.attributes))}"
-                )
-            covering = [chosen]
+            covering = [self._forced_index(using, attrs)]
         else:
             covering = [
                 ix for ix in self._indexes.values()
                 if attrs <= set(ix.attributes)
             ]
-        rank = {kind: pos for pos, kind in enumerate(_PREFERENCE)}
-        return min(
-            [
-                ix for ix in covering
-                if isinstance(ix.index, (BitmapIndex, VAFile))
-            ],
-            key=lambda ix: rank.get(ix.kind, len(rank)),
-            default=None,
-        )
+        capable = [
+            ix for ix in covering
+            if isinstance(ix.index, (BitmapIndex, VAFile))
+        ]
+        return choose_plan(capable, [])[0]
 
     def _execute_predicate(
         self,
@@ -1271,27 +1329,6 @@ class IncompleteDatabase:
             name, kind, ids, elapsed_ns=time.perf_counter_ns() - start
         )
 
-    def fetch(
-        self,
-        query: RangeQuery | Mapping[str, tuple[int, int]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ) -> IncompleteTable:
-        """Materialize the matching rows as a new table.
-
-        Requires a single semantics: a both-bounds answer is two row sets,
-        so there is no one table to materialize — fetch the bound you want.
-        """
-        semantics = resolve_semantics(semantics)
-        if semantics is BOTH:
-            raise QueryError(
-                "fetch needs a single semantics ('is_match' or 'not_match'); "
-                "a both-bounds answer has two row sets"
-            )
-        with self._rwlock.read():
-            report = self.query(query, semantics, using)
-            return self._table.take(report.record_ids)
-
     # -- introspection ---------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -1303,34 +1340,3 @@ class IncompleteDatabase:
             f"attributes={len(self._table.schema.names)}, "
             f"indexes=[{kinds}])"
         )
-
-    def summary(self) -> str:
-        """Multi-line overview: table shape, attached indexes, query counts."""
-        from repro.bitvector.kernels import get_backend
-
-        lines = [
-            f"IncompleteDatabase: {self._table.num_records} records, "
-            f"{len(self._table.schema.names)} attributes",
-            f"  bitvector kernels: {get_backend().name} backend",
-        ]
-        if not self._indexes:
-            lines.append("  indexes: (none; queries fall back to scan)")
-        else:
-            lines.append("  indexes:")
-            for ix in self._indexes.values():
-                served = self._query_counts.get(ix.name, 0)
-                attrs = ", ".join(ix.attributes)
-                lines.append(
-                    f"    {ix.name} ({ix.kind}) on [{attrs}] — "
-                    f"{served} quer{'y' if served == 1 else 'ies'} served"
-                )
-        scans = self._query_counts.get("<scan>", 0)
-        if scans:
-            lines.append(f"  sequential scans: {scans}")
-        stats = self._cache.stats()
-        lines.append(
-            f"  sub-result cache: {stats.entries} entries, "
-            f"{stats.bytes} bytes, hit rate {stats.hit_rate:.1%} "
-            f"({stats.hits} hits / {stats.misses} misses)"
-        )
-        return "\n".join(lines)

@@ -247,11 +247,13 @@ def combine_shard_estimates(
     index ``x`` on the whole database is the *sum* of shard ``x`` costs
     (shards execute independently and their work does not overlap).  Only
     index names costable on **every** shard are merged — an index that some
-    shard cannot cost has no whole-database plan.  Result is cheapest
-    first, the same contract as :func:`rank_plans`.
+    shard cannot cost has no whole-database plan.  Cheapest first, like
+    :func:`rank_plans`; a single partition's ranking comes back as it is.
     """
     if not per_shard:
         return []
+    if len(per_shard) == 1:
+        return list(per_shard[0])
     sums: dict[str, CostEstimate] = {}
     counts: dict[str, int] = {}
     for plans in per_shard:
@@ -283,3 +285,31 @@ def combine_shard_estimates(
         _obs_record("planner.shard_rankings")
         _obs_record("planner.shard_plans_merged", len(merged))
     return merged
+
+
+#: Kind -> rank when no covering index is costable, mirroring the paper's
+#: conclusions: BRE typically fastest for ranges, then BEE, then the
+#: VA-file, then the prior-work baselines.
+_PREFERENCE = {kind: rank for rank, kind in enumerate((
+    "bre", "bie", "bee", "bsl", "vafile", "mosaic", "rtree-sentinel",
+    "gridfile", "bitstring",
+))}
+
+
+def choose_plan(covering, rankings: Sequence[Sequence[CostEstimate]]):
+    """The one plan chooser: ``(chosen, merged ranking)`` for any partitioning.
+
+    ``covering`` is one partition's covering indexes (every partition holds
+    the same set), ``rankings`` one :func:`rank_plans` list per partition.
+    Cheapest merged plan, else the static preference order, else None (scan).
+    """
+    merged = combine_shard_estimates(rankings)
+    if merged:
+        cheapest = merged[0].index_name
+        return next(ix for ix in covering if ix.name == cheapest), merged
+    chosen = min(
+        covering,
+        key=lambda ix: _PREFERENCE.get(ix.kind, len(_PREFERENCE)),
+        default=None,
+    )
+    return chosen, merged

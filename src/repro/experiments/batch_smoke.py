@@ -1,9 +1,11 @@
 """CI smoke check for the batch executor and sub-result cache.
 
-Runs a repeated-interval workload through ``execute_batch`` (sequentially
-and in parallel, under both missing-data semantics) and fails loudly if
+Runs a repeated-interval workload through ``execute_batch`` under all
+three semantics (``is_match``, ``not_match`` and the one-pass ``both``)
+and fails loudly if
 
-* any batch report's record-id set diverges from one-by-one ``execute``, or
+* any batch report's id arrays — every bound the semantics asks for —
+  diverge from one-by-one ``execute``, or
 * the sub-result cache records zero hits — a repeated-interval workload
   through a bitmap index must hit, so zero means the cache path silently
   stopped being exercised.
@@ -21,7 +23,9 @@ import numpy as np
 
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
-from repro.query.model import MissingSemantics, RangeQuery
+from repro.query.model import RangeQuery
+
+SEMANTICS = ("is_match", "not_match", "both")
 
 
 def _workload(seed: int, pool_size: int, num_queries: int) -> list[RangeQuery]:
@@ -52,25 +56,26 @@ def main(argv: list[str] | None = None) -> int:
     queries = _workload(seed=327, pool_size=6, num_queries=60)
 
     failures = 0
-    for semantics in MissingSemantics:
+    for semantics in SEMANTICS:
         expected = [db.execute(q, semantics) for q in queries]
-        for parallel in (False, True):
-            reports = db.execute_batch(queries, semantics, parallel=parallel)
-            for position, (exp, got) in enumerate(zip(expected, reports)):
-                if not np.array_equal(exp.record_ids, got.record_ids):
-                    failures += 1
-                    print(
-                        f"FAIL: query {position} under {semantics.value} "
-                        f"(parallel={parallel}): batch returned "
-                        f"{got.num_matches} ids, sequential "
-                        f"{exp.num_matches}",
-                        file=sys.stderr,
-                    )
+        reports = db.execute_batch(queries, semantics)
+        for position, (exp, got) in enumerate(zip(expected, reports)):
+            if len(exp.bound_ids) != len(got.bound_ids) or not all(
+                np.array_equal(e, g)
+                for e, g in zip(exp.bound_ids, got.bound_ids)
+            ):
+                failures += 1
+                print(
+                    f"FAIL: query {position} under {semantics}: batch "
+                    f"returned {[len(g) for g in got.bound_ids]} ids per "
+                    f"bound, sequential {[len(e) for e in exp.bound_ids]}",
+                    file=sys.stderr,
+                )
 
     stats = db.sub_result_cache.stats()
     print(
-        f"batch smoke: {len(queries)} queries x {len(MissingSemantics)} "
-        f"semantics x 2 modes; cache {stats.hits} hits / "
+        f"batch smoke: {len(queries)} queries x {len(SEMANTICS)} "
+        f"semantics; cache {stats.hits} hits / "
         f"{stats.misses} misses (hit rate {stats.hit_rate:.0%})"
     )
     if stats.hits == 0:

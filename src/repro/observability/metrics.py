@@ -9,8 +9,8 @@ histograms for ns-resolution latencies.  The default registry is a
 operator installs a real registry with :func:`set_registry` or
 :func:`use_registry`.
 
-Instruments are thread-safe: ``execute_batch(parallel=True)`` and the
-query service's handlers increment counters from several threads, so every
+Instruments are thread-safe: the query service's handlers and the
+snapshot writer increment counters from several threads, so every
 mutation (``inc``/``set``/``observe``) takes a per-instrument lock —
 ``self.value += amount`` spans three bytecodes in CPython and *does* lose
 updates under contention without one.  Instrument creation is

@@ -229,11 +229,7 @@ class TelemetryServer:
         database = self.database
         if database is not None:
             info: dict = {"records": database.table.num_records}
-            cache_stats = getattr(database, "cache_stats", None)
-            if callable(cache_stats):
-                info["cache"] = cache_stats().as_dict()
-            else:
-                info["cache"] = database.sub_result_cache.stats().as_dict()
+            info["cache"] = database.cache_stats().as_dict()
             info["indexes"] = list(database.index_names)
             num_shards = getattr(database, "num_shards", None)
             if num_shards is not None:

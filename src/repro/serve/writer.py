@@ -66,9 +66,13 @@ class SnapshotWriter:
     def _build_next(
         self,
         table: IncompleteTable,
-        index_meta: Mapping | None = None,
+        without: str | None = None,
     ) -> ShardedDatabase:
-        """A new unfrozen database over ``table``, configured like current."""
+        """A new unfrozen database over ``table``, configured like current.
+
+        Every index of the current snapshot except ``without`` is rebuilt
+        with the kind, attributes and options its shards recorded.
+        """
         current = self._manager.current_database
         if table.num_records == 0:
             raise ReproError(
@@ -83,13 +87,13 @@ class SnapshotWriter:
             cache_bytes=current._cache_bytes,
             executor=current.executor.name,
         )
-        meta = (
-            index_meta if index_meta is not None else current._index_meta
-        )
-        for name, spec in meta.items():
-            db.create_index(
-                name, spec.kind, spec.attributes, **spec.options
-            )
+        registry = current.shards[0].database
+        for name in current.index_names:
+            if name != without:
+                spec = registry.get_index(name)
+                db.create_index(
+                    name, spec.kind, spec.attributes, **spec.options
+                )
         return db
 
     def _publish(self, db: ShardedDatabase, start_ns: int) -> int:
@@ -184,17 +188,12 @@ class SnapshotWriter:
         with self._mutex:
             start = time.perf_counter_ns()
             current = self._manager.current_database
-            if name in current._index_meta and not overwrite:
+            if name in current.index_names and not overwrite:
                 raise ReproError(
                     f"an index named {name!r} already exists "
                     f"(pass overwrite=True to replace it)"
                 )
-            db = self._build_next(
-                current.table,
-                index_meta={
-                    n: m for n, m in current._index_meta.items() if n != name
-                },
-            )
+            db = self._build_next(current.table, without=name)
             db.create_index(name, kind, attributes, **options)
             return self._publish(db, start)
 
@@ -203,12 +202,8 @@ class SnapshotWriter:
         with self._mutex:
             start = time.perf_counter_ns()
             current = self._manager.current_database
-            if name not in current._index_meta:
+            if name not in current.index_names:
                 raise ReproError(f"no index named {name!r}")
-            db = self._build_next(
-                current.table,
-                index_meta={
-                    n: m for n, m in current._index_meta.items() if n != name
-                },
+            return self._publish(
+                self._build_next(current.table, without=name), start
             )
-            return self._publish(db, start)

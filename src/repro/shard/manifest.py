@@ -181,7 +181,7 @@ def save_sharded(
     """
     root = Path(directory)
     for name in db.index_names:
-        kind = db._index_meta[name].kind
+        kind = db.shards[0].database.get_index(name).kind
         if kind not in _BITMAP_KINDS and kind != "vafile":
             raise ShardError(
                 f"index {name!r} has kind {kind!r}, which cannot be "
@@ -534,12 +534,4 @@ def load_sharded(
                 str(path)
             )
     db._storage = storage
-    for entry in entries[:1]:
-        for index_entry in entry["indexes"]:
-            db._attach_shard_indexes(
-                index_entry["name"],
-                index_entry["kind"],
-                index_entry["attributes"],
-                options=index_entry.get("options", {}),
-            )
     return db

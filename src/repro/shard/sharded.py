@@ -4,10 +4,11 @@
 :class:`~repro.dataset.table.IncompleteTable` into N row-range shards (see
 :mod:`repro.shard.partition`), owns one
 :class:`~repro.core.engine.IncompleteDatabase` per shard, and serves the
-same query API by scatter-gather:
+engine's own query surface (inherited, not repeated — see
+``_QuerySurface`` in :mod:`repro.core.engine`) by scatter-gather:
 
-1. **Plan once.**  Per-shard plan rankings are merged with
-   :func:`repro.core.planner.combine_shard_estimates`, so the whole fan-out
+1. **Plan once.**  Per-shard plan rankings go through the engine's one
+   chooser, :func:`repro.core.planner.choose_plan`, so the whole fan-out
    executes one chosen index and no shard re-plans (or re-reads size
    reports) per query.
 2. **Prune.**  Per-shard exact value histograms
@@ -37,55 +38,34 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro import observability as obs
-from repro.core.cache import DEFAULT_CACHE_BYTES, CacheStats
+from repro.core.cache import DEFAULT_CACHE_BYTES
 from repro.core.engine import (
     _BOUND_LABELS,
-    _PREFERENCE,
+    AttachedIndex,
     IncompleteDatabase,
     QueryReport,
-    RankedReport,
     ShardReportSlice,
-    rank_both_bounds,
+    _as_query,
+    _QuerySurface,
 )
 from repro.core.planner import (
     CostEstimate,
-    combine_shard_estimates,
+    choose_plan,
     rank_plans,
     semantics_for_costing,
 )
-from repro.core.statistics import TableStatistics
 from repro.dataset.table import IncompleteTable
-from repro.errors import QueryError, ReproError, ShardError
-from repro.query.model import (
-    BOTH,
-    MissingSemantics,
-    RangeQuery,
-    resolve_semantics,
-)
+from repro.errors import ShardError
+from repro.query.model import MissingSemantics, RangeQuery, resolve_semantics
 from repro.shard.executor import ShardExecutor, ShardTask, resolve_executor
 from repro.shard.partition import Partitioner, get_partitioner
 
 __all__ = ["ShardedDatabase"]
-
-
-@dataclass(frozen=True, slots=True)
-class _IndexMeta:
-    """Shard-level record of a fanned-out index registration."""
-
-    kind: str
-    attributes: tuple[str, ...]
-    #: Constructor options the index was created with; the serving layer's
-    #: writer path uses these to recreate the same index set on the next
-    #: snapshot.  Empty for indexes attached without recorded options.
-    options: dict = field(default_factory=dict)
-
-    def covers(self, query: RangeQuery) -> bool:
-        return set(query.attributes) <= set(self.attributes)
 
 
 class _Shard:
@@ -134,8 +114,16 @@ def _finalize_executor(executor: ShardExecutor) -> None:
         pass
 
 
-class ShardedDatabase:
+class ShardedDatabase(_QuerySurface):
     """N-shard partitioned :class:`IncompleteDatabase` with scatter-gather.
+
+    The engine is the shard: this type adds the partition, the zone-map
+    prune, :meth:`_scatter` and the merge, and keeps no registry of its own
+    — the index set is read from the shard engines, which all hold the same
+    one (DDL loops every shard; the loader attaches or rebuilds all).
+    ``query`` / ``count`` / ``fetch`` / ``execute_ranked`` / ``explain`` /
+    ``summary`` / ``choose_index`` / ``estimate_count`` are the engine's
+    own definitions, inherited.
 
     Parameters
     ----------
@@ -171,29 +159,35 @@ class ShardedDatabase:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ):
+        assignment = get_partitioner(partitioner).partition(table, num_shards)
+        self._setup(
+            table, assignment, [table.take(ids) for ids in assignment.shards],
+            max_workers, cache_bytes, executor,
+        )
+
+    def _setup(
+        self, table, assignment, shard_tables, max_workers, cache_bytes,
+        executor,
+    ) -> None:
+        if max_workers is not None and max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._table = table
-        self._partitioner = get_partitioner(partitioner)
-        self._assignment = self._partitioner.partition(table, num_shards)
-        self._init_common(max_workers, cache_bytes, executor)
+        self._assignment = assignment
+        self._max_workers = max_workers
+        self._cache_bytes = cache_bytes
         self._shards: list[_Shard] = [
             _Shard(
                 shard_id,
                 ids,
-                IncompleteDatabase(table.take(ids), cache_bytes=cache_bytes),
+                IncompleteDatabase(shard_table, cache_bytes=cache_bytes),
             )
-            for shard_id, ids in enumerate(self._assignment.shards)
+            for shard_id, (ids, shard_table) in enumerate(
+                zip(assignment.shards, shard_tables)
+            )
         ]
-
-    def _init_common(self, max_workers, cache_bytes, executor) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self._max_workers = max_workers
-        self._cache_bytes = cache_bytes
-        #: Whole-table statistics, built lazily for the ranked answer mode.
-        self._stats: TableStatistics | None = None
-        self._index_meta: dict[str, _IndexMeta] = {}
+        self._partitions = tuple(shard.database for shard in self._shards)
         self._plan_memo: dict[tuple, tuple] = {}
-        #: Bumped on every create/drop/attach so process workers can fence
+        #: Bumped on every create/drop so process workers can fence
         #: staleness even when an index is replaced by an equal-looking one.
         self._index_epoch = 0
         #: Per-shard on-disk paths recorded by the manifest loader; lets
@@ -229,28 +223,12 @@ class ShardedDatabase:
         the rows they were built over.
         """
         self = cls.__new__(cls)
-        self._table = table
-        self._partitioner = None
-        self._assignment = assignment
-        self._init_common(max_workers, cache_bytes, executor)
-        self._shards = [
-            _Shard(
-                shard_id,
-                ids,
-                IncompleteDatabase(shard_table, cache_bytes=cache_bytes),
-            )
-            for shard_id, (ids, shard_table) in enumerate(
-                zip(assignment.shards, shard_tables)
-            )
-        ]
+        self._setup(
+            table, assignment, shard_tables, max_workers, cache_bytes, executor
+        )
         return self
 
     # -- lifecycle -------------------------------------------------------------
-
-    @property
-    def table(self) -> IncompleteTable:
-        """The full (unsharded) table."""
-        return self._table
 
     @property
     def num_shards(self) -> int:
@@ -276,13 +254,6 @@ class ShardedDatabase:
     def executor(self) -> ShardExecutor:
         """The fan-out backend serving this database."""
         return self._executor_impl
-
-    @property
-    def statistics(self) -> TableStatistics:
-        """Whole-table (unsharded) statistics, built lazily."""
-        if self._stats is None:
-            self._stats = TableStatistics(self._table)
-        return self._stats
 
     def close(self) -> None:
         """Shut down the fan-out executor (pool, processes, shared memory).
@@ -341,7 +312,7 @@ class ShardedDatabase:
         return (
             f"ShardedDatabase({self.num_records} records, "
             f"{self.num_shards} shards via {self.partitioner_name!r}, "
-            f"indexes={sorted(self._index_meta)})"
+            f"indexes={list(self.index_names)})"
         )
 
     # -- index management ------------------------------------------------------
@@ -350,103 +321,72 @@ class ShardedDatabase:
         self,
         name: str,
         kind: str,
-        attributes=None,
+        attributes: Iterable[str] | None = None,
         overwrite: bool = False,
         **options,
-    ) -> None:
-        """Build the same index on every shard (same name, kind, options)."""
+    ) -> AttachedIndex:
+        """Build the same index on every shard (same name, kind, options).
+
+        Returns the first shard's registry entry; name, kind, attributes
+        and options are the same on every shard.
+        """
         self._ensure_open()
         self._ensure_mutable()
-        attached = None
-        for shard in self._shards:
-            attached = shard.database.create_index(
+        attached = [
+            shard.database.create_index(
                 name, kind, attributes, overwrite=overwrite, **options
             )
-        self._index_meta[name] = _IndexMeta(
-            kind=attached.kind, attributes=attached.attributes,
-            options=dict(options),
-        )
+            for shard in self._shards
+        ]
         self._plan_memo.clear()
         self._index_epoch += 1
+        return attached[0]
 
     def drop_index(self, name: str) -> None:
         """Detach an index from every shard."""
         self._ensure_open()
         self._ensure_mutable()
-        if name not in self._index_meta:
-            raise ReproError(f"no index named {name!r}")
         for shard in self._shards:
             shard.database.drop_index(name)
-        del self._index_meta[name]
         self._plan_memo.clear()
         self._index_epoch += 1
-
-    def _attach_shard_indexes(
-        self, name: str, kind: str, attributes, options=None
-    ) -> None:
-        """Record an index registered shard-by-shard (manifest loader)."""
-        self._index_meta[name] = _IndexMeta(
-            kind=kind, attributes=tuple(attributes),
-            options=dict(options or {}),
-        )
-        self._plan_memo.clear()
-        self._index_epoch += 1
-
-    @property
-    def index_names(self) -> list[str]:
-        """Names of the fanned-out indexes, sorted."""
-        return sorted(self._index_meta)
 
     # -- planning --------------------------------------------------------------
 
-    def _plan_sharded(
+    def _plan(
         self, query: RangeQuery, semantics: MissingSemantics
-    ) -> tuple[str | None, list[CostEstimate], list[CostEstimate | None]]:
-        """Whole-database plan: (chosen name, merged ranking, per-shard picks).
+    ) -> tuple[
+        AttachedIndex | None, list[CostEstimate], list[CostEstimate | None]
+    ]:
+        """Whole-database plan: (chosen, merged ranking, per-shard picks).
 
-        Per-shard rankings are merged with
-        :func:`~repro.core.planner.combine_shard_estimates`; when no index
-        is costable on every shard the engine's static preference order
-        breaks the tie, and with no covering index at all the scan fallback
-        (``None``) is chosen.  Memoized per ``(query, semantics)`` until the
-        index set changes.
+        Per-shard rankings go through the engine's own chooser
+        (:func:`~repro.core.planner.choose_plan`: summed costs, else the
+        static preference order, else the scan fallback ``None``).
+        Memoized per ``(query, semantics)`` until the index set changes.
         """
         key = (query, semantics)
         memo = self._plan_memo.get(key)
         if memo is not None:
             return memo
         covering = [
-            name
-            for name, meta in self._index_meta.items()
-            if meta.covers(query)
+            ix
+            for ix in self._partitions[0]._indexes.values()
+            if ix.covers(query)
         ]
-        if not covering:
-            result = (None, [], [None] * self.num_shards)
-            self._plan_memo[key] = result
-            return result
-        per_shard_rankings = [
+        rankings = [
             rank_plans(
-                [shard.database.get_index(n) for n in covering],
+                [engine.get_index(ix.name) for ix in covering],
                 query,
                 semantics,
             )
-            for shard in self._shards
-        ]
-        merged = combine_shard_estimates(per_shard_rankings)
-        if merged:
-            chosen = merged[0].index_name
-        else:
-            rank = {kind: pos for pos, kind in enumerate(_PREFERENCE)}
-            chosen = min(
-                covering,
-                key=lambda n: rank.get(
-                    self._index_meta[n].kind, len(rank)
-                ),
-            )
+            for engine in self._partitions
+        ] if covering else []
+        chosen, merged = choose_plan(covering, rankings)
         per_shard_estimates: list[CostEstimate | None] = [
-            next((p for p in plans if p.index_name == chosen), None)
-            for plans in per_shard_rankings
-        ]
+            next((p for p in plans if p.index_name == chosen.name), None)
+            for plans in rankings
+        ] if chosen is not None else [None] * self.num_shards
         if len(self._plan_memo) > 4096:
             self._plan_memo.clear()
         result = (chosen, merged, per_shard_estimates)
@@ -458,8 +398,10 @@ class ShardedDatabase:
         item,
         costing: MissingSemantics,
         using: str | None,
-    ) -> tuple[str | None, bool, list[CostEstimate | None], list[int]]:
-        """Chosen index name, forced flag, per-shard estimates, pruned ids.
+    ) -> tuple[
+        AttachedIndex | None, bool, list[CostEstimate | None], list[int]
+    ]:
+        """Chosen index, forced flag, per-shard estimates, pruned ids.
 
         A predicate is neither costed nor pruned (a NOT over a pruned-out
         shard could still match): shard 0 picks by the engine's static
@@ -467,25 +409,13 @@ class ShardedDatabase:
         """
         no_estimates = [None] * self.num_shards
         if not isinstance(item, RangeQuery):
-            chosen = self._shards[0].database._plan_predicate(item, using)
-            return (
-                chosen.name if chosen else None,
-                using is not None,
-                no_estimates,
-                [],
-            )
+            chosen = self._partitions[0]._plan_predicate(item, using)
+            return chosen, using is not None, no_estimates, []
         if using is None:
-            chosen, _, estimates = self._plan_sharded(item, costing)
+            chosen, _, estimates = self._plan(item, costing)
         else:
-            meta = self._index_meta.get(using)
-            if meta is None:
-                raise ReproError(f"no index named {using!r}")
-            if not meta.covers(item):
-                raise QueryError(
-                    f"index {using!r} does not cover attributes "
-                    f"{sorted(set(item.attributes) - set(meta.attributes))}"
-                )
-            chosen, estimates = using, no_estimates
+            chosen = self._forced_index(using, item.attributes)
+            estimates = no_estimates
         pruned = [
             shard.shard_id
             for shard in self._shards
@@ -526,14 +456,6 @@ class ShardedDatabase:
         return True
 
     # -- execution -------------------------------------------------------------
-
-    @staticmethod
-    def _normalize(query) -> RangeQuery:
-        return (
-            query
-            if isinstance(query, RangeQuery)
-            else RangeQuery.from_bounds(query)
-        )
 
     def _scatter(
         self, items, semantics, using: str | None, trace: bool, batch: bool
@@ -583,15 +505,16 @@ class ShardedDatabase:
             chosen, forced, estimates, pruned_ids = self._resolve_plan(
                 item, costing, using
             )
+            name = chosen.name if chosen else None
             for shard_id, (positions, task_items, plans) in enumerate(work):
                 if shard_id not in pruned_ids:
                     positions.append(pos)
                     task_items.append(item)
-                    plans.append((chosen, estimates[shard_id], forced))
+                    plans.append((name, estimates[shard_id], forced))
             if qtrace is not None:
                 with qtrace.span("plan") as plan_span:
                     plan_span.start_ns = plan_start
-                    plan_span.set("chosen", chosen if chosen else "<scan>")
+                    plan_span.set("chosen", name if name else "<scan>")
                     plan_span.set("forced", forced)
                     plan_span.set("pruned_shards", pruned_ids)
             num_pruned += len(pruned_ids)
@@ -658,8 +581,8 @@ class ShardedDatabase:
             if total_task_ns:
                 elapsed_ns += fan_ns * own_task_ns // total_task_ns
             report = QueryReport(
-                chosen if chosen else "<scan>",
-                self._index_meta[chosen].kind if chosen else "scan",
+                chosen.name if chosen else "<scan>",
+                chosen.kind if chosen else "scan",
                 merged,
                 per_shard=tuple(slices[sid] for sid in sorted(slices)),
                 trace=qtrace if trace else None,
@@ -695,7 +618,7 @@ class ShardedDatabase:
 
     def execute(
         self,
-        query,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         using: str | None = None,
         trace: bool = False,
@@ -708,13 +631,13 @@ class ShardedDatabase:
         possible) pair in one pass and the report carries both bounds.
         """
         return self._scatter(
-            [self._normalize(query)], resolve_semantics(semantics),
+            [_as_query(query)], resolve_semantics(semantics),
             using, trace, batch=False,
         )[0]
 
     def execute_batch(
         self,
-        queries,
+        queries: Sequence[RangeQuery | Mapping[str, tuple[int, int]]],
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         using: str | None = None,
         trace: bool = False,
@@ -728,91 +651,8 @@ class ShardedDatabase:
         same shape :meth:`execute` returns, traces and ``elapsed_ns`` too.
         """
         return self._scatter(
-            [self._normalize(q) for q in queries],
+            [_as_query(q) for q in queries],
             resolve_semantics(semantics), using, trace, batch=True,
-        )
-
-    # -- conveniences ----------------------------------------------------------
-
-    def query(
-        self,
-        query,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ) -> QueryReport:
-        """Alias of :meth:`execute` without tracing."""
-        return self.execute(query, semantics, using)
-
-    def count(
-        self,
-        query,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ):
-        """Number of records matching a query, summed across shards.
-
-        With ``semantics="both"`` returns the ``(certain, possible)``
-        count pair instead of a single int.
-        """
-        counts = tuple(
-            len(ids) for ids in self.execute(query, semantics, using).bound_ids
-        )
-        return counts[0] if len(counts) == 1 else counts
-
-    def fetch(
-        self,
-        query,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ) -> IncompleteTable:
-        """Materialize the matching rows (global order) as a new table.
-
-        Requires a single semantics: a both-bounds answer is two row sets,
-        so there is no one table to materialize — fetch the bound you want.
-        """
-        semantics = resolve_semantics(semantics)
-        if semantics is BOTH:
-            raise QueryError(
-                "fetch needs a single semantics ('is_match' or 'not_match'); "
-                "a both-bounds answer has two row sets"
-            )
-        report = self.execute(query, semantics, using)
-        return self._table.take(report.record_ids)
-
-    def execute_ranked(
-        self,
-        query,
-        threshold: float = 0.0,
-        limit: int | None = None,
-        using: str | None = None,
-    ) -> RankedReport:
-        """Probabilistic answers across all shards, ranked by match chance.
-
-        Runs the both-bounds scatter-gather, then scores possible-only rows
-        against the *whole-table* value histograms (so probabilities match
-        the unsharded engine's bit-for-bit regardless of how rows were
-        partitioned).  Same contract as
-        :meth:`~repro.core.engine.IncompleteDatabase.execute_ranked`.
-        """
-        query = self._normalize(query)
-        report = self.execute(query, BOTH, using)
-        ids, probabilities, num_certain = rank_both_bounds(
-            self._table,
-            self.statistics,
-            query,
-            report.certain_ids,
-            report.possible_ids,
-            threshold,
-            limit,
-        )
-        if obs.enabled():
-            obs.record("semantics.ranked_queries")
-        return RankedReport(
-            index_name=report.index_name,
-            kind=report.kind,
-            record_ids=ids,
-            probabilities=probabilities,
-            num_certain=num_certain,
         )
 
     def query_predicate(
@@ -837,103 +677,27 @@ class ShardedDatabase:
             trace=False, batch=False,
         )[0]
 
-    def explain(
-        self,
-        query,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-    ) -> str:
-        """Human-readable sharded plan: merged costs plus pruning decisions."""
-        query = self._normalize(query)
-        semantics = resolve_semantics(semantics)
-        costing = semantics_for_costing(semantics)
-        chosen, merged, _ = self._plan_sharded(query, costing)
+    def _shard_lines(self, query=None, costing=None) -> list[str]:
+        """What ``summary`` and (given a query) ``explain`` say of the shards."""
         lines = [
-            f"ShardedQuery: {query!r}",
-            f"  semantics: {semantics.value}",
-            f"  shards: {self.num_shards} ({self.partitioner_name})",
-        ]
-        if semantics is BOTH:
-            lines.append(
-                "  bounds: one plan, costed under is_match (superset bound)"
-            )
-        if merged:
-            lines.append("  merged plans (items summed over shards):")
-            for estimate in merged:
-                marker = "->" if estimate.index_name == chosen else "  "
-                lines.append(
-                    f"   {marker} {estimate.index_name} "
-                    f"({estimate.kind}): {estimate.items:,.0f} items "
-                    f"[{estimate.detail}]"
-                )
-        elif chosen is not None:
-            lines.append(
-                f"  chosen by preference order: {chosen} "
-                f"({self._index_meta[chosen].kind})"
-            )
-        else:
-            lines.append("  no covering index; sequential scan per shard")
-        pruned = [
-            shard.shard_id
-            for shard in self._shards
-            if not self._shard_can_match(shard, query, costing)
-        ]
-        lines.append(
-            f"  pruned shards: {pruned if pruned else '(none)'} "
-            f"of {self.num_shards}"
-        )
-        return "\n".join(lines)
-
-    # -- introspection ---------------------------------------------------------
-
-    def cache_stats(self) -> CacheStats:
-        """Aggregate sub-result cache stats summed across shards."""
-        totals = [shard.database.sub_result_cache.stats() for shard in self._shards]
-        return CacheStats(
-            hits=sum(s.hits for s in totals),
-            misses=sum(s.misses for s in totals),
-            stores=sum(s.stores for s in totals),
-            evictions=sum(s.evictions for s in totals),
-            invalidations=sum(s.invalidations for s in totals),
-            entries=sum(s.entries for s in totals),
-            bytes=sum(s.bytes for s in totals),
-        )
-
-    def invalidate_cache(self, index_name: str | None = None) -> int:
-        """Drop cached sub-results on every shard; returns entries dropped."""
-        return sum(
-            shard.database.invalidate_cache(index_name)
-            for shard in self._shards
-        )
-
-    def summary(self) -> str:
-        """Multi-line overview: shards, per-shard sizes, indexes, caches."""
-        from repro.bitvector.kernels import get_backend
-
-        lines = [
-            f"ShardedDatabase: {self.num_records} records in "
             f"{self.num_shards} shards ({self.partitioner_name}), "
-            f"{len(self._table.schema.names)} attributes",
-            f"  bitvector kernels: {get_backend().name} backend",
-            f"  fan-out executor: {self._executor_impl.name}",
+            f"{self._executor_impl.name} executor"
         ]
-        if not self._index_meta:
-            lines.append("  indexes: (none; queries fall back to scan)")
-        else:
-            lines.append("  indexes (fanned out to every shard):")
-            for name in sorted(self._index_meta):
-                meta = self._index_meta[name]
-                attrs = ", ".join(meta.attributes)
-                lines.append(f"    {name} ({meta.kind}) on [{attrs}]")
+        pruned = []
         for shard in self._shards:
-            lines.append(
+            line = (
                 f"  shard {shard.shard_id}: "
                 f"{shard.database.table.num_records} records"
             )
-        stats = self.cache_stats()
-        lines.append(
-            f"  sub-result caches ({self.num_shards} shards): "
-            f"{stats.entries} entries, {stats.bytes} bytes, "
-            f"hit rate {stats.hit_rate:.1%} "
-            f"({stats.hits} hits / {stats.misses} misses)"
-        )
-        return "\n".join(lines)
+            if query is not None and not self._shard_can_match(
+                shard, query, costing
+            ):
+                pruned.append(shard.shard_id)
+                line += " (pruned)"
+            lines.append(line)
+        if query is not None:
+            lines.append(
+                f"pruned shards: {pruned if pruned else '(none)'} "
+                f"of {self.num_shards}"
+            )
+        return lines

@@ -45,13 +45,6 @@ class TestBatchEquivalence:
             assert np.array_equal(seq.record_ids, bat.record_ids)
             assert seq.index_name == bat.index_name
 
-    def test_parallel_matches_sequential(self, db):
-        queries = _workload()
-        sequential = [db.execute(q) for q in queries]
-        batch = db.execute_batch(queries, parallel=True)
-        for seq, bat in zip(sequential, batch):
-            assert np.array_equal(seq.record_ids, bat.record_ids)
-
     def test_bounds_mappings_accepted(self, db):
         reports = db.execute_batch([{"mid": (3, 8)}, {"mid": (3, 8)}])
         assert np.array_equal(reports[0].record_ids, reports[1].record_ids)
@@ -117,7 +110,7 @@ class TestBatchCaching:
 class TestBatchTracing:
     def test_traces_are_per_query(self, db):
         queries = _workload()
-        reports = db.execute_batch(queries, trace=True, parallel=True)
+        reports = db.execute_batch(queries, trace=True)
         traces = [r.trace for r in reports]
         assert all(t is not None for t in traces)
         assert len({id(t) for t in traces}) == len(queries)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import IncompleteDatabase
+from repro.dataset.table import IncompleteTable
 from repro.errors import QueryError, ReproError
 from repro.query.ground_truth import evaluate
 from repro.query.model import MissingSemantics, RangeQuery
@@ -123,6 +124,25 @@ class TestExecution:
         assert count == fetched.num_records
         assert (fetched.column("mid") >= 1).all()
         assert (fetched.column("mid") <= 3).all()
+
+    def test_fetch_holds_the_read_fence_across_execute_and_take(
+        self, db, monkeypatch
+    ):
+        # fetch is inherited from the surface the sharded type shares; on an
+        # engine it must still span execute + take with the read lock, or an
+        # in-place append / compact could renumber rows between the two.
+        db.create_index("rng", "bre")
+        depths = []
+        take = IncompleteTable.take
+
+        def recording_take(table, ids):
+            depths.append(db._rwlock.read_depth)
+            return take(table, ids)
+
+        monkeypatch.setattr(IncompleteTable, "take", recording_take)
+        db.fetch({"mid": (1, 3)})
+        assert depths == [1]
+        assert db._rwlock.read_depth == 0
 
     def test_all_kinds_agree(self, small_table):
         db = IncompleteDatabase(small_table)

@@ -123,7 +123,7 @@ class TestMutations:
             writer.create_index("bee", "bee", ["a"])
         writer.create_index("bee", "bee", ["b"], overwrite=True)
         writer.drop_index("ix")
-        assert manager.current_database.index_names == ["bee"]
+        assert manager.current_database.index_names == ("bee",)
         with pytest.raises(ReproError, match="no index named"):
             writer.drop_index("ix")
         # Mutations keep the surviving index working.
@@ -137,8 +137,10 @@ class TestMutations:
         manager, writer = served
         writer.create_index("bbc", "bre", codec="bbc")
         writer.append({"a": [5], "b": [2]})
-        meta = manager.current_database._index_meta["bbc"]
-        assert meta.options == {"codec": "bbc"}
+        for shard in manager.current_database.shards:
+            attached = shard.database.get_index("bbc")
+            assert attached.options == {"codec": "bbc"}
+            assert attached.index.codec == "bbc"
 
 
 class TestDiskBackedWriter:

@@ -251,12 +251,14 @@ class TestMaxWorkersValidation:
             ProcessShardExecutor(max_workers=bad)
 
     def test_engine_batch_rejects(self):
+        # The engine's batch thread pool is gone; so are its two keywords.
         db = IncompleteDatabase(_table(200))
         db.create_index("ix", "bre")
-        with pytest.raises(ValueError, match="max_workers"):
-            db.execute_batch(
-                QUERIES, MissingSemantics.IS_MATCH, max_workers=0
-            )
+        for removed in ("max_workers", "parallel"):
+            with pytest.raises(TypeError, match=removed):
+                db.execute_batch(
+                    QUERIES, MissingSemantics.IS_MATCH, **{removed: 1}
+                )
 
 
 class TestCloseLifecycle:

@@ -47,7 +47,7 @@ def test_round_trip_each_serializable_kind(table, tmp_path, kind):
         with load_sharded(tmp_path) as loaded:
             assert loaded.num_shards == 3
             assert loaded.num_records == table.num_records
-            assert loaded.index_names == ["ix"]
+            assert loaded.index_names == ("ix",)
             for semantics in MissingSemantics:
                 for query in QUERIES:
                     expected = db.execute(query, semantics)
@@ -161,7 +161,7 @@ class TestOverwrite:
         assert dirs == ["gen-000002"]
         with load_sharded(tmp_path) as loaded:
             assert loaded.num_shards == 2
-            assert loaded.index_names == ["ix"]
+            assert loaded.index_names == ("ix",)
 
 
 class TestMalformedManifest:

@@ -1,6 +1,8 @@
 """ShardedDatabase behaviour: identity with the unsharded engine, pruning,
 error propagation out of the fan-out, and the query API surface."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, PlanningError, QueryError, ShardError
 from repro.observability import use_registry
-from repro.query.model import MissingSemantics
+from repro.query.model import MissingSemantics, RangeQuery
+from repro.serve import EpochManager, SnapshotWriter
+from repro.shard.manifest import load_sharded, save_sharded
 from repro.shard.partition import PARTITIONERS
 from repro.shard.sharded import ShardedDatabase
 
@@ -273,3 +277,143 @@ def test_scan_fallback_without_indexes(table, unsharded):
         assert np.array_equal(
             report.record_ids, unsharded.execute({"a": (3, 7)}).record_ids
         )
+
+
+# -- the engine is the shard: one surface ---------------------------------------
+
+SURFACE = (
+    "execute", "execute_batch", "query", "count", "fetch", "execute_ranked",
+    "query_predicate", "explain", "summary", "create_index", "drop_index",
+    "invalidate_cache",
+)
+
+
+def _parameters(method):
+    return [
+        (p.name, p.kind, p.default)
+        for p in inspect.signature(method).parameters.values()
+    ]
+
+
+def _line(text, prefix):
+    return next(line for line in text.splitlines() if line.startswith(prefix))
+
+
+def _ddl(db):
+    db.create_index("bbc", "bre", codec="bbc")
+    db.create_index("va", "vafile", ["a"])
+    db.drop_index("ix")
+    db.create_index("ix", "bee")
+
+
+@pytest.mark.parametrize("num_shards", [1, 4])
+def test_surface_conformance(table, tmp_path, num_shards):
+    engine = IncompleteDatabase(table)
+    engine.create_index("ix", "bre")
+    with make_sharded(table, num_shards=num_shards) as db:
+        # Same parameters; the engine's per-call cache override is the one
+        # named exception.
+        for name in SURFACE:
+            expected = _parameters(getattr(IncompleteDatabase, name))
+            if name == "execute_batch":
+                assert expected.pop()[0] == "cache"
+            assert _parameters(getattr(ShardedDatabase, name)) == expected
+        for inherited in ("query", "count", "fetch", "execute_ranked"):
+            assert inherited not in ShardedDatabase.__dict__
+            assert inherited not in IncompleteDatabase.__dict__
+
+        # One registry: same value, type and order after the same DDL ...
+        _ddl(engine)
+        _ddl(db)
+        assert engine.index_names == ("bbc", "va", "ix")
+        assert db.index_names == engine.index_names
+        assert type(db.index_names) is type(engine.index_names)
+        # ... after a save / load round trip ...
+        save_sharded(db, tmp_path)
+        with load_sharded(tmp_path) as loaded:
+            assert loaded.index_names == engine.index_names
+            assert loaded.choose_index(QUERIES[0]).options == {"codec": "bbc"}
+
+        # One explain: same estimate line, same chosen plan.
+        for semantics in ("not_match", "both"):
+            expected = engine.explain(QUERIES[2], semantics)
+            got = db.explain(QUERIES[2], semantics)
+            for prefix in ("estimated matches:", "plan:", "bitvectors used:"):
+                assert _line(got, prefix) == _line(expected, prefix)
+            assert _line(got, "->").split(":")[0] == (
+                _line(expected, "->").split(":")[0]
+            )
+            assert f"{num_shards} shards" in got and "shards" not in expected
+        analyzed = db.explain(QUERIES[2], analyze=True)
+        assert analyzed.startswith(db.explain(QUERIES[2]))
+        assert "\nsharded_query {" in analyzed
+        assert "sub-result cache" in db.summary()
+
+        # One set of conveniences: bit-identical answers.
+        for query in QUERIES:
+            for semantics in ("is_match", "not_match", "both"):
+                assert db.count(query, semantics) == engine.count(
+                    query, semantics
+                )
+            assert db.estimate_count(query) == engine.estimate_count(query)
+            fetched, expected = db.fetch(query), engine.fetch(query)
+            for name in table.schema.names:
+                assert np.array_equal(
+                    fetched.column(name), expected.column(name)
+                )
+            ranked = db.execute_ranked(query, threshold=0.05, limit=50)
+            reference = engine.execute_ranked(query, threshold=0.05, limit=50)
+            assert np.array_equal(ranked.record_ids, reference.record_ids)
+            assert np.array_equal(
+                ranked.probabilities, reference.probabilities
+            )
+            assert ranked.num_certain == reference.num_certain
+
+    # ... and after a SnapshotWriter DDL round trip, options preserved: the
+    # next snapshot rebuilds the codec="bbc" index as bbc.
+    manager = EpochManager(make_sharded(table, num_shards=num_shards))
+    try:
+        writer = SnapshotWriter(manager)
+        _ddl(writer)
+        writer.compact()
+        snapshot = manager.current_database
+        assert snapshot.index_names == engine.index_names
+        for shard in snapshot.shards:
+            rebuilt = shard.database.get_index("bbc")
+            assert rebuilt.options == {"codec": "bbc"}
+            assert rebuilt.index.codec == "bbc"
+    finally:
+        manager.close()
+
+
+ENTRY_POINTS = (
+    "explain", "choose_index", "estimate_count", "execute", "count", "fetch",
+    "execute_ranked",
+)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("tier", ["engine", "sharded"])
+def test_every_entry_point_coerces_the_query(table, unsharded, tier, entry):
+    """A bounds mapping works everywhere ``execute`` takes one (``explain``
+    and ``choose_index`` raised AttributeError from inside the planner);
+    anything else is a QueryError naming the type."""
+    bounds = {"a": (2, 4)}
+    with make_sharded(table, num_shards=2) as sharded:
+        db = unsharded if tier == "engine" else sharded
+        method = getattr(db, entry)
+        from_mapping = method(bounds)
+        from_query = method(RangeQuery.from_bounds(bounds))
+        if entry in ("explain", "estimate_count", "count"):
+            assert from_mapping == from_query
+        elif entry == "choose_index":
+            assert from_mapping.name == from_query.name == "ix"
+        elif entry == "fetch":
+            assert from_mapping.num_records == from_query.num_records
+        else:
+            assert np.array_equal(
+                from_mapping.record_ids, from_query.record_ids
+            )
+        for bad in (5, [("a", (2, 4))], "a"):
+            with pytest.raises(QueryError, match=type(bad).__name__):
+                method(bad)

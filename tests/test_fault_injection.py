@@ -265,7 +265,7 @@ class TestCrashDuringSave:
                 # Old state must load, completely and identically.
                 with load_sharded(root) as loaded:
                     assert loaded.num_shards == 2
-                    assert loaded.index_names == ["ix", "va"]
+                    assert loaded.index_names == ("ix", "va")
                     assert all(
                         np.array_equal(a, b)
                         for a, b in zip(_results(loaded), old)
@@ -275,7 +275,7 @@ class TestCrashDuringSave:
             new = _results(db2)
         with load_sharded(root) as loaded:
             assert loaded.num_shards == 3
-            assert loaded.index_names == ["ix"]
+            assert loaded.index_names == ("ix",)
             assert all(
                 np.array_equal(a, b) for a, b in zip(_results(loaded), new)
             )

@@ -99,16 +99,3 @@ def test_batch_equals_sequential_under_eviction_pressure(case):
     starved = SubResultCache(max_bytes=16)
     for semantics in MissingSemantics:
         _check_equivalence(db, workload, semantics, cache=starved)
-
-
-@settings(max_examples=20, deadline=None)
-@given(case=batch_cases())
-def test_parallel_batch_equals_sequential(case):
-    table, workload = case
-    db = IncompleteDatabase(table)
-    db.create_index("bre", "bre")
-    db.create_index("bee", "bee", ["a"])
-    for semantics in MissingSemantics:
-        _check_equivalence(
-            db, workload, semantics, cache=True, parallel=True
-        )
