@@ -43,7 +43,6 @@ from repro.core.planner import (
     semantics_for_costing,
 )
 from repro.core.sync import ReadWriteLock
-from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import QueryError, ReproError
 from repro.query.model import (
@@ -644,31 +643,13 @@ class IncompleteDatabase(_QuerySurface):
         # thread (every query takes it); the counts themselves carry over.
         self._counts_lock = threading.Lock()
 
-    @classmethod
-    def from_columns(
-        cls,
-        specs: Sequence[tuple[str, int]],
-        columns: Mapping[str, "np.ndarray"],
-        cache_bytes: int | None = DEFAULT_CACHE_BYTES,
-    ) -> "IncompleteDatabase":
-        """Build a database over pre-validated ``(name, cardinality)`` columns.
-
-        The process shard executor bootstraps workers from arrays attached
-        to shared memory or memory-mapped files; those buffers are read-only
-        views of columns a parent already validated, so this skips the
-        per-column domain re-scan (``validate=False``) and never copies.
-        """
-        schema = Schema([AttributeSpec(name, card) for name, card in specs])
-        table = IncompleteTable(schema, dict(columns), validate=False)
-        return cls(table, cache_bytes=cache_bytes)
-
     @property
     def sub_result_cache(self) -> SubResultCache:
         """The per-interval bitvector cache :meth:`execute_batch` reuses."""
         return self._cache
 
     def _check_registration(
-        self, name: str, kind: str, overwrite: bool = True
+        self, name: str, kind: str, overwrite: bool
     ) -> None:
         """Reject a taken name (unless overwriting) and an unknown kind."""
         if name in self._indexes and not overwrite:
@@ -761,39 +742,6 @@ class IncompleteDatabase(_QuerySurface):
             )
         with self._rwlock.write():
             return self._register(name, kind, index, attributes, options)
-
-    def attach_loaded_index(
-        self,
-        name: str,
-        kind: str,
-        index: object,
-        attributes: Iterable[str] | None = None,
-        *,
-        generation: int | None = None,
-        deleted: bytes | None = None,
-    ) -> AttachedIndex:
-        """Register a deserialized index shipped by a trusted replicator.
-
-        The process shard executor keeps worker-resident engines in sync by
-        re-shipping serialized indexes after the parent mutates its copy
-        (append/delete/compact).  Unlike :meth:`attach_index` this always
-        overwrites and skips the record-count cross-check — after an append
-        or compact the shipped index legitimately covers a different number
-        of rows than the worker's bootstrap table.  ``generation`` and
-        ``deleted`` restore the mutation state the serialized form does not
-        carry, so cache keys and alive-masks in the worker match the
-        parent's exactly.
-        """
-        self._check_registration(name, kind)
-        if isinstance(index, BitmapIndex):
-            if generation is not None:
-                index._generation = int(generation)
-            if deleted is not None:
-                mask = np.frombuffer(deleted, dtype=bool).copy()
-                index._deleted = mask
-                index._alive_cache = None
-        with self._rwlock.write():
-            return self._register(name, kind, index, attributes)
 
     def drop_index(self, name: str) -> None:
         """Detach an index by name, dropping its cached sub-results."""

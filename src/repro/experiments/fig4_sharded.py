@@ -8,13 +8,13 @@ sorted by its leading attribute (:func:`repro.dataset.reorder`), so
 contiguous shards each cover a narrow slice of that attribute's domain and
 the sharded planner's exact histogram pruning can skip shards outright.
 
-Reported per ``executor/shards`` configuration (the sweep crosses the
-fan-out executors from :mod:`repro.shard.executor` with shard counts),
-under both missing semantics:
+Reported per shard count (rows are labelled ``sequential/<shards>``, the
+one fan-out executor of :mod:`repro.shard.executor`), under both missing
+semantics:
 
 * ``sharded_ms`` — wall-clock for the whole workload through
   :meth:`ShardedDatabase.execute`,
-* ``speedup`` — the common 1-shard sequential baseline time over this
+* ``speedup`` — the common 1-shard baseline time over this
   configuration's time,
 * ``pruned_frac`` — fraction of (query, shard) pairs skipped by pruning,
 * ``skew`` — mean max-over-mean executed-shard latency ratio,
@@ -22,10 +22,7 @@ under both missing semantics:
   unsharded :class:`IncompleteDatabase` (verified in-driver, both
   semantics).
 
-The ``sequential`` rows run every shard task inline, so pruning is where
-their speedup comes from; the ``processes`` rows are the only multi-core
-path — the workers hold resident shard engines, so per query only plan
-descriptors and result-id arrays cross the process boundary.
+Every shard task runs inline, so pruning is where the speedup comes from.
 """
 
 from __future__ import annotations
@@ -65,9 +62,8 @@ def run_fig4_sharded(
     shard_counts: tuple[int, ...] = (1, 2, 4, 8),
     partitioner: str = "contiguous",
     repeats: int = 3,
-    executors: tuple[str, ...] = ("sequential", "processes"),
 ) -> ExperimentResult:
-    """Sweep fan-out executors x shard counts over a clustered workload."""
+    """Sweep shard counts over a clustered workload."""
     table = generate_uniform_table(
         num_records,
         {"a": 100, "b": 50, "c": 20},
@@ -117,44 +113,31 @@ def run_fig4_sharded(
         skew = float(np.mean([s for s in skews if s > 0]) if any(skews) else 0.0)
         return total_ms, pruned / pair_count, skew, identical
 
-    # Common baseline: one shard through the sequential executor, so the
-    # speedup column means the same thing on every row of the sweep.
-    with ShardedDatabase(
-        table, num_shards=1, partitioner=partitioner, executor="sequential"
-    ) as db:
+    # Common baseline: one shard, measured apart from the sweep's own
+    # one-shard row, so the speedup column means the same thing on every row.
+    with ShardedDatabase(table, num_shards=1, partitioner=partitioner) as db:
         baseline_ms, _, _, _ = _measure(db, 1)
 
-    for executor in executors:
-        for num_shards in shard_counts:
-            with ShardedDatabase(
-                table,
-                num_shards=num_shards,
-                partitioner=partitioner,
-                executor=executor,
-            ) as db:
-                total_ms, pruned_frac, skew, identical = _measure(
-                    db, num_shards
-                )
-            result.add_row(
-                f"{executor}/{num_shards}",
-                round(total_ms, 2),
-                round(baseline_ms / total_ms, 2),
-                round(pruned_frac, 3),
-                round(skew, 2),
-                identical,
-            )
+    for num_shards in shard_counts:
+        with ShardedDatabase(
+            table, num_shards=num_shards, partitioner=partitioner
+        ) as db:
+            total_ms, pruned_frac, skew, identical = _measure(db, num_shards)
+        result.add_row(
+            f"sequential/{num_shards}",
+            round(total_ms, 2),
+            round(baseline_ms / total_ms, 2),
+            round(pruned_frac, 3),
+            round(skew, 2),
+            identical,
+        )
     result.notes.append(
-        "speedup is 1-shard sequential time / configuration time; table "
+        "speedup is 1-shard time / configuration time; table "
         "sorted by 'a' so contiguous shards are prunable via exact "
         "histograms"
     )
     result.notes.append(
         "identical=True means every sharded result matched the unsharded "
         "engine bit for bit under both missing semantics"
-    )
-    result.notes.append(
-        "processes rows keep long-lived workers with resident shard "
-        "engines (shared-memory bootstrap); only plan descriptors and "
-        "result-id arrays cross the process boundary per query"
     )
     return result

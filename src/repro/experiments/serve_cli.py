@@ -66,10 +66,6 @@ def serve_main(argv: list[str]) -> int:
         help="demo dataset shard count (default: 4)",
     )
     parser.add_argument(
-        "--executor", default=None,
-        help="shard executor for --directory loads (default: inline)",
-    )
-    parser.add_argument(
         "--max-inflight", type=int, default=1,
         help="concurrently executing reads (default: 1)",
     )
@@ -101,7 +97,6 @@ def serve_main(argv: list[str]) -> int:
             max_inflight=args.max_inflight,
             queue_limit=args.queue_limit,
             default_deadline_ms=args.deadline_ms,
-            executor=args.executor,
         )
         source = args.directory
     else:

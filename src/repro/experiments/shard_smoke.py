@@ -9,11 +9,6 @@ semantics, via both ``execute`` and ``execute_batch``, and fails loudly if
 * the run records zero ``shard.sequential_fanouts`` or zero fan-out tasks
   — the path every served read takes must actually execute.
 
-A second leg repeats one partitioner's workload through the ``processes``
-executor (:class:`~repro.shard.ProcessShardExecutor`) and fails on any
-divergence or on zero ``shard.process_fanouts`` — the cross-process
-scatter-gather must actually cross process boundaries.
-
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
     PYTHONPATH=src python -m repro.experiments.shard_smoke
@@ -30,7 +25,6 @@ from repro.dataset.reorder import lexicographic_order
 from repro.dataset.synthetic import generate_uniform_table
 from repro.observability import use_registry
 from repro.query.model import MissingSemantics, RangeQuery
-from repro.shard.executor import ProcessShardExecutor
 from repro.shard.partition import PARTITIONERS
 from repro.shard.sharded import ShardedDatabase
 
@@ -92,28 +86,16 @@ def main(argv: list[str] | None = None) -> int:
             ) as db:
                 db.create_index("ix", "bre")
                 failures += _divergences(db, partitioner, queries, expected)
-        # Process-backend leg: same workload, resident worker processes
-        # bootstrapped from shared memory. Two workers so the fan-out
-        # genuinely crosses process boundaries even on a 1-CPU runner.
-        with ShardedDatabase(
-            table,
-            num_shards=4,
-            partitioner="contiguous",
-            executor=ProcessShardExecutor(max_workers=2),
-        ) as db:
-            db.create_index("ix", "bre")
-            failures += _divergences(db, "processes", queries, expected)
         snapshot = registry.snapshot()
 
     counters = snapshot.counters
     sequential_fanouts = counters.get("shard.sequential_fanouts", 0)
-    process_fanouts = counters.get("shard.process_fanouts", 0)
     fanout_tasks = counters.get("shard.fanout_tasks", 0)
     print(
         f"shard smoke: {len(queries)} queries x {len(MissingSemantics)} "
         f"semantics x {len(PARTITIONERS)} partitioners; "
-        f"{sequential_fanouts} inline fan-outs, {process_fanouts} "
-        f"cross-process fan-outs, {fanout_tasks} fan-out tasks, "
+        f"{sequential_fanouts} inline fan-outs, "
+        f"{fanout_tasks} fan-out tasks, "
         f"{counters.get('shard.pruned', 0)} shard prunes"
     )
     if sequential_fanouts == 0:
@@ -121,13 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             "FAIL: zero sequential fan-outs recorded — the default inline "
             "executor never ran",
-            file=sys.stderr,
-        )
-    if process_fanouts == 0:
-        failures += 1
-        print(
-            "FAIL: zero cross-process fan-outs recorded — the process "
-            "executor never shipped work to its workers",
             file=sys.stderr,
         )
     if fanout_tasks == 0:

@@ -9,19 +9,19 @@ the module-level singletons that threads mutate concurrently: the metrics
 registry and its per-instrument locks, the sub-result caches, the workload
 recorder's ring, and the JSONL sink.
 
-Instead of banning ``fork`` (the process shard executor supports both
-start methods, and ``fork`` is markedly cheaper on Linux), every such
-object registers itself here; :func:`os.register_at_fork` replaces all
-registered locks with fresh ones in the child, *after* the fork, before
-user code runs.  Registration uses a ``WeakSet`` so caches and recorders
-die normally.
+Instead of banning ``fork`` (a caller embedding the library may fork on
+its own: a pre-forking server, ``multiprocessing`` under its ``fork`` start
+method), every such object registers itself here;
+:func:`os.register_at_fork` replaces all registered locks with fresh ones
+in the child, *after* the fork, before user code runs.  Registration uses a
+``WeakSet`` so caches and recorders die normally.
 
 The reset is deliberately lossy about in-flight state: a mutation that was
 mid-critical-section in another thread at fork time may leave that one
 update torn in the child (e.g. a counter bumped but its histogram not).
 That is inherent to fork — the guarantee here is *no deadlock and no
-corruption of the lock objects themselves*, which is what the process
-shard executor needs.
+corruption of the lock objects themselves*, which is what a child that
+goes on to query or record metrics needs.
 """
 
 from __future__ import annotations

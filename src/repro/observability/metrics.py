@@ -122,27 +122,6 @@ class Histogram:
         self.buckets = [0] * _NBUCKETS
         self._lock = threading.Lock()
 
-    def merge(self, count, total, low, high, buckets) -> None:
-        """Fold another histogram's dumped state into this one.
-
-        The cross-process half of :meth:`MetricsRegistry.merge_state`:
-        shard workers observe into their own registry and the parent folds
-        the resulting ``(count, total, min, max, buckets)`` tuples back in,
-        so quantiles/means over the merged registry equal what a
-        single-process run would have measured.
-        """
-        if count == 0:
-            return
-        with self._lock:
-            self.count += count
-            self.total += total
-            if low is not None and (self.min is None or low < self.min):
-                self.min = low
-            if high is not None and (self.max is None or high > self.max):
-                self.max = high
-            for index, n in enumerate(buckets[:_NBUCKETS]):
-                self.buckets[index] += n
-
     def observe(self, value: int | float) -> None:
         """Record one measurement (negative values clamp to bucket 0)."""
         index = int(value).bit_length() if value > 0 else 0
@@ -288,53 +267,6 @@ class MetricsRegistry:
                 for n, h in histograms
             },
         )
-
-    def dump_state(self) -> dict:
-        """Plain-dict state for shipping across a process boundary.
-
-        Shard workers observe into their own registry, pickle this payload
-        back over the pipe, and the parent folds it in with
-        :meth:`merge_state` — so a scatter-gather over processes leaves the
-        parent registry with exactly the counters a threaded fan-out would
-        have produced.
-        """
-        with self._lock:
-            counters = list(self._counters.items())
-            gauges = list(self._gauges.items())
-            histograms = list(self._histograms.items())
-        return {
-            "counters": {n: c.value for n, c in counters},
-            "gauges": {n: g.value for n, g in gauges},
-            "histograms": {
-                n: {
-                    "count": h.count,
-                    "total": h.total,
-                    "min": h.min,
-                    "max": h.max,
-                    "buckets": list(h.buckets),
-                }
-                for n, h in histograms
-            },
-        }
-
-    def merge_state(self, payload: Mapping) -> None:
-        """Fold a :meth:`dump_state` payload into this registry.
-
-        Counters add, gauges take the incoming value (last write wins, as
-        with any gauge), histograms merge bucket-wise.
-        """
-        for name, value in payload.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in payload.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, state in payload.get("histograms", {}).items():
-            self.histogram(name).merge(
-                state["count"],
-                state["total"],
-                state["min"],
-                state["max"],
-                state["buckets"],
-            )
 
     def reset(self) -> None:
         """Drop every instrument."""

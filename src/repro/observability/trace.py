@@ -78,37 +78,6 @@ class Span:
         """All descendant spans (including self) with the given name."""
         return [span for _, span in self.walk() if span.name == name]
 
-    def to_payload(self) -> dict:
-        """Plain-dict form of this span tree for cross-process transport.
-
-        Shard workers serialize their per-shard trace roots with this and
-        the parent re-hydrates them with :meth:`from_payload` under its
-        ``sharded_query`` root.  Timestamps are ``perf_counter_ns`` values
-        from the *worker's* clock domain: durations are meaningful, but
-        start/end offsets are not comparable with parent spans.
-        """
-        return {
-            "name": self.name,
-            "attributes": dict(self.attributes),
-            "metrics": dict(self.metrics),
-            "start_ns": self.start_ns,
-            "end_ns": self.end_ns,
-            "children": [child.to_payload() for child in self.children],
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "Span":
-        """Rebuild a span tree dumped by :meth:`to_payload`."""
-        span = cls(payload["name"])
-        span.attributes = dict(payload.get("attributes", {}))
-        span.metrics = dict(payload.get("metrics", {}))
-        span.start_ns = payload.get("start_ns", 0)
-        span.end_ns = payload.get("end_ns")
-        span.children = [
-            cls.from_payload(child) for child in payload.get("children", [])
-        ]
-        return span
-
     def __repr__(self) -> str:
         dur = self.duration_ns
         timing = f", {dur / 1e6:.3f}ms" if dur is not None else ", open"

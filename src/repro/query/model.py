@@ -65,9 +65,9 @@ class ThreeValued(enum.Enum):
     """Sentinel type requesting both bounds of the three-valued answer.
 
     A single-member enum (rather than a bare ``object()``) so the sentinel
-    survives pickling — shard tasks carry the requested semantics to
-    process-based executors, and enum members unpickle to the *same*
-    object, keeping ``is BOTH`` checks valid on the far side.
+    survives pickling and copying: enum members unpickle to the *same*
+    object, keeping ``is BOTH`` checks valid on a shard task or report that
+    has been through either.
     """
 
     BOTH = "both"

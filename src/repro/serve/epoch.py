@@ -3,8 +3,7 @@
 An *epoch* is one immutable published state of the database: a frozen
 :class:`~repro.shard.ShardedDatabase` plus (when disk-backed) the
 generation directory holding its files.  The lifecycle generalizes the
-engine's ``_generation`` / ``_index_epoch`` fences to whole-database
-snapshots:
+engine's ``_generation`` mutation fence to whole-database snapshots:
 
 1. Readers :meth:`~EpochManager.pin` the current epoch on entry and
    release it on exit; a pinned snapshot never changes underneath them.

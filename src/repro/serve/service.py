@@ -267,8 +267,6 @@ class QueryService:
     default_deadline_ms:
         Deadline applied when a request does not set its own (``None``
         disables).
-    executor:
-        Shard executor name forwarded to the loader (``directory`` mode).
     prefix:
         Prometheus name prefix for ``/metrics``.
     """
@@ -282,7 +280,6 @@ class QueryService:
         max_inflight: int = 1,
         queue_limit: int = 16,
         default_deadline_ms: float | None = None,
-        executor: str | None = None,
         prefix: str = "repro",
     ):
         if (database is None) == (directory is None):
@@ -296,7 +293,7 @@ class QueryService:
         if directory is not None:
             from repro.shard.manifest import load_sharded
 
-            database = load_sharded(directory, executor=executor)
+            database = load_sharded(directory)
         self.epochs = EpochManager(database, directory)
         self.writer = SnapshotWriter(self.epochs, directory)
         self.prefix = prefix

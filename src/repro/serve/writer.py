@@ -3,7 +3,7 @@
 Writers never mutate a published snapshot — every operation here reads
 the current epoch's (frozen) database, builds a brand-new
 :class:`~repro.shard.ShardedDatabase` with the mutation applied and the
-same shard/partitioner/executor/index configuration, and hands it to the
+same shard/partitioner/index configuration, and hands it to the
 :class:`~repro.serve.epoch.EpochManager`.  Readers holding a pin keep
 querying their epoch untouched; new readers see the new one.
 
@@ -71,7 +71,10 @@ class SnapshotWriter:
         """A new unfrozen database over ``table``, configured like current.
 
         Every index of the current snapshot except ``without`` is rebuilt
-        with the kind, attributes and options its shards recorded.
+        with the kind, attributes and options its shards recorded.  The
+        executor is not carried over: each snapshot gets its own inline one,
+        because a shared instance would be closed under the live snapshot
+        when a retiring epoch's database closes.
         """
         current = self._manager.current_database
         if table.num_records == 0:
@@ -83,9 +86,7 @@ class SnapshotWriter:
             table,
             num_shards=min(current.num_shards, table.num_records),
             partitioner=current.partitioner_name,
-            max_workers=current._max_workers,
             cache_bytes=current._cache_bytes,
-            executor=current.executor.name,
         )
         registry = current.shards[0].database
         for name in current.index_names:

@@ -6,9 +6,6 @@ See :mod:`repro.shard.sharded` for the execution model, and
 
 from repro.core.engine import ShardReportSlice
 from repro.shard.executor import (
-    EXECUTOR_ENV_VAR,
-    EXECUTORS,
-    ProcessShardExecutor,
     SequentialShardExecutor,
     ShardExecutor,
     resolve_executor,
@@ -27,13 +24,10 @@ from repro.shard.sharded import ShardedDatabase
 
 __all__ = [
     "ContiguousPartitioner",
-    "EXECUTORS",
-    "EXECUTOR_ENV_VAR",
     "MANIFEST_NAME",
     "MissingDensityPartitioner",
     "PARTITIONERS",
     "Partitioner",
-    "ProcessShardExecutor",
     "RoundRobinPartitioner",
     "SequentialShardExecutor",
     "ShardAssignment",

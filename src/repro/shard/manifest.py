@@ -400,7 +400,6 @@ def _load_rows(path: Path, context: str) -> np.ndarray:
 
 def load_sharded(
     directory: str | os.PathLike,
-    max_workers: int | None = None,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     executor=None,
 ) -> ShardedDatabase:
@@ -414,11 +413,7 @@ def load_sharded(
     options recorded in the manifest, so the database still opens and
     answers queries identically.
 
-    The verified file paths are remembered on the returned database, so the
-    ``processes`` shard executor (``executor="processes"`` here, or
-    ``REPRO_SHARD_EXECUTOR``) can bootstrap its workers by memory-mapping
-    the same generation directory instead of re-shipping rows.  A rebuilt
-    index has no trustworthy file and is deliberately left unrecorded.
+    ``cache_bytes`` and ``executor`` are as on :class:`ShardedDatabase`.
     """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
@@ -478,17 +473,9 @@ def load_sharded(
         table,
         assignment,
         shard_tables,
-        max_workers=max_workers,
         cache_bytes=cache_bytes,
         executor=executor,
     )
-    storage: dict[int, dict] = {
-        entry["shard_id"]: {
-            "table": str(root / _file_fields(entry["table"])[0]),
-            "indexes": {},
-        }
-        for entry in entries
-    }
     for entry in entries:
         shard = db.shards[entry["shard_id"]]
         for index_entry in entry["indexes"]:
@@ -530,8 +517,4 @@ def load_sharded(
                 attributes=index_entry["attributes"],
                 options=index_entry.get("options", {}),
             )
-            storage[entry["shard_id"]]["indexes"][index_entry["name"]] = (
-                str(path)
-            )
-    db._storage = storage
     return db

@@ -19,10 +19,10 @@ engine's own query surface (inherited, not repeated — see
    :func:`repro.dataset.reorder.lexicographic_order`) this is where the
    sharded speedup comes from.
 3. **Fan out.**  Surviving shards evaluate through a pluggable
-   :class:`~repro.shard.executor.ShardExecutor` — ``sequential`` (caller's
-   thread; the default) or ``processes`` (long-lived worker processes
-   holding resident shard engines; see :mod:`repro.shard.executor`).
-   In-process exceptions re-raise unwrapped in the caller.
+   :class:`~repro.shard.executor.ShardExecutor` — by default inline, one
+   shard after another on the caller's thread (see
+   :mod:`repro.shard.executor`).  Exceptions re-raise unwrapped in the
+   caller.
 4. **Merge.**  Per-shard local record ids map through each shard's
    ``global_ids`` and concatenate; because shards partition the row space
    and every access method returns ascending ids, one final sort makes the
@@ -105,8 +105,8 @@ def _finalize_executor(executor: ShardExecutor) -> None:
 
     Referenced by ``weakref.finalize`` with the *executor* (never the
     database) as its argument, so the database itself stays collectible;
-    process workers and shared-memory segments are too expensive to leak
-    just because a caller forgot :meth:`ShardedDatabase.close`.
+    whatever a custom executor holds is not leaked just because a caller
+    forgot :meth:`ShardedDatabase.close`.
     """
     try:
         executor.close()
@@ -137,17 +137,13 @@ class ShardedDatabase(_QuerySurface):
     partitioner:
         A :class:`~repro.shard.partition.Partitioner` instance or registry
         name (``"contiguous"``, ``"round-robin"``, ``"missing-density"``).
-    max_workers:
-        Worker-process cap for the ``processes`` executor; must be
-        ``>= 1``.  Defaults to one per core, at most one per shard.
     cache_bytes:
         Per-shard sub-result cache budget.
     executor:
-        A :class:`~repro.shard.executor.ShardExecutor` instance or registry
-        name (``"sequential"``, ``"processes"``).  ``None`` consults
-        ``REPRO_SHARD_EXECUTOR``; with neither given, shard tasks run
-        inline on the caller's thread (``sequential``) — see
-        ``docs/sharding.md`` for the measurement.
+        A :class:`~repro.shard.executor.ShardExecutor` instance, or
+        ``None`` / ``"sequential"`` for the one built-in backend: shard
+        tasks run inline on the caller's thread — see ``docs/sharding.md``
+        for the measurement.
     """
 
     def __init__(
@@ -155,25 +151,20 @@ class ShardedDatabase(_QuerySurface):
         table: IncompleteTable,
         num_shards: int = 4,
         partitioner: str | Partitioner = "contiguous",
-        max_workers: int | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ):
         assignment = get_partitioner(partitioner).partition(table, num_shards)
         self._setup(
             table, assignment, [table.take(ids) for ids in assignment.shards],
-            max_workers, cache_bytes, executor,
+            cache_bytes, executor,
         )
 
     def _setup(
-        self, table, assignment, shard_tables, max_workers, cache_bytes,
-        executor,
+        self, table, assignment, shard_tables, cache_bytes, executor
     ) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._table = table
         self._assignment = assignment
-        self._max_workers = max_workers
         self._cache_bytes = cache_bytes
         self._shards: list[_Shard] = [
             _Shard(
@@ -187,12 +178,6 @@ class ShardedDatabase(_QuerySurface):
         ]
         self._partitions = tuple(shard.database for shard in self._shards)
         self._plan_memo: dict[tuple, tuple] = {}
-        #: Bumped on every create/drop so process workers can fence
-        #: staleness even when an index is replaced by an equal-looking one.
-        self._index_epoch = 0
-        #: Per-shard on-disk paths recorded by the manifest loader; lets
-        #: the process executor bootstrap workers by memory-mapping files.
-        self._storage: dict[int, dict] | None = None
         self._closed = False
         #: Set by :meth:`freeze` once this database becomes a published
         #: MVCC snapshot; index DDL then raises instead of mutating state
@@ -212,7 +197,6 @@ class ShardedDatabase(_QuerySurface):
         table: IncompleteTable,
         assignment,
         shard_tables,
-        max_workers: int | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ) -> "ShardedDatabase":
@@ -223,9 +207,7 @@ class ShardedDatabase(_QuerySurface):
         the rows they were built over.
         """
         self = cls.__new__(cls)
-        self._setup(
-            table, assignment, shard_tables, max_workers, cache_bytes, executor
-        )
+        self._setup(table, assignment, shard_tables, cache_bytes, executor)
         return self
 
     # -- lifecycle -------------------------------------------------------------
@@ -256,7 +238,7 @@ class ShardedDatabase(_QuerySurface):
         return self._executor_impl
 
     def close(self) -> None:
-        """Shut down the fan-out executor (pool, processes, shared memory).
+        """Close the fan-out executor.
 
         Closing twice raises :class:`~repro.errors.ShardError` — a second
         ``close()`` means two owners think they hold the handle, which is
@@ -339,7 +321,6 @@ class ShardedDatabase(_QuerySurface):
             for shard in self._shards
         ]
         self._plan_memo.clear()
-        self._index_epoch += 1
         return attached[0]
 
     def drop_index(self, name: str) -> None:
@@ -349,7 +330,6 @@ class ShardedDatabase(_QuerySurface):
         for shard in self._shards:
             shard.database.drop_index(name)
         self._plan_memo.clear()
-        self._index_epoch += 1
 
     # -- planning --------------------------------------------------------------
 

@@ -254,7 +254,8 @@ def _read_payload(path: str | os.PathLike, use_mmap: bool = False):
     tail of the mapping — no reassembly copy needed.  Checksum validation
     still touches every page once; what mmap buys is that the resident
     index words are backed by the page cache and shared across processes
-    mapping the same file (the process shard executor's bootstrap).
+    mapping the same file.  No loader in the library passes it today; it is
+    kept for reader processes that map a committed generation (ROADMAP 5c).
     """
     if use_mmap:
         with open(path, "rb") as handle:

@@ -49,7 +49,6 @@ from repro.query.model import (
     RangeQuery,
     resolve_semantics,
 )
-from repro.shard.executor import ProcessShardExecutor
 from repro.shard.sharded import ShardedDatabase
 from repro.vafile.vafile import VAFile
 
@@ -404,7 +403,7 @@ class TestWalker:
         assert not hasattr(ground_truth, "evaluate_tree")
 
 
-TIERS = ("index", "engine", "sharded-sequential", "sharded-processes")
+TIERS = ("index", "engine", "sharded-sequential")
 ACCESS_METHODS = ("bre", "bee", "vafile", "scan")
 
 
@@ -439,12 +438,7 @@ def test_every_tier_matches_ground_truth(table, query, semantics, tier, access):
         )
         got = report.bound_ids
     else:
-        executor = (
-            ProcessShardExecutor(start_method="fork")
-            if tier == "sharded-processes"
-            else "sequential"
-        )
-        with ShardedDatabase(table, num_shards=3, executor=executor) as db:
+        with ShardedDatabase(table, num_shards=3, executor="sequential") as db:
             report = attach(db).execute(query, semantics, using=using)
         got = report.bound_ids
         assert report.kind == ("scan" if using is None else using)

@@ -7,7 +7,12 @@ from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import QueryError, ReproError
 from repro.query.model import MissingSemantics
 from repro.serve import EpochManager, SnapshotWriter
-from repro.shard import ShardedDatabase, load_sharded, save_sharded
+from repro.shard import (
+    SequentialShardExecutor,
+    ShardedDatabase,
+    load_sharded,
+    save_sharded,
+)
 
 
 def _table(seed=5, n=150):
@@ -46,22 +51,44 @@ class TestMutations:
         ).record_ids
         assert n + 2 not in not_match  # the a=0 row is excluded
 
-    def test_rebuilt_snapshot_inherits_the_executor(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_EXECUTOR", raising=False)
-        for kwargs, expected in (
-            ({}, "sequential"),
-            ({"executor": "processes"}, "processes"),
-        ):
-            manager = EpochManager(
-                ShardedDatabase(_table(), num_shards=2, **kwargs)
-            )
-            try:
-                assert manager.current_database.executor.name == expected
-                SnapshotWriter(manager).compact()
-                assert manager.current_epoch == 2
-                assert manager.current_database.executor.name == expected
-            finally:
-                manager.close()
+    def test_writes_publish_from_a_custom_executor_instance(self):
+        """The next snapshot is not rebuilt from the executor's name.
+
+        Each snapshot gets its own inline executor; the caller's instance
+        serves the epoch it was given to and is closed with it.
+        """
+
+        class Mine(SequentialShardExecutor):
+            name = "mine"
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        mine = Mine()
+        first = ShardedDatabase(_table(), num_shards=2, executor=mine)
+        first.create_index("ix", "bre")
+        manager = EpochManager(first)
+        try:
+            writer = SnapshotWriter(manager)
+            assert writer.append({"a": [3, 4, 0], "b": [1, 2, 3]}) == 2
+            assert mine.closed  # epoch 1 retired, unpinned
+            db = manager.current_database
+            assert db.executor.name == "sequential"
+            assert db.num_records == 153
+            assert 150 in db.execute({"a": (3, 3), "b": (1, 1)}).record_ids
+            assert writer.delete([150, 151, 152]) == 3
+            assert manager.current_database.num_records == 150
+            assert writer.compact() == 4
+            db = manager.current_database
+            assert db.index_names == ("ix",)
+            with manager.pin() as pinned:
+                assert pinned.epoch == 4
+                assert pinned.database.count({"a": (1, 9)}) == db.count(
+                    {"a": (1, 9)}
+                )
+        finally:
+            manager.close()
 
     def test_append_table_form(self, served):
         manager, writer = served

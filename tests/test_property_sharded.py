@@ -33,7 +33,6 @@ from repro.query.model import (
     RangeQuery,
     resolve_semantics,
 )
-from repro.shard.executor import ProcessShardExecutor
 from repro.shard.partition import PARTITIONERS
 from repro.shard.sharded import ShardedDatabase
 
@@ -105,25 +104,6 @@ def test_sharded_execution_matches_unsharded(case):
                 assert _same_ids(exp, got)
 
 
-@settings(max_examples=15, deadline=None)
-@given(case=sharded_cases())
-def test_parallel_fanout_matches_unsharded(case):
-    table, workload, partitioner, num_shards = case
-    unsharded = IncompleteDatabase(table)
-    unsharded.create_index("ix", "bre")
-    with ShardedDatabase(
-        table,
-        num_shards=num_shards,
-        partitioner=partitioner,
-        executor=ProcessShardExecutor(start_method="fork"),
-    ) as db:
-        db.create_index("ix", "bre")
-        for semantics in ALL_SEMANTICS:
-            for query in workload:
-                exp = unsharded.execute(query, semantics)
-                assert _same_ids(exp, db.execute(query, semantics))
-
-
 # -- one report at every tier ---------------------------------------------------
 
 CONFORMANCE_QUERIES = [
@@ -179,7 +159,7 @@ def _assert_contract(report, semantics) -> None:
 @pytest.mark.parametrize(
     "entry", ["execute", "execute_batch", "query_predicate"]
 )
-@pytest.mark.parametrize("executor", ["sequential", "processes"])
+@pytest.mark.parametrize("executor", ["sequential"])
 @pytest.mark.parametrize("num_shards", [1, 4])
 def test_report_conformance(
     clustered_table, num_shards, executor, entry, semantics
@@ -196,11 +176,7 @@ def test_report_conformance(
     with ShardedDatabase(
         clustered_table,
         num_shards=num_shards,
-        executor=(
-            ProcessShardExecutor(start_method="fork")
-            if executor == "processes"
-            else executor
-        ),
+        executor=executor,
     ) as db:
         db.create_index("ix", "bre")
         reports = _answers(db, entry, semantics)
