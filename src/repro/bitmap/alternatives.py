@@ -125,7 +125,7 @@ class FlaggedRangeEncodedIndex(BitmapIndex):
             return constant_vector(family, True)
         vec = family.bitmap(j)
         if counter is not None:
-            counter.bitmaps_touched += 1
+            counter.record_touch()
         return vec
 
     def _backfill_slot(self, family, slot: int) -> np.ndarray:
@@ -158,7 +158,7 @@ class FlaggedRangeEncodedIndex(BitmapIndex):
         if semantics is MissingSemantics.IS_MATCH and family.has_missing:
             missing = family.bitmap(0)
             if counter is not None:
-                counter.bitmaps_touched += 1
+                counter.record_touch()
                 counter.record_binary(result, missing)
             result = result | missing
         return result

@@ -15,7 +15,6 @@ paper's Section 4.
 from __future__ import annotations
 
 import abc
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -24,9 +23,9 @@ import numpy as np
 from repro.bitvector.ops import OpCounter, big_and, make_bitvector
 from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, IndexBuildError, QueryError
-from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
+from repro.observability.metrics import _query_tally
 from repro.query.model import (
     BOTH,
     Interval,
@@ -40,48 +39,6 @@ _MISSING_CONSULTED_METRIC = {
     MissingSemantics.IS_MATCH: "bitmap.missing_consulted.is_match",
     MissingSemantics.NOT_MATCH: "bitmap.missing_consulted.not_match",
 }
-
-
-def _counter_marks(counter: OpCounter) -> tuple[int, int, int, int]:
-    """A checkpoint of the tallies :func:`_record_counter_deltas` diffs."""
-    return (
-        counter.bitmaps_touched,
-        counter.binary_ops,
-        counter.not_ops,
-        counter.words_processed,
-    )
-
-
-def _record_counter_deltas(
-    counter: OpCounter, marks: tuple[int, int, int, int]
-) -> None:
-    """Record what ``counter`` accumulated since ``marks`` was taken."""
-    bitmaps, binary, nots, words = marks
-    if counter.bitmaps_touched != bitmaps:
-        _obs_record(
-            "bitmap.bitvectors_touched", counter.bitmaps_touched - bitmaps
-        )
-    if counter.binary_ops != binary:
-        _obs_record("bitmap.binary_ops", counter.binary_ops - binary)
-    if counter.not_ops != nots:
-        _obs_record("bitmap.not_ops", counter.not_ops - nots)
-    if counter.words_processed != words:
-        _obs_record(
-            "bitmap.words_processed", counter.words_processed - words
-        )
-
-
-#: What an execution step runs under when nothing is listening.
-_UNOBSERVED = nullcontext()
-
-
-@contextmanager
-def _observed_step(counter: OpCounter, span):
-    """One evaluation step inside ``span``, its tallies recorded on it."""
-    with span:
-        marks = _counter_marks(counter)
-        yield
-        _record_counter_deltas(counter, marks)
 
 
 def record_missing_consultation(semantics: MissingSemantics) -> None:
@@ -284,7 +241,7 @@ class BitmapIndex(abc.ABC):
         record_missing_consultation(MissingSemantics.IS_MATCH)
         missing = family.bitmap(0)
         if counter is not None:
-            counter.bitmaps_touched += 1
+            counter.record_touch()
             counter.record_binary(certain, missing)
         return certain | missing
 
@@ -300,7 +257,7 @@ class BitmapIndex(abc.ABC):
         record_missing_consultation(MissingSemantics.NOT_MATCH)
         missing = family.bitmap(0)
         if counter is not None:
-            counter.bitmaps_touched += 1
+            counter.record_touch()
             counter.record_binary(possible, missing)
         return possible.andnot(missing)
 
@@ -467,43 +424,33 @@ class BitmapIndex(abc.ABC):
         ``certain`` is always a subset of ``possible``.
 
         When observability is on (a real metrics registry or an active
-        trace), each interval evaluation runs inside its own span and its
-        bitvector/word tallies are recorded per dimension; otherwise no
-        span or tally is built.
+        trace), the query runs under one tally and each interval
+        evaluation inside its own span, which carries that dimension's
+        bitvector/word tallies; otherwise no tally, span or
+        :class:`OpCounter` is built.
 
         With a :class:`~repro.core.cache.SubResultCache` in ``cache``,
         per-interval sub-results are memoized and reused across the queries
         of a batch (see :meth:`evaluate_bounds`); results are identical
         either way.
         """
-        observing = _obs_enabled()
-        track = OpCounter() if observing and counter is None else counter
-        columns = []
-        for name, interval in query.items():
-            with (
-                _observed_step(track, _trace_span(
+        with _query_tally() as observing:
+            if observing and counter is None:
+                counter = OpCounter()
+            columns = []
+            for name, interval in query.items():
+                with _trace_span(
                     f"{self.encoding}.interval",
                     attribute=name, interval=str(interval),
-                ))
-                if observing
-                else _UNOBSERVED
-            ):
-                columns.append(
-                    self.evaluate_bounds(
-                        name, interval, semantics, track, cache, cache_key
-                    )
+                ):
+                    columns.append(self.evaluate_bounds(
+                        name, interval, semantics, counter, cache, cache_key
+                    ))
+            with _trace_span("bitmap.and", operands=sum(map(len, columns))):
+                return tuple(
+                    self._mask_deleted(big_and(parts, counter), counter)
+                    for parts in zip(*columns)
                 )
-        with (
-            _observed_step(track, _trace_span(
-                "bitmap.and", operands=sum(map(len, columns))
-            ))
-            if observing
-            else _UNOBSERVED
-        ):
-            return tuple(
-                self._mask_deleted(big_and(parts, track), track)
-                for parts in zip(*columns)
-            )
 
     def execute(
         self,

@@ -73,7 +73,7 @@ class BitSlicedIndex(BitmapIndex):
         """Slice ``S_k`` (bit ``k``), counting the access."""
         vec = family.bitmap(k + 1)
         if counter is not None:
-            counter.bitmaps_touched += 1
+            counter.record_touch()
         return vec
 
     def _less_equal(self, family, value: int, counter: OpCounter | None):
@@ -107,7 +107,7 @@ class BitSlicedIndex(BitmapIndex):
         if family.has_missing:
             record_missing_consultation(semantics)
             if counter is not None:
-                counter.bitmaps_touched += 1
+                counter.record_touch()
             return family.bitmap(0)
         return None
 

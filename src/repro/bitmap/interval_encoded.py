@@ -72,7 +72,7 @@ class IntervalEncodedBitmapIndex(BitmapIndex):
     def _window(self, family, j: int, counter: OpCounter | None):
         vec = family.bitmap(j)
         if counter is not None:
-            counter.bitmaps_touched += 1
+            counter.record_touch()
         return vec
 
     def evaluate_interval(
@@ -95,14 +95,14 @@ class IntervalEncodedBitmapIndex(BitmapIndex):
             record_missing_consultation(semantics)
             missing = family.bitmap(0)
             if counter is not None:
-                counter.bitmaps_touched += 1
+                counter.record_touch()
                 counter.record_binary(result, missing)
             result = result | missing
         elif includes_missing and not wants_missing and family.has_missing:
             record_missing_consultation(semantics)
             missing = family.bitmap(0)
             if counter is not None:
-                counter.bitmaps_touched += 1
+                counter.record_touch()
                 counter.record_binary(result, missing)
             result = result.andnot(missing)
         return result

@@ -63,7 +63,7 @@ class RangeEncodedBitmapIndex(BitmapIndex):
             return constant_vector(family, True)
         vec = family.bitmap(j)
         if counter is not None:
-            counter.bitmaps_touched += 1
+            counter.record_touch()
         return vec
 
     def _missing(self, family, semantics, counter: OpCounter | None):
@@ -71,7 +71,7 @@ class RangeEncodedBitmapIndex(BitmapIndex):
         if family.has_missing:
             record_missing_consultation(semantics)
             if counter is not None:
-                counter.bitmaps_touched += 1
+                counter.record_touch()
             return family.bitmap(0)
         return None
 

@@ -29,7 +29,6 @@ import numpy as np
 from repro.bitvector import kernels as _kernels
 from repro.bitvector.bitvector import BitVector
 from repro.errors import ReproError
-from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 
 _FILL_FLAG = _kernels.BBC_FILL_FLAG
@@ -75,10 +74,9 @@ class BbcBitVector:
         """Compress a verbatim bitvector."""
         raw = np.packbits(vec.to_bools(), bitorder="little")
         data, fill_tokens, literal_tokens = _kernels.get_backend().bbc_encode(raw)
-        if _obs_enabled():
-            _obs_record("bbc.bytes_encoded", len(raw))
-            _obs_record("bbc.fill_tokens", fill_tokens)
-            _obs_record("bbc.literal_tokens", literal_tokens)
+        _obs_record("bbc.bytes_encoded", len(raw))
+        _obs_record("bbc.fill_tokens", fill_tokens)
+        _obs_record("bbc.literal_tokens", literal_tokens)
         return cls(vec.nbits, data)
 
     @classmethod
@@ -119,9 +117,8 @@ class BbcBitVector:
         raw, tokens = _kernels.get_backend().bbc_decode(
             self._data, expected_bytes
         )
-        if _obs_enabled():
-            _obs_record("bbc.tokens_decoded", tokens)
-            _obs_record("bbc.bytes_decoded", len(raw))
+        _obs_record("bbc.tokens_decoded", tokens)
+        _obs_record("bbc.bytes_decoded", len(raw))
         bits = np.unpackbits(raw, bitorder="little")
         return BitVector.from_bools(bits[: self._nbits].astype(bool))
 

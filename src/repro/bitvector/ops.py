@@ -22,6 +22,7 @@ from repro.bitvector.bbc import BbcBitVector
 from repro.bitvector.bitvector import BitVector
 from repro.bitvector.wah import WahBitVector
 from repro.errors import ReproError
+from repro.observability import record as _obs_record
 
 
 class BitVectorLike(Protocol):
@@ -91,6 +92,11 @@ class OpCounter:
     used* per query dimension, and its real-data result through bitmaps
     "performing bit operations over substantially fewer words" than the
     VA-file scans.  This counter tracks both quantities.
+
+    Its ``record_*`` methods also report each tally to the metrics sinks
+    as it happens (``bitmap.bitvectors_touched``, ``bitmap.binary_ops``,
+    ``bitmap.not_ops``, ``bitmap.words_processed``), so the trace span
+    open at that moment and the running query's tally both carry it.
     """
 
     #: Bitmap vectors read as operands (the paper's "bitvectors used").
@@ -106,15 +112,26 @@ class OpCounter:
     #: Per-query bitmap counts, appended by the executors.
     per_query: list[int] = field(default_factory=list)
 
+    def record_touch(self, count: int = 1) -> None:
+        """Account ``count`` stored bitmaps read as operands."""
+        self.bitmaps_touched += count
+        _obs_record("bitmap.bitvectors_touched", count)
+
     def record_binary(self, left, right) -> None:
         """Account one binary logical operation on two operands."""
+        words = words_of(left) + words_of(right)
         self.binary_ops += 1
-        self.words_processed += words_of(left) + words_of(right)
+        self.words_processed += words
+        _obs_record("bitmap.binary_ops")
+        _obs_record("bitmap.words_processed", words)
 
     def record_not(self, operand) -> None:
         """Account one complement operation."""
+        words = words_of(operand)
         self.not_ops += 1
-        self.words_processed += words_of(operand)
+        self.words_processed += words
+        _obs_record("bitmap.not_ops")
+        _obs_record("bitmap.words_processed", words)
 
     def merge(self, other: "OpCounter") -> None:
         """Accumulate another counter into this one."""
@@ -149,11 +166,12 @@ def big_or(operands: Sequence[V], counter: OpCounter | None = None) -> V:
     ):
         result = WahBitVector.or_many(list(operands))
         if counter is not None:
-            counter.bitmaps_touched += len(operands)
+            words = sum(map(words_of, operands)) + words_of(result)
+            counter.record_touch(len(operands))
             counter.binary_ops += len(operands) - 1
-            counter.words_processed += sum(
-                words_of(op) for op in operands
-            ) + words_of(result)
+            counter.words_processed += words
+            _obs_record("bitmap.binary_ops", len(operands) - 1)
+            _obs_record("bitmap.words_processed", words)
         return result
     result = operands[0]
     for operand in operands[1:]:
@@ -161,7 +179,7 @@ def big_or(operands: Sequence[V], counter: OpCounter | None = None) -> V:
             counter.record_binary(result, operand)
         result = result | operand
     if counter is not None:
-        counter.bitmaps_touched += len(operands)
+        counter.record_touch(len(operands))
     return result
 
 

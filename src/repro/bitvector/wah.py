@@ -53,7 +53,6 @@ from repro.bitvector.kernels import (  # noqa: F401  (re-exported API)
     _RunReader,
 )
 from repro.errors import CorruptIndexError, ReproError
-from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 
 _EMPTY_WORDS = np.empty(0, dtype=np.uint32)
@@ -77,30 +76,6 @@ def _as_word_array(words: "np.ndarray | list[int]") -> np.ndarray:
     if arr.flags.writeable:
         arr.setflags(write=False)
     return arr
-
-
-def _fill_words_in(words: np.ndarray) -> int:
-    """Number of fill words in a WAH word stream."""
-    return int(((words & np.uint32(FILL_FLAG)) != 0).sum())
-
-
-def _record_op_metrics(decoded: list[np.ndarray], ops: int = 1) -> None:
-    """Account the decode work of ``ops`` logical operations.
-
-    ``decoded`` holds the word streams the operation actually read — the
-    operands that were in compressed form; operands carried as group arrays
-    cost no decode and are not in it.  Counts are derived from those
-    streams themselves, so they are identical whichever kernel backend
-    ran.  Callers gate on ``enabled()`` — the fill/literal breakdown is a
-    full pass over the words, which the null-registry fast path must not
-    pay.
-    """
-    words = sum(len(stream) for stream in decoded)
-    fills = sum(_fill_words_in(stream) for stream in decoded)
-    _obs_record("wah.ops", ops)
-    _obs_record("wah.words_decoded", words)
-    _obs_record("wah.fill_words", fills)
-    _obs_record("wah.literal_words", words - fills)
 
 
 class WahBitVector:
@@ -329,8 +304,8 @@ class WahBitVector:
                     self._group_array(decoded), other._group_array(decoded)
                 ),
             )
-        if _obs_enabled():
-            _record_op_metrics(decoded)
+        _obs_record("wah.ops")
+        _obs_record("wah.words_decoded", sum(map(len, decoded)))
         return result
 
     @classmethod
@@ -360,8 +335,8 @@ class WahBitVector:
         )
         for other in operands[2:]:
             np.bitwise_or(acc, other._group_array(decoded), out=acc)
-        if _obs_enabled():
-            _record_op_metrics(decoded, ops=len(operands) - 1)
+        _obs_record("wah.ops", len(operands) - 1)
+        _obs_record("wah.words_decoded", sum(map(len, decoded)))
         return cls._from_groups(first._nbits, acc)
 
     def __and__(self, other: "WahBitVector") -> "WahBitVector":

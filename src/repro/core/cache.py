@@ -83,9 +83,8 @@ class SubResultCache:
         Byte budget for stored values (``None`` = unbounded).  A value
         larger than the whole budget is simply not stored.
 
-    The cache is thread-safe: the batch executor's opt-in fan-out runs
-    per-index query groups on worker threads that all share the database's
-    cache.
+    The cache is thread-safe: every thread that calls into one database
+    (the query service's handlers, say) shares that database's cache.
     """
 
     def __init__(self, max_bytes: int | None = DEFAULT_CACHE_BYTES):

@@ -45,6 +45,7 @@ from repro.core.planner import (
 from repro.core.sync import ReadWriteLock
 from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import QueryError, ReproError
+from repro.observability.metrics import _query_tally
 from repro.query.model import (
     BOTH,
     MissingSemantics,
@@ -546,8 +547,7 @@ class _QuerySurface:
             threshold,
             limit,
         )
-        if obs.enabled():
-            obs.record("semantics.ranked_queries")
+        obs.record("semantics.ranked_queries")
         return RankedReport(
             index_name=report.index_name,
             kind=report.kind,
@@ -826,9 +826,8 @@ class IncompleteDatabase(_QuerySurface):
                 self._tombstones = np.concatenate(
                     [old_tombstones, np.zeros(added, dtype=bool)]
                 )
-        if obs.enabled():
-            obs.record("engine.appends")
-            obs.record("engine.appended_rows", added)
+        obs.record("engine.appends")
+        obs.record("engine.appended_rows", added)
         return added
 
     def delete(self, record_ids: Iterable[int]) -> int:
@@ -856,9 +855,8 @@ class IncompleteDatabase(_QuerySurface):
             self._tombstones[ids] = True
             self._cache.invalidate()
             self._generation += 1
-        if obs.enabled():
-            obs.record("engine.deletes")
-            obs.record("engine.deleted_rows", newly)
+        obs.record("engine.deletes")
+        obs.record("engine.deleted_rows", newly)
         return newly
 
     def compact(self) -> np.ndarray:
@@ -875,8 +873,7 @@ class IncompleteDatabase(_QuerySurface):
             kept = np.flatnonzero(~self._tombstones).astype(np.int64)
             self._install_table(self._table.take(kept))
             self._tombstones = None
-        if obs.enabled():
-            obs.record("engine.compacts")
+        obs.record("engine.compacts")
         return kept
 
     # -- planning ----------------------------------------------------------
@@ -1009,8 +1006,7 @@ class IncompleteDatabase(_QuerySurface):
             else None
         )
         context = obs.activate(qtrace) if qtrace is not None else nullcontext()
-        with context:
-            observing = obs.enabled()
+        with context, _query_tally() as observing:
             with obs.trace_span("plan") as plan_span:
                 chosen, estimate, forced = (
                     planned
@@ -1148,9 +1144,10 @@ class IncompleteDatabase(_QuerySurface):
             sub_cache = None
         else:
             sub_cache = cache
-        with self._rwlock.read():
-            # Plan + run under one shared hold, so a writer can never swap
-            # the index set between a batch's planning and its execution.
+        # Plan + run under one shared hold, so a writer can never swap the
+        # index set between a batch's planning and its execution; and under
+        # one tally, so the whole batch reaches the registry once.
+        with self._rwlock.read(), _query_tally():
             planned = [
                 self._resolve_plan(query, costing, using)
                 for query in normalized
@@ -1158,7 +1155,6 @@ class IncompleteDatabase(_QuerySurface):
             reports = self._run_planned_batch(
                 normalized, planned, semantics, trace, sub_cache
             )
-        if obs.enabled():
             obs.record("engine.batches")
             obs.record("engine.batch_queries", len(normalized))
         return reports
@@ -1217,7 +1213,7 @@ class IncompleteDatabase(_QuerySurface):
         (NOT swaps the bounds) and the report carries both bounds.
         """
         semantics = resolve_semantics(semantics)
-        with self._rwlock.read():
+        with self._rwlock.read(), _query_tally():
             return self._execute_predicate(
                 predicate, semantics, self._plan_predicate(predicate, using)
             )
@@ -1271,7 +1267,7 @@ class IncompleteDatabase(_QuerySurface):
             )
             name, kind = chosen.name, chosen.kind
         ids = self._drop_tombstoned(ids)
-        if semantics is BOTH and obs.enabled():
+        if semantics is BOTH:
             obs.record("semantics.both_predicates")
         return QueryReport(
             name, kind, ids, elapsed_ns=time.perf_counter_ns() - start

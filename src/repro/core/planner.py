@@ -19,7 +19,6 @@ from typing import Sequence
 
 from repro.bitmap.base import BitmapIndex
 from repro.errors import PlanningError
-from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 from repro.query.model import MissingSemantics, RangeQuery
 from repro.vafile.vafile import VAFile
@@ -167,9 +166,8 @@ def rank_plans(
         if estimate is not None:
             estimates.append(estimate)
     estimates.sort(key=lambda e: e.items)
-    if _obs_enabled():
-        _obs_record("planner.rankings")
-        _obs_record("planner.plans_costed", len(estimates))
+    _obs_record("planner.rankings")
+    _obs_record("planner.plans_costed", len(estimates))
     return estimates
 
 
@@ -228,9 +226,8 @@ def plan_batch(
     for name, positions in by_index.items():
         positions.sort(key=lambda p: (reuse_sort_key(queries[p]), p))
         groups.append(BatchGroup(index_name=name, positions=tuple(positions)))
-    if _obs_enabled():
-        _obs_record("planner.batches")
-        _obs_record("planner.batch_groups", len(groups))
+    _obs_record("planner.batches")
+    _obs_record("planner.batch_groups", len(groups))
     return groups
 
 
@@ -281,9 +278,8 @@ def combine_shard_estimates(
         if counts[name] == num_shards
     ]
     merged.sort(key=lambda e: e.items)
-    if _obs_enabled():
-        _obs_record("planner.shard_rankings")
-        _obs_record("planner.shard_plans_merged", len(merged))
+    _obs_record("planner.shard_rankings")
+    _obs_record("planner.shard_plans_merged", len(merged))
     return merged
 
 

@@ -29,13 +29,10 @@ from __future__ import annotations
 import os
 import weakref
 
-__all__ = ["register", "register_callback"]
+__all__ = ["register"]
 
 #: Objects exposing ``_reset_after_fork()``; weakly held.
 _RESETTABLE: weakref.WeakSet = weakref.WeakSet()
-
-#: Module-level reset hooks (for globals that are not objects).
-_CALLBACKS: list = []
 
 
 def register(obj) -> None:
@@ -43,14 +40,7 @@ def register(obj) -> None:
     _RESETTABLE.add(obj)
 
 
-def register_callback(callback) -> None:
-    """Run ``callback()`` in every fork child (module-global resets)."""
-    _CALLBACKS.append(callback)
-
-
 def _reset_all() -> None:
-    for callback in list(_CALLBACKS):
-        callback()
     for obj in list(_RESETTABLE):
         obj._reset_after_fork()
 

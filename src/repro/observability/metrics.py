@@ -7,7 +7,9 @@ histograms for ns-resolution latencies.  The default registry is a
 :class:`NullRegistry` whose instruments are shared no-ops, so the hot paths
 (WAH word loops, VA-file scans) stay at their uninstrumented cost until an
 operator installs a real registry with :func:`set_registry` or
-:func:`use_registry`.
+:func:`use_registry`.  Query entry points run under a context-local tally
+(:func:`_query_tally`), so a query's counters reach the registry once,
+when it ends, however many operations it made.
 
 Instruments are thread-safe: the query service's handlers and the
 snapshot writer increment counters from several threads, so every
@@ -25,6 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -375,19 +378,38 @@ def use_registry(
         set_registry(previous)
 
 
-_suppress_depth = 0
-_suppress_lock = threading.Lock()
+#: The open tally (metric name -> total) of the query running in this
+#: context, :data:`_DISCARD` inside :func:`suppressed`, or None.
+_tally: ContextVar[dict | None] = ContextVar("repro_tally", default=None)
+
+#: The tally :func:`suppressed` opens; :func:`record` never writes to it.
+_DISCARD: dict = {}
 
 
-def _reset_suppress_after_fork() -> None:
-    # The thread that held the suppress lock (or depth) does not exist in
-    # a fork child; start the child unsuppressed with a fresh lock.
-    global _suppress_depth, _suppress_lock
-    _suppress_depth = 0
-    _suppress_lock = threading.Lock()
+@contextmanager
+def _query_tally() -> Iterator[bool]:
+    """Run one query's ``with`` body under a tally; yield whether observed.
 
-
-forksafe.register_callback(_reset_suppress_after_fork)
+    With a real registry installed, every :func:`record` in the body adds
+    to a plain dict, and the body's end makes one ``Counter.inc`` per
+    name, however many operations the query made.  Inside an open tally
+    (a batch, a scatter, a probe under :func:`suppressed`) the body joins
+    it.  With nothing listening no tally is opened.  The yielded flag is
+    :func:`enabled`: whether the query should size its work at all.
+    """
+    tally = _tally.get()
+    registry = _registry
+    if tally is not None or registry is NULL_REGISTRY:
+        yield enabled()
+        return
+    tally = {}
+    token = _tally.set(tally)
+    try:
+        yield True
+    finally:
+        _tally.reset(token)
+        for name, total in tally.items():
+            registry.counter(name).inc(total)
 
 
 @contextmanager
@@ -399,41 +421,42 @@ def suppressed() -> Iterator[None]:
     answer by dry-running the evaluation — so estimation work never leaks
     into the counters that are supposed to measure real query work.
 
-    The depth is process-wide (suppressing in one thread suppresses all),
-    which is the conservative choice for the places it is used — planner
-    cost probes that run before any fan-out; the lock only guards the
-    depth updates, not the hot-path read.
+    The body runs under a tally that is thrown away.  Tallies are
+    context-local, so suppressing in one thread leaves every other
+    thread's counters alone.
     """
-    global _suppress_depth
-    with _suppress_lock:
-        _suppress_depth += 1
+    token = _tally.set(_DISCARD)
     try:
         yield
     finally:
-        with _suppress_lock:
-            _suppress_depth -= 1
+        _tally.reset(token)
 
 
 def enabled() -> bool:
     """Whether any sink (real registry or active trace) is listening.
 
-    Instrumentation sites use this to skip *derived* tallies that would
-    cost real work to compute (e.g. the fill/literal breakdown of a WAH
-    word stream); plain increments just call :func:`record`, which is its
-    own cheap no-op when nothing listens.
+    Query entry points ask this (through :func:`_query_tally`) before
+    building the tallies that cost real work to compute, such as sizing
+    every operand; plain increments just call :func:`record`, which is
+    its own cheap no-op when nothing listens.
     """
-    if _suppress_depth:
+    if _tally.get() is _DISCARD:
         return False
     return _registry is not NULL_REGISTRY or current_span() is not None
 
 
 def record(name: str, value: int | float = 1) -> None:
-    """Increment a counter on the registry and on the active span, if any."""
-    if _suppress_depth:
+    """Increment a counter on the registry and on the active span, if any.
+
+    Inside a query's tally the registry's share waits for the query's end.
+    """
+    tally = _tally.get()
+    if tally is _DISCARD:
         return
-    registry = _registry
-    if registry is not NULL_REGISTRY:
-        registry.counter(name).inc(value)
+    if tally is not None:
+        tally[name] = tally.get(name, 0) + value
+    elif _registry is not NULL_REGISTRY:
+        _registry.counter(name).inc(value)
     span = current_span()
     if span is not None:
         span.add_metric(name, value)
@@ -441,7 +464,7 @@ def record(name: str, value: int | float = 1) -> None:
 
 def observe(name: str, value: int | float) -> None:
     """Record one histogram observation on the installed registry."""
-    if _suppress_depth:
+    if _tally.get() is _DISCARD:
         return
     registry = _registry
     if registry is not NULL_REGISTRY:

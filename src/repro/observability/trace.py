@@ -18,9 +18,9 @@ only a single context-variable read when tracing is off.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
-from typing import Iterator
+from typing import ContextManager, Iterator
 
 __all__ = [
     "Span",
@@ -189,12 +189,13 @@ def activate(trace: QueryTrace) -> Iterator[QueryTrace]:
         _ACTIVE.reset(token)
 
 
-@contextmanager
-def trace_span(name: str, **attributes) -> Iterator[Span | None]:
+#: What :func:`trace_span` hands out while no trace is active.
+_NO_SPAN = nullcontext()
+
+
+def trace_span(name: str, **attributes) -> ContextManager[Span | None]:
     """Open a span on the active trace; a no-op yielding None without one."""
     trace = _ACTIVE.get()
     if trace is None:
-        yield None
-        return
-    with trace.span(name, **attributes) as span:
-        yield span
+        return _NO_SPAN
+    return trace.span(name, **attributes)

@@ -156,8 +156,7 @@ class SequentialShardExecutor(ShardExecutor):
     name = "sequential"
 
     def run(self, db, tasks):
-        if obs.enabled():
-            obs.record("shard.sequential_fanouts")
+        obs.record("shard.sequential_fanouts")
         return [_run_task(db._shards[t.shard_id].database, t) for t in tasks]
 
 

@@ -61,6 +61,7 @@ from repro.core.planner import (
 )
 from repro.dataset.table import IncompleteTable
 from repro.errors import ShardError
+from repro.observability.metrics import _query_tally
 from repro.query.model import MissingSemantics, RangeQuery, resolve_semantics
 from repro.shard.executor import ShardExecutor, ShardTask, resolve_executor
 from repro.shard.partition import Partitioner, get_partitioner
@@ -437,6 +438,7 @@ class ShardedDatabase(_QuerySurface):
 
     # -- execution -------------------------------------------------------------
 
+    @_query_tally()
     def _scatter(
         self, items, semantics, using: str | None, trace: bool, batch: bool
     ) -> list[QueryReport]:
@@ -452,6 +454,7 @@ class ShardedDatabase(_QuerySurface):
         the fan-out apportioned by shard task time (all of it for a single
         item).  When tracing, each report carries a ``sharded_query`` root
         whose children are its plan span and one subtree per executed shard.
+        The whole call, its shard tasks included, runs under one tally.
         """
         self._ensure_open()
         costing = semantics_for_costing(semantics)

@@ -25,9 +25,9 @@ import numpy as np
 from repro.bitvector.ops import OpCounter
 from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, IndexBuildError, QueryError
-from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
+from repro.observability.metrics import _query_tally
 from repro.query.model import (
     BOTH,
     Interval,
@@ -217,8 +217,7 @@ class VAFile:
             ]
             cached = [shared_masks.get(key) for key in keys]
             if all(mask is not None for mask in cached):
-                if _obs_enabled():
-                    _obs_record("vafile.batch_mask_reuses", len(cached))
+                _obs_record("vafile.batch_mask_reuses", len(cached))
                 return cached
         codes = self.codes(name)
         lo_code, hi_code = self._code_bounds(name, interval)
@@ -233,8 +232,7 @@ class VAFile:
             masks[-1] = possible
         if stats is not None:
             stats.codes_scanned += len(codes)
-        if _obs_enabled():
-            _obs_record("vafile.codes_scanned", len(codes))
+        _obs_record("vafile.codes_scanned", len(codes))
         if counter is not None:
             # Cost-model units: one item per approximation examined.
             # This is the paper's own cross-technique currency — "the
@@ -258,7 +256,6 @@ class VAFile:
         shared_masks: dict | None = None,
     ) -> list[np.ndarray]:
         """Phase 1: the approximate (no-false-dismissal) candidates per bound."""
-        observing = _obs_enabled()
         masks = [
             np.ones(self.num_records, dtype=bool) for _ in semantics.bounds
         ]
@@ -268,13 +265,11 @@ class VAFile:
             )
             for mask, dimension in zip(masks, dimensions):
                 mask &= dimension
-        if stats is not None or observing:
+        if stats is not None:
             # The widest bound's candidates are a superset of every other's.
             candidates = int(masks[-1].sum())
-            if stats is not None:
-                stats.candidates += candidates
-            if observing:
-                _obs_record("vafile.candidates", candidates)
+            stats.candidates += candidates
+            _obs_record("vafile.candidates", candidates)
         return masks
 
     def candidate_mask(
@@ -303,15 +298,20 @@ class VAFile:
 
         Phase 1 scans the stored codes once per dimension for every bound;
         phase 2 refines boundary bins once, against the widest bound's
-        candidates (see :meth:`_refine`).
+        candidates (see :meth:`_refine`).  When observability is on, the
+        query runs under one tally and the phases count into ``stats`` (a
+        private one if none was given), which is what reports them.
         """
-        with _trace_span("vafile.scan", dimensions=query.dimensionality):
-            candidates = self._candidate_masks(
-                query, semantics, stats, counter, shared_masks
-            )
-        with _trace_span("vafile.refine"):
-            exact = self._refine(candidates, query, stats)
-        _obs_record("vafile.queries")
+        with _query_tally() as observing:
+            if observing and stats is None:
+                stats = VaQueryStats()
+            with _trace_span("vafile.scan", dimensions=query.dimensionality):
+                candidates = self._candidate_masks(
+                    query, semantics, stats, counter, shared_masks
+                )
+            with _trace_span("vafile.refine"):
+                exact = self._refine(candidates, query, stats)
+            _obs_record("vafile.queries")
         if stats is not None:
             stats.queries += 1
         return exact
@@ -414,7 +414,6 @@ class VAFile:
         per-attribute correction ``ok OR NOT boundary`` is exact for every
         bound and the boundary rows are read once.
         """
-        observing = _obs_enabled()
         exact = [mask.copy() for mask in candidates]
         needs_read = np.zeros(self.num_records, dtype=bool)
         for name, interval in query.items():
@@ -432,18 +431,16 @@ class VAFile:
             if not boundary.any():
                 continue
             needs_read |= boundary
-            if observing:
+            if stats is not None:
                 _obs_record("vafile.cells_visited", int(boundary.sum()))
             column = self._table.column(name)
             keep = ((column >= interval.lo) & (column <= interval.hi)) | ~boundary
             for mask in exact:
                 mask &= keep
-        if stats is not None or observing:
+        if stats is not None:
             refined = int(needs_read.sum())
-            if stats is not None:
-                stats.records_refined += refined
-            if observing:
-                _obs_record("vafile.records_refined", refined)
+            stats.records_refined += refined
+            _obs_record("vafile.records_refined", refined)
         return exact
 
 

@@ -21,10 +21,11 @@ REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
 DOC = REPO / "docs" / "observability.md"
 
-#: Direct instrument/record calls, including multi-line ones.  The ``f?``
-#: group tells us whether placeholders need wildcarding.
+#: Direct instrument/record calls, including multi-line ones and the
+#: ``_obs_record`` / ``_obs_observe`` import aliases the layers use.  The
+#: ``f?`` group tells us whether placeholders need wildcarding.
 _CALL_RE = re.compile(
-    r"(?:\brecord|\bobserve|_record_metric"
+    r"(?:\b(?:_obs_)?record|\b(?:_obs_)?observe|_record_metric"
     r"|\.counter|\.gauge|\.histogram|\.timer)"
     r"\(\s*(f?)\"([^\"]+)\"",
 )
@@ -131,6 +132,10 @@ class TestMetricNameDrift:
             assert expected in src, f"extractor lost src name {expected}"
             assert expected in doc, f"extractor lost documented {expected}"
         assert "bitmap.missing_consulted.is_match" in src  # via constant map
+        # Recorded by the OpCounter as each operation is accounted.
+        for name in ("bitmap.bitvectors_touched", "bitmap.binary_ops",
+                     "bitmap.not_ops", "bitmap.words_processed"):
+            assert name in src, f"extractor lost src name {name}"
         assert "engine.queries.*" in src  # via f-string call site
         assert len(src) > 30 and len(doc) > 30
 

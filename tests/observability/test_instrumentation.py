@@ -15,8 +15,16 @@ from repro.bitvector.wah import WahBitVector
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import IncompleteTable
-from repro.observability import NULL_REGISTRY, use_registry
+from repro.dataset.synthetic import generate_uniform_table
+from repro.observability import (
+    NULL_REGISTRY,
+    Counter,
+    MetricsRegistry,
+    use_registry,
+)
+from repro.query.boolean import Atom
 from repro.query.model import MissingSemantics, RangeQuery
+from repro.shard import ShardedDatabase
 from repro.vafile.vafile import VAFile
 
 
@@ -51,8 +59,6 @@ class TestWahCounters:
         assert reg.snapshot().counters == {
             "wah.ops": 1,
             "wah.words_decoded": 3,   # 1 word of a + 2 words of b
-            "wah.fill_words": 2,      # a's fill + b's trailing zero fill
-            "wah.literal_words": 1,   # b's alternating-bit word
         }                             # ... and no stream was built
         with use_registry() as reg:
             assert len(result.words) == 2  # result == b: literal + fill
@@ -86,15 +92,11 @@ class TestWahCounters:
         counters = reg.snapshot().counters
         assert counters["wah.ops"] == 2  # n-1 pairwise merges
         assert counters["wah.words_decoded"] == 3  # 1 + 2; c is decoded
-        assert counters["wah.fill_words"] == 2
-        assert counters["wah.literal_words"] == 1
         assert len(c.words) == 2  # literal + fill: now c is a stream
         with use_registry() as reg:
             WahBitVector.or_many([a, b, c])
         counters = reg.snapshot().counters
         assert counters["wah.words_decoded"] == 5  # 1 + 2 + 2
-        assert counters["wah.fill_words"] == 3
-        assert counters["wah.literal_words"] == 2
 
     def test_both_execution_paths_agree(self):
         # Force the run-merge path (sparse) and the group-array path
@@ -113,10 +115,6 @@ class TestWahCounters:
                 result = x & y
             counters = reg.snapshot().counters
             assert counters["wah.words_decoded"] == len(x.words) + len(y.words)
-            assert (
-                counters["wah.fill_words"] + counters["wah.literal_words"]
-                == counters["wah.words_decoded"]
-            )
             assert counters.get("wah.words_emitted", 0) == (
                 len(result.words) if merged else 0
             )
@@ -226,3 +224,177 @@ class TestEngineTraces:
         counters = reg.snapshot().counters
         assert "wah.ops" not in counters
         assert "bitmap.bitvectors_touched" not in counters
+
+
+class _CountingCounter(Counter):
+    """A counter that also counts its own ``inc`` calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, name: str):
+        super().__init__(name)
+        self.calls = 0
+
+    def inc(self, amount: int | float = 1) -> None:
+        self.calls += 1
+        super().inc(amount)
+
+
+class _IncCountingRegistry(MetricsRegistry):
+    def counter(self, name: str) -> Counter:
+        return self._get_or_create(self._counters, name, _CountingCounter)
+
+    def incs(self) -> dict[str, int]:
+        return {name: c.calls for name, c in self._counters.items()}
+
+
+_BUDGET_QUERY = {"mid": (2, 6), "high": (10, 60)}
+_BUDGET_OPS = {
+    "query": lambda db, ix: db.execute(_BUDGET_QUERY, using=ix),
+    "count": lambda db, ix: db.count(_BUDGET_QUERY, "both", using=ix),
+    "boolean": lambda db, ix: db.query_predicate(
+        (Atom.of("mid", 2, 6) | ~Atom.of("low", 1)) & Atom.of("high", 5, 80),
+        using=ix,
+    ),
+    "batch": lambda db, ix: db.execute_batch(
+        [_BUDGET_QUERY, {"mid": (3, 9)}, _BUDGET_QUERY, {"high": (1, 30)}],
+        using=ix,
+    ),
+}
+
+
+class TestIncrementBudget:
+    """Counters reach the registry once per query, not once per operation.
+
+    The scatter and every shard task it runs share one tally, so the
+    sharded tier holds the same budget as the engine: at most one
+    ``Counter.inc`` per counter name per call.
+    """
+
+    @pytest.fixture(scope="class", params=["engine", "4 shards"])
+    def db(self, request):
+        table = generate_uniform_table(
+            2000,
+            {"low": 2, "mid": 10, "high": 100},
+            {"low": 0.5, "mid": 0.2, "high": 0.0},
+            seed=7,
+        )
+        if request.param == "engine":
+            db = IncompleteDatabase(table)
+        else:
+            db = ShardedDatabase(table, num_shards=4)
+        db.create_index("bre", "bre")
+        db.create_index("va", "vafile", bits={"mid": 2, "high": 4})
+        return db
+
+    @pytest.mark.parametrize("index", ["bre", "va"])
+    @pytest.mark.parametrize("op", sorted(_BUDGET_OPS))
+    def test_one_inc_per_counter_name(self, db, op, index):
+        registry = _IncCountingRegistry()
+        with use_registry(registry):
+            _BUDGET_OPS[op](db, index)
+        incs = registry.incs()
+        assert incs, "the operation recorded nothing"
+        over = {name: n for name, n in incs.items() if n > 1}
+        assert not over, f"more than one inc per name: {over}"
+
+
+class TestCounterValues:
+    """Exact registry totals for a small workload over every access path.
+
+    Every encoding under every codec, the VA-file (with refinement), the
+    boolean evaluator on both, one engine batch and one sharded batch.
+    The expected totals were taken when counters still reached the
+    registry one operation at a time; one tally per query must not move
+    any of them.
+    """
+
+    EXPECTED = {
+        "bbc.bytes_decoded": 25422,
+        "bbc.bytes_encoded": 14668,
+        "bbc.fill_tokens": 1263,
+        "bbc.literal_tokens": 1522,
+        "bbc.ops": 306,
+        "bbc.tokens_decoded": 4789,
+        "bitmap.binary_ops": 785,
+        "bitmap.bitvectors_touched": 725,
+        "bitmap.missing_consulted.is_match": 116,
+        "bitmap.missing_consulted.not_match": 21,
+        "bitmap.not_ops": 30,
+        "bitmap.words_processed": 15485,
+        "cache.hits": 13,
+        "cache.misses": 13,
+        "cache.stores": 13,
+        "engine.batch_queries": 6,
+        "engine.batches": 1,
+        "engine.queries": 129,
+        "engine.queries.bee": 27,
+        "engine.queries.bie": 27,
+        "engine.queries.bre": 39,
+        "engine.queries.bsl": 27,
+        "engine.queries.vafile": 9,
+        "planner.actual_items": 12429,
+        "planner.batch_groups": 3,
+        "planner.batches": 3,
+        "planner.estimated_items": 8010,
+        "planner.plan_chosen.bee": 27,
+        "planner.plan_chosen.bie": 27,
+        "planner.plan_chosen.bre": 39,
+        "planner.plan_chosen.bsl": 27,
+        "planner.plan_chosen.vafile": 9,
+        "planner.plans_costed": 135,
+        "planner.rankings": 129,
+        "planner.shard_plans_merged": 3,
+        "planner.shard_rankings": 3,
+        "semantics.both_predicates": 2,
+        "semantics.both_queries": 45,
+        "semantics.cache_derived_bounds": 1,
+        "semantics.possible_only_rows": 2430,
+        "shard.batch_queries": 3,
+        "shard.batches": 1,
+        "shard.fanout_tasks": 2,
+        "shard.pruned": 0,
+        "shard.sequential_fanouts": 1,
+        "vafile.candidates": 3919,
+        "vafile.cells_visited": 3309,
+        "vafile.codes_scanned": 7200,
+        "vafile.queries": 18,
+        "vafile.records_refined": 2451,
+        "wah.ops": 371,
+        "wah.words_decoded": 3426,
+        "wah.words_emitted": 100,
+    }
+
+    def test_workload_totals_hold(self):
+        queries = [
+            {"a": (2, 5), "b": (1, 3)}, {"a": (4, 8)}, {"a": (2, 5), "b": (4, 4)},
+        ]
+        semantics = ("is_match", "not_match", "both")
+        table = generate_uniform_table(
+            300, {"a": 8, "b": 5}, {"a": 0.2, "b": 0.1}, seed=7
+        )
+        with use_registry() as reg:
+            for kind in ("bee", "bre", "bie", "bsl"):
+                for codec in ("wah", "bbc", "none"):
+                    db = IncompleteDatabase(table)
+                    db.create_index("ix", kind, codec=codec)
+                    for sem in semantics:
+                        for query in queries:
+                            db.execute(query, semantics=sem)
+            db = IncompleteDatabase(table)
+            db.create_index("va", "vafile", bits={"a": 2, "b": 1})
+            for sem in semantics:
+                for query in queries:
+                    db.execute(query, semantics=sem)
+            db.create_index("ix", "bre")
+            predicate = (
+                (Atom.of("a", 2, 4) | ~Atom.of("b", 3)) & Atom.of("a", 1, 6)
+            )
+            for sem in semantics:
+                db.query_predicate(predicate, semantics=sem, using="ix")
+                db.query_predicate(predicate, semantics=sem, using="va")
+            db.execute_batch(queries + queries, semantics="both")
+            sharded = ShardedDatabase(table, num_shards=2)
+            sharded.create_index("ix", "bre")
+            sharded.execute_batch(queries, semantics="is_match")
+        assert dict(reg.snapshot().counters) == self.EXPECTED

@@ -141,6 +141,33 @@ class TestSuppression:
             record("x")
         assert reg.snapshot().counters == {"x": 1}
 
+    def test_suppression_stays_in_its_own_thread(self):
+        # A planner probe holding suppressed() open in one thread must not
+        # drop a concurrent query's counters in another.
+        inside, release = threading.Event(), threading.Event()
+
+        def probe():
+            with suppressed():
+                record("probe")
+                inside.set()
+                release.wait(10)
+                record("probe")
+
+        with use_registry() as reg:
+            thread = threading.Thread(target=probe)
+            thread.start()
+            try:
+                assert inside.wait(10)
+                worker = threading.Thread(target=record, args=("x",))
+                worker.start()
+                worker.join(10)
+                assert not worker.is_alive()
+            finally:
+                release.set()
+                thread.join(10)
+        assert not thread.is_alive()
+        assert reg.snapshot().counters == {"x": 1}
+
 
 class TestHistogramBuckets:
     def test_zero_and_negative_land_in_bucket_zero(self):
