@@ -202,13 +202,7 @@ class BitSlicedIndex(BitmapIndex):
         interval: Interval,
         semantics: MissingSemantics,
     ) -> bool:
-        """Always cache: every bound runs O(lg C) bit-serial slice ops.
-
-        The base-class read-count rule would call
-        :meth:`bitmaps_for_interval`, which for this encoding dry-runs the
-        whole evaluation — more work than the evaluation it is trying to
-        avoid.
-        """
+        """Always cache: every bound runs O(lg C) bit-serial slice ops."""
         return True
 
     def bitmaps_for_interval(
@@ -217,10 +211,20 @@ class BitSlicedIndex(BitmapIndex):
         interval: Interval,
         semantics: MissingSemantics,
     ) -> int:
-        """Number of stored bitvector reads for one interval."""
-        from repro.observability import suppressed
+        """Number of stored bitvector reads for one interval.
 
-        counter = OpCounter()
-        with suppressed():
-            self.evaluate_interval(attribute, interval, semantics, counter)
-        return counter.bitmaps_touched
+        Each ``LE`` comparison reads every slice; the scenario fixes how
+        many comparisons run (one for ``v1 == 1`` or ``v2 == C``, two
+        interior) and whether the missing bitmap adjusts the result (the
+        table in the module docstring).
+        """
+        self._check_interval(attribute, interval)
+        family = self._family(attribute)
+        v1, v2 = interval.lo, interval.hi
+        is_match = semantics is MissingSemantics.IS_MATCH
+        interior = v1 > 1 and v2 < family.cardinality
+        comparisons = 2 if interior else 1
+        # LE(v2) already holds the missing rows (missing is value 0); the
+        # complement and XOR forms drop them.
+        adjusts = family.has_missing and (is_match == (v1 > 1))
+        return comparisons * self.num_slices(family.cardinality) + adjusts

@@ -141,8 +141,7 @@ class IntervalEncodedBitmapIndex(BitmapIndex):
         All window combinations perform at least one logical operation, so
         the only evaluation not worth memoizing is the full-domain interval
         that synthesizes a constant (unless it still pays a missing-bitmap
-        adjustment under NOT_MATCH).  Deciding here also avoids
-        :meth:`bitmaps_for_interval`'s dry-run of the whole evaluation.
+        adjustment under NOT_MATCH).
         """
         family = self._family(attribute)
         if interval.lo == 1 and interval.hi == family.cardinality:
@@ -214,10 +213,18 @@ class IntervalEncodedBitmapIndex(BitmapIndex):
         interval: Interval,
         semantics: MissingSemantics,
     ) -> int:
-        """Number of stored bitvectors :meth:`evaluate_interval` will read."""
-        from repro.observability import suppressed
+        """Number of stored bitvectors :meth:`evaluate_interval` will read.
 
-        counter = OpCounter()
-        with suppressed():
-            self.evaluate_interval(attribute, interval, semantics, counter)
-        return counter.bitmaps_touched
+        From the window rule: every interval but the full domain combines
+        two windows, and the missing bitmap is read once more exactly when
+        the combination's treatment of missing rows (the full domain and
+        the complement path ``u == C`` include them) differs from what the
+        semantics wants.
+        """
+        self._check_interval(attribute, interval)
+        family = self._family(attribute)
+        full = interval.lo == 1 and interval.hi == family.cardinality
+        includes_missing = interval.hi == family.cardinality
+        wants_missing = semantics is MissingSemantics.IS_MATCH
+        adjusts = family.has_missing and includes_missing != wants_missing
+        return (0 if full else 2) + adjusts

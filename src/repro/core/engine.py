@@ -41,11 +41,13 @@ from repro.core.planner import (
     plan_batch,
     rank_plans,
     semantics_for_costing,
+    unit_costs,
 )
 from repro.core.sync import ReadWriteLock
 from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import QueryError, ReproError
 from repro.observability.metrics import _query_tally
+from repro.query.boolean import Predicate
 from repro.query.model import (
     BOTH,
     MissingSemantics,
@@ -298,21 +300,26 @@ def _as_query(query) -> RangeQuery:
     )
 
 
+#: Plans memoized per database before the memo starts over.
+_PLAN_MEMO_LIMIT = 4096
+
+
 class _QuerySurface:
     """What an engine and a sharded database say once.
 
     A database is N >= 1 *partitions*, each an :class:`IncompleteDatabase`
     holding the same index set over its own rows; an engine is its own
     single partition.  A subclass provides ``_table``, ``_partitions``,
-    ``execute`` and ``_plan(query, costing)`` (a tuple that starts
-    ``(chosen, ranking)``); the registry view, the estimates, the
-    convenience queries, ``explain`` and ``summary`` are defined here over
-    those, so a sharded database adds partition, prune, scatter and merge
-    and nothing else.
+    ``_plan_memo`` (a dict it clears whenever its index set or rows
+    change) and ``execute``; the registry view, planning, the estimates,
+    the convenience queries, ``explain`` and ``summary`` are defined here
+    over those, so a sharded database adds partition, prune, scatter and
+    merge and nothing else.
     """
 
     _table: IncompleteTable
     _statistics = None
+    _plan_memo: dict
 
     def _read_fence(self):
         """Held across execute + ``take`` by :meth:`fetch`.
@@ -393,14 +400,89 @@ class _QuerySurface:
         """The index that will serve ``query``; None means sequential scan.
 
         Covering indexes with a cost model (bitmaps, VA-files) compete on
-        estimated cost-model items, summed over partitions (see
+        predicted time, summed over partitions (see
         :func:`repro.core.planner.choose_plan`); if none is costable, the
-        paper-informed preference order
-        BRE > BIE > BEE > VA-file > MOSAIC > R-tree > bitstring decides.
+        fixed order MOSAIC > R-tree > grid file > bitstring decides.
         On a sharded database the entry returned is the first shard's:
         name, kind, attributes and options are the same on every shard.
         """
-        return self._plan(_as_query(query), semantics)[0]
+        return self._plan(_as_query(query), resolve_semantics(semantics))[0]
+
+    def _covering(self, item) -> list[AttachedIndex]:
+        """The attached indexes that can serve a range query or predicate.
+
+        Only bitmap indexes and VA-files evaluate predicate trees.
+        """
+        indexes = self._partitions[0]._indexes.values()
+        if isinstance(item, RangeQuery):
+            return [ix for ix in indexes if ix.covers(item)]
+        attributes = item.attributes()
+        return [
+            ix for ix in indexes
+            if attributes <= set(ix.attributes)
+            and isinstance(ix.index, (BitmapIndex, VAFile))
+        ]
+
+    def _plan(self, item, semantics) -> tuple:
+        """``(chosen, ranking, per-partition estimates of chosen)``.
+
+        ``item`` is a :class:`RangeQuery` or a predicate; ``chosen`` None
+        is the scan fallback.  Every partition ranks its own covering
+        indexes at its own size, and the one chooser
+        (:func:`~repro.core.planner.choose_plan`) sums them.  Memoized per
+        ``(item, semantics)`` in ``_plan_memo`` until the index set or the
+        rows change.
+        """
+        key = (item, semantics)
+        with self._read_fence():
+            plan = self._plan_memo.get(key)
+            if plan is not None:
+                return plan
+            covering = self._covering(item)
+            costing = semantics_for_costing(semantics)
+            rankings = [
+                rank_plans(
+                    [part.get_index(ix.name) for ix in covering], item, costing
+                )
+                for part in self._partitions
+            ] if covering else []
+            chosen, ranking = choose_plan(covering, rankings)
+            if chosen is None:
+                estimates = [None] * len(self._partitions)
+            else:
+                estimates = [
+                    next((p for p in plans if p.index_name == chosen.name),
+                         None)
+                    for plans in rankings
+                ]
+            plan = (chosen, ranking, estimates)
+            if len(self._plan_memo) >= _PLAN_MEMO_LIMIT:
+                self._plan_memo.clear()
+            self._plan_memo[key] = plan
+        return plan
+
+    def _resolve_plan(self, item, semantics, using: str | None) -> tuple:
+        """The ``(chosen, forced, per-partition estimates)`` an item runs on.
+
+        ``using`` forces a covering index (no estimates); a predicate
+        forced onto an index with no tree evaluator runs as a ground-truth
+        scan (``chosen`` None).  Anything but a :class:`RangeQuery` must be
+        a :class:`~repro.query.boolean.Predicate`.
+        """
+        if not isinstance(item, (RangeQuery, Predicate)):
+            raise QueryError(
+                f"expected a Predicate, got {type(item).__name__}"
+            )
+        if using is None:
+            chosen, _, estimates = self._plan(item, semantics)
+            return chosen, False, estimates
+        if isinstance(item, RangeQuery):
+            chosen = self._forced_index(using, item.attributes)
+        else:
+            chosen = self._forced_index(using, item.attributes())
+            if not isinstance(chosen.index, (BitmapIndex, VAFile)):
+                chosen = None
+        return chosen, True, [None] * len(self._partitions)
 
     def _shard_lines(self, query=None, costing=None) -> list[str]:
         """Lines ``explain`` / ``summary`` add when there are shards."""
@@ -428,7 +510,7 @@ class _QuerySurface:
         query = _as_query(query)
         semantics = resolve_semantics(semantics)
         costing = semantics_for_costing(semantics)
-        chosen, plans = self._plan(query, costing)[:2]
+        chosen, plans, _ = self._plan(query, semantics)
         estimated = [
             self.statistics.estimate_count(query, bound)
             for bound in semantics.bounds
@@ -462,8 +544,17 @@ class _QuerySurface:
                 marker = "->" if plan.index_name == chosen.name else "  "
                 lines.append(
                     f"{marker} {plan.index_name} ({plan.kind}): "
-                    f"~{plan.items:,.0f} items ({plan.detail})"
+                    f"~{plan.items:,.0f} items, "
+                    f"~{plan.predicted_ns / 1e3:,.1f} µs predicted "
+                    f"({plan.detail})"
                 )
+            if plans:
+                first = self._partitions[0]
+                lines.append("unit costs (measured): " + "; ".join(
+                    f"{plan.index_name} "
+                    f"{unit_costs(first.get_index(plan.index_name)).describe()}"
+                    for plan in plans
+                ))
         if analyze:
             report = self.execute(query, semantics, trace=True)
             lines.append("")
@@ -630,6 +721,8 @@ class IncompleteDatabase(_QuerySurface):
         # mid-batch never sees half a mutation (a "torn generation").
         self._rwlock = ReadWriteLock()
         self._generation = 0
+        # Cleared under the write lock by every DDL and generation bump.
+        self._plan_memo: dict = {}
         # Logical deletes: boolean alive-filter over the current table, or
         # None when nothing is tombstoned.  Applied as a uniform post-filter
         # so every access method (and the scan) stays correct without
@@ -677,6 +770,7 @@ class IncompleteDatabase(_QuerySurface):
         )
         self._cache.invalidate(name)
         self._indexes[name] = attached
+        self._plan_memo.clear()
         return attached
 
     def create_index(
@@ -750,6 +844,7 @@ class IncompleteDatabase(_QuerySurface):
         with self._rwlock.write():
             del self._indexes[name]
             self._cache.invalidate(name)
+            self._plan_memo.clear()
 
     def get_index(self, name: str) -> AttachedIndex:
         """Look up an attached index."""
@@ -797,6 +892,7 @@ class IncompleteDatabase(_QuerySurface):
         self._scan = SequentialScan(table)
         self._statistics = None
         self._cache.invalidate()
+        self._plan_memo.clear()
         self._generation += 1
 
     def append(
@@ -854,6 +950,7 @@ class IncompleteDatabase(_QuerySurface):
             newly = int((~self._tombstones[ids]).sum())
             self._tombstones[ids] = True
             self._cache.invalidate()
+            self._plan_memo.clear()
             self._generation += 1
         obs.record("engine.deletes")
         obs.record("engine.deleted_rows", newly)
@@ -884,35 +981,6 @@ class IncompleteDatabase(_QuerySurface):
 
     def _read_fence(self):
         return self._rwlock.read()
-
-    def _plan(self, query: RangeQuery, semantics: MissingSemantics):
-        """The chosen index plus every costable plan, cheapest first."""
-        covering = [ix for ix in self._indexes.values() if ix.covers(query)]
-        if not covering:
-            return None, []
-        return choose_plan(covering, [rank_plans(covering, query, semantics)])
-
-    def _resolve_plan(
-        self,
-        query: RangeQuery,
-        costing: MissingSemantics,
-        using: str | None,
-    ) -> tuple:
-        """The ``(chosen, estimate, forced)`` triple one execution runs on.
-
-        ``using`` forces a covering index (no estimate); otherwise the
-        planner picks one under ``costing`` and its estimate rides along.
-        ``chosen`` is None for the sequential-scan fallback.
-        """
-        if using is not None:
-            return self._forced_index(using, query.attributes), None, True
-        chosen, plans = self._plan(query, costing)
-        estimate = None
-        if chosen is not None:
-            estimate = next(
-                (p for p in plans if p.index_name == chosen.name), None
-            )
-        return chosen, estimate, False
 
     # -- execution -----------------------------------------------------------
 
@@ -1008,13 +1076,12 @@ class IncompleteDatabase(_QuerySurface):
         context = obs.activate(qtrace) if qtrace is not None else nullcontext()
         with context, _query_tally() as observing:
             with obs.trace_span("plan") as plan_span:
-                chosen, estimate, forced = (
-                    planned
-                    if planned is not None
-                    else self._resolve_plan(
-                        query, semantics_for_costing(semantics), using
+                if planned is None:
+                    chosen, forced, (estimate,) = self._resolve_plan(
+                        query, semantics, using
                     )
-                )
+                else:
+                    chosen, estimate, forced = planned
                 if plan_span is not None:
                     plan_span.set(
                         "chosen", chosen.name if chosen else "<scan>"
@@ -1025,6 +1092,9 @@ class IncompleteDatabase(_QuerySurface):
                     if estimate is not None:
                         plan_span.set(
                             "estimated_items", round(estimate.items)
+                        )
+                        plan_span.set(
+                            "predicted_ns", round(estimate.predicted_ns)
                         )
             name = chosen.name if chosen is not None else "<scan>"
             kind = chosen.kind if chosen is not None else "scan"
@@ -1065,6 +1135,9 @@ class IncompleteDatabase(_QuerySurface):
                         len(ids[-1]) - len(ids[0]),
                     )
                 elif estimate is not None and track is not None:
+                    obs.observe(
+                        "planner.predicted_ns", round(estimate.predicted_ns)
+                    )
                     obs.record(
                         "planner.estimated_items", round(estimate.items)
                     )
@@ -1137,7 +1210,6 @@ class IncompleteDatabase(_QuerySurface):
         """
         normalized = [_as_query(q) for q in queries]
         semantics = resolve_semantics(semantics)
-        costing = semantics_for_costing(semantics)
         if cache is True:
             sub_cache = self._cache
         elif cache is False or cache is None:
@@ -1148,10 +1220,12 @@ class IncompleteDatabase(_QuerySurface):
         # index set between a batch's planning and its execution; and under
         # one tally, so the whole batch reaches the registry once.
         with self._rwlock.read(), _query_tally():
-            planned = [
-                self._resolve_plan(query, costing, using)
-                for query in normalized
-            ]
+            planned = []
+            for query in normalized:
+                chosen, forced, (estimate,) = self._resolve_plan(
+                    query, semantics, using
+                )
+                planned.append((chosen, estimate, forced))
             reports = self._run_planned_batch(
                 normalized, planned, semantics, trace, sub_cache
             )
@@ -1214,36 +1288,8 @@ class IncompleteDatabase(_QuerySurface):
         """
         semantics = resolve_semantics(semantics)
         with self._rwlock.read(), _query_tally():
-            return self._execute_predicate(
-                predicate, semantics, self._plan_predicate(predicate, using)
-            )
-
-    def _plan_predicate(self, predicate, using: str | None):
-        """The index a predicate evaluates on; None means ground-truth scan.
-
-        Predicates are not costed: ``using`` forces a covering index,
-        otherwise the static preference order picks among the covering
-        bitmap indexes and VA-files (the only predicate-capable kinds).
-        """
-        from repro.query.boolean import Predicate
-
-        if not isinstance(predicate, Predicate):
-            raise QueryError(
-                f"expected a Predicate, got {type(predicate).__name__}"
-            )
-        attrs = predicate.attributes()
-        if using is not None:
-            covering = [self._forced_index(using, attrs)]
-        else:
-            covering = [
-                ix for ix in self._indexes.values()
-                if attrs <= set(ix.attributes)
-            ]
-        capable = [
-            ix for ix in covering
-            if isinstance(ix.index, (BitmapIndex, VAFile))
-        ]
-        return choose_plan(capable, [])[0]
+            chosen = self._resolve_plan(predicate, semantics, using)[0]
+            return self._execute_predicate(predicate, semantics, chosen)
 
     def _execute_predicate(
         self,
@@ -1251,7 +1297,7 @@ class IncompleteDatabase(_QuerySurface):
         semantics: MissingSemantics | ThreeValued,
         chosen: AttachedIndex | None,
     ) -> QueryReport:
-        """Evaluate a planned predicate (see :meth:`_plan_predicate`)."""
+        """Evaluate a predicate on its planned index (None: ground truth)."""
         from repro.query.boolean import evaluate_predicate
 
         start = time.perf_counter_ns()

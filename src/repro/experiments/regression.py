@@ -8,9 +8,12 @@ CI runner:
 
 * **ratios within one run** — ``speedup_vs_python`` (micro_ops),
   ``speedup`` / ``cache_hit_rate`` (batch_hit_rate), ``speedup`` /
-  ``pruned_frac`` / ``identical`` (sharded_scaling), and ``bre_over_va``
+  ``pruned_frac`` / ``identical`` (sharded_scaling), ``bre_over_va``
   (fig5_latency: BRE milliseconds over the VA-file's on the same queries,
-  lower is better — the ordering the paper's Fig. 5 is about);
+  lower is better — the ordering the paper's Fig. 5 is about) and
+  ``planner_over_best`` (fig5_latency: the planner's picks over the
+  fastest technique, lower is better — 1.0 is a planner that always
+  picks right);
 * **deterministic cost-model counts** — the ``*_words`` / ``*_bitmaps``
   columns of ``fig5_latency``, which depend only on the seeded dataset
   and the algorithms, never the hardware.
@@ -40,7 +43,7 @@ class GuardedMetricError(ValueError):
 #: Column-name rules: (predicate, higher_is_better).  First match wins;
 #: columns matching no rule are unguarded (machine-dependent timings).
 _HIGHER_IS_BETTER = ("speedup", "hit_rate", "pruned_frac", "identical")
-_LOWER_IS_BETTER_SUFFIXES = ("_words", "_bitmaps", "_over_va")
+_LOWER_IS_BETTER_SUFFIXES = ("_words", "_bitmaps", "_over_va", "_over_best")
 
 
 def _direction(column: str) -> bool | None:

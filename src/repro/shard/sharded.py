@@ -7,10 +7,12 @@
 engine's own query surface (inherited, not repeated — see
 ``_QuerySurface`` in :mod:`repro.core.engine`) by scatter-gather:
 
-1. **Plan once.**  Per-shard plan rankings go through the engine's one
-   chooser, :func:`repro.core.planner.choose_plan`, so the whole fan-out
-   executes one chosen index and no shard re-plans (or re-reads size
-   reports) per query.
+1. **Plan once.**  Each shard prices every covering index at its own
+   size (predicted time from measured unit costs, beside the paper's
+   items); the sums go through the engine's one chooser,
+   :func:`repro.core.planner.choose_plan`, so the whole fan-out executes
+   one chosen index and no shard re-plans per query.  Range queries and
+   predicates alike; plans are memoized as the engine's are.
 2. **Prune.**  Per-shard exact value histograms
    (:class:`~repro.core.statistics.TableStatistics`) act as zone maps: a
    shard whose histogram shows zero possible matches for some query
@@ -31,7 +33,7 @@ engine's own query surface (inherited, not repeated — see
 
 :meth:`ShardedDatabase._scatter` is the one body that does all four, for
 ``execute`` (one query), ``execute_batch`` (many) and ``query_predicate``
-(one predicate: never costed, never pruned) alike.
+(one predicate: costed like a query, never pruned) alike.
 """
 
 from __future__ import annotations
@@ -53,12 +55,7 @@ from repro.core.engine import (
     _as_query,
     _QuerySurface,
 )
-from repro.core.planner import (
-    CostEstimate,
-    choose_plan,
-    rank_plans,
-    semantics_for_costing,
-)
+from repro.core.planner import semantics_for_costing
 from repro.dataset.table import IncompleteTable
 from repro.errors import ShardError
 from repro.observability.metrics import _query_tally
@@ -332,79 +329,21 @@ class ShardedDatabase(_QuerySurface):
             shard.database.drop_index(name)
         self._plan_memo.clear()
 
-    # -- planning --------------------------------------------------------------
+    # -- pruning ---------------------------------------------------------------
 
-    def _plan(
-        self, query: RangeQuery, semantics: MissingSemantics
-    ) -> tuple[
-        AttachedIndex | None, list[CostEstimate], list[CostEstimate | None]
-    ]:
-        """Whole-database plan: (chosen, merged ranking, per-shard picks).
+    def _pruned(self, item, semantics: MissingSemantics) -> list[int]:
+        """Ids of the shards that cannot hold a match of ``item``.
 
-        Per-shard rankings go through the engine's own chooser
-        (:func:`~repro.core.planner.choose_plan`: summed costs, else the
-        static preference order, else the scan fallback ``None``).
-        Memoized per ``(query, semantics)`` until the index set changes.
+        A predicate is never pruned: a NOT over a pruned-out shard could
+        still match.
         """
-        key = (query, semantics)
-        memo = self._plan_memo.get(key)
-        if memo is not None:
-            return memo
-        covering = [
-            ix
-            for ix in self._partitions[0]._indexes.values()
-            if ix.covers(query)
-        ]
-        rankings = [
-            rank_plans(
-                [engine.get_index(ix.name) for ix in covering],
-                query,
-                semantics,
-            )
-            for engine in self._partitions
-        ] if covering else []
-        chosen, merged = choose_plan(covering, rankings)
-        per_shard_estimates: list[CostEstimate | None] = [
-            next((p for p in plans if p.index_name == chosen.name), None)
-            for plans in rankings
-        ] if chosen is not None else [None] * self.num_shards
-        if len(self._plan_memo) > 4096:
-            self._plan_memo.clear()
-        result = (chosen, merged, per_shard_estimates)
-        self._plan_memo[key] = result
-        return result
-
-    def _resolve_plan(
-        self,
-        item,
-        costing: MissingSemantics,
-        using: str | None,
-    ) -> tuple[
-        AttachedIndex | None, bool, list[CostEstimate | None], list[int]
-    ]:
-        """Chosen index, forced flag, per-shard estimates, pruned ids.
-
-        A predicate is neither costed nor pruned (a NOT over a pruned-out
-        shard could still match): shard 0 picks by the engine's static
-        preference order, and every shard holds the same index set.
-        """
-        no_estimates = [None] * self.num_shards
         if not isinstance(item, RangeQuery):
-            chosen = self._partitions[0]._plan_predicate(item, using)
-            return chosen, using is not None, no_estimates, []
-        if using is None:
-            chosen, _, estimates = self._plan(item, costing)
-        else:
-            chosen = self._forced_index(using, item.attributes)
-            estimates = no_estimates
-        pruned = [
+            return []
+        return [
             shard.shard_id
             for shard in self._shards
-            if not self._shard_can_match(shard, item, costing)
+            if not self._shard_can_match(shard, item, semantics)
         ]
-        return chosen, using is not None, estimates, pruned
-
-    # -- pruning ---------------------------------------------------------------
 
     def _shard_can_match(
         self,
@@ -485,9 +424,10 @@ class ShardedDatabase(_QuerySurface):
                 else None
             )
             plan_start = time.perf_counter_ns()
-            chosen, forced, estimates, pruned_ids = self._resolve_plan(
-                item, costing, using
+            chosen, forced, estimates = self._resolve_plan(
+                item, semantics, using
             )
+            pruned_ids = self._pruned(item, costing)
             name = chosen.name if chosen else None
             for shard_id, (positions, task_items, plans) in enumerate(work):
                 if shard_id not in pruned_ids:
@@ -500,6 +440,11 @@ class ShardedDatabase(_QuerySurface):
                     plan_span.set("chosen", name if name else "<scan>")
                     plan_span.set("forced", forced)
                     plan_span.set("pruned_shards", pruned_ids)
+                    predicted = [
+                        e.predicted_ns for e in estimates if e is not None
+                    ]
+                    if predicted:
+                        plan_span.set("predicted_ns", round(sum(predicted)))
             num_pruned += len(pruned_ids)
             planned.append((
                 chosen, pruned_ids, time.perf_counter_ns() - plan_start,
@@ -650,10 +595,10 @@ class ShardedDatabase(_QuerySurface):
         the one index picked up front (or a ground-truth scan); the merged
         result is bit-identical to the unsharded engine's
         :meth:`~repro.core.engine.IncompleteDatabase.query_predicate`.
-        Predicates are not planned through the cost model or pruned — a
-        NOT over a pruned-out shard could still match — so every shard
-        executes.  With ``semantics="both"`` each shard evaluates the tree
-        three-valued in one pass.
+        The pick is costed like a query's, summed over shards; predicates
+        are never pruned — a NOT over a pruned-out shard could still match
+        — so every shard executes.  With ``semantics="both"`` each shard
+        evaluates the tree three-valued in one pass.
         """
         return self._scatter(
             [predicate], resolve_semantics(semantics), using,

@@ -186,6 +186,25 @@ class VAFile:
             quantizer.encode_value(interval.hi),
         )
 
+    def _partial_codes(self, attribute: str, interval: Interval) -> list[int]:
+        """The interval's boundary bin codes that hold values outside it."""
+        quantizer = self.quantizer(attribute)
+        return [
+            code
+            for code in set(self._code_bounds(attribute, interval))
+            if not _bin_inside(quantizer.bin_range(code), interval)
+        ]
+
+    def refines(self, attribute: str, interval: Interval) -> bool:
+        """Whether a query on ``interval`` needs a refinement pass here.
+
+        True when a boundary bin also holds values outside the interval
+        (never under the default one-value-per-bin budget).
+        """
+        return not self.quantizer(attribute).is_exact() and bool(
+            self._partial_codes(attribute, interval)
+        )
+
     def _interval_masks(
         self,
         name: str,
@@ -417,16 +436,10 @@ class VAFile:
         exact = [mask.copy() for mask in candidates]
         needs_read = np.zeros(self.num_records, dtype=bool)
         for name, interval in query.items():
-            quantizer = self.quantizer(name)
-            codes = self.codes(name)
-            lo_code, hi_code = self._code_bounds(name, interval)
-            partial_codes = [
-                code
-                for code in {lo_code, hi_code}
-                if not _bin_inside(quantizer.bin_range(code), interval)
-            ]
+            partial_codes = self._partial_codes(name, interval)
             if not partial_codes:
                 continue
+            codes = self.codes(name)
             boundary = candidates[-1] & np.isin(codes, partial_codes)
             if not boundary.any():
                 continue

@@ -84,6 +84,24 @@ class TestCostProfile:
                 # At most 2 LE passes (7 slices each) + the missing bitmap.
                 assert counter.bitmaps_touched <= 2 * 7 + 1, (lo, hi, semantics)
 
+    @pytest.mark.parametrize("cardinality", [1, 2, 5, 8, 12])
+    @pytest.mark.parametrize("missing", [0.0, 0.2])
+    def test_bitmaps_for_interval_matches_execution(self, cardinality, missing):
+        table = generate_uniform_table(
+            300, {"a": cardinality}, {"a": missing}, seed=cardinality + 7
+        )
+        index = BitSlicedIndex(table, codec="none")
+        for lo in range(1, cardinality + 1):
+            for hi in range(lo, cardinality + 1):
+                for semantics in MissingSemantics:
+                    counter = OpCounter()
+                    index.evaluate_interval(
+                        "a", Interval(lo, hi), semantics, counter
+                    )
+                    assert counter.bitmaps_touched == index.bitmaps_for_interval(
+                        "a", Interval(lo, hi), semantics
+                    ), (lo, hi, semantics)
+
     def test_smaller_than_bre_for_high_cardinality(self):
         table = generate_uniform_table(2000, {"a": 100}, {"a": 0.2}, seed=4)
         sliced = BitSlicedIndex(table, codec="none")

@@ -25,6 +25,27 @@ def paper_table() -> IncompleteTable:
 
 
 @pytest.fixture
+def unit_costs(monkeypatch):
+    """Price plans with injected per-kind unit costs instead of measuring.
+
+    Returns ``install(**{kind: UnitCosts})``; a kind left out is priced by
+    the ``default`` costs (one nanosecond per word or code).
+    """
+    from repro.core import planner
+
+    costs = {
+        "default": planner.UnitCosts(
+            ns=planner.Work(words=1.0, codes=1.0), spread=0.0
+        )
+    }
+    monkeypatch.setattr(
+        planner._CALIBRATIONS, "get",
+        lambda attached: costs.get(attached.kind, costs["default"]),
+    )
+    return costs.update
+
+
+@pytest.fixture
 def small_table() -> IncompleteTable:
     """A 1000-record mixed-cardinality table with varied missing rates."""
     return generate_uniform_table(

@@ -63,7 +63,9 @@ class TestIndexManagement:
 
 
 class TestPlanning:
-    def test_prefers_bre_over_others(self, db):
+    def test_prefers_bre_over_others(self, db, unit_costs):
+        # Priced per word and per code alike, BRE's one stored bitmap beats
+        # BEE's OR of three and the VA-file's scan of every record.
         db.create_index("va", "vafile")
         db.create_index("eq", "bee")
         db.create_index("rng", "bre")
@@ -190,8 +192,8 @@ class TestIntrospection:
     def test_summary_counts_queries_per_index(self, db):
         db.create_index("rng", "bre")
         db.create_index("va", "vafile")
-        db.query({"mid": (1, 3)})
-        db.query({"mid": (1, 3)})
+        db.query({"mid": (1, 3)}, using="rng")
+        db.query({"mid": (1, 3)}, using="rng")
         db.query({"mid": (1, 3)}, using="va")
         text = db.summary()
         assert "rng (bre)" in text and "2 queries served" in text

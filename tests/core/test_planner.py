@@ -1,5 +1,6 @@
 """Unit tests for the cost-based planner."""
 
+import numpy as np
 import pytest
 
 from repro.core.engine import IncompleteDatabase
@@ -55,12 +56,39 @@ class TestEstimates:
             is None
         )
 
+    def test_costing_never_runs_the_query(self, monkeypatch, unit_costs):
+        from repro.bitmap.bitsliced import BitSlicedIndex
+        from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
+
+        table = generate_uniform_table(
+            500, {"a": 20, "b": 7}, {"a": 0.2, "b": 0.1}, seed=9
+        )
+        db = IncompleteDatabase(table)
+        db.create_index("bie", "bie")
+        db.create_index("bsl", "bsl")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pricing a plan evaluated an interval")
+
+        for encoding in (IntervalEncodedBitmapIndex, BitSlicedIndex):
+            monkeypatch.setattr(encoding, "evaluate_interval", refuse)
+        query = RangeQuery.from_bounds({"a": (3, 17), "b": (2, 7)})
+        for semantics in MissingSemantics:
+            plans = rank_plans(
+                [db.get_index("bie"), db.get_index("bsl")], query, semantics
+            )
+            assert {p.index_name for p in plans} == {"bie", "bsl"}
+
     def test_rank_orders_cheapest_first(self, db):
         query = RangeQuery.from_bounds({"a": (10, 60), "b": (2, 8)})
         candidates = [db.get_index(n) for n in ("bee", "bre", "va")]
         plans = rank_plans(candidates, query, MissingSemantics.IS_MATCH)
         assert len(plans) == 3
-        assert plans[0].items <= plans[1].items <= plans[2].items
+        assert (
+            plans[0].predicted_ns
+            <= plans[1].predicted_ns
+            <= plans[2].predicted_ns
+        )
 
 
 class TestEngineIntegration:
@@ -68,12 +96,25 @@ class TestEngineIntegration:
         # A half-domain range touches ~50 BEE bitmaps but <= 3 BRE bitmaps.
         query = RangeQuery.from_bounds({"a": (10, 60)})
         chosen = db.choose_index(query, MissingSemantics.IS_MATCH)
-        assert chosen.name == "bre"
+        assert chosen.name != "bee"
+        ranking = [
+            plan.index_name
+            for plan in db._plan(query, MissingSemantics.IS_MATCH)[1]
+        ]
+        assert ranking.index("bre") < ranking.index("bee")
 
     def test_explain_lists_costed_plans(self, db):
         text = db.explain(RangeQuery.from_bounds({"a": (10, 60)}))
         assert "items" in text
         assert "bre" in text and "va" in text
+        plan_lines = [line for line in text.splitlines() if "items," in line]
+        assert len(plan_lines) == 3
+        assert all("µs predicted" in line for line in plan_lines)
+        (costs,) = [
+            line for line in text.splitlines()
+            if line.startswith("unit costs (measured): ")
+        ]
+        assert "µs/query" in costs and "±" in costs
 
     def test_forced_index_bypasses_planner(self, db):
         report = db.query({"a": (10, 60)}, using="va")
@@ -178,3 +219,281 @@ class TestCombineShardEstimates:
         from repro.core.planner import combine_shard_estimates
 
         assert combine_shard_estimates([]) == []
+
+
+def _costs(**ns):
+    from repro.core.planner import UnitCosts, Work
+
+    spread = ns.pop("spread", 0.0)
+    return UnitCosts(ns=Work(**ns), spread=spread)
+
+
+class TestMeasuredChooser:
+    """The chooser on injected unit costs: deterministic by construction."""
+
+    QUERY = RangeQuery.from_bounds({"a": (10, 60), "b": (2, 8)})
+
+    def _pick(self, db):
+        return db.choose_index(self.QUERY, MissingSemantics.IS_MATCH).name
+
+    def test_picks_the_minimum_predicted_time(self, db, unit_costs):
+        unit_costs(vafile=_costs(codes=0.01))
+        assert self._pick(db) == "va"
+        plans = db._plan(self.QUERY, MissingSemantics.IS_MATCH)[1]
+        assert [p.predicted_ns for p in plans] == sorted(
+            p.predicted_ns for p in plans
+        )
+        assert plans[0].index_name == "va"
+        unit_costs(vafile=_costs(codes=100.0))
+        db._plan_memo.clear()
+        assert self._pick(db) == "bre"
+
+    def test_within_the_spread_items_decide(self, db, unit_costs):
+        from repro.core.planner import choose_cheapest, estimate_cost
+
+        bre = estimate_cost(db.get_index("bre"), self.QUERY,
+                            MissingSemantics.IS_MATCH)
+        # Price the VA-file 5 % under BRE: a gap inside a 10 % spread is
+        # noise, so the fewer paper-unit items (BRE's) decide ...
+        ns_per_code = 0.95 * bre.predicted_ns / (5000 * 2)
+        unit_costs(vafile=_costs(codes=ns_per_code, spread=0.1))
+        assert self._pick(db) == "bre"
+        # ... and beyond the spread, time does.
+        unit_costs(vafile=_costs(codes=ns_per_code, spread=0.01))
+        db._plan_memo.clear()
+        assert self._pick(db) == "va"
+        plans = db._plan(self.QUERY, MissingSemantics.IS_MATCH)[1]
+        assert choose_cheapest(plans).index_name == "va"
+
+    def test_predicate_cost_is_its_atoms_plus_combines(self, db, unit_costs):
+        from repro.core.planner import estimate_cost
+        from repro.query.boolean import Atom
+
+        unit_costs(bre=_costs(queries=1000.0, operands=10.0, words=1.0),
+                   vafile=_costs(queries=500.0, codes=0.5))
+        first, second = Atom.of("a", 10, 60), Atom.of("b", 2, 3)
+        predicate = first & ~second
+        semantics = MissingSemantics.IS_MATCH
+        for name, pass_work, per_query, per_item in (
+            ("bre", (5000 + 30) // 31, 1000.0, 1.0),
+            ("va", 5000, 500.0, 0.5),
+        ):
+            attached = db.get_index(name)
+            whole = estimate_cost(attached, predicate, semantics)
+            atoms = [
+                estimate_cost(attached, RangeQuery({a.attribute: a.interval}),
+                              bound)
+                for a, bound in ((first, semantics),
+                                 (second, semantics.opposite))
+            ]
+            combines = 2  # one AND, one NOT
+            assert whole.items == pytest.approx(
+                sum(a.items for a in atoms) + combines * pass_work
+            )
+            # One execution: the atoms' per-query term is paid once.
+            assert whole.predicted_ns == pytest.approx(
+                sum(a.predicted_ns for a in atoms) - per_query
+                + combines * pass_work * per_item
+            )
+
+    def test_predicates_are_costed_on_every_tier(self, db, unit_costs):
+        from repro.query.boolean import Atom
+        from repro.shard import ShardedDatabase
+
+        predicate = Atom.of("a", 10, 60) & ~Atom.of("b", 2, 3)
+        with ShardedDatabase(db.table, num_shards=3) as sharded:
+            sharded.create_index("bre", "bre")
+            sharded.create_index("va", "vafile")
+            for tier in (db, sharded):
+                unit_costs(vafile=_costs(codes=0.01), bre=_costs(words=1.0))
+                tier._plan_memo.clear()
+                assert tier.query_predicate(predicate).kind == "vafile"
+                unit_costs(vafile=_costs(codes=100.0))
+                tier._plan_memo.clear()
+                assert tier.query_predicate(predicate).kind == "bre"
+
+    def test_sharded_cost_is_the_sum_of_shard_costs(self, db, unit_costs):
+        from repro.core.planner import rank_plans
+        from repro.shard import ShardedDatabase
+
+        unit_costs(bre=_costs(queries=7000.0, operands=300.0, words=2.0),
+                   vafile=_costs(queries=3000.0, codes=0.7))
+        with ShardedDatabase(db.table, num_shards=4) as sharded:
+            sharded.create_index("bre", "bre")
+            sharded.create_index("va", "vafile")
+            merged = sharded._plan(self.QUERY, MissingSemantics.IS_MATCH)[1]
+            per_shard = [
+                rank_plans([shard.database.get_index(n) for n in ("bre", "va")],
+                           self.QUERY, MissingSemantics.IS_MATCH)
+                for shard in sharded.shards
+            ]
+        for plan in merged:
+            mine = [
+                next(p for p in plans if p.index_name == plan.index_name)
+                for plans in per_shard
+            ]
+            assert plan.predicted_ns == pytest.approx(
+                sum(p.predicted_ns for p in mine)
+            )
+            assert plan.items == pytest.approx(sum(p.items for p in mine))
+
+    def test_prediction_is_named_in_the_trace_and_the_registry(
+        self, db, unit_costs
+    ):
+        from repro.observability import use_registry
+        from repro.shard import ShardedDatabase
+
+        unit_costs(bre=_costs(queries=2000.0, words=3.0),
+                   bee=_costs(queries=1e9), vafile=_costs(queries=1e9))
+        with ShardedDatabase(db.table, num_shards=2) as sharded:
+            sharded.create_index("bre", "bre")
+            for tier in (db, sharded):
+                plans = tier._plan(self.QUERY, MissingSemantics.IS_MATCH)[1]
+                predicted = next(
+                    p.predicted_ns for p in plans if p.index_name == "bre"
+                )
+                with use_registry() as registry:
+                    report = tier.execute(self.QUERY, using=None, trace=True)
+                assert report.index_name == "bre"
+                plan_span = next(
+                    span for span in report.trace.root.children
+                    if span.name == "plan"
+                )
+                assert plan_span.attributes["predicted_ns"] == pytest.approx(
+                    predicted, abs=1
+                )
+                histogram = registry.snapshot().histograms[
+                    "planner.predicted_ns"
+                ]
+                # One sample per executed partition, each at its own size.
+                assert histogram.count == len(tier._partitions)
+                assert histogram.total == pytest.approx(predicted, abs=2)
+
+    def test_non_costable_kinds_are_the_only_fixed_order(self):
+        from repro.core.planner import _PREFERENCE
+
+        assert set(_PREFERENCE).isdisjoint({"bre", "bie", "bee", "bsl", "vafile"})
+
+
+class TestCalibration:
+    """The measured unit costs: lazy, shared, silent, and fitted to counts."""
+
+    def test_probe_counts_are_the_execution_counts(self, db):
+        from repro.bitvector.ops import OpCounter
+        from repro.core.planner import (
+            estimate_bitmap_cost,
+            estimate_vafile_cost,
+            probe_queries,
+        )
+        from repro.vafile.vafile import VaQueryStats
+
+        bre, va = db.get_index("bre").index, db.get_index("va").index
+        for query, semantics in probe_queries(bre):
+            counter = OpCounter()
+            bre.execute_bound_ids(query, semantics, counter=counter)
+            work, _ = estimate_bitmap_cost(bre, query, semantics)
+            assert work.operands == counter.bitmaps_touched
+        for query, semantics in probe_queries(va):
+            stats = VaQueryStats()
+            va.execute_bound_ids(query, semantics, stats=stats)
+            work, _ = estimate_vafile_cost(va, query, semantics)
+            assert work.codes == stats.codes_scanned
+
+    def test_calibration_reaches_no_registry_and_no_trace(self, db):
+        from repro.core.planner import calibrate
+        from repro.observability import QueryTrace, activate, use_registry
+
+        trace = QueryTrace()
+        with use_registry() as registry, activate(trace):
+            for name in ("bee", "bre", "va"):
+                costs = calibrate(db.get_index(name))
+                assert costs.spread >= 0
+                assert all(ns >= 0 for ns in costs.ns)
+                assert any(costs.ns)
+        assert not registry.snapshot()
+        assert trace.root.children == [] and trace.root.metrics == {}
+
+    def test_measured_lazily_once_per_key(self, monkeypatch):
+        from repro.bitvector.kernels import get_backend, use_backend
+        from repro.core import planner
+        from repro.shard import ShardedDatabase
+
+        monkeypatch.setattr(planner._CALIBRATIONS, "measured", {})
+        probed = []
+        real = planner.calibrate
+        monkeypatch.setattr(
+            planner, "calibrate",
+            lambda attached: probed.append(attached.kind) or real(attached),
+        )
+        table = generate_uniform_table(
+            2000, {"a": 20, "b": 5}, {"a": 0.1, "b": 0.2}, seed=3
+        )
+        first = IncompleteDatabase(table)
+        first.create_index("bre", "bre")
+        first.create_index("va", "vafile")
+        assert probed == []  # never at build
+        first.choose_index({"a": (2, 9)})
+        assert sorted(probed) == ["bre", "vafile"]
+        # Same kind and size class: another engine shares it; the shards
+        # of a two-shard database (1000 rows, the next class down) share
+        # one new measurement.
+        second = IncompleteDatabase(table)
+        second.create_index("bre", "bre")
+        second.execute({"a": (2, 9)})
+        assert len(probed) == 2
+        with ShardedDatabase(table, num_shards=2) as sharded:
+            sharded.create_index("bre", "bre")
+            sharded.execute({"a": (2, 9)})
+        assert probed[2:] == ["bre"]
+        other = "numpy" if get_backend().name == "python" else "python"
+        with use_backend(other):
+            second.execute({"a": (3, 9)})
+        assert probed[3:] == ["bre"]  # a backend switch measures afresh
+
+
+class TestPlanMemo:
+    """One memo for both tiers: repeats plan once, every change re-plans."""
+
+    def _rankings(self, run) -> int:
+        from repro.observability import use_registry
+
+        with use_registry() as registry:
+            run()
+        return registry.snapshot().counters.get("planner.rankings", 0)
+
+    def test_repeated_execute_plans_once(self, db):
+        query = {"a": (10, 60)}
+        assert self._rankings(lambda: db.execute(query)) == 1
+        assert self._rankings(lambda: [db.execute(query) for _ in range(3)]) == 0
+        assert self._rankings(lambda: db.execute(query, "not_match")) == 1
+
+    @pytest.mark.parametrize("change", [
+        "append", "delete", "compact", "create_index", "drop_index",
+    ])
+    def test_every_change_forces_a_replan(self, db, change):
+        query = {"a": (10, 60)}
+        db.execute(query)
+        db.delete([0])  # so that compact has something to do
+        db.execute(query)
+        assert self._rankings(lambda: db.execute(query)) == 0
+        if change == "append":
+            db.append(db.table.take(np.arange(10)))
+        elif change == "delete":
+            db.delete([1])
+        elif change == "compact":
+            db.compact()
+        elif change == "create_index":
+            db.create_index("bsl", "bsl")
+        else:
+            db.drop_index("bee")
+        assert self._rankings(lambda: db.execute(query)) == 1
+
+    def test_sharded_ddl_forces_a_replan(self, db):
+        from repro.shard import ShardedDatabase
+
+        with ShardedDatabase(db.table, num_shards=2) as sharded:
+            sharded.create_index("bre", "bre")
+            sharded.execute({"a": (10, 60)})
+            assert self._rankings(lambda: sharded.execute({"a": (10, 60)})) == 0
+            sharded.create_index("va", "vafile")
+            assert self._rankings(lambda: sharded.execute({"a": (10, 60)})) == 2

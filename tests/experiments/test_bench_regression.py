@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.bench import SCHEMA_VERSION, bench_main
+from repro.experiments.bench import SCHEMA_VERSION, _result_as_dict, bench_main
 from repro.experiments.regression import (
     GuardedMetricError,
     compare_payloads,
@@ -82,6 +82,13 @@ class TestGuardedMetrics:
         (ratio,) = result.column("bre_over_va")
         (bre_ms,), (va_ms,) = result.column("bre_ms"), result.column("va_ms")
         assert ratio == pytest.approx(bre_ms / va_ms)
+        (regret,) = result.column("planner_over_best")
+        (bee_ms,), (planner_ms,) = (
+            result.column("bee_ms"), result.column("planner_ms")
+        )
+        assert regret == pytest.approx(planner_ms / min(bee_ms, bre_ms, va_ms))
+        metrics = guarded_metrics("fig5_latency", _result_as_dict(result))
+        assert metrics["fig5_latency[x=5].planner_over_best"] == (regret, False)
 
     def test_ratio_columns_are_higher_is_better(self):
         results = {

@@ -306,7 +306,11 @@ class TestCounterValues:
     boolean evaluator on both, one engine batch and one sharded batch.
     The expected totals were taken when counters still reached the
     registry one operation at a time; one tally per query must not move
-    any of them.
+    any of them.  Plans are priced in paper units (injected unit costs),
+    so every choice is the one the totals were taken under.  Only the
+    planner's own tallies moved since, when plans became memoized: the
+    engine batch repeats its three queries, so three rankings (six plans
+    costed) are memo hits.
     """
 
     EXPECTED = {
@@ -342,8 +346,8 @@ class TestCounterValues:
         "planner.plan_chosen.bre": 39,
         "planner.plan_chosen.bsl": 27,
         "planner.plan_chosen.vafile": 9,
-        "planner.plans_costed": 135,
-        "planner.rankings": 129,
+        "planner.plans_costed": 129,
+        "planner.rankings": 126,
         "planner.shard_plans_merged": 3,
         "planner.shard_rankings": 3,
         "semantics.both_predicates": 2,
@@ -365,7 +369,7 @@ class TestCounterValues:
         "wah.words_emitted": 100,
     }
 
-    def test_workload_totals_hold(self):
+    def test_workload_totals_hold(self, unit_costs):
         queries = [
             {"a": (2, 5), "b": (1, 3)}, {"a": (4, 8)}, {"a": (2, 5), "b": (4, 4)},
         ]
