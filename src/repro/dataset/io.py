@@ -2,7 +2,10 @@
 
 The on-disk format stores one array per column plus a parallel pair of
 metadata arrays (names and cardinalities), so a saved table round-trips its
-schema exactly even when some domain values never occur in the data.
+schema exactly even when some domain values never occur in the data.  Each
+column is stored in the narrowest unsigned type that holds its codes
+(``np.min_scalar_type(C)``: ``uint8`` up to C = 255, then ``uint16``, ...);
+loading widens it back to ``int64``, and older ``int64`` files load as-is.
 
 Tables are written through :mod:`repro.storage.integrity`: the compressed
 ``.npz`` bytes ride inside a checksummed ``RPF1`` frame and reach disk via
@@ -54,8 +57,10 @@ def save_table(table: IncompleteTable, path: str | os.PathLike) -> int:
             [spec.cardinality for spec in table.schema], dtype=np.int64
         ),
     }
-    for index, name in enumerate(table.schema.names):
-        arrays[f"col_{index}"] = table.column(name)
+    for index, spec in enumerate(table.schema):
+        arrays[f"col_{index}"] = table.column(spec.name).astype(
+            np.min_scalar_type(spec.cardinality)
+        )
     buffer = io.BytesIO()
     np.savez_compressed(buffer, **arrays)
     return write_framed(_normalized(path), [(_SECTION, buffer.getvalue())])

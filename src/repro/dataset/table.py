@@ -32,7 +32,8 @@ class IncompleteTable:
         Generators that construct provably valid codes may pass ``False``.
     """
 
-    __slots__ = ("_schema", "_columns", "_num_records")
+    # Weak-referenceable so a saved shard table can remember its file.
+    __slots__ = ("_schema", "_columns", "_num_records", "__weakref__")
 
     def __init__(
         self,

@@ -11,6 +11,12 @@ itself — and fails loudly unless
   the shard table (with identical query results), while a corrupt table,
   rows file, or manifest is a hard error naming the damaged state.
 
+A last leg publishes one append through
+:class:`~repro.serve.SnapshotWriter` and checks the linked generation: the
+untouched shard's files share inodes with the previous generation, fsck
+passes once that generation is retired, and one flipped byte in a linked
+file is flagged exactly and degrades ``load_sharded`` as above.
+
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
     PYTHONPATH=src python -m repro.experiments.storage_fault_smoke
@@ -27,10 +33,13 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
+from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import CorruptIndexError, ShardError
 from repro.observability import use_registry
 from repro.query.model import MissingSemantics, RangeQuery
+from repro.serve import EpochManager, SnapshotWriter
 from repro.shard.manifest import load_sharded, save_sharded
 from repro.shard.sharded import ShardedDatabase
 from repro.storage import verify_sharded
@@ -213,9 +222,12 @@ def _run(root: Path) -> int:
             file=sys.stderr,
         )
 
+    failures += _append_leg(root, table)
+
     print(
         f"storage fault smoke: {len(paths)} categories corrupted and "
-        f"restored over {len(clean.findings)} files"
+        f"restored over {len(clean.findings)} files, plus one linked "
+        f"append generation"
     )
     if failures:
         print(
@@ -225,6 +237,63 @@ def _run(root: Path) -> int:
         return 1
     print("storage fault smoke OK")
     return 0
+
+
+def _answers_match(got, expected) -> bool:
+    return all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def _append_leg(root: Path, table: IncompleteTable) -> int:
+    """Publish one append through :class:`SnapshotWriter`; count problems.
+
+    Shard 0 is untouched by an append, so its table and index files in the
+    new generation must be the previous generation's inodes (its row map
+    is always written); fsck must pass the directory
+    once the old generation is retired; and a byte flipped in one linked
+    file must be flagged exactly and rebuilt on load as any index file is.
+    """
+    problems = []
+    rows = IncompleteTable(table.schema, {"a": [3], "b": [2]})
+    appended = _results(IncompleteDatabase(concat_tables(table, rows)))
+    manager = EpochManager(load_sharded(root), root)
+    writer = SnapshotWriter(manager, root)
+    old_gen = root / f"gen-{manager.current_epoch:06d}" / "shard-0"
+    inodes = {
+        path.name: path.stat().st_ino
+        for path in old_gen.iterdir() if path.name != "rows.npy"
+    }
+    epoch = writer.append(rows)  # joins the last shard
+    new_gen = root / f"gen-{epoch:06d}" / "shard-0"
+    for name, inode in sorted(inodes.items()):
+        if (new_gen / name).stat().st_ino != inode:
+            problems.append(f"untouched shard file {name} was rewritten")
+    if not _answers_match(_results(manager.current_database), appended):
+        problems.append("the appended epoch answers unlike a scan")
+    manager.close()  # retires the previous generation
+
+    report = verify_sharded(root)
+    if not report.ok or report.paths("orphan"):
+        problems.append(f"fsck after the append:\n{report.format()}")
+
+    target = new_gen / "ix.idx"
+    _flip_byte(target)
+    problems += _check_fsck_flags_exactly(root, target)
+    try:
+        with use_registry() as registry:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                with load_sharded(root) as loaded:
+                    degraded = _results(loaded)
+    except Exception as exc:
+        problems.append(f"load_sharded raised {exc!r} on a rotten index")
+    else:
+        if registry.snapshot().counters.get("storage.index_rebuilds") != 1:
+            problems.append("the rotten linked index was not rebuilt once")
+        if not _answers_match(degraded, appended):
+            problems.append("the rebuilt index answers unlike a scan")
+    for problem in problems:
+        print(f"FAIL: [append] {problem}", file=sys.stderr)
+    return len(problems)
 
 
 if __name__ == "__main__":

@@ -1,19 +1,35 @@
-"""The serialized writer path: build the next snapshot, publish it.
+"""The serialized writer path: derive the next snapshot, publish it.
 
-Writers never mutate a published snapshot — every operation here reads
-the current epoch's (frozen) database, builds a brand-new
-:class:`~repro.shard.ShardedDatabase` with the mutation applied and the
-same shard/partitioner/index configuration, and hands it to the
+Writers never mutate a published snapshot.  Every operation here derives
+the next :class:`~repro.shard.ShardedDatabase` from the current epoch's
+(frozen) one, shard by shard, and hands it to the
 :class:`~repro.serve.epoch.EpochManager`.  Readers holding a pin keep
 querying their epoch untouched; new readers see the new one.
 
+A mutation rebuilds only the shards whose rows it changes; every other
+shard's engine (its table and built index objects) is shared by reference
+with the previous snapshot, which is safe because no published engine is
+ever mutated:
+
+* ``append`` puts the new rows in the **last** shard, whatever the
+  partitioner (the shards stay a partition of the row ids);
+* ``delete`` rebuilds only the shards holding a deleted id from their
+  survivors, drops a shard it empties, and renumbers every other shard's
+  global ids in place;
+* ``compact`` re-applies the recorded partitioner and reuses every shard
+  whose rows come out unchanged;
+* ``create_index`` / ``drop_index`` give each shard a new engine over the
+  same table and the same other index objects, and build or drop only the
+  named index.
+
 Disk-backed writers persist through
-:func:`~repro.shard.manifest.save_sharded` with ``gc_stale=False`` — the
-fresh generation directory is committed by atomically replacing
-``manifest.json`` last, and the *previous* generation is left on disk for
-the epoch manager's pin-count GC.  A crash anywhere in the publish leaves
-the old manifest (and so the old epoch) fully loadable; the partial new
-directory is swept as an orphan on the next startup.
+:func:`~repro.shard.manifest.save_sharded` with ``gc_stale=False``, which
+hard-links the files of everything shared into the new generation
+directory and writes only what changed.  The generation is committed by
+atomically replacing ``manifest.json`` last, and the *previous* generation
+is left on disk for the epoch manager's pin-count GC.  A crash anywhere in
+the publish leaves the old manifest (and so the old epoch) fully loadable;
+the partial new directory is swept as an orphan on the next startup.
 
 One writer mutates at a time (an internal mutex serializes them); the
 whole design trades write throughput for never blocking a reader.
@@ -29,14 +45,45 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import QueryError, ReproError
-from repro.observability import observe
+from repro.observability import observe, record
 from repro.serve.epoch import EpochManager
 from repro.shard.manifest import MANIFEST_NAME, save_sharded
+from repro.shard.partition import get_partitioner
 from repro.shard.sharded import ShardedDatabase
 
 __all__ = ["SnapshotWriter"]
+
+
+def _rebuilt(
+    like: IncompleteDatabase, table: IncompleteTable, cache_bytes: int
+) -> IncompleteDatabase:
+    """A new engine over ``table`` with every index of ``like`` built afresh.
+
+    Each index keeps the kind, attributes and options ``like`` recorded.
+    """
+    engine = IncompleteDatabase(table, cache_bytes=cache_bytes)
+    for name in like.index_names:
+        spec = like.get_index(name)
+        engine.create_index(name, spec.kind, spec.attributes, **spec.options)
+    return engine
+
+
+def _reattached(
+    engine: IncompleteDatabase, cache_bytes: int, without: str
+) -> IncompleteDatabase:
+    """A new engine sharing ``engine``'s table and indexes but ``without``."""
+    fresh = IncompleteDatabase(engine.table, cache_bytes=cache_bytes)
+    for name in engine.index_names:
+        if name != without:
+            spec = engine.get_index(name)
+            fresh.attach_index(
+                name, spec.kind, spec.index, spec.attributes,
+                options=spec.options,
+            )
+    return fresh
 
 
 class SnapshotWriter:
@@ -61,44 +108,26 @@ class SnapshotWriter:
         self._directory = Path(directory) if directory is not None else None
         self._mutex = threading.Lock()
 
-    # -- snapshot construction -------------------------------------------
-
-    def _build_next(
+    def _publish(
         self,
+        current: ShardedDatabase,
         table: IncompleteTable,
-        without: str | None = None,
-    ) -> ShardedDatabase:
-        """A new unfrozen database over ``table``, configured like current.
+        shards: list[tuple[np.ndarray, IncompleteDatabase]],
+        rebuilt: int,
+        start_ns: int,
+    ) -> int:
+        """Assemble, persist (when disk-backed) and publish; the new epoch.
 
-        Every index of the current snapshot except ``without`` is rebuilt
-        with the kind, attributes and options its shards recorded.  The
-        executor is not carried over: each snapshot gets its own inline one,
-        because a shared instance would be closed under the live snapshot
-        when a retiring epoch's database closes.
+        ``shards`` are the next snapshot's ``(global_ids, engine)`` pairs,
+        ``rebuilt`` of them with engines built from their rows.  The
+        executor is not carried over: each snapshot gets its own inline
+        one, because a shared instance would be closed under the live
+        snapshot when a retiring epoch's database closes.
         """
-        current = self._manager.current_database
-        if table.num_records == 0:
-            raise ReproError(
-                "refusing to publish an empty snapshot (the mutation would "
-                "delete every row)"
-            )
-        db = ShardedDatabase(
-            table,
-            num_shards=min(current.num_shards, table.num_records),
-            partitioner=current.partitioner_name,
+        db = ShardedDatabase._from_shards(
+            table, current.partitioner_name, shards,
             cache_bytes=current._cache_bytes,
         )
-        registry = current.shards[0].database
-        for name in current.index_names:
-            if name != without:
-                spec = registry.get_index(name)
-                db.create_index(
-                    name, spec.kind, spec.attributes, **spec.options
-                )
-        return db
-
-    def _publish(self, db: ShardedDatabase, start_ns: int) -> int:
-        """Persist (when disk-backed) and publish; returns the new epoch."""
         if self._directory is None:
             epoch = self._manager.publish(db)
         else:
@@ -114,6 +143,8 @@ class SnapshotWriter:
                 gen_dir=self._directory / f"gen-{generation:06d}",
                 epoch=generation,
             )
+        record("writer.shards_rebuilt", rebuilt)
+        record("writer.shards_reused", len(shards) - rebuilt)
         observe("epoch.publish_ns", time.perf_counter_ns() - start_ns)
         return epoch
 
@@ -124,7 +155,8 @@ class SnapshotWriter:
     ) -> int:
         """Append rows in a new epoch; returns the epoch number.
 
-        Existing record ids are stable; new rows take the next ids.
+        Existing record ids are stable; new rows take the next ids and join
+        the last shard, the only one rebuilt.
         """
         with self._mutex:
             start = time.perf_counter_ns()
@@ -134,8 +166,23 @@ class SnapshotWriter:
                     current.table.schema,
                     {name: np.asarray(col) for name, col in rows.items()},
                 )
-            table = concat_tables(current.table, rows)
-            return self._publish(self._build_next(table), start)
+            if rows.num_records == 0:
+                raise QueryError("no rows to append")
+            n = current.num_records
+            shards = [(s.global_ids, s.database) for s in current.shards]
+            ids, last = shards[-1]
+            shards[-1] = (
+                np.concatenate([
+                    ids, np.arange(n, n + rows.num_records, dtype=np.int64)
+                ]),
+                _rebuilt(
+                    last, concat_tables(last.table, rows),
+                    current._cache_bytes,
+                ),
+            )
+            return self._publish(
+                current, concat_tables(current.table, rows), shards, 1, start
+            )
 
     def delete(self, record_ids: Iterable[int]) -> int:
         """Remove rows by record id in a new epoch; returns the epoch.
@@ -144,6 +191,8 @@ class SnapshotWriter:
         id of a surviving row shifts down past each removed predecessor),
         matching what the engine's ``compact`` does after a tombstone
         delete.  Readers pinned to older epochs keep the old numbering.
+        Only the shards holding a removed row are rebuilt; a shard left
+        with no rows is dropped.
         """
         with self._mutex:
             start = time.perf_counter_ns()
@@ -156,26 +205,70 @@ class SnapshotWriter:
                     f"record ids must be in [0, {current.num_records}); "
                     f"got range [{ids.min()}, {ids.max()}]"
                 )
+            if ids.size == current.num_records:
+                raise ReproError(
+                    "refusing to publish an empty snapshot (the mutation "
+                    "would delete every row)"
+                )
+            shards = []
+            rebuilt = 0
+            for shard in current.shards:
+                global_ids, engine = shard.global_ids, shard.database
+                hit = np.isin(global_ids, ids, assume_unique=True)
+                if hit.any():
+                    survivors = np.flatnonzero(~hit)
+                    if survivors.size == 0:
+                        continue
+                    global_ids = global_ids[survivors]
+                    engine = _rebuilt(
+                        engine, engine.table.take(survivors),
+                        current._cache_bytes,
+                    )
+                    rebuilt += 1
+                shards.append(
+                    (global_ids - np.searchsorted(ids, global_ids), engine)
+                )
             keep = np.setdiff1d(
                 np.arange(current.num_records, dtype=np.int64), ids,
                 assume_unique=True,
             )
-            table = current.table.take(keep)
-            return self._publish(self._build_next(table), start)
+            return self._publish(
+                current, current.table.take(keep), shards, rebuilt, start
+            )
 
     def compact(self) -> int:
-        """Rewrite the current state into a fresh epoch (and generation).
+        """Re-apply the partitioner in a fresh epoch (and generation).
 
-        With snapshot-per-write there is nothing logically deleted at the
-        serving layer; compaction's value is operational — it rewrites
-        every shard file into a new generation directory (defragmenting a
-        directory that accumulated appends) and proves the publish path
-        end-to-end.  Returns the new epoch number.
+        Appends since the last compaction sit in the last shard; this lays
+        the rows out again as the recorded partitioner would, rebuilding
+        the shards whose rows change and reusing the rest.  Returns the new
+        epoch number.
         """
         with self._mutex:
             start = time.perf_counter_ns()
             current = self._manager.current_database
-            return self._publish(self._build_next(current.table), start)
+            table = current.table
+            assignment = get_partitioner(current.partitioner_name).partition(
+                table, min(current.num_shards, table.num_records)
+            )
+            like = current.shards[0].database
+            shards = []
+            rebuilt = 0
+            for ids in assignment.shards:
+                engine = next(
+                    (
+                        shard.database for shard in current.shards
+                        if np.array_equal(shard.global_ids, ids)
+                    ),
+                    None,
+                )
+                if engine is None:
+                    engine = _rebuilt(
+                        like, table.take(ids), current._cache_bytes
+                    )
+                    rebuilt += 1
+                shards.append((ids, engine))
+            return self._publish(current, table, shards, rebuilt, start)
 
     def create_index(
         self,
@@ -185,7 +278,11 @@ class SnapshotWriter:
         overwrite: bool = False,
         **options,
     ) -> int:
-        """Publish a new epoch with one more index; returns the epoch."""
+        """Publish a new epoch with one more index; returns the epoch.
+
+        Only ``name`` is built, on every shard; the tables and the other
+        indexes are shared with the current snapshot.
+        """
         with self._mutex:
             start = time.perf_counter_ns()
             current = self._manager.current_database
@@ -194,9 +291,14 @@ class SnapshotWriter:
                     f"an index named {name!r} already exists "
                     f"(pass overwrite=True to replace it)"
                 )
-            db = self._build_next(current.table, without=name)
-            db.create_index(name, kind, attributes, **options)
-            return self._publish(db, start)
+            shards = []
+            for shard in current.shards:
+                engine = _reattached(
+                    shard.database, current._cache_bytes, without=name
+                )
+                engine.create_index(name, kind, attributes, **options)
+                shards.append((shard.global_ids, engine))
+            return self._publish(current, current.table, shards, 0, start)
 
     def drop_index(self, name: str) -> int:
         """Publish a new epoch without ``name``; returns the epoch."""
@@ -205,6 +307,13 @@ class SnapshotWriter:
             current = self._manager.current_database
             if name not in current.index_names:
                 raise ReproError(f"no index named {name!r}")
-            return self._publish(
-                self._build_next(current.table, without=name), start
-            )
+            shards = [
+                (
+                    shard.global_ids,
+                    _reattached(
+                        shard.database, current._cache_bytes, without=name
+                    ),
+                )
+                for shard in current.shards
+            ]
+            return self._publish(current, current.table, shards, 0, start)

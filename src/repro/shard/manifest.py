@@ -23,6 +23,11 @@ Crash safety and integrity (see ``docs/persistence.md``):
   leaves the directory loadable as either the complete old state or the
   complete new state (stale generations are garbage-collected only after
   the commit);
+* a generation **hard-links** every file whose object (shard table or
+  index) was loaded from or saved to a committed file under the same root,
+  once that file passes its recorded CRC; only what changed, plus the small
+  row maps, is written.  Each ``gen-*`` directory stays self-contained, so
+  removing an older one never touches a newer one's names;
 * every file is written through the checksummed ``RPF1`` frame and its
   whole-file CRC32 and size are **recorded in the manifest**, which also
   carries a checksum over its own canonical JSON (``self_crc32``);
@@ -49,11 +54,13 @@ import json
 import os
 import shutil
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.cache import DEFAULT_CACHE_BYTES
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.io import load_table, save_table
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import IncompleteTable
@@ -154,6 +161,71 @@ def _index_options(attached) -> dict:
     }
 
 
+#: The committed file each shard table and index object was last loaded
+#: from or saved to, as ``(resolved root, file record)``.  Keyed by object,
+#: not kept on a database, because snapshots share these objects and a save
+#: is handed only the database.  Weak keys: a record lives exactly as long
+#: as some database holds the object, and a value never refers back to its
+#: key.
+_committed: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class _Placer:
+    """Fills one new generation: links what is committed and intact.
+
+    A file whose object already has a committed file under the same root is
+    hard-linked after that file passes its recorded CRC; one that fails,
+    vanished or cannot be linked is written again from memory.  What each
+    object now lives in is remembered only by :meth:`commit`, after the
+    manifest names it.
+    """
+
+    def __init__(self, root: Path):
+        self._root = root
+        self._key = root.resolve()
+        self._linked = 0
+        self._placed: list[tuple] = []
+
+    def place(self, owner, relative: str, write) -> dict:
+        """The manifest record of ``owner``'s file at ``relative``."""
+        entry = _committed.get(owner)
+        if entry is not None and entry[0] == self._key:
+            committed = entry[1]
+            source = self._root / committed["path"]
+            try:
+                _verify_recorded_crc(
+                    source, committed["crc32"], committed["bytes"],
+                    f"linking {committed['path']}",
+                )
+                integrity.hard_link(source, self._root / relative)
+            except (CorruptIndexError, OSError):
+                pass  # rotten, gone or unlinkable: rewrite it from memory
+            else:
+                self._linked += 1
+                return self._remember(owner, dict(committed, path=relative))
+        write(self._root / relative)
+        return self._remember(owner, _file_record(self._root, relative))
+
+    def _remember(self, owner, file_record: dict) -> dict:
+        self._placed.append((owner, (self._key, file_record)))
+        return file_record
+
+    def commit(self) -> None:
+        """The manifest is durable: remember where every object now lives."""
+        for owner, entry in self._placed:
+            _committed[owner] = entry
+        record("storage.files_linked", self._linked)
+
+
+def _remember_loaded(root: Path, owner, fields) -> None:
+    """Note a file :func:`load_sharded` read ``owner`` from, if checksummed."""
+    rel, crc, nbytes = _file_fields(fields)
+    if crc is not None:
+        _committed[owner] = (
+            root.resolve(), {"path": rel, "crc32": crc, "bytes": nbytes}
+        )
+
+
 def save_sharded(
     db: ShardedDatabase,
     directory: str | os.PathLike,
@@ -170,7 +242,10 @@ def save_sharded(
     ``manifest.json``, and only then are the previous generation's files
     removed — so a crash mid-save always leaves the old state loadable.
     Raises :class:`ShardError` before writing anything if some attached
-    index kind cannot be serialized.
+    index kind cannot be serialized.  A shard table or index that is
+    already committed under ``directory`` and still passes its recorded
+    CRC is hard-linked into the new generation instead of written
+    (``storage.files_linked`` counts them); row maps are always written.
 
     ``gc_stale=False`` leaves previous generation directories on disk after
     the commit.  The serving layer's :class:`~repro.serve.EpochManager`
@@ -202,38 +277,43 @@ def save_sharded(
     )
     gen_rel = _generation_dir(generation)
     root.mkdir(parents=True, exist_ok=True)
+    placer = _Placer(root)
     shard_entries = []
     for shard in db.shards:
-        subdir = root / gen_rel / _shard_dir(shard.shard_id)
-        subdir.mkdir(parents=True, exist_ok=True)
-        rows_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}/rows.npy"
-        table_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}/table.npz"
+        shard_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}"
+        (root / shard_rel).mkdir(parents=True, exist_ok=True)
+        table = shard.database.table
+        rows_rel = f"{shard_rel}/rows.npy"
         buffer = io.BytesIO()
         np.save(buffer, shard.global_ids.astype(np.int64))
         integrity.write_framed(root / rows_rel, [("rows", buffer.getvalue())])
-        save_table(shard.database.table, root / table_rel)
-        index_entries = []
+        entry = {
+            "shard_id": shard.shard_id,
+            "num_records": table.num_records,
+            "rows": _file_record(root, rows_rel),
+            "table": placer.place(
+                table, f"{shard_rel}/table.npz",
+                lambda path: save_table(table, path),
+            ),
+            "indexes": [],
+        }
         for name in db.index_names:
             attached = shard.database.get_index(name)
-            index_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}/{name}.idx"
-            if attached.kind in _BITMAP_KINDS:
-                save_bitmap_index(attached.index, root / index_rel)
-            else:
-                save_vafile(attached.index, root / index_rel)
-            index_entries.append({
+            save = (
+                save_bitmap_index if attached.kind in _BITMAP_KINDS
+                else save_vafile
+            )
+            entry["indexes"].append({
                 "name": name,
                 "kind": attached.kind,
                 "attributes": list(attached.attributes),
                 "options": _index_options(attached),
-                "file": _file_record(root, index_rel),
+                "file": placer.place(
+                    attached.index, f"{shard_rel}/{name}.idx",
+                    lambda path: save(attached.index, path),
+                ),
             })
-        shard_entries.append({
-            "shard_id": shard.shard_id,
-            "num_records": shard.database.table.num_records,
-            "rows": _file_record(root, rows_rel),
-            "table": _file_record(root, table_rel),
-            "indexes": index_entries,
-        })
+        shard_entries.append(entry)
     manifest = {
         "format": _FORMAT,
         "version": _VERSION,
@@ -250,6 +330,7 @@ def save_sharded(
     integrity.atomic_write(
         manifest_path, manifest_text(manifest).encode("utf-8")
     )
+    placer.commit()
     # Commit point passed: the new manifest is durable.  Clearing stale
     # generations (and pre-generation shard-* layouts) is best-effort —
     # a crash here leaves orphans that fsck reports and load ignores.
@@ -469,15 +550,19 @@ def load_sharded(
             full[rows] = shard_table.column(spec.name)
         columns[spec.name] = full
     table = IncompleteTable(schema, columns)
-    db = ShardedDatabase._restore(
+    db = ShardedDatabase._from_shards(
         table,
-        assignment,
-        shard_tables,
+        assignment.partitioner,
+        [
+            (rows, IncompleteDatabase(shard_table, cache_bytes=cache_bytes))
+            for rows, shard_table in zip(rows_per_shard, shard_tables)
+        ],
         cache_bytes=cache_bytes,
         executor=executor,
     )
     for entry in entries:
         shard = db.shards[entry["shard_id"]]
+        _remember_loaded(root, shard.database.table, entry["table"])
         for index_entry in entry["indexes"]:
             kind = index_entry["kind"]
             if kind not in _BITMAP_KINDS and kind != "vafile":
@@ -517,4 +602,5 @@ def load_sharded(
                 attributes=index_entry["attributes"],
                 options=index_entry.get("options", {}),
             )
+            _remember_loaded(root, index, index_entry["file"])
     return db

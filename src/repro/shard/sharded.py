@@ -154,25 +154,27 @@ class ShardedDatabase(_QuerySurface):
     ):
         assignment = get_partitioner(partitioner).partition(table, num_shards)
         self._setup(
-            table, assignment, [table.take(ids) for ids in assignment.shards],
-            cache_bytes, executor,
+            table,
+            assignment.partitioner,
+            [
+                (ids, IncompleteDatabase(
+                    table.take(ids), cache_bytes=cache_bytes
+                ))
+                for ids in assignment.shards
+            ],
+            cache_bytes,
+            executor,
         )
 
     def _setup(
-        self, table, assignment, shard_tables, cache_bytes, executor
+        self, table, partitioner: str, shards, cache_bytes, executor
     ) -> None:
         self._table = table
-        self._assignment = assignment
+        self._partitioner = partitioner
         self._cache_bytes = cache_bytes
         self._shards: list[_Shard] = [
-            _Shard(
-                shard_id,
-                ids,
-                IncompleteDatabase(shard_table, cache_bytes=cache_bytes),
-            )
-            for shard_id, (ids, shard_table) in enumerate(
-                zip(assignment.shards, shard_tables)
-            )
+            _Shard(shard_id, ids, engine)
+            for shard_id, (ids, engine) in enumerate(shards)
         ]
         self._partitions = tuple(shard.database for shard in self._shards)
         self._plan_memo: dict[tuple, tuple] = {}
@@ -190,22 +192,26 @@ class ShardedDatabase(_QuerySurface):
         )
 
     @classmethod
-    def _restore(
+    def _from_shards(
         cls,
         table: IncompleteTable,
-        assignment,
-        shard_tables,
+        partitioner: str,
+        shards: Sequence[tuple[np.ndarray, IncompleteDatabase]],
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ) -> "ShardedDatabase":
-        """Rebuild from a persisted assignment (see :mod:`repro.shard.manifest`).
+        """Assemble from per-shard ``(global_ids, engine)`` pairs.
 
-        ``shard_tables`` are the per-shard tables exactly as serialized —
-        using them instead of re-slicing keeps loaded indexes aligned with
-        the rows they were built over.
+        ``table`` is the whole table the pairs partition; ``partitioner``
+        names the layout :meth:`SnapshotWriter.compact
+        <repro.serve.writer.SnapshotWriter.compact>` re-applies.  The loader
+        (:mod:`repro.shard.manifest`) passes engines over the shard tables
+        exactly as serialized, so loaded indexes stay aligned with their
+        rows; the serving writer passes the current snapshot's engines, by
+        reference, for every shard a mutation leaves alone.
         """
         self = cls.__new__(cls)
-        self._setup(table, assignment, shard_tables, cache_bytes, executor)
+        self._setup(table, partitioner, shards, cache_bytes, executor)
         return self
 
     # -- lifecycle -------------------------------------------------------------
@@ -222,8 +228,12 @@ class ShardedDatabase(_QuerySurface):
 
     @property
     def partitioner_name(self) -> str:
-        """Registry name of the partitioner that built the shards."""
-        return self._assignment.partitioner
+        """Registry name of the partitioner that laid out the shards.
+
+        A serving writer appends to the last shard whatever this names;
+        its ``compact`` re-applies the layout.
+        """
+        return self._partitioner
 
     @property
     def shards(self) -> tuple[_Shard, ...]:

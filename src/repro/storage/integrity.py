@@ -6,6 +6,8 @@ Every persistent artifact this library writes — ``RPIX`` index files,
 * :func:`atomic_write` — write-to-temp + ``fsync`` + ``os.replace`` in the
   destination directory, so a crash at any instant leaves either the old
   complete file or the new complete file, never a torn one;
+* :func:`hard_link` — a second, durable name for an already committed
+  file (a new generation sharing a file it did not change);
 * the ``RPF1`` *frame* — a sectioned container whose header records, for
   every section, a label, the payload length, and a CRC32, plus a CRC32
   over the header/directory itself.  Every byte of a framed file is covered
@@ -43,6 +45,7 @@ __all__ = [
     "build_frame",
     "crc32",
     "file_crc32",
+    "hard_link",
     "is_framed",
     "parse_frame",
     "read_framed",
@@ -101,6 +104,17 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> int:
     record("storage.bytes_written", len(data))
     record("storage.atomic_renames")
     return len(data)
+
+
+def hard_link(source: str | os.PathLike, target: str | os.PathLike) -> None:
+    """Give ``source``'s inode the second name ``target``, durably.
+
+    Sharing an inode is safe only because nothing here modifies a file in
+    place: :func:`atomic_write` renames a new inode over the name, leaving
+    every other link to the old one untouched.
+    """
+    os.link(source, target)
+    _fsync_directory(Path(target).parent)
 
 
 def _fsync_directory(directory: Path) -> None:

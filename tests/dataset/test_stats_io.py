@@ -1,5 +1,7 @@
 """Unit tests for dataset profiling and table persistence."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.dataset.stats import composition_grid, profile_table, summarize
 from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
 from repro.errors import CorruptIndexError
+from repro.storage.integrity import read_framed
 
 
 class TestProfile:
@@ -108,3 +111,33 @@ class TestPersistence:
         table = generate_uniform_table(50, {"a": 4}, {"a": 0.0}, seed=9)
         path = tmp_path / "t.npz"
         assert save_table(table, path) == path.stat().st_size
+
+    def test_columns_are_stored_narrow_and_load_wide(self, tmp_path):
+        schema = Schema(
+            [AttributeSpec("small", 255), AttributeSpec("wide", 300)]
+        )
+        table = IncompleteTable(
+            schema,
+            {"small": np.array([0, 1, 255, 7]),
+             "wide": np.array([0, 256, 300, 1])},
+        )
+        path = tmp_path / "t.npz"
+        save_table(table, path)
+        (_, payload), = read_framed(path)
+        with np.load(io.BytesIO(payload)) as archive:
+            assert archive["col_0"].dtype == np.uint8
+            assert archive["col_1"].dtype == np.uint16
+        loaded = load_table(path)
+        for name in schema.names:
+            assert loaded.column(name).dtype == np.int64
+            assert np.array_equal(loaded.column(name), table.column(name))
+
+    def test_legacy_int64_columns_still_load(self, tmp_path):
+        path = tmp_path / "legacy.npz"
+        np.savez_compressed(
+            path,
+            __names__=np.array(["a"]),
+            __cardinalities__=np.array([9], dtype=np.int64),
+            col_0=np.array([0, 9, 4], dtype=np.int64),
+        )
+        assert load_table(path).column("a").tolist() == [0, 9, 4]

@@ -240,6 +240,25 @@ class TestWriteRoutes:
         status, body = _post(service.url + "/drop-index", {"name": "bee"})
         assert status == 200 and body["epoch"] == 4
 
+    def test_empty_append_is_400_and_publishes_nothing(self, tmp_path):
+        with _db() as db:
+            save_sharded(db, tmp_path)
+        svc = QueryService(directory=tmp_path).start()
+        try:
+            status, body = _post(
+                svc.url + "/append", {"rows": {"a": [], "b": []}}
+            )
+            assert status == 400 and "no rows to append" in body["error"]
+            status, body = _post(
+                svc.url + "/query", {"bounds": {"a": [2, 6]}}
+            )
+            assert status == 200 and body["epoch"] == 1
+        finally:
+            svc.stop()
+        assert [c.name for c in tmp_path.iterdir() if c.is_dir()] == [
+            "gen-000001"
+        ]
+
 
 class TestErrors:
     def test_unknown_route_is_404(self, service):

@@ -1,10 +1,19 @@
-"""SnapshotWriter: each mutation publishes a correct new epoch."""
+"""SnapshotWriter: each mutation publishes a correct new epoch.
+
+A mutation rebuilds only the shards whose rows it changes; the rest are
+shared with the previous snapshot and their files hard-linked.
+"""
+
+import os
 
 import numpy as np
 import pytest
 
+from repro.core import engine as engine_module
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import QueryError, ReproError
+from repro.observability import use_registry
 from repro.query.model import MissingSemantics
 from repro.serve import EpochManager, SnapshotWriter
 from repro.shard import (
@@ -13,6 +22,7 @@ from repro.shard import (
     load_sharded,
     save_sharded,
 )
+from repro.shard.partition import PARTITIONERS, get_partitioner
 
 
 def _table(seed=5, n=150):
@@ -168,6 +178,206 @@ class TestMutations:
             attached = shard.database.get_index("bbc")
             assert attached.options == {"codec": "bbc"}
             assert attached.index.codec == "bbc"
+
+
+def _answers(db):
+    return [
+        db.execute(q, semantics).record_ids
+        for q in ({"a": (2, 6)}, {"a": (1, 9), "b": (2, 3)})
+        for semantics in MissingSemantics
+    ]
+
+
+def _assert_answers(db, table):
+    """``db`` answers as a sequential scan over ``table`` does."""
+    for got, truth in zip(_answers(db), _answers(IncompleteDatabase(table))):
+        assert np.array_equal(got, truth)
+
+
+@pytest.fixture()
+def count_builds(monkeypatch):
+    """Counts index builds, by kind, through the engine's builder table."""
+    builds = []
+    for kind, build in list(engine_module._BUILDERS.items()):
+        def counting(*args, _kind=kind, _build=build, **kwargs):
+            builds.append(_kind)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setitem(engine_module._BUILDERS, kind, counting)
+    return builds
+
+
+def _four_shards(partitioner="contiguous"):
+    db = ShardedDatabase(_table(n=200), num_shards=4, partitioner=partitioner)
+    db.create_index("ix", "bre")
+    db.create_index("va", "vafile")
+    return db
+
+
+class TestShardGranularWrites:
+    def test_empty_append_is_refused_and_publishes_nothing(self, tmp_path):
+        with _four_shards() as db:
+            save_sharded(db, tmp_path)
+        manager = EpochManager(load_sharded(tmp_path), tmp_path)
+        writer = SnapshotWriter(manager, tmp_path)
+        with pytest.raises(QueryError, match="no rows to append"):
+            writer.append({"a": [], "b": []})
+        assert manager.current_epoch == 1
+        assert [c.name for c in tmp_path.iterdir() if c.is_dir()] == [
+            "gen-000001"
+        ]
+        manager.close()
+
+    def test_append_shares_untouched_engines_and_links_their_files(
+        self, tmp_path, count_builds
+    ):
+        with _four_shards() as db:
+            save_sharded(db, tmp_path)
+        manager = EpochManager(load_sharded(tmp_path), tmp_path)
+        writer = SnapshotWriter(manager, tmp_path)
+        before = manager.current_database
+        pin = manager.pin()  # keeps gen-000001 on disk to compare inodes
+        count_builds.clear()
+        with use_registry() as registry:
+            writer.append({"a": [3, 4], "b": [1, 0]})
+        after = manager.current_database
+        assert [
+            new.database is old.database
+            for new, old in zip(after.shards, before.shards)
+        ] == [True, True, True, False]
+        assert sorted(count_builds) == ["bre", "vafile"]  # the last shard
+        counters = registry.snapshot().counters
+        assert counters["writer.shards_rebuilt"] == 1
+        assert counters["writer.shards_reused"] == 3
+        # The table and both indexes of three shards; row maps are written.
+        assert counters["storage.files_linked"] == 9
+        for shard_id in range(4):
+            for name in ("rows.npy", "table.npz", "ix.idx", "va.idx"):
+                old = tmp_path / "gen-000001" / f"shard-{shard_id}" / name
+                new = tmp_path / "gen-000002" / f"shard-{shard_id}" / name
+                shared = os.stat(old).st_ino == os.stat(new).st_ino
+                linked = shard_id < 3 and name != "rows.npy"
+                assert shared == linked, (shard_id, name)
+        pin.release()
+        manager.close()
+        with load_sharded(tmp_path) as loaded:
+            _assert_answers(loaded, after.table)
+
+    @pytest.mark.parametrize(
+        "ids, touched", [([0, 3], 1), ([2, 120], 2), ([1, 60, 110, 199], 4)]
+    )
+    def test_delete_rebuilds_exactly_the_shards_it_hits(
+        self, ids, touched, count_builds
+    ):
+        manager = EpochManager(_four_shards())
+        try:
+            writer = SnapshotWriter(manager)
+            before = manager.current_database
+            count_builds.clear()
+            with use_registry() as registry:
+                writer.delete(ids)
+            assert count_builds.count("bre") == touched
+            assert registry.snapshot().counters[
+                "writer.shards_rebuilt"
+            ] == touched
+            after = manager.current_database
+            hit = {
+                shard.shard_id for shard in before.shards
+                if np.isin(shard.global_ids, ids).any()
+            }
+            for old, new in zip(before.shards, after.shards):
+                assert (new.database is old.database) == (
+                    old.shard_id not in hit
+                )
+            keep = np.setdiff1d(np.arange(200), ids)
+            _assert_answers(after, before.table.take(keep))
+        finally:
+            manager.close()
+
+    def test_delete_drops_a_shard_it_empties(self):
+        manager = EpochManager(_four_shards())
+        try:
+            writer = SnapshotWriter(manager)
+            before = manager.current_database
+            emptied = before.shards[1].global_ids
+            writer.delete(emptied)
+            after = manager.current_database
+            assert after.num_shards == 3
+            assert after.shards[1].database is before.shards[2].database
+            keep = np.setdiff1d(np.arange(200), emptied)
+            _assert_answers(after, before.table.take(keep))
+        finally:
+            manager.close()
+
+    @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
+    def test_appends_go_last_and_compact_restores_the_layout(
+        self, partitioner
+    ):
+        manager = EpochManager(_four_shards(partitioner))
+        try:
+            writer = SnapshotWriter(manager)
+            before = manager.current_database
+            writer.append({"a": [3, 4, 0], "b": [1, 2, 3]})
+            writer.append(_table(seed=6, n=10))
+            appended = manager.current_database
+            assert appended.partitioner_name == partitioner
+            for old, new in zip(before.shards[:3], appended.shards):
+                assert new.database is old.database
+            assert np.array_equal(
+                appended.shards[3].global_ids,
+                np.concatenate([before.shards[3].global_ids,
+                                np.arange(200, 213)]),
+            )
+            _assert_answers(appended, appended.table)
+
+            writer.compact()
+            compacted = manager.current_database
+            layout = get_partitioner(partitioner).partition(
+                compacted.table, 4
+            )
+            for shard, ids in zip(compacted.shards, layout.shards):
+                assert np.array_equal(shard.global_ids, ids)
+            _assert_answers(compacted, appended.table)
+        finally:
+            manager.close()
+
+    def test_compact_reuses_shards_whose_rows_stay(self, count_builds):
+        manager = EpochManager(_four_shards())
+        try:
+            before = manager.current_database
+            count_builds.clear()
+            SnapshotWriter(manager).compact()
+            assert count_builds == []
+            assert all(
+                new.database is old.database
+                for new, old in zip(
+                    manager.current_database.shards, before.shards
+                )
+            )
+        finally:
+            manager.close()
+
+    def test_index_ddl_builds_only_the_named_index(self, count_builds):
+        manager = EpochManager(_four_shards())
+        try:
+            writer = SnapshotWriter(manager)
+            before = manager.current_database
+            count_builds.clear()
+            writer.create_index("bee", "bee", ["a"])
+            assert count_builds == ["bee"] * 4
+            writer.drop_index("ix")
+            assert count_builds == ["bee"] * 4
+            after = manager.current_database
+            assert after.index_names == ("va", "bee")
+            for old, new in zip(before.shards, after.shards):
+                assert new.database.table is old.database.table
+                assert (
+                    new.database.get_index("va").index
+                    is old.database.get_index("va").index
+                )
+            _assert_answers(after, before.table)
+        finally:
+            manager.close()
 
 
 class TestDiskBackedWriter:
