@@ -1,4 +1,4 @@
-"""Sharded quickstart: partition, query, inspect pruning, persist, reload.
+"""Sharded quickstart: shard, query, inspect pruning, persist, reload.
 
 Run with::
 
@@ -22,7 +22,7 @@ from repro.dataset.reorder import lexicographic_order
 
 def main() -> None:
     # A Table-7-style synthetic dataset, sorted by its leading attribute so
-    # contiguous shards each cover a narrow slice of that attribute's
+    # each row-range shard covers a narrow slice of that attribute's
     # domain — the layout that makes shard pruning effective.
     table = generate_uniform_table(
         50_000,
@@ -32,8 +32,8 @@ def main() -> None:
     )
     table = table.take(lexicographic_order(table, ["region"]))
 
-    # Four contiguous shards, each with its own engine, indexes, and cache.
-    db = ShardedDatabase(table, num_shards=4, partitioner="contiguous")
+    # Four shards, each a row range with its own engine, indexes, and cache.
+    db = ShardedDatabase(table, num_shards=4)
     db.create_index("ix", "bre")
     print(db.summary())
 

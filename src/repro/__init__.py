@@ -63,10 +63,6 @@ from repro.errors import (
     ShardError,
 )
 from repro.shard import (
-    ContiguousPartitioner,
-    MissingDensityPartitioner,
-    Partitioner,
-    RoundRobinPartitioner,
     ShardedDatabase,
     load_sharded,
     save_sharded,
@@ -135,10 +131,6 @@ __all__ = [
     "SchemaError",
     "ShardError",
     "ShardedDatabase",
-    "ContiguousPartitioner",
-    "MissingDensityPartitioner",
-    "Partitioner",
-    "RoundRobinPartitioner",
     "load_sharded",
     "save_sharded",
     "SubResultCache",

@@ -43,6 +43,7 @@ from repro.core.planner import (
     semantics_for_costing,
     unit_costs,
 )
+from repro.core.statistics import TableStatistics
 from repro.core.sync import ReadWriteLock
 from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import QueryError, ReproError
@@ -239,7 +240,7 @@ class RankedReport:
 
 
 def rank_both_bounds(
-    table: IncompleteTable,
+    rows_of: Callable[[np.ndarray], IncompleteTable],
     statistics,
     query: RangeQuery,
     certain_ids,
@@ -253,7 +254,8 @@ def rank_both_bounds(
     possible-only row scores the product, over
     the query attributes where it is missing, of the chance an imputation
     from the attribute's observed value distribution lands in the interval
-    (attribute-independent, the paper's GS assumption).  Returns
+    (attribute-independent, the paper's GS assumption), read through
+    ``rows_of(ids)`` (those rows, in id order).  Returns
     ``(record_ids, probabilities, num_certain)`` with certain rows first
     (id order) and scored rows by descending probability, thresholded and
     capped.
@@ -264,9 +266,10 @@ def rank_both_bounds(
         raise QueryError(f"limit must be >= 0, got {limit}")
     certain = np.asarray(certain_ids, dtype=np.int64)
     maybe = np.setdiff1d(np.asarray(possible_ids, dtype=np.int64), certain)
+    rows = rows_of(maybe)
     probs = np.ones(len(maybe), dtype=float)
     for name, interval in query.items():
-        column = table.column(name)[maybe]
+        column = rows.column(name)
         attr_prob = statistics.attribute(name).present_interval_probability(
             interval
         )
@@ -309,20 +312,20 @@ class _QuerySurface:
 
     A database is N >= 1 *partitions*, each an :class:`IncompleteDatabase`
     holding the same index set over its own rows; an engine is its own
-    single partition.  A subclass provides ``_table``, ``_partitions``,
+    single partition.  A subclass provides ``num_records``, ``table``,
+    ``statistics``, ``_rows`` (rows by ascending id), ``_partitions``,
     ``_plan_memo`` (a dict it clears whenever its index set or rows
     change) and ``execute``; the registry view, planning, the estimates,
     the convenience queries, ``explain`` and ``summary`` are defined here
-    over those, so a sharded database adds partition, prune, scatter and
+    over those, so a sharded database adds row ranges, prune, scatter and
     merge and nothing else.
     """
 
-    _table: IncompleteTable
     _statistics = None
     _plan_memo: dict
 
     def _read_fence(self):
-        """Held across execute + ``take`` by :meth:`fetch`.
+        """Held across execute + ``_rows`` by :meth:`fetch`.
 
         Only an engine mutates in place, so only an engine overrides this
         with a real fence.
@@ -330,18 +333,9 @@ class _QuerySurface:
         return nullcontext()
 
     @property
-    def table(self) -> IncompleteTable:
-        """The whole (unpartitioned) table."""
-        return self._table
-
-    @property
-    def statistics(self):
-        """Lazy whole-table histograms (see :mod:`repro.core.statistics`)."""
-        if self._statistics is None:
-            from repro.core.statistics import TableStatistics
-
-            self._statistics = TableStatistics(self._table)
-        return self._statistics
+    def schema(self):
+        """The table schema (every partition shares it)."""
+        return self._partitions[0].table.schema
 
     def estimate_count(
         self,
@@ -605,7 +599,7 @@ class _QuerySurface:
             )
         with self._read_fence():
             report = self.execute(query, semantics, using)
-            return self._table.take(report.record_ids)
+            return self._rows(report.record_ids)
 
     def execute_ranked(
         self,
@@ -625,12 +619,12 @@ class _QuerySurface:
         probability (ties by record id), filtered to ``probability >=
         threshold`` and capped at ``limit`` when given.  The histograms are
         the *whole table's*, so a sharded database scores every row exactly
-        as the engine does however the rows were partitioned.
+        as the engine does however many shards hold the rows.
         """
         query = _as_query(query)
         report = self.execute(query, BOTH, using)
         ids, probabilities, num_certain = rank_both_bounds(
-            self._table,
+            self._rows,
             self.statistics,
             query,
             report.certain_ids,
@@ -658,8 +652,8 @@ class _QuerySurface:
         parts = self._partitions
         indexes = parts[0]._indexes
         lines = [
-            f"{type(self).__name__}: {self._table.num_records} records, "
-            f"{len(self._table.schema.names)} attributes",
+            f"{type(self).__name__}: {self.num_records} records, "
+            f"{len(self.schema.names)} attributes",
             f"  bitvector kernels: {get_backend().name} backend",
         ]
         lines.extend(f"  {line}" for line in self._shard_lines())
@@ -972,6 +966,28 @@ class IncompleteDatabase(_QuerySurface):
             self._tombstones = None
         obs.record("engine.compacts")
         return kept
+
+    # -- the surface's data ---------------------------------------------------
+
+    @property
+    def table(self) -> IncompleteTable:
+        """The table this engine serves."""
+        return self._table
+
+    @property
+    def num_records(self) -> int:
+        """Number of records in the table."""
+        return self._table.num_records
+
+    @property
+    def statistics(self):
+        """Lazy whole-table histograms (see :mod:`repro.core.statistics`)."""
+        if self._statistics is None:
+            self._statistics = TableStatistics(self._table)
+        return self._statistics
+
+    def _rows(self, ids: np.ndarray) -> IncompleteTable:
+        return self._table.take(ids)
 
     # -- planning ----------------------------------------------------------
 

@@ -17,7 +17,7 @@ exact and multi-attribute error comes only from attribute correlation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -117,6 +117,24 @@ class TableStatistics:
             )
             for spec in table.schema
         }
+
+    @classmethod
+    def summed(cls, parts: "list[TableStatistics]") -> "TableStatistics":
+        """The statistics of the concatenated tables ``parts`` describe.
+
+        Histograms are exact counts, so summing them loses nothing.
+        """
+        self = cls.__new__(cls)
+        self._num_records = sum(part._num_records for part in parts)
+        self._attrs = {
+            name: replace(
+                attr,
+                counts=sum(part._attrs[name].counts for part in parts),
+                num_records=self._num_records,
+            )
+            for name, attr in parts[0]._attrs.items()
+        }
+        return self
 
     @property
     def num_records(self) -> int:

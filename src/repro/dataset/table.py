@@ -162,12 +162,14 @@ class IncompleteTable:
         )
 
 
-def concat_tables(first: IncompleteTable, second: IncompleteTable) -> IncompleteTable:
-    """Concatenate two tables with identical schemas (append rows)."""
-    if first.schema != second.schema:
+def concat_tables(first: IncompleteTable, *rest: IncompleteTable) -> IncompleteTable:
+    """Concatenate tables with identical schemas (append rows), in order."""
+    if any(table.schema != first.schema for table in rest):
         raise SchemaError("cannot concatenate tables with different schemas")
     columns = {
-        name: np.concatenate([first.column(name), second.column(name)])
+        name: np.concatenate(
+            [first.column(name)] + [table.column(name) for table in rest]
+        )
         for name in first.schema.names
     }
     return IncompleteTable(first.schema, columns, validate=False)

@@ -60,7 +60,6 @@ def run_fig4_sharded(
     num_records: int = 300_000,
     num_queries: int = 50,
     shard_counts: tuple[int, ...] = (1, 2, 4, 8),
-    partitioner: str = "contiguous",
     repeats: int = 3,
 ) -> ExperimentResult:
     """Sweep shard counts over a clustered workload."""
@@ -82,7 +81,7 @@ def run_fig4_sharded(
 
     result = ExperimentResult(
         title=(
-            f"Sharded scaling ({partitioner}): {num_records} records, "
+            f"Sharded scaling (row ranges): {num_records} records, "
             f"{num_queries} queries, both semantics"
         ),
         x_label="executor/shards",
@@ -115,13 +114,11 @@ def run_fig4_sharded(
 
     # Common baseline: one shard, measured apart from the sweep's own
     # one-shard row, so the speedup column means the same thing on every row.
-    with ShardedDatabase(table, num_shards=1, partitioner=partitioner) as db:
+    with ShardedDatabase(table, num_shards=1) as db:
         baseline_ms, _, _, _ = _measure(db, 1)
 
     for num_shards in shard_counts:
-        with ShardedDatabase(
-            table, num_shards=num_shards, partitioner=partitioner
-        ) as db:
+        with ShardedDatabase(table, num_shards=num_shards) as db:
             total_ms, pruned_frac, skew, identical = _measure(db, num_shards)
         result.add_row(
             f"sequential/{num_shards}",
@@ -133,7 +130,7 @@ def run_fig4_sharded(
         )
     result.notes.append(
         "speedup is 1-shard time / configuration time; table "
-        "sorted by 'a' so contiguous shards are prunable via exact "
+        "sorted by 'a' so row-range shards are prunable via exact "
         "histograms"
     )
     result.notes.append(

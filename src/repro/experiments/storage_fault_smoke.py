@@ -1,15 +1,15 @@
 """CI smoke check for the storage-integrity layer.
 
 Saves a small sharded database, then corrupts exactly one file per
-category — an index file, a shard table, a row-id file, and the manifest
-itself — and fails loudly unless
+category — an index file, a shard table, and the manifest itself — and
+fails loudly unless
 
 * ``fsck`` (:func:`repro.storage.verify_sharded`) flags exactly the
   corrupted file and nothing else, and
 * :func:`~repro.shard.manifest.load_sharded` degrades exactly as
   ``docs/persistence.md`` documents: a corrupt index file is rebuilt from
-  the shard table (with identical query results), while a corrupt table,
-  rows file, or manifest is a hard error naming the damaged state.
+  the shard table (with identical query results), while a corrupt table
+  or manifest is a hard error naming the damaged state.
 
 A last leg publishes one append through
 :class:`~repro.serve.SnapshotWriter` and checks the linked generation: the
@@ -72,7 +72,6 @@ def _category_paths(root: Path) -> dict[str, Path]:
     return {
         "index": root / index_file,
         "table": root / entry["table"]["path"],
-        "rows": root / entry["rows"]["path"],
         "manifest": root / "manifest.json",
     }
 
@@ -129,7 +128,7 @@ def _run(root: Path) -> int:
     paths = _category_paths(root)
     pristine = {name: path.read_bytes() for name, path in paths.items()}
 
-    for category in ("index", "table", "rows", "manifest"):
+    for category in ("index", "table", "manifest"):
         target = paths[category]
         _flip_byte(target)
         for problem in _check_fsck_flags_exactly(root, target):
@@ -185,7 +184,7 @@ def _run(root: Path) -> int:
                     "whose bytes were tampered with",
                     file=sys.stderr,
                 )
-        else:  # table / rows: hard error naming the shard
+        else:  # table: hard error naming the shard
             try:
                 load_sharded(root)
             except CorruptIndexError as exc:
@@ -246,9 +245,9 @@ def _answers_match(got, expected) -> bool:
 def _append_leg(root: Path, table: IncompleteTable) -> int:
     """Publish one append through :class:`SnapshotWriter`; count problems.
 
-    Shard 0 is untouched by an append, so its table and index files in the
-    new generation must be the previous generation's inodes (its row map
-    is always written); fsck must pass the directory
+    Shard 0 is untouched by an append, so every one of its files in the
+    new generation must be the previous generation's inode; fsck must pass
+    the directory
     once the old generation is retired; and a byte flipped in one linked
     file must be flagged exactly and rebuilt on load as any index file is.
     """
@@ -258,10 +257,7 @@ def _append_leg(root: Path, table: IncompleteTable) -> int:
     manager = EpochManager(load_sharded(root), root)
     writer = SnapshotWriter(manager, root)
     old_gen = root / f"gen-{manager.current_epoch:06d}" / "shard-0"
-    inodes = {
-        path.name: path.stat().st_ino
-        for path in old_gen.iterdir() if path.name != "rows.npy"
-    }
+    inodes = {path.name: path.stat().st_ino for path in old_gen.iterdir()}
     epoch = writer.append(rows)  # joins the last shard
     new_gen = root / f"gen-{epoch:06d}" / "shard-0"
     for name, inode in sorted(inodes.items()):

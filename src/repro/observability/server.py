@@ -228,7 +228,7 @@ class TelemetryServer:
         }
         database = self.database
         if database is not None:
-            info: dict = {"records": database.table.num_records}
+            info: dict = {"records": database.num_records}
             info["cache"] = database.cache_stats().as_dict()
             info["indexes"] = list(database.index_names)
             num_shards = getattr(database, "num_shards", None)

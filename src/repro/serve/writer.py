@@ -11,13 +11,12 @@ shard's engine (its table and built index objects) is shared by reference
 with the previous snapshot, which is safe because no published engine is
 ever mutated:
 
-* ``append`` puts the new rows in the **last** shard, whatever the
-  partitioner (the shards stay a partition of the row ids);
+* ``append`` puts the new rows, which take the next ids, in the **last**
+  shard;
 * ``delete`` rebuilds only the shards holding a deleted id from their
-  survivors, drops a shard it empties, and renumbers every other shard's
-  global ids in place;
-* ``compact`` re-applies the recorded partitioner and reuses every shard
-  whose rows come out unchanged;
+  survivors and drops a shard it empties (later shards just start earlier);
+* ``compact`` cuts the rows into equal ranges again and reuses every shard
+  whose ``(start, size)`` comes out unchanged;
 * ``create_index`` / ``drop_index`` give each shard a new engine over the
   same table and the same other index objects, and build or drop only the
   named index.
@@ -51,8 +50,7 @@ from repro.errors import QueryError, ReproError
 from repro.observability import observe, record
 from repro.serve.epoch import EpochManager
 from repro.shard.manifest import MANIFEST_NAME, save_sharded
-from repro.shard.partition import get_partitioner
-from repro.shard.sharded import ShardedDatabase
+from repro.shard.sharded import ShardedDatabase, _row_ranges
 
 __all__ = ["SnapshotWriter"]
 
@@ -111,22 +109,20 @@ class SnapshotWriter:
     def _publish(
         self,
         current: ShardedDatabase,
-        table: IncompleteTable,
-        shards: list[tuple[np.ndarray, IncompleteDatabase]],
+        engines: list[IncompleteDatabase],
         rebuilt: int,
         start_ns: int,
     ) -> int:
         """Assemble, persist (when disk-backed) and publish; the new epoch.
 
-        ``shards`` are the next snapshot's ``(global_ids, engine)`` pairs,
-        ``rebuilt`` of them with engines built from their rows.  The
-        executor is not carried over: each snapshot gets its own inline
-        one, because a shared instance would be closed under the live
-        snapshot when a retiring epoch's database closes.
+        ``engines`` are the next snapshot's shards in row order, ``rebuilt``
+        of them built from their rows.  The executor is not carried over:
+        each snapshot gets its own inline one, because a shared instance
+        would be closed under the live snapshot when a retiring epoch's
+        database closes.
         """
         db = ShardedDatabase._from_shards(
-            table, current.partitioner_name, shards,
-            cache_bytes=current._cache_bytes,
+            engines, cache_bytes=current._cache_bytes
         )
         if self._directory is None:
             epoch = self._manager.publish(db)
@@ -144,7 +140,7 @@ class SnapshotWriter:
                 epoch=generation,
             )
         record("writer.shards_rebuilt", rebuilt)
-        record("writer.shards_reused", len(shards) - rebuilt)
+        record("writer.shards_reused", len(engines) - rebuilt)
         observe("epoch.publish_ns", time.perf_counter_ns() - start_ns)
         return epoch
 
@@ -163,26 +159,17 @@ class SnapshotWriter:
             current = self._manager.current_database
             if not isinstance(rows, IncompleteTable):
                 rows = IncompleteTable(
-                    current.table.schema,
+                    current.schema,
                     {name: np.asarray(col) for name, col in rows.items()},
                 )
             if rows.num_records == 0:
                 raise QueryError("no rows to append")
-            n = current.num_records
-            shards = [(s.global_ids, s.database) for s in current.shards]
-            ids, last = shards[-1]
-            shards[-1] = (
-                np.concatenate([
-                    ids, np.arange(n, n + rows.num_records, dtype=np.int64)
-                ]),
-                _rebuilt(
-                    last, concat_tables(last.table, rows),
-                    current._cache_bytes,
-                ),
+            engines = [shard.database for shard in current.shards]
+            last = engines[-1]
+            engines[-1] = _rebuilt(
+                last, concat_tables(last.table, rows), current._cache_bytes
             )
-            return self._publish(
-                current, concat_tables(current.table, rows), shards, 1, start
-            )
+            return self._publish(current, engines, 1, start)
 
     def delete(self, record_ids: Iterable[int]) -> int:
         """Remove rows by record id in a new epoch; returns the epoch.
@@ -210,65 +197,55 @@ class SnapshotWriter:
                     "refusing to publish an empty snapshot (the mutation "
                     "would delete every row)"
                 )
-            shards = []
+            engines = []
             rebuilt = 0
-            for shard in current.shards:
-                global_ids, engine = shard.global_ids, shard.database
-                hit = np.isin(global_ids, ids, assume_unique=True)
-                if hit.any():
-                    survivors = np.flatnonzero(~hit)
-                    if survivors.size == 0:
+            for shard, hit in zip(current.shards, current._runs(ids)):
+                engine = shard.database
+                if hit.size:
+                    if hit.size == engine.num_records:
                         continue
-                    global_ids = global_ids[survivors]
+                    survivors = np.delete(
+                        np.arange(engine.num_records), hit - shard.start
+                    )
                     engine = _rebuilt(
                         engine, engine.table.take(survivors),
                         current._cache_bytes,
                     )
                     rebuilt += 1
-                shards.append(
-                    (global_ids - np.searchsorted(ids, global_ids), engine)
-                )
-            keep = np.setdiff1d(
-                np.arange(current.num_records, dtype=np.int64), ids,
-                assume_unique=True,
-            )
-            return self._publish(
-                current, current.table.take(keep), shards, rebuilt, start
-            )
+                engines.append(engine)
+            return self._publish(current, engines, rebuilt, start)
 
     def compact(self) -> int:
-        """Re-apply the partitioner in a fresh epoch (and generation).
+        """Cut the rows into equal ranges again, in a fresh epoch.
 
         Appends since the last compaction sit in the last shard; this lays
-        the rows out again as the recorded partitioner would, rebuilding
-        the shards whose rows change and reusing the rest.  Returns the new
-        epoch number.
+        the rows out as ``ShardedDatabase(table, num_shards)`` would,
+        rebuilding only the shards whose ``(start, size)`` changes.
+        Returns the new epoch number.
         """
         with self._mutex:
             start = time.perf_counter_ns()
             current = self._manager.current_database
-            table = current.table
-            assignment = get_partitioner(current.partitioner_name).partition(
-                table, min(current.num_shards, table.num_records)
-            )
+            reusable = {
+                (shard.start, shard.database.num_records): shard.database
+                for shard in current.shards
+            }
             like = current.shards[0].database
-            shards = []
+            engines = []
             rebuilt = 0
-            for ids in assignment.shards:
-                engine = next(
-                    (
-                        shard.database for shard in current.shards
-                        if np.array_equal(shard.global_ids, ids)
-                    ),
-                    None,
-                )
+            for rows in _row_ranges(
+                current.num_records,
+                min(current.num_shards, current.num_records),
+            ):
+                engine = reusable.get((rows.start, len(rows)))
                 if engine is None:
                     engine = _rebuilt(
-                        like, table.take(ids), current._cache_bytes
+                        like, current._rows(np.arange(rows.start, rows.stop)),
+                        current._cache_bytes,
                     )
                     rebuilt += 1
-                shards.append((ids, engine))
-            return self._publish(current, table, shards, rebuilt, start)
+                engines.append(engine)
+            return self._publish(current, engines, rebuilt, start)
 
     def create_index(
         self,
@@ -291,14 +268,14 @@ class SnapshotWriter:
                     f"an index named {name!r} already exists "
                     f"(pass overwrite=True to replace it)"
                 )
-            shards = []
+            engines = []
             for shard in current.shards:
                 engine = _reattached(
                     shard.database, current._cache_bytes, without=name
                 )
                 engine.create_index(name, kind, attributes, **options)
-                shards.append((shard.global_ids, engine))
-            return self._publish(current, current.table, shards, 0, start)
+                engines.append(engine)
+            return self._publish(current, engines, 0, start)
 
     def drop_index(self, name: str) -> int:
         """Publish a new epoch without ``name``; returns the epoch."""
@@ -307,13 +284,8 @@ class SnapshotWriter:
             current = self._manager.current_database
             if name not in current.index_names:
                 raise ReproError(f"no index named {name!r}")
-            shards = [
-                (
-                    shard.global_ids,
-                    _reattached(
-                        shard.database, current._cache_bytes, without=name
-                    ),
-                )
+            engines = [
+                _reattached(shard.database, current._cache_bytes, without=name)
                 for shard in current.shards
             ]
-            return self._publish(current, current.table, shards, 0, start)
+            return self._publish(current, engines, 0, start)

@@ -3,14 +3,14 @@
 Layout on disk (all paths relative to the manifest's directory)::
 
     manifest.json                 -- format tag, schema, checksums, catalog
-    gen-000001/shard-0/rows.npy   -- global record ids owned by shard 0
-    gen-000001/shard-0/table.npz  -- shard 0's row slice (repro.dataset.io)
+    gen-000001/shard-0/table.npz  -- shard 0's rows (repro.dataset.io)
     gen-000001/shard-0/<name>.idx -- one file per attached index
     gen-000001/shard-1/...
 
-``manifest.json`` is the source of truth: it names the partitioner, the
-full-table schema, and for every shard its row-id file, table file, and the
-``(name, kind, attributes, options, file)`` of each serialized index.  Only
+``manifest.json`` is the source of truth: it names the full-table schema
+and, for every shard in row order, its table file and the ``(name, kind,
+attributes, options, file)`` of each serialized index.  Shard *k* owns the
+global rows that follow shard *k - 1*'s, so no row-id map is stored.  Only
 the serializable index kinds — the WAH/BBC bitmap encodings (``bee``,
 ``bre``, ``bie``) and ``vafile`` — can be persisted; other kinds raise
 :class:`~repro.errors.ShardError` at save time so a manifest never goes out
@@ -25,9 +25,9 @@ Crash safety and integrity (see ``docs/persistence.md``):
   the commit);
 * a generation **hard-links** every file whose object (shard table or
   index) was loaded from or saved to a committed file under the same root,
-  once that file passes its recorded CRC; only what changed, plus the small
-  row maps, is written.  Each ``gen-*`` directory stays self-contained, so
-  removing an older one never touches a newer one's names;
+  once that file passes its recorded CRC; only what changed is written.
+  Each ``gen-*`` directory stays self-contained, so removing an older one
+  never touches a newer one's names;
 * every file is written through the checksummed ``RPF1`` frame and its
   whole-file CRC32 and size are **recorded in the manifest**, which also
   carries a checksum over its own canonical JSON (``self_crc32``);
@@ -35,16 +35,16 @@ Crash safety and integrity (see ``docs/persistence.md``):
   refusing beats silently mixing shard files from two different saves;
 * loading degrades gracefully: a corrupt or missing *index* file is
   reported (``storage.index_rebuilds`` counter + ``RuntimeWarning``) and
-  the index is rebuilt from the shard table, while a corrupt *table* or
-  *row-map* file is a hard :class:`~repro.errors.CorruptIndexError` naming
-  the file and shard.
+  the index is rebuilt from the shard table, while a corrupt *table* file
+  is a hard :class:`~repro.errors.CorruptIndexError` naming the file and
+  shard.
 
-Loading reverses the split exactly: shard tables and indexes are read back
-as serialized (so indexes stay aligned with the rows they were built over),
-and the full table is reconstructed by scattering each shard's columns
-through its saved global row ids.  Malformed manifests are rejected with
-errors naming the offending shard: duplicate shard ids, global row ids
-owned by nobody, and row ids claimed by two shards are all load errors.
+Loading reads shard tables and indexes back as serialized, so indexes stay
+aligned with their rows.  Malformed manifests are rejected with errors
+naming the offending shard.  A v1/v2 manifest (a ``partitioner`` name and a
+``rows.npy`` id map per shard) loads only when it is ``contiguous`` and
+every map, checked against the file, is its shard's row range; any other
+layout is a ``ShardError`` naming its partitioner.
 """
 
 from __future__ import annotations
@@ -62,14 +62,11 @@ import numpy as np
 from repro.core.cache import DEFAULT_CACHE_BYTES
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.io import load_table, save_table
-from repro.dataset.schema import AttributeSpec, Schema
-from repro.dataset.table import IncompleteTable
 from repro.errors import CorruptIndexError, ShardError
 from repro.observability import record
-from repro.shard.partition import ShardAssignment
 from repro.shard.sharded import ShardedDatabase
 from repro.storage import integrity
-from repro.storage.integrity import crc32, file_crc32, parse_frame
+from repro.storage.integrity import crc32, file_crc32, is_framed, parse_frame
 from repro.storage.serialize import (
     load_bitmap_index_file,
     load_vafile_file,
@@ -81,8 +78,8 @@ __all__ = ["MANIFEST_NAME", "load_sharded", "save_sharded"]
 
 MANIFEST_NAME = "manifest.json"
 _FORMAT = "repro-shard-manifest"
-_VERSION = 2
-_SUPPORTED_VERSIONS = frozenset({1, 2})
+_VERSION = 3
+_SUPPORTED_VERSIONS = frozenset({1, 2, 3})
 
 #: Index kinds the manifest can persist, mapped to their writers.
 _BITMAP_KINDS = frozenset({"bee", "bre", "bie"})
@@ -142,7 +139,7 @@ def _file_record(root: Path, relative: str) -> dict:
 
 
 def _file_fields(entry) -> tuple[str, int | None, int | None]:
-    """``(path, crc32, bytes)`` from a v2 record or a bare v1 path string."""
+    """``(path, crc32, bytes)`` from a record or a bare v1 path string."""
     if isinstance(entry, str):
         return entry, None, None
     return entry["path"], entry.get("crc32"), entry.get("bytes")
@@ -232,7 +229,7 @@ def save_sharded(
     overwrite: bool = False,
     gc_stale: bool = True,
 ) -> Path:
-    """Write ``db`` (tables, row assignment, indexes) under ``directory``.
+    """Write ``db`` (shard tables and indexes, in row order) under ``directory``.
 
     Returns the manifest path.  The directory is created if needed.  If it
     already holds a sharded database (or stray ``gen-*``/``shard-*``
@@ -245,7 +242,7 @@ def save_sharded(
     index kind cannot be serialized.  A shard table or index that is
     already committed under ``directory`` and still passes its recorded
     CRC is hard-linked into the new generation instead of written
-    (``storage.files_linked`` counts them); row maps are always written.
+    (``storage.files_linked`` counts them).
 
     ``gc_stale=False`` leaves previous generation directories on disk after
     the commit.  The serving layer's :class:`~repro.serve.EpochManager`
@@ -283,14 +280,9 @@ def save_sharded(
         shard_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}"
         (root / shard_rel).mkdir(parents=True, exist_ok=True)
         table = shard.database.table
-        rows_rel = f"{shard_rel}/rows.npy"
-        buffer = io.BytesIO()
-        np.save(buffer, shard.global_ids.astype(np.int64))
-        integrity.write_framed(root / rows_rel, [("rows", buffer.getvalue())])
         entry = {
             "shard_id": shard.shard_id,
             "num_records": table.num_records,
-            "rows": _file_record(root, rows_rel),
             "table": placer.place(
                 table, f"{shard_rel}/table.npz",
                 lambda path: save_table(table, path),
@@ -320,10 +312,9 @@ def save_sharded(
         "generation": generation,
         "num_records": db.num_records,
         "num_shards": db.num_shards,
-        "partitioner": db.partitioner_name,
         "attributes": [
             {"name": spec.name, "cardinality": spec.cardinality}
-            for spec in db.table.schema
+            for spec in db.schema
         ],
         "shards": shard_entries,
     }
@@ -398,43 +389,6 @@ def _check_shard_entries(manifest: dict, manifest_path: Path) -> list[dict]:
     return entries
 
 
-def _check_row_coverage(
-    num_records: int, rows_per_shard: list[np.ndarray]
-) -> None:
-    """Reject row maps that are not a partition, naming the offending shard."""
-    for shard_id, rows in enumerate(rows_per_shard):
-        if len(rows) and (rows.min() < 0 or rows.max() >= num_records):
-            bad = rows[(rows < 0) | (rows >= num_records)][0]
-            raise ShardError(
-                f"shard {shard_id} claims global row id {int(bad)}, outside "
-                f"0..{num_records - 1}"
-            )
-    merged = (
-        np.concatenate(rows_per_shard)
-        if rows_per_shard
-        else np.empty(0, dtype=np.int64)
-    )
-    counts = np.bincount(merged, minlength=num_records)
-    duplicated = np.flatnonzero(counts > 1)
-    if duplicated.size:
-        row = int(duplicated[0])
-        owners = [
-            shard_id
-            for shard_id, rows in enumerate(rows_per_shard)
-            if np.isin(row, rows)
-        ]
-        raise ShardError(
-            f"global row id {row} is claimed by shards {owners} "
-            f"({duplicated.size} duplicated ids in total)"
-        )
-    missing = np.flatnonzero(counts == 0)
-    if missing.size:
-        raise ShardError(
-            f"global row id {int(missing[0])} is not owned by any shard "
-            f"({missing.size} unowned ids in total)"
-        )
-
-
 def _verify_recorded_crc(
     path: Path, recorded_crc, recorded_bytes, context: str
 ) -> None:
@@ -458,25 +412,31 @@ def _verify_recorded_crc(
         )
 
 
-def _load_rows(path: Path, context: str) -> np.ndarray:
-    """Load a framed (or legacy raw ``.npy``) row-map file."""
+def _check_legacy_row_map(
+    root: Path, entry: dict, start: int, num_rows: int, context: str
+) -> None:
+    """A v1/v2 shard's ``rows.npy`` id map must be exactly its row range."""
+    rel, crc, nbytes = _file_fields(entry["rows"])
+    path = root / rel
+    _verify_recorded_crc(path, crc, nbytes, context)
     try:
         data = path.read_bytes()
-        if data[:4] == b"RPF1":
-            sections = parse_frame(data, source=str(path))
-            data = b"".join(payload for _, payload in sections)
+        if is_framed(data):
+            data = b"".join(p for _, p in parse_frame(data, source=str(path)))
         else:
             record("storage.legacy_loads")
         rows = np.load(io.BytesIO(data), allow_pickle=False)
-    except FileNotFoundError:
-        raise CorruptIndexError(f"{context}: {path} is missing")
     except CorruptIndexError as exc:
         raise CorruptIndexError(f"{context}: {exc}") from exc
     except (ValueError, OSError, EOFError) as exc:
         raise CorruptIndexError(
             f"{context}: corrupt row-map file {path} ({exc})"
         ) from exc
-    return np.asarray(rows).astype(np.int64)
+    if not np.array_equal(rows, np.arange(start, start + num_rows)):
+        raise ShardError(
+            f"{context}: row map {path} is not the shard's row range "
+            f"{start}..{start + num_rows - 1}; only row-range layouts load"
+        )
 
 
 def load_sharded(
@@ -486,33 +446,35 @@ def load_sharded(
 ) -> ShardedDatabase:
     """Rebuild a :class:`ShardedDatabase` saved by :func:`save_sharded`.
 
-    Table and row-map files are load-bearing: if one is missing or fails
-    its checksum the load raises :class:`CorruptIndexError` naming the file
-    and shard.  Index files are derived state: a corrupt or missing index
-    file is reported (``RuntimeWarning`` + ``storage.index_rebuilds``
-    counter) and that shard's index is rebuilt from its table using the
-    options recorded in the manifest, so the database still opens and
-    answers queries identically.
+    Table files are load-bearing: if one is missing or fails its checksum
+    the load raises :class:`CorruptIndexError` naming the file and shard
+    (so is a v1/v2 row-map file).  Index files are derived state: a
+    corrupt or missing index file is reported (``RuntimeWarning`` +
+    ``storage.index_rebuilds`` counter) and that shard's index is rebuilt
+    from its table using the options recorded in the manifest, so the
+    database still opens and answers queries identically.
 
     ``cache_bytes`` and ``executor`` are as on :class:`ShardedDatabase`.
     """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
     manifest = _read_manifest(manifest_path)
-    num_records = int(manifest["num_records"])
-    schema = Schema(
-        AttributeSpec(entry["name"], int(entry["cardinality"]))
+    partitioner = manifest.get("partitioner", "contiguous")
+    if partitioner != "contiguous":
+        raise ShardError(
+            f"{manifest_path}: shards laid out by the {partitioner!r} "
+            f"partitioner cannot be loaded; shards must be row ranges "
+            f"('contiguous')"
+        )
+    attributes = [
+        (entry["name"], int(entry["cardinality"]))
         for entry in manifest["attributes"]
-    )
+    ]
     entries = _check_shard_entries(manifest, manifest_path)
-    rows_per_shard = []
-    shard_tables = []
+    engines = []
+    start = 0
     for entry in entries:
-        shard_id = entry["shard_id"]
-        context = f"shard {shard_id}"
-        rows_rel, rows_crc, rows_bytes = _file_fields(entry["rows"])
-        _verify_recorded_crc(root / rows_rel, rows_crc, rows_bytes, context)
-        rows = _load_rows(root / rows_rel, context)
+        context = f"shard {entry['shard_id']}"
         table_rel, table_crc, table_bytes = _file_fields(entry["table"])
         _verify_recorded_crc(root / table_rel, table_crc, table_bytes, context)
         try:
@@ -523,42 +485,25 @@ def load_sharded(
             )
         except CorruptIndexError as exc:
             raise CorruptIndexError(f"{context}: {exc}") from exc
-        if len(rows) != shard_table.num_records:
+        if [
+            (spec.name, spec.cardinality) for spec in shard_table.schema
+        ] != attributes:
             raise ShardError(
-                f"shard {shard_id}: {len(rows)} row ids but "
-                f"{shard_table.num_records} table rows"
+                f"{context}: table schema disagrees with the manifest"
             )
-        if list(shard_table.schema.names) != [s.name for s in schema]:
-            raise ShardError(
-                f"shard {shard_id}: table schema disagrees with the manifest"
+        if "rows" in entry:
+            _check_legacy_row_map(
+                root, entry, start, shard_table.num_records, context
             )
-        rows_per_shard.append(rows)
-        shard_tables.append(shard_table)
-    _check_row_coverage(num_records, rows_per_shard)
-    assignment = ShardAssignment(
-        partitioner=manifest["partitioner"],
-        num_records=num_records,
-        shards=tuple(rows_per_shard),
-    )
-    assignment.validate()
-    # Reassemble the full table by scattering shard columns through their
-    # global row ids; the coverage checks above guarantee a full partition.
-    columns = {}
-    for spec in schema:
-        full = np.zeros(num_records, dtype=np.int64)
-        for rows, shard_table in zip(rows_per_shard, shard_tables):
-            full[rows] = shard_table.column(spec.name)
-        columns[spec.name] = full
-    table = IncompleteTable(schema, columns)
+        start += shard_table.num_records
+        engines.append(IncompleteDatabase(shard_table, cache_bytes=cache_bytes))
+    if start != int(manifest["num_records"]):
+        raise ShardError(
+            f"{manifest_path}: the manifest records {manifest['num_records']} "
+            f"rows but its shards hold {start}"
+        )
     db = ShardedDatabase._from_shards(
-        table,
-        assignment.partitioner,
-        [
-            (rows, IncompleteDatabase(shard_table, cache_bytes=cache_bytes))
-            for rows, shard_table in zip(rows_per_shard, shard_tables)
-        ],
-        cache_bytes=cache_bytes,
-        executor=executor,
+        engines, cache_bytes=cache_bytes, executor=executor
     )
     for entry in entries:
         shard = db.shards[entry["shard_id"]]

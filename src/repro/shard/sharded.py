@@ -1,11 +1,12 @@
 """Sharded incomplete database: scatter-gather over row-range shards.
 
-:class:`ShardedDatabase` partitions an
-:class:`~repro.dataset.table.IncompleteTable` into N row-range shards (see
-:mod:`repro.shard.partition`), owns one
-:class:`~repro.core.engine.IncompleteDatabase` per shard, and serves the
-engine's own query surface (inherited, not repeated — see
-``_QuerySurface`` in :mod:`repro.core.engine`) by scatter-gather:
+:class:`ShardedDatabase` is an ordered tuple of
+:class:`~repro.core.engine.IncompleteDatabase` shard engines: shard *k*
+owns the global rows ``[start_k, start_k + n_k)``.  The paper's bitmaps and
+VA-file approximations are positional over record ids, so a row range
+slices them with no translation.  It serves the engine's own query surface
+(inherited, not repeated — see ``_QuerySurface`` in
+:mod:`repro.core.engine`) by scatter-gather:
 
 1. **Plan once.**  Each shard prices every covering index at its own
    size (predicted time from measured unit costs, beside the paper's
@@ -25,11 +26,10 @@ engine's own query surface (inherited, not repeated — see
    shard after another on the caller's thread (see
    :mod:`repro.shard.executor`).  Exceptions re-raise unwrapped in the
    caller.
-4. **Merge.**  Per-shard local record ids map through each shard's
-   ``global_ids`` and concatenate; because shards partition the row space
-   and every access method returns ascending ids, one final sort makes the
-   result bit-identical to the unsharded database under both missing
-   semantics.
+4. **Merge.**  Per-shard local record ids shift by the shard's ``start``
+   and concatenate in shard order; every access method returns ascending
+   ids, so the result is already ascending and bit-identical to the
+   unsharded database under every missing semantics.
 
 :meth:`ShardedDatabase._scatter` is the one body that does all four, for
 ``execute`` (one query), ``execute_batch`` (many) and ``query_predicate``
@@ -56,46 +56,59 @@ from repro.core.engine import (
     _QuerySurface,
 )
 from repro.core.planner import semantics_for_costing
-from repro.dataset.table import IncompleteTable
+from repro.core.statistics import TableStatistics
+from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import ShardError
 from repro.observability.metrics import _query_tally
 from repro.query.model import MissingSemantics, RangeQuery, resolve_semantics
 from repro.shard.executor import ShardExecutor, ShardTask, resolve_executor
-from repro.shard.partition import Partitioner, get_partitioner
 
 __all__ = ["ShardedDatabase"]
 
 
+def _row_ranges(num_records: int, num_shards: int) -> list[range]:
+    """The one layout: ``np.array_split`` sizes, as consecutive row ranges.
+
+    The first ``num_records % num_shards`` shards hold one row more than
+    the rest.
+    """
+    if num_shards < 1:
+        raise ShardError(f"num_shards must be >= 1, got {num_shards}")
+    if num_records and num_shards > num_records:
+        raise ShardError(
+            f"cannot split {num_records} records into {num_shards} "
+            f"non-empty shards"
+        )
+    size, extra = divmod(num_records, num_shards)
+    bounds = [k * size + min(k, extra) for k in range(num_shards + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class _Shard:
-    """One shard: its global row ids and the database over its row slice."""
+    """One shard: the first global row id it owns and its engine."""
 
-    __slots__ = ("shard_id", "global_ids", "database")
+    __slots__ = ("shard_id", "start", "database")
 
-    def __init__(
-        self,
-        shard_id: int,
-        global_ids: np.ndarray,
-        database: IncompleteDatabase,
-    ):
+    def __init__(self, shard_id: int, start: int, database: IncompleteDatabase):
         self.shard_id = shard_id
-        self.global_ids = global_ids
+        self.start = start
         self.database = database
 
     def to_global(self, local_ids: np.ndarray) -> np.ndarray:
-        """Map shard-local record ids back to global ids."""
-        return self.global_ids[np.asarray(local_ids, dtype=np.int64)]
+        """Map shard-local record ids to global ids."""
+        return np.asarray(local_ids, dtype=np.int64) + self.start
 
 
 def _merge_ids(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-shard global ids and sort them ascending.
+    """Concatenate per-shard global ids, given in shard order.
 
-    Shards partition the row space and every access method returns
-    ascending ids, so one sort makes the result bit-identical to the
-    unsharded database's.
+    Shard *k*'s rows all precede shard *k + 1*'s and every access method
+    returns ascending ids, so the concatenation is already ascending and
+    bit-identical to the unsharded database's answer.
     """
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.sort(np.concatenate(parts))
+    return np.concatenate(parts)
 
 
 def _finalize_executor(executor: ShardExecutor) -> None:
@@ -113,28 +126,27 @@ def _finalize_executor(executor: ShardExecutor) -> None:
 
 
 class ShardedDatabase(_QuerySurface):
-    """N-shard partitioned :class:`IncompleteDatabase` with scatter-gather.
+    """An ordered tuple of shard engines, queried by scatter-gather.
 
-    The engine is the shard: this type adds the partition, the zone-map
-    prune, :meth:`_scatter` and the merge, and keeps no registry of its own
-    — the index set is read from the shard engines, which all hold the same
-    one (DDL loops every shard; the loader attaches or rebuilds all).
-    ``query`` / ``count`` / ``fetch`` / ``execute_ranked`` / ``explain`` /
-    ``summary`` / ``choose_index`` / ``estimate_count`` are the engine's
-    own definitions, inherited.
+    Shard *k* owns the global rows ``[start_k, start_k + n_k)``, where
+    ``start_k`` is the sum of the earlier shards' sizes.  The engine is the
+    shard: this type adds the row ranges, the zone-map prune,
+    :meth:`_scatter` and the merge, and keeps no registry, table or row-id
+    map of its own — indexes and rows are read from the shard engines,
+    which all hold the same index set (DDL loops every shard; the loader
+    attaches or rebuilds all).  ``query`` / ``count`` / ``fetch`` /
+    ``execute_ranked`` / ``explain`` / ``summary`` / ``choose_index`` /
+    ``estimate_count`` are the engine's own definitions, inherited.
 
     Parameters
     ----------
     table:
-        The full table.  Rows are split by ``partitioner`` and each shard
-        gets its own :class:`IncompleteDatabase` (and therefore its own
-        namespaced sub-result cache).
+        The full table.  Its rows are cut into ``num_shards`` consecutive
+        ranges of ``np.array_split`` sizes; each shard gets its own
+        :class:`IncompleteDatabase` (and sub-result cache) over a copy.
     num_shards:
         How many shards to create (``>= 1``; 1 shard degenerates to the
         unsharded engine plus the scatter-gather bookkeeping).
-    partitioner:
-        A :class:`~repro.shard.partition.Partitioner` instance or registry
-        name (``"contiguous"``, ``"round-robin"``, ``"missing-density"``).
     cache_bytes:
         Per-shard sub-result cache budget.
     executor:
@@ -148,34 +160,26 @@ class ShardedDatabase(_QuerySurface):
         self,
         table: IncompleteTable,
         num_shards: int = 4,
-        partitioner: str | Partitioner = "contiguous",
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ):
-        assignment = get_partitioner(partitioner).partition(table, num_shards)
-        self._setup(
-            table,
-            assignment.partitioner,
-            [
-                (ids, IncompleteDatabase(
-                    table.take(ids), cache_bytes=cache_bytes
-                ))
-                for ids in assignment.shards
-            ],
-            cache_bytes,
-            executor,
-        )
-
-    def _setup(
-        self, table, partitioner: str, shards, cache_bytes, executor
-    ) -> None:
-        self._table = table
-        self._partitioner = partitioner
-        self._cache_bytes = cache_bytes
-        self._shards: list[_Shard] = [
-            _Shard(shard_id, ids, engine)
-            for shard_id, (ids, engine) in enumerate(shards)
+        engines = [
+            IncompleteDatabase(
+                table.take(np.arange(rows.start, rows.stop)),
+                cache_bytes=cache_bytes,
+            )
+            for rows in _row_ranges(table.num_records, num_shards)
         ]
+        self._setup(engines, cache_bytes, executor)
+
+    def _setup(self, engines, cache_bytes, executor) -> None:
+        self._cache_bytes = cache_bytes
+        self._shards: list[_Shard] = []
+        start = 0
+        for shard_id, engine in enumerate(engines):
+            self._shards.append(_Shard(shard_id, start, engine))
+            start += engine.num_records
+        self._num_records = start
         self._partitions = tuple(shard.database for shard in self._shards)
         self._plan_memo: dict[tuple, tuple] = {}
         self._closed = False
@@ -194,24 +198,20 @@ class ShardedDatabase(_QuerySurface):
     @classmethod
     def _from_shards(
         cls,
-        table: IncompleteTable,
-        partitioner: str,
-        shards: Sequence[tuple[np.ndarray, IncompleteDatabase]],
+        engines: Sequence[IncompleteDatabase],
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ) -> "ShardedDatabase":
-        """Assemble from per-shard ``(global_ids, engine)`` pairs.
+        """Assemble from shard engines, in row order.
 
-        ``table`` is the whole table the pairs partition; ``partitioner``
-        names the layout :meth:`SnapshotWriter.compact
-        <repro.serve.writer.SnapshotWriter.compact>` re-applies.  The loader
+        Each engine's rows follow the previous engine's.  The loader
         (:mod:`repro.shard.manifest`) passes engines over the shard tables
         exactly as serialized, so loaded indexes stay aligned with their
         rows; the serving writer passes the current snapshot's engines, by
         reference, for every shard a mutation leaves alone.
         """
         self = cls.__new__(cls)
-        self._setup(table, partitioner, shards, cache_bytes, executor)
+        self._setup(engines, cache_bytes, executor)
         return self
 
     # -- lifecycle -------------------------------------------------------------
@@ -224,16 +224,37 @@ class ShardedDatabase(_QuerySurface):
     @property
     def num_records(self) -> int:
         """Total records across all shards."""
-        return self._table.num_records
+        return self._num_records
 
     @property
-    def partitioner_name(self) -> str:
-        """Registry name of the partitioner that laid out the shards.
+    def table(self) -> IncompleteTable:
+        """The whole table, concatenated from the shards on every call.
 
-        A serving writer appends to the last shard whatever this names;
-        its ``compact`` re-applies the layout.
+        Nothing keeps it: queries, writes and telemetry read the shards.
         """
-        return self._partitioner
+        return concat_tables(*(shard.database.table for shard in self._shards))
+
+    @property
+    def statistics(self) -> TableStatistics:
+        """Whole-table histograms: the shards' exact histograms, summed."""
+        if self._statistics is None:
+            self._statistics = TableStatistics.summed(
+                [shard.database.statistics for shard in self._shards]
+            )
+        return self._statistics
+
+    def _runs(self, ids) -> list[np.ndarray]:
+        """Ascending global ``ids`` split at the shard starts: one run each."""
+        ids = np.asarray(ids, dtype=np.int64)
+        starts = [shard.start for shard in self._shards[1:]]
+        return np.split(ids, np.searchsorted(ids, starts))
+
+    def _rows(self, ids: np.ndarray) -> IncompleteTable:
+        """The rows with ascending global ``ids``, taken shard by shard."""
+        return concat_tables(*(
+            shard.database.table.take(run - shard.start)
+            for shard, run in zip(self._shards, self._runs(ids))
+        ))
 
     @property
     def shards(self) -> tuple[_Shard, ...]:
@@ -301,7 +322,7 @@ class ShardedDatabase(_QuerySurface):
     def __repr__(self) -> str:
         return (
             f"ShardedDatabase({self.num_records} records, "
-            f"{self.num_shards} shards via {self.partitioner_name!r}, "
+            f"{self.num_shards} shards, "
             f"indexes={list(self.index_names)})"
         )
 
@@ -397,13 +418,13 @@ class ShardedDatabase(_QuerySurface):
         merged shard statistics and pruned under the widest requested bound
         (one plan serves every bound, and no possible match rules out a
         certain one); every shard with surviving work gets one
-        :class:`~repro.shard.executor.ShardTask`; local ids map back through
-        ``global_ids`` and merge per bound.  Each report's ``elapsed_ns`` is
-        its share of the call's wall clock: its own planning and merge plus
-        the fan-out apportioned by shard task time (all of it for a single
-        item).  When tracing, each report carries a ``sharded_query`` root
-        whose children are its plan span and one subtree per executed shard.
-        The whole call, its shard tasks included, runs under one tally.
+        :class:`~repro.shard.executor.ShardTask`; local ids shift by their
+        shard's ``start`` and concatenate per bound.  Each report's
+        ``elapsed_ns`` is its share of the call's wall clock: its own
+        planning and merge plus the fan-out apportioned by shard task time
+        (all of it for a single item).  When tracing, each report carries a
+        ``sharded_query`` root whose children are its plan span and one
+        subtree per executed shard.  The whole call, its shard tasks included, runs under one tally.
         """
         self._ensure_open()
         costing = semantics_for_costing(semantics)
@@ -618,14 +639,14 @@ class ShardedDatabase(_QuerySurface):
     def _shard_lines(self, query=None, costing=None) -> list[str]:
         """What ``summary`` and (given a query) ``explain`` say of the shards."""
         lines = [
-            f"{self.num_shards} shards ({self.partitioner_name}), "
+            f"{self.num_shards} shards (row ranges), "
             f"{self._executor_impl.name} executor"
         ]
         pruned = []
         for shard in self._shards:
             line = (
                 f"  shard {shard.shard_id}: "
-                f"{shard.database.table.num_records} records"
+                f"{shard.database.num_records} records"
             )
             if query is not None and not self._shard_can_match(
                 shard, query, costing

@@ -151,7 +151,7 @@ def verify_sharded(
     """Walk a saved sharded database and report per-file integrity.
 
     Checks the manifest itself (JSON, format/version tags, self-checksum,
-    shard-id and row-file catalog shape), then every referenced file, then
+    shard-id catalog shape), then every referenced file, then
     flags unreferenced generation directories as orphans.  Never raises on
     damage — inspect :attr:`FsckReport.ok` / :meth:`FsckReport.paths`.
     """
@@ -199,6 +199,8 @@ def verify_sharded(
             return None
 
         for role, parser in (("rows", None), ("table", table_parser)):
+            if role not in entry:
+                continue  # only a v1/v2 manifest lists a row-id map
             rel, crc, nbytes = _file_fields(entry[role])
             path = root / rel
             referenced.add(path)

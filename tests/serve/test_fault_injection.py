@@ -176,7 +176,7 @@ def test_restart_after_crashed_publish_sweeps_debris(tmp_path, monkeypatch):
     root = tmp_path / "db"
     manager, writer = _served(root)
     old = _results(manager.current_database)
-    _crash_at(monkeypatch, 3)
+    _crash_at(monkeypatch, 1)  # the appended shard's index file
     with pytest.raises(OSError, match="simulated crash"):
         writer.append({"a": [5], "b": [2]})
     monkeypatch.undo()
@@ -297,7 +297,7 @@ def test_service_survives_a_crashed_write_route(tmp_path, monkeypatch):
             service.url + "/query", {"bounds": {"a": [2, 6]}}
         )
         assert status == 200 and expected["epoch"] == 1
-        _crash_at(monkeypatch, 2)
+        _crash_at(monkeypatch, 0)  # the appended shard's table file
         status, body = post(
             service.url + "/append", {"rows": {"a": [5], "b": [2]}}
         )

@@ -12,6 +12,7 @@ import pytest
 from repro.core import engine as engine_module
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
+from repro.dataset.table import concat_tables
 from repro.errors import QueryError, ReproError
 from repro.observability import use_registry
 from repro.query.model import MissingSemantics
@@ -22,7 +23,6 @@ from repro.shard import (
     load_sharded,
     save_sharded,
 )
-from repro.shard.partition import PARTITIONERS, get_partitioner
 
 
 def _table(seed=5, n=150):
@@ -194,6 +194,35 @@ def _assert_answers(db, table):
         assert np.array_equal(got, truth)
 
 
+def _assert_conforms(db, table):
+    """``db`` reads exactly as one engine over ``table`` (with ``va``)."""
+    engine = IncompleteDatabase(table)
+    engine.create_index("va", "vafile")
+    assert db.num_records == table.num_records
+    for name in table.schema.names:
+        assert np.array_equal(db.table.column(name), table.column(name))
+        assert np.array_equal(
+            db.statistics.attribute(name).counts,
+            engine.statistics.attribute(name).counts,
+        )
+    for query in ({"a": (2, 6)}, {"a": (1, 9), "b": (2, 3)}, {"b": (4, 4)}):
+        for semantics in MissingSemantics:
+            fetched = db.fetch(query, semantics, using="va")
+            expected = engine.fetch(query, semantics, using="va")
+            for name in table.schema.names:
+                assert np.array_equal(
+                    fetched.column(name), expected.column(name)
+                )
+            assert db.estimate_count(query, semantics) == (
+                engine.estimate_count(query, semantics)
+            )
+        ranked = db.execute_ranked(query, using="va")
+        reference = engine.execute_ranked(query, using="va")
+        assert np.array_equal(ranked.record_ids, reference.record_ids)
+        assert np.array_equal(ranked.probabilities, reference.probabilities)
+        assert ranked.num_certain == reference.num_certain
+
+
 @pytest.fixture()
 def count_builds(monkeypatch):
     """Counts index builds, by kind, through the engine's builder table."""
@@ -207,8 +236,8 @@ def count_builds(monkeypatch):
     return builds
 
 
-def _four_shards(partitioner="contiguous"):
-    db = ShardedDatabase(_table(n=200), num_shards=4, partitioner=partitioner)
+def _four_shards():
+    db = ShardedDatabase(_table(n=200), num_shards=4)
     db.create_index("ix", "bre")
     db.create_index("va", "vafile")
     return db
@@ -249,15 +278,17 @@ class TestShardGranularWrites:
         counters = registry.snapshot().counters
         assert counters["writer.shards_rebuilt"] == 1
         assert counters["writer.shards_reused"] == 3
-        # The table and both indexes of three shards; row maps are written.
+        # The table and both indexes of three shards; nothing else exists.
         assert counters["storage.files_linked"] == 9
         for shard_id in range(4):
-            for name in ("rows.npy", "table.npz", "ix.idx", "va.idx"):
+            new_dir = tmp_path / "gen-000002" / f"shard-{shard_id}"
+            assert sorted(p.name for p in new_dir.iterdir()) == [
+                "ix.idx", "table.npz", "va.idx"
+            ]
+            for name in ("table.npz", "ix.idx", "va.idx"):
                 old = tmp_path / "gen-000001" / f"shard-{shard_id}" / name
-                new = tmp_path / "gen-000002" / f"shard-{shard_id}" / name
-                shared = os.stat(old).st_ino == os.stat(new).st_ino
-                linked = shard_id < 3 and name != "rows.npy"
-                assert shared == linked, (shard_id, name)
+                shared = os.stat(old).st_ino == os.stat(new_dir / name).st_ino
+                assert shared == (shard_id < 3), (shard_id, name)
         pin.release()
         manager.close()
         with load_sharded(tmp_path) as loaded:
@@ -283,7 +314,10 @@ class TestShardGranularWrites:
             after = manager.current_database
             hit = {
                 shard.shard_id for shard in before.shards
-                if np.isin(shard.global_ids, ids).any()
+                if any(
+                    shard.start <= i < shard.start + shard.database.num_records
+                    for i in ids
+                )
             }
             for old, new in zip(before.shards, after.shards):
                 assert (new.database is old.database) == (
@@ -299,7 +333,7 @@ class TestShardGranularWrites:
         try:
             writer = SnapshotWriter(manager)
             before = manager.current_database
-            emptied = before.shards[1].global_ids
+            emptied = np.arange(before.shards[1].start, before.shards[2].start)
             writer.delete(emptied)
             after = manager.current_database
             assert after.num_shards == 3
@@ -309,35 +343,52 @@ class TestShardGranularWrites:
         finally:
             manager.close()
 
-    @pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
-    def test_appends_go_last_and_compact_restores_the_layout(
-        self, partitioner
-    ):
-        manager = EpochManager(_four_shards(partitioner))
+    def test_appends_go_last_and_compact_restores_the_layout(self):
+        manager = EpochManager(_four_shards())
         try:
             writer = SnapshotWriter(manager)
             before = manager.current_database
             writer.append({"a": [3, 4, 0], "b": [1, 2, 3]})
             writer.append(_table(seed=6, n=10))
             appended = manager.current_database
-            assert appended.partitioner_name == partitioner
             for old, new in zip(before.shards[:3], appended.shards):
                 assert new.database is old.database
-            assert np.array_equal(
-                appended.shards[3].global_ids,
-                np.concatenate([before.shards[3].global_ids,
-                                np.arange(200, 213)]),
-            )
+            assert appended.shards[3].start == 150
+            assert appended.shards[3].database.num_records == 50 + 13
             _assert_answers(appended, appended.table)
 
             writer.compact()
             compacted = manager.current_database
-            layout = get_partitioner(partitioner).partition(
-                compacted.table, 4
-            )
-            for shard, ids in zip(compacted.shards, layout.shards):
-                assert np.array_equal(shard.global_ids, ids)
+            # The np.array_split layout of 213 rows: sizes 54, 53, 53, 53.
+            assert [
+                (shard.start, shard.database.num_records)
+                for shard in compacted.shards
+            ] == [(0, 54), (54, 53), (107, 53), (160, 53)]
             _assert_answers(compacted, appended.table)
+        finally:
+            manager.close()
+
+    def test_writer_built_snapshots_conform_to_an_engine(self):
+        """After append x2, a delete that empties a shard and a compact,
+        every snapshot reads like one engine over the mirrored table."""
+        table = _table(n=200)
+        manager = EpochManager(_four_shards())
+        try:
+            writer = SnapshotWriter(manager)
+            mirror = table
+            _assert_conforms(manager.current_database, mirror)
+            first, second = _table(seed=6, n=3), _table(seed=7, n=10)
+            writer.append(first)
+            writer.append(second)
+            mirror = concat_tables(mirror, first, second)
+            _assert_conforms(manager.current_database, mirror)
+            writer.delete(range(50, 100))  # all of shard 1
+            assert manager.current_database.num_shards == 3
+            mirror = mirror.take(np.setdiff1d(np.arange(213), range(50, 100)))
+            _assert_conforms(manager.current_database, mirror)
+            writer.compact()
+            assert manager.current_database.num_shards == 3
+            _assert_conforms(manager.current_database, mirror)
         finally:
             manager.close()
 

@@ -165,6 +165,12 @@ class TestResolveExecutor:
             ShardedDatabase(_table(200), num_shards=2, parallel=True)
         with pytest.raises(TypeError, match="max_workers"):
             ShardedDatabase(_table(200), num_shards=2, max_workers=2)
+        # Shards are row ranges: no layout is selectable either.
+        for partitioner in ("contiguous", "round-robin"):
+            with pytest.raises(TypeError, match="partitioner"):
+                ShardedDatabase(
+                    _table(200), num_shards=2, partitioner=partitioner
+                )
         with ShardedDatabase(_table(200), num_shards=2) as db:
             db.create_index("ix", "bre")
             save_sharded(db, tmp_path)

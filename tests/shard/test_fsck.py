@@ -45,15 +45,25 @@ class TestVerdicts:
         assert report.ok
         assert not report.paths("corrupt")
         assert not report.paths("missing")
-        # manifest + 2 shards x (rows, table, ix, va)
-        assert len(report.paths("ok")) == 9
+        # manifest + 2 shards x (table, ix, va): no row maps since v3
+        assert len(report.paths("ok")) == 7
+        assert not [p for p in report.paths("ok") if p.endswith("rows.npy")]
+
+    def test_legacy_row_maps_are_checked(self, saved, v2_layout):
+        v2_layout(saved)
+        report = verify_sharded(saved)
+        assert report.ok
+        rows = [p for p in report.paths("ok") if p.endswith("rows.npy")]
+        assert len(rows) == 2 and len(report.paths("ok")) == 9
 
     def test_deep_clean_directory_is_all_ok(self, saved):
         report = verify_sharded(saved, deep=True)
         assert report.ok
 
     @pytest.mark.parametrize("role", ["rows", "table", "ix", "va"])
-    def test_corrupt_file_flagged_exactly(self, saved, role):
+    def test_corrupt_file_flagged_exactly(self, saved, role, v2_layout):
+        if role == "rows":
+            v2_layout(saved)  # only a v2 manifest lists a row map
         target = _file_of(saved, 1, role)
         _flip(target)
         report = verify_sharded(saved)
@@ -89,7 +99,7 @@ class TestVerdicts:
         with use_registry() as registry:
             verify_sharded(saved)
         counters = registry.snapshot().counters
-        assert counters["storage.fsck.ok"] == 8
+        assert counters["storage.fsck.ok"] == 6
         assert counters["storage.fsck.corrupt"] == 1
 
     def test_format_mentions_every_file(self, saved):
@@ -97,7 +107,7 @@ class TestVerdicts:
         report = verify_sharded(saved)
         text = report.format()
         assert "CORRUPT" in text and "manifest.json" in text
-        assert "1 corrupt" in text and "8 ok" in text
+        assert "1 corrupt" in text and "6 ok" in text
 
 
 class TestVerifyFile:

@@ -1,14 +1,18 @@
 """Shard manifest round-trips: save, load, and query identically."""
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.reorder import lexicographic_order
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import CorruptIndexError, ShardError
 from repro.query.model import MissingSemantics
+from repro.storage import verify_sharded
 from repro.shard.manifest import (
     MANIFEST_NAME,
     load_sharded,
@@ -58,13 +62,11 @@ def test_round_trip_each_serializable_kind(table, tmp_path, kind):
 
 
 def test_round_trip_preserves_table(table, tmp_path):
-    with ShardedDatabase(
-        table, num_shards=4, partitioner="round-robin"
-    ) as db:
+    with ShardedDatabase(table, num_shards=4) as db:
         db.create_index("ix", "bre")
         save_sharded(db, tmp_path)
     with load_sharded(tmp_path) as loaded:
-        assert loaded.partitioner_name == "round-robin"
+        assert [shard.start for shard in loaded.shards] == [0, 375, 750, 1125]
         for name in table.schema.names:
             assert np.array_equal(
                 loaded.table.column(name), table.column(name)
@@ -77,14 +79,20 @@ def test_manifest_file_shape(table, tmp_path):
         path = save_sharded(db, tmp_path)
     manifest = json.loads(path.read_text())
     assert manifest["format"] == "repro-shard-manifest"
+    assert manifest["version"] == 3
     assert manifest["num_shards"] == 2
-    assert manifest["partitioner"] == "contiguous"
+    assert "partitioner" not in manifest
     assert [a["name"] for a in manifest["attributes"]] == ["a", "b"]
     assert len(manifest["shards"]) == 2
     assert manifest["generation"] == 1
     assert isinstance(manifest["self_crc32"], int)
     for entry in manifest["shards"]:
-        for record in [entry["rows"], entry["table"]] + [
+        assert "rows" not in entry
+        shard_dir = tmp_path / entry["table"]["path"].rsplit("/", 1)[0]
+        assert sorted(p.name for p in shard_dir.iterdir()) == [
+            "ix.idx", "table.npz"
+        ]
+        for record in [entry["table"]] + [
             ix["file"] for ix in entry["indexes"]
         ]:
             target = tmp_path / record["path"]
@@ -118,10 +126,12 @@ def test_load_rejects_bad_format(table, tmp_path):
         load_sharded(tmp_path)
 
 
-def test_load_rejects_corrupt_rows(table, tmp_path):
+def test_load_rejects_corrupt_rows(table, tmp_path, v2_layout):
+    """A v2 row map is still load-bearing where a manifest lists one."""
     with ShardedDatabase(table, num_shards=2) as db:
         db.create_index("ix", "bre")
         path = save_sharded(db, tmp_path)
+    v2_layout(tmp_path)
     manifest = json.loads(path.read_text())
     rows_path = tmp_path / manifest["shards"][0]["rows"]["path"]
     raw = bytearray(rows_path.read_bytes())
@@ -189,25 +199,18 @@ class TestMalformedManifest:
         with pytest.raises(ShardError, match="contiguous"):
             load_sharded(tmp_path)
 
-    def test_row_claimed_by_two_shards_rejected(self, table, tmp_path):
-        with ShardedDatabase(
-            table, num_shards=2, partitioner="round-robin"
-        ) as db:
+    def test_row_claimed_by_two_shards_rejected(
+        self, table, tmp_path, v2_layout
+    ):
+        # A v2 manifest labelled contiguous whose shard 1 map claims shard
+        # 0's rows: the loader checks the file, not the label.
+        with ShardedDatabase(table, num_shards=2) as db:
             db.create_index("ix", "bre")
-            path = save_sharded(db, tmp_path)
-
-        def alias_shard_files(manifest):
-            # Point shard 1 at shard 0's files: every row id shard 0 owns
-            # is now claimed twice, and shard 1's own ids lose their owner.
-            src, dst = manifest["shards"]
-            dst["rows"] = src["rows"]
-            dst["table"] = src["table"]
-            dst["num_records"] = src["num_records"]
-            for ix, ix_src in zip(dst["indexes"], src["indexes"]):
-                ix["file"] = ix_src["file"]
-
-        rewrite_manifest(path, alias_shard_files)
-        with pytest.raises(ShardError, match="claimed by shards"):
+            save_sharded(db, tmp_path)
+        v2_layout(tmp_path, rows={0: np.arange(750), 1: np.arange(750)})
+        with pytest.raises(
+            ShardError, match="shard 1: row map .* row range 750..1499"
+        ):
             load_sharded(tmp_path)
 
     def test_unowned_rows_rejected(self, table, tmp_path):
@@ -220,7 +223,9 @@ class TestMalformedManifest:
             manifest["num_shards"] = 1
 
         rewrite_manifest(path, drop_shard)
-        with pytest.raises(ShardError, match="not owned by any shard"):
+        with pytest.raises(
+            ShardError, match="records 1500 rows but its shards hold 750"
+        ):
             load_sharded(tmp_path)
 
     def test_checksum_mismatch_rejected(self, table, tmp_path):
@@ -230,4 +235,69 @@ class TestMalformedManifest:
         text = path.read_text()
         path.write_text(text.replace('"num_records"', '"num_reCords"', 1))
         with pytest.raises(ShardError, match="checksum"):
+            load_sharded(tmp_path)
+
+
+class TestLegacyManifests:
+    """Versions 1 and 2 stored a partitioner name and a row map per shard."""
+
+    #: Saved by the version-2 writer: 240 rows in 3 contiguous shards,
+    #: ``bre`` (codec bbc), ``bee`` and ``va`` (vafile) on each.
+    FIXTURE = Path(__file__).parent / "data" / "v2-contiguous"
+
+    def test_v2_directory_loads_bit_identically(self, tmp_path):
+        root = tmp_path / "v2"
+        shutil.copytree(self.FIXTURE, root)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        assert manifest["version"] == 2
+        assert all("rows" in entry for entry in manifest["shards"])
+        table = generate_uniform_table(
+            240, {"a": 9, "b": 5}, {"a": 0.25, "b": 0.1}, seed=29
+        )
+        engine = IncompleteDatabase(table)
+        with load_sharded(root) as loaded:
+            assert loaded.num_records == 240
+            assert [shard.start for shard in loaded.shards] == [0, 80, 160]
+            assert loaded.index_names == ("bre", "bee", "va")
+            assert loaded.shards[0].database.get_index("bre").options == {
+                "codec": "bbc"
+            }
+            for name in table.schema.names:
+                assert np.array_equal(
+                    loaded.table.column(name), table.column(name)
+                )
+            queries = [{"a": (2, 6)}, {"a": (1, 9), "b": (2, 3)}, {"b": (5, 5)}]
+            for semantics in ("is_match", "not_match", "both"):
+                for query in queries:
+                    expected = engine.execute(query, semantics).bound_ids
+                    for index in loaded.index_names:
+                        got = loaded.execute(query, semantics, using=index)
+                        assert len(got.bound_ids) == len(expected)
+                        for a, b in zip(got.bound_ids, expected):
+                            assert np.array_equal(a, b)
+        assert verify_sharded(root).ok
+
+    def test_resaving_a_v2_directory_writes_v3(self, tmp_path):
+        root = tmp_path / "v2"
+        shutil.copytree(self.FIXTURE, root)
+        with load_sharded(root) as loaded:
+            expected = loaded.execute({"a": (2, 6)}).record_ids
+            save_sharded(loaded, root, overwrite=True)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        assert manifest["version"] == 3 and "partitioner" not in manifest
+        assert not list(root.rglob("rows.npy"))
+        with load_sharded(root) as again:
+            assert np.array_equal(
+                again.execute({"a": (2, 6)}).record_ids, expected
+            )
+
+    @pytest.mark.parametrize("partitioner", ["round-robin", "missing-density"])
+    def test_other_partitioners_are_a_named_error(
+        self, table, tmp_path, v2_layout, partitioner
+    ):
+        with ShardedDatabase(table, num_shards=2) as db:
+            db.create_index("ix", "bre")
+            save_sharded(db, tmp_path)
+        v2_layout(tmp_path, partitioner=partitioner)
+        with pytest.raises(ShardError, match=repr(partitioner)):
             load_sharded(tmp_path)

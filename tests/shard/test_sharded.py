@@ -15,7 +15,6 @@ from repro.observability import use_registry
 from repro.query.model import MissingSemantics, RangeQuery
 from repro.serve import EpochManager, SnapshotWriter
 from repro.shard.manifest import load_sharded, save_sharded
-from repro.shard.partition import PARTITIONERS
 from repro.shard.sharded import ShardedDatabase
 
 QUERIES = [
@@ -48,12 +47,12 @@ def make_sharded(table, **kwargs) -> ShardedDatabase:
     return db
 
 
-@pytest.mark.parametrize("partitioner", sorted(PARTITIONERS))
+@pytest.mark.parametrize("num_shards", [2, 4, 7])
 @pytest.mark.parametrize("semantics", list(MissingSemantics))
 def test_execute_identical_to_unsharded(
-    table, unsharded, partitioner, semantics
+    table, unsharded, num_shards, semantics
 ):
-    with make_sharded(table, num_shards=4, partitioner=partitioner) as db:
+    with make_sharded(table, num_shards=num_shards) as db:
         for query in QUERIES:
             expected = unsharded.execute(query, semantics)
             got = db.execute(query, semantics)
@@ -71,6 +70,71 @@ def test_execute_batch_identical_to_unsharded(table, unsharded, semantics):
         assert len(got) == len(expected)
         for exp, act in zip(expected, got):
             assert np.array_equal(exp.record_ids, act.record_ids)
+
+
+# -- the layout: shards are row ranges -----------------------------------------
+
+
+@pytest.mark.parametrize("num_shards", [1, 2, 3, 7])
+def test_layout_covers_every_row(table, num_shards):
+    with ShardedDatabase(table, num_shards=num_shards) as db:
+        assert db.num_shards == num_shards
+        assert db.num_records == table.num_records
+        stop = 0
+        for shard in db.shards:
+            assert shard.start == stop
+            stop += shard.database.num_records
+        assert stop == table.num_records
+
+
+def test_shards_are_row_ranges(table):
+    with ShardedDatabase(table, num_shards=4) as db:
+        for shard in db.shards:
+            rows = np.arange(shard.start, shard.start + shard.database.num_records)
+            for name in table.schema.names:
+                assert np.array_equal(
+                    shard.database.table.column(name),
+                    table.column(name)[rows],
+                )
+
+
+def test_row_counts_balanced_within_one(table):
+    # np.array_split sizes: the first n % k shards hold one row more.
+    with ShardedDatabase(table.take(np.arange(997)), num_shards=4) as db:
+        sizes = [shard.database.num_records for shard in db.shards]
+    assert sizes == [250, 249, 249, 249]
+
+
+def test_invalid_shard_counts(table):
+    with pytest.raises(ShardError):
+        ShardedDatabase(table, num_shards=0)
+    with pytest.raises(ShardError):
+        ShardedDatabase(table, num_shards=table.num_records + 1)
+
+
+def test_rows_table_and_statistics_read_the_shards(table, unsharded):
+    """No whole-table copy is kept: ``table`` concatenates on demand,
+    ``statistics`` sums the shards' histograms, and ``_rows`` splits ids at
+    the shard starts."""
+    with make_sharded(table, num_shards=7) as db:
+        assert "_table" not in vars(db)
+        assert db.table is not db.table
+        for name in table.schema.names:
+            assert np.array_equal(db.table.column(name), table.column(name))
+            assert np.array_equal(
+                db.statistics.attribute(name).counts,
+                unsharded.statistics.attribute(name).counts,
+            )
+        assert db.statistics.num_records == table.num_records
+        starts = [shard.start for shard in db.shards]
+        ids = np.unique(np.concatenate([
+            starts, np.subtract(starts[1:], 1), [table.num_records - 1],
+            np.arange(0, table.num_records, 37),
+        ])).astype(np.int64)
+        picked = db._rows(ids)
+        for name in table.schema.names:
+            assert np.array_equal(picked.column(name), table.column(name)[ids])
+        assert db._rows(np.empty(0, dtype=np.int64)).num_records == 0
 
 
 def test_sequential_fallback_identical(table, unsharded):

@@ -139,7 +139,6 @@ class TestShardedDegradation:
 
         manifest = json.loads((root / "manifest.json").read_text())
         for entry in manifest["shards"]:
-            yield entry["shard_id"], "rows", root / entry["rows"]["path"]
             yield entry["shard_id"], "table", root / entry["table"]["path"]
             for ix in entry["indexes"]:
                 yield entry["shard_id"], ix["name"], root / ix["file"]["path"]
@@ -171,7 +170,7 @@ class TestShardedDegradation:
     def test_corrupt_table_file_is_a_hard_error(self, saved_sharded):
         root, _ = saved_sharded
         for shard_id, role, path in self._manifest_paths(root):
-            if role not in ("rows", "table"):
+            if role != "table":
                 continue
             pristine = path.read_bytes()
             raw = bytearray(pristine)

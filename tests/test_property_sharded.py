@@ -1,7 +1,7 @@
 """Property tests: sharding never changes results.
 
-Random two-attribute tables, random small workloads, every partitioner,
-shard counts {1, 2, 7}, every semantics (``is_match``, ``not_match`` and
+Random two-attribute tables, random small workloads, shard counts
+{1, 2, 7} (row ranges of ``np.array_split`` sizes), every semantics (``is_match``, ``not_match`` and
 the one-pass ``both``), through both ``execute`` and ``execute_batch`` —
 the scatter-gather merge must return exactly the record-id arrays the
 unsharded engine produces, element for element and in the same order.  This is the sharded extension of the
@@ -33,7 +33,6 @@ from repro.query.model import (
     RangeQuery,
     resolve_semantics,
 )
-from repro.shard.partition import PARTITIONERS
 from repro.shard.sharded import ShardedDatabase
 
 SHARD_COUNTS = (1, 2, 7)
@@ -77,22 +76,18 @@ def sharded_cases(draw):
         RangeQuery({"a": interval(card_a), "b": interval(card_b)})
         for _ in range(draw(st.integers(min_value=1, max_value=5)))
     ]
-    partitioner = draw(st.sampled_from(sorted(PARTITIONERS)))
     num_shards = draw(st.sampled_from(SHARD_COUNTS))
-    return table, workload, partitioner, num_shards
+    return table, workload, num_shards
 
 
 @settings(max_examples=40, deadline=None)
 @given(case=sharded_cases())
 def test_sharded_execution_matches_unsharded(case):
-    table, workload, partitioner, num_shards = case
+    table, workload, num_shards = case
     unsharded = IncompleteDatabase(table)
     unsharded.create_index("ix", "bre")
     with ShardedDatabase(
-        table,
-        num_shards=num_shards,
-        partitioner=partitioner,
-        executor="sequential",
+        table, num_shards=num_shards, executor="sequential"
     ) as db:
         db.create_index("ix", "bre")
         for semantics in ALL_SEMANTICS:
