@@ -2,8 +2,11 @@
 
 Shows the library's production features around the paper's core: build a
 WAH bitmap index, save it as an index file, reload it without the base
-table, answer arbitrary AND/OR/NOT predicates, then keep the index current
-through appends, deletes, and compaction.
+table, answer arbitrary AND/OR/NOT predicates, then keep a served dataset
+current through appends, deletes and compaction.  Indexes are fixed once
+built: every change goes through a ``SnapshotWriter``, which publishes a
+new snapshot and rebuilds only the shards it touches, while readers pin
+the snapshot they query.
 
 Run with::
 
@@ -13,10 +16,15 @@ Run with::
 import tempfile
 from pathlib import Path
 
-from repro import MissingSemantics, RangeQuery, generate_uniform_table
+from repro import (
+    MissingSemantics,
+    RangeQuery,
+    ShardedDatabase,
+    generate_uniform_table,
+)
 from repro.bitmap import RangeEncodedBitmapIndex
-from repro.dataset.table import concat_tables
 from repro.query import Atom
+from repro.serve import EpochManager, SnapshotWriter
 from repro.storage import load_bitmap_index_file, save_bitmap_index
 
 
@@ -56,37 +64,53 @@ def main() -> None:
         f"predicate matches: {len(possible)} possible / {len(definite)} definite"
     )
 
-    # The dataset keeps growing: append a fresh batch.
-    batch = generate_uniform_table(
-        5_000,
-        {"status": 4, "region": 12, "score": 100},
-        {"status": 0.05, "region": 0.15, "score": 0.30},
-        seed=9,
-    )
-    index.append(batch)
-    table = concat_tables(table, batch)
-    print(f"appended {batch.num_records} records -> {index.num_records} total")
+    # The dataset keeps growing.  Serve it as four row-range shards, and
+    # change it only through the writer: each write publishes a new epoch.
+    served = ShardedDatabase(table, num_shards=4)
+    served.create_index("orders", "bre", codec="wah")
+    manager = EpochManager(served)
+    writer = SnapshotWriter(manager)
+    try:
+        batch = generate_uniform_table(
+            5_000,
+            {"status": 4, "region": 12, "score": 100},
+            {"status": 0.05, "region": 0.15, "score": 0.30},
+            seed=9,
+        )
+        epoch = writer.append(batch)
+        with manager.pin() as pin:
+            print(
+                f"epoch {epoch}: appended {batch.num_records} records -> "
+                f"{pin.database.num_records} total"
+            )
 
-    # Retention policy: drop everything in status 4 ("cancelled").
-    cancelled = index.execute_ids(
-        RangeQuery.from_bounds({"status": (4, 4)}), MissingSemantics.NOT_MATCH
-    )
-    index.delete(cancelled)
-    print(
-        f"tombstoned {index.deleted_count} cancelled orders; "
-        f"queries now skip them"
-    )
-    count = index.execute_count(
-        RangeQuery.from_bounds({"status": (1, 4)}), MissingSemantics.NOT_MATCH
-    )
-    print(f"alive orders with a status: {count}")
+        # Retention policy: drop everything in status 4 ("cancelled").
+        # A pinned reader keeps its snapshot while the delete publishes.
+        with manager.pin() as before:
+            cancelled = before.database.query(
+                RangeQuery.from_bounds({"status": (4, 4)}),
+                MissingSemantics.NOT_MATCH,
+            ).record_ids
+            epoch = writer.delete(cancelled)
+            print(
+                f"epoch {epoch}: deleted {len(cancelled)} cancelled orders; "
+                f"epoch {before.epoch} still reads "
+                f"{before.database.num_records} records"
+            )
+        with manager.pin() as pin:
+            count = pin.database.count(
+                {"status": (1, 4)}, MissingSemantics.NOT_MATCH
+            )
+        print(f"orders with a status: {count}; survivors renumbered densely")
 
-    # Reclaim the space; record ids shift, the mapping keeps them traceable.
-    mapping = index.compact()
-    print(
-        f"compacted to {index.num_records} records "
-        f"(old id of new record 0: {mapping[0]})"
-    )
+        # Appends went to the last shard; compaction cuts equal row ranges
+        # again and reuses every shard whose range is unchanged.
+        epoch = writer.compact()
+        with manager.pin() as pin:
+            sizes = [shard.database.num_records for shard in pin.database.shards]
+        print(f"epoch {epoch}: compacted into shards of {sizes} records")
+    finally:
+        manager.close()
 
 
 if __name__ == "__main__":

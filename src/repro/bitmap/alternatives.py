@@ -128,13 +128,6 @@ class FlaggedRangeEncodedIndex(BitmapIndex):
             counter.record_touch()
         return vec
 
-    def _backfill_slot(self, family, slot: int) -> np.ndarray:
-        # When the first missing value arrives, B_C materializes; before
-        # that every record was present, so its prior bits are all ones.
-        if slot == family.cardinality:
-            return np.ones(family.nbits, dtype=bool)
-        return np.zeros(family.nbits, dtype=bool)
-
     def evaluate_interval(
         self,
         attribute: str,

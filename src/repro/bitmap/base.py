@@ -156,9 +156,6 @@ class BitmapIndex(abc.ABC):
             raise IndexBuildError("bitmap index requires at least one attribute")
         self._codec = codec
         self._nbits = table.num_records
-        self._generation = 0
-        self._deleted: np.ndarray | None = None
-        self._alive_cache = None
         self._attrs: dict[str, _AttributeBitmaps] = {}
         for name in names:
             spec = table.schema.attribute(name)
@@ -288,7 +285,7 @@ class BitmapIndex(abc.ABC):
         that is all it does.  With one, each cache-worthy bound is looked
         up under a key extending ``cache_key`` (the engine passes the
         attached index's name) with everything that determines the answer:
-        encoding, codec, mutation generation, attribute, interval, and the
+        encoding, codec, attribute, interval, and the
         bound's own semantics — so single-bound and both-mode queries warm
         the cache for each other.  On a hit the stored bitvector is
         returned as-is and no evaluation counters move — reuse is exactly
@@ -311,7 +308,6 @@ class BitmapIndex(abc.ABC):
             *cache_key,
             self.encoding,
             self._codec,
-            self._generation,
             attribute,
             interval.lo,
             interval.hi,
@@ -354,16 +350,6 @@ class BitmapIndex(abc.ABC):
     def num_records(self) -> int:
         """Number of records covered by every bitmap."""
         return self._nbits
-
-    @property
-    def generation(self) -> int:
-        """Mutation counter, bumped by append/delete/compact.
-
-        Sub-result caches fold this into their keys so entries memoized
-        against an older state of the index can never answer a query after
-        the index changes (see :mod:`repro.core.cache`).
-        """
-        return self._generation
 
     @property
     def attributes(self) -> tuple[str, ...]:
@@ -417,7 +403,7 @@ class BitmapIndex(abc.ABC):
         Per-attribute interval results are ANDed together, as in Section 4's
         "range queries are executed by first ORing together all bit vectors
         specified by each range in the search key and then ANDing the answers
-        together".  Tombstoned (deleted) records are masked out last.  Under
+        together".  Under
         ``BOTH`` each attribute's ``(certain, possible)`` pair is evaluated
         together (shared stored-bitmap work, shared sub-result cache) and
         the pairs are ANDed bound-by-bound; for a conjunctive query
@@ -448,8 +434,7 @@ class BitmapIndex(abc.ABC):
                     ))
             with _trace_span("bitmap.and", operands=sum(map(len, columns))):
                 return tuple(
-                    self._mask_deleted(big_and(parts, counter), counter)
-                    for parts in zip(*columns)
+                    big_and(parts, counter) for parts in zip(*columns)
                 )
 
     def execute(
@@ -475,70 +460,6 @@ class BitmapIndex(abc.ABC):
     ):
         """Answer a query under both bounds; returns ``(certain, possible)``."""
         return self.execute_bounds(query, BOTH, counter, cache, cache_key)
-
-    def _mask_deleted(self, result, counter: OpCounter | None):
-        if self._deleted is None:
-            return result
-        if self._alive_cache is None:
-            self._alive_cache = make_bitvector(~self._deleted, self._codec)
-        if counter is not None:
-            counter.record_binary(result, self._alive_cache)
-        return result & self._alive_cache
-
-    # -- deletes -----------------------------------------------------------------
-
-    def delete(self, record_ids) -> int:
-        """Tombstone records so no query returns them again.
-
-        Deletion is logical (a tombstone bitmap ANDed into every result),
-        the standard bitmap-index practice; :meth:`compact` reclaims the
-        space.  Returns the number of records newly deleted.
-        """
-        record_ids = np.asarray(record_ids, dtype=np.int64)
-        if len(record_ids) and (
-            record_ids.min() < 0 or record_ids.max() >= self._nbits
-        ):
-            raise QueryError(
-                f"record ids must be within 0..{self._nbits - 1}"
-            )
-        if self._deleted is None:
-            self._deleted = np.zeros(self._nbits, dtype=bool)
-        before = int(self._deleted.sum())
-        self._deleted[record_ids] = True
-        self._alive_cache = None
-        self._generation += 1
-        return int(self._deleted.sum()) - before
-
-    @property
-    def deleted_count(self) -> int:
-        """Number of tombstoned records."""
-        return 0 if self._deleted is None else int(self._deleted.sum())
-
-    def compact(self) -> np.ndarray:
-        """Physically drop tombstoned rows from every bitmap.
-
-        Record ids shift: returns the array mapping new ids to the old ids
-        they came from (``old_id = mapping[new_id]``), so callers can keep
-        any external references consistent.
-        """
-        self._generation += 1
-        if self._deleted is None or not self._deleted.any():
-            self._deleted = None
-            self._alive_cache = None
-            return np.arange(self._nbits, dtype=np.int64)
-        keep = ~self._deleted
-        mapping = np.flatnonzero(keep)
-        new_nbits = int(keep.sum())
-        for family in self._attrs.values():
-            family.vectors = {
-                slot: make_bitvector(vec.to_bools()[keep], self._codec)
-                for slot, vec in family.vectors.items()
-            }
-            family.nbits = new_nbits
-        self._nbits = new_nbits
-        self._deleted = None
-        self._alive_cache = None
-        return mapping
 
     def execute_bound_ids(
         self,
@@ -623,10 +544,7 @@ class BitmapIndex(abc.ABC):
             ),
             counter,
         )
-        return tuple(
-            self._mask_deleted(result, counter).to_indices()
-            for result in results
-        )
+        return tuple(result.to_indices() for result in results)
 
     def execute_predicate_ids(
         self,
@@ -646,83 +564,20 @@ class BitmapIndex(abc.ABC):
         """Both bounds of a boolean predicate tree as sorted id arrays."""
         return self.execute_predicate_bound_ids(predicate, BOTH, counter)
 
-    # -- appends -----------------------------------------------------------------
-
-    def append(self, chunk: IncompleteTable) -> None:
-        """Append a batch of new records to every covered bitmap.
-
-        The chunk must carry (at least) every indexed attribute with
-        matching cardinality.  Each bitvector is extended with the chunk's
-        bits; new record ids continue from the previous :attr:`num_records`.
-        Appends re-encode each affected bitvector, so batch them — the cost
-        of one append is proportional to the full index size, not to the
-        chunk (the price of keeping WAH streams canonical).
-        """
-        chunk_size = chunk.num_records
-        new_nbits = self._nbits + chunk_size
-        for name, family in self._attrs.items():
-            spec = chunk.schema.attribute(name)
-            if spec.cardinality != family.cardinality:
-                raise IndexBuildError(
-                    f"chunk cardinality {spec.cardinality} != indexed "
-                    f"cardinality {family.cardinality} for attribute {name!r}"
-                )
-            column = chunk.column(name)
-            chunk_missing = bool((column == 0).any())
-            has_missing = family.has_missing or chunk_missing
-            chunk_bools = dict(
-                self._encode_column(column, family.cardinality, has_missing)
-            )
-            slots = set(family.vectors) | set(chunk_bools)
-            new_vectors = {}
-            for slot in slots:
-                if slot in family.vectors:
-                    old = family.vectors[slot].to_bools()
-                else:
-                    # Slot newly materialized (e.g. B_0 appearing when the
-                    # first missing value arrives): the encoding decides
-                    # what the prior records' bits were.
-                    old = self._backfill_slot(family, slot)
-                new = chunk_bools.get(slot)
-                if new is None:
-                    new = np.zeros(chunk_size, dtype=bool)
-                new_vectors[slot] = make_bitvector(
-                    np.concatenate([old, new]), self._codec
-                )
-            family.vectors = new_vectors
-            family.has_missing = has_missing
-            family.nbits = new_nbits
-        if self._deleted is not None:
-            self._deleted = np.concatenate(
-                [self._deleted, np.zeros(chunk_size, dtype=bool)]
-            )
-            self._alive_cache = None
-        self._nbits = new_nbits
-        self._generation += 1
-
-    def _backfill_slot(self, family: _AttributeBitmaps, slot: int) -> np.ndarray:
-        """Bits of a previously unstored slot for the pre-append records.
-
-        The default (all zeros) is right for every encoding whose only
-        dynamically appearing slot is the missing bitmap ``B_0``; encodings
-        that drop *constant* bitmaps override this.
-        """
-        return np.zeros(family.nbits, dtype=bool)
-
     # -- size accounting -------------------------------------------------------
 
     def size_report(self) -> IndexSizeReport:
         """Per-attribute and total size of the stored bitmaps.
 
-        Memoized per mutation generation: the planner costs every covering
-        bitmap index against every query it ranks, so recomputing per-bitmap
-        byte counts each time would make planning scale with index width
-        rather than O(attributes).  Any append/delete/compact bumps the
-        generation and invalidates the memo.
+        Memoized: the planner costs every covering bitmap index against
+        every query it ranks, so recomputing per-bitmap byte counts each
+        time would make planning scale with index width rather than
+        O(attributes).  An index never changes once built, so the memo
+        never goes stale.
         """
         cached = getattr(self, "_size_report_cache", None)
-        if cached is not None and cached[0] == self._generation:
-            return cached[1]
+        if cached is not None:
+            return cached
         verbatim_per_bitmap = (self._nbits + 7) // 8
         reports = tuple(
             AttributeSizeReport(
@@ -734,7 +589,7 @@ class BitmapIndex(abc.ABC):
             for name, family in self._attrs.items()
         )
         report = IndexSizeReport(reports)
-        self._size_report_cache = (self._generation, report)
+        self._size_report_cache = report
         return report
 
     def nbytes(self) -> int:

@@ -8,9 +8,12 @@ executor (:meth:`repro.core.engine.IncompleteDatabase.execute_batch`) pays
 for each distinct ``(index, attribute, interval, semantics)`` once.
 
 Keys are built by the index layer and must capture everything that affects
-the answer: the attached index's name, its encoding and codec, its mutation
-generation (bumped on append/delete/compact, so stale entries can never
-hit), the attribute, the interval bounds, and the query semantics.  Values
+the answer: the attached index's name, its encoding and codec, the
+attribute, the interval bounds, and the query semantics.  An index never
+changes once built, so a key names one answer for the index's life; DDL
+that replaces or detaches the index under that name drops its entries
+(:meth:`SubResultCache.invalidate`) under the same lock every query
+holds, so no entry outlives the index it was computed on.  Values
 are the bitvectors ``evaluate_interval`` returns; they are immutable under
 the codec operator protocol, so handing the same object to many queries is
 safe.

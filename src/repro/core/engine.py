@@ -45,7 +45,7 @@ from repro.core.planner import (
 )
 from repro.core.statistics import TableStatistics
 from repro.core.sync import ReadWriteLock
-from repro.dataset.table import IncompleteTable, concat_tables
+from repro.dataset.table import IncompleteTable
 from repro.errors import QueryError, ReproError
 from repro.observability.metrics import _query_tally
 from repro.query.boolean import Predicate
@@ -314,8 +314,8 @@ class _QuerySurface:
     holding the same index set over its own rows; an engine is its own
     single partition.  A subclass provides ``num_records``, ``table``,
     ``statistics``, ``_rows`` (rows by ascending id), ``_partitions``,
-    ``_plan_memo`` (a dict it clears whenever its index set or rows
-    change) and ``execute``; the registry view, planning, the estimates,
+    ``_plan_memo`` (a dict it clears whenever its index set changes) and
+    ``execute``; the registry view, planning, the estimates,
     the convenience queries, ``explain`` and ``summary`` are defined here
     over those, so a sharded database adds row ranges, prune, scatter and
     merge and nothing else.
@@ -325,10 +325,11 @@ class _QuerySurface:
     _plan_memo: dict
 
     def _read_fence(self):
-        """Held across execute + ``_rows`` by :meth:`fetch`.
+        """Held by :meth:`_plan` so no plan is memoized across a DDL swap.
 
-        Only an engine mutates in place, so only an engine overrides this
-        with a real fence.
+        DDL is the one change a database sees while queries run (its rows
+        never change), and an engine's DDL is what the fence orders, so
+        only an engine overrides this with a real one.
         """
         return nullcontext()
 
@@ -366,10 +367,9 @@ class _QuerySurface:
     def invalidate_cache(self, index_name: str | None = None) -> int:
         """Drop cached sub-results (all, or one index's); returns the count.
 
-        Index mutations (append/delete/compact) are already fenced by the
-        generation tag in every cache key; this is the explicit hatch for
-        anything the engine cannot see, e.g. replacing the table out from
-        under an index.
+        DDL already drops the entries of the index it replaces or detaches,
+        under the lock every query holds; this is the explicit hatch for
+        anything the engine cannot see.
         """
         return sum(
             part._cache.invalidate(index_name) for part in self._partitions
@@ -590,6 +590,8 @@ class _QuerySurface:
 
         Requires a single semantics: a both-bounds answer is two row sets,
         so there is no one table to materialize — fetch the bound you want.
+        The rows are read outside any fence: a database's rows never
+        change, so DDL between the query and the read cannot move them.
         """
         semantics = resolve_semantics(semantics)
         if semantics is BOTH:
@@ -597,9 +599,8 @@ class _QuerySurface:
                 "fetch needs a single semantics ('is_match' or 'not_match'); "
                 "a both-bounds answer has two row sets"
             )
-        with self._read_fence():
-            report = self.execute(query, semantics, using)
-            return self._rows(report.record_ids)
+        report = self.execute(query, semantics, using)
+        return self._rows(report.record_ids)
 
     def execute_ranked(
         self,
@@ -710,18 +711,12 @@ class IncompleteDatabase(_QuerySurface):
         self._query_counts: dict[str, int] = {}
         self._counts_lock = threading.Lock()
         self._cache = SubResultCache(max_bytes=cache_bytes)
-        # Mutation fence: queries hold the shared side, append/delete/
-        # compact and index DDL hold the exclusive side, so a reader
-        # mid-batch never sees half a mutation (a "torn generation").
+        # DDL fence: queries hold the shared side, index DDL the exclusive
+        # side, so a reader mid-batch never sees the index set change under
+        # it (a "torn generation").  The table itself never changes.
         self._rwlock = ReadWriteLock()
-        self._generation = 0
-        # Cleared under the write lock by every DDL and generation bump.
+        # Cleared under the write lock by every DDL.
         self._plan_memo: dict = {}
-        # Logical deletes: boolean alive-filter over the current table, or
-        # None when nothing is tombstoned.  Applied as a uniform post-filter
-        # so every access method (and the scan) stays correct without
-        # per-index delete support.
-        self._tombstones: np.ndarray | None = None
         forksafe.register(self._rwlock)
         forksafe.register(self)
 
@@ -847,126 +842,6 @@ class IncompleteDatabase(_QuerySurface):
         except KeyError:
             raise ReproError(f"no index named {name!r}")
 
-    # -- mutation ----------------------------------------------------------
-
-    @property
-    def generation(self) -> int:
-        """Mutation fence: bumped on every append/delete/compact."""
-        return self._generation
-
-    @property
-    def num_tombstoned(self) -> int:
-        """Rows logically deleted but not yet compacted away."""
-        return 0 if self._tombstones is None else int(self._tombstones.sum())
-
-    def _rebuilt_indexes(self, table: IncompleteTable) -> dict[str, AttachedIndex]:
-        """Rebuild every attached index over ``table`` (same kinds/options).
-
-        Bitmap generations carry forward (old + 1) so cache keys from the
-        pre-mutation index can never collide with the rebuilt one, even if
-        an entry somehow outlives the whole-cache invalidation.
-        """
-        rebuilt: dict[str, AttachedIndex] = {}
-        for att in self._indexes.values():
-            index = _BUILDERS[att.kind](table, list(att.attributes), **att.options)
-            if isinstance(index, BitmapIndex) and isinstance(
-                att.index, BitmapIndex
-            ):
-                index._generation = att.index._generation + 1
-            rebuilt[att.name] = AttachedIndex(
-                name=att.name, kind=att.kind, index=index,
-                attributes=att.attributes, options=att.options,
-            )
-        return rebuilt
-
-    def _install_table(self, table: IncompleteTable) -> None:
-        """Swap in a new table + rebuilt indexes (caller holds the write lock)."""
-        self._indexes = self._rebuilt_indexes(table)
-        self._table = table
-        self._scan = SequentialScan(table)
-        self._statistics = None
-        self._cache.invalidate()
-        self._plan_memo.clear()
-        self._generation += 1
-
-    def append(
-        self, rows: IncompleteTable | Mapping[str, "np.ndarray"]
-    ) -> int:
-        """Append rows, rebuilding every attached index over the new table.
-
-        ``rows`` is an :class:`IncompleteTable` with the same schema, or a
-        ``{attribute: values}`` mapping (0 = missing).  Existing record ids
-        are stable; new rows get ids ``num_records..num_records+n-1``.
-        Atomic with respect to queries: readers see either the old table
-        and indexes or the new ones, never a mix, and the sub-result cache
-        is invalidated under the same lock that swaps the index set.
-        Returns the number of rows appended.
-        """
-        if not isinstance(rows, IncompleteTable):
-            rows = IncompleteTable(
-                self._table.schema,
-                {name: np.asarray(col) for name, col in rows.items()},
-            )
-        added = rows.num_records
-        with self._rwlock.write():
-            merged = concat_tables(self._table, rows)
-            old_tombstones = self._tombstones
-            self._install_table(merged)
-            if old_tombstones is not None:
-                self._tombstones = np.concatenate(
-                    [old_tombstones, np.zeros(added, dtype=bool)]
-                )
-        obs.record("engine.appends")
-        obs.record("engine.appended_rows", added)
-        return added
-
-    def delete(self, record_ids: Iterable[int]) -> int:
-        """Tombstone rows by record id; returns how many were newly deleted.
-
-        Deletes are logical: matching ids simply stop appearing in query
-        results (every access method shares one post-filter), and
-        :meth:`compact` reclaims them.  Ids out of range raise; deleting an
-        already-deleted id is a no-op.
-        """
-        ids = np.asarray(list(record_ids), dtype=np.int64)
-        if ids.size == 0:
-            return 0
-        if ids.min() < 0 or ids.max() >= self._table.num_records:
-            raise QueryError(
-                f"record ids must be in [0, {self._table.num_records}); "
-                f"got range [{ids.min()}, {ids.max()}]"
-            )
-        with self._rwlock.write():
-            if self._tombstones is None:
-                self._tombstones = np.zeros(
-                    self._table.num_records, dtype=bool
-                )
-            newly = int((~self._tombstones[ids]).sum())
-            self._tombstones[ids] = True
-            self._cache.invalidate()
-            self._plan_memo.clear()
-            self._generation += 1
-        obs.record("engine.deletes")
-        obs.record("engine.deleted_rows", newly)
-        return newly
-
-    def compact(self) -> np.ndarray:
-        """Drop tombstoned rows and rebuild indexes over the survivors.
-
-        Returns the old record ids that survived, in order — the new id of
-        ``kept[i]`` is ``i``.  A no-op (identity mapping) when nothing is
-        tombstoned.
-        """
-        with self._rwlock.write():
-            if self._tombstones is None or not self._tombstones.any():
-                self._tombstones = None
-                return np.arange(self._table.num_records, dtype=np.int64)
-            kept = np.flatnonzero(~self._tombstones).astype(np.int64)
-            self._install_table(self._table.take(kept))
-            self._tombstones = None
-        obs.record("engine.compacts")
-        return kept
-
     # -- the surface's data ---------------------------------------------------
 
     @property
@@ -1033,16 +908,6 @@ class IncompleteDatabase(_QuerySurface):
         semantics = resolve_semantics(semantics)
         with self._rwlock.read():
             return self._execute_query(query, semantics, using, trace)
-
-    def _drop_tombstoned(
-        self, ids: tuple[np.ndarray, ...]
-    ) -> tuple[np.ndarray, ...]:
-        """Each bound's ids minus the logically deleted rows."""
-        if self._tombstones is None:
-            return ids
-        return tuple(
-            bound_ids[~self._tombstones[bound_ids]] for bound_ids in ids
-        )
 
     def _execute_query(
         self,
@@ -1133,7 +998,6 @@ class IncompleteDatabase(_QuerySurface):
                         np.asarray(index.execute_ids(query, bound))
                         for bound in semantics.bounds
                     )
-            ids = self._drop_tombstoned(ids)
             elapsed_ns = time.perf_counter_ns() - start
             with self._counts_lock:
                 self._query_counts[name] = self._query_counts.get(name, 0) + 1
@@ -1328,7 +1192,6 @@ class IncompleteDatabase(_QuerySurface):
                 predicate, semantics
             )
             name, kind = chosen.name, chosen.kind
-        ids = self._drop_tombstoned(ids)
         if semantics is BOTH:
             obs.record("semantics.both_predicates")
         return QueryReport(

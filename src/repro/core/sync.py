@@ -1,11 +1,13 @@
-"""A small reader-writer lock for the engine's mutation fence.
+"""A small reader-writer lock for the engine's DDL fence.
 
 :class:`ReadWriteLock` lets any number of query executions proceed
-concurrently while writer-path mutations (``append``/``delete``/
-``compact``/index DDL on :class:`~repro.core.engine.IncompleteDatabase`)
-get exclusive access — so a reader that is mid-batch can never observe a
-*torn generation*: half its queries answered by the pre-mutation index
-set and half by the post-mutation one.
+concurrently while index DDL (``create_index`` / ``attach_index`` /
+``drop_index`` on :class:`~repro.core.engine.IncompleteDatabase`) gets
+exclusive access — so a reader that is mid-batch can never observe a
+*torn generation*: half its queries answered by the index set before the
+DDL and half by the one after.  An engine's rows never change in place
+(new rows arrive as a new snapshot, see :mod:`repro.serve.writer`), so
+DDL is all the lock orders.
 
 Properties:
 
@@ -14,7 +16,7 @@ Properties:
   back into ``execute``-level code without deadlocking, even while a
   writer is queued.
 * **Writer preference.**  A waiting writer blocks *new* top-level
-  readers, so a steady query stream cannot starve mutations forever.
+  readers, so a steady query stream cannot starve DDL forever.
 * **Fork-safe.**  Holders register with :mod:`repro.forksafe`; a fork
   child gets a fresh lock instead of one cloned mid-held by a parent
   thread.

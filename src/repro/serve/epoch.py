@@ -2,8 +2,8 @@
 
 An *epoch* is one immutable published state of the database: a frozen
 :class:`~repro.shard.ShardedDatabase` plus (when disk-backed) the
-generation directory holding its files.  The lifecycle generalizes the
-engine's ``_generation`` mutation fence to whole-database snapshots:
+generation directory holding its files.  It is how a served database
+changes, since no published engine or index is ever changed in place:
 
 1. Readers :meth:`~EpochManager.pin` the current epoch on entry and
    release it on exit; a pinned snapshot never changes underneath them.

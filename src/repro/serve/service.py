@@ -123,14 +123,33 @@ def _parse_semantics(value):
         raise _Reject(400, str(exc))
 
 
+def _json_int(value, field: str) -> int:
+    """``value`` if it is a JSON integer that fits 64 bits; anything else
+    is a 400 naming ``field`` (a bool, a float or a string is never
+    truncated to one)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or not -(1 << 63) <= value < (1 << 63)
+    ):
+        raise _Reject(
+            400, f"{field} must be a 64-bit integer, got {json.dumps(value)}"
+        )
+    return value
+
+
 def _parse_bounds(body: dict, key: str = "bounds") -> RangeQuery:
     bounds = body.get(key)
     if not isinstance(bounds, dict) or not bounds:
         raise _Reject(400, f"body must carry {key!r}: {{attribute: [lo, hi]}}")
     try:
-        return RangeQuery.from_bounds(
-            {name: (int(lo), int(hi)) for name, (lo, hi) in bounds.items()}
-        )
+        return RangeQuery.from_bounds({
+            name: (
+                _json_int(lo, f"{key}.{name}[0]"),
+                _json_int(hi, f"{key}.{name}[1]"),
+            )
+            for name, (lo, hi) in bounds.items()
+        })
     except (TypeError, ValueError) as exc:
         raise _Reject(400, f"malformed {key!r}: {exc}")
 
@@ -158,9 +177,9 @@ def _parse_predicate(node) -> Predicate:
                     f"'attribute' must be a string, got "
                     f"{type(attribute).__name__}"
                 )
+            lo = _json_int(value["lo"], "atom.lo")
             return Atom.of(
-                attribute, int(value["lo"]),
-                int(value.get("hi", value["lo"])),
+                attribute, lo, _json_int(value.get("hi", lo), "atom.hi")
             )
         if op == "and":
             return And(tuple(_parse_predicate(child) for child in value))
@@ -673,18 +692,26 @@ class QueryService:
     def _write(self, path: str, body: dict) -> dict:
         if path == "/append":
             rows = body.get("rows")
-            if not isinstance(rows, dict) or not rows:
+            if not isinstance(rows, dict) or not rows or not all(
+                isinstance(col, list) for col in rows.values()
+            ):
                 raise _Reject(
                     400, "body must carry 'rows': {attribute: [values]}"
                 )
-            epoch = self.writer.append(
-                {name: np.asarray(col) for name, col in rows.items()}
-            )
+            epoch = self.writer.append({
+                name: np.array([
+                    _json_int(v, f"rows.{name}[{i}]")
+                    for i, v in enumerate(col)
+                ], dtype=np.int64)
+                for name, col in rows.items()
+            })
         elif path == "/delete":
             ids = body.get("record_ids")
             if not isinstance(ids, list) or not ids:
                 raise _Reject(400, "body must carry 'record_ids': [int]")
-            epoch = self.writer.delete(int(i) for i in ids)
+            epoch = self.writer.delete([
+                _json_int(v, f"record_ids[{i}]") for i, v in enumerate(ids)
+            ])
         elif path == "/compact":
             epoch = self.writer.compact()
         elif path == "/create-index":

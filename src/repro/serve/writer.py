@@ -1,8 +1,10 @@
 """The serialized writer path: derive the next snapshot, publish it.
 
-Writers never mutate a published snapshot.  Every operation here derives
-the next :class:`~repro.shard.ShardedDatabase` from the current epoch's
-(frozen) one, shard by shard, and hands it to the
+This is the one code path that changes a table's rows: engines and
+indexes are fixed once built, and writers never mutate a published
+snapshot.  Every operation here derives the next
+:class:`~repro.shard.ShardedDatabase` from the current epoch's (frozen)
+one, shard by shard, and hands it to the
 :class:`~repro.serve.epoch.EpochManager`.  Readers holding a pin keep
 querying their epoch untouched; new readers see the new one.
 
@@ -175,9 +177,8 @@ class SnapshotWriter:
         """Remove rows by record id in a new epoch; returns the epoch.
 
         Removal is physical: surviving rows are renumbered densely (the
-        id of a surviving row shifts down past each removed predecessor),
-        matching what the engine's ``compact`` does after a tombstone
-        delete.  Readers pinned to older epochs keep the old numbering.
+        id of a surviving row shifts down past each removed predecessor).
+        Readers pinned to older epochs keep the old numbering.
         Only the shards holding a removed row are rebuilt; a shard left
         with no rows is dropped.
         """

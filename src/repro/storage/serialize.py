@@ -208,9 +208,6 @@ def load_bitmap_index(data) -> BitmapIndex:
     index = cls.__new__(cls)
     index._codec = codec
     index._nbits = num_records
-    index._generation = 0
-    index._deleted = None
-    index._alive_cache = None
     index._attrs = {}
     for _ in range(num_attributes):
         name = fmt.read_str(stream)

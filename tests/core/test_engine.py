@@ -1,9 +1,13 @@
 """Unit tests for the :class:`IncompleteDatabase` facade."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.engine import IncompleteDatabase
+from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
 from repro.errors import QueryError, ReproError
 from repro.query.ground_truth import evaluate
@@ -127,12 +131,10 @@ class TestExecution:
         assert (fetched.column("mid") >= 1).all()
         assert (fetched.column("mid") <= 3).all()
 
-    def test_fetch_holds_the_read_fence_across_execute_and_take(
-        self, db, monkeypatch
-    ):
-        # fetch is inherited from the surface the sharded type shares; on an
-        # engine it must still span execute + take with the read lock, or an
-        # in-place append / compact could renumber rows between the two.
+    def test_fetch_reads_rows_outside_the_read_fence(self, db, monkeypatch):
+        # An engine's rows never change, so fetch takes them after execute
+        # has released the lock: DDL, the lock's only writer, cannot move
+        # them, and fetch never holds a reader slot for the copy.
         db.create_index("rng", "bre")
         depths = []
         take = IncompleteTable.take
@@ -143,8 +145,7 @@ class TestExecution:
 
         monkeypatch.setattr(IncompleteTable, "take", recording_take)
         db.fetch({"mid": (1, 3)})
-        assert depths == [1]
-        assert db._rwlock.read_depth == 0
+        assert depths == [0]
 
     def test_all_kinds_agree(self, small_table):
         db = IncompleteDatabase(small_table)
@@ -275,3 +276,118 @@ class TestAllMissingColumns:
             MissingSemantics.IS_MATCH,
         )
         assert combined.num_matches == 20
+
+
+def _ddl_db(n=400):
+    table = generate_uniform_table(
+        n, {"a": 9, "b": 4}, {"a": 0.2, "b": 0.1}, seed=13
+    )
+    db = IncompleteDatabase(table)
+    db.create_index("ix", "bre")
+    return db
+
+
+#: Distinct intervals, each worth caching on a BRE (two or more bitmaps).
+_TORN_QUERIES = [{"a": (2, 6)}, {"a": (3, 8), "b": (2, 3)}, {"a": (4, 7)}]
+
+_DDL = {
+    "create_index": lambda db: db.create_index("ix", "bee", overwrite=True),
+    "drop_index": lambda db: db.drop_index("ix"),
+}
+
+
+class TestTornGeneration:
+    """Regression: DDL is the only writer of an engine's lock.  A batch
+    holding the shared side must see one index set end to end; DDL on the
+    index it uses waits for the batch, then drops that index's cached
+    sub-results."""
+
+    @pytest.mark.parametrize("ddl", sorted(_DDL))
+    def test_mid_batch_ddl_waits_for_the_batch(self, ddl):
+        db = _ddl_db()
+        expected = [
+            [int(i) for i in db.execute(q).record_ids] for q in _TORN_QUERIES
+        ]
+        batch_entered = threading.Event()
+        original = db._execute_query
+        calls = {"n": 0}
+
+        def slow_execute_query(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 1:
+                batch_entered.set()
+                time.sleep(0.3)  # give the DDL every chance to sneak in
+            return original(*args, **kwargs)
+
+        db._execute_query = slow_execute_query
+        results, timestamps = {}, {}
+
+        def run_batch():
+            results["batch"] = db.execute_batch(_TORN_QUERIES)
+            timestamps["batch_done"] = time.perf_counter()
+
+        def run_ddl():
+            batch_entered.wait(timeout=10)
+            _DDL[ddl](db)
+            timestamps["ddl_done"] = time.perf_counter()
+
+        threads = [threading.Thread(target=run_batch),
+                   threading.Thread(target=run_ddl)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        db._execute_query = original
+
+        # Every member ran on the index as it was before the DDL, and the
+        # DDL committed only after the batch released the lock.
+        batch = results["batch"]
+        assert [(r.index_name, r.kind) for r in batch] == [("ix", "bre")] * 3
+        assert [[int(i) for i in r.record_ids] for r in batch] == expected
+        assert timestamps["ddl_done"] >= timestamps["batch_done"]
+        # The batch cached sub-results of the old index; the DDL dropped
+        # them all, so none can answer for whatever serves "ix" now.
+        assert db.sub_result_cache.stats().entries == 0
+        stats = db.sub_result_cache.stats()
+        after = db.execute_batch(_TORN_QUERIES)
+        assert db.sub_result_cache.stats().hits == stats.hits
+        assert [r.kind for r in after] == (
+            ["bee"] * 3 if ddl == "create_index" else ["scan"] * 3
+        )
+        assert [[int(i) for i in r.record_ids] for r in after] == expected
+
+    def test_concurrent_batches_and_ddl_stay_coherent(self):
+        db = _ddl_db(n=300)
+        expected = [
+            [int(i) for i in db.execute(q).record_ids] for q in _TORN_QUERIES
+        ]
+        stop = threading.Event()
+        failures = []
+
+        def reader():
+            while not stop.is_set():
+                reports = db.execute_batch(_TORN_QUERIES)
+                kinds = {r.kind for r in reports}
+                if len(kinds) != 1:
+                    failures.append(f"one batch served by {sorted(kinds)}")
+                got = [[int(i) for i in r.record_ids] for r in reports]
+                if got != expected:
+                    failures.append(f"answers changed under {kinds}")
+
+        def writer():
+            for i in range(10):
+                db.create_index(
+                    "ix", ("bee", "bre", "vafile")[i % 3], overwrite=True
+                )
+                if i % 4 == 3:
+                    db.drop_index("ix")
+                    db.create_index("ix", "bre")
+            stop.set()
+
+        threads = [threading.Thread(target=reader) for _ in range(3)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not failures

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.dataset.schema import AttributeSpec, Schema
-from repro.dataset.table import IncompleteTable, specs_for_columns
+from repro.dataset.synthetic import generate_uniform_table
+from repro.dataset.table import (
+    IncompleteTable,
+    concat_tables,
+    specs_for_columns,
+)
 from repro.errors import SchemaError
 
 
@@ -128,3 +133,28 @@ class TestSpecsForColumns:
     def test_all_missing_column_gets_cardinality_one(self):
         schema = specs_for_columns({"a": np.zeros(3, dtype=int)})
         assert schema.cardinality("a") == 1
+
+
+class TestConcatTables:
+    @pytest.fixture
+    def base_and_chunk(self):
+        base = generate_uniform_table(
+            400, {"a": 10, "b": 3}, {"a": 0.2, "b": 0.1}, seed=71
+        )
+        chunk = generate_uniform_table(
+            150, {"a": 10, "b": 3}, {"a": 0.4, "b": 0.0}, seed=72
+        )
+        return base, chunk
+
+    def test_concat_appends_rows(self, base_and_chunk):
+        base, chunk = base_and_chunk
+        combined = concat_tables(base, chunk)
+        assert combined.num_records == 550
+        assert np.array_equal(combined.column("a")[:400], base.column("a"))
+        assert np.array_equal(combined.column("a")[400:], chunk.column("a"))
+
+    def test_schema_mismatch_rejected(self, base_and_chunk):
+        base, _ = base_and_chunk
+        other = generate_uniform_table(10, {"a": 10}, {}, seed=1)
+        with pytest.raises(SchemaError):
+            concat_tables(base, other)

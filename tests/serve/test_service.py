@@ -348,6 +348,44 @@ class TestErrors:
         assert counters["serve.errors.client"] == 2
         assert "serve.errors.server" not in counters
 
+    @pytest.mark.parametrize(
+        ("route", "payload", "field"),
+        [
+            ("/delete", {"record_ids": [1.7]}, "record_ids[0]"),
+            ("/delete", {"record_ids": [2, True]}, "record_ids[1]"),
+            ("/delete", {"record_ids": ["x"]}, "record_ids[0]"),
+            ("/append", {"rows": {"a": ["q"], "b": [1]}}, "rows.a[0]"),
+            ("/append", {"rows": {"a": [1], "b": [1.5]}}, "rows.b[0]"),
+            ("/append", {"rows": {"a": [False], "b": [1]}}, "rows.a[0]"),
+            ("/append", {"rows": {"a": [2 ** 64], "b": [1]}}, "rows.a[0]"),
+            ("/query", {"bounds": {"a": [1.5, 3]}}, "bounds.a[0]"),
+            ("/query", {"bounds": {"a": [1, True]}}, "bounds.a[1]"),
+            ("/count", {"bounds": {"a": ["1", 3]}}, "bounds.a[0]"),
+            ("/boolean",
+             {"predicate": {"atom": {"attribute": "a", "lo": 2.5}}},
+             "atom.lo"),
+            ("/boolean",
+             {"predicate": {"atom": {"attribute": "a", "lo": 1, "hi": "9"}}},
+             "atom.hi"),
+        ],
+        ids=[
+            "delete-float", "delete-bool", "delete-string",
+            "append-string", "append-float", "append-bool", "append-huge",
+            "bounds-float", "bounds-bool", "bounds-string",
+            "atom-float", "atom-string",
+        ],
+    )
+    def test_non_integer_json_is_400_naming_the_field(
+        self, service, route, payload, field
+    ):
+        # A bool, float or string is never truncated to an integer: a
+        # truncated [1.7] or [true] would delete row 1.
+        epoch = service.epochs.current_epoch
+        status, body = _post(service.url + route, payload)
+        assert status == 400, body
+        assert field in body["error"], body
+        assert service.epochs.current_epoch == epoch  # nothing published
+
     def test_non_numeric_content_length_is_400(self, service):
         with socket.create_connection(
             (service.host, service.port), timeout=10

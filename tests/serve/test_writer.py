@@ -180,6 +180,63 @@ class TestMutations:
             assert attached.index.codec == "bbc"
 
 
+#: The ``(missing rates, rows, seed)`` of each ``SnapshotWriter.append``
+#: made to the base table's rows: an ordinary chunk; rows that bring the
+#: complete attribute ``c`` its first missing value (its missing bitmap
+#: ``B_0`` appears with them); or three appends in a row, the last of them
+#: bringing ``c`` its first missing value.
+_APPEND_CHUNKS = {
+    "chunk": [({"a": 0.4, "b": 0.0, "c": 0.0}, 150, 72)],
+    "first_missing": [({"a": 0.0, "b": 0.0, "c": 0.5}, 100, 74)],
+    "repeated": [
+        ({"a": 0.3, "b": 0.2, "c": 0.0}, 60, 80),
+        ({"a": 0.3, "b": 0.2, "c": 0.0}, 60, 81),
+        ({"a": 0.3, "b": 0.2, "c": 0.3}, 60, 82),
+    ],
+}
+_APPEND_CARDINALITIES = {"a": 10, "b": 3, "c": 6}
+_APPEND_QUERIES = ({"a": (2, 7), "b": (1, 2)}, {"c": (3, 6)}, {"a": (1, 4)})
+
+
+class TestAppendEqualsRebuild:
+    @pytest.mark.parametrize("codec", ["none", "wah", "bbc"])
+    @pytest.mark.parametrize("kind", ["bee", "bre", "bie", "bsl"])
+    @pytest.mark.parametrize("case", sorted(_APPEND_CHUNKS))
+    def test_append_equals_rebuild(self, case, kind, codec):
+        base = generate_uniform_table(
+            400, _APPEND_CARDINALITIES, {"a": 0.2, "b": 0.1, "c": 0.0},
+            seed=71,
+        )
+        chunks = [
+            generate_uniform_table(n, _APPEND_CARDINALITIES, rates, seed=seed)
+            for rates, n, seed in _APPEND_CHUNKS[case]
+        ]
+        db = ShardedDatabase(base, num_shards=2)
+        db.create_index("ix", kind, codec=codec)
+        assert not db.shards[-1].database.get_index("ix").index.has_missing(
+            "c"
+        )
+        manager = EpochManager(db)
+        try:
+            writer = SnapshotWriter(manager)
+            for chunk in chunks:
+                writer.append(chunk)
+            fresh = IncompleteDatabase(concat_tables(base, *chunks))
+            fresh.create_index("ix", kind, codec=codec)
+            appended = manager.current_database
+            last = appended.shards[-1].database.get_index("ix").index
+            assert last.has_missing("c") == (case != "chunk")
+            for query in _APPEND_QUERIES:
+                for semantics in ("is_match", "not_match", "both"):
+                    got = appended.execute(query, semantics, using="ix")
+                    want = fresh.execute(query, semantics, using="ix")
+                    assert len(got.bound_ids) == len(want.bound_ids)
+                    for g, w in zip(got.bound_ids, want.bound_ids):
+                        assert np.array_equal(g, w), (query, semantics)
+        finally:
+            manager.close()
+
+
 def _answers(db):
     return [
         db.execute(q, semantics).record_ids

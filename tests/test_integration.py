@@ -19,6 +19,8 @@ from repro import (
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.dataset.table import concat_tables
 from repro.query.ground_truth import evaluate
+from repro.serve import EpochManager, SnapshotWriter
+from repro.shard import ShardedDatabase
 from repro.storage.serialize import (
     load_bitmap_index_file,
     load_vafile_file,
@@ -29,8 +31,9 @@ from repro.vafile.vafile import VAFile
 
 
 class TestFullLifecycle:
-    """Generate -> persist -> reorder -> index -> save -> load -> append ->
-    delete -> query, checking the oracle at every step."""
+    """Generate -> persist -> reorder -> index -> save -> load -> query,
+    then append -> delete -> compact through the snapshot writer, checking
+    the oracle at every step."""
 
     def test_lifecycle(self, tmp_path, rng):
         # 1. Generate and persist a dataset.
@@ -55,26 +58,35 @@ class TestFullLifecycle:
             got = set(perm[index.execute_ids(query, semantics)].tolist())
             assert got == expect
 
-        # 5. Append a chunk, delete some rows, verify again.
-        chunk = generate_uniform_table(
-            500, {"a": 15, "b": 30}, {"a": 0.2, "b": 0.2}, seed=122
-        )
-        index.append(chunk)
-        combined = concat_tables(reordered, chunk)
-        victims = index.execute_ids(query, MissingSemantics.IS_MATCH)[:20]
-        index.delete(victims)
-        expect = set(
-            evaluate(combined, query, MissingSemantics.IS_MATCH).tolist()
-        ) - set(victims.tolist())
-        got = set(index.execute_ids(query, MissingSemantics.IS_MATCH).tolist())
-        assert got == expect
-
-        # 6. Compact and re-verify through the id mapping.
-        mapping = index.compact()
-        got = set(
-            mapping[index.execute_ids(query, MissingSemantics.IS_MATCH)].tolist()
-        )
-        assert got == expect
+        # 5. Serve the reordered rows; append a chunk and delete some rows
+        #    in new snapshots, checking every one against the oracle.
+        served = ShardedDatabase(reordered, num_shards=2)
+        served.create_index("bre", "bre", codec="wah")
+        manager = EpochManager(served)
+        try:
+            writer = SnapshotWriter(manager)
+            chunk = generate_uniform_table(
+                500, {"a": 15, "b": 30}, {"a": 0.2, "b": 0.2}, seed=122
+            )
+            writer.append(chunk)
+            mirror = concat_tables(reordered, chunk)
+            with manager.pin() as pin:
+                victims = pin.database.execute(query).record_ids[:20]
+            writer.delete(victims)
+            mirror = mirror.take(
+                np.setdiff1d(np.arange(mirror.num_records), victims)
+            )
+            # 6. Compact, and re-verify every bound.
+            for mutate in (lambda: None, writer.compact):
+                mutate()
+                with manager.pin() as pin:
+                    for semantics in MissingSemantics:
+                        assert np.array_equal(
+                            pin.database.execute(query, semantics).record_ids,
+                            evaluate(mirror, query, semantics),
+                        )
+        finally:
+            manager.close()
 
 
 class TestAllAccessMethodsOnCensusData:

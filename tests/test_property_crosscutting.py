@@ -1,15 +1,14 @@
 """Cross-cutting property tests tying subsystems together.
 
 These drive random tables through combinations of features — statistics vs
-oracle, reordering vs queries, appends vs rebuilds, workload targeting —
-asserting the invariants that make the subsystems composable.
+oracle, reordering vs queries, snapshot writes vs rebuilds, workload
+targeting — asserting the invariants that make the subsystems composable.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.core.statistics import TableStatistics
 from repro.dataset.reorder import gray_order, lexicographic_order, reorder
 from repro.dataset.schema import AttributeSpec, Schema
@@ -20,6 +19,8 @@ from repro.query.workload import (
     attribute_selectivity_for,
     expected_global_selectivity,
 )
+from repro.serve import EpochManager, SnapshotWriter
+from repro.shard import ShardedDatabase
 
 
 @st.composite
@@ -84,6 +85,14 @@ def test_orderings_are_permutations(table):
         assert np.array_equal(np.sort(perm), np.arange(n))
 
 
+def _served(table):
+    """A memory-only epoch manager over ``table`` with one BRE index."""
+    db = ShardedDatabase(table, num_shards=min(2, table.num_records))
+    db.create_index("bre", "bre", codec="wah")
+    manager = EpochManager(db)
+    return manager, SnapshotWriter(manager)
+
+
 @settings(max_examples=40, deadline=None)
 @given(first=tables(max_records=40), second=tables(max_records=40))
 def test_append_always_equals_rebuild(first, second):
@@ -92,12 +101,16 @@ def test_append_always_equals_rebuild(first, second):
     column = np.minimum(second.column("a"), cardinality)
     second = IncompleteTable(first.schema, {"a": column})
     combined = concat_tables(first, second)
-    incremental = RangeEncodedBitmapIndex(first, codec="wah")
-    incremental.append(second)
-    query = RangeQuery({"a": Interval(1, max(1, cardinality // 2))})
-    for semantics in MissingSemantics:
-        expect = evaluate(combined, query, semantics)
-        assert np.array_equal(incremental.execute_ids(query, semantics), expect)
+    manager, writer = _served(first)
+    try:
+        writer.append(second)
+        query = RangeQuery({"a": Interval(1, max(1, cardinality // 2))})
+        for semantics in MissingSemantics:
+            expect = evaluate(combined, query, semantics)
+            got = manager.current_database.execute(query, semantics)
+            assert np.array_equal(got.record_ids, expect)
+    finally:
+        manager.close()
 
 
 @settings(max_examples=100, deadline=None)
@@ -123,12 +136,19 @@ def test_workload_inversion_is_consistent(gs, pm, k):
 @settings(max_examples=60, deadline=None)
 @given(data=tables_and_intervals())
 def test_delete_then_query_is_set_difference(data):
+    # A delete is physical: survivors are renumbered densely, so the old
+    # answer minus the victims, renumbered, is the new answer.
     table, interval = data
-    index = RangeEncodedBitmapIndex(table, codec="none")
     query = RangeQuery({"a": interval})
-    before = set(index.execute_ids(query, MissingSemantics.IS_MATCH).tolist())
-    victims = list(before)[: len(before) // 2]
-    if victims:
-        index.delete(np.array(victims))
-    after = set(index.execute_ids(query, MissingSemantics.IS_MATCH).tolist())
-    assert after == before - set(victims)
+    manager, writer = _served(table)
+    try:
+        before = manager.current_database.execute(query).record_ids
+        victims = before[: len(before) // 2]
+        if victims.size:
+            writer.delete(victims)
+        survivors = np.setdiff1d(np.arange(table.num_records), victims)
+        after = manager.current_database.execute(query).record_ids
+        expect = np.searchsorted(survivors, np.setdiff1d(before, victims))
+        assert np.array_equal(after, expect)
+    finally:
+        manager.close()

@@ -42,6 +42,20 @@ class TestTopLevelExports:
         assert report.record_ids.tolist() == [0, 1]
 
 
+class TestBuiltOnce:
+    """Rows change only through the snapshot writer: an engine and a
+    bitmap index are fixed once built, with no in-place mutators."""
+
+    @pytest.mark.parametrize(
+        "cls", [repro.IncompleteDatabase, repro.bitmap.BitmapIndex]
+    )
+    @pytest.mark.parametrize(
+        "name", ["append", "delete", "compact", "generation"]
+    )
+    def test_no_in_place_mutation(self, cls, name):
+        assert not hasattr(cls, name)
+
+
 class TestSubpackageExports:
     @pytest.mark.parametrize(
         "module",
