@@ -25,7 +25,7 @@ from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, IndexBuildError, QueryError
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
-from repro.observability.metrics import _query_tally
+from repro.observability.metrics import _QueryTally
 from repro.query.model import (
     BOTH,
     Interval,
@@ -420,7 +420,7 @@ class BitmapIndex(abc.ABC):
         of a batch (see :meth:`evaluate_bounds`); results are identical
         either way.
         """
-        with _query_tally() as observing:
+        with _QueryTally() as observing:
             if observing and counter is None:
                 counter = OpCounter()
             columns = []

@@ -4,11 +4,9 @@ from repro.core.advisor import Recommendation, WorkloadProfile, recommend
 from repro.core.cache import DEFAULT_CACHE_BYTES, CacheStats, SubResultCache
 from repro.core.engine import AttachedIndex, IncompleteDatabase, QueryReport
 from repro.core.planner import (
-    BatchGroup,
     CostEstimate,
     combine_shard_estimates,
     estimate_cost,
-    plan_batch,
     rank_plans,
 )
 from repro.core.statistics import AttributeStatistics, TableStatistics
@@ -16,7 +14,6 @@ from repro.core.statistics import AttributeStatistics, TableStatistics
 __all__ = [
     "AttachedIndex",
     "AttributeStatistics",
-    "BatchGroup",
     "CacheStats",
     "CostEstimate",
     "DEFAULT_CACHE_BYTES",
@@ -28,7 +25,6 @@ __all__ = [
     "WorkloadProfile",
     "combine_shard_estimates",
     "estimate_cost",
-    "plan_batch",
     "rank_plans",
     "recommend",
 ]

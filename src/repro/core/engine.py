@@ -18,7 +18,7 @@ import time
 from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,10 +35,9 @@ from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.bitvector.ops import OpCounter
-from repro.core.cache import DEFAULT_CACHE_BYTES, CacheStats, SubResultCache
+from repro.core.cache import CacheStats, SubResultCache
 from repro.core.planner import (
     choose_plan,
-    plan_batch,
     rank_plans,
     semantics_for_costing,
     unit_costs,
@@ -47,8 +46,8 @@ from repro.core.statistics import TableStatistics
 from repro.core.sync import ReadWriteLock
 from repro.dataset.table import IncompleteTable
 from repro.errors import QueryError, ReproError
-from repro.observability.metrics import _query_tally
-from repro.query.boolean import Predicate
+from repro.observability.metrics import _QueryTally
+from repro.query.boolean import Predicate, evaluate_predicate
 from repro.query.model import (
     BOTH,
     MissingSemantics,
@@ -106,9 +105,8 @@ class AttachedIndex:
         return set(query.attributes) <= set(self.attributes)
 
 
-@dataclass(frozen=True, slots=True)
-class ShardReportSlice:
-    """One shard's contribution to a scatter-gather answer."""
+class ShardReportSlice(NamedTuple):
+    """One partition's contribution to an answer."""
 
     shard_id: int
     #: True when the shard was skipped by statistics-based pruning.
@@ -116,6 +114,28 @@ class ShardReportSlice:
     #: Match count of the widest bound (every other bound is a subset).
     num_matches: int
     elapsed_ns: int
+
+
+class ShardTask(NamedTuple):
+    """One partition's share of a query call.
+
+    Built by :meth:`_QuerySurface._run`, evaluated by the partition's
+    :meth:`IncompleteDatabase._run_task`.  ``positions`` are the call's
+    items this partition evaluates, in submission order; ``items``,
+    ``plans`` and ``traces`` are the whole call's, by position:
+    ``plans[i]`` is ``(index_name, per-partition estimates)`` (a None name
+    is the scan), ``traces[i]`` the item's
+    :class:`~repro.observability.QueryTrace` or None.  ``batch`` shares
+    the partition's sub-result cache and VA-file masks across items.
+    """
+
+    shard_id: int  # the partition's position in ``_partitions``
+    positions: list[int]
+    items: Sequence
+    plans: Sequence[tuple]
+    traces: Sequence
+    semantics: MissingSemantics | ThreeValued
+    batch: bool
 
 
 @dataclass
@@ -135,11 +155,11 @@ class QueryReport:
     index_name: str
     kind: str
     bound_ids: tuple[np.ndarray, ...] = field(repr=False)
-    #: One slice per shard for a scatter-gather answer; empty unsharded.
+    #: One slice per partition (an engine's report has one).
     per_shard: tuple[ShardReportSlice, ...] = field(default=(), repr=False)
     #: Span tree populated when the query ran with ``trace=True``.
     trace: obs.QueryTrace | None = field(default=None, repr=False)
-    #: Wall-clock execution time (engine: planning excluded).
+    #: Wall-clock time of the item's plan, partition work and merge.
     elapsed_ns: int | None = None
 
     def _single(self, name: str) -> np.ndarray:
@@ -303,6 +323,34 @@ def _as_query(query) -> RangeQuery:
     )
 
 
+def _can_match(statistics, query: RangeQuery, semantics) -> bool:
+    """Exact zone-map check: can a partition contain any match?
+
+    A partition is prunable when, for some query attribute, its exact
+    value histogram shows zero records inside the interval (plus zero
+    missing records under ``missing-is-a-match``).  Out-of-domain or
+    unknown attributes are never pruned, so invalid queries surface the
+    same :class:`~repro.errors.DomainError` /
+    :class:`~repro.errors.QueryError` an unpruned evaluation raises.
+    """
+    for name, interval in query.items():
+        try:
+            attr = statistics.attribute(name)
+        except Exception:
+            return True
+        if interval.lo < 1 or interval.hi > attr.cardinality:
+            return True
+        possible = int(attr.counts[interval.lo : interval.hi + 1].sum())
+        if semantics is MissingSemantics.IS_MATCH:
+            possible += int(attr.counts[0])
+        if possible == 0:
+            return False
+    return True
+
+
+#: What an untraced item's execution runs under instead of its trace.
+_UNTRACED = nullcontext()
+
 #: Plans memoized per database before the memo starts over.
 _PLAN_MEMO_LIMIT = 4096
 
@@ -312,17 +360,21 @@ class _QuerySurface:
 
     A database is N >= 1 *partitions*, each an :class:`IncompleteDatabase`
     holding the same index set over its own rows; an engine is its own
-    single partition.  A subclass provides ``num_records``, ``table``,
-    ``statistics``, ``_rows`` (rows by ascending id), ``_partitions``,
-    ``_plan_memo`` (a dict it clears whenever its index set changes) and
-    ``execute``; the registry view, planning, the estimates,
-    the convenience queries, ``explain`` and ``summary`` are defined here
-    over those, so a sharded database adds row ranges, prune, scatter and
-    merge and nothing else.
+    single partition, starting at row 0.  A subclass provides
+    ``num_records``, ``table``, ``statistics``, ``_rows`` (rows by
+    ascending id), ``_partitions``, ``_starts`` (each partition's first
+    row id) and ``_plan_memo`` (a dict it clears whenever its index set
+    changes); the registry view, planning, the one query body
+    (:meth:`_run`) and every entry point over it, the estimates,
+    ``explain`` and ``summary`` are defined here over those, so a sharded
+    database adds its row ranges and fan-out seam and nothing else.
     """
 
     _statistics = None
     _plan_memo: dict
+    _starts: tuple[int, ...] = (0,)
+    #: The workload records' ``source`` and the batch counters' prefix.
+    _source = "engine"
 
     def _read_fence(self):
         """Held by :meth:`_plan` so no plan is memoized across a DDL swap.
@@ -450,9 +502,7 @@ class _QuerySurface:
                     for plans in rankings
                 ]
             plan = (chosen, ranking, estimates)
-            if len(self._plan_memo) >= _PLAN_MEMO_LIMIT:
-                self._plan_memo.clear()
-            self._plan_memo[key] = plan
+            self._memoize(key, plan)
         return plan
 
     def _resolve_plan(self, item, semantics, using: str | None) -> tuple:
@@ -461,22 +511,288 @@ class _QuerySurface:
         ``using`` forces a covering index (no estimates); a predicate
         forced onto an index with no tree evaluator runs as a ground-truth
         scan (``chosen`` None).  Anything but a :class:`RangeQuery` must be
-        a :class:`~repro.query.boolean.Predicate`.
+        a :class:`~repro.query.boolean.Predicate`.  Memoized beside
+        :meth:`_plan`'s entries, per ``(item, semantics, using)``.
         """
         if not isinstance(item, (RangeQuery, Predicate)):
             raise QueryError(
                 f"expected a Predicate, got {type(item).__name__}"
             )
+        key = (item, semantics, using)
+        plan = self._plan_memo.get(key)
+        if plan is not None:
+            return plan
         if using is None:
             chosen, _, estimates = self._plan(item, semantics)
-            return chosen, False, estimates
-        if isinstance(item, RangeQuery):
-            chosen = self._forced_index(using, item.attributes)
+            plan = (chosen, False, estimates)
         else:
-            chosen = self._forced_index(using, item.attributes())
-            if not isinstance(chosen.index, (BitmapIndex, VAFile)):
-                chosen = None
-        return chosen, True, [None] * len(self._partitions)
+            if isinstance(item, RangeQuery):
+                chosen = self._forced_index(using, item.attributes)
+            else:
+                chosen = self._forced_index(using, item.attributes())
+                if not isinstance(chosen.index, (BitmapIndex, VAFile)):
+                    chosen = None
+            plan = (chosen, True, [None] * len(self._partitions))
+        self._memoize(key, plan)
+        return plan
+
+    def _memoize(self, key, plan) -> None:
+        """Remember ``plan`` (the caller holds the read fence); the memo
+        starts over when full."""
+        if len(self._plan_memo) >= _PLAN_MEMO_LIMIT:
+            self._plan_memo.clear()
+        self._plan_memo[key] = plan
+
+    # -- execution -----------------------------------------------------------
+
+    def execute(
+        self,
+        query: RangeQuery | Mapping[str, tuple[int, int]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        using: str | None = None,
+        trace: bool = False,
+    ) -> QueryReport:
+        """Execute a query and report which access method served it.
+
+        Parameters
+        ----------
+        query:
+            A :class:`RangeQuery`, or ``{attribute: (lo, hi)}`` bounds.
+        semantics:
+            Missing-data semantics to apply: a
+            :class:`~repro.query.model.MissingSemantics`, its string value,
+            or ``"both"`` / :data:`~repro.query.model.BOTH` to compute the
+            ``(certain, possible)`` pair in one pass (the report then
+            reads through ``certain_ids`` / ``possible_ids``).
+        using:
+            Force a specific attached index by name; defaults to automatic
+            selection with sequential-scan fallback.
+        trace:
+            Build a :class:`~repro.observability.QueryTrace` span tree while
+            executing and return it on the report.  Tracing never changes
+            the result set (the property-test suite holds us to that); it
+            adds per-span timings and the cost-model counters the access
+            methods record (see ``docs/observability.md``).
+        """
+        return self._run(
+            [_as_query(query)], resolve_semantics(semantics), using, trace,
+            batch=False,
+        )[0]
+
+    def execute_batch(
+        self,
+        queries: Sequence[RangeQuery | Mapping[str, tuple[int, int]]],
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        using: str | None = None,
+        trace: bool = False,
+    ) -> list[QueryReport]:
+        """Execute a workload of queries, reusing sub-results across them.
+
+        Queries run in submission order.  Bitmap indexes memoize
+        per-interval bitvectors in each partition's
+        :class:`~repro.core.cache.SubResultCache`, and each VA-file shares
+        every distinct interval's approximation scan across the batch.
+        Batching never changes results: each report carries exactly the
+        record-id set :meth:`execute` gives the query (the property-test
+        suite holds us to that), and a trace holds only its own query's
+        spans.
+        """
+        return self._run(
+            [_as_query(q) for q in queries], resolve_semantics(semantics),
+            using, trace, batch=True,
+        )
+
+    def query_predicate(
+        self,
+        predicate,
+        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
+        using: str | None = None,
+    ) -> QueryReport:
+        """Execute an arbitrary boolean predicate (AND/OR/NOT of atoms).
+
+        Bitmap indexes and VA-files evaluate predicate trees natively; the
+        other access methods fall back to a ground-truth scan.  The pick is
+        costed like a query's; a predicate is never pruned (a NOT over a
+        pruned-out partition could still match).  With
+        ``semantics="both"`` the tree is evaluated three-valued in one
+        pass (NOT swaps the bounds) and the report carries both bounds.
+        """
+        return self._run(
+            [predicate], resolve_semantics(semantics), using, trace=False,
+            batch=False,
+        )[0]
+
+    def _pruned(self, item, semantics) -> list[int]:
+        """Partitions that cannot hold a match of ``item``, by zone map.
+
+        Checked under the widest bound (no possible match rules out a
+        certain one), and only for a range query over two or more
+        partitions: one partition holds every row.
+        """
+        if len(self._partitions) < 2 or not isinstance(item, RangeQuery):
+            return []
+        costing = semantics_for_costing(semantics)
+        return [
+            k for k, part in enumerate(self._partitions)
+            if not _can_match(part.statistics, item, costing)
+        ]
+
+    def _fan_out(self, tasks: list[ShardTask]) -> list[list[tuple]]:
+        """Evaluate each task on its partition, inline; results in order."""
+        return [self._partitions[t.shard_id]._run_task(t) for t in tasks]
+
+    def _run(
+        self, items, semantics, using: str | None, trace: bool, batch: bool
+    ) -> list[QueryReport]:
+        """Plan, prune, evaluate and merge ``items``; one report per item.
+
+        The one query body.  Each partition with surviving items gets one
+        :class:`ShardTask`; its ids shift by the partition's start and
+        concatenate per bound.  ``elapsed_ns`` is an item's plan and merge
+        plus the fan-out apportioned by task time.  A traced item's tree
+        is ``query`` → ``plan`` and one ``execute.<kind>`` per executed
+        partition.  All of it runs under the read fence and one tally.
+        """
+        recorder = obs.get_recorder()
+        # A predicate has no interval list for a workload record to hold.
+        recording = (
+            recorder.active and bool(items)
+            and isinstance(items[0], RangeQuery)
+        )
+        tracing = trace or (recording and recorder.wants_trace)
+        with self._read_fence(), _QueryTally() as observing:
+            # Per partition, the positions of its task; per item, its plan.
+            work = [[] for _ in self._partitions]
+            plans, traces, planned = [], [], []
+            for pos, item in enumerate(items):
+                qtrace = (
+                    obs.QueryTrace(
+                        "query", query=repr(item), semantics=semantics.value
+                    )
+                    if tracing else None
+                )
+                plan_start = time.perf_counter_ns()
+                with (
+                    obs.activate(qtrace) if qtrace is not None else _UNTRACED
+                ), obs.trace_span("plan") as plan_span:
+                    chosen, forced, estimates = self._resolve_plan(
+                        item, semantics, using
+                    )
+                    pruned = self._pruned(item, semantics)
+                    name = chosen.name if chosen is not None else None
+                    if plan_span is not None:
+                        plan_span.set("chosen", name or "<scan>")
+                        plan_span.set("forced", forced)
+                        if pruned:
+                            plan_span.set("pruned_shards", pruned)
+                        known = [e for e in estimates if e is not None]
+                        if known:
+                            plan_span.set("estimated_items", round(
+                                sum(e.items for e in known)
+                            ))
+                            plan_span.set("predicted_ns", round(
+                                sum(e.predicted_ns for e in known)
+                            ))
+                for k, positions in enumerate(work):
+                    if k not in pruned:
+                        positions.append(pos)
+                plans.append((name, estimates))
+                traces.append(qtrace)
+                planned.append((
+                    chosen, pruned, time.perf_counter_ns() - plan_start,
+                    qtrace,
+                ))
+
+            tasks = [
+                ShardTask(k, positions, items, plans, traces, semantics, batch)
+                for k, positions in enumerate(work)
+                if positions
+            ]
+            fan_start = time.perf_counter_ns()
+            outcomes = self._fan_out(tasks)
+            fan_ns = time.perf_counter_ns() - fan_start
+            gathered: list[list[tuple]] = [[] for _ in items]
+            total_task_ns = 0
+            for task, results in zip(tasks, outcomes):
+                for pos, (ids, task_ns) in zip(task.positions, results):
+                    gathered[pos].append((task.shard_id, ids, task_ns))
+                    total_task_ns += task_ns
+            sharded = self._source == "shard"
+            if batch:
+                obs.record(f"{self._source}.batches")
+                obs.record(f"{self._source}.batch_queries", len(items))
+            if observing and sharded:
+                if not batch:
+                    obs.record("shard.queries")
+                obs.record("shard.pruned", sum(len(p[1]) for p in planned))
+                obs.record("shard.fanout_tasks", len(tasks))
+                obs.observe("shard.fanout_ns", fan_ns)
+
+            reports = []
+            starts = self._starts
+            for item, (chosen, pruned, plan_ns, qtrace), results in zip(
+                items, planned, gathered
+            ):
+                # Shift only past row 0, concatenate only two or more
+                # answers: an engine's answer is returned as evaluated.
+                merge_ns = 0
+                if len(results) == 1 and not starts[results[0][0]]:
+                    merged = results[0][1]
+                else:
+                    merge_start = time.perf_counter_ns()
+                    merged = tuple(
+                        np.concatenate([
+                            ids[bound] + starts[k] for k, ids, _ in results
+                        ]) if results else np.empty(0, dtype=np.int64)
+                        for bound in range(len(semantics.bounds))
+                    )
+                    merge_ns = time.perf_counter_ns() - merge_start
+                slices = []
+                own_task_ns = 0
+                for k, ids, task_ns in results:
+                    slices.append(
+                        ShardReportSlice(k, False, len(ids[-1]), task_ns)
+                    )
+                    own_task_ns += task_ns
+                if pruned:
+                    slices += [ShardReportSlice(k, True, 0, 0) for k in pruned]
+                    slices.sort(key=lambda s: s.shard_id)
+                elapsed_ns = plan_ns + merge_ns
+                if total_task_ns:
+                    elapsed_ns += fan_ns * own_task_ns // total_task_ns
+                name = chosen.name if chosen is not None else "<scan>"
+                kind = chosen.kind if chosen is not None else "scan"
+                report = QueryReport(
+                    name, kind, merged, per_shard=tuple(slices),
+                    trace=qtrace if trace else None, elapsed_ns=elapsed_ns,
+                )
+                if observing and sharded:
+                    obs.observe("shard.merge_ns", merge_ns)
+                    for _, _, task_ns in results:
+                        obs.observe("shard.task_ns", task_ns)
+                    obs.observe("shard.skew", report.skew)
+                if qtrace is not None:
+                    qtrace.root.set("index", name)
+                    for label, ids in zip(_BOUND_LABELS[len(merged)], merged):
+                        qtrace.root.set(label, len(ids))
+                    qtrace.close()
+                if recording:
+                    recorder.record_query(
+                        source=self._source,
+                        batch=batch,
+                        query=item,
+                        semantics=semantics,
+                        index=name,
+                        kind=kind,
+                        # The widest bound: every other bound is a subset.
+                        matches=len(merged[-1]),
+                        elapsed_ns=elapsed_ns,
+                        trace=qtrace,
+                        shards_executed=len(results),
+                        shards_pruned=len(pruned),
+                    )
+                reports.append(report)
+        return reports
 
     def _shard_lines(self, query=None, costing=None) -> list[str]:
         """Lines ``explain`` / ``summary`` add when there are shards."""
@@ -694,23 +1010,18 @@ class IncompleteDatabase(_QuerySurface):
     ----------
     table:
         The data to serve.  A sequential-scan fallback is always available.
-    cache_bytes:
-        Byte budget for the database's bitvector sub-result cache, used by
-        :meth:`execute_batch` (``None`` = unbounded, ``0`` disables storage
-        entirely).  See :class:`repro.core.cache.SubResultCache`.
+
+    An engine is its own one partition, starting at row 0; the entry
+    points are :class:`_QuerySurface`'s and reach :meth:`_run_task`.
     """
 
-    def __init__(
-        self,
-        table: IncompleteTable,
-        cache_bytes: int | None = DEFAULT_CACHE_BYTES,
-    ):
+    def __init__(self, table: IncompleteTable):
         self._table = table
         self._indexes: dict[str, AttachedIndex] = {}
         self._scan = SequentialScan(table)
         self._query_counts: dict[str, int] = {}
         self._counts_lock = threading.Lock()
-        self._cache = SubResultCache(max_bytes=cache_bytes)
+        self._cache = SubResultCache()
         # DDL fence: queries hold the shared side, index DDL the exclusive
         # side, so a reader mid-batch never sees the index set change under
         # it (a "torn generation").  The table itself never changes.
@@ -780,8 +1091,8 @@ class IncompleteDatabase(_QuerySurface):
             drops its cached sub-results) atomically from the planner's
             point of view — it never sees a half-registered entry.
         kind:
-            One of ``bee``, ``bre``, ``vafile``, ``mosaic``,
-            ``rtree-sentinel``, ``bitstring``.
+            One of ``bee``, ``bre``, ``bie``, ``bsl``, ``vafile``,
+            ``mosaic``, ``rtree-sentinel``, ``bitstring``, ``gridfile``.
         attributes:
             Attributes to cover; defaults to the whole schema.
         overwrite:
@@ -873,135 +1184,81 @@ class IncompleteDatabase(_QuerySurface):
     def _read_fence(self):
         return self._rwlock.read()
 
-    # -- execution -----------------------------------------------------------
+    # -- the partition step ----------------------------------------------------
 
-    def execute(
-        self,
-        query: RangeQuery | Mapping[str, tuple[int, int]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-        trace: bool = False,
-    ) -> QueryReport:
-        """Execute a query and report which access method served it.
+    def _run_task(self, task: ShardTask) -> list[tuple]:
+        """The one partition step: ``(bound_ids, elapsed_ns)`` per item.
 
-        Parameters
-        ----------
-        query:
-            A :class:`RangeQuery`, or ``{attribute: (lo, hi)}`` bounds.
-        semantics:
-            Missing-data semantics to apply: a
-            :class:`~repro.query.model.MissingSemantics`, its string value,
-            or ``"both"`` / :data:`~repro.query.model.BOTH` to compute the
-            ``(certain, possible)`` pair in one pass (the report then
-            reads through ``certain_ids`` / ``possible_ids``).
-        using:
-            Force a specific attached index by name; defaults to automatic
-            selection with sequential-scan fallback.
-        trace:
-            Build a :class:`~repro.observability.QueryTrace` span tree while
-            executing and return it on the report.  Tracing never changes
-            the result set (the property-test suite holds us to that); it
-            adds per-span timings and the cost-model counters the access
-            methods record (see ``docs/observability.md``).
+        Each item runs on its planned index (bitmaps and VA-files answer
+        every bound in one pass, other methods once per bound) or the scan
+        / ground-truth evaluator, giving local ascending int64 ids.  A batch
+        task shares this engine's sub-result cache and one mask memo per
+        VA-file; a lone query runs cache-free.  The caller holds the tally.
         """
-        query = _as_query(query)
-        semantics = resolve_semantics(semantics)
-        with self._rwlock.read():
-            return self._execute_query(query, semantics, using, trace)
-
-    def _execute_query(
-        self,
-        query: RangeQuery,
-        semantics: MissingSemantics | ThreeValued,
-        using: str | None,
-        trace: bool,
-        cache: SubResultCache | None = None,
-        shared_masks: dict | None = None,
-        planned: tuple | None = None,
-        recorded: bool = True,
-    ) -> QueryReport:
-        """Shared single-query path behind :meth:`execute` / :meth:`execute_batch`.
-
-        One path for every semantics: the answer is a tuple of id arrays,
-        one per bound in ``semantics.bounds``.  One plan serves every bound
-        (costed under the widest — see
-        :func:`repro.core.planner.semantics_for_costing`); bitmap
-        indexes and VA-files evaluate all requested bounds in one pass
-        (``execute_bound_ids``), and any other access method — the scan
-        included — answers with one ``execute_ids`` call per bound on the
-        same chosen index, so ``using=`` is always honored.
-
-        ``planned`` is the batch executor's precomputed
-        ``(chosen, estimate, forced)`` triple; when given, the plan span is
-        kept (so traces from both paths have the same shape) but no planning
-        work is redone.  ``cache`` and ``shared_masks`` thread the batch
-        sub-result stores into the access methods that understand them;
-        both default off, so :meth:`execute` stays cache-free.
-
-        ``recorded=False`` keeps this execution out of the installed
-        :class:`~repro.observability.WorkloadRecorder` — the sharded
-        scatter-gather path uses it so a fan-out produces one shard-level
-        record instead of one per shard.  When the recorder's slow-query
-        log wants span trees, a trace is force-built for the log but never
-        attached to the report unless the caller asked for one.
-        """
-        recorder = obs.get_recorder()
-        recording = recorded and recorder.active
-        qtrace = (
-            obs.QueryTrace(
-                "query", query=repr(query), semantics=semantics.value
-            )
-            if trace or (recording and recorder.wants_trace)
-            else None
-        )
-        context = obs.activate(qtrace) if qtrace is not None else nullcontext()
-        with context, _query_tally() as observing:
-            with obs.trace_span("plan") as plan_span:
-                if planned is None:
-                    chosen, forced, (estimate,) = self._resolve_plan(
-                        query, semantics, using
-                    )
-                else:
-                    chosen, estimate, forced = planned
-                if plan_span is not None:
-                    plan_span.set(
-                        "chosen", chosen.name if chosen else "<scan>"
-                    )
-                    plan_span.set("forced", forced)
-                    if planned is not None:
-                        plan_span.set("batched", True)
-                    if estimate is not None:
-                        plan_span.set(
-                            "estimated_items", round(estimate.items)
-                        )
-                        plan_span.set(
-                            "predicted_ns", round(estimate.predicted_ns)
-                        )
-            name = chosen.name if chosen is not None else "<scan>"
+        semantics = task.semantics
+        cache = self._cache if task.batch else None
+        masks: dict | None = {} if task.batch else None
+        listening = obs.enabled()
+        results = []
+        for pos in task.positions:
+            item, qtrace = task.items[pos], task.traces[pos]
+            name, estimates = task.plans[pos]
+            estimate = estimates[task.shard_id]
+            chosen = self._indexes[name] if name is not None else None
+            label = name if name is not None else "<scan>"
             kind = chosen.kind if chosen is not None else "scan"
             index = chosen.index if chosen is not None else self._scan
+            query = isinstance(item, RangeQuery)
             track = None
-            start = time.perf_counter_ns()
-            with obs.trace_span(f"execute.{kind}", index=name):
-                if isinstance(index, (BitmapIndex, VAFile)):
-                    track = OpCounter() if observing else None
-                    stores = (
-                        {"shared_masks": shared_masks}
-                        if isinstance(index, VAFile)
-                        else {"cache": cache, "cache_key": (name,)}
+            # The item's counters land on its trace too, beside its spans.
+            with obs.activate(qtrace) if qtrace is not None else _UNTRACED:
+                observing = listening if qtrace is None else obs.enabled()
+                start = time.perf_counter_ns()
+                with obs.trace_span(
+                    f"execute.{kind}", index=label, shard=task.shard_id
+                ) as span:
+                    if not query:
+                        if chosen is None:
+                            ids = tuple(
+                                evaluate_predicate(self._table, item, bound)
+                                for bound in semantics.bounds
+                            )
+                        else:
+                            ids = index.execute_predicate_bound_ids(
+                                item, semantics
+                            )
+                    elif isinstance(index, (BitmapIndex, VAFile)):
+                        track = OpCounter() if observing else None
+                        stores = (
+                            {"shared_masks": None if masks is None
+                             else masks.setdefault(label, {})}
+                            if isinstance(index, VAFile)
+                            else {"cache": cache, "cache_key": (label,)}
+                        )
+                        ids = index.execute_bound_ids(
+                            item, semantics, counter=track, **stores
+                        )
+                        if span is not None and track is not None:
+                            span.set("actual_items", track.words_processed)
+                    else:
+                        ids = tuple(
+                            np.asarray(
+                                index.execute_ids(item, bound), dtype=np.int64
+                            )
+                            for bound in semantics.bounds
+                        )
+                elapsed_ns = time.perf_counter_ns() - start
+                results.append((ids, elapsed_ns))
+                if not query:
+                    if semantics is BOTH:
+                        obs.record("semantics.both_predicates")
+                    continue
+                with self._counts_lock:
+                    self._query_counts[label] = (
+                        self._query_counts.get(label, 0) + 1
                     )
-                    ids = index.execute_bound_ids(
-                        query, semantics, counter=track, **stores
-                    )
-                else:
-                    ids = tuple(
-                        np.asarray(index.execute_ids(query, bound))
-                        for bound in semantics.bounds
-                    )
-            elapsed_ns = time.perf_counter_ns() - start
-            with self._counts_lock:
-                self._query_counts[name] = self._query_counts.get(name, 0) + 1
-            if observing:
+                if not observing:
+                    continue
                 obs.record("engine.queries")
                 obs.record(f"engine.queries.{kind}")
                 obs.observe(f"engine.query_ns.{kind}", elapsed_ns)
@@ -1015,188 +1272,11 @@ class IncompleteDatabase(_QuerySurface):
                         len(ids[-1]) - len(ids[0]),
                     )
                 elif estimate is not None and track is not None:
-                    obs.observe(
-                        "planner.predicted_ns", round(estimate.predicted_ns)
-                    )
-                    obs.record(
-                        "planner.estimated_items", round(estimate.items)
-                    )
-                    obs.record(
-                        "planner.actual_items", track.words_processed
-                    )
-        if qtrace is not None:
-            qtrace.root.set("index", name)
-            for label, bound_ids in zip(_BOUND_LABELS[len(ids)], ids):
-                qtrace.root.set(label, len(bound_ids))
-            if track is not None:
-                qtrace.root.set("actual_items", track.words_processed)
-            qtrace.close()
-        if recording:
-            recorder.record_query(
-                source="engine",
-                batch=planned is not None,
-                query=query,
-                semantics=semantics,
-                index=name,
-                kind=kind,
-                # The widest bound: every other bound is a subset of it.
-                matches=len(ids[-1]),
-                elapsed_ns=elapsed_ns,
-                trace=qtrace,
-            )
-        return QueryReport(
-            name, kind, ids,
-            trace=qtrace if trace else None, elapsed_ns=elapsed_ns,
-        )
-
-    def execute_batch(
-        self,
-        queries: Sequence[RangeQuery | Mapping[str, tuple[int, int]]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-        trace: bool = False,
-        cache: bool | SubResultCache | None = True,
-    ) -> list[QueryReport]:
-        """Execute a workload of queries, reusing sub-results across them.
-
-        Every query is planned up front; queries are then grouped by chosen
-        index and each group is ordered so queries sharing intervals run
-        back-to-back (see :func:`repro.core.planner.plan_batch`).  Within a
-        group, bitmap indexes memoize per-interval bitvectors in the
-        database's :class:`~repro.core.cache.SubResultCache` and VA-files
-        share each distinct interval's approximation scan.
-
-        Batching never changes results: the returned reports are in
-        submission order and each carries exactly the record-id set the
-        query would get from :meth:`execute` (the property-test suite holds
-        us to that, extending PR 2's "tracing never changes results").
-
-        Parameters
-        ----------
-        queries:
-            :class:`RangeQuery` objects or ``{attribute: (lo, hi)}`` bounds.
-        semantics:
-            Missing-data semantics applied to every query.
-        using:
-            Force one attached index for the whole batch.
-        trace:
-            Attach a per-query span tree to each report; each query's tree
-            holds only its own spans.
-        cache:
-            ``True`` (default) uses the database's own cache, ``False`` /
-            ``None`` disables sub-result memoization, or pass an explicit
-            :class:`~repro.core.cache.SubResultCache` to control the budget
-            per batch.
-        """
-        normalized = [_as_query(q) for q in queries]
-        semantics = resolve_semantics(semantics)
-        if cache is True:
-            sub_cache = self._cache
-        elif cache is False or cache is None:
-            sub_cache = None
-        else:
-            sub_cache = cache
-        # Plan + run under one shared hold, so a writer can never swap the
-        # index set between a batch's planning and its execution; and under
-        # one tally, so the whole batch reaches the registry once.
-        with self._rwlock.read(), _query_tally():
-            planned = []
-            for query in normalized:
-                chosen, forced, (estimate,) = self._resolve_plan(
-                    query, semantics, using
-                )
-                planned.append((chosen, estimate, forced))
-            reports = self._run_planned_batch(
-                normalized, planned, semantics, trace, sub_cache
-            )
-            obs.record("engine.batches")
-            obs.record("engine.batch_queries", len(normalized))
-        return reports
-
-    def _run_planned_batch(
-        self,
-        normalized: Sequence[RangeQuery],
-        planned: Sequence[tuple],
-        semantics: MissingSemantics | ThreeValued,
-        trace: bool,
-        sub_cache: SubResultCache | None,
-        recorded: bool = True,
-    ) -> list[QueryReport]:
-        """Run pre-planned queries grouped per index (batch back half).
-
-        Shared by :meth:`execute_batch` and the sharded scatter-gather path
-        (:class:`repro.shard.ShardedDatabase` plans once against merged
-        statistics, then hands each shard its slice of pre-planned work).
-        ``planned[i]`` is the ``(chosen, estimate, forced)`` triple for
-        ``normalized[i]``; reports come back in submission order.
-        """
-        chosen_names = [
-            chosen.name if chosen is not None else None
-            for chosen, _, _ in planned
-        ]
-        groups = plan_batch(list(normalized), chosen_names)
-        reports: list[QueryReport | None] = [None] * len(normalized)
-        for group in groups:
-            # Per-group memo for VA-file interval masks; bitmap groups
-            # simply never read it.
-            shared_masks: dict = {}
-            for pos in group.positions:
-                reports[pos] = self._execute_query(
-                    normalized[pos],
-                    semantics,
-                    using=None,
-                    trace=trace,
-                    cache=sub_cache,
-                    shared_masks=shared_masks,
-                    planned=planned[pos],
-                    recorded=recorded,
-                )
-        return reports
-
-    def query_predicate(
-        self,
-        predicate,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ) -> QueryReport:
-        """Execute an arbitrary boolean predicate (AND/OR/NOT of atoms).
-
-        Bitmap indexes and VA-files evaluate predicate trees natively; the
-        other access methods fall back to a ground-truth scan.  With
-        ``semantics="both"`` the tree is evaluated three-valued in one pass
-        (NOT swaps the bounds) and the report carries both bounds.
-        """
-        semantics = resolve_semantics(semantics)
-        with self._rwlock.read(), _query_tally():
-            chosen = self._resolve_plan(predicate, semantics, using)[0]
-            return self._execute_predicate(predicate, semantics, chosen)
-
-    def _execute_predicate(
-        self,
-        predicate,
-        semantics: MissingSemantics | ThreeValued,
-        chosen: AttachedIndex | None,
-    ) -> QueryReport:
-        """Evaluate a predicate on its planned index (None: ground truth)."""
-        from repro.query.boolean import evaluate_predicate
-
-        start = time.perf_counter_ns()
-        if chosen is None:
-            ids = tuple(
-                evaluate_predicate(self._table, predicate, bound)
-                for bound in semantics.bounds
-            )
-            name, kind = "<scan>", "scan"
-        else:
-            ids = chosen.index.execute_predicate_bound_ids(
-                predicate, semantics
-            )
-            name, kind = chosen.name, chosen.kind
-        if semantics is BOTH:
-            obs.record("semantics.both_predicates")
-        return QueryReport(
-            name, kind, ids, elapsed_ns=time.perf_counter_ns() - start
-        )
+                    obs.observe("planner.predicted_ns",
+                                round(estimate.predicted_ns))
+                    obs.record("planner.estimated_items", round(estimate.items))
+                    obs.record("planner.actual_items", track.words_processed)
+        return results
 
     # -- introspection ---------------------------------------------------------
 

@@ -485,66 +485,6 @@ def choose_cheapest(merged: Sequence[CostEstimate]) -> CostEstimate:
     return min(tied, key=lambda plan: (plan.items, plan.predicted_ns))
 
 
-# -- batch planning ----------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class BatchGroup:
-    """One batch executor work unit: a run of queries on one access path.
-
-    ``positions`` index into the submitted workload, in execution order;
-    results are reassembled into submission order afterwards, so ordering
-    here is purely a cache-locality decision.
-    """
-
-    #: Attached-index name serving the group; None means sequential scan.
-    index_name: str | None
-    #: Workload positions, ordered for sub-result reuse.
-    positions: tuple[int, ...]
-
-
-def reuse_sort_key(query: RangeQuery) -> tuple:
-    """Canonical interval signature used to cluster cache-sharing queries.
-
-    Queries with identical signatures share every per-attribute sub-result;
-    sorting a group by this key makes them adjacent, so under a starved
-    cache budget a memoized interval is reused before eviction pressure
-    from unrelated queries pushes it out.  Sharing ties (a common prefix of
-    ``(attribute, lo, hi)`` triples) land nearby for the same reason.
-    """
-    return tuple(
-        sorted((name, iv.lo, iv.hi) for name, iv in query.items())
-    )
-
-
-def plan_batch(
-    queries: list[RangeQuery],
-    chosen_names: list[str | None],
-) -> list[BatchGroup]:
-    """Group a workload by chosen index and order each group for reuse.
-
-    ``chosen_names[i]`` is the index the engine picked for ``queries[i]``
-    (None for the scan fallback).  Groups come back in first-appearance
-    order; within a group, positions are ordered by
-    :func:`reuse_sort_key` with submission order as the tiebreak, keeping
-    the plan deterministic.
-    """
-    if len(queries) != len(chosen_names):
-        raise PlanningError(
-            f"got {len(queries)} queries but {len(chosen_names)} plans"
-        )
-    by_index: dict[str | None, list[int]] = {}
-    for position, name in enumerate(chosen_names):
-        by_index.setdefault(name, []).append(position)
-    groups = []
-    for name, positions in by_index.items():
-        positions.sort(key=lambda p: (reuse_sort_key(queries[p]), p))
-        groups.append(BatchGroup(index_name=name, positions=tuple(positions)))
-    _obs_record("planner.batches")
-    _obs_record("planner.batch_groups", len(groups))
-    return groups
-
-
 # -- shard planning ----------------------------------------------------------
 
 

@@ -12,9 +12,9 @@ DDL is all the lock orders.
 Properties:
 
 * **Reentrant for readers.**  Read depth is tracked per thread, so the
-  batch executor (which acquires at ``execute_batch`` level) can call
-  back into ``execute``-level code without deadlocking, even while a
-  writer is queued.
+  query body (which holds the lock across planning and evaluation) can
+  call the planner, which takes it too, without deadlocking, even while
+  a writer is queued.
 * **Writer preference.**  A waiting writer blocks *new* top-level
   readers, so a steady query stream cannot starve DDL forever.
 * **Fork-safe.**  Holders register with :mod:`repro.forksafe`; a fork
@@ -55,25 +55,9 @@ class ReadWriteLock:
         """This thread's current read-section nesting depth."""
         return getattr(self._local, "depth", 0)
 
-    @contextmanager
-    def read(self) -> Iterator[None]:
+    def read(self) -> "_SharedHold":
         """Hold the lock shared for the ``with`` body (reentrant)."""
-        depth = getattr(self._local, "depth", 0)
-        if depth == 0:
-            with self._cond:
-                while self._writing or self._writers_waiting:
-                    self._cond.wait()
-                self._readers += 1
-        self._local.depth = depth + 1
-        try:
-            yield
-        finally:
-            self._local.depth -= 1
-            if self._local.depth == 0:
-                with self._cond:
-                    self._readers -= 1
-                    if self._readers == 0:
-                        self._cond.notify_all()
+        return _SharedHold(self)
 
     @contextmanager
     def write(self) -> Iterator[None]:
@@ -97,3 +81,33 @@ class ReadWriteLock:
             with self._cond:
                 self._writing = False
                 self._cond.notify_all()
+
+
+class _SharedHold:
+    """One ``with lock.read():`` section.  A class rather than a generator
+    context manager: every query takes one, so its cost is per-query
+    overhead."""
+
+    __slots__ = ("_lock",)
+
+    def __init__(self, lock: ReadWriteLock):
+        self._lock = lock
+
+    def __enter__(self) -> None:
+        lock = self._lock
+        depth = getattr(lock._local, "depth", 0)
+        if depth == 0:
+            with lock._cond:
+                while lock._writing or lock._writers_waiting:
+                    lock._cond.wait()
+                lock._readers += 1
+        lock._local.depth = depth + 1
+
+    def __exit__(self, *exc) -> None:
+        lock = self._lock
+        lock._local.depth -= 1
+        if lock._local.depth == 0:
+            with lock._cond:
+                lock._readers -= 1
+                if lock._readers == 0:
+                    lock._cond.notify_all()

@@ -8,7 +8,7 @@ histograms for ns-resolution latencies.  The default registry is a
 (WAH word loops, VA-file scans) stay at their uninstrumented cost until an
 operator installs a real registry with :func:`set_registry` or
 :func:`use_registry`.  Query entry points run under a context-local tally
-(:func:`_query_tally`), so a query's counters reach the registry once,
+(:class:`_QueryTally`), so a query's counters reach the registry once,
 when it ends, however many operations it made.
 
 Instruments are thread-safe: the query service's handlers and the
@@ -386,30 +386,38 @@ _tally: ContextVar[dict | None] = ContextVar("repro_tally", default=None)
 _DISCARD: dict = {}
 
 
-@contextmanager
-def _query_tally() -> Iterator[bool]:
-    """Run one query's ``with`` body under a tally; yield whether observed.
+class _QueryTally:
+    """Run one query's ``with`` body under a tally; enter gives whether observed.
 
     With a real registry installed, every :func:`record` in the body adds
     to a plain dict, and the body's end makes one ``Counter.inc`` per
     name, however many operations the query made.  Inside an open tally
-    (a batch, a scatter, a probe under :func:`suppressed`) the body joins
-    it.  With nothing listening no tally is opened.  The yielded flag is
-    :func:`enabled`: whether the query should size its work at all.
+    (a batch, a fan-out, a probe under :func:`suppressed`) the body joins
+    it.  With nothing listening no tally is opened.  ``__enter__`` returns
+    :func:`enabled`: whether the query should size its work at all.  A
+    class rather than a generator context manager: every query enters one
+    or more, so its cost is per-query overhead.
     """
-    tally = _tally.get()
-    registry = _registry
-    if tally is not None or registry is NULL_REGISTRY:
-        yield enabled()
-        return
-    tally = {}
-    token = _tally.set(tally)
-    try:
-        yield True
-    finally:
-        _tally.reset(token)
+
+    __slots__ = ("_tally", "_token", "_registry")
+
+    def __enter__(self) -> bool:
+        registry = _registry
+        if _tally.get() is not None or registry is NULL_REGISTRY:
+            self._tally = None
+            return enabled()
+        self._tally = {}
+        self._registry = registry
+        self._token = _tally.set(self._tally)
+        return True
+
+    def __exit__(self, *exc) -> None:
+        tally = self._tally
+        if tally is None:
+            return
+        _tally.reset(self._token)
         for name, total in tally.items():
-            registry.counter(name).inc(total)
+            self._registry.counter(name).inc(total)
 
 
 @contextmanager
@@ -435,7 +443,7 @@ def suppressed() -> Iterator[None]:
 def enabled() -> bool:
     """Whether any sink (real registry or active trace) is listening.
 
-    Query entry points ask this (through :func:`_query_tally`) before
+    Query entry points ask this (through :class:`_QueryTally`) before
     building the tallies that cost real work to compute, such as sizing
     every operand; plain increments just call :func:`record`, which is
     its own cheap no-op when nothing listens.

@@ -175,12 +175,14 @@ class RangeQuery:
         non-empty.
     """
 
-    __slots__ = ("_intervals",)
+    __slots__ = ("_intervals", "_hash")
 
     def __init__(self, intervals: Mapping[str, Interval]):
         if not intervals:
             raise QueryError("a range query requires at least one interval")
         self._intervals: dict[str, Interval] = dict(intervals)
+        # Hashed once: every execution looks its plan up by the query.
+        self._hash = hash(tuple(sorted(self._intervals.items())))
 
     @classmethod
     def from_bounds(cls, bounds: Mapping[str, tuple[int, int]]) -> "RangeQuery":
@@ -230,7 +232,7 @@ class RangeQuery:
         return self._intervals == other._intervals
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self._intervals.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{name} {iv}" for name, iv in self._intervals.items())

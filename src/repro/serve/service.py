@@ -138,20 +138,44 @@ def _json_int(value, field: str) -> int:
     return value
 
 
-def _parse_bounds(body: dict, key: str = "bounds") -> RangeQuery:
-    bounds = body.get(key)
+def _json_number(value, field: str) -> float:
+    """``value`` if it is a JSON number; a bool, a string or anything else
+    is a 400 naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _Reject(
+            400, f"{field} must be a number, got {json.dumps(value)}"
+        )
+    return float(value)
+
+
+def _json_str(value, field: str) -> str:
+    """``value`` if it is a JSON string; anything else is a 400 naming
+    ``field``."""
+    if not isinstance(value, str):
+        raise _Reject(
+            400, f"{field} must be a string, got {json.dumps(value)}"
+        )
+    return value
+
+
+def _parse_bounds(bounds, field: str = "bounds") -> RangeQuery:
+    """``{attribute: [lo, hi]}`` -> a RangeQuery; errors name ``field``."""
     if not isinstance(bounds, dict) or not bounds:
-        raise _Reject(400, f"body must carry {key!r}: {{attribute: [lo, hi]}}")
+        raise _Reject(
+            400,
+            f"{field} must be {{attribute: [lo, hi]}}, "
+            f"got {json.dumps(bounds)}",
+        )
     try:
         return RangeQuery.from_bounds({
             name: (
-                _json_int(lo, f"{key}.{name}[0]"),
-                _json_int(hi, f"{key}.{name}[1]"),
+                _json_int(lo, f"{field}.{name}[0]"),
+                _json_int(hi, f"{field}.{name}[1]"),
             )
             for name, (lo, hi) in bounds.items()
         })
     except (TypeError, ValueError) as exc:
-        raise _Reject(400, f"malformed {key!r}: {exc}")
+        raise _Reject(400, f"malformed {field!r}: {exc}")
 
 
 def _parse_predicate(node) -> Predicate:
@@ -544,16 +568,18 @@ class QueryService:
 
     def _deadline(self, handler: _ServiceHandler, body: dict) -> float | None:
         field, ms = "deadline_ms", body.get("deadline_ms")
-        if ms is None:
+        if ms is not None:
+            ms = _json_number(ms, field)
+        else:
             field, ms = "X-Deadline-Ms", handler.headers.get("X-Deadline-Ms")
-        if ms is None:
-            ms = self._default_deadline_ms
-        if ms is None:
-            return None
-        try:
-            ms = float(ms)
-        except (TypeError, ValueError):
-            raise _Reject(400, f"{field} must be a number, got {ms!r}")
+            if ms is None:
+                ms = self._default_deadline_ms
+            if ms is None:
+                return None
+            try:
+                ms = float(ms)
+            except (TypeError, ValueError):
+                raise _Reject(400, f"{field} must be a number, got {ms!r}")
         if not (ms > 0 and math.isfinite(ms)):
             raise _Reject(
                 400, f"{field} must be positive and finite, got {ms}"
@@ -589,6 +615,8 @@ class QueryService:
         semantics = _parse_semantics(body.get("semantics"))
         both = semantics is BOTH
         using = body.get("using")
+        if using is not None:
+            using = _json_str(using, "using")
         limit = _parse_limit(body)
         with self.epochs.pin() as pin:
             db = pin.database
@@ -601,7 +629,8 @@ class QueryService:
                         400, "body must carry 'queries': [{attr: [lo, hi]}]"
                     )
                 normalized = [
-                    _parse_bounds({"bounds": q}) for q in queries
+                    _parse_bounds(q, f"queries[{i}]")
+                    for i, q in enumerate(queries)
                 ]
                 reports = db.execute_batch(
                     normalized, semantics, using=using
@@ -632,14 +661,14 @@ class QueryService:
                 predicate = _parse_predicate(body.get("predicate"))
                 report = db.query_predicate(predicate, semantics, using=using)
             elif path == "/explain":
-                query = _parse_bounds(body)
+                query = _parse_bounds(body.get("bounds"))
                 return {
                     "epoch": pin.epoch,
                     "semantics": semantics.value,
                     "explain": db.explain(query, semantics),
                 }
             else:
-                query = _parse_bounds(body)
+                query = _parse_bounds(body.get("bounds"))
                 report = db.execute(query, semantics, using=using)
             payload = {
                 "epoch": pin.epoch,
@@ -666,12 +695,8 @@ class QueryService:
             return payload
 
     def _ranked(self, pin, db, body: dict, using, limit) -> dict:
-        query = _parse_bounds(body)
-        raw = body.get("threshold", 0.0)
-        try:
-            threshold = float(raw)
-        except (TypeError, ValueError):
-            raise _Reject(400, f"threshold must be a number, got {raw!r}")
+        query = _parse_bounds(body.get("bounds"))
+        threshold = _json_number(body.get("threshold", 0.0), "threshold")
         report = db.execute_ranked(
             query, threshold=threshold, limit=limit, using=using
         )
@@ -715,20 +740,43 @@ class QueryService:
         elif path == "/compact":
             epoch = self.writer.compact()
         elif path == "/create-index":
-            name = body.get("name")
-            kind = body.get("kind")
+            name, kind = body.get("name"), body.get("kind")
             if not name or not kind:
                 raise _Reject(400, "body must carry 'name' and 'kind'")
+            name, kind = _json_str(name, "name"), _json_str(kind, "kind")
+            attributes = body.get("attributes")
+            if attributes is not None and (
+                not isinstance(attributes, list) or not attributes
+                or not all(isinstance(a, str) for a in attributes)
+            ):
+                raise _Reject(
+                    400,
+                    f"attributes must be a non-empty list of strings, "
+                    f"got {json.dumps(attributes)}",
+                )
+            overwrite = body.get("overwrite", False)
+            if not isinstance(overwrite, bool):
+                raise _Reject(
+                    400,
+                    f"overwrite must be true or false, "
+                    f"got {json.dumps(overwrite)}",
+                )
+            options = body.get("options")
+            if options is not None and not isinstance(options, dict):
+                raise _Reject(
+                    400,
+                    f"options must be an object, got {json.dumps(options)}",
+                )
             epoch = self.writer.create_index(
                 name,
                 kind,
-                attributes=body.get("attributes"),
-                overwrite=bool(body.get("overwrite", False)),
-                **(body.get("options") or {}),
+                attributes=attributes,
+                overwrite=overwrite,
+                **(options or {}),
             )
         else:  # /drop-index
             name = body.get("name")
             if not name:
                 raise _Reject(400, "body must carry 'name'")
-            epoch = self.writer.drop_index(name)
+            epoch = self.writer.drop_index(_json_str(name, "name"))
         return {"epoch": epoch, "route": path.lstrip("/")}

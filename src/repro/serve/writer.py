@@ -58,13 +58,13 @@ __all__ = ["SnapshotWriter"]
 
 
 def _rebuilt(
-    like: IncompleteDatabase, table: IncompleteTable, cache_bytes: int
+    like: IncompleteDatabase, table: IncompleteTable
 ) -> IncompleteDatabase:
     """A new engine over ``table`` with every index of ``like`` built afresh.
 
     Each index keeps the kind, attributes and options ``like`` recorded.
     """
-    engine = IncompleteDatabase(table, cache_bytes=cache_bytes)
+    engine = IncompleteDatabase(table)
     for name in like.index_names:
         spec = like.get_index(name)
         engine.create_index(name, spec.kind, spec.attributes, **spec.options)
@@ -72,10 +72,10 @@ def _rebuilt(
 
 
 def _reattached(
-    engine: IncompleteDatabase, cache_bytes: int, without: str
+    engine: IncompleteDatabase, without: str
 ) -> IncompleteDatabase:
     """A new engine sharing ``engine``'s table and indexes but ``without``."""
-    fresh = IncompleteDatabase(engine.table, cache_bytes=cache_bytes)
+    fresh = IncompleteDatabase(engine.table)
     for name in engine.index_names:
         if name != without:
             spec = engine.get_index(name)
@@ -123,9 +123,7 @@ class SnapshotWriter:
         would be closed under the live snapshot when a retiring epoch's
         database closes.
         """
-        db = ShardedDatabase._from_shards(
-            engines, cache_bytes=current._cache_bytes
-        )
+        db = ShardedDatabase._from_shards(engines)
         if self._directory is None:
             epoch = self._manager.publish(db)
         else:
@@ -168,9 +166,7 @@ class SnapshotWriter:
                 raise QueryError("no rows to append")
             engines = [shard.database for shard in current.shards]
             last = engines[-1]
-            engines[-1] = _rebuilt(
-                last, concat_tables(last.table, rows), current._cache_bytes
-            )
+            engines[-1] = _rebuilt(last, concat_tables(last.table, rows))
             return self._publish(current, engines, 1, start)
 
     def delete(self, record_ids: Iterable[int]) -> int:
@@ -208,10 +204,7 @@ class SnapshotWriter:
                     survivors = np.delete(
                         np.arange(engine.num_records), hit - shard.start
                     )
-                    engine = _rebuilt(
-                        engine, engine.table.take(survivors),
-                        current._cache_bytes,
-                    )
+                    engine = _rebuilt(engine, engine.table.take(survivors))
                     rebuilt += 1
                 engines.append(engine)
             return self._publish(current, engines, rebuilt, start)
@@ -241,8 +234,7 @@ class SnapshotWriter:
                 engine = reusable.get((rows.start, len(rows)))
                 if engine is None:
                     engine = _rebuilt(
-                        like, current._rows(np.arange(rows.start, rows.stop)),
-                        current._cache_bytes,
+                        like, current._rows(np.arange(rows.start, rows.stop))
                     )
                     rebuilt += 1
                 engines.append(engine)
@@ -271,9 +263,7 @@ class SnapshotWriter:
                 )
             engines = []
             for shard in current.shards:
-                engine = _reattached(
-                    shard.database, current._cache_bytes, without=name
-                )
+                engine = _reattached(shard.database, without=name)
                 engine.create_index(name, kind, attributes, **options)
                 engines.append(engine)
             return self._publish(current, engines, 0, start)
@@ -286,7 +276,7 @@ class SnapshotWriter:
             if name not in current.index_names:
                 raise ReproError(f"no index named {name!r}")
             engines = [
-                _reattached(shard.database, current._cache_bytes, without=name)
+                _reattached(shard.database, without=name)
                 for shard in current.shards
             ]
             return self._publish(current, engines, 0, start)

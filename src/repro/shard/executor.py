@@ -1,7 +1,8 @@
 """The shard-fanout seam: one interface, one built-in backend.
 
-:class:`~repro.shard.sharded.ShardedDatabase` plans and merges; *how* the
-surviving shards evaluate their slice of the work is this module's job.
+:class:`~repro.shard.sharded.ShardedDatabase` plans and merges (the
+engine's one query body); *how* the surviving shards evaluate their
+:class:`~repro.core.engine.ShardTask` is this module's job.
 :class:`ShardExecutor` is the interface, and
 :class:`SequentialShardExecutor` — evaluate shards one after another in the
 caller's thread: zero setup, deterministic — is the one backend shipped.
@@ -20,109 +21,16 @@ under both missing semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
 from repro import observability as obs
+from repro.core.engine import ShardTask
 from repro.errors import ShardError
-from repro.query.model import MissingSemantics, RangeQuery, ThreeValued
 
 __all__ = [
     "SequentialShardExecutor",
     "ShardExecutor",
-    "ShardOutcome",
     "ShardTask",
     "resolve_executor",
 ]
-
-
-# -- task / outcome descriptors ------------------------------------------------
-#
-# Everything that crosses the executor seam is one of these two compact
-# records.  Index objects never travel in them: tasks carry index *names*
-# plus the pre-combined cost estimate, and :func:`_run_task` looks the index
-# up in the shard's own engine.
-
-@dataclass(frozen=True, slots=True)
-class ShardTask:
-    """One shard's surviving slice of a scatter-gather call.
-
-    A single query is a one-position task; a predicate call is a task
-    whose one item is a :class:`~repro.query.boolean.Predicate`.
-    """
-
-    shard_id: int
-    #: Submission-order positions of the items this shard executes.
-    positions: tuple[int, ...]
-    #: The :class:`RangeQuery` (or predicate) at each position.
-    items: tuple
-    #: Per-position ``(index_name, estimate, forced)`` plan descriptors;
-    #: ``index_name`` None is the scan fallback.
-    plans: tuple[tuple, ...]
-    #: Any resolved semantics, ``BOTH`` included; fixes the results' arity.
-    semantics: MissingSemantics | ThreeValued
-    trace: bool
-
-
-@dataclass(frozen=True, slots=True)
-class ShardOutcome:
-    """One shard's answers to a :class:`ShardTask`, in position order."""
-
-    shard_id: int
-    #: Per-position ``(bound_ids, elapsed_ns, trace_root)``: shard-local
-    #: record ids (ascending int64) one array per bound, the shard-side
-    #: execution time, and the span tree when the task asked for tracing.
-    results: tuple[tuple, ...] = field(repr=False)
-
-
-# -- evaluation ----------------------------------------------------------------
-
-def _run_task(database, task: ShardTask) -> ShardOutcome:
-    """Evaluate one task against its shard's engine.
-
-    A lone query runs direct and cache-free, exactly as the engine's own
-    ``execute`` does; several run through the engine's grouped batch
-    executor with the shard's sub-result cache.
-    """
-    # Plan descriptors resolved against the receiving engine's indexes.
-    plans = [
-        (database.get_index(name), estimate, forced)
-        if name is not None
-        else (None, None, False)
-        for name, estimate, forced in task.plans
-    ]
-    if not isinstance(task.items[0], RangeQuery):
-        reports = [
-            database._execute_predicate(item, task.semantics, chosen)
-            for item, (chosen, _, _) in zip(task.items, plans)
-        ]
-    elif len(task.items) == 1:
-        reports = [database._execute_query(
-            task.items[0],
-            task.semantics,
-            using=None,
-            trace=task.trace,
-            planned=plans[0],
-            recorded=False,
-        )]
-    else:
-        reports = database._run_planned_batch(
-            list(task.items),
-            plans,
-            task.semantics,
-            task.trace,
-            database.sub_result_cache,
-            recorded=False,
-        )
-    return ShardOutcome(task.shard_id, tuple(
-        (
-            tuple(np.asarray(ids, dtype=np.int64) for ids in r.bound_ids),
-            r.elapsed_ns,
-            r.trace.root if r.trace is not None else None,
-        )
-        for r in reports
-    ))
 
 
 # -- the executor interface ----------------------------------------------------
@@ -139,8 +47,13 @@ class ShardExecutor:
 
     name = "?"
 
-    def run(self, db, tasks) -> list[ShardOutcome]:
-        """Evaluate the tasks (each non-empty); outcomes in task order."""
+    def run(self, db, tasks: list[ShardTask]) -> list[list[tuple]]:
+        """Evaluate the tasks (each non-empty), each on its shard engine.
+
+        Returns, in task order, what the shard engine's partition step
+        (``IncompleteDatabase._run_task``) returns for the task: one
+        ``(bound_ids, elapsed_ns)`` per item.
+        """
         raise NotImplementedError
 
     def close(self) -> None:
@@ -157,7 +70,7 @@ class SequentialShardExecutor(ShardExecutor):
 
     def run(self, db, tasks):
         obs.record("shard.sequential_fanouts")
-        return [_run_task(db._shards[t.shard_id].database, t) for t in tasks]
+        return [db._partitions[t.shard_id]._run_task(t) for t in tasks]
 
 
 # -- resolution ----------------------------------------------------------------

@@ -59,7 +59,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.cache import DEFAULT_CACHE_BYTES
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.io import load_table, save_table
 from repro.errors import CorruptIndexError, ShardError
@@ -441,7 +440,6 @@ def _check_legacy_row_map(
 
 def load_sharded(
     directory: str | os.PathLike,
-    cache_bytes: int = DEFAULT_CACHE_BYTES,
     executor=None,
 ) -> ShardedDatabase:
     """Rebuild a :class:`ShardedDatabase` saved by :func:`save_sharded`.
@@ -454,7 +452,7 @@ def load_sharded(
     from its table using the options recorded in the manifest, so the
     database still opens and answers queries identically.
 
-    ``cache_bytes`` and ``executor`` are as on :class:`ShardedDatabase`.
+    ``executor`` is as on :class:`ShardedDatabase`.
     """
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
@@ -496,15 +494,13 @@ def load_sharded(
                 root, entry, start, shard_table.num_records, context
             )
         start += shard_table.num_records
-        engines.append(IncompleteDatabase(shard_table, cache_bytes=cache_bytes))
+        engines.append(IncompleteDatabase(shard_table))
     if start != int(manifest["num_records"]):
         raise ShardError(
             f"{manifest_path}: the manifest records {manifest['num_records']} "
             f"rows but its shards hold {start}"
         )
-    db = ShardedDatabase._from_shards(
-        engines, cache_bytes=cache_bytes, executor=executor
-    )
+    db = ShardedDatabase._from_shards(engines, executor=executor)
     for entry in entries:
         shard = db.shards[entry["shard_id"]]
         _remember_loaded(root, shard.database.table, entry["table"])

@@ -1,4 +1,4 @@
-"""Sharded incomplete database: scatter-gather over row-range shards.
+"""Sharded incomplete database: one query body over row-range shards.
 
 :class:`ShardedDatabase` is an ordered tuple of
 :class:`~repro.core.engine.IncompleteDatabase` shard engines: shard *k*
@@ -6,7 +6,8 @@ owns the global rows ``[start_k, start_k + n_k)``.  The paper's bitmaps and
 VA-file approximations are positional over record ids, so a row range
 slices them with no translation.  It serves the engine's own query surface
 (inherited, not repeated — see ``_QuerySurface`` in
-:mod:`repro.core.engine`) by scatter-gather:
+:mod:`repro.core.engine`), whose one body, ``_run``, does four steps for
+``execute``, ``execute_batch`` and ``query_predicate`` alike:
 
 1. **Plan once.**  Each shard prices every covering index at its own
    size (predicted time from measured unit costs, beside the paper's
@@ -20,10 +21,11 @@ slices them with no translation.  It serves the engine's own query surface
    attribute is skipped entirely.  Histograms are exact, so pruning never
    changes results — on clustered data (e.g. after
    :func:`repro.dataset.reorder.lexicographic_order`) this is where the
-   sharded speedup comes from.
-3. **Fan out.**  Surviving shards evaluate through a pluggable
-   :class:`~repro.shard.executor.ShardExecutor` — by default inline, one
-   shard after another on the caller's thread (see
+   sharded speedup comes from.  Predicates are never pruned.
+3. **Fan out.**  Every shard with surviving items gets one
+   :class:`~repro.core.engine.ShardTask`, evaluated by the shard engine's
+   partition step through a :class:`~repro.shard.executor.ShardExecutor` —
+   inline, one shard after another on the caller's thread (see
    :mod:`repro.shard.executor`).  Exceptions re-raise unwrapped in the
    caller.
 4. **Merge.**  Per-shard local record ids shift by the shard's ``start``
@@ -31,37 +33,22 @@ slices them with no translation.  It serves the engine's own query surface
    ids, so the result is already ascending and bit-identical to the
    unsharded database under every missing semantics.
 
-:meth:`ShardedDatabase._scatter` is the one body that does all four, for
-``execute`` (one query), ``execute_batch`` (many) and ``query_predicate``
-(one predicate: costed like a query, never pruned) alike.
+This module adds the row ranges, DDL over every shard, the executor seam
+and the lifecycle (close, freeze) — nothing of the query path.
 """
 
 from __future__ import annotations
 
-import time
 import weakref
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro import observability as obs
-from repro.core.cache import DEFAULT_CACHE_BYTES
-from repro.core.engine import (
-    _BOUND_LABELS,
-    AttachedIndex,
-    IncompleteDatabase,
-    QueryReport,
-    ShardReportSlice,
-    _as_query,
-    _QuerySurface,
-)
-from repro.core.planner import semantics_for_costing
+from repro.core.engine import AttachedIndex, IncompleteDatabase, _QuerySurface
 from repro.core.statistics import TableStatistics
 from repro.dataset.table import IncompleteTable, concat_tables
 from repro.errors import ShardError
-from repro.observability.metrics import _query_tally
-from repro.query.model import MissingSemantics, RangeQuery, resolve_semantics
-from repro.shard.executor import ShardExecutor, ShardTask, resolve_executor
+from repro.shard.executor import ShardExecutor, resolve_executor
 
 __all__ = ["ShardedDatabase"]
 
@@ -84,31 +71,12 @@ def _row_ranges(num_records: int, num_shards: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-class _Shard:
+class _Shard(NamedTuple):
     """One shard: the first global row id it owns and its engine."""
 
-    __slots__ = ("shard_id", "start", "database")
-
-    def __init__(self, shard_id: int, start: int, database: IncompleteDatabase):
-        self.shard_id = shard_id
-        self.start = start
-        self.database = database
-
-    def to_global(self, local_ids: np.ndarray) -> np.ndarray:
-        """Map shard-local record ids to global ids."""
-        return np.asarray(local_ids, dtype=np.int64) + self.start
-
-
-def _merge_ids(parts: list[np.ndarray]) -> np.ndarray:
-    """Concatenate per-shard global ids, given in shard order.
-
-    Shard *k*'s rows all precede shard *k + 1*'s and every access method
-    returns ascending ids, so the concatenation is already ascending and
-    bit-identical to the unsharded database's answer.
-    """
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
+    shard_id: int
+    start: int
+    database: IncompleteDatabase
 
 
 def _finalize_executor(executor: ShardExecutor) -> None:
@@ -130,13 +98,15 @@ class ShardedDatabase(_QuerySurface):
 
     Shard *k* owns the global rows ``[start_k, start_k + n_k)``, where
     ``start_k`` is the sum of the earlier shards' sizes.  The engine is the
-    shard: this type adds the row ranges, the zone-map prune,
-    :meth:`_scatter` and the merge, and keeps no registry, table or row-id
+    shard: this type adds the row ranges and the executor seam the one
+    query body fans out through, and keeps no registry, table or row-id
     map of its own — indexes and rows are read from the shard engines,
     which all hold the same index set (DDL loops every shard; the loader
-    attaches or rebuilds all).  ``query`` / ``count`` / ``fetch`` /
-    ``execute_ranked`` / ``explain`` / ``summary`` / ``choose_index`` /
-    ``estimate_count`` are the engine's own definitions, inherited.
+    attaches or rebuilds all).  Every entry point — ``execute`` /
+    ``execute_batch`` / ``query_predicate`` / ``query`` / ``count`` /
+    ``fetch`` / ``execute_ranked`` / ``explain`` / ``summary`` /
+    ``choose_index`` / ``estimate_count`` — is the engine's own
+    definition, inherited.
 
     Parameters
     ----------
@@ -145,10 +115,8 @@ class ShardedDatabase(_QuerySurface):
         ranges of ``np.array_split`` sizes; each shard gets its own
         :class:`IncompleteDatabase` (and sub-result cache) over a copy.
     num_shards:
-        How many shards to create (``>= 1``; 1 shard degenerates to the
-        unsharded engine plus the scatter-gather bookkeeping).
-    cache_bytes:
-        Per-shard sub-result cache budget.
+        How many shards to create (``>= 1``; 1 shard answers as the
+        unsharded engine does, through the executor seam).
     executor:
         A :class:`~repro.shard.executor.ShardExecutor` instance, or
         ``None`` / ``"sequential"`` for the one built-in backend: shard
@@ -160,20 +128,15 @@ class ShardedDatabase(_QuerySurface):
         self,
         table: IncompleteTable,
         num_shards: int = 4,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ):
         engines = [
-            IncompleteDatabase(
-                table.take(np.arange(rows.start, rows.stop)),
-                cache_bytes=cache_bytes,
-            )
+            IncompleteDatabase(table.take(np.arange(rows.start, rows.stop)))
             for rows in _row_ranges(table.num_records, num_shards)
         ]
-        self._setup(engines, cache_bytes, executor)
+        self._setup(engines, executor)
 
-    def _setup(self, engines, cache_bytes, executor) -> None:
-        self._cache_bytes = cache_bytes
+    def _setup(self, engines, executor) -> None:
         self._shards: list[_Shard] = []
         start = 0
         for shard_id, engine in enumerate(engines):
@@ -181,6 +144,7 @@ class ShardedDatabase(_QuerySurface):
             start += engine.num_records
         self._num_records = start
         self._partitions = tuple(shard.database for shard in self._shards)
+        self._starts = tuple(shard.start for shard in self._shards)
         self._plan_memo: dict[tuple, tuple] = {}
         self._closed = False
         #: Set by :meth:`freeze` once this database becomes a published
@@ -199,7 +163,6 @@ class ShardedDatabase(_QuerySurface):
     def _from_shards(
         cls,
         engines: Sequence[IncompleteDatabase],
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         executor: str | ShardExecutor | None = None,
     ) -> "ShardedDatabase":
         """Assemble from shard engines, in row order.
@@ -211,7 +174,7 @@ class ShardedDatabase(_QuerySurface):
         reference, for every shard a mutation leaves alone.
         """
         self = cls.__new__(cls)
-        self._setup(engines, cache_bytes, executor)
+        self._setup(engines, executor)
         return self
 
     # -- lifecycle -------------------------------------------------------------
@@ -360,281 +323,14 @@ class ShardedDatabase(_QuerySurface):
             shard.database.drop_index(name)
         self._plan_memo.clear()
 
-    # -- pruning ---------------------------------------------------------------
-
-    def _pruned(self, item, semantics: MissingSemantics) -> list[int]:
-        """Ids of the shards that cannot hold a match of ``item``.
-
-        A predicate is never pruned: a NOT over a pruned-out shard could
-        still match.
-        """
-        if not isinstance(item, RangeQuery):
-            return []
-        return [
-            shard.shard_id
-            for shard in self._shards
-            if not self._shard_can_match(shard, item, semantics)
-        ]
-
-    def _shard_can_match(
-        self,
-        shard: _Shard,
-        query: RangeQuery,
-        semantics: MissingSemantics,
-    ) -> bool:
-        """Exact zone-map check: can this shard contain any match?
-
-        A shard is prunable when, for some query attribute, its exact value
-        histogram shows zero records inside the interval (plus zero missing
-        records under ``missing-is-a-match``).  Out-of-domain or unknown
-        attributes are never pruned, so invalid queries surface the same
-        :class:`~repro.errors.DomainError` / :class:`~repro.errors.QueryError`
-        the unsharded engine raises.
-        """
-        statistics = shard.database.statistics
-        for name, interval in query.items():
-            try:
-                attr = statistics.attribute(name)
-            except Exception:
-                return True
-            if interval.lo < 1 or interval.hi > attr.cardinality:
-                return True
-            possible = int(attr.counts[interval.lo : interval.hi + 1].sum())
-            if semantics is MissingSemantics.IS_MATCH:
-                possible += int(attr.counts[0])
-            if possible == 0:
-                return False
-        return True
-
     # -- execution -------------------------------------------------------------
 
-    @_query_tally()
-    def _scatter(
-        self, items, semantics, using: str | None, trace: bool, batch: bool
-    ) -> list[QueryReport]:
-        """Plan, prune, fan out and merge ``items``; one report per item.
+    _source = "shard"
 
-        The one scatter-gather body.  Each item is planned against the
-        merged shard statistics and pruned under the widest requested bound
-        (one plan serves every bound, and no possible match rules out a
-        certain one); every shard with surviving work gets one
-        :class:`~repro.shard.executor.ShardTask`; local ids shift by their
-        shard's ``start`` and concatenate per bound.  Each report's
-        ``elapsed_ns`` is its share of the call's wall clock: its own
-        planning and merge plus the fan-out apportioned by shard task time
-        (all of it for a single item).  When tracing, each report carries a
-        ``sharded_query`` root whose children are its plan span and one
-        subtree per executed shard.  The whole call, its shard tasks included, runs under one tally.
-        """
+    def _fan_out(self, tasks):
+        """Hand each shard its task through the executor seam."""
         self._ensure_open()
-        costing = semantics_for_costing(semantics)
-        observing = obs.enabled()
-        recorder = obs.get_recorder()
-        # A predicate has no interval list for a workload record to hold.
-        recording = (
-            recorder.active and bool(items)
-            and isinstance(items[0], RangeQuery)
-        )
-        tracing = trace or (recording and recorder.wants_trace)
-
-        # Per shard: the positions, items and plan descriptors of its task.
-        work: list[tuple[list, list, list]] = [
-            ([], [], []) for _ in self._shards
-        ]
-        planned: list[tuple] = []
-        num_pruned = 0
-        for pos, item in enumerate(items):
-            qtrace = (
-                obs.QueryTrace(
-                    "sharded_query",
-                    query=repr(item),
-                    semantics=semantics.value,
-                    shards=self.num_shards,
-                )
-                if tracing
-                else None
-            )
-            plan_start = time.perf_counter_ns()
-            chosen, forced, estimates = self._resolve_plan(
-                item, semantics, using
-            )
-            pruned_ids = self._pruned(item, costing)
-            name = chosen.name if chosen else None
-            for shard_id, (positions, task_items, plans) in enumerate(work):
-                if shard_id not in pruned_ids:
-                    positions.append(pos)
-                    task_items.append(item)
-                    plans.append((name, estimates[shard_id], forced))
-            if qtrace is not None:
-                with qtrace.span("plan") as plan_span:
-                    plan_span.start_ns = plan_start
-                    plan_span.set("chosen", name if name else "<scan>")
-                    plan_span.set("forced", forced)
-                    plan_span.set("pruned_shards", pruned_ids)
-                    predicted = [
-                        e.predicted_ns for e in estimates if e is not None
-                    ]
-                    if predicted:
-                        plan_span.set("predicted_ns", round(sum(predicted)))
-            num_pruned += len(pruned_ids)
-            planned.append((
-                chosen, pruned_ids, time.perf_counter_ns() - plan_start,
-                qtrace,
-            ))
-
-        tasks = [
-            ShardTask(
-                shard_id, tuple(positions), tuple(task_items), tuple(plans),
-                semantics, tracing,
-            )
-            for shard_id, (positions, task_items, plans) in enumerate(work)
-            if positions
-        ]
-        fan_start = time.perf_counter_ns()
-        outcomes = self._executor_impl.run(self, tasks)
-        fan_ns = time.perf_counter_ns() - fan_start
-        gathered: list[list[tuple]] = [[] for _ in items]
-        total_task_ns = 0
-        for task, outcome in zip(tasks, outcomes):
-            shard = self._shards[task.shard_id]
-            for pos, result in zip(task.positions, outcome.results):
-                gathered[pos].append((shard, result))
-                total_task_ns += result[1]
-        if observing:
-            if batch:
-                obs.record("shard.batches")
-                obs.record("shard.batch_queries", len(items))
-            else:
-                obs.record("shard.queries")
-            obs.record("shard.pruned", num_pruned)
-            obs.record("shard.fanout_tasks", len(tasks))
-            obs.observe("shard.fanout_ns", fan_ns)
-
-        reports = []
-        for item, (chosen, pruned_ids, plan_ns, qtrace), results in zip(
-            items, planned, gathered
-        ):
-            merge_start = time.perf_counter_ns()
-            merged = tuple(
-                _merge_ids([
-                    shard.to_global(bound_ids[position])
-                    for shard, (bound_ids, _, _) in results
-                ])
-                for position in range(len(semantics.bounds))
-            )
-            merge_ns = time.perf_counter_ns() - merge_start
-            slices = {
-                shard_id: ShardReportSlice(shard_id, True, 0, 0)
-                for shard_id in pruned_ids
-            }
-            own_task_ns = 0
-            for shard, (bound_ids, task_ns, trace_root) in results:
-                slices[shard.shard_id] = ShardReportSlice(
-                    shard.shard_id, False, len(bound_ids[-1]), task_ns
-                )
-                own_task_ns += task_ns
-                if qtrace is not None and trace_root is not None:
-                    trace_root.set("shard", shard.shard_id)
-                    qtrace.root.children.append(trace_root)
-            elapsed_ns = plan_ns + merge_ns
-            if total_task_ns:
-                elapsed_ns += fan_ns * own_task_ns // total_task_ns
-            report = QueryReport(
-                chosen.name if chosen else "<scan>",
-                chosen.kind if chosen else "scan",
-                merged,
-                per_shard=tuple(slices[sid] for sid in sorted(slices)),
-                trace=qtrace if trace else None,
-                elapsed_ns=elapsed_ns,
-            )
-            if observing:
-                obs.observe("shard.merge_ns", merge_ns)
-                for _, (_, task_ns, _) in results:
-                    obs.observe("shard.task_ns", task_ns)
-                obs.observe("shard.skew", report.skew)
-            if qtrace is not None:
-                qtrace.root.set("index", report.index_name)
-                for label, ids in zip(_BOUND_LABELS[len(merged)], merged):
-                    qtrace.root.set(label, len(ids))
-                qtrace.root.set("pruned", len(pruned_ids))
-                qtrace.close()
-            if recording:
-                recorder.record_query(
-                    source="shard",
-                    batch=batch,
-                    query=item,
-                    semantics=semantics,
-                    index=report.index_name,
-                    kind=report.kind,
-                    matches=len(merged[-1]),
-                    elapsed_ns=elapsed_ns,
-                    trace=qtrace,
-                    shards_executed=len(results),
-                    shards_pruned=len(pruned_ids),
-                )
-            reports.append(report)
-        return reports
-
-    def execute(
-        self,
-        query: RangeQuery | Mapping[str, tuple[int, int]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-        trace: bool = False,
-    ) -> QueryReport:
-        """Scatter-gather execution of one query (see :meth:`_scatter`).
-
-        The report's ``per_shard`` has one slice per shard, pruned ones
-        flagged; with ``trace=True`` it carries the ``sharded_query`` span
-        tree; with ``semantics="both"`` each shard computes its (certain,
-        possible) pair in one pass and the report carries both bounds.
-        """
-        return self._scatter(
-            [_as_query(query)], resolve_semantics(semantics),
-            using, trace, batch=False,
-        )[0]
-
-    def execute_batch(
-        self,
-        queries: Sequence[RangeQuery | Mapping[str, tuple[int, int]]],
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-        trace: bool = False,
-    ) -> list[QueryReport]:
-        """Scatter-gather execution of a workload, in submission order.
-
-        Every distinct query is planned once at the sharded level; each
-        shard then runs its surviving (un-pruned) slice of the workload
-        through the engine's grouped batch executor with that shard's own
-        sub-result cache (``semantics="both"`` included).  Reports have the
-        same shape :meth:`execute` returns, traces and ``elapsed_ns`` too.
-        """
-        return self._scatter(
-            [_as_query(q) for q in queries],
-            resolve_semantics(semantics), using, trace, batch=True,
-        )
-
-    def query_predicate(
-        self,
-        predicate,
-        semantics: MissingSemantics = MissingSemantics.IS_MATCH,
-        using: str | None = None,
-    ) -> QueryReport:
-        """Scatter-gather execution of a boolean predicate (AND/OR/NOT).
-
-        Every shard evaluates the predicate against its own row slice on
-        the one index picked up front (or a ground-truth scan); the merged
-        result is bit-identical to the unsharded engine's
-        :meth:`~repro.core.engine.IncompleteDatabase.query_predicate`.
-        The pick is costed like a query's, summed over shards; predicates
-        are never pruned — a NOT over a pruned-out shard could still match
-        — so every shard executes.  With ``semantics="both"`` each shard
-        evaluates the tree three-valued in one pass.
-        """
-        return self._scatter(
-            [predicate], resolve_semantics(semantics), using,
-            trace=False, batch=False,
-        )[0]
+        return self._executor_impl.run(self, tasks)
 
     def _shard_lines(self, query=None, costing=None) -> list[str]:
         """What ``summary`` and (given a query) ``explain`` say of the shards."""
@@ -642,16 +338,13 @@ class ShardedDatabase(_QuerySurface):
             f"{self.num_shards} shards (row ranges), "
             f"{self._executor_impl.name} executor"
         ]
-        pruned = []
+        pruned = [] if query is None else self._pruned(query, costing)
         for shard in self._shards:
             line = (
                 f"  shard {shard.shard_id}: "
                 f"{shard.database.num_records} records"
             )
-            if query is not None and not self._shard_can_match(
-                shard, query, costing
-            ):
-                pruned.append(shard.shard_id)
+            if shard.shard_id in pruned:
                 line += " (pruned)"
             lines.append(line)
         if query is not None:

@@ -27,7 +27,7 @@ from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, IndexBuildError, QueryError
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
-from repro.observability.metrics import _query_tally
+from repro.observability.metrics import _QueryTally
 from repro.query.model import (
     BOTH,
     Interval,
@@ -321,7 +321,7 @@ class VAFile:
         query runs under one tally and the phases count into ``stats`` (a
         private one if none was given), which is what reports them.
         """
-        with _query_tally() as observing:
+        with _QueryTally() as observing:
             if observing and stats is None:
                 stats = VaQueryStats()
             with _trace_span("vafile.scan", dimensions=query.dimensionality):

@@ -1,11 +1,11 @@
-"""Tests for the batch executor, batch planner, and engine hardening fixes."""
+"""Tests for the batch executor and engine hardening fixes."""
 
 import numpy as np
 import pytest
 
 from repro.core.cache import SubResultCache
 from repro.core.engine import IncompleteDatabase
-from repro.core.planner import BatchGroup, plan_batch, rank_plans, reuse_sort_key
+from repro.core.planner import rank_plans
 from repro.errors import PlanningError, ReproError
 from repro.observability import MetricsRegistry, use_registry
 from repro.query.model import MissingSemantics, RangeQuery
@@ -35,11 +35,13 @@ def _workload():
 
 class TestBatchEquivalence:
     @pytest.mark.parametrize("semantics", list(MissingSemantics))
-    @pytest.mark.parametrize("cache", [True, False])
-    def test_batch_matches_sequential(self, db, semantics, cache):
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_batch_matches_sequential(self, db, semantics, warm):
         queries = _workload()
         sequential = [db.execute(q, semantics) for q in queries]
-        batch = db.execute_batch(queries, semantics, cache=cache)
+        if warm:  # the batch below then answers from cached sub-results
+            db.execute_batch(queries, semantics)
+        batch = db.execute_batch(queries, semantics)
         assert len(batch) == len(queries)
         for seq, bat in zip(sequential, batch):
             assert np.array_equal(seq.record_ids, bat.record_ids)
@@ -75,22 +77,11 @@ class TestBatchCaching:
         assert stats.hits > 0
         assert stats.stores > 0
 
-    def test_cache_disabled_never_touches_cache(self, db):
-        db.execute_batch(_workload(), cache=False)
-        stats = db.sub_result_cache.stats()
-        assert stats.hits == stats.misses == stats.stores == 0
-
-    def test_explicit_cache_instance(self, db):
-        private = SubResultCache()
-        db.execute_batch(_workload(), cache=private)
-        assert private.stats().stores > 0
-        assert db.sub_result_cache.stats().stores == 0
-
     def test_starved_cache_still_correct(self, db):
         queries = _workload()
         sequential = [db.execute(q) for q in queries]
-        starved = SubResultCache(max_bytes=64)
-        batch = db.execute_batch(queries, cache=starved)
+        db._cache = SubResultCache(max_bytes=64)
+        batch = db.execute_batch(queries)
         for seq, bat in zip(sequential, batch):
             assert np.array_equal(seq.record_ids, bat.record_ids)
 
@@ -121,31 +112,6 @@ class TestBatchTracing:
     def test_no_trace_by_default(self, db):
         reports = db.execute_batch(_workload()[:2])
         assert all(r.trace is None for r in reports)
-
-
-class TestBatchPlanner:
-    def test_groups_by_index_in_first_appearance_order(self):
-        queries = [
-            RangeQuery.from_bounds({"a": (1, 2)}),
-            RangeQuery.from_bounds({"a": (3, 4)}),
-            RangeQuery.from_bounds({"a": (1, 2)}),
-        ]
-        groups = plan_batch(queries, ["x", None, "x"])
-        assert [g.index_name for g in groups] == ["x", None]
-        assert set(groups[0].positions) == {0, 2}
-
-    def test_positions_ordered_for_reuse(self):
-        q_a = RangeQuery.from_bounds({"a": (1, 5)})
-        q_b = RangeQuery.from_bounds({"a": (3, 9)})
-        queries = [q_b, q_a, q_b, q_a]
-        (group,) = plan_batch(queries, ["x"] * 4)
-        keys = [reuse_sort_key(queries[p]) for p in group.positions]
-        assert keys == sorted(keys)
-        assert group == BatchGroup(index_name="x", positions=(1, 3, 0, 2))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(PlanningError, match="1 queries but 2 plans"):
-            plan_batch([RangeQuery.from_bounds({"a": (1, 2)})], ["x", "y"])
 
 
 class TestPlannerHardening:

@@ -309,17 +309,17 @@ class TestTornGeneration:
             [int(i) for i in db.execute(q).record_ids] for q in _TORN_QUERIES
         ]
         batch_entered = threading.Event()
-        original = db._execute_query
+        original = db._run_task
         calls = {"n": 0}
 
-        def slow_execute_query(*args, **kwargs):
+        def slow_run_task(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 batch_entered.set()
                 time.sleep(0.3)  # give the DDL every chance to sneak in
             return original(*args, **kwargs)
 
-        db._execute_query = slow_execute_query
+        db._run_task = slow_run_task
         results, timestamps = {}, {}
 
         def run_batch():
@@ -337,7 +337,7 @@ class TestTornGeneration:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        db._execute_query = original
+        db._run_task = original
 
         # Every member ran on the index as it was before the DDL, and the
         # DDL committed only after the batch released the lock.

@@ -338,8 +338,6 @@ class TestCounterValues:
         "engine.queries.bsl": 27,
         "engine.queries.vafile": 9,
         "planner.actual_items": 12429,
-        "planner.batch_groups": 3,
-        "planner.batches": 3,
         "planner.estimated_items": 8010,
         "planner.plan_chosen.bee": 27,
         "planner.plan_chosen.bie": 27,

@@ -299,7 +299,12 @@ class TestShardedIntegration:
         assert report.trace is None
         (entry,) = recorder.slow_log.entries()
         assert entry.trace is not None
-        assert entry.trace.root.name == "sharded_query"
+        assert entry.trace.root.name == "query"
+        # plan, then one execute span per executed shard
+        names = [span.name for span in entry.trace.root.children]
+        assert names == ["plan"] + ["execute.bre"] * (
+            entry.record.shards_executed
+        )
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_metrics_registry_with_recorder(self, sharded, semantics):

@@ -386,6 +386,63 @@ class TestErrors:
         assert field in body["error"], body
         assert service.epochs.current_epoch == epoch  # nothing published
 
+    @pytest.mark.parametrize(
+        ("route", "payload", "field"),
+        [
+            ("/create-index",
+             {"name": "ix", "kind": "bee", "overwrite": "false"}, "overwrite"),
+            ("/create-index",
+             {"name": "x", "kind": "bre", "overwrite": 1}, "overwrite"),
+            ("/create-index",
+             {"name": "x", "kind": "bre", "attributes": "ab"}, "attributes"),
+            ("/create-index",
+             {"name": "x", "kind": "bre", "attributes": []}, "attributes"),
+            ("/create-index",
+             {"name": "x", "kind": "bre", "attributes": ["a", 2]},
+             "attributes"),
+            ("/create-index",
+             {"name": "x", "kind": "bre", "options": ["codec"]}, "options"),
+            ("/create-index", {"name": ["x"], "kind": "bre"}, "name"),
+            ("/create-index", {"name": "x", "kind": 3}, "kind"),
+            ("/drop-index", {"name": ["ix"]}, "name"),
+            ("/query", {"bounds": {"a": [1, 9]}, "using": ["ix"]}, "using"),
+            ("/query",
+             {"bounds": {"a": [1, 9]}, "using": {"name": "ix"}}, "using"),
+            ("/query",
+             {"bounds": {"a": [1, 9]}, "deadline_ms": True}, "deadline_ms"),
+            ("/query",
+             {"bounds": {"a": [1, 9]}, "deadline_ms": "50"}, "deadline_ms"),
+            ("/ranked",
+             {"bounds": {"a": [1, 9]}, "threshold": True}, "threshold"),
+            ("/ranked",
+             {"bounds": {"a": [1, 9]}, "threshold": "0.5"}, "threshold"),
+            ("/batch",
+             {"queries": [{"a": [1, 2]}, {"a": [1.5, 2]}]}, "queries[1].a[0]"),
+            ("/batch", {"queries": [{"a": [1, 2]}, []]}, "queries[1]"),
+        ],
+        ids=[
+            "overwrite-string", "overwrite-int", "attributes-string",
+            "attributes-empty", "attributes-non-string", "options-list",
+            "name-list", "kind-int", "drop-name-list", "using-list",
+            "using-object", "deadline-bool", "deadline-string",
+            "threshold-bool", "threshold-string", "batch-element-float",
+            "batch-element-list",
+        ],
+    )
+    def test_option_of_the_wrong_json_type_is_400_naming_it(
+        self, service, route, payload, field
+    ):
+        # Options are taken only as their JSON types: "false" is not
+        # False, "ab" is not ["a", "b"], true is not 1 ms.
+        epoch = service.epochs.current_epoch
+        status, body = _post(service.url + route, payload)
+        assert status == 400, body
+        assert field in body["error"], body
+        assert service.epochs.current_epoch == epoch  # nothing published
+        with service.epochs.pin() as pin:
+            ix = pin.database.shards[0].database.get_index("ix")
+            assert (ix.kind, pin.database.index_names) == ("bre", ("ix",))
+
     def test_non_numeric_content_length_is_400(self, service):
         with socket.create_connection(
             (service.host, service.port), timeout=10

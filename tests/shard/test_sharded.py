@@ -216,7 +216,7 @@ def test_worker_exceptions_unwrapped(table):
             def explode(*args, _exc=sentinel, **kwargs):
                 raise _exc
 
-            shard.database._execute_query = explode
+            shard.database._run_task = explode
         with pytest.raises(PlanningError) as info:
             db.execute({"a": (1, 30)})
         assert info.value is sentinel
@@ -256,24 +256,27 @@ def test_trace_has_per_shard_children(table, semantics):
         report = db.execute({"a": (1, 30)}, semantics, trace=True)
         trace = report.trace
         assert trace is not None
-        assert trace.root.name == "sharded_query"
-        shard_roots = [
+        assert trace.root.name == "query"
+        shard_spans = [
             child
             for child in trace.root.children
             if "shard" in child.attributes
         ]
-        executed = sum(1 for s in report.per_shard if not s.pruned)
-        assert len(shard_roots) == executed
+        executed = [s.shard_id for s in report.per_shard if not s.pruned]
+        assert [span.attributes["shard"] for span in shard_spans] == executed
+        assert {span.name for span in shard_spans} == {"execute.bre"}
 
 
 def test_batch_trace_has_the_execute_shape(table):
     """A traced batch report carries the tree ``execute(trace=True)`` does,
-    and an untraced batch asks no shard for spans."""
+    and an untraced batch hands no shard a trace."""
     from repro.shard.executor import SequentialShardExecutor
 
     class Spy(SequentialShardExecutor):
         def run(self, db, tasks):
-            self.traced = [task.trace for task in tasks]
+            self.traced = [
+                any(t is not None for t in task.traces) for task in tasks
+            ]
             return super().run(db, tasks)
 
     def shape(span):
@@ -290,8 +293,11 @@ def test_batch_trace_has_the_execute_shape(table):
             single = db.execute(query, "both", trace=True)
             assert shape(report.trace.root) == shape(single.trace.root)
             root = report.trace.root
-            assert root.name == "sharded_query"
-            assert root.attributes["pruned"] == report.num_pruned
+            assert root.name == "query"
+            (plan,) = root.find("plan")
+            assert len(plan.attributes.get("pruned_shards", [])) == (
+                report.num_pruned
+            )
             shard_ids = [
                 child.attributes["shard"]
                 for child in root.children
@@ -375,14 +381,14 @@ def test_surface_conformance(table, tmp_path, num_shards, unit_costs):
     engine = IncompleteDatabase(table)
     engine.create_index("ix", "bre")
     with make_sharded(table, num_shards=num_shards) as db:
-        # Same parameters; the engine's per-call cache override is the one
-        # named exception.
+        # Same parameters: every query entry point is defined once.
         for name in SURFACE:
             expected = _parameters(getattr(IncompleteDatabase, name))
-            if name == "execute_batch":
-                assert expected.pop()[0] == "cache"
             assert _parameters(getattr(ShardedDatabase, name)) == expected
-        for inherited in ("query", "count", "fetch", "execute_ranked"):
+        for inherited in (
+            "execute", "execute_batch", "query_predicate", "query", "count",
+            "fetch", "execute_ranked",
+        ):
             assert inherited not in ShardedDatabase.__dict__
             assert inherited not in IncompleteDatabase.__dict__
 
@@ -412,7 +418,7 @@ def test_surface_conformance(table, tmp_path, num_shards, unit_costs):
             assert f"{num_shards} shards" in got and "shards" not in expected
         analyzed = db.explain(QUERIES[2], analyze=True)
         assert analyzed.startswith(db.explain(QUERIES[2]))
-        assert "\nsharded_query {" in analyzed
+        assert "\nquery {" in analyzed and "shard=" in analyzed
         assert "sub-result cache" in db.summary()
 
         # One set of conveniences: bit-identical answers.

@@ -3,8 +3,9 @@
 Random two-attribute tables and random workloads (drawn from a small
 interval pool so repeats occur, which is what exercises the sub-result
 cache) are run through ``execute_batch`` under both missing-data semantics
-and three cache regimes — enabled, disabled, and byte-starved so every
-store is immediately evicted — and must return exactly the record-id sets
+and three cache budgets — the default, zero (nothing is stored), and
+byte-starved so every store is immediately evicted — and must return
+exactly the record-id sets
 one-by-one ``execute`` produces.  This extends PR 2's "tracing never
 changes results" property to the batch executor.
 """
@@ -57,9 +58,9 @@ def batch_cases(draw):
     return table, workload
 
 
-def _check_equivalence(db, workload, semantics, **batch_kwargs):
+def _check_equivalence(db, workload, semantics):
     expected = [db.execute(q, semantics) for q in workload]
-    got = db.execute_batch(workload, semantics, **batch_kwargs)
+    got = db.execute_batch(workload, semantics)
     assert len(got) == len(expected)
     for exp, act in zip(expected, got):
         assert set(exp.record_ids.tolist()) == set(act.record_ids.tolist())
@@ -74,7 +75,7 @@ def test_batch_equals_sequential_with_cache(case):
     db.create_index("bre", "bre")
     db.create_index("bee", "bee", ["a"])
     for semantics in MissingSemantics:
-        _check_equivalence(db, workload, semantics, cache=True)
+        _check_equivalence(db, workload, semantics)
 
 
 @settings(max_examples=40, deadline=None)
@@ -83,8 +84,9 @@ def test_batch_equals_sequential_without_cache(case):
     table, workload = case
     db = IncompleteDatabase(table)
     db.create_index("bre", "bre")
+    db._cache = SubResultCache(max_bytes=0)
     for semantics in MissingSemantics:
-        _check_equivalence(db, workload, semantics, cache=False)
+        _check_equivalence(db, workload, semantics)
 
 
 @settings(max_examples=40, deadline=None)
@@ -96,6 +98,6 @@ def test_batch_equals_sequential_under_eviction_pressure(case):
     db.create_index("va", "vafile")
     # A tiny budget forces evictions (or outright refusal to store) on
     # every put; correctness must not depend on anything staying cached.
-    starved = SubResultCache(max_bytes=16)
+    db._cache = SubResultCache(max_bytes=16)
     for semantics in MissingSemantics:
-        _check_equivalence(db, workload, semantics, cache=starved)
+        _check_equivalence(db, workload, semantics)

@@ -10,7 +10,9 @@ properties from earlier PRs.
 
 ``test_report_conformance`` pins the one report contract on top: every
 tier, executor, entry point and semantics answers with the same
-``QueryReport`` type and the same ``bound_ids``.
+``QueryReport`` type and the same ``bound_ids``; ``test_one_query_body``
+runs the same items, traced, through an engine and 1, 2 and 7 shards and
+requires the same answer, the same index and the same span names.
 """
 
 import numpy as np
@@ -165,8 +167,9 @@ def test_report_conformance(
     expected = _answers(engine, entry, semantics)
     for report in expected:
         _assert_contract(report, semantics)
-        assert report.per_shard == ()
-        assert (report.num_pruned, report.skew) == (0, 0.0)
+        # An engine is one partition: one slice, never pruned.
+        assert [s.shard_id for s in report.per_shard] == [0]
+        assert report.num_pruned == 0
         assert report.elapsed_ns is not None
     with ShardedDatabase(
         clustered_table,
@@ -197,3 +200,52 @@ def test_report_conformance(
         assert pruned_anywhere == 0
     elif num_shards == 4 and semantics is MissingSemantics.NOT_MATCH:
         assert pruned_anywhere > 0
+
+
+# -- one query body at every tier -----------------------------------------------
+
+
+def _span_names(report) -> set:
+    """``(depth, name)`` of every span, so shard fan-out width is ignored."""
+    return {(depth, span.name) for depth, span in report.trace.root.walk()}
+
+
+def _entry_reports(db, entry: str, semantics) -> list:
+    """Traced where the entry point traces; the batch repeats its intervals."""
+    if entry == "execute":
+        return [db.execute(q, semantics, trace=True) for q in CONFORMANCE_QUERIES]
+    if entry == "execute_batch":
+        return db.execute_batch(CONFORMANCE_QUERIES * 2, semantics, trace=True)
+    return _answers(db, entry, semantics)
+
+
+@pytest.mark.parametrize("semantics", ["is_match", "not_match", "both"])
+@pytest.mark.parametrize(
+    "entry", ["execute", "execute_batch", "query_predicate"]
+)
+@pytest.mark.parametrize("kind", ["bre", "vafile"])
+def test_one_query_body(clustered_table, kind, entry, semantics):
+    semantics = resolve_semantics(semantics)
+    engine = IncompleteDatabase(clustered_table)
+    engine.create_index("ix", kind)
+    expected = _entry_reports(engine, entry, semantics)
+    for num_shards in SHARD_COUNTS:
+        with ShardedDatabase(clustered_table, num_shards=num_shards) as db:
+            db.create_index("ix", kind)
+            reports = _entry_reports(db, entry, semantics)
+        for want, got in zip(expected, reports, strict=True):
+            assert (got.index_name, got.kind) == ("ix", kind)
+            assert (want.index_name, want.kind) == ("ix", kind)
+            assert _same_ids(want, got)
+            assert len(got.per_shard) == num_shards
+            if entry != "query_predicate":
+                root = got.trace.root
+                assert root.name == "query"
+                assert _span_names(got) == _span_names(want)
+                executed = [
+                    span.attributes["shard"] for span in root.children
+                    if span.name.startswith("execute.")
+                ]
+                assert executed == [
+                    s.shard_id for s in got.per_shard if not s.pruned
+                ]
