@@ -1,33 +1,30 @@
 """Pluggable word-level kernels behind the compressed bitvector codecs.
 
 The paper's central performance claim is that compressed bitmap query
-execution "only accesses words".  This module is where those word accesses
-actually happen: every WAH/BBC encode, decode, run-merge logical
-operation, and population count over a word stream is implemented here as
-a *kernel* over numpy word arrays (``uint32`` WAH words, ``uint8`` BBC
-bytes), and the codec classes in :mod:`repro.bitvector.wah` /
-:mod:`repro.bitvector.bbc` dispatch to the active :class:`KernelBackend`.
-Operations on already-decoded group arrays are plain ufuncs and live with
-the codec (:mod:`repro.bitvector.wah`), the same for every backend.
+execution "only accesses words".  This module is where the word accesses
+happen: every WAH/BBC encode, decode and population count over a word
+stream is implemented here as a *kernel* over numpy word arrays (``uint32``
+WAH words, ``uint8`` BBC bytes), and the codec classes in
+:mod:`repro.bitvector.wah` / :mod:`repro.bitvector.bbc` dispatch to the
+active :class:`KernelBackend`.  Logical operations run on decoded group
+arrays as plain ufuncs and live with the codec (:mod:`repro.bitvector.wah`),
+the same for every backend.
 
-Three backends are provided:
+Two backends are provided:
 
 ``python``
-    The reference implementation: the run-pair loop (`_RunReader` /
-    `_Builder`) and byte-wise BBC coder, one Python step per word.  Kept
-    verbatim so every other backend can be checked word-for-word against
-    it, and selectable for debugging via ``REPRO_BITVECTOR_BACKEND=python``.
+    The reference implementation: the `_Builder` encoder, a word-at-a-time
+    decoder and the byte-wise BBC coder, one Python step per word.  Kept
+    so every other backend can be checked word-for-word against it, and
+    selectable for debugging via ``REPRO_BITVECTOR_BACKEND=python``.
 
 ``numpy``
-    The default.  Logical ops use a vectorized run-merge: operand word
-    streams are turned into (value, length) run arrays, run boundaries are
-    merged with one ``union1d``/``searchsorted`` pass, and the result is
-    re-encoded with scatter writes — O(stored words), never materializing
-    the verbatim bitmap, so even a ``MAX_FILL_GROUPS``-long fill costs a
-    handful of array ops.
+    The default.  Streams decode with one ``np.repeat`` over a per-word
+    ``(value, length)`` view (an all-literal stream *is* its group array),
+    and group arrays encode with run detection plus scatter writes.
 
 Every backend produces **word-identical** output — the same ``uint32``
-words, not merely the same bits — because every kernel emits the canonical
+words, not merely the same bits — because every encoder emits the canonical
 WAH encoding (adjacent fills merged, all-zero/all-one literals folded into
 fills, over-long fills split ``[MAX] * (k-1) + [remainder]``).  The
 property tests in ``tests/bitvector/test_kernels.py`` enforce this across
@@ -37,12 +34,11 @@ Backend selection: the ``REPRO_BITVECTOR_BACKEND`` environment variable
 wins, then ``numpy``.  At runtime use
 :func:`set_backend` / :func:`use_backend`; see ``docs/kernels.md``.
 """
-
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -86,9 +82,6 @@ BBC_FILL_FLAG = 0x80
 BBC_FILL_BIT = 0x40
 BBC_MAX_FILL_RUN = 0x3F  # 63 bytes per fill token
 BBC_MAX_LITERAL_RUN = 0x7F  # 127 bytes per literal token
-
-#: Opcode names shared by every backend's ``wah_binary``.
-WAH_OPCODES = ("and", "or", "xor", "andnot")
 
 _EMPTY_U32 = np.empty(0, dtype=np.uint32)
 _EMPTY_U8 = np.empty(0, dtype=np.uint8)
@@ -164,57 +157,41 @@ def wah_encoded_length(groups: np.ndarray) -> int:
     return ngroups - int(np.count_nonzero(is_fill)) + fill_runs
 
 
-def _encode_runs(
-    values: np.ndarray, lengths: np.ndarray, merged: bool = False
-) -> np.ndarray:
-    """Canonical WAH words for a sequence of (group value, run length) runs.
+def _encode_runs(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Canonical WAH words for adjacent-distinct (group value, run length) runs.
 
-    Adjacent equal-valued runs are merged (skipped when the caller already
-    guarantees adjacent-distinct values via ``merged=True``), 0/all-ones
-    runs become fills (split ``[MAX] * (k-1) + [remainder]``, matching the
-    reference builder), and literal-valued runs emit one word per group.
-    Run lengths are int64 so fills longer than ``MAX_FILL_GROUPS`` never
-    overflow.
+    0/all-ones runs become fills (split ``[MAX] * (k-1) + [remainder]``,
+    matching the reference builder), and literal-valued runs emit one word
+    per group.  Run lengths are int64 so fills longer than
+    ``MAX_FILL_GROUPS`` never overflow.
     """
-    if len(values) == 0:
-        return _EMPTY_U32
-    if not merged:
-        change = np.empty(len(values), dtype=bool)
-        change[0] = True
-        np.not_equal(values[1:], values[:-1], out=change[1:])
-        run_idx = np.flatnonzero(change)
-        if len(run_idx) != len(values):
-            values = values[run_idx]
-            lengths = np.add.reduceat(lengths, run_idx)
-    rvals = values
-    rlens = lengths
-    is_fill = (rvals == 0) | (rvals == _ALL_ONES_GROUP)
+    is_fill = (values == 0) | (values == _ALL_ONES_GROUP)
     fill_flags = np.uint32(FILL_FLAG) | (
-        (rvals == _ALL_ONES_GROUP) * np.uint32(FILL_BIT_FLAG)
+        (values == _ALL_ONES_GROUP) * np.uint32(FILL_BIT_FLAG)
     )
-    if int(rlens.max()) <= MAX_FILL_GROUPS:
+    if int(lengths.max()) <= MAX_FILL_GROUPS:
         # Common case: every fill fits one word.
-        base = np.where(is_fill, fill_flags | rlens.astype(np.uint32), rvals)
-        lit_multi = rlens > 1
+        base = np.where(is_fill, fill_flags | lengths.astype(np.uint32), values)
+        lit_multi = lengths > 1
         lit_multi &= ~is_fill
         if not lit_multi.any():
             return base
-        return np.repeat(base, np.where(is_fill, 1, rlens))
+        return np.repeat(base, np.where(is_fill, 1, lengths))
     # General path: some fill spans multiple words.
     nwords = np.where(
-        is_fill, (rlens + MAX_FILL_GROUPS - 1) // MAX_FILL_GROUPS, rlens
+        is_fill, (lengths + MAX_FILL_GROUPS - 1) // MAX_FILL_GROUPS, lengths
     )
     base = np.where(
         is_fill,
-        fill_flags | np.minimum(rlens, MAX_FILL_GROUPS).astype(np.uint32),
-        rvals,
+        fill_flags | np.minimum(lengths, MAX_FILL_GROUPS).astype(np.uint32),
+        values,
     ).astype(np.uint32, copy=False)
     out = np.repeat(base, nwords)
     # Over-long fills: every word but the last is a MAX fill; patch the tail.
     out_starts = np.concatenate(([0], np.cumsum(nwords)[:-1]))
     multi = is_fill & (nwords > 1)
     tail_pos = (out_starts + nwords - 1)[multi]
-    remainder = (rlens - (nwords - 1) * MAX_FILL_GROUPS)[multi]
+    remainder = (lengths - (nwords - 1) * MAX_FILL_GROUPS)[multi]
     out[tail_pos] = fill_flags[multi] | remainder.astype(np.uint32)
     return out
 
@@ -257,58 +234,6 @@ class _Builder:
         self.words.append(flag | ngroups)
 
 
-class _RunReader:
-    """Sequential decoder exposing the current run of a WAH word stream."""
-
-    __slots__ = ("_words", "_pos", "_len", "ngroups", "literal", "is_fill")
-
-    def __init__(self, words: list[int]):
-        self._words = words
-        self._pos = 0
-        self._len = len(words)
-        self.ngroups = 0
-        self.literal = 0
-        self.is_fill = False
-
-    def load(self) -> bool:
-        """Advance to the next word; return False at end of stream."""
-        if self._pos >= self._len:
-            return False
-        word = self._words[self._pos]
-        self._pos += 1
-        if word & FILL_FLAG:
-            self.is_fill = True
-            self.ngroups = word & MAX_FILL_GROUPS
-            self.literal = _ALL_ONES_GROUP if word & FILL_BIT_FLAG else 0
-            if self.ngroups == 0:
-                raise CorruptIndexError("WAH fill word with zero length")
-        else:
-            self.is_fill = False
-            self.ngroups = 1
-            self.literal = word
-        return True
-
-    def consume(self, ngroups: int) -> None:
-        self.ngroups -= ngroups
-
-
-_PY_OPS: dict[str, Callable[[int, int], int]] = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "andnot": lambda a, b: a & (b ^ _ALL_ONES_GROUP),
-}
-
-_NP_OPS: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
-    "and": np.bitwise_and,
-    "or": np.bitwise_or,
-    "xor": np.bitwise_xor,
-    "andnot": lambda a, b: np.bitwise_and(
-        a, np.bitwise_xor(b, np.uint32(_ALL_ONES_GROUP))
-    ),
-}
-
-
 # -- backend interface --------------------------------------------------------
 
 
@@ -331,12 +256,6 @@ class KernelBackend:
 
     def wah_decode(self, words: np.ndarray, ngroups: int) -> np.ndarray:
         """Per-group value array (uint32) for a WAH word stream."""
-        raise NotImplementedError
-
-    def wah_binary(
-        self, opcode: str, a: np.ndarray, b: np.ndarray, ngroups: int
-    ) -> np.ndarray:
-        """Compressed-domain binary op; ``opcode`` is one of WAH_OPCODES."""
         raise NotImplementedError
 
     def wah_count(self, words: np.ndarray) -> int:
@@ -382,41 +301,6 @@ class PythonKernels(KernelBackend):
             else:
                 out.append(word)
         return np.asarray(out, dtype=np.uint32)
-
-    def wah_binary(
-        self, opcode: str, a: np.ndarray, b: np.ndarray, ngroups: int
-    ) -> np.ndarray:
-        op = _PY_OPS[opcode]
-        left = _RunReader(a.tolist())
-        right = _RunReader(b.tolist())
-        builder = _Builder()
-        remaining = ngroups
-        left_ok = left.load()
-        right_ok = right.load()
-        while remaining > 0:
-            if left.ngroups == 0:
-                left_ok = left.load()
-            if right.ngroups == 0:
-                right_ok = right.load()
-            if not (left_ok and right_ok):
-                raise CorruptIndexError("WAH stream ended before all groups read")
-            if left.is_fill and right.is_fill:
-                take = min(left.ngroups, right.ngroups)
-                merged = op(left.literal, right.literal)
-                if merged == 0:
-                    builder.append_fill(take, 0)
-                elif merged == _ALL_ONES_GROUP:
-                    builder.append_fill(take, 1)
-                else:  # pragma: no cover - AND/OR/XOR of fills is a fill
-                    for _ in range(take):
-                        builder.append_literal(merged)
-            else:
-                take = 1
-                builder.append_literal(op(left.literal, right.literal))
-            left.consume(take)
-            right.consume(take)
-            remaining -= take
-        return np.asarray(builder.words, dtype=np.uint32)
 
     def wah_count(self, words: np.ndarray) -> int:
         total = 0
@@ -504,7 +388,7 @@ class PythonKernels(KernelBackend):
 
 
 class NumpyKernels(KernelBackend):
-    """Vectorized kernels: run-merge logical ops, scatter-write encoders."""
+    """Vectorized kernels: repeat-based decode, scatter-write encoders."""
 
     name = "numpy"
 
@@ -512,7 +396,7 @@ class NumpyKernels(KernelBackend):
         if len(groups) == 0:
             return _EMPTY_U32
         groups = groups.astype(np.uint32, copy=False)
-        return _encode_runs(*_group_runs(groups), merged=True)
+        return _encode_runs(*_group_runs(groups))
 
     def wah_decode(self, words: np.ndarray, ngroups: int) -> np.ndarray:
         if len(words) == 0:
@@ -523,28 +407,6 @@ class NumpyKernels(KernelBackend):
             return words  # all literals: the stream IS the group array
         values, lengths = _wah_run_view(words)
         return np.repeat(values, lengths)
-
-    def wah_binary(
-        self, opcode: str, a: np.ndarray, b: np.ndarray, ngroups: int
-    ) -> np.ndarray:
-        if ngroups == 0:
-            return _EMPTY_U32
-        ufunc = _NP_OPS[opcode]
-        va, la = _wah_run_view(a)
-        vb, lb = _wah_run_view(b)
-        ends_a = np.cumsum(la)
-        ends_b = np.cumsum(lb)
-        # Merged segment boundaries: every point where either stream's run
-        # ends.  Each segment maps to exactly one run of each operand, found
-        # with searchsorted on the cumulative ends.
-        ends = np.union1d(ends_a, ends_b)
-        starts = np.concatenate(([0], ends[:-1]))
-        ai = np.searchsorted(ends_a, starts, side="right")
-        bi = np.searchsorted(ends_b, starts, side="right")
-        if (ai >= len(va)).any() or (bi >= len(vb)).any():
-            raise CorruptIndexError("WAH stream ended before all groups read")
-        values = ufunc(va[ai], vb[bi])
-        return _encode_runs(values, ends - starts)
 
     def wah_count(self, words: np.ndarray) -> int:
         if len(words) == 0:

@@ -9,27 +9,22 @@ word we are dealing with"):
 * **fill word** (MSB = 1): the second most significant bit is the fill bit
   and the remaining 30 bits store the fill length, counted in 31-bit groups.
 
-The word-alignment requirement on fills is what lets logical operations work
-directly on compressed operands: AND/OR/XOR consume runs of groups from both
-inputs without ever materializing the verbatim bitmap, producing another
-compressed bitvector — exactly the property the paper relies on for fast
-bitmap query execution.
-
 Words are stored as a read-only ``numpy`` ``uint32`` array, and every
-encode/decode/run-merge/count kernel over them lives in
+encode/decode/count kernel over them lives in
 :mod:`repro.bitvector.kernels` behind a pluggable backend registry
 (``python`` reference, vectorized ``numpy`` default).
 All backends emit identical canonical words; see ``docs/kernels.md``.
 
-Compressed is the *storage* form.  A vector built from data or loaded from
-a file holds its word stream; the result of a logical operation holds its
-decoded 31-bit group array instead and builds the canonical stream only
-when something asks for :attr:`WahBitVector.words` (storage, the
-sub-result cache's ``nbytes()``, ``==``, ``hash``, pickling) — at which
-point the groups are dropped, so a vector holds exactly one form.  A query
-therefore decodes each stored operand once, chains its AND/OR/XOR/NOT as
-ufuncs over group arrays, and reads ``count()`` / ``to_indices()`` off the
-last one without ever encoding an intermediate.
+Compressed is the *storage* form, and the decoded 31-bit group array is the
+*working* form every logical operation runs on, as one ufunc.  A vector
+built from data, loaded from a file or unpickled holds its word stream and
+keeps its group array after the first decode, so a stored bitmap is decoded
+once per process, not once per query.  The result of a logical operation
+holds only its group array and builds the canonical stream when something
+asks for :attr:`WahBitVector.words` (storage, the sub-result cache's
+``nbytes()``, ``==``, ``hash``, pickling); then it drops the groups and
+never keeps them again, so a cached result costs its compressed bytes.
+Everything that reports a size or an identity reads the stream.
 """
 
 from __future__ import annotations
@@ -49,14 +44,21 @@ from repro.bitvector.kernels import (  # noqa: F401  (re-exported API)
     WORD_BITS,
     _ALL_ONES_GROUP,
     _Builder,
-    _NP_OPS,
-    _RunReader,
 )
 from repro.errors import CorruptIndexError, ReproError
 from repro.observability import record as _obs_record
 
 _EMPTY_WORDS = np.empty(0, dtype=np.uint32)
 _EMPTY_WORDS.setflags(write=False)
+
+_NP_OPS = {
+    "and": np.bitwise_and,
+    "or": np.bitwise_or,
+    "xor": np.bitwise_xor,
+    "andnot": lambda a, b: np.bitwise_and(
+        a, np.bitwise_xor(b, np.uint32(_ALL_ONES_GROUP))
+    ),
+}
 
 
 def _as_word_array(words: "np.ndarray | list[int]") -> np.ndarray:
@@ -84,28 +86,39 @@ class WahBitVector:
     Instances are immutable.  Build one with :meth:`compress`,
     :meth:`from_bools`, :meth:`zeros`, or :meth:`ones`.
 
-    Exactly one of ``_words`` (the canonical stream) and ``_groups`` (the
-    decoded group array of a logical-op result) is held at a time; readers
-    take each into a local before testing it, and :attr:`words` publishes
-    the stream before dropping the groups, so another thread never finds
-    neither.
+    ``_words`` is the canonical stream and ``_groups`` the decoded group
+    array.  A stored vector (``_stored``) always holds its stream and gains
+    its groups on the first decode; a logical-op result holds its groups
+    until :attr:`words` publishes the stream, then drops them.  Each is
+    published by one attribute store, and readers take a local copy before
+    testing it, so another thread finds one form or both, never neither.
     """
 
-    __slots__ = ("_words", "_groups", "_nbits", "_hash")
+    __slots__ = ("_words", "_groups", "_nbits", "_hash", "_stored")
 
     def __init__(self, nbits: int, words: "np.ndarray | list[int]"):
         if nbits < 0:
             raise ReproError(f"nbits must be >= 0, got {nbits}")
         self._nbits = nbits
-        self._words = _as_word_array(words)
+        self._words = words = _as_word_array(words)
         self._groups = None
         self._hash: int | None = None
-        covered = int(_kernels.wah_stream_lengths(self._words).sum())
+        self._stored = True
+        covered = int(_kernels.wah_stream_lengths(words).sum())
         if covered != self.ngroups:
             raise CorruptIndexError(
                 f"WAH words cover {covered} groups, "
                 f"expected {self.ngroups} for {nbits} bits"
             )
+        tail = nbits % GROUP_BITS
+        if tail and len(words):
+            # The last word covers the partial group: a 1-fill sets every
+            # bit of it, a literal may set only the low ``tail`` bits.
+            last = int(words[-1])
+            if (last & FILL_BIT_FLAG if last & FILL_FLAG else last >> tail):
+                raise CorruptIndexError(
+                    f"WAH words set bits past the last of {nbits}"
+                )
 
     # -- constructors ------------------------------------------------------
 
@@ -119,6 +132,7 @@ class WahBitVector:
         vec._words = words
         vec._groups = None
         vec._hash = None
+        vec._stored = True
         return vec
 
     @classmethod
@@ -129,6 +143,7 @@ class WahBitVector:
         vec._words = None
         vec._groups = groups
         vec._hash = None
+        vec._stored = False
         return vec
 
     @classmethod
@@ -137,10 +152,11 @@ class WahBitVector:
         return cls.from_bools(vec.to_bools())
 
     def _group_array(self, decoded: list | None = None) -> np.ndarray:
-        """The per-group value array, decoding the stream if that is held.
+        """The per-group value array, decoding the stream if it is not held.
 
-        A stream that had to be decoded is appended to ``decoded`` (the
-        ``wah.*`` counters charge for exactly those).
+        A stored vector keeps what it decodes.  A stream that had to be
+        decoded is appended to ``decoded`` (the ``wah.*`` counters charge
+        for exactly those).
         """
         groups = self._groups
         if groups is None:
@@ -148,6 +164,9 @@ class WahBitVector:
             groups = _kernels.get_backend().wah_decode(words, self.ngroups)
             if decoded is not None:
                 decoded.append(words)
+            if self._stored:
+                groups.setflags(write=False)
+                self._groups = groups
         return groups
 
     @classmethod
@@ -196,7 +215,7 @@ class WahBitVector:
         """The compressed 32-bit words as a read-only uint32 array.
 
         On a logical-op result this is where the stream gets built; the
-        group array is dropped once it exists.
+        group array is dropped once it is published.
         """
         words = self._words
         if words is None:
@@ -216,8 +235,11 @@ class WahBitVector:
         A logical-op result reports the length its canonical stream would
         have without building it.
         """
+        words = self._words
+        if words is not None:
+            return len(words)
         groups = self._groups
-        if groups is None:
+        if groups is None:  # another thread published the stream meanwhile
             return len(self._words)
         return _kernels.wah_encoded_length(groups)
 
@@ -233,7 +255,7 @@ class WahBitVector:
         return 4 * self.words32() / verbatim
 
     def count(self) -> int:
-        """Number of 1-bits, off whichever form is held (no conversion)."""
+        """Number of 1-bits, off the group array if held, else the stream."""
         groups = self._groups
         if groups is None:
             return _kernels.get_backend().wah_count(self._words)
@@ -279,33 +301,12 @@ class WahBitVector:
             raise ReproError(
                 f"bitvector length mismatch: {self._nbits} vs {other._nbits}"
             )
-        ngroups = self.ngroups
-        left, right = self._words, other._words
-        if (
-            left is not None
-            and right is not None
-            and len(left) + len(right) <= ngroups // 4
-        ):
-            # Two sparse stored operands: merge runs on the compressed
-            # words, O(stored words) however long the fills are.
-            decoded = [left, right]
-            words = _kernels.get_backend().wah_binary(
-                opcode, left, right, ngroups
-            )
-            result = WahBitVector._from_words(self._nbits, words)
-            _obs_record("wah.words_emitted", len(words))
-        else:
-            # Otherwise one ufunc over group arrays (the run merge's sorts
-            # pay off only when runs are long); nothing is encoded.
-            decoded = []
-            result = WahBitVector._from_groups(
-                self._nbits,
-                _NP_OPS[opcode](
-                    self._group_array(decoded), other._group_array(decoded)
-                ),
-            )
-        _obs_record("wah.ops")
-        _obs_record("wah.words_decoded", sum(map(len, decoded)))
+        decoded: list[np.ndarray] = []
+        result = WahBitVector._from_groups(
+            self._nbits,
+            _NP_OPS[opcode](self._group_array(decoded), other._group_array(decoded)),
+        )
+        _record_ops(1, decoded)
         return result
 
     @classmethod
@@ -335,8 +336,7 @@ class WahBitVector:
         )
         for other in operands[2:]:
             np.bitwise_or(acc, other._group_array(decoded), out=acc)
-        _obs_record("wah.ops", len(operands) - 1)
-        _obs_record("wah.words_decoded", sum(map(len, decoded)))
+        _record_ops(len(operands) - 1, decoded)
         return cls._from_groups(first._nbits, acc)
 
     def __and__(self, other: "WahBitVector") -> "WahBitVector":
@@ -349,9 +349,17 @@ class WahBitVector:
         return self._binary_op(other, "xor")
 
     def __invert__(self) -> "WahBitVector":
-        # NOT is XOR with the all-ones vector whose tail bits (beyond nbits)
-        # are zero, which keeps the trailing-group invariant intact.
-        return self ^ WahBitVector.ones(self._nbits)
+        # NOT is XOR with all-ones groups whose last group is masked to the
+        # tail, which keeps the bits past nbits clear.
+        decoded: list[np.ndarray] = []
+        groups = np.bitwise_xor(
+            self._group_array(decoded), np.uint32(_ALL_ONES_GROUP)
+        )
+        tail = self._nbits % GROUP_BITS
+        if tail:
+            groups[-1] &= np.uint32((1 << tail) - 1)
+        _record_ops(1, decoded)
+        return WahBitVector._from_groups(self._nbits, groups)
 
     def andnot(self, other: "WahBitVector") -> "WahBitVector":
         """``self & ~other`` on the compressed forms."""
@@ -382,6 +390,12 @@ class WahBitVector:
             f"WahBitVector(nbits={self._nbits}, words={self.words32()}, "
             f"ratio={self.compression_ratio():.3f})"
         )
+
+
+def _record_ops(ops: int, decoded: list[np.ndarray]) -> None:
+    """Charge ``ops`` logical operations and the streams they decoded."""
+    _obs_record("wah.ops", ops)
+    _obs_record("wah.words_decoded", sum(map(len, decoded)))
 
 
 def _fill_run(ngroups: int, bit: int) -> np.ndarray:

@@ -379,11 +379,16 @@ def use_registry(
 
 
 #: The open tally (metric name -> total) of the query running in this
-#: context, :data:`_DISCARD` inside :func:`suppressed`, or None.
+#: context, a :class:`_Discarded` one inside :func:`suppressed`, or None.
 _tally: ContextVar[dict | None] = ContextVar("repro_tally", default=None)
 
+
+class _Discarded(dict):
+    """A tally :func:`suppressed` throws away; :func:`observe` skips it."""
+
+
 #: The tally :func:`suppressed` opens; :func:`record` never writes to it.
-_DISCARD: dict = {}
+_DISCARD: dict = _Discarded()
 
 
 class _QueryTally:
@@ -421,7 +426,7 @@ class _QueryTally:
 
 
 @contextmanager
-def suppressed() -> Iterator[None]:
+def suppressed(observed: bool = False) -> Iterator[None]:
     """Discard every record/observe inside the ``with`` body.
 
     Used around *probe* executions — e.g. the planner asking an encoding
@@ -429,11 +434,13 @@ def suppressed() -> Iterator[None]:
     answer by dry-running the evaluation — so estimation work never leaks
     into the counters that are supposed to measure real query work.
 
-    The body runs under a tally that is thrown away.  Tallies are
+    The body runs under a tally that is thrown away.  With ``observed``
+    each :func:`record` still adds to it, as in an observed query, so a
+    probe timing one pays what that query pays.  Tallies are
     context-local, so suppressing in one thread leaves every other
     thread's counters alone.
     """
-    token = _tally.set(_DISCARD)
+    token = _tally.set(_Discarded() if observed else _DISCARD)
     try:
         yield
     finally:
@@ -472,7 +479,7 @@ def record(name: str, value: int | float = 1) -> None:
 
 def observe(name: str, value: int | float) -> None:
     """Record one histogram observation on the installed registry."""
-    if _tally.get() is _DISCARD:
+    if isinstance(_tally.get(), _Discarded):
         return
     registry = _registry
     if registry is not NULL_REGISTRY:

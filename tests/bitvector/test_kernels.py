@@ -22,6 +22,7 @@ from repro.bitvector.wah import (
     FILL_BIT_FLAG,
     FILL_FLAG,
     GROUP_BITS,
+    LITERAL_MASK,
     MAX_FILL_GROUPS,
     WahBitVector,
     _Builder,
@@ -215,13 +216,20 @@ class TestFillBoundaries:
         MAX_FILL_GROUPS - 1, MAX_FILL_GROUPS, MAX_FILL_GROUPS + 1,
         2 * MAX_FILL_GROUPS, 2 * MAX_FILL_GROUPS + 7,
     ])
-    def test_giant_fill_ops_word_identical(self, ngroups):
-        zeros = self._giant(ngroups, 0)
-        ones = self._giant(ngroups, 1)
-        for op in ("__and__", "__or__", "__xor__", "andnot"):
-            _assert_identical_words(
-                _per_backend(lambda op=op: getattr(zeros, op)(ones).words)
-            )
+    def test_giant_fill_runs_encode_identically(self, ngroups):
+        # The numpy encoder's run core and the python reference builder
+        # split over-long fills the same way, next to literals and to each
+        # other.
+        values = np.array([0b101, 0, LITERAL_MASK, 0b11], dtype=np.uint32)
+        lengths = np.array([1, ngroups, ngroups, 1], dtype=np.int64)
+        builder = _Builder()
+        builder.append_literal(0b101)
+        builder.append_fill(ngroups, 0)
+        builder.append_fill(ngroups, 1)
+        builder.append_literal(0b11)
+        words = kernels._encode_runs(values, lengths)
+        assert words.tolist() == builder.words
+        assert kernels.wah_run_words(values, lengths) == len(words)
 
     def test_giant_fill_split_is_canonical(self):
         wah = self._giant(2 * MAX_FILL_GROUPS + 7, 1)
@@ -242,9 +250,11 @@ class TestFillBoundaries:
         builder.append_literal(0b101)
         nbits = (MAX_FILL_GROUPS + 1) * GROUP_BITS
         wah = WahBitVector(nbits, builder.words)
-        other = self._giant(MAX_FILL_GROUPS + 1, 1)
-        _assert_identical_words(_per_backend(lambda: (wah & other).words))
-        assert (wah & other).count() == 2
+        values = np.array([0, 0b101], dtype=np.uint32)
+        lengths = np.array([MAX_FILL_GROUPS, 1], dtype=np.int64)
+        assert kernels._encode_runs(values, lengths).tolist() == builder.words
+        assert wah.words32() == 2
+        assert set(_per_backend(wah.count).values()) == {2}
 
 
 class TestEdgeCases:

@@ -1,13 +1,14 @@
-"""A logical-op result is indistinguishable from a vector encoded eagerly.
+"""A vector's held forms never show: results and memoised stored vectors.
 
 ``WahBitVector`` results carry their decoded group array and build the
-canonical stream on first demand.  Nothing observable may depend on which
-form a vector happens to hold: the words it eventually shows, the size the
-cost model reads before that, counts, ids, equality, hashes, and both
-interchange forms (pickle, the storage payload).  The property below runs
-random op DAGs — stored and derived operands mixed, some intermediates
-forced into stream form along the way — under every registered backend
-against a plain-bool oracle and the ``none`` codec.
+canonical stream on first demand; stored vectors keep the group array their
+first decode built.  Nothing observable may depend on which forms a vector
+happens to hold: the words it eventually shows, the size the cost model
+reads before that, counts, ids, equality, hashes, and both interchange
+forms (pickle, the storage payload).  The property below runs random op
+DAGs — stored and derived operands mixed, some intermediates forced into
+stream form along the way — under every registered backend against a
+plain-bool oracle and the ``none`` codec.
 """
 
 import pickle
@@ -29,8 +30,7 @@ from repro.bitvector.wah import (
 )
 from repro.storage.serialize import _vector_from_payload, _vector_payload
 
-#: With and without a partial tail group, from a single bit to a length
-#: whose sparse vectors take the run-merge path (ngroups // 4 > 2).
+#: With and without a partial tail group, from a single bit to 41 groups.
 LENGTHS = [1, 30, 31, 32, 62, 93, 100, 31 * 12, 31 * 40 + 7]
 
 BINARY = ("and", "or", "xor", "andnot")
@@ -147,7 +147,6 @@ def test_lazy_results_match_eager_encoding_on_every_backend(program):
                     "wah", nbits, _vector_payload(node)
                 )
                 for copy in (node, thawed, stored):
-                    assert copy._groups is None  # one form: the stream
                     assert not copy.words.flags.writeable
                     assert np.array_equal(copy.words, eager.words), backend
                     assert copy == eager and hash(copy) == hash(eager)
@@ -156,6 +155,10 @@ def test_lazy_results_match_eager_encoding_on_every_backend(program):
                     assert np.array_equal(
                         copy.to_indices(), np.flatnonzero(bools)
                     )
+                # A result drops its groups for good once its stream is
+                # built; a stored vector keeps what its first decode built.
+                assert (node._groups is not None) == node._stored
+                assert thawed._groups is not None and stored._groups is not None
 
             # Equality between results agrees with the none codec.
             for i in range(len(nodes)):
@@ -181,7 +184,8 @@ def test_not_of_a_derived_vector_keeps_the_tail_clear(nbits):
 
 def test_readers_race_the_stream_being_built():
     """``.words`` publishes the stream before dropping the groups, so a
-    reader on another thread finds one form or the other, never neither."""
+    reader on another thread finds one form or the other, never neither;
+    the stored operands keep their groups through it."""
     rng = np.random.default_rng(5)
     left, right = (rng.random(31 * 300 + 9) < 0.4 for _ in range(2))
     a, b = WahBitVector.from_bools(left), WahBitVector.from_bools(right)
@@ -219,6 +223,7 @@ def test_readers_race_the_stream_being_built():
                 thread.join(timeout=30)
             assert not any(thread.is_alive() for thread in threads)
             assert derived._groups is None and derived._words is not None
+            assert a._groups is not None and b._groups is not None
     finally:
         sys.setswitchinterval(interval)
     assert not failures, failures[:3]
@@ -235,7 +240,7 @@ class TestEncodedLengthSplitRule:
     def test_run_words_match_the_encoder(self, run):
         values = np.array([0b101, 0, LITERAL_MASK, 0b11], dtype=np.uint32)
         lengths = np.array([3, run, run + 5, 1], dtype=np.int64)
-        built = kernels._encode_runs(values, lengths, merged=True)
+        built = kernels._encode_runs(values, lengths)
         assert kernels.wah_run_words(values, lengths) == len(built)
         # 3 literals + ceil(run / MAX) + ceil((run + 5) / MAX) + 1 literal
         split = lambda n: -(-n // MAX_FILL_GROUPS)  # noqa: E731

@@ -120,8 +120,7 @@ class TestLogicalOps:
             WahBitVector.zeros(10) & object()
 
     def test_fill_heavy_operands_stay_on_run_path(self):
-        # Two long-fill vectors: the run-based path must produce a fill-only
-        # result without expanding groups.
+        # Two long-fill vectors: the result's stream is one fill word.
         n = 31 * 100_000
         a = WahBitVector.zeros(n)
         b = WahBitVector.ones(n)
@@ -137,6 +136,21 @@ class TestStreamValidation:
     def test_wrong_group_total_rejected(self):
         with pytest.raises(CorruptIndexError):
             WahBitVector(31 * 3, [FILL_FLAG | 1])
+
+    @pytest.mark.parametrize("words", [
+        [0x7FFFFFFF, 0x7FFFFFFF],  # a literal with bits 9..30 of group 2
+        [0x7FFFFFFF, 1 << 9],  # the first bit past the tail
+        [FILL_FLAG | FILL_BIT_FLAG | 2],  # a 1-fill over the partial group
+    ])
+    def test_tail_bits_past_nbits_rejected(self, words):
+        with pytest.raises(CorruptIndexError, match="past the last"):
+            WahBitVector(40, words)
+
+    def test_tail_bits_within_nbits_accepted(self):
+        ones = WahBitVector(40, [FILL_FLAG | FILL_BIT_FLAG | 1, (1 << 9) - 1])
+        assert ones == WahBitVector.ones(40) and ones.count() == 40
+        assert WahBitVector(62, [FILL_FLAG | FILL_BIT_FLAG | 2]).count() == 62
+        assert WahBitVector(40, [FILL_FLAG | 2]).count() == 0
 
     def test_negative_nbits_rejected(self):
         with pytest.raises(ReproError):

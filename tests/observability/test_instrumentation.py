@@ -46,10 +46,11 @@ def wah_pair():
 class TestWahCounters:
     """``wah.*`` says what was done: streams decoded, streams built.
 
-    A logical-op result carries its group array, so an op charges only for
-    the operands it found in compressed form, and ``wah.words_emitted``
-    moves when a stream is actually built — by the run-merge kernel, or on
-    the first read of a result's ``.words``.
+    A stored vector keeps its group array after its first decode and a
+    logical-op result carries one, so an op charges only for the stored
+    streams it decodes for the first time (and for results whose stream
+    was built, which keep no groups).  ``wah.words_emitted`` moves when a
+    stream is built, on the first read of a result's ``.words``.
     """
 
     def test_and_counts_words_fills_literals_exactly(self, wah_pair):
@@ -81,43 +82,46 @@ class TestWahCounters:
             ((a & b) | a).count()
         counters = reg.snapshot().counters
         assert counters["wah.ops"] == 2
-        assert counters["wah.words_decoded"] == 4  # a, b, then a again
+        assert counters["wah.words_decoded"] == 3  # a and b, once each
         assert "wah.words_emitted" not in counters
+        with use_registry() as reg:
+            ((a & b) | ~a).count()
+        assert reg.snapshot().counters == {
+            "wah.ops": 3,
+            "wah.words_decoded": 0,  # a and b kept their groups
+        }
 
     def test_or_many_counts_all_operands(self, wah_pair):
         a, b = wah_pair
-        c = a & b  # carried as groups until its stream is asked for
+        c = a & b  # decodes a and b; c is carried as groups
         with use_registry() as reg:
             WahBitVector.or_many([a, b, c])
         counters = reg.snapshot().counters
         assert counters["wah.ops"] == 2  # n-1 pairwise merges
-        assert counters["wah.words_decoded"] == 3  # 1 + 2; c is decoded
-        assert len(c.words) == 2  # literal + fill: now c is a stream
-        with use_registry() as reg:
-            WahBitVector.or_many([a, b, c])
-        counters = reg.snapshot().counters
-        assert counters["wah.words_decoded"] == 5  # 1 + 2 + 2
+        assert counters["wah.words_decoded"] == 0  # every operand is held
+        assert len(c.words) == 2  # literal + fill: now c is a stream only
+        fresh_a = WahBitVector._from_words(a.nbits, a.words)
+        fresh_b = WahBitVector._from_words(b.nbits, b.words)
+        for decoded in (5, 2):  # 1 + 2 + 2, then c alone: it keeps nothing
+            with use_registry() as reg:
+                WahBitVector.or_many([fresh_a, fresh_b, c])
+            assert reg.snapshot().counters["wah.words_decoded"] == decoded
 
     def test_both_execution_paths_agree(self):
-        # Force the run-merge path (sparse) and the group-array path
-        # (dense) on equal-length inputs: both read exactly their stored
-        # operands; only the run merge builds a stream on the spot.
+        # Dense and sparse operands take the one group-array path: an op
+        # decodes each stored operand on its first use, and builds no stream.
         rng = np.random.default_rng(11)
-        dense_a = WahBitVector.from_bools(rng.random(31 * 400) < 0.5)
-        dense_b = WahBitVector.from_bools(rng.random(31 * 400) < 0.5)
-        sparse_a = WahBitVector.from_bools(rng.random(31 * 400) < 0.0005)
-        sparse_b = WahBitVector.from_bools(rng.random(31 * 400) < 0.0005)
-        assert len(sparse_a.words) + len(sparse_b.words) <= 400 // 4
-        for x, y, merged in (
-            (dense_a, dense_b, False), (sparse_a, sparse_b, True)
-        ):
-            with use_registry() as reg:
-                result = x & y
-            counters = reg.snapshot().counters
-            assert counters["wah.words_decoded"] == len(x.words) + len(y.words)
-            assert counters.get("wah.words_emitted", 0) == (
-                len(result.words) if merged else 0
-            )
+        dense_a, dense_b = (rng.random(31 * 400) < 0.5 for _ in range(2))
+        sparse_a, sparse_b = (rng.random(31 * 400) < 0.0005 for _ in range(2))
+        for left, right in ((dense_a, dense_b), (sparse_a, sparse_b)):
+            x, y = WahBitVector.from_bools(left), WahBitVector.from_bools(right)
+            for decoded in (len(x.words) + len(y.words), 0):
+                with use_registry() as reg:
+                    result = x & y
+                assert reg.snapshot().counters == {
+                    "wah.ops": 1, "wah.words_decoded": decoded,
+                }
+                assert result == WahBitVector.from_bools(left & right)
 
 
 class TestBitmapCounters:
@@ -363,7 +367,7 @@ class TestCounterValues:
         "vafile.queries": 18,
         "vafile.records_refined": 2451,
         "wah.ops": 371,
-        "wah.words_decoded": 3426,
+        "wah.words_decoded": 758,
         "wah.words_emitted": 100,
     }
 

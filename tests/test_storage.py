@@ -7,6 +7,7 @@ from repro.bitmap.alternatives import InlineMissingEqualityIndex
 from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
+from repro.bitvector.wah import FILL_FLAG, WahBitVector
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import CorruptIndexError, ReproError
 from repro.query.ground_truth import evaluate
@@ -104,6 +105,18 @@ class TestBitmapValidation:
         payload[60:64] = b"\xff\xff\xff\xff"
         with pytest.raises(CorruptIndexError):
             load_bitmap_index(bytes(payload))
+
+    def test_wah_tail_bits_past_the_table_rejected(self, table):
+        # A checksum-valid file whose stream sets a bit past record 699:
+        # its count would disagree with its ids, so the loader refuses it.
+        index = EqualityEncodedBitmapIndex(table, codec="wah")
+        family = index._attrs["a"]
+        slot = next(iter(family.vectors))
+        family.vectors[slot] = WahBitVector._from_words(
+            700, np.array([FILL_FLAG | 22, 1 << 20], dtype=np.uint32)
+        )
+        with pytest.raises(CorruptIndexError, match="past the last"):
+            load_bitmap_index(dump_bitmap_index(index))
 
 
 class TestCodePacking:
