@@ -21,6 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.bitvector.ops import OpCounter, big_and, make_bitvector
+from repro.bitvector.wah import WahBitVector
 from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, IndexBuildError, QueryError
 from repro.observability import record as _obs_record
@@ -97,7 +98,7 @@ class IndexSizeReport:
 class _AttributeBitmaps:
     """The bitvector family ``B_{i,j}`` for one attribute."""
 
-    __slots__ = ("cardinality", "has_missing", "vectors", "nbits", "codec")
+    __slots__ = ("cardinality", "has_missing", "vectors", "nbits", "codec", "unread")
 
     def __init__(
         self,
@@ -112,13 +113,23 @@ class _AttributeBitmaps:
         self.vectors = dict(vectors)
         self.nbits = nbits
         self.codec = codec
+        #: Slot -> stored words of each WAH bitmap no query has read yet:
+        #: one decodes on its first read and keeps the groups.
+        self.unread = {j: vec.words32() for j, vec in self.vectors.items()
+                       if isinstance(vec, WahBitVector)}
 
-    def bitmap(self, j: int):
+    def stored(self, j: int):
         """``B_{i,j}``; raises if the slot is not stored."""
         try:
             return self.vectors[j]
         except KeyError:
             raise QueryError(f"bitmap slot {j} not stored for this attribute")
+
+    def bitmap(self, j: int):
+        """``B_{i,j}`` read by a query: it leaves :attr:`unread`."""
+        vec = self.stored(j)
+        self.unread.pop(j, None)
+        return vec
 
     def has_bitmap(self, j: int) -> bool:
         return j in self.vectors
@@ -366,11 +377,47 @@ class BitmapIndex(abc.ABC):
 
     def bitmap(self, attribute: str, j: int):
         """Direct access to ``B_{i,j}`` (for tests and inspection)."""
-        return self._family(attribute).bitmap(j)
+        return self._family(attribute).stored(j)
 
     def num_bitmaps(self, attribute: str) -> int:
         """Number of stored bitvectors for an attribute."""
         return len(self._family(attribute).vectors)
+
+    def stored_bitmaps(self) -> Iterable:
+        """Every stored bitvector, attribute by attribute, without reading it."""
+        for family in self._attrs.values():
+            yield from family.vectors.values()
+
+    def slots_for_interval(
+        self,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics,
+    ) -> Iterable[int]:
+        """The stored slots :meth:`evaluate_interval` reads: every one
+        unless the encoding lists its own (it prices, never evaluates)."""
+        return self._family(attribute).vectors.keys()
+
+    def bitmaps_for_interval(
+        self,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics,
+    ) -> int:
+        """Number of stored bitvectors :meth:`evaluate_interval` will read."""
+        return len(self.slots_for_interval(attribute, interval, semantics))
+
+    def undecoded_words(
+        self,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics,
+    ) -> int:
+        """Stored words of the interval's WAH operands no query has read
+        yet, which a read still has to decode."""
+        unread = self._family(attribute).unread
+        slots = self.slots_for_interval(attribute, interval, semantics) if unread else ()
+        return sum([unread.get(j, 0) for j in slots])
 
     def _family(self, attribute: str) -> _AttributeBitmaps:
         try:

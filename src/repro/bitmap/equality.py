@@ -144,29 +144,26 @@ class EqualityEncodedBitmapIndex(BitmapIndex):
         above = [family.bitmap(j) for j in range(v2 + 1, family.cardinality + 1)]
         return below + above
 
-    def bitmaps_for_interval(
+    def slots_for_interval(
         self,
         attribute: str,
         interval: Interval,
         semantics: MissingSemantics,
-    ) -> int:
-        """Number of stored bitvectors :meth:`evaluate_interval` will read.
-
-        Mirrors the paper's cost model ``min(AS, 1-AS) * C + 1`` (the +1 being
-        the missing bitmap when applicable).
-        """
+    ) -> list[int]:
+        """Stored slots :meth:`evaluate_interval` reads: the interval's own
+        values, or the values outside it, plus ``B_{i,0}`` when applicable
+        — the paper's cost model ``min(AS, 1-AS) * C + 1`` bitmaps."""
         family = self._family(attribute)
-        cardinality = family.cardinality
         v1, v2 = interval.lo, interval.hi
-        if (v2 - v1) <= cardinality // 2:
-            count = interval.width
-            if semantics is MissingSemantics.IS_MATCH and family.has_missing:
-                count += 1
+        if (v2 - v1) <= family.cardinality // 2:
+            slots = list(range(v1, v2 + 1))
+            adjusts = semantics is MissingSemantics.IS_MATCH
         else:
-            count = cardinality - interval.width
-            if semantics is MissingSemantics.NOT_MATCH and family.has_missing:
-                count += 1
-        return count
+            slots = [*range(1, v1), *range(v2 + 1, family.cardinality + 1)]
+            adjusts = semantics is MissingSemantics.NOT_MATCH
+        if adjusts and family.has_missing:
+            slots.append(0)
+        return slots
 
 
 def paper_example_column() -> np.ndarray:

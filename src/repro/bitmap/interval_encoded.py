@@ -37,6 +37,7 @@ Condition                              Expression (before missing adjustment)
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +49,10 @@ from repro.bitmap.base import (
 )
 from repro.bitvector.ops import OpCounter
 from repro.query.model import Interval, MissingSemantics
+
+
+def _andnot(left, right):
+    return left.andnot(right)
 
 
 class IntervalEncodedBitmapIndex(BitmapIndex):
@@ -150,62 +155,72 @@ class IntervalEncodedBitmapIndex(BitmapIndex):
             )
         return True
 
+    def _window_plan(self, cardinality: int, lo: int, hi: int):
+        """How ``[lo, hi]`` combines two stored windows.
+
+        ``(combine, left, right, complemented)``: the windows starting at
+        ``left`` and ``right`` combined by ``combine``, then negated when
+        ``complemented``; None for the full domain.
+        """
+        if lo == 1 and hi == cardinality:
+            return None
+        if hi == cardinality:
+            # Complement of [1, lo-1]; missing records flip to 1.
+            combine, left, right, _ = self._window_plan(cardinality, 1, lo - 1)
+            return combine, left, right, True
+        m = self.window_length(cardinality)
+        top = cardinality - m + 1  # highest stored window start
+        if lo == 1:
+            if hi < m:
+                return _andnot, 1, hi + 1, False
+            return operator.or_, 1, hi - m + 1, False
+        if hi < m:
+            return _andnot, lo, hi + 1, False
+        if lo > top:
+            return _andnot, hi - m + 1, lo - m, False
+        if hi - lo + 1 <= m:
+            return operator.and_, lo, hi - m + 1, False
+        return operator.or_, lo, hi - m + 1, False
+
     def _evaluate_windows(self, family, lo: int, hi: int,
                           counter: OpCounter | None):
         """The raw window combination; returns ``(vector, includes_missing)``.
 
         ``includes_missing`` reports whether missing records carry a 1 in
-        the returned vector (only the complement path does that).
+        the returned vector (only the full domain and the complement path
+        do that).
         """
-        cardinality = family.cardinality
-        m = self.window_length(cardinality)
-        top = cardinality - m + 1  # highest stored window start
-
-        if lo == 1 and hi == cardinality:
+        plan = self._window_plan(family.cardinality, lo, hi)
+        if plan is None:
             return constant_vector(family, True), True
-        if lo == 1:
-            if hi < m:
-                left = self._window(family, 1, counter)
-                right = self._window(family, hi + 1, counter)
-                if counter is not None:
-                    counter.record_binary(left, right)
-                return left.andnot(right), False
-            left = self._window(family, 1, counter)
-            right = self._window(family, hi - m + 1, counter)
-            if counter is not None:
-                counter.record_binary(left, right)
-            return left | right, False
-        if hi == cardinality:
-            # Complement of [1, lo-1]; missing records flip to 1.
-            inner, inner_missing = self._evaluate_windows(
-                family, 1, lo - 1, counter
-            )
-            if counter is not None:
-                counter.record_not(inner)
-            return ~inner, not inner_missing
-        if hi < m:
-            left = self._window(family, lo, counter)
-            right = self._window(family, hi + 1, counter)
-            if counter is not None:
-                counter.record_binary(left, right)
-            return left.andnot(right), False
-        if lo > top:
-            left = self._window(family, hi - m + 1, counter)
-            right = self._window(family, lo - m, counter)
-            if counter is not None:
-                counter.record_binary(left, right)
-            return left.andnot(right), False
-        if hi - lo + 1 <= m:
-            left = self._window(family, lo, counter)
-            right = self._window(family, hi - m + 1, counter)
-            if counter is not None:
-                counter.record_binary(left, right)
-            return left & right, False
-        left = self._window(family, lo, counter)
-        right = self._window(family, hi - m + 1, counter)
+        combine, j_left, j_right, complemented = plan
+        left = self._window(family, j_left, counter)
+        right = self._window(family, j_right, counter)
         if counter is not None:
             counter.record_binary(left, right)
-        return left | right, False
+        result = combine(left, right)
+        if complemented:
+            if counter is not None:
+                counter.record_not(result)
+            return ~result, True
+        return result, False
+
+    def slots_for_interval(
+        self,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics,
+    ) -> list[int]:
+        """Stored slots :meth:`evaluate_interval` reads: the plan's two
+        windows, plus ``B_{i,0}`` when the missing rows need adjusting."""
+        family = self._family(attribute)
+        plan = self._window_plan(family.cardinality, interval.lo, interval.hi)
+        slots = [] if plan is None else [plan[1], plan[2]]
+        includes_missing = interval.hi == family.cardinality
+        wants_missing = semantics is MissingSemantics.IS_MATCH
+        if family.has_missing and includes_missing != wants_missing:
+            slots.append(0)
+        return slots
 
     def bitmaps_for_interval(
         self,

@@ -186,28 +186,26 @@ class RangeEncodedBitmapIndex(BitmapIndex):
             return True
         return self.bitmaps_for_interval(attribute, interval, semantics) >= 2
 
-    def bitmaps_for_interval(
+    def slots_for_interval(
         self,
         attribute: str,
         interval: Interval,
         semantics: MissingSemantics,
-    ) -> int:
-        """Number of stored bitvectors :meth:`evaluate_interval` will read."""
+    ) -> list[int]:
+        """Stored slots :meth:`evaluate_interval` reads (``B_C`` is synthesized)."""
         family = self._family(attribute)
         cardinality = family.cardinality
         v1, v2 = interval.lo, interval.hi
         is_match = semantics is MissingSemantics.IS_MATCH
-        count = 0
         if v1 == 1:
-            count += 1 if v2 < cardinality else 0
-            if not is_match and family.has_missing:
-                count += 1
+            slots = [v2] if v2 < cardinality else []
+            adjusts = not is_match
         elif v2 == cardinality:
-            count += 1
-            if is_match and family.has_missing:
-                count += 1
+            slots = [v1 - 1]
+            adjusts = is_match
         else:
-            count += 2
-            if is_match and family.has_missing:
-                count += 1
-        return count
+            slots = [v1 - 1, v2]
+            adjusts = is_match
+        if adjusts and family.has_missing:
+            slots.append(0)
+        return slots
