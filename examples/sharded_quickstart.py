@@ -1,4 +1,4 @@
-"""Sharded quickstart: shard, query, inspect pruning, persist, reload.
+"""Sharded quickstart: segment, query, inspect pruning, persist, reload.
 
 Run with::
 
@@ -22,8 +22,8 @@ from repro.dataset.reorder import lexicographic_order
 
 def main() -> None:
     # A Table-7-style synthetic dataset, sorted by its leading attribute so
-    # each row-range shard covers a narrow slice of that attribute's
-    # domain — the layout that makes shard pruning effective.
+    # each row-range segment covers a narrow slice of that attribute's
+    # domain — the layout that makes segment pruning effective.
     table = generate_uniform_table(
         50_000,
         {"region": 100, "product": 50, "rating": 20},
@@ -32,20 +32,22 @@ def main() -> None:
     )
     table = table.take(lexicographic_order(table, ["region"]))
 
-    # Four shards, each a row range with its own engine, indexes, and cache.
+    # Four segments, each a row range with its own table and index files;
+    # reads run on one engine assembled from them on the first query.
     db = ShardedDatabase(table, num_shards=4)
     db.create_index("ix", "bre")
     print(db.summary())
 
-    # A narrow range on the clustered attribute: the exact per-shard
-    # histograms let the planner skip shards that cannot possibly match.
+    # A narrow range on the clustered attribute: the exact per-segment
+    # histograms let the query read only the rows of the segments that
+    # can match.
     query = {"region": (10, 12), "rating": (5, 15)}
     report = db.execute(query, MissingSemantics.NOT_MATCH)
     print(f"\n{report}")
     print(db.explain(query, MissingSemantics.NOT_MATCH))
 
-    # The scatter-gather merge is bit-identical to the unsharded engine,
-    # under both missing-data semantics.
+    # The answer is bit-identical to the unsharded engine's, under both
+    # missing-data semantics.
     unsharded = IncompleteDatabase(table)
     unsharded.create_index("ix", "bre")
     for semantics in MissingSemantics:
@@ -57,13 +59,13 @@ def main() -> None:
             f"identical to unsharded"
         )
 
-    # Whole workloads reuse each shard's own sub-result cache.
+    # A batch runs its queries in order on the same engine.
     workload = [query, {"region": (10, 12)}, query, {"product": (1, 25)}]
     reports = db.execute_batch(workload, MissingSemantics.IS_MATCH)
     print(f"\nbatch: {[r.num_matches for r in reports]} matches per query")
-    print(f"aggregated cache stats: {db.cache_stats()}")
+    print(f"segments skipped per query: {[r.num_pruned for r in reports]}")
 
-    # Persist the whole arrangement — manifest, per-shard tables, and
+    # Persist the whole arrangement — manifest, per-segment tables, and
     # serialized indexes — and reload it fully queryable.
     with tempfile.TemporaryDirectory() as directory:
         save_sharded(db, directory)

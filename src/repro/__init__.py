@@ -33,7 +33,6 @@ from repro.core import (
     IncompleteDatabase,
     QueryReport,
     Recommendation,
-    SubResultCache,
     WorkloadProfile,
     recommend,
 )
@@ -133,7 +132,6 @@ __all__ = [
     "ShardedDatabase",
     "load_sharded",
     "save_sharded",
-    "SubResultCache",
     "VAFile",
     "WahBitVector",
     "WorkloadGenerator",

@@ -92,6 +92,7 @@ class GridFileIndex:
         """Strip index for coded values: 0 for missing, 1..strips otherwise."""
         cardinality = self._cardinalities[name]
         strips = min(self._strips, cardinality)
+        values = values.astype(np.int64)  # a stored column is unsigned and narrow
         strip = (values - 1) * strips // cardinality + 1
         strip[values == 0] = 0
         return strip

@@ -37,6 +37,10 @@ class SequentialScan:
         """Number of records scanned per query dimension."""
         return self._table.num_records
 
+    def window(self, start: int, stop: int) -> tuple["SequentialScan", int]:
+        """A scan of rows ``[start, stop)`` only, and ``start``."""
+        return SequentialScan(self._table.rows(start, stop)), start
+
     def execute_ids(
         self,
         query: RangeQuery,

@@ -20,8 +20,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.bitvector.ops import OpCounter, big_and, make_bitvector
-from repro.bitvector.wah import WahBitVector
+from repro.bitvector.ops import OpCounter, big_and, make_bitvector, make_zeros
+from repro.bitvector.wah import GROUP_BITS, WahBitVector
+from repro.bitvector.wah import join as join_wah
 from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, IndexBuildError, QueryError
 from repro.observability import record as _obs_record
@@ -118,6 +119,11 @@ class _AttributeBitmaps:
         self.unread = {j: vec.words32() for j, vec in self.vectors.items()
                        if isinstance(vec, WahBitVector)}
 
+    @property
+    def slots(self):
+        """The stored slots ``j``, in storage order."""
+        return self.vectors.keys()
+
     def stored(self, j: int):
         """``B_{i,j}``; raises if the slot is not stored."""
         try:
@@ -132,10 +138,107 @@ class _AttributeBitmaps:
         return vec
 
     def has_bitmap(self, j: int) -> bool:
-        return j in self.vectors
+        return j in self.slots
+
+    def stored_vectors(self) -> Iterable:
+        """Every stored bitvector, without reading (or joining) it."""
+        return self.vectors.values()
 
     def nbytes(self) -> int:
-        return sum(vec.nbytes() for vec in self.vectors.values())
+        return sum(vec.nbytes() for vec in self.stored_vectors())
+
+
+class _JoinedBitmaps(_AttributeBitmaps):
+    """One attribute's bitmaps over consecutive row ranges, each joined
+    from its ranges' bitmaps on its first read.
+
+    A range whose rows had no missing value stores no ``B_{i,0}``; its part
+    of the joined one is zeros.  Every other slot depends on the value
+    alone, so every range stores it.  :attr:`unread` prices a slot's join
+    as the decode of its ranges' stored words.
+    """
+
+    __slots__ = ("parts", "_slots")
+
+    def __init__(self, parts: list[_AttributeBitmaps]):
+        first = parts[0]
+        self.parts = parts
+        self.cardinality = first.cardinality
+        self.has_missing = any(part.has_missing for part in parts)
+        self.nbits = sum(part.nbits for part in parts)
+        self.codec = first.codec
+        self.vectors = {}
+        self._slots = (0,) * self.has_missing + tuple(
+            j for j in first.slots if j
+        )
+        self.unread = {}
+        if self.codec == "wah":
+            for j in self._slots:
+                self.unread[j] = sum(part.unread.get(j, 0) for part in parts)
+
+    @property
+    def slots(self):
+        return self._slots
+
+    def stored(self, j: int):
+        vec = self.vectors.get(j)
+        if vec is None:
+            if j not in self._slots:
+                return super().stored(j)
+            vec = self.vectors.setdefault(j, self._join(j))
+        return vec
+
+    def _join(self, j: int):
+        pieces = [
+            part.stored(j) if part.has_bitmap(j)
+            else make_zeros(part.nbits, self.codec)
+            for part in self.parts
+        ]
+        if self.codec == "wah":
+            return join_wah(pieces)
+        return make_bitvector(
+            np.concatenate([_bools(piece) for piece in pieces]), self.codec
+        )
+
+    def stored_vectors(self) -> Iterable:
+        for part in self.parts:
+            yield from part.stored_vectors()
+
+
+class _WindowBitmaps(_AttributeBitmaps):
+    """Whole 31-bit groups ``[first, stop)`` of a WAH family, as views."""
+
+    __slots__ = ("family", "first", "stop")
+
+    def __init__(self, family: _AttributeBitmaps, first: int, stop: int):
+        self.family = family
+        self.first = first
+        self.stop = stop
+        self.cardinality = family.cardinality
+        self.has_missing = family.has_missing
+        self.nbits = min(family.nbits, stop * GROUP_BITS) - first * GROUP_BITS
+        self.codec = family.codec
+        self.vectors = {}
+        self.unread = {}
+
+    @property
+    def slots(self):
+        return self.family.slots
+
+    def stored(self, j: int):
+        vec = self.vectors.get(j)
+        if vec is None:
+            vec = self.vectors[j] = self.family.bitmap(j).window(
+                self.first, self.stop
+            )
+        return vec
+
+
+def _bools(vec) -> np.ndarray:
+    """A verbatim, WAH or BBC bitvector's bits as a boolean array."""
+    if hasattr(vec, "to_bools"):
+        return vec.to_bools()
+    return vec.decompress().to_bools()
 
 
 class BitmapIndex(abc.ABC):
@@ -202,22 +305,6 @@ class BitmapIndex(abc.ABC):
     ):
         """Evaluate ``v1 <= A_i <= v2`` under ``semantics``; returns a bitvector."""
 
-    def interval_cache_worthy(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-    ) -> bool:
-        """Whether memoizing this interval's sub-result is likely to pay.
-
-        Sub-results that are a single stored bitvector read are cheaper to
-        re-read than to hold a second copy of, so the default declines them
-        and accepts anything that combines two or more bitvectors.
-        Encodings override this where the read count misses real work (a
-        complement pass, bit-serial slice arithmetic).
-        """
-        return self.bitmaps_for_interval(attribute, interval, semantics) >= 2
-
     def evaluate_interval_both(
         self,
         attribute: str,
@@ -269,86 +356,23 @@ class BitmapIndex(abc.ABC):
             counter.record_binary(possible, missing)
         return possible.andnot(missing)
 
-    def _evaluate_uncached(
-        self, attribute, interval, semantics, counter
-    ) -> tuple:
-        """The paper's interval algorithm for the requested arity."""
-        if semantics is BOTH:
-            return self.evaluate_interval_both(attribute, interval, counter)
-        return (
-            self.evaluate_interval(attribute, interval, semantics, counter),
-        )
-
     def evaluate_bounds(
         self,
         attribute: str,
         interval: Interval,
         semantics: MissingSemantics | ThreeValued,
         counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
     ) -> tuple:
-        """Cache-aware front door to interval evaluation, at any arity.
+        """Interval evaluation at any arity: one bitvector per bound.
 
-        Returns one bitvector per bound in ``semantics.bounds``: a single
-        semantics goes through :meth:`evaluate_interval`, ``BOTH`` through
-        the one-pass :meth:`evaluate_interval_both`.  With no ``cache``
-        that is all it does.  With one, each cache-worthy bound is looked
-        up under a key extending ``cache_key`` (the engine passes the
-        attached index's name) with everything that determines the answer:
-        encoding, codec, attribute, interval, and the
-        bound's own semantics — so single-bound and both-mode queries warm
-        the cache for each other.  On a hit the stored bitvector is
-        returned as-is and no evaluation counters move — reuse is exactly
-        the work the cost model no longer pays.  When only one bound of a
-        pair is cached the other is derived from it (``possible = certain
-        OR B_0``, ``certain = possible ANDNOT B_0``) instead of
-        re-evaluated.
+        A single semantics goes through :meth:`evaluate_interval`, ``BOTH``
+        through the one-pass :meth:`evaluate_interval_both`.
         """
-        wanted = semantics.bounds
-        worthy = [] if cache is None else [
-            bound
-            for bound in wanted
-            if self.interval_cache_worthy(attribute, interval, bound)
-        ]
-        if not worthy:
-            return self._evaluate_uncached(
-                attribute, interval, semantics, counter
-            )
-        base_key = (
-            *cache_key,
-            self.encoding,
-            self._codec,
-            attribute,
-            interval.lo,
-            interval.hi,
+        if semantics is BOTH:
+            return self.evaluate_interval_both(attribute, interval, counter)
+        return (
+            self.evaluate_interval(attribute, interval, semantics, counter),
         )
-        hits = {}
-        for bound in worthy:
-            cached = cache.get((*base_key, bound.value))
-            if cached is not None:
-                hits[bound] = cached
-        if len(hits) == len(wanted):
-            return tuple(hits[bound] for bound in wanted)
-        if hits:
-            # One bound of a pair is cached: derive the other from it.
-            _obs_record("semantics.cache_derived_bounds")
-            family = self._family(attribute)
-            certain = hits.get(MissingSemantics.NOT_MATCH)
-            possible = hits.get(MissingSemantics.IS_MATCH)
-            if possible is None:
-                possible = self._widen_to_possible(family, certain, counter)
-            else:
-                certain = self._narrow_to_certain(family, possible, counter)
-            results = (certain, possible)
-        else:
-            results = self._evaluate_uncached(
-                attribute, interval, semantics, counter
-            )
-        for bound, result in zip(wanted, results):
-            if bound in worthy and bound not in hits:
-                cache.put((*base_key, bound.value), result)
-        return results
 
     # -- accessors ---------------------------------------------------------
 
@@ -381,12 +405,12 @@ class BitmapIndex(abc.ABC):
 
     def num_bitmaps(self, attribute: str) -> int:
         """Number of stored bitvectors for an attribute."""
-        return len(self._family(attribute).vectors)
+        return len(self._family(attribute).slots)
 
     def stored_bitmaps(self) -> Iterable:
         """Every stored bitvector, attribute by attribute, without reading it."""
         for family in self._attrs.values():
-            yield from family.vectors.values()
+            yield from family.stored_vectors()
 
     def slots_for_interval(
         self,
@@ -396,7 +420,7 @@ class BitmapIndex(abc.ABC):
     ) -> Iterable[int]:
         """The stored slots :meth:`evaluate_interval` reads: every one
         unless the encoding lists its own (it prices, never evaluates)."""
-        return self._family(attribute).vectors.keys()
+        return self._family(attribute).slots
 
     def bitmaps_for_interval(
         self,
@@ -442,8 +466,6 @@ class BitmapIndex(abc.ABC):
         query: RangeQuery,
         semantics: MissingSemantics | ThreeValued,
         counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
     ) -> tuple:
         """Answer a conjunctive range query; one result bitvector per bound.
 
@@ -452,20 +474,15 @@ class BitmapIndex(abc.ABC):
         specified by each range in the search key and then ANDing the answers
         together".  Under
         ``BOTH`` each attribute's ``(certain, possible)`` pair is evaluated
-        together (shared stored-bitmap work, shared sub-result cache) and
-        the pairs are ANDed bound-by-bound; for a conjunctive query
-        ``certain`` is always a subset of ``possible``.
+        together (shared stored-bitmap work) and the pairs are ANDed
+        bound-by-bound; for a conjunctive query ``certain`` is always a
+        subset of ``possible``.
 
         When observability is on (a real metrics registry or an active
         trace), the query runs under one tally and each interval
         evaluation inside its own span, which carries that dimension's
         bitvector/word tallies; otherwise no tally, span or
         :class:`OpCounter` is built.
-
-        With a :class:`~repro.core.cache.SubResultCache` in ``cache``,
-        per-interval sub-results are memoized and reused across the queries
-        of a batch (see :meth:`evaluate_bounds`); results are identical
-        either way.
         """
         with _QueryTally() as observing:
             if observing and counter is None:
@@ -477,7 +494,7 @@ class BitmapIndex(abc.ABC):
                     attribute=name, interval=str(interval),
                 ):
                     columns.append(self.evaluate_bounds(
-                        name, interval, semantics, counter, cache, cache_key
+                        name, interval, semantics, counter
                     ))
             with _trace_span("bitmap.and", operands=sum(map(len, columns))):
                 return tuple(
@@ -489,39 +506,29 @@ class BitmapIndex(abc.ABC):
         query: RangeQuery,
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
     ):
         """Answer a query under one semantics; returns the result bitvector."""
-        (result,) = self.execute_bounds(
-            query, semantics, counter, cache, cache_key
-        )
+        (result,) = self.execute_bounds(query, semantics, counter)
         return result
 
     def execute_both(
         self,
         query: RangeQuery,
         counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
     ):
         """Answer a query under both bounds; returns ``(certain, possible)``."""
-        return self.execute_bounds(query, BOTH, counter, cache, cache_key)
+        return self.execute_bounds(query, BOTH, counter)
 
     def execute_bound_ids(
         self,
         query: RangeQuery,
         semantics: MissingSemantics | ThreeValued,
         counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
     ) -> tuple[np.ndarray, ...]:
         """Answer a query as sorted record-id arrays, one per bound."""
         return tuple(
             result.to_indices()
-            for result in self.execute_bounds(
-                query, semantics, counter, cache, cache_key
-            )
+            for result in self.execute_bounds(query, semantics, counter)
         )
 
     def execute_ids(
@@ -529,13 +536,9 @@ class BitmapIndex(abc.ABC):
         query: RangeQuery,
         semantics: MissingSemantics = MissingSemantics.IS_MATCH,
         counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
     ) -> np.ndarray:
         """Answer a query as a sorted array of record ids."""
-        return self.execute(
-            query, semantics, counter, cache, cache_key
-        ).to_indices()
+        return self.execute(query, semantics, counter).to_indices()
 
     def execute_count(
         self,
@@ -554,11 +557,9 @@ class BitmapIndex(abc.ABC):
         self,
         query: RangeQuery,
         counter: OpCounter | None = None,
-        cache=None,
-        cache_key: tuple = (),
     ) -> tuple[np.ndarray, np.ndarray]:
         """Both bounds as sorted id arrays: ``(certain_ids, possible_ids)``."""
-        return self.execute_bound_ids(query, BOTH, counter, cache, cache_key)
+        return self.execute_bound_ids(query, BOTH, counter)
 
     def execute_count_both(
         self,
@@ -577,7 +578,7 @@ class BitmapIndex(abc.ABC):
         """Answer a boolean predicate tree (AND/OR/NOT of atoms) per bound.
 
         Atoms go through the encoding's paper-faithful interval evaluation
-        (:meth:`evaluate_bounds`, uncached); the combinators become the
+        (:meth:`evaluate_bounds`); the combinators become the
         corresponding bitvector operations in
         :func:`repro.query.boolean.evaluate_tree`.
         """
@@ -611,6 +612,46 @@ class BitmapIndex(abc.ABC):
         """Both bounds of a boolean predicate tree as sorted id arrays."""
         return self.execute_predicate_bound_ids(predicate, BOTH, counter)
 
+    # -- row ranges ------------------------------------------------------------
+
+    @classmethod
+    def join(cls, parts: "list[BitmapIndex]") -> "BitmapIndex":
+        """The index over ``parts``' rows laid end to end.
+
+        ``parts`` are one encoding and codec over consecutive row ranges of
+        one table.  Nothing is joined here: each slot joins its parts'
+        bitmaps on its first read (the planner prices that as a decode).
+        """
+        first = parts[0]
+        index = cls.__new__(cls)
+        index._codec = first._codec
+        index._nbits = sum(part._nbits for part in parts)
+        index._attrs = {
+            name: _JoinedBitmaps([part._attrs[name] for part in parts])
+            for name in first._attrs
+        }
+        return index
+
+    def window(self, start: int, stop: int) -> tuple["BitmapIndex", int]:
+        """This index over rows ``[start, stop)`` widened to whole 31-bit
+        groups, and the first row it covers.
+
+        A WAH window is views of the stored group arrays; another codec has
+        no cheap window and answers ``(self, 0)``.
+        """
+        first = start // GROUP_BITS
+        stop = -(-stop // GROUP_BITS)
+        if self._codec != "wah" or (first == 0 and stop * GROUP_BITS >= self._nbits):
+            return self, 0
+        view = type(self).__new__(type(self))
+        view._codec = self._codec
+        view._attrs = {
+            name: _WindowBitmaps(family, first, stop)
+            for name, family in self._attrs.items()
+        }
+        view._nbits = next(iter(view._attrs.values())).nbits
+        return view, first * GROUP_BITS
+
     # -- size accounting -------------------------------------------------------
 
     def size_report(self) -> IndexSizeReport:
@@ -620,7 +661,7 @@ class BitmapIndex(abc.ABC):
         every query it ranks, so recomputing per-bitmap byte counts each
         time would make planning scale with index width rather than
         O(attributes).  An index never changes once built, so the memo
-        never goes stale.
+        never goes stale.  A joined index reports its parts' stored bytes.
         """
         cached = getattr(self, "_size_report_cache", None)
         if cached is not None:
@@ -629,7 +670,7 @@ class BitmapIndex(abc.ABC):
         reports = tuple(
             AttributeSizeReport(
                 attribute=name,
-                num_bitmaps=len(family.vectors),
+                num_bitmaps=len(family.slots),
                 compressed_bytes=family.nbytes(),
                 verbatim_bytes=len(family.vectors) * verbatim_per_bitmap,
             )

@@ -196,15 +196,6 @@ class BitSlicedIndex(BitmapIndex):
             certain = high ^ low
         return certain, self._widen_to_possible(family, certain, counter)
 
-    def interval_cache_worthy(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-    ) -> bool:
-        """Always cache: every bound runs O(lg C) bit-serial slice ops."""
-        return True
-
     def bitmaps_for_interval(
         self,
         attribute: str,

@@ -121,23 +121,6 @@ class EqualityEncodedBitmapIndex(BitmapIndex):
             possible = constant_vector(family, True)
         return self._narrow_to_certain(family, possible, counter), possible
 
-    def interval_cache_worthy(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-    ) -> bool:
-        """Cache everything except single-bitmap direct reads.
-
-        The complement branch always pays a union plus a NOT, so it is
-        worth memoizing even when only one stored bitvector is outside the
-        interval; direct evaluations fall back to the read-count rule.
-        """
-        family = self._family(attribute)
-        if (interval.hi - interval.lo) > family.cardinality // 2:
-            return True
-        return self.bitmaps_for_interval(attribute, interval, semantics) >= 2
-
     @staticmethod
     def _outside_bitmaps(family, v1: int, v2: int) -> list:
         below = [family.bitmap(j) for j in range(1, v1)]

@@ -135,26 +135,6 @@ class IntervalEncodedBitmapIndex(BitmapIndex):
             return self._narrow_to_certain(family, result, counter), result
         return result, self._widen_to_possible(family, result, counter)
 
-    def interval_cache_worthy(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-    ) -> bool:
-        """Cache every non-trivial interval.
-
-        All window combinations perform at least one logical operation, so
-        the only evaluation not worth memoizing is the full-domain interval
-        that synthesizes a constant (unless it still pays a missing-bitmap
-        adjustment under NOT_MATCH).
-        """
-        family = self._family(attribute)
-        if interval.lo == 1 and interval.hi == family.cardinality:
-            return (
-                semantics is MissingSemantics.NOT_MATCH and family.has_missing
-            )
-        return True
-
     def _window_plan(self, cardinality: int, lo: int, hi: int):
         """How ``[lo, hi]`` combines two stored windows.
 

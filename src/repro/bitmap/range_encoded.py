@@ -168,24 +168,6 @@ class RangeEncodedBitmapIndex(BitmapIndex):
             certain = high ^ low
         return certain, self._widen_to_possible(family, certain, counter)
 
-    def interval_cache_worthy(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-    ) -> bool:
-        """Cache any evaluation that performs logical work.
-
-        ``v2 == C`` complements its single cumulative read, so it is worth
-        memoizing even at one bitvector; the ``v1 == 1`` single-read case
-        (a stored bitmap returned as-is) is not, and everything else falls
-        back to the read-count rule.
-        """
-        family = self._family(attribute)
-        if interval.lo > 1 and interval.hi == family.cardinality:
-            return True
-        return self.bitmaps_for_interval(attribute, interval, semantics) >= 2
-
     def slots_for_interval(
         self,
         attribute: str,

@@ -21,10 +21,13 @@ built from data, loaded from a file or unpickled holds its word stream and
 keeps its group array after the first decode, so a stored bitmap is decoded
 once per process, not once per query.  The result of a logical operation
 holds only its group array and builds the canonical stream when something
-asks for :attr:`WahBitVector.words` (storage, the sub-result cache's
-``nbytes()``, ``==``, ``hash``, pickling); then it drops the groups and
-never keeps them again, so a cached result costs its compressed bytes.
-Everything that reports a size or an identity reads the stream.
+asks for :attr:`WahBitVector.words` (storage, ``nbytes()``, ``==``,
+``hash``, pickling); then it drops the groups and never keeps them again.
+A bitmap joined from consecutive row ranges (:func:`join`) is stored but
+starts as a group array; it keeps its groups, builds the stream only when
+asked, and sizes itself once.  Everything that reports a size or an
+identity reads the stream (or, for a joined bitmap, the length that stream
+has).
 """
 
 from __future__ import annotations
@@ -87,14 +90,17 @@ class WahBitVector:
     :meth:`from_bools`, :meth:`zeros`, or :meth:`ones`.
 
     ``_words`` is the canonical stream and ``_groups`` the decoded group
-    array.  A stored vector (``_stored``) always holds its stream and gains
-    its groups on the first decode; a logical-op result holds its groups
-    until :attr:`words` publishes the stream, then drops them.  Each is
-    published by one attribute store, and readers take a local copy before
-    testing it, so another thread finds one form or both, never neither.
+    array.  A stored vector (``_stored``) keeps whichever form it has and
+    gains the other on demand: a built or loaded one holds its stream and
+    gains its groups on the first decode, a joined one the reverse.  A
+    logical-op result holds its groups until :attr:`words` publishes the
+    stream, then drops them.  Each is published by one attribute store, and
+    readers take a local copy before testing it, so another thread finds
+    one form or both, never neither.  ``_length`` memoizes a joined
+    vector's stream length.
     """
 
-    __slots__ = ("_words", "_groups", "_nbits", "_hash", "_stored")
+    __slots__ = ("_words", "_groups", "_nbits", "_hash", "_stored", "_length")
 
     def __init__(self, nbits: int, words: "np.ndarray | list[int]"):
         if nbits < 0:
@@ -104,6 +110,7 @@ class WahBitVector:
         self._groups = None
         self._hash: int | None = None
         self._stored = True
+        self._length = None
         covered = int(_kernels.wah_stream_lengths(words).sum())
         if covered != self.ngroups:
             raise CorruptIndexError(
@@ -133,17 +140,25 @@ class WahBitVector:
         vec._groups = None
         vec._hash = None
         vec._stored = True
+        vec._length = None
         return vec
 
     @classmethod
-    def _from_groups(cls, nbits: int, groups: np.ndarray) -> "WahBitVector":
-        """Wrap a logical op's group array; the stream is built on demand."""
+    def _from_groups(
+        cls, nbits: int, groups: np.ndarray, stored: bool = False
+    ) -> "WahBitVector":
+        """Wrap a group array; the stream is built on demand.
+
+        A logical op's result is not ``stored``: publishing its stream
+        drops the groups.  A joined bitmap is: it keeps them.
+        """
         vec = object.__new__(cls)
         vec._nbits = nbits
         vec._words = None
         vec._groups = groups
         vec._hash = None
-        vec._stored = False
+        vec._stored = stored
+        vec._length = None
         return vec
 
     @classmethod
@@ -226,7 +241,8 @@ class WahBitVector:
             words.setflags(write=False)
             _obs_record("wah.words_emitted", len(words))
             self._words = words
-            self._groups = None
+            if not self._stored:
+                self._groups = None
         return words
 
     def words32(self) -> int:
@@ -241,6 +257,10 @@ class WahBitVector:
         groups = self._groups
         if groups is None:  # another thread published the stream meanwhile
             return len(self._words)
+        if self._stored:
+            if self._length is None:
+                self._length = _kernels.wah_encoded_length(groups)
+            return self._length
         return _kernels.wah_encoded_length(groups)
 
     def nbytes(self) -> int:
@@ -291,6 +311,12 @@ class WahBitVector:
                 yield True, bit, word & MAX_FILL_GROUPS
             else:
                 yield False, word, 1
+
+    def window(self, first: int, stop: int) -> "WahBitVector":
+        """Groups ``[first, stop)`` — bits ``31 * first`` onwards — as a
+        vector over a view of this one's group array."""
+        nbits = min(self._nbits, stop * GROUP_BITS) - first * GROUP_BITS
+        return WahBitVector._from_groups(nbits, self._group_array()[first:stop])
 
     # -- logical operations -------------------------------------------------
 
@@ -375,8 +401,7 @@ class WahBitVector:
         )
 
     def __hash__(self) -> int:
-        # Cached: SubResultCache hashes the same vector once per probe, and
-        # instances are immutable so the digest never changes.
+        # Cached: instances are immutable, so the digest never changes.
         if self._hash is None:
             self._hash = hash((self._nbits, self.words.tobytes()))
         return self._hash
@@ -390,6 +415,43 @@ class WahBitVector:
             f"WahBitVector(nbits={self._nbits}, words={self.words32()}, "
             f"ratio={self.compression_ratio():.3f})"
         )
+
+
+def join(pieces: "list[WahBitVector]") -> WahBitVector:
+    """The bitmap over the pieces' rows laid end to end, as one stored vector.
+
+    Each piece's group array is used once and not kept: a stored piece
+    that held its groups drops them.  Where the rows before a piece fill
+    whole 31-bit groups, its groups are copied as they are; elsewhere (the
+    seams a delete leaves) they are shifted into place.  The result is the
+    canonical bitmap of the joined rows.
+    """
+    nbits = sum(piece._nbits for piece in pieces)
+    groups = np.zeros((nbits + GROUP_BITS - 1) // GROUP_BITS, dtype=np.uint32)
+    decoded: list[np.ndarray] = []
+    start = 0
+    for piece in pieces:
+        part = piece._groups
+        if part is None:
+            part = _kernels.get_backend().wah_decode(piece._words, piece.ngroups)
+            decoded.append(piece._words)
+        elif piece._stored and piece._words is not None:
+            piece._groups = None
+        first, offset = divmod(start, GROUP_BITS)
+        if offset == 0:
+            groups[first:first + len(part)] = part
+        else:
+            # Bit t of a piece group lands at bit offset + t: its low bits
+            # fill the rest of one group, its high bits start the next.
+            low = (part << np.uint32(offset)) & np.uint32(_ALL_ONES_GROUP)
+            high = part >> np.uint32(GROUP_BITS - offset)
+            stop = min(len(groups), first + len(part) + 1)
+            groups[first:first + len(part)] |= low
+            groups[first + 1:stop] |= high[:stop - first - 1]
+        start += piece._nbits
+    _obs_record("wah.words_decoded", sum(map(len, decoded)))
+    groups.setflags(write=False)
+    return WahBitVector._from_groups(nbits, groups, stored=True)
 
 
 def _record_ops(ops: int, decoded: list[np.ndarray]) -> None:

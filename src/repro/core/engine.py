@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -35,7 +34,6 @@ from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.bitvector.ops import OpCounter
-from repro.core.cache import CacheStats, SubResultCache
 from repro.core.planner import (
     choose_plan,
     rank_plans,
@@ -52,7 +50,6 @@ from repro.query.model import (
     BOTH,
     MissingSemantics,
     RangeQuery,
-    ThreeValued,
     resolve_semantics,
 )
 from repro.vafile.vafile import VAFile
@@ -106,36 +103,15 @@ class AttachedIndex:
 
 
 class ShardReportSlice(NamedTuple):
-    """One partition's contribution to an answer."""
+    """One segment's share of an answer (an engine's report has one)."""
 
     shard_id: int
-    #: True when the shard was skipped by statistics-based pruning.
+    #: True when the segment's rows were skipped: its exact histograms
+    #: rule out a match.
     pruned: bool
-    #: Match count of the widest bound (every other bound is a subset).
+    #: Match count of the widest bound (every other bound is a subset)
+    #: within the segment's rows.
     num_matches: int
-    elapsed_ns: int
-
-
-class ShardTask(NamedTuple):
-    """One partition's share of a query call.
-
-    Built by :meth:`_QuerySurface._run`, evaluated by the partition's
-    :meth:`IncompleteDatabase._run_task`.  ``positions`` are the call's
-    items this partition evaluates, in submission order; ``items``,
-    ``plans`` and ``traces`` are the whole call's, by position:
-    ``plans[i]`` is ``(index_name, per-partition estimates)`` (a None name
-    is the scan), ``traces[i]`` the item's
-    :class:`~repro.observability.QueryTrace` or None.  ``batch`` shares
-    the partition's sub-result cache and VA-file masks across items.
-    """
-
-    shard_id: int  # the partition's position in ``_partitions``
-    positions: list[int]
-    items: Sequence
-    plans: Sequence[tuple]
-    traces: Sequence
-    semantics: MissingSemantics | ThreeValued
-    batch: bool
 
 
 @dataclass
@@ -155,11 +131,11 @@ class QueryReport:
     index_name: str
     kind: str
     bound_ids: tuple[np.ndarray, ...] = field(repr=False)
-    #: One slice per partition (an engine's report has one).
+    #: One slice per segment (an engine's report has one).
     per_shard: tuple[ShardReportSlice, ...] = field(default=(), repr=False)
     #: Span tree populated when the query ran with ``trace=True``.
     trace: obs.QueryTrace | None = field(default=None, repr=False)
-    #: Wall-clock time of the item's plan, partition work and merge.
+    #: Wall-clock time of the item's plan, evaluation and id shift.
     elapsed_ns: int | None = None
 
     def _single(self, name: str) -> np.ndarray:
@@ -217,19 +193,8 @@ class QueryReport:
 
     @property
     def num_pruned(self) -> int:
-        """How many shards the planner skipped outright."""
+        """How many segments the query skipped outright."""
         return sum(1 for s in self.per_shard if s.pruned)
-
-    @property
-    def skew(self) -> float:
-        """Max over mean executed-shard latency (1.0 = perfectly even)."""
-        executed = [s.elapsed_ns for s in self.per_shard if not s.pruned]
-        if not executed:
-            return 0.0
-        mean = sum(executed) / len(executed)
-        if mean == 0:
-            return 0.0
-        return max(executed) / mean
 
 
 #: What a trace root calls each bound's match count, by answer arity.
@@ -323,31 +288,6 @@ def _as_query(query) -> RangeQuery:
     )
 
 
-def _can_match(statistics, query: RangeQuery, semantics) -> bool:
-    """Exact zone-map check: can a partition contain any match?
-
-    A partition is prunable when, for some query attribute, its exact
-    value histogram shows zero records inside the interval (plus zero
-    missing records under ``missing-is-a-match``).  Out-of-domain or
-    unknown attributes are never pruned, so invalid queries surface the
-    same :class:`~repro.errors.DomainError` /
-    :class:`~repro.errors.QueryError` an unpruned evaluation raises.
-    """
-    for name, interval in query.items():
-        try:
-            attr = statistics.attribute(name)
-        except Exception:
-            return True
-        if interval.lo < 1 or interval.hi > attr.cardinality:
-            return True
-        possible = int(attr.counts[interval.lo : interval.hi + 1].sum())
-        if semantics is MissingSemantics.IS_MATCH:
-            possible += int(attr.counts[0])
-        if possible == 0:
-            return False
-    return True
-
-
 #: What an untraced item's execution runs under instead of its trace.
 _UNTRACED = nullcontext()
 
@@ -358,20 +298,22 @@ _PLAN_MEMO_LIMIT = 4096
 class _QuerySurface:
     """What an engine and a sharded database say once.
 
-    A database is N >= 1 *partitions*, each an :class:`IncompleteDatabase`
-    holding the same index set over its own rows; an engine is its own
-    single partition, starting at row 0.  A subclass provides
-    ``num_records``, ``table``, ``statistics``, ``_rows`` (rows by
-    ascending id), ``_partitions``, ``_starts`` (each partition's first
-    row id) and ``_plan_memo`` (a dict it clears whenever its index set
-    changes); the registry view, planning, the one query body
-    (:meth:`_run`) and every entry point over it, the estimates,
-    ``explain`` and ``summary`` are defined here over those, so a sharded
-    database adds its row ranges and fan-out seam and nothing else.
+    A subclass provides ``num_records``, ``table``, ``statistics``, ``_rows``
+    (rows by ascending id), ``_catalog`` (the attached indexes by name, in
+    attachment order: what ``index_names``, coverage and ``using=`` read),
+    ``_attached(name)`` (the entry whose index answers over every row),
+    ``_reader()`` (the engine whose table, scan and tallies a read uses)
+    and ``_plan_memo`` (a dict it clears whenever its index set changes).
+    Planning, the one query body (:meth:`_run`) and every entry point over
+    it, the estimates, ``explain`` and ``summary`` are defined here over
+    those.  An engine is one segment starting at row 0; a sharded database
+    adds its segments' zone maps (:meth:`_zone`) and row starts, and
+    nothing else.
     """
 
     _statistics = None
     _plan_memo: dict
+    #: Each segment's first row id.
     _starts: tuple[int, ...] = (0,)
     #: The workload records' ``source`` and the batch counters' prefix.
     _source = "engine"
@@ -385,10 +327,15 @@ class _QuerySurface:
         """
         return nullcontext()
 
+    def _zone(self, item, semantics):
+        """The rows a zone map leaves ``item``: ``(start, stop, skipped
+        segments)``, or None to read every row.  One segment has none."""
+        return None
+
     @property
     def schema(self):
-        """The table schema (every partition shares it)."""
-        return self._partitions[0].table.schema
+        """The table schema."""
+        return self.table.schema
 
     def estimate_count(
         self,
@@ -401,35 +348,13 @@ class _QuerySurface:
     @property
     def index_names(self) -> tuple[str, ...]:
         """Names of attached indexes, in attachment order."""
-        return tuple(self._partitions[0]._indexes)
-
-    def cache_stats(self) -> CacheStats:
-        """Sub-result cache tallies, summed over partitions."""
-        totals = [part._cache.stats() for part in self._partitions]
-        return CacheStats(
-            hits=sum(s.hits for s in totals),
-            misses=sum(s.misses for s in totals),
-            stores=sum(s.stores for s in totals),
-            evictions=sum(s.evictions for s in totals),
-            invalidations=sum(s.invalidations for s in totals),
-            entries=sum(s.entries for s in totals),
-            bytes=sum(s.bytes for s in totals),
-        )
-
-    def invalidate_cache(self, index_name: str | None = None) -> int:
-        """Drop cached sub-results (all, or one index's); returns the count.
-
-        DDL already drops the entries of the index it replaces or detaches,
-        under the lock every query holds; this is the explicit hatch for
-        anything the engine cannot see.
-        """
-        return sum(
-            part._cache.invalidate(index_name) for part in self._partitions
-        )
+        return tuple(self._catalog)
 
     def _forced_index(self, using: str, attributes) -> AttachedIndex:
         """The index ``using=`` names, checked to cover ``attributes``."""
-        chosen = self._partitions[0].get_index(using)
+        chosen = self._catalog.get(using)
+        if chosen is None:
+            raise ReproError(f"no index named {using!r}")
         uncovered = set(attributes) - set(chosen.attributes)
         if uncovered:
             raise QueryError(
@@ -446,11 +371,10 @@ class _QuerySurface:
         """The index that will serve ``query``; None means sequential scan.
 
         Covering indexes with a cost model (bitmaps, VA-files) compete on
-        predicted time, summed over partitions (see
-        :func:`repro.core.planner.choose_plan`); if none is costable, the
-        fixed order MOSAIC > R-tree > grid file > bitstring decides.
-        On a sharded database the entry returned is the first shard's:
-        name, kind, attributes and options are the same on every shard.
+        predicted time (see :func:`repro.core.planner.choose_plan`); if
+        none is costable, the fixed order MOSAIC > R-tree > grid file >
+        bitstring decides.  The entry returned is the registry's: name,
+        kind, attributes and options.
         """
         return self._plan(_as_query(query), resolve_semantics(semantics))[0]
 
@@ -459,7 +383,7 @@ class _QuerySurface:
 
         Only bitmap indexes and VA-files evaluate predicate trees.
         """
-        indexes = self._partitions[0]._indexes.values()
+        indexes = self._catalog.values()
         if isinstance(item, RangeQuery):
             return [ix for ix in indexes if ix.covers(item)]
         attributes = item.attributes()
@@ -470,14 +394,14 @@ class _QuerySurface:
         ]
 
     def _plan(self, item, semantics) -> tuple:
-        """``(chosen, ranking, per-partition estimates of chosen)``.
+        """``(chosen, ranking, estimate of chosen)``.
 
         ``item`` is a :class:`RangeQuery` or a predicate; ``chosen`` None
-        is the scan fallback.  Every partition ranks its own covering
-        indexes at its own size, and the one chooser
-        (:func:`~repro.core.planner.choose_plan`) sums them.  Memoized per
-        ``(item, semantics)`` in ``_plan_memo`` until the index set or the
-        rows change.
+        is the scan fallback.  The costable covering indexes are ranked
+        over every row and the one chooser
+        (:func:`~repro.core.planner.choose_plan`) picks.  Memoized per
+        ``(item, semantics)`` in ``_plan_memo`` until the index set
+        changes.
         """
         key = (item, semantics)
         with self._read_fence():
@@ -485,34 +409,31 @@ class _QuerySurface:
             if plan is not None:
                 return plan
             covering = self._covering(item)
-            costing = semantics_for_costing(semantics)
-            rankings = [
-                rank_plans(
-                    [part.get_index(ix.name) for ix in covering], item, costing
-                )
-                for part in self._partitions
-            ] if covering else []
-            chosen, ranking = choose_plan(covering, rankings)
-            if chosen is None:
-                estimates = [None] * len(self._partitions)
-            else:
-                estimates = [
-                    next((p for p in plans if p.index_name == chosen.name),
-                         None)
-                    for plans in rankings
-                ]
-            plan = (chosen, ranking, estimates)
+            ranking = rank_plans(
+                [
+                    self._attached(ix.name) for ix in covering
+                    if isinstance(ix.index, (BitmapIndex, VAFile))
+                ],
+                item,
+                semantics_for_costing(semantics),
+            ) if covering else []
+            chosen, ranking = choose_plan(covering, ranking)
+            estimate = None if chosen is None else next(
+                (p for p in ranking if p.index_name == chosen.name), None
+            )
+            plan = (chosen, ranking, estimate)
             self._memoize(key, plan)
         return plan
 
     def _resolve_plan(self, item, semantics, using: str | None) -> tuple:
-        """The ``(chosen, forced, per-partition estimates)`` an item runs on.
+        """The ``(chosen, forced, estimate, zone)`` an item runs on.
 
-        ``using`` forces a covering index (no estimates); a predicate
-        forced onto an index with no tree evaluator runs as a ground-truth
-        scan (``chosen`` None).  Anything but a :class:`RangeQuery` must be
-        a :class:`~repro.query.boolean.Predicate`.  Memoized beside
-        :meth:`_plan`'s entries, per ``(item, semantics, using)``.
+        ``using`` forces a covering index (no estimate); a predicate forced
+        onto an index with no tree evaluator runs as a ground-truth scan
+        (``chosen`` None).  Anything but a :class:`RangeQuery` must be a
+        :class:`~repro.query.boolean.Predicate`.  ``zone`` is
+        :meth:`_zone`'s.  Memoized beside :meth:`_plan`'s entries, per
+        ``(item, semantics, using)``.
         """
         if not isinstance(item, (RangeQuery, Predicate)):
             raise QueryError(
@@ -523,16 +444,16 @@ class _QuerySurface:
         if plan is not None:
             return plan
         if using is None:
-            chosen, _, estimates = self._plan(item, semantics)
-            plan = (chosen, False, estimates)
+            chosen, _, estimate = self._plan(item, semantics)
         else:
+            estimate = None
             if isinstance(item, RangeQuery):
                 chosen = self._forced_index(using, item.attributes)
             else:
                 chosen = self._forced_index(using, item.attributes())
                 if not isinstance(chosen.index, (BitmapIndex, VAFile)):
                     chosen = None
-            plan = (chosen, True, [None] * len(self._partitions))
+        plan = (chosen, using is not None, estimate, self._zone(item, semantics))
         self._memoize(key, plan)
         return plan
 
@@ -586,16 +507,13 @@ class _QuerySurface:
         using: str | None = None,
         trace: bool = False,
     ) -> list[QueryReport]:
-        """Execute a workload of queries, reusing sub-results across them.
+        """Execute a workload of queries, sharing scans across them.
 
-        Queries run in submission order.  Bitmap indexes memoize
-        per-interval bitvectors in each partition's
-        :class:`~repro.core.cache.SubResultCache`, and each VA-file shares
-        every distinct interval's approximation scan across the batch.
-        Batching never changes results: each report carries exactly the
-        record-id set :meth:`execute` gives the query (the property-test
-        suite holds us to that), and a trace holds only its own query's
-        spans.
+        Queries run in submission order; each VA-file scans every distinct
+        interval's approximations once per batch.  Batching never changes
+        results: each report carries exactly the record-id set
+        :meth:`execute` gives the query (the property-test suite holds us
+        to that), and a trace holds only its own query's spans.
         """
         return self._run(
             [_as_query(q) for q in queries], resolve_semantics(semantics),
@@ -613,7 +531,7 @@ class _QuerySurface:
         Bitmap indexes and VA-files evaluate predicate trees natively; the
         other access methods fall back to a ground-truth scan.  The pick is
         costed like a query's; a predicate is never pruned (a NOT over a
-        pruned-out partition could still match).  With
+        pruned-out segment could still match).  With
         ``semantics="both"`` the tree is evaluated three-valued in one
         pass (NOT swaps the bounds) and the report carries both bounds.
         """
@@ -622,36 +540,30 @@ class _QuerySurface:
             batch=False,
         )[0]
 
-    def _pruned(self, item, semantics) -> list[int]:
-        """Partitions that cannot hold a match of ``item``, by zone map.
-
-        Checked under the widest bound (no possible match rules out a
-        certain one), and only for a range query over two or more
-        partitions: one partition holds every row.
-        """
-        if len(self._partitions) < 2 or not isinstance(item, RangeQuery):
-            return []
-        costing = semantics_for_costing(semantics)
-        return [
-            k for k, part in enumerate(self._partitions)
-            if not _can_match(part.statistics, item, costing)
-        ]
-
-    def _fan_out(self, tasks: list[ShardTask]) -> list[list[tuple]]:
-        """Evaluate each task on its partition, inline; results in order."""
-        return [self._partitions[t.shard_id]._run_task(t) for t in tasks]
+    def _slices(self, widest: np.ndarray, skipped) -> tuple:
+        """One :class:`ShardReportSlice` per segment of an answer."""
+        starts = self._starts
+        if len(starts) == 1:
+            return (ShardReportSlice(0, False, len(widest)),)
+        cuts = [0, *np.searchsorted(widest, starts[1:]).tolist(), len(widest)]
+        return tuple(
+            ShardReportSlice(k, k in skipped, cuts[k + 1] - cuts[k])
+            for k in range(len(starts))
+        )
 
     def _run(
         self, items, semantics, using: str | None, trace: bool, batch: bool
     ) -> list[QueryReport]:
-        """Plan, prune, evaluate and merge ``items``; one report per item.
+        """Plan and evaluate ``items`` on one engine; one report per item.
 
-        The one query body.  Each partition with surviving items gets one
-        :class:`ShardTask`; its ids shift by the partition's start and
-        concatenate per bound.  ``elapsed_ns`` is an item's plan and merge
-        plus the fan-out apportioned by task time.  A traced item's tree
-        is ``query`` → ``plan`` and one ``execute.<kind>`` per executed
-        partition.  All of it runs under the read fence and one tally.
+        The one query body.  Each item is planned once (memoized) and
+        evaluated once by :meth:`IncompleteDatabase._evaluate` on the
+        reader; when a zone map skips segments at either end the chosen
+        index evaluates only the rows between (a *window*) and the ids
+        shift by the window's first row.  ``elapsed_ns`` is an item's
+        plan, evaluation and shift.  A traced item's tree is ``query`` →
+        ``plan`` and one ``execute.<kind>``.  All of it runs under the read
+        fence and one tally.
         """
         recorder = obs.get_recorder()
         # A predicate has no interval list for a workload record to hold.
@@ -660,121 +572,81 @@ class _QuerySurface:
             and isinstance(items[0], RangeQuery)
         )
         tracing = trace or (recording and recorder.wants_trace)
+        sharded = self._source == "shard"
+        segments = len(self._starts)
         with self._read_fence(), _QueryTally() as observing:
-            # Per partition, the positions of its task; per item, its plan.
-            work = [[] for _ in self._partitions]
-            plans, traces, planned = [], [], []
-            for pos, item in enumerate(items):
+            reader = self._reader()
+            masks: dict | None = {} if batch else None
+            reports = []
+            for item in items:
                 qtrace = (
                     obs.QueryTrace(
                         "query", query=repr(item), semantics=semantics.value
                     )
                     if tracing else None
                 )
-                plan_start = time.perf_counter_ns()
-                with (
-                    obs.activate(qtrace) if qtrace is not None else _UNTRACED
-                ), obs.trace_span("plan") as plan_span:
-                    chosen, forced, estimates = self._resolve_plan(
-                        item, semantics, using
-                    )
-                    pruned = self._pruned(item, semantics)
-                    name = chosen.name if chosen is not None else None
-                    if plan_span is not None:
-                        plan_span.set("chosen", name or "<scan>")
-                        plan_span.set("forced", forced)
-                        if pruned:
-                            plan_span.set("pruned_shards", pruned)
-                        known = [e for e in estimates if e is not None]
-                        if known:
-                            plan_span.set("estimated_items", round(
-                                sum(e.items for e in known)
-                            ))
-                            plan_span.set("predicted_ns", round(
-                                sum(e.predicted_ns for e in known)
-                            ))
-                for k, positions in enumerate(work):
-                    if k not in pruned:
-                        positions.append(pos)
-                plans.append((name, estimates))
-                traces.append(qtrace)
-                planned.append((
-                    chosen, pruned, time.perf_counter_ns() - plan_start,
-                    qtrace,
-                ))
-
-            tasks = [
-                ShardTask(k, positions, items, plans, traces, semantics, batch)
-                for k, positions in enumerate(work)
-                if positions
-            ]
-            fan_start = time.perf_counter_ns()
-            outcomes = self._fan_out(tasks)
-            fan_ns = time.perf_counter_ns() - fan_start
-            gathered: list[list[tuple]] = [[] for _ in items]
-            total_task_ns = 0
-            for task, results in zip(tasks, outcomes):
-                for pos, (ids, task_ns) in zip(task.positions, results):
-                    gathered[pos].append((task.shard_id, ids, task_ns))
-                    total_task_ns += task_ns
-            sharded = self._source == "shard"
-            if batch:
-                obs.record(f"{self._source}.batches")
-                obs.record(f"{self._source}.batch_queries", len(items))
-            if observing and sharded:
-                if not batch:
-                    obs.record("shard.queries")
-                obs.record("shard.pruned", sum(len(p[1]) for p in planned))
-                obs.record("shard.fanout_tasks", len(tasks))
-                obs.observe("shard.fanout_ns", fan_ns)
-
-            reports = []
-            starts = self._starts
-            for item, (chosen, pruned, plan_ns, qtrace), results in zip(
-                items, planned, gathered
-            ):
-                # Shift only past row 0, concatenate only two or more
-                # answers: an engine's answer is returned as evaluated.
-                merge_ns = 0
-                if len(results) == 1 and not starts[results[0][0]]:
-                    merged = results[0][1]
-                else:
-                    merge_start = time.perf_counter_ns()
-                    merged = tuple(
-                        np.concatenate([
-                            ids[bound] + starts[k] for k, ids, _ in results
-                        ]) if results else np.empty(0, dtype=np.int64)
-                        for bound in range(len(semantics.bounds))
-                    )
-                    merge_ns = time.perf_counter_ns() - merge_start
-                slices = []
-                own_task_ns = 0
-                for k, ids, task_ns in results:
-                    slices.append(
-                        ShardReportSlice(k, False, len(ids[-1]), task_ns)
-                    )
-                    own_task_ns += task_ns
-                if pruned:
-                    slices += [ShardReportSlice(k, True, 0, 0) for k in pruned]
-                    slices.sort(key=lambda s: s.shard_id)
-                elapsed_ns = plan_ns + merge_ns
-                if total_task_ns:
-                    elapsed_ns += fan_ns * own_task_ns // total_task_ns
-                name = chosen.name if chosen is not None else "<scan>"
+                start = time.perf_counter_ns()
+                with obs.activate(qtrace) if qtrace is not None else _UNTRACED:
+                    with obs.trace_span("plan") as plan_span:
+                        chosen, forced, estimate, zone = self._resolve_plan(
+                            item, semantics, using
+                        )
+                        attached = (
+                            None if chosen is None else self._attached(chosen.name)
+                        )
+                        index = reader._scan if attached is None else attached.index
+                        first, skipped = 0, ()
+                        if zone is not None:
+                            rows_start, rows_stop, skipped_there = zone
+                            if rows_start == rows_stop:
+                                index, skipped = None, skipped_there
+                            elif hasattr(index, "window"):
+                                view, first = index.window(rows_start, rows_stop)
+                                if view is not index:
+                                    index, skipped = view, skipped_there
+                        name = chosen.name if chosen is not None else None
+                        if plan_span is not None:
+                            plan_span.set("chosen", name or "<scan>")
+                            plan_span.set("forced", forced)
+                            if skipped:
+                                plan_span.set("pruned_shards", list(skipped))
+                            if estimate is not None:
+                                plan_span.set("estimated_items", round(estimate.items))
+                                plan_span.set(
+                                    "predicted_ns", round(estimate.predicted_ns)
+                                )
+                    if index is None:
+                        ids = tuple(
+                            np.empty(0, dtype=np.int64) for _ in semantics.bounds
+                        )
+                    else:
+                        shared = None
+                        if masks is not None and isinstance(index, VAFile):
+                            shared = masks.setdefault(
+                                (name, first, index.num_records), {}
+                            )
+                        ids = reader._evaluate(
+                            item, attached, index, estimate, semantics, shared
+                        )
+                shift_start = time.perf_counter_ns()
+                if first:
+                    ids = tuple(bound + first for bound in ids)
+                end = time.perf_counter_ns()
+                evaluated = 0 if index is None else segments - len(skipped)
+                if observing and sharded:
+                    obs.record("shard.fanout_tasks", evaluated)
+                    obs.record("shard.pruned", len(skipped))
+                    obs.observe("shard.merge_ns", end - shift_start)
+                label = name if name is not None else "<scan>"
                 kind = chosen.kind if chosen is not None else "scan"
                 report = QueryReport(
-                    name, kind, merged, per_shard=tuple(slices),
-                    trace=qtrace if trace else None, elapsed_ns=elapsed_ns,
+                    label, kind, ids, per_shard=self._slices(ids[-1], skipped),
+                    trace=qtrace if trace else None, elapsed_ns=end - start,
                 )
-                if observing and sharded:
-                    obs.observe("shard.merge_ns", merge_ns)
-                    for _, _, task_ns in results:
-                        obs.observe("shard.task_ns", task_ns)
-                    obs.observe("shard.skew", report.skew)
                 if qtrace is not None:
-                    qtrace.root.set("index", name)
-                    for label, ids in zip(_BOUND_LABELS[len(merged)], merged):
-                        qtrace.root.set(label, len(ids))
+                    qtrace.root.set("index", label)
+                    for bound_label, bound in zip(_BOUND_LABELS[len(ids)], ids):
+                        qtrace.root.set(bound_label, len(bound))
                     qtrace.close()
                 if recording:
                     recorder.record_query(
@@ -782,20 +654,25 @@ class _QuerySurface:
                         batch=batch,
                         query=item,
                         semantics=semantics,
-                        index=name,
+                        index=label,
                         kind=kind,
                         # The widest bound: every other bound is a subset.
-                        matches=len(merged[-1]),
-                        elapsed_ns=elapsed_ns,
+                        matches=len(ids[-1]),
+                        elapsed_ns=end - start,
                         trace=qtrace,
-                        shards_executed=len(results),
-                        shards_pruned=len(pruned),
+                        shards_executed=evaluated,
+                        shards_pruned=len(skipped),
                     )
                 reports.append(report)
+            if batch:
+                obs.record(f"{self._source}.batches")
+                obs.record(f"{self._source}.batch_queries", len(items))
+            elif observing and sharded:
+                obs.record("shard.queries")
         return reports
 
     def _shard_lines(self, query=None, costing=None) -> list[str]:
-        """Lines ``explain`` / ``summary`` add when there are shards."""
+        """Lines ``explain`` / ``summary`` add when there are segments."""
         return []
 
     def explain(
@@ -814,8 +691,7 @@ class _QuerySurface:
         ``semantics="both"`` explains the one-pass pair execution: costing
         runs under the possible bound (which dominates the pair's work)
         and the single chosen plan serves both bounds.  A sharded database
-        adds its shard count, executor and pruning decisions; plan costs
-        are then sums over shards.
+        adds its segments and which of them the query skips.
         """
         query = _as_query(query)
         semantics = resolve_semantics(semantics)
@@ -845,8 +721,9 @@ class _QuerySurface:
         else:
             lines.append(f"plan: index {chosen.name!r} ({chosen.kind})")
             if chosen.kind in ("bee", "bre", "bie", "bsl"):
+                index = self._attached(chosen.name).index
                 total = sum(
-                    chosen.index.bitmaps_for_interval(name, interval, costing)
+                    index.bitmaps_for_interval(name, interval, costing)
                     for name, interval in query.items()
                 )
                 lines.append(f"bitvectors used: {total}")
@@ -859,10 +736,9 @@ class _QuerySurface:
                     f"({plan.detail})"
                 )
             if plans:
-                first = self._partitions[0]
                 lines.append("unit costs (measured): " + "; ".join(
                     f"{plan.index_name} "
-                    f"{unit_costs(first.get_index(plan.index_name)).describe()}"
+                    f"{unit_costs(self._attached(plan.index_name)).describe()}"
                     for plan in plans
                 ))
         if analyze:
@@ -936,7 +812,7 @@ class _QuerySurface:
         probability (ties by record id), filtered to ``probability >=
         threshold`` and capped at ``limit`` when given.  The histograms are
         the *whole table's*, so a sharded database scores every row exactly
-        as the engine does however many shards hold the rows.
+        as the engine does however many segments hold the rows.
         """
         query = _as_query(query)
         report = self.execute(query, BOTH, using)
@@ -959,48 +835,45 @@ class _QuerySurface:
         )
 
     def summary(self) -> str:
-        """Multi-line overview: table shape, indexes, query counts, caches.
-
-        Per-index tallies count partition executions, so a query that
-        reaches three of four shards adds three.
-        """
+        """Multi-line overview: table shape, indexes, query counts."""
         from repro.bitvector.kernels import get_backend
 
-        parts = self._partitions
-        indexes = parts[0]._indexes
         lines = [
             f"{type(self).__name__}: {self.num_records} records, "
             f"{len(self.schema.names)} attributes",
             f"  bitvector kernels: {get_backend().name} backend",
         ]
         lines.extend(f"  {line}" for line in self._shard_lines())
-        served = Counter()
-        for part in parts:
-            served.update(part._query_counts)
-        if not indexes:
+        served = self._reader()._query_counts
+        if not self._catalog:
             lines.append("  indexes: (none; queries fall back to scan)")
         else:
             lines.append("  indexes:")
-            for ix in indexes.values():
+            for ix in self._catalog.values():
                 attrs = ", ".join(ix.attributes)
+                count = served.get(ix.name, 0)
                 lines.append(
                     f"    {ix.name} ({ix.kind}) on [{attrs}] — "
-                    f"{served[ix.name]} "
-                    f"quer{'y' if served[ix.name] == 1 else 'ies'} served"
+                    f"{count} quer{'y' if count == 1 else 'ies'} served"
                 )
-        if served["<scan>"]:
+        if served.get("<scan>"):
             lines.append(f"  sequential scans: {served['<scan>']}")
-        stats = self.cache_stats()
-        caches = (
-            "sub-result cache" if len(parts) == 1
-            else f"sub-result caches ({len(parts)} shards)"
-        )
-        lines.append(
-            f"  {caches}: {stats.entries} entries, "
-            f"{stats.bytes} bytes, hit rate {stats.hit_rate:.1%} "
-            f"({stats.hits} hits / {stats.misses} misses)"
-        )
         return "\n".join(lines)
+
+
+class _NoCacheStats(NamedTuple):
+    hits: int = 0
+    misses: int = 0
+
+
+class _NoSubResultCache:
+    """Tallies of a sub-result cache that no longer exists: always zero."""
+
+    def stats(self) -> _NoCacheStats:
+        return _NoCacheStats()
+
+
+_NO_CACHE = _NoSubResultCache()
 
 
 class IncompleteDatabase(_QuerySurface):
@@ -1011,8 +884,8 @@ class IncompleteDatabase(_QuerySurface):
     table:
         The data to serve.  A sequential-scan fallback is always available.
 
-    An engine is its own one partition, starting at row 0; the entry
-    points are :class:`_QuerySurface`'s and reach :meth:`_run_task`.
+    An engine is one segment, starting at row 0; the entry points are
+    :class:`_QuerySurface`'s and reach :meth:`_evaluate`.
     """
 
     def __init__(self, table: IncompleteTable):
@@ -1021,7 +894,6 @@ class IncompleteDatabase(_QuerySurface):
         self._scan = SequentialScan(table)
         self._query_counts: dict[str, int] = {}
         self._counts_lock = threading.Lock()
-        self._cache = SubResultCache()
         # DDL fence: queries hold the shared side, index DDL the exclusive
         # side, so a reader mid-batch never sees the index set change under
         # it (a "torn generation").  The table itself never changes.
@@ -1037,9 +909,13 @@ class IncompleteDatabase(_QuerySurface):
         self._counts_lock = threading.Lock()
 
     @property
-    def sub_result_cache(self) -> SubResultCache:
-        """The per-interval bitvector cache :meth:`execute_batch` reuses."""
-        return self._cache
+    def sub_result_cache(self) -> _NoSubResultCache:
+        """Zero tallies: there is no sub-result cache.
+
+        ``bench/layers.py``'s batch probe still reads
+        ``sub_result_cache.stats().hits`` / ``.misses``.
+        """
+        return _NO_CACHE
 
     def _check_registration(
         self, name: str, kind: str, overwrite: bool
@@ -1068,7 +944,6 @@ class IncompleteDatabase(_QuerySurface):
             name=name, kind=kind, index=index, attributes=attrs,
             options=dict(options or {}),
         )
-        self._cache.invalidate(name)
         self._indexes[name] = attached
         self._plan_memo.clear()
         return attached
@@ -1087,9 +962,9 @@ class IncompleteDatabase(_QuerySurface):
         ----------
         name:
             Registry name, unique per database.  Re-using a name raises
-            unless ``overwrite=True``, which replaces the old index (and
-            drops its cached sub-results) atomically from the planner's
-            point of view — it never sees a half-registered entry.
+            unless ``overwrite=True``, which replaces the old index
+            atomically from the planner's point of view — it never sees a
+            half-registered entry.
         kind:
             One of ``bee``, ``bre``, ``bie``, ``bsl``, ``vafile``,
             ``mosaic``, ``rtree-sentinel``, ``bitstring``, ``gridfile``.
@@ -1121,7 +996,7 @@ class IncompleteDatabase(_QuerySurface):
         The storage layer (:mod:`repro.storage`, shard manifests) builds
         index objects without going through :meth:`create_index`; this is
         the hatch that registers them under a name.  The same uniqueness
-        and cache-invalidation rules as :meth:`create_index` apply.  An
+        rules as :meth:`create_index` apply.  An
         index whose record count disagrees with the table is rejected —
         a loaded index file that covers the wrong number of rows would
         otherwise answer queries with silently wrong record ids.
@@ -1138,12 +1013,11 @@ class IncompleteDatabase(_QuerySurface):
             return self._register(name, kind, index, attributes, options)
 
     def drop_index(self, name: str) -> None:
-        """Detach an index by name, dropping its cached sub-results."""
+        """Detach an index by name."""
         if name not in self._indexes:
             raise ReproError(f"no index named {name!r}")
         with self._rwlock.write():
             del self._indexes[name]
-            self._cache.invalidate(name)
             self._plan_memo.clear()
 
     def get_index(self, name: str) -> AttachedIndex:
@@ -1175,108 +1049,91 @@ class IncompleteDatabase(_QuerySurface):
     def _rows(self, ids: np.ndarray) -> IncompleteTable:
         return self._table.take(ids)
 
-    # -- planning ----------------------------------------------------------
+    # -- the surface's reader -------------------------------------------------
 
     @property
-    def _partitions(self) -> tuple:
-        return (self,)
+    def _catalog(self) -> dict[str, AttachedIndex]:
+        return self._indexes
+
+    def _attached(self, name: str) -> AttachedIndex:
+        return self._indexes[name]
+
+    def _reader(self) -> "IncompleteDatabase":
+        return self
 
     def _read_fence(self):
         return self._rwlock.read()
 
-    # -- the partition step ----------------------------------------------------
+    # -- the evaluation step ---------------------------------------------------
 
-    def _run_task(self, task: ShardTask) -> list[tuple]:
-        """The one partition step: ``(bound_ids, elapsed_ns)`` per item.
+    def _evaluate(
+        self, item, attached, index, estimate, semantics, shared_masks
+    ) -> tuple:
+        """The one evaluation step: ``item``'s ascending int64 ids per bound.
 
-        Each item runs on its planned index (bitmaps and VA-files answer
-        every bound in one pass, other methods once per bound) or the scan
-        / ground-truth evaluator, giving local ascending int64 ids.  A batch
-        task shares this engine's sub-result cache and one mask memo per
-        VA-file; a lone query runs cache-free.  The caller holds the tally.
+        ``index`` is ``attached``'s index, a window of it, or the scan
+        (``attached`` None).  Bitmaps and VA-files answer every bound in
+        one pass, other methods once per bound; a predicate with no tree
+        evaluator runs the ground-truth evaluator.  A VA-file in a batch
+        shares ``shared_masks`` across the batch's items.  The caller
+        holds the tally and the item's trace.
         """
-        semantics = task.semantics
-        cache = self._cache if task.batch else None
-        masks: dict | None = {} if task.batch else None
-        listening = obs.enabled()
-        results = []
-        for pos in task.positions:
-            item, qtrace = task.items[pos], task.traces[pos]
-            name, estimates = task.plans[pos]
-            estimate = estimates[task.shard_id]
-            chosen = self._indexes[name] if name is not None else None
-            label = name if name is not None else "<scan>"
-            kind = chosen.kind if chosen is not None else "scan"
-            index = chosen.index if chosen is not None else self._scan
-            query = isinstance(item, RangeQuery)
-            track = None
-            # The item's counters land on its trace too, beside its spans.
-            with obs.activate(qtrace) if qtrace is not None else _UNTRACED:
-                observing = listening if qtrace is None else obs.enabled()
-                start = time.perf_counter_ns()
-                with obs.trace_span(
-                    f"execute.{kind}", index=label, shard=task.shard_id
-                ) as span:
-                    if not query:
-                        if chosen is None:
-                            ids = tuple(
-                                evaluate_predicate(self._table, item, bound)
-                                for bound in semantics.bounds
-                            )
-                        else:
-                            ids = index.execute_predicate_bound_ids(
-                                item, semantics
-                            )
-                    elif isinstance(index, (BitmapIndex, VAFile)):
-                        track = OpCounter() if observing else None
-                        stores = (
-                            {"shared_masks": None if masks is None
-                             else masks.setdefault(label, {})}
-                            if isinstance(index, VAFile)
-                            else {"cache": cache, "cache_key": (label,)}
-                        )
-                        ids = index.execute_bound_ids(
-                            item, semantics, counter=track, **stores
-                        )
-                        if span is not None and track is not None:
-                            span.set("actual_items", track.words_processed)
-                    else:
-                        ids = tuple(
-                            np.asarray(
-                                index.execute_ids(item, bound), dtype=np.int64
-                            )
-                            for bound in semantics.bounds
-                        )
-                elapsed_ns = time.perf_counter_ns() - start
-                results.append((ids, elapsed_ns))
-                if not query:
-                    if semantics is BOTH:
-                        obs.record("semantics.both_predicates")
-                    continue
-                with self._counts_lock:
-                    self._query_counts[label] = (
-                        self._query_counts.get(label, 0) + 1
+        label = attached.name if attached is not None else "<scan>"
+        kind = attached.kind if attached is not None else "scan"
+        query = isinstance(item, RangeQuery)
+        observing = obs.enabled()
+        track = None
+        start = time.perf_counter_ns()
+        with obs.trace_span(f"execute.{kind}", index=label) as span:
+            if not query:
+                if attached is None:
+                    ids = tuple(
+                        evaluate_predicate(self._table, item, bound)
+                        for bound in semantics.bounds
                     )
-                if not observing:
-                    continue
-                obs.record("engine.queries")
-                obs.record(f"engine.queries.{kind}")
-                obs.observe(f"engine.query_ns.{kind}", elapsed_ns)
-                obs.record(f"planner.plan_chosen.{kind}")
-                if semantics is BOTH:
-                    # The estimate prices one bound, the tally covers the
-                    # pair: keep it out of the planner-accuracy counters.
-                    obs.record("semantics.both_queries")
-                    obs.record(
-                        "semantics.possible_only_rows",
-                        len(ids[-1]) - len(ids[0]),
-                    )
-                elif estimate is not None and track is not None:
-                    obs.observe("planner.predicted_ns",
-                                round(estimate.predicted_ns))
-                    obs.record("planner.estimated_items", round(estimate.items))
-                    obs.record("planner.actual_items", track.words_processed)
-        return results
+                else:
+                    ids = index.execute_predicate_bound_ids(item, semantics)
+            elif isinstance(index, (BitmapIndex, VAFile)):
+                track = OpCounter() if observing else None
+                shared = (
+                    {"shared_masks": shared_masks}
+                    if isinstance(index, VAFile) else {}
+                )
+                ids = index.execute_bound_ids(
+                    item, semantics, counter=track, **shared
+                )
+                if span is not None and track is not None:
+                    span.set("actual_items", track.words_processed)
+            else:
+                ids = tuple(
+                    np.asarray(index.execute_ids(item, bound), dtype=np.int64)
+                    for bound in semantics.bounds
+                )
+        elapsed_ns = time.perf_counter_ns() - start
+        if not query:
+            if semantics is BOTH:
+                obs.record("semantics.both_predicates")
+            return ids
+        with self._counts_lock:
+            self._query_counts[label] = self._query_counts.get(label, 0) + 1
+        if not observing:
+            return ids
+        obs.record("engine.queries")
+        obs.record(f"engine.queries.{kind}")
+        obs.observe(f"engine.query_ns.{kind}", elapsed_ns)
+        obs.record(f"planner.plan_chosen.{kind}")
+        if semantics is BOTH:
+            # The estimate prices one bound, the tally covers the pair:
+            # keep it out of the planner-accuracy counters.
+            obs.record("semantics.both_queries")
+            obs.record(
+                "semantics.possible_only_rows", len(ids[-1]) - len(ids[0])
+            )
+        elif estimate is not None and track is not None:
+            obs.observe("planner.predicted_ns", round(estimate.predicted_ns))
+            obs.record("planner.estimated_items", round(estimate.items))
+            obs.record("planner.actual_items", track.words_processed)
+        return ids
 
     # -- introspection ---------------------------------------------------------
 

@@ -502,70 +502,25 @@ def unit_costs(attached) -> UnitCosts:
 
     Measured lazily, by :func:`calibrate`, the first time a plan in this
     process needs that key — never at build or load — then reused by every
-    index sharing it (shard engines, snapshot rebuilds).
+    index sharing it (snapshots of one table size, rebuilt indexes).
     """
     return _CALIBRATIONS.get(attached)
 
 
-def choose_cheapest(merged: Sequence[CostEstimate]) -> CostEstimate:
+def choose_cheapest(ranking: Sequence[CostEstimate]) -> CostEstimate:
     """The plan to run out of a non-empty ranking.
 
     The plan predicted fastest — unless others are predicted within the
     measurement spread of it; then the fewest paper-unit items among
     those decide, so the choice only moves on a gap beyond the noise.
     """
-    fastest = min(merged, key=_by_prediction)
+    fastest = min(ranking, key=_by_prediction)
     tied = [
-        plan for plan in merged
+        plan for plan in ranking
         if plan.predicted_ns
         <= fastest.predicted_ns * (1 + max(fastest.spread, plan.spread))
     ]
     return min(tied, key=lambda plan: (plan.items, plan.predicted_ns))
-
-
-# -- shard planning ----------------------------------------------------------
-
-
-def combine_shard_estimates(
-    per_shard: Sequence[Sequence[CostEstimate]],
-) -> list[CostEstimate]:
-    """Merge per-shard plan rankings into whole-database estimates.
-
-    Every shard of a :class:`~repro.shard.ShardedDatabase` carries the same
-    index names over its own row slice; the cost of serving a query with
-    index ``x`` on the whole database is the *sum* of shard ``x`` costs
-    (shards execute one after another and their work does not overlap) —
-    items and predicted time alike, each shard priced at its own size.
-    Only index names costable on **every** shard are merged — an index
-    that some shard cannot cost has no whole-database plan.  Fastest
-    first, like :func:`rank_plans`; a single partition's ranking comes
-    back as it is.
-    """
-    if not per_shard:
-        return []
-    if len(per_shard) == 1:
-        return list(per_shard[0])
-    by_name: dict[str, list[CostEstimate]] = {}
-    for plans in per_shard:
-        for plan in plans:
-            by_name.setdefault(plan.index_name, []).append(plan)
-    num_shards = len(per_shard)
-    merged = [
-        CostEstimate(
-            index_name=name,
-            kind=plans[0].kind,
-            items=sum(plan.items for plan in plans),
-            detail=f"sum over {num_shards} shards",
-            predicted_ns=sum(plan.predicted_ns for plan in plans),
-            spread=max(plan.spread for plan in plans),
-        )
-        for name, plans in by_name.items()
-        if len(plans) == num_shards
-    ]
-    merged.sort(key=_by_prediction)
-    _obs_record("planner.shard_rankings")
-    _obs_record("planner.shard_plans_merged", len(merged))
-    return merged
 
 
 #: Kind -> rank among the covering indexes when none is costable: the
@@ -575,21 +530,19 @@ _PREFERENCE = {kind: rank for rank, kind in enumerate((
 ))}
 
 
-def choose_plan(covering, rankings: Sequence[Sequence[CostEstimate]]):
-    """The one plan chooser: ``(chosen, merged ranking)`` for any partitioning.
+def choose_plan(covering, ranking: Sequence[CostEstimate]):
+    """The one plan chooser: ``(chosen, ranking)``.
 
-    ``covering`` is one partition's covering indexes (every partition holds
-    the same set), ``rankings`` one :func:`rank_plans` list per partition.
-    The merged plan :func:`choose_cheapest` picks, else the baselines'
-    fixed order, else None (scan).
+    ``covering`` is the covering indexes, ``ranking`` their
+    :func:`rank_plans` estimates.  The plan :func:`choose_cheapest` picks,
+    else the baselines' fixed order, else None (scan).
     """
-    merged = combine_shard_estimates(rankings)
-    if merged:
-        cheapest = choose_cheapest(merged).index_name
-        return next(ix for ix in covering if ix.name == cheapest), merged
+    if ranking:
+        cheapest = choose_cheapest(ranking).index_name
+        return next(ix for ix in covering if ix.name == cheapest), ranking
     chosen = min(
         covering,
         key=lambda ix: _PREFERENCE.get(ix.kind, len(_PREFERENCE)),
         default=None,
     )
-    return chosen, merged
+    return chosen, ranking

@@ -2,7 +2,9 @@
 
 Each column is a dense ``numpy`` integer array in which the code ``0``
 (:data:`repro.dataset.schema.MISSING`) marks a missing value and codes
-``1..C_i`` are the attribute's real values.  This mirrors the paper's problem
+``1..C_i`` are the attribute's real values.  A column is held at its stored
+width, ``np.min_scalar_type(C_i)`` (one byte for ``C_i <= 255``), so code
+that does arithmetic on a column widens it first.  This mirrors the paper's problem
 definition exactly: "assume the domain of the attribute values is the
 integers from 1 to C_i".
 """
@@ -56,18 +58,22 @@ class IncompleteTable:
             raise SchemaError(f"columns have differing lengths: {sorted(lengths)}")
         self._num_records = lengths.pop()
         for spec in schema:
-            col = np.asarray(columns[spec.name])
-            if col.ndim != 1:
+            given = np.asarray(columns[spec.name])
+            if given.ndim != 1:
                 raise SchemaError(f"column {spec.name!r} must be 1-D")
-            col = col.astype(np.int64, copy=False)
-            if validate and len(col):
-                lo = int(col.min())
-                hi = int(col.max())
+            if validate and len(given):
+                lo = int(given.min())
+                hi = int(given.max())
                 if lo < 0 or hi > spec.cardinality:
                     raise SchemaError(
                         f"column {spec.name!r} has values outside "
                         f"{{0}} | 1..{spec.cardinality} (min={lo}, max={hi})"
                     )
+            # Read-only arrays of the stored width are aliased; a writable
+            # caller array is copied, so the caller's array is never frozen.
+            col = given.astype(np.min_scalar_type(spec.cardinality), copy=False)
+            if col is given and col.flags.writeable:
+                col = col.copy()
             col.setflags(write=False)
             coerced[spec.name] = col
         self._columns = coerced
@@ -148,6 +154,14 @@ class IncompleteTable:
             validate=False,
         )
 
+    def rows(self, start: int, stop: int) -> "IncompleteTable":
+        """Rows ``[start, stop)`` as views of this table's columns."""
+        return IncompleteTable(
+            self._schema,
+            {n: c[start:stop] for n, c in self._columns.items()},
+            validate=False,
+        )
+
     def nbytes(self) -> int:
         """Total bytes held by the coded column arrays."""
         return sum(col.nbytes for col in self._columns.values())
@@ -173,6 +187,32 @@ def concat_tables(first: IncompleteTable, *rest: IncompleteTable) -> IncompleteT
         for name in first.schema.names
     }
     return IncompleteTable(first.schema, columns, validate=False)
+
+
+def join_tables(tables: "list[IncompleteTable]") -> IncompleteTable:
+    """:func:`concat_tables`, holding one copy of each column.
+
+    Each of ``tables`` is left holding views of its rows of the joined
+    columns (the values do not change), so the rows are not held twice.
+    """
+    first = tables[0]
+    return IncompleteTable(first.schema, {
+        name: concatenate_shared([table._columns for table in tables], name)
+        for name in first.schema.names
+    }, validate=False)
+
+
+def concatenate_shared(holders: "list[dict]", key) -> np.ndarray:
+    """``holders``' arrays under ``key`` concatenated, each holder left
+    with a read-only view of its rows of the result, so one copy is held."""
+    joined = np.concatenate([holder[key] for holder in holders])
+    joined.setflags(write=False)
+    start = 0
+    for holder in holders:
+        stop = start + len(holder[key])
+        holder[key] = joined[start:stop]
+        start = stop
+    return joined
 
 
 def specs_for_columns(columns: Mapping[str, np.ndarray]) -> Schema:

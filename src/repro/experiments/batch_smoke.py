@@ -1,16 +1,16 @@
-"""CI smoke check for the batch executor and sub-result cache.
+"""CI smoke check for the batch executor and its VA-file scan sharing.
 
 Runs a repeated-interval workload through ``execute_batch`` under all
 three semantics (``is_match``, ``not_match`` and the one-pass ``both``),
-on an engine and on ``ShardedDatabase(table, num_shards=4)``, and fails
-loudly if
+planned and forced onto the VA-file, on an engine and on
+``ShardedDatabase(table, num_shards=4)``, and fails loudly if
 
 * any batch report — its index, kind and the id arrays of every bound the
   semantics asks for — differs from the engine's one-by-one ``execute``,
   or
-* either tier's ``cache_stats()`` records zero hits — a repeated-interval
-  workload through a bitmap index must hit, so zero means the cache path
-  silently stopped being exercised.
+* either tier records no ``vafile.batch_mask_reuses`` — a repeated-interval
+  batch on a VA-file must reuse its interval scans, so zero means the
+  sharing path silently stopped being exercised.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
+from repro.observability import use_registry
 from repro.query.model import RangeQuery
 from repro.shard.sharded import ShardedDatabase
 
@@ -46,6 +47,28 @@ def _workload(seed: int, pool_size: int, num_queries: int) -> list[RangeQuery]:
     return [pool[i] for i in rng.integers(0, pool_size, num_queries)]
 
 
+def _mismatches(tier, semantics, expected, reports) -> int:
+    """Batch reports that differ from the one-by-one ones, each printed."""
+    failures = 0
+    for position, (exp, got) in enumerate(zip(expected, reports)):
+        if (got.index_name, got.kind) != (exp.index_name, exp.kind) or (
+            len(exp.bound_ids) != len(got.bound_ids)
+        ) or not all(
+            np.array_equal(e, g)
+            for e, g in zip(exp.bound_ids, got.bound_ids)
+        ):
+            failures += 1
+            print(
+                f"FAIL: {tier}, query {position} under {semantics}: "
+                f"batch returned {got.index_name} with "
+                f"{[len(g) for g in got.bound_ids]} ids per bound, "
+                f"the engine {exp.index_name} with "
+                f"{[len(e) for e in exp.bound_ids]}",
+                file=sys.stderr,
+            )
+    return failures
+
+
 def main(argv: list[str] | None = None) -> int:
     table = generate_uniform_table(
         20_000,
@@ -58,41 +81,32 @@ def main(argv: list[str] | None = None) -> int:
     for db in (engine, sharded):
         db.create_index("bre", "bre", ["mid", "high"])
         db.create_index("bee", "bee", ["low", "mid"])
+        db.create_index("vafile", "vafile")
     queries = _workload(seed=327, pool_size=6, num_queries=60)
 
     failures = 0
+    reuses = {"engine": 0, "4 shards": 0}
     for semantics in SEMANTICS:
-        expected = [engine.execute(q, semantics) for q in queries]
-        for tier, db in (("engine", engine), ("4 shards", sharded)):
-            reports = db.execute_batch(queries, semantics)
-            for position, (exp, got) in enumerate(zip(expected, reports)):
-                if (got.index_name, got.kind) != (exp.index_name, exp.kind) or (
-                    len(exp.bound_ids) != len(got.bound_ids)
-                ) or not all(
-                    np.array_equal(e, g)
-                    for e, g in zip(exp.bound_ids, got.bound_ids)
-                ):
-                    failures += 1
-                    print(
-                        f"FAIL: {tier}, query {position} under {semantics}: "
-                        f"batch returned {got.index_name} with "
-                        f"{[len(g) for g in got.bound_ids]} ids per bound, "
-                        f"the engine {exp.index_name} with "
-                        f"{[len(e) for e in exp.bound_ids]}",
-                        file=sys.stderr,
-                    )
+        for using in (None, "vafile"):
+            expected = [engine.execute(q, semantics, using) for q in queries]
+            for tier, db in (("engine", engine), ("4 shards", sharded)):
+                with use_registry() as registry:
+                    reports = db.execute_batch(queries, semantics, using)
+                reuses[tier] += registry.snapshot().counters.get(
+                    "vafile.batch_mask_reuses", 0
+                )
+                failures += _mismatches(tier, semantics, expected, reports)
 
-    for tier, db in (("engine", engine), ("4 shards", sharded)):
-        stats = db.cache_stats()
+    for tier, count in reuses.items():
         print(
             f"batch smoke ({tier}): {len(queries)} queries x "
-            f"{len(SEMANTICS)} semantics; cache {stats.hits} hits / "
-            f"{stats.misses} misses (hit rate {stats.hit_rate:.0%})"
+            f"{len(SEMANTICS)} semantics x (planned, vafile); "
+            f"{count} VA-file interval scans reused"
         )
-        if stats.hits == 0:
+        if count == 0:
             failures += 1
             print(
-                f"FAIL: {tier}: sub-result cache recorded zero hits on a "
+                f"FAIL: {tier}: vafile.batch_mask_reuses is zero on a "
                 "repeated-interval workload",
                 file=sys.stderr,
             )

@@ -1,28 +1,28 @@
-"""Sharded scaling driver: query latency and skew vs shard count.
+"""Sharded scaling driver: query latency and pruning vs segment count.
 
 Not a figure from the paper — this measures the :mod:`repro.shard`
 subsystem the way the paper's Figure 4 measures single-index query time.
 The workload follows the Table 7 recipe (uniform values, per-attribute
 missing fractions) with one twist that matters for sharding: the table is
 sorted by its leading attribute (:func:`repro.dataset.reorder`), so
-contiguous shards each cover a narrow slice of that attribute's domain and
-the sharded planner's exact histogram pruning can skip shards outright.
+contiguous segments each cover a narrow slice of that attribute's domain
+and the exact per-segment histograms let a query read only the row window
+of the segments that can match.
 
-Reported per shard count (rows are labelled ``sequential/<shards>``, the
-one fan-out executor of :mod:`repro.shard.executor`), under both missing
-semantics:
+Reported per segment count (rows are labelled ``sequential/<shards>``, the
+executor name), under both missing semantics:
 
 * ``sharded_ms`` — wall-clock for the whole workload through
   :meth:`ShardedDatabase.execute`,
 * ``speedup`` — the common 1-shard baseline time over this
   configuration's time,
-* ``pruned_frac`` — fraction of (query, shard) pairs skipped by pruning,
-* ``skew`` — mean max-over-mean executed-shard latency ratio,
+* ``pruned_frac`` — fraction of (query, segment) pairs skipped by pruning,
 * ``identical`` — whether every sharded result was bit-identical to the
   unsharded :class:`IncompleteDatabase` (verified in-driver, both
   semantics).
 
-Every shard task runs inline, so pruning is where the speedup comes from.
+Every query runs once on the engine the segments are read as, so the
+row window is where the speedup comes from.
 """
 
 from __future__ import annotations
@@ -85,23 +85,19 @@ def run_fig4_sharded(
             f"{num_queries} queries, both semantics"
         ),
         x_label="executor/shards",
-        columns=[
-            "sharded_ms", "speedup", "pruned_frac", "skew", "identical",
-        ],
+        columns=["sharded_ms", "speedup", "pruned_frac", "identical"],
     )
 
     def _measure(db: ShardedDatabase, num_shards: int) -> tuple:
         db.create_index("ix", "bre")
         identical = True
         pruned = 0
-        skews = []
         for semantics in MissingSemantics:
             for query, exp in zip(queries, expected[semantics]):
                 report = db.execute(query, semantics)
                 if not np.array_equal(report.record_ids, exp.record_ids):
                     identical = False
                 pruned += report.num_pruned
-                skews.append(report.skew)
         total_ms = 0.0
         for semantics in MissingSemantics:
             total_ms += time_batch(
@@ -109,28 +105,26 @@ def run_fig4_sharded(
                 repeats=repeats,
             )
         pair_count = 2 * len(queries) * num_shards
-        skew = float(np.mean([s for s in skews if s > 0]) if any(skews) else 0.0)
-        return total_ms, pruned / pair_count, skew, identical
+        return total_ms, pruned / pair_count, identical
 
     # Common baseline: one shard, measured apart from the sweep's own
     # one-shard row, so the speedup column means the same thing on every row.
     with ShardedDatabase(table, num_shards=1) as db:
-        baseline_ms, _, _, _ = _measure(db, 1)
+        baseline_ms, _, _ = _measure(db, 1)
 
     for num_shards in shard_counts:
         with ShardedDatabase(table, num_shards=num_shards) as db:
-            total_ms, pruned_frac, skew, identical = _measure(db, num_shards)
+            total_ms, pruned_frac, identical = _measure(db, num_shards)
         result.add_row(
             f"sequential/{num_shards}",
             round(total_ms, 2),
             round(baseline_ms / total_ms, 2),
             round(pruned_frac, 3),
-            round(skew, 2),
             identical,
         )
     result.notes.append(
-        "speedup is 1-shard time / configuration time; table "
-        "sorted by 'a' so row-range shards are prunable via exact "
+        "speedup is 1-segment time / configuration time; table "
+        "sorted by 'a' so row-range segments are prunable via exact "
         "histograms"
     )
     result.notes.append(

@@ -31,7 +31,6 @@ import time
 from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.bitvector.ops import OpCounter
-from repro.core.cache import SubResultCache
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
@@ -46,7 +45,6 @@ _PASSES = 3
 _COLUMNS = [
     "bee_ms",
     "bre_ms",
-    "bre_cached_ms",
     "va_ms",
     "bee_words",
     "bre_words",
@@ -65,9 +63,6 @@ class Fig5Cell:
 
     bee_ms: float
     bre_ms: float
-    #: BRE with a sub-result cache shared across the workload's queries —
-    #: what the batch executor pays when per-attribute intervals repeat.
-    bre_cached_ms: float
     va_ms: float
     bee_words: int
     bre_words: int
@@ -144,11 +139,6 @@ def _measure_cell(
             bre.execute(query, semantics, counter)
         return counter
 
-    def bre_cached_pass() -> None:
-        cache = SubResultCache()  # cold every pass: warm-up is measured
-        for query in queries:
-            bre.execute(query, semantics, cache=cache)
-
     def va_pass(counter: OpCounter | None = None) -> OpCounter | None:
         for query in queries:
             va.execute_ids(query, semantics, None, counter)
@@ -173,14 +163,13 @@ def _measure_cell(
             else:
                 (bee if name == "bee" else bre).execute(query, semantics)
 
-    bee_ms, bre_ms, bre_cached_ms, va_ms, planner_ms = _best_passes(
-        [bee_pass, bre_pass, bre_cached_pass, va_pass, planner_pass]
+    bee_ms, bre_ms, va_ms, planner_ms = _best_passes(
+        [bee_pass, bre_pass, va_pass, planner_pass]
     )
 
     return Fig5Cell(
         bee_ms=bee_ms,
         bre_ms=bre_ms,
-        bre_cached_ms=bre_cached_ms,
         va_ms=va_ms,
         bee_words=bee_counter.words_processed,
         bre_words=bre_counter.words_processed,
@@ -316,7 +305,6 @@ def _cell_values(cell: Fig5Cell) -> tuple:
     return (
         cell.bee_ms,
         cell.bre_ms,
-        cell.bre_cached_ms,
         cell.va_ms,
         cell.bee_words,
         cell.bre_words,

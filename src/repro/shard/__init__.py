@@ -1,7 +1,7 @@
-"""Partitioned storage and scatter-gather execution for incomplete tables.
+"""Row-range segments for incomplete tables, read as one engine.
 
 See :mod:`repro.shard.sharded` for the execution model, and
-``docs/sharding.md`` for the row-range layout and the manifest format.
+``docs/sharding.md`` for the segment layout and the manifest format.
 """
 
 from repro.core.engine import ShardReportSlice

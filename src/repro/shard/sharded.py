@@ -1,63 +1,65 @@
-"""Sharded incomplete database: one query body over row-range shards.
+"""Sharded incomplete database: row-range segments, read as one engine.
 
 :class:`ShardedDatabase` is an ordered tuple of
-:class:`~repro.core.engine.IncompleteDatabase` shard engines: shard *k*
-owns the global rows ``[start_k, start_k + n_k)``.  The paper's bitmaps and
-VA-file approximations are positional over record ids, so a row range
-slices them with no translation.  It serves the engine's own query surface
-(inherited, not repeated — see ``_QuerySurface`` in
-:mod:`repro.core.engine`), whose one body, ``_run``, does four steps for
-``execute``, ``execute_batch`` and ``query_predicate`` alike:
+:class:`~repro.core.engine.IncompleteDatabase` *segment* engines (the
+API calls them shards): segment *k* owns the global rows
+``[start_k, start_k + n_k)``.  Segments are the unit of writes, files,
+hard links and pins (``repro.serve``, :mod:`repro.shard.manifest`); a read
+never runs on them.  Every read of a snapshot runs the engine's one query
+body (``_QuerySurface._run`` in :mod:`repro.core.engine`) on **one**
+engine assembled from the segments on the first read:
 
-1. **Plan once.**  Each shard prices every covering index at its own
-   size (predicted time from measured unit costs, beside the paper's
-   items); the sums go through the engine's one chooser,
-   :func:`repro.core.planner.choose_plan`, so the whole fan-out executes
-   one chosen index and no shard re-plans per query.  Range queries and
-   predicates alike; plans are memoized as the engine's are.
-2. **Prune.**  Per-shard exact value histograms
-   (:class:`~repro.core.statistics.TableStatistics`) act as zone maps: a
-   shard whose histogram shows zero possible matches for some query
-   attribute is skipped entirely.  Histograms are exact, so pruning never
-   changes results — on clustered data (e.g. after
-   :func:`repro.dataset.reorder.lexicographic_order`) this is where the
-   sharded speedup comes from.  Predicates are never pruned.
-3. **Fan out.**  Every shard with surviving items gets one
-   :class:`~repro.core.engine.ShardTask`, evaluated by the shard engine's
-   partition step through a :class:`~repro.shard.executor.ShardExecutor` —
-   inline, one shard after another on the caller's thread (see
-   :mod:`repro.shard.executor`).  Exceptions re-raise unwrapped in the
-   caller.
-4. **Merge.**  Per-shard local record ids shift by the shard's ``start``
-   and concatenate in shard order; every access method returns ascending
-   ids, so the result is already ascending and bit-identical to the
-   unsharded database under every missing semantics.
+* table columns and VA-file codes concatenate (a VA-file whose segments
+  quantize differently is built over the joined table instead), and each
+  segment is left holding views of its rows, so the rows are held once;
+* each bitmap slot joins its segments' group arrays on its first read — a
+  plain copy where segments are cut on 31-row group boundaries, as
+  :func:`_row_ranges` cuts them, and a shift only at the seams a delete
+  leaves; the planner prices that join as a decode;
+* any other index kind is built over the joined table on first use.
 
-This module adds the row ranges, DDL over every shard, the executor seam
-and the lifecycle (close, freeze) — nothing of the query path.
+So a query is planned once, evaluated once and shifts nothing.  The
+segments' exact value histograms act as zone maps: when a range query can
+match no row of the segments at either end, the chosen index evaluates
+only the row *window* spanning the rest (whole 31-row groups of a WAH
+bitmap; the VA-file and the scan take exact rows) and its ids shift by
+the window's first row.  Histograms are exact, so this never changes
+results.  Predicates are never pruned.
+
+This module adds the segments, the assembly, the zone maps, DDL over every
+segment, the executor handle and the lifecycle (close, freeze).
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.bitmap.base import BitmapIndex
+from repro.bitvector.wah import GROUP_BITS
 from repro.core.engine import AttachedIndex, IncompleteDatabase, _QuerySurface
+from repro.core.planner import semantics_for_costing
 from repro.core.statistics import TableStatistics
-from repro.dataset.table import IncompleteTable, concat_tables
+from repro.dataset.table import IncompleteTable, concat_tables, join_tables
 from repro.errors import ShardError
+from repro.query.model import MissingSemantics, RangeQuery
 from repro.shard.executor import ShardExecutor, resolve_executor
+from repro.vafile.vafile import VAFile
 
 __all__ = ["ShardedDatabase"]
 
 
 def _row_ranges(num_records: int, num_shards: int) -> list[range]:
-    """The one layout: ``np.array_split`` sizes, as consecutive row ranges.
+    """The one layout: consecutive row ranges cut on 31-row group bounds.
 
-    The first ``num_records % num_shards`` shards hold one row more than
-    the rest.
+    The table's 31-row WAH groups are split ``np.array_split``-style (the
+    first ``groups % num_shards`` segments hold one group more) and the
+    last segment ends at the last row, so every segment but the last
+    holds whole groups and joined bitmaps concatenate without a shift.
+    A table with fewer groups than segments is cut row by row instead.
     """
     if num_shards < 1:
         raise ShardError(f"num_shards must be >= 1, got {num_shards}")
@@ -66,21 +68,73 @@ def _row_ranges(num_records: int, num_shards: int) -> list[range]:
             f"cannot split {num_records} records into {num_shards} "
             f"non-empty shards"
         )
-    size, extra = divmod(num_records, num_shards)
-    bounds = [k * size + min(k, extra) for k in range(num_shards + 1)]
+    groups = -(-num_records // GROUP_BITS)
+    unit, units = (GROUP_BITS, groups) if num_shards <= groups else (1, num_records)
+    size, extra = divmod(units, num_shards)
+    bounds = [
+        min(num_records, (k * size + min(k, extra)) * unit)
+        for k in range(num_shards + 1)
+    ]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class _Shard(NamedTuple):
-    """One shard: the first global row id it owns and its engine."""
+    """One segment: the first global row id it owns and its engine."""
 
     shard_id: int
     start: int
     database: IncompleteDatabase
 
 
+class _ZoneMaps:
+    """Every segment's exact value histograms, as per-attribute prefix sums.
+
+    ``prefix[name][k, v]`` counts segment *k*'s rows whose code is below
+    ``v`` (code 0 is missing), so one query attribute checks every segment
+    in a few array operations.
+    """
+
+    def __init__(self, statistics: Sequence[TableStatistics]):
+        self._statistics = statistics
+        self._prefix: dict[str, np.ndarray] = {}
+
+    def _sums(self, name: str) -> np.ndarray | None:
+        prefix = self._prefix.get(name)
+        if prefix is None:
+            try:
+                counts = np.stack([
+                    stats.attribute(name).counts for stats in self._statistics
+                ])
+            except Exception:
+                return None
+            prefix = np.zeros((counts.shape[0], counts.shape[1] + 1), np.int64)
+            np.cumsum(counts, axis=1, out=prefix[:, 1:])
+            self._prefix[name] = prefix
+        return prefix
+
+    def alive(self, query: RangeQuery, semantics: MissingSemantics) -> np.ndarray:
+        """Per segment: can it hold a match (under the widest bound)?
+
+        A segment is ruled out when, for some query attribute, it holds no
+        row inside the interval (nor a missing one under
+        ``missing-is-a-match``).  Unknown attributes and out-of-domain
+        intervals rule nothing out, so an invalid query raises exactly as
+        it would unpruned.
+        """
+        alive = np.ones(len(self._statistics), dtype=bool)
+        for name, interval in query.items():
+            prefix = self._sums(name)
+            if prefix is None or interval.lo < 1 or interval.hi + 2 > prefix.shape[1]:
+                continue
+            possible = prefix[:, interval.hi + 1] - prefix[:, interval.lo]
+            if semantics is MissingSemantics.IS_MATCH:
+                possible = possible + prefix[:, 1]
+            alive &= possible > 0
+        return alive
+
+
 def _finalize_executor(executor: ShardExecutor) -> None:
-    """GC fallback: shut the fan-out executor down when the database drops.
+    """GC fallback: close the executor handle when the database drops.
 
     Referenced by ``weakref.finalize`` with the *executor* (never the
     database) as its argument, so the database itself stays collectible;
@@ -94,15 +148,14 @@ def _finalize_executor(executor: ShardExecutor) -> None:
 
 
 class ShardedDatabase(_QuerySurface):
-    """An ordered tuple of shard engines, queried by scatter-gather.
+    """An ordered tuple of segment engines, read as one assembled engine.
 
-    Shard *k* owns the global rows ``[start_k, start_k + n_k)``, where
-    ``start_k`` is the sum of the earlier shards' sizes.  The engine is the
-    shard: this type adds the row ranges and the executor seam the one
-    query body fans out through, and keeps no registry, table or row-id
-    map of its own — indexes and rows are read from the shard engines,
-    which all hold the same index set (DDL loops every shard; the loader
-    attaches or rebuilds all).  Every entry point — ``execute`` /
+    Segment *k* owns the global rows ``[start_k, start_k + n_k)``, where
+    ``start_k`` is the sum of the earlier segments' sizes.  The segments
+    hold the same index set (DDL loops every segment; the loader attaches
+    or rebuilds all) and are what writers rebuild, share and save.  Reads
+    run on one engine assembled from them on the first read (see the
+    module docstring).  Every entry point — ``execute`` /
     ``execute_batch`` / ``query_predicate`` / ``query`` / ``count`` /
     ``fetch`` / ``execute_ranked`` / ``explain`` / ``summary`` /
     ``choose_index`` / ``estimate_count`` — is the engine's own
@@ -112,16 +165,16 @@ class ShardedDatabase(_QuerySurface):
     ----------
     table:
         The full table.  Its rows are cut into ``num_shards`` consecutive
-        ranges of ``np.array_split`` sizes; each shard gets its own
-        :class:`IncompleteDatabase` (and sub-result cache) over a copy.
+        ranges (:func:`_row_ranges`); each segment gets its own
+        :class:`IncompleteDatabase` over a copy.
     num_shards:
-        How many shards to create (``>= 1``; 1 shard answers as the
-        unsharded engine does, through the executor seam).
+        How many segments to create (``>= 1``; one segment is read
+        directly, with nothing to assemble).
     executor:
         A :class:`~repro.shard.executor.ShardExecutor` instance, or
-        ``None`` / ``"sequential"`` for the one built-in backend: shard
-        tasks run inline on the caller's thread — see ``docs/sharding.md``
-        for the measurement.
+        ``None`` / ``"sequential"`` for the built-in one.  It evaluates
+        nothing (a read runs on one engine); it is held and closed with
+        the database.
     """
 
     def __init__(
@@ -143,9 +196,11 @@ class ShardedDatabase(_QuerySurface):
             self._shards.append(_Shard(shard_id, start, engine))
             start += engine.num_records
         self._num_records = start
-        self._partitions = tuple(shard.database for shard in self._shards)
         self._starts = tuple(shard.start for shard in self._shards)
         self._plan_memo: dict[tuple, tuple] = {}
+        self._assembled: IncompleteDatabase | None = None
+        self._zone_maps: _ZoneMaps | None = None
+        self._assembly_lock = threading.Lock()
         self._closed = False
         #: Set by :meth:`freeze` once this database becomes a published
         #: MVCC snapshot; index DDL then raises instead of mutating state
@@ -165,13 +220,13 @@ class ShardedDatabase(_QuerySurface):
         engines: Sequence[IncompleteDatabase],
         executor: str | ShardExecutor | None = None,
     ) -> "ShardedDatabase":
-        """Assemble from shard engines, in row order.
+        """Assemble from segment engines, in row order.
 
         Each engine's rows follow the previous engine's.  The loader
-        (:mod:`repro.shard.manifest`) passes engines over the shard tables
-        exactly as serialized, so loaded indexes stay aligned with their
-        rows; the serving writer passes the current snapshot's engines, by
-        reference, for every shard a mutation leaves alone.
+        (:mod:`repro.shard.manifest`) passes engines over the segment
+        tables exactly as serialized, so loaded indexes stay aligned with
+        their rows; the serving writer passes the current snapshot's
+        engines, by reference, for every segment a mutation leaves alone.
         """
         self = cls.__new__(cls)
         self._setup(engines, executor)
@@ -181,25 +236,26 @@ class ShardedDatabase(_QuerySurface):
 
     @property
     def num_shards(self) -> int:
-        """Number of shards."""
+        """Number of segments."""
         return len(self._shards)
 
     @property
     def num_records(self) -> int:
-        """Total records across all shards."""
+        """Total records across all segments."""
         return self._num_records
 
     @property
     def table(self) -> IncompleteTable:
-        """The whole table, concatenated from the shards on every call.
+        """The whole table, concatenated from the segments on every call.
 
-        Nothing keeps it: queries, writes and telemetry read the shards.
+        Nothing keeps it: queries read the assembled engine's joined
+        table, writes and telemetry the segments.
         """
         return concat_tables(*(shard.database.table for shard in self._shards))
 
     @property
     def statistics(self) -> TableStatistics:
-        """Whole-table histograms: the shards' exact histograms, summed."""
+        """Whole-table histograms: the segments' exact histograms, summed."""
         if self._statistics is None:
             self._statistics = TableStatistics.summed(
                 [shard.database.statistics for shard in self._shards]
@@ -207,13 +263,12 @@ class ShardedDatabase(_QuerySurface):
         return self._statistics
 
     def _runs(self, ids) -> list[np.ndarray]:
-        """Ascending global ``ids`` split at the shard starts: one run each."""
+        """Ascending global ``ids`` split at the segment starts: one run each."""
         ids = np.asarray(ids, dtype=np.int64)
-        starts = [shard.start for shard in self._shards[1:]]
-        return np.split(ids, np.searchsorted(ids, starts))
+        return np.split(ids, np.searchsorted(ids, self._starts[1:]))
 
     def _rows(self, ids: np.ndarray) -> IncompleteTable:
-        """The rows with ascending global ``ids``, taken shard by shard."""
+        """The rows with ascending global ``ids``, taken segment by segment."""
         return concat_tables(*(
             shard.database.table.take(run - shard.start)
             for shard, run in zip(self._shards, self._runs(ids))
@@ -221,16 +276,16 @@ class ShardedDatabase(_QuerySurface):
 
     @property
     def shards(self) -> tuple[_Shard, ...]:
-        """The shard holders, in shard-id order (read-only view)."""
+        """The segment holders, in segment-id order (read-only view)."""
         return tuple(self._shards)
 
     @property
     def executor(self) -> ShardExecutor:
-        """The fan-out backend serving this database."""
+        """The executor handle this database holds."""
         return self._executor_impl
 
     def close(self) -> None:
-        """Close the fan-out executor.
+        """Close the executor handle; reads then raise.
 
         Closing twice raises :class:`~repro.errors.ShardError` — a second
         ``close()`` means two owners think they hold the handle, which is
@@ -253,8 +308,8 @@ class ShardedDatabase(_QuerySurface):
     def freeze(self) -> "ShardedDatabase":
         """Mark this database an immutable snapshot; returns ``self``.
 
-        A frozen database still answers every query (and its caches still
-        fill), but index DDL raises :class:`~repro.errors.ShardError`.
+        A frozen database still answers every query (and still assembles
+        its reader), but index DDL raises :class:`~repro.errors.ShardError`.
         The serving layer freezes each database before publishing it as an
         epoch, so nothing can mutate state a pinned reader depends on —
         writers build a *new* database and publish that instead.
@@ -299,10 +354,10 @@ class ShardedDatabase(_QuerySurface):
         overwrite: bool = False,
         **options,
     ) -> AttachedIndex:
-        """Build the same index on every shard (same name, kind, options).
+        """Build the same index on every segment (same name, kind, options).
 
-        Returns the first shard's registry entry; name, kind, attributes
-        and options are the same on every shard.
+        Returns the first segment's registry entry; name, kind, attributes
+        and options are the same on every segment.
         """
         self._ensure_open()
         self._ensure_mutable()
@@ -312,33 +367,118 @@ class ShardedDatabase(_QuerySurface):
             )
             for shard in self._shards
         ]
-        self._plan_memo.clear()
+        self._reassemble()
         return attached[0]
 
     def drop_index(self, name: str) -> None:
-        """Detach an index from every shard."""
+        """Detach an index from every segment."""
         self._ensure_open()
         self._ensure_mutable()
         for shard in self._shards:
             shard.database.drop_index(name)
-        self._plan_memo.clear()
+        self._reassemble()
 
-    # -- execution -------------------------------------------------------------
+    def _reassemble(self) -> None:
+        """After DDL: plans and the assembled reader start over."""
+        with self._assembly_lock:
+            self._assembled = None
+            self._plan_memo.clear()
+
+    # -- the surface's reader ----------------------------------------------------
 
     _source = "shard"
 
-    def _fan_out(self, tasks):
-        """Hand each shard its task through the executor seam."""
+    @property
+    def _catalog(self) -> dict[str, AttachedIndex]:
+        return self._shards[0].database._indexes
+
+    def _reader(self) -> IncompleteDatabase:
+        """The engine every read runs on, assembled on the first read.
+
+        One segment is its own reader.  Otherwise the reader is an engine
+        over the joined table (:func:`~repro.dataset.table.join_tables`)
+        whose indexes :meth:`_attached` joins one by one.
+        """
         self._ensure_open()
-        return self._executor_impl.run(self, tasks)
+        engine = self._assembled
+        if engine is None:
+            if len(self._shards) == 1:
+                return self._shards[0].database
+            with self._assembly_lock:
+                engine = self._assembled
+                if engine is None:
+                    engine = IncompleteDatabase(join_tables(
+                        [shard.database.table for shard in self._shards]
+                    ))
+                    engine._statistics = self.statistics
+                    self._assembled = engine
+        return engine
+
+    def _attached(self, name: str) -> AttachedIndex:
+        """The reader's entry for ``name``, joined from the segments' on
+        first use."""
+        engine = self._reader()
+        attached = engine._indexes.get(name)
+        if attached is None:
+            with self._assembly_lock:
+                attached = engine._indexes.get(name)
+                if attached is None:
+                    attached = self._join_index(engine, name)
+        return attached
+
+    def _join_index(self, engine: IncompleteDatabase, name: str) -> AttachedIndex:
+        spec = self._catalog[name]
+        parts = [shard.database.get_index(name).index for shard in self._shards]
+        index = None
+        if isinstance(spec.index, BitmapIndex):
+            index = type(spec.index).join(parts)
+        elif isinstance(spec.index, VAFile):
+            index = VAFile.join(parts, engine.table)
+        if index is None:
+            return engine.create_index(
+                name, spec.kind, spec.attributes, **spec.options
+            )
+        return engine.attach_index(
+            name, spec.kind, index, spec.attributes, options=spec.options
+        )
+
+    def _zone(self, item, semantics):
+        """The row span a range query's surviving segments cover.
+
+        ``(start, stop, skipped)``: the rows from the first to the last
+        segment the zone maps leave the query, and the segments outside
+        them (``start == stop`` when none survives); None when every
+        segment survives, for a predicate, or with one segment.
+        """
+        if len(self._shards) < 2 or not isinstance(item, RangeQuery):
+            return None
+        if self._zone_maps is None:
+            self._zone_maps = _ZoneMaps(
+                [shard.database.statistics for shard in self._shards]
+            )
+        alive = self._zone_maps.alive(item, semantics_for_costing(semantics))
+        if alive.all():
+            return None
+        survivors = np.flatnonzero(alive)
+        if not len(survivors):
+            return 0, 0, tuple(range(len(self._shards)))
+        first, last = int(survivors[0]), int(survivors[-1])
+        stop = (
+            self._starts[last + 1] if last + 1 < len(self._starts)
+            else self._num_records
+        )
+        skipped = tuple(
+            k for k in range(len(self._shards)) if k < first or k > last
+        )
+        return self._starts[first], stop, skipped
 
     def _shard_lines(self, query=None, costing=None) -> list[str]:
-        """What ``summary`` and (given a query) ``explain`` say of the shards."""
+        """What ``summary`` and (given a query) ``explain`` say of the segments."""
         lines = [
-            f"{self.num_shards} shards (row ranges), "
-            f"{self._executor_impl.name} executor"
+            f"{self.num_shards} shards (row-range segments, read as one engine)"
         ]
-        pruned = [] if query is None else self._pruned(query, costing)
+        zone = None if query is None else self._zone(query, costing)
+        pruned = [] if zone is None else list(zone[2])
         for shard in self._shards:
             line = (
                 f"  shard {shard.shard_id}: "

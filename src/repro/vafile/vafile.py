@@ -23,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.bitvector.ops import OpCounter
-from repro.dataset.table import IncompleteTable
+from repro.dataset.table import IncompleteTable, concatenate_shared
 from repro.errors import DomainError, IndexBuildError, QueryError
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
@@ -154,6 +154,44 @@ class VAFile:
     def bits(self, attribute: str) -> int:
         """Bits per approximation for one attribute."""
         return self.quantizer(attribute).bits
+
+    # -- row ranges ------------------------------------------------------------
+
+    @classmethod
+    def join(cls, parts: "list[VAFile]", table: IncompleteTable) -> "VAFile | None":
+        """The VA-file over ``table``, the ``parts``' rows laid end to end.
+
+        The parts' codes concatenate when each attribute's quantizer is the
+        same on every part; otherwise there is no join (None), and the
+        caller builds the file over ``table``.
+        """
+        first = parts[0]
+        for part in parts[1:]:
+            if part._quantization != first._quantization or any(
+                not _same_quantizer(part._quantizers[name], quantizer)
+                for name, quantizer in first._quantizers.items()
+            ):
+                return None
+        vafile = cls.__new__(cls)
+        vafile._table = table
+        vafile._quantization = first._quantization
+        vafile._quantizers = dict(first._quantizers)
+        vafile._codes = {
+            name: concatenate_shared([part._codes for part in parts], name)
+            for name in first._quantizers
+        }
+        return vafile
+
+    def window(self, start: int, stop: int) -> tuple["VAFile", int]:
+        """This file over rows ``[start, stop)`` (views), and ``start``."""
+        view = VAFile.__new__(VAFile)
+        view._table = self._table.rows(start, stop)
+        view._quantization = self._quantization
+        view._quantizers = self._quantizers
+        view._codes = {
+            name: codes[start:stop] for name, codes in self._codes.items()
+        }
+        return view, start
 
     # -- size accounting ------------------------------------------------------
 
@@ -455,6 +493,13 @@ class VAFile:
             stats.records_refined += refined
             _obs_record("vafile.records_refined", refined)
         return exact
+
+
+def _same_quantizer(a, b) -> bool:
+    """Whether two quantizers code every value alike."""
+    if type(a) is not type(b) or (a.bits, a.cardinality) != (b.bits, b.cardinality):
+        return False
+    return isinstance(a, UniformQuantizer) or a.lookup_table() == b.lookup_table()
 
 
 def _bin_inside(bin_range: tuple[int, int], interval: Interval) -> bool:

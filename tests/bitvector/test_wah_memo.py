@@ -16,7 +16,6 @@ import pytest
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.bitvector import kernels
 from repro.bitvector.wah import GROUP_BITS, WahBitVector
-from repro.core.cache import SubResultCache
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
 from repro.observability import use_registry
@@ -108,17 +107,17 @@ def test_first_decode_race_gives_identical_answers(backend):
 
 
 def test_cached_result_does_not_regrow(backend):
+    """A result whose stream was built (to size, store or compare it)
+    drops its groups and does not grow them back by being used."""
     a, b = WahBitVector.from_bools(_bools(4)), WahBitVector.from_bools(_bools(5))
-    cache = SubResultCache()
-    cache.put("k", a | b)  # nbytes() builds the stream, dropping the groups
-    cached = cache.get("k")
-    size = cache.nbytes
+    cached = a | b
+    size = cached.nbytes()  # builds the stream, dropping the groups
     for _ in range(3):
         (cached & a).count()
         (~cached).to_indices()
         cached.to_indices()
     assert cached._groups is None
-    assert cache.nbytes == size == cached.words.nbytes
+    assert cached.nbytes() == size == cached.words.nbytes
 
 
 @pytest.mark.parametrize("kind", ["bee", "bre"])

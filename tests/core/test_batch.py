@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.cache import SubResultCache
 from repro.core.engine import IncompleteDatabase
 from repro.core.planner import rank_plans
 from repro.errors import PlanningError, ReproError
@@ -39,7 +38,7 @@ class TestBatchEquivalence:
     def test_batch_matches_sequential(self, db, semantics, warm):
         queries = _workload()
         sequential = [db.execute(q, semantics) for q in queries]
-        if warm:  # the batch below then answers from cached sub-results
+        if warm:  # the batch below then reads bitmaps earlier ones decoded
             db.execute_batch(queries, semantics)
         batch = db.execute_batch(queries, semantics)
         assert len(batch) == len(queries)
@@ -70,25 +69,6 @@ class TestBatchEquivalence:
 
 
 class TestBatchCaching:
-    def test_repeated_intervals_hit_cache(self, db):
-        queries = _workload()
-        db.execute_batch(queries)
-        stats = db.sub_result_cache.stats()
-        assert stats.hits > 0
-        assert stats.stores > 0
-
-    def test_starved_cache_still_correct(self, db):
-        queries = _workload()
-        sequential = [db.execute(q) for q in queries]
-        db._cache = SubResultCache(max_bytes=64)
-        batch = db.execute_batch(queries)
-        for seq, bat in zip(sequential, batch):
-            assert np.array_equal(seq.record_ids, bat.record_ids)
-
-    def test_single_query_execute_stays_cache_free(self, db):
-        db.execute(RangeQuery.from_bounds({"mid": (3, 8), "high": (20, 70)}))
-        assert db.sub_result_cache.stats().stores == 0
-
     def test_vafile_shares_interval_scans(self, db):
         registry = MetricsRegistry()
         queries = [RangeQuery.from_bounds({"low": (1, 2), "high": (5, 40)})] * 3
@@ -159,29 +139,3 @@ class TestIndexRegistryHardening:
         assert chosen is None or chosen.name != "bre"
         report = db.execute(query)
         assert report.index_name != "bre"
-
-    def test_overwrite_invalidates_cached_sub_results(self, db):
-        queries = [RangeQuery.from_bounds({"mid": (3, 8), "high": (20, 70)})] * 2
-        db.execute_batch(queries, using="bre")
-        assert len(db.sub_result_cache) > 0
-        db.create_index("bre", "bre", ["mid", "high"], overwrite=True)
-        assert len(db.sub_result_cache) == 0
-        # The stale entries are gone: a fresh batch stores anew.
-        before = db.sub_result_cache.stats().stores
-        db.execute_batch(queries, using="bre")
-        assert db.sub_result_cache.stats().stores > before
-
-    def test_drop_invalidates_cached_sub_results(self, db):
-        queries = [RangeQuery.from_bounds({"mid": (3, 8), "high": (20, 70)})] * 2
-        db.execute_batch(queries, using="bre")
-        assert len(db.sub_result_cache) > 0
-        db.drop_index("bre")
-        assert len(db.sub_result_cache) == 0
-
-    def test_explicit_invalidate_cache_hatch(self, db):
-        db.execute_batch(
-            [RangeQuery.from_bounds({"mid": (3, 8), "high": (20, 70)})] * 2
-        )
-        dropped = db.invalidate_cache()
-        assert dropped >= 1
-        assert len(db.sub_result_cache) == 0

@@ -206,17 +206,6 @@ class TestIntrospection:
         assert "(none; queries fall back to scan)" in text
         assert "sequential scans: 1" in text
 
-    def test_summary_reports_cache_stats(self, db):
-        db.create_index("rng", "bre")
-        queries = [{"mid": (2, 4)}] * 5
-        db.execute_batch(queries)
-        text = db.summary()
-        assert "sub-result cache:" in text
-        assert "hit rate" in text
-        stats = db.sub_result_cache.stats()
-        assert f"{stats.hits} hits" in text
-        assert f"{stats.entries} entries" in text
-
 
 class TestAllMissingColumns:
     """fetch() and query_predicate() when an entire column is missing."""
@@ -299,8 +288,8 @@ _DDL = {
 class TestTornGeneration:
     """Regression: DDL is the only writer of an engine's lock.  A batch
     holding the shared side must see one index set end to end; DDL on the
-    index it uses waits for the batch, then drops that index's cached
-    sub-results."""
+    index it uses waits for the batch, and the next batch reads the new
+    index set."""
 
     @pytest.mark.parametrize("ddl", sorted(_DDL))
     def test_mid_batch_ddl_waits_for_the_batch(self, ddl):
@@ -309,17 +298,17 @@ class TestTornGeneration:
             [int(i) for i in db.execute(q).record_ids] for q in _TORN_QUERIES
         ]
         batch_entered = threading.Event()
-        original = db._run_task
+        original = db._evaluate
         calls = {"n": 0}
 
-        def slow_run_task(*args, **kwargs):
+        def slow_evaluate(*args, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
                 batch_entered.set()
                 time.sleep(0.3)  # give the DDL every chance to sneak in
             return original(*args, **kwargs)
 
-        db._run_task = slow_run_task
+        db._evaluate = slow_evaluate
         results, timestamps = {}, {}
 
         def run_batch():
@@ -337,7 +326,7 @@ class TestTornGeneration:
             thread.start()
         for thread in threads:
             thread.join(timeout=30)
-        db._run_task = original
+        db._evaluate = original
 
         # Every member ran on the index as it was before the DDL, and the
         # DDL committed only after the batch released the lock.
@@ -345,12 +334,7 @@ class TestTornGeneration:
         assert [(r.index_name, r.kind) for r in batch] == [("ix", "bre")] * 3
         assert [[int(i) for i in r.record_ids] for r in batch] == expected
         assert timestamps["ddl_done"] >= timestamps["batch_done"]
-        # The batch cached sub-results of the old index; the DDL dropped
-        # them all, so none can answer for whatever serves "ix" now.
-        assert db.sub_result_cache.stats().entries == 0
-        stats = db.sub_result_cache.stats()
         after = db.execute_batch(_TORN_QUERIES)
-        assert db.sub_result_cache.stats().hits == stats.hits
         assert [r.kind for r in after] == (
             ["bee"] * 3 if ddl == "create_index" else ["scan"] * 3
         )

@@ -112,7 +112,7 @@ class TestPersistence:
         path = tmp_path / "t.npz"
         assert save_table(table, path) == path.stat().st_size
 
-    def test_columns_are_stored_narrow_and_load_wide(self, tmp_path):
+    def test_columns_are_stored_and_loaded_narrow(self, tmp_path):
         schema = Schema(
             [AttributeSpec("small", 255), AttributeSpec("wide", 300)]
         )
@@ -128,8 +128,9 @@ class TestPersistence:
             assert archive["col_0"].dtype == np.uint8
             assert archive["col_1"].dtype == np.uint16
         loaded = load_table(path)
-        for name in schema.names:
-            assert loaded.column(name).dtype == np.int64
+        for name, width in zip(schema.names, (np.uint8, np.uint16)):
+            assert table.column(name).dtype == width
+            assert loaded.column(name).dtype == width
             assert np.array_equal(loaded.column(name), table.column(name))
 
     def test_legacy_int64_columns_still_load(self, tmp_path):

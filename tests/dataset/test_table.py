@@ -107,7 +107,16 @@ class TestAccessors:
         assert table.value(1, "a") is None
 
     def test_nbytes_positive(self, table):
-        assert table.nbytes() == 2 * 4 * 8  # two int64 columns of 4 rows
+        # Two columns of 4 rows at their stored width: C = 5 and 3 fit a byte.
+        assert table.nbytes() == 2 * 4 * 1
+        assert {table.column(n).dtype for n in ("a", "b")} == {np.dtype(np.uint8)}
+
+    def test_caller_array_is_copied_not_frozen(self, schema):
+        given = np.array([1, 0, 5], dtype=np.uint8)
+        table = IncompleteTable(schema, {"a": given, "b": np.ones(3, dtype=int)})
+        assert given.flags.writeable
+        given[0] = 2
+        assert table.column("a")[0] == 1
 
 
 class TestTransforms:

@@ -127,7 +127,7 @@ class TestMetricNameDrift:
         doc = documented_metric_names()
         # Sanity: the extractors must see the well-known names, otherwise
         # the two coverage tests below would vacuously pass.
-        for expected in ("wah.words_decoded", "cache.hits",
+        for expected in ("wah.words_decoded", "shard.pruned",
                          "workload.records", "telemetry.requests"):
             assert expected in src, f"extractor lost src name {expected}"
             assert expected in doc, f"extractor lost documented {expected}"

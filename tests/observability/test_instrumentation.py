@@ -314,7 +314,14 @@ class TestCounterValues:
     so every choice is the one the totals were taken under.  Only the
     planner's own tallies moved since, when plans became memoized: the
     engine batch repeats its three queries, so three rankings (six plans
-    costed) are memo hits.
+    costed) are memo hits.  When segments replaced shards and the
+    sub-result cache went: the sharded batch's three queries each run
+    once on one engine instead of once per shard (three engine queries
+    and three rankings fewer; ``shard.fanout_tasks`` counts the two
+    segments each query read), and the engine batch recomputes the
+    thirteen intervals the cache answered (the ``bitmap.*`` / ``wah.ops``
+    rise) and builds no streams (``wah.words_emitted`` and the decodes of
+    cached streams are gone).
     """
 
     EXPECTED = {
@@ -324,51 +331,43 @@ class TestCounterValues:
         "bbc.literal_tokens": 1522,
         "bbc.ops": 306,
         "bbc.tokens_decoded": 4789,
-        "bitmap.binary_ops": 785,
-        "bitmap.bitvectors_touched": 725,
-        "bitmap.missing_consulted.is_match": 116,
-        "bitmap.missing_consulted.not_match": 21,
+        "bitmap.binary_ops": 789,
+        "bitmap.bitvectors_touched": 734,
+        "bitmap.missing_consulted.is_match": 118,
+        "bitmap.missing_consulted.not_match": 22,
         "bitmap.not_ops": 30,
-        "bitmap.words_processed": 15485,
-        "cache.hits": 13,
-        "cache.misses": 13,
-        "cache.stores": 13,
+        "bitmap.words_processed": 15715,
         "engine.batch_queries": 6,
         "engine.batches": 1,
-        "engine.queries": 129,
+        "engine.queries": 126,
         "engine.queries.bee": 27,
         "engine.queries.bie": 27,
-        "engine.queries.bre": 39,
+        "engine.queries.bre": 36,
         "engine.queries.bsl": 27,
         "engine.queries.vafile": 9,
-        "planner.actual_items": 12429,
+        "planner.actual_items": 12469,
         "planner.estimated_items": 8010,
         "planner.plan_chosen.bee": 27,
         "planner.plan_chosen.bie": 27,
-        "planner.plan_chosen.bre": 39,
+        "planner.plan_chosen.bre": 36,
         "planner.plan_chosen.bsl": 27,
         "planner.plan_chosen.vafile": 9,
-        "planner.plans_costed": 129,
-        "planner.rankings": 126,
-        "planner.shard_plans_merged": 3,
-        "planner.shard_rankings": 3,
+        "planner.plans_costed": 126,
+        "planner.rankings": 123,
         "semantics.both_predicates": 2,
         "semantics.both_queries": 45,
-        "semantics.cache_derived_bounds": 1,
         "semantics.possible_only_rows": 2430,
         "shard.batch_queries": 3,
         "shard.batches": 1,
-        "shard.fanout_tasks": 2,
+        "shard.fanout_tasks": 6,
         "shard.pruned": 0,
-        "shard.sequential_fanouts": 1,
         "vafile.candidates": 3919,
         "vafile.cells_visited": 3309,
         "vafile.codes_scanned": 7200,
         "vafile.queries": 18,
         "vafile.records_refined": 2451,
-        "wah.ops": 371,
-        "wah.words_decoded": 758,
-        "wah.words_emitted": 100,
+        "wah.ops": 375,
+        "wah.words_decoded": 578,
     }
 
     def test_workload_totals_hold(self, unit_costs):

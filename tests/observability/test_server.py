@@ -80,7 +80,7 @@ class TestRoutes:
         assert "engine.query_ns.bre" in varz["histograms"]
         assert varz["database"]["records"] == db.table.num_records
         assert "idx" in varz["database"]["indexes"]
-        assert "hit_rate" in varz["database"]["cache"]
+        assert "cache" not in varz["database"]  # there is no sub-result cache
 
     def test_workload_route(self, stack):
         server, _, _, db = stack

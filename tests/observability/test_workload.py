@@ -300,11 +300,10 @@ class TestShardedIntegration:
         (entry,) = recorder.slow_log.entries()
         assert entry.trace is not None
         assert entry.trace.root.name == "query"
-        # plan, then one execute span per executed shard
+        # plan, then one execute span: the segments are read as one engine
         names = [span.name for span in entry.trace.root.children]
-        assert names == ["plan"] + ["execute.bre"] * (
-            entry.record.shards_executed
-        )
+        assert names == ["plan", "execute.bre"]
+        assert entry.record.shards_executed >= 1
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     def test_metrics_registry_with_recorder(self, sharded, semantics):
@@ -315,6 +314,5 @@ class TestShardedIntegration:
         assert snapshot.counters["shard.queries"] == 1
         executed = sum(1 for s in report.per_shard if not s.pruned)
         assert snapshot.counters["shard.fanout_tasks"] == executed
-        for name in ("shard.fanout_ns", "shard.merge_ns", "shard.skew"):
-            assert snapshot.histograms[name].count == 1
-        assert snapshot.histograms["shard.task_ns"].count == executed
+        assert snapshot.histograms["shard.merge_ns"].count == 1
+        assert snapshot.counters["engine.queries"] == 1

@@ -597,15 +597,20 @@ class TestShardedBoth:
         assert np.array_equal(got.possible_ids, want.possible_ids)
 
     def test_sharded_batch_shares_sub_results(self, pair):
-        # BOTH batches ride the same ShardTask, so each shard's SubResultCache
-        # serves the interval the workload repeats.
+        # A BOTH batch on a VA-file scans each interval the workload
+        # repeats once, on the one engine the segments are read as.
+        from repro.observability import use_registry
+
         ref, sharded = pair
+        sharded.create_index("va", "vafile")
         queries = [
             RangeQuery.from_bounds({"a": (3, 9), "b": (lo, 4)})
             for lo in (1, 2, 3, 1, 2, 3)
         ]
-        reports = sharded.execute_batch(queries, "both")
-        assert sharded.cache_stats().hits > 0
+        with use_registry() as registry:
+            reports = sharded.execute_batch(queries, "both", using="va")
+        counters = registry.snapshot().counters
+        assert counters.get("vafile.batch_mask_reuses", 0) > 0
         for q, report in zip(queries, reports):
             assert len(report.bound_ids) == 2
             for other in (sharded.execute(q, BOTH), ref.execute(q, BOTH)):

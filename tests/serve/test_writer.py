@@ -352,7 +352,7 @@ class TestShardGranularWrites:
             _assert_answers(loaded, after.table)
 
     @pytest.mark.parametrize(
-        "ids, touched", [([0, 3], 1), ([2, 120], 2), ([1, 60, 110, 199], 4)]
+        "ids, touched", [([0, 3], 1), ([2, 120], 2), ([1, 70, 130, 199], 4)]
     )
     def test_delete_rebuilds_exactly_the_shards_it_hits(
         self, ids, touched, count_builds
@@ -410,17 +410,18 @@ class TestShardGranularWrites:
             appended = manager.current_database
             for old, new in zip(before.shards[:3], appended.shards):
                 assert new.database is old.database
-            assert appended.shards[3].start == 150
-            assert appended.shards[3].database.num_records == 50 + 13
+            # 200 rows are 7 groups of 31: segments of 2, 2, 2, 1 groups.
+            assert appended.shards[3].start == 186
+            assert appended.shards[3].database.num_records == 14 + 13
             _assert_answers(appended, appended.table)
 
             writer.compact()
             compacted = manager.current_database
-            # The np.array_split layout of 213 rows: sizes 54, 53, 53, 53.
+            # 213 rows are 7 groups again; the last segment ends at row 213.
             assert [
                 (shard.start, shard.database.num_records)
                 for shard in compacted.shards
-            ] == [(0, 54), (54, 53), (107, 53), (160, 53)]
+            ] == [(0, 62), (62, 62), (124, 62), (186, 27)]
             _assert_answers(compacted, appended.table)
         finally:
             manager.close()
@@ -439,9 +440,9 @@ class TestShardGranularWrites:
             writer.append(second)
             mirror = concat_tables(mirror, first, second)
             _assert_conforms(manager.current_database, mirror)
-            writer.delete(range(50, 100))  # all of shard 1
+            writer.delete(range(62, 124))  # all of shard 1
             assert manager.current_database.num_shards == 3
-            mirror = mirror.take(np.setdiff1d(np.arange(213), range(50, 100)))
+            mirror = mirror.take(np.setdiff1d(np.arange(213), range(62, 124)))
             _assert_conforms(manager.current_database, mirror)
             writer.compact()
             assert manager.current_database.num_shards == 3

@@ -1,12 +1,14 @@
-"""Tests for the shard-fanout executor seam.
+"""Tests for the executor handle a sharded database holds.
 
 Covers resolution (``None`` / ``"sequential"`` / an instance; everything
-the deleted ``processes`` backend took is rejected), the custom-subclass
-seam the interface is kept for, and the database lifecycle around the
-executor (double-close, use-after-close, GC finalizer).
+the deleted ``processes`` backend took is rejected), custom subclass
+instances, and the database lifecycle around the executor (double-close,
+use-after-close, GC finalizer).
 """
 
 import gc
+
+import numpy as np
 
 import pytest
 
@@ -132,7 +134,8 @@ class TestResolveExecutor:
                 db.execute(QUERIES[0])
                 db.execute_batch(QUERIES)
             counters = registry.snapshot().counters
-            assert counters["shard.sequential_fanouts"] == 2
+            # Inline: every query ran once, on the caller's thread.
+            assert counters["engine.queries"] == 1 + len(QUERIES)
         with load_sharded(tmp_path) as loaded:
             assert loaded.executor.name == "sequential"
 
@@ -189,25 +192,32 @@ class TestResolveExecutor:
             resolve_executor("carrier-pigeons")
 
     def test_custom_executor_subclass(self):
-        """The single ``run`` override sees every entry point's tasks."""
+        """A subclass instance is held, named and closed with the database;
+        every entry point answers through it as without it."""
 
         class Recorder(SequentialShardExecutor):
             name = "recorder"
+            closed = False
 
-            def __init__(self):
-                self.seen = []
-
-            def run(self, db, tasks):
-                self.seen.append([type(t.items[0]) for t in tasks])
-                return super().run(db, tasks)
+            def close(self):
+                self.closed = True
 
         recorder = Recorder()
-        with ShardedDatabase(
-            _table(200), num_shards=2, executor=recorder
-        ) as db:
+        table = _table(200)
+        engine = IncompleteDatabase(table)
+        engine.create_index("ix", "bre")
+        predicate = Not(from_range_query(QUERIES[0]))
+        with ShardedDatabase(table, num_shards=2, executor=recorder) as db:
             db.create_index("ix", "bre")
-            db.execute(QUERIES[0])
-            db.execute_batch(QUERIES)
-            db.query_predicate(Not(from_range_query(QUERIES[0])))
-        assert recorder.seen == [[RangeQuery] * 2, [RangeQuery] * 2, [Not] * 2]
+            assert db.executor is recorder
+            assert "2 shards" in db.summary()
+            got = [db.execute(QUERIES[0]), *db.execute_batch(QUERIES),
+                   db.query_predicate(predicate)]
+            want = [engine.execute(QUERIES[0]),
+                    *engine.execute_batch(QUERIES),
+                    engine.query_predicate(predicate)]
+            for mine, theirs in zip(got, want):
+                assert np.array_equal(mine.record_ids, theirs.record_ids)
+            assert not recorder.closed
+        assert recorder.closed
         assert isinstance(recorder, ShardExecutor)

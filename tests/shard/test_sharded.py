@@ -1,5 +1,5 @@
 """ShardedDatabase behaviour: identity with the unsharded engine, pruning,
-error propagation out of the fan-out, and the query API surface."""
+error propagation out of the one evaluation, and the query API surface."""
 
 import inspect
 
@@ -99,10 +99,17 @@ def test_shards_are_row_ranges(table):
 
 
 def test_row_counts_balanced_within_one(table):
-    # np.array_split sizes: the first n % k shards hold one row more.
+    # Balanced within one 31-row group: 997 rows are 33 groups, cut
+    # 9, 8, 8, 8, and the last segment ends at the last row.
     with ShardedDatabase(table.take(np.arange(997)), num_shards=4) as db:
         sizes = [shard.database.num_records for shard in db.shards]
-    assert sizes == [250, 249, 249, 249]
+        starts = [shard.start for shard in db.shards]
+    assert sizes == [279, 248, 248, 222]
+    assert all(start % 31 == 0 for start in starts)
+    # Fewer groups than segments: cut row by row instead.
+    with ShardedDatabase(table.take(np.arange(90)), num_shards=4) as db:
+        sizes = [shard.database.num_records for shard in db.shards]
+    assert sizes == [23, 23, 22, 22]
 
 
 def test_invalid_shard_counts(table):
@@ -154,7 +161,7 @@ def test_pruning_skips_shards_on_clustered_data(table):
         assert report.num_pruned > 0
         pruned = [s for s in report.per_shard if s.pruned]
         for s in pruned:
-            assert s.num_matches == 0 and s.elapsed_ns == 0
+            assert s.num_matches == 0
 
 
 def test_pruned_shard_results_still_exact(table, unsharded):
@@ -208,15 +215,14 @@ def test_domain_error_not_masked_by_pruning(table, unsharded):
 
 
 def test_worker_exceptions_unwrapped(table):
-    # An error raised inside an in-process shard task must surface in the
-    # caller as the original exception object, not a wrapper.
+    # An error raised inside the evaluation must surface in the caller as
+    # the original exception object, not a wrapper.
     sentinel = PlanningError("boom from worker")
     with make_sharded(table, num_shards=4) as db:
-        for shard in db.shards:
-            def explode(*args, _exc=sentinel, **kwargs):
-                raise _exc
+        def explode(*args, **kwargs):
+            raise sentinel
 
-            shard.database._run_task = explode
+        db._reader()._evaluate = explode
         with pytest.raises(PlanningError) as info:
             db.execute({"a": (1, 30)})
         assert info.value is sentinel
@@ -230,65 +236,51 @@ def test_explain_mentions_pruning_and_plan(table):
         assert "4" in text
 
 
-def test_summary_includes_shards_and_cache(table):
+def test_summary_includes_shards(table):
     with make_sharded(table, num_shards=3) as db:
         db.execute_batch(QUERIES)
         text = db.summary()
         assert "3 shards" in text
         assert "shard 0" in text and "shard 2" in text
-        assert "sub-result caches" in text
-        assert "hit rate" in text
-
-
-def test_cache_stats_aggregate(table):
-    with make_sharded(table, num_shards=2) as db:
-        repeated = [QUERIES[0]] * 6
-        db.execute_batch(repeated)
-        stats = db.cache_stats()
-        assert stats.hits > 0
-        assert db.invalidate_cache() >= 0
-        assert db.cache_stats().entries == 0
+        assert f"{len(QUERIES)} queries served" in text
+        assert "cache" not in text
 
 
 @pytest.mark.parametrize("semantics", ["is_match", "not_match", "both"])
-def test_trace_has_per_shard_children(table, semantics):
+def test_trace_has_one_execute_span(table, semantics):
     with make_sharded(table, num_shards=4) as db:
         report = db.execute({"a": (1, 30)}, semantics, trace=True)
         trace = report.trace
         assert trace is not None
         assert trace.root.name == "query"
-        shard_spans = [
-            child
-            for child in trace.root.children
-            if "shard" in child.attributes
+        assert [child.name for child in trace.root.children] == [
+            "plan", "execute.bre"
         ]
-        executed = [s.shard_id for s in report.per_shard if not s.pruned]
-        assert [span.attributes["shard"] for span in shard_spans] == executed
-        assert {span.name for span in shard_spans} == {"execute.bre"}
 
 
 def test_batch_trace_has_the_execute_shape(table):
     """A traced batch report carries the tree ``execute(trace=True)`` does,
-    and an untraced batch hands no shard a trace."""
-    from repro.shard.executor import SequentialShardExecutor
-
-    class Spy(SequentialShardExecutor):
-        def run(self, db, tasks):
-            self.traced = [
-                any(t is not None for t in task.traces) for task in tasks
-            ]
-            return super().run(db, tasks)
+    and an untraced batch evaluates with no trace active."""
+    from repro import observability as obs
 
     def shape(span):
         return span.name, [shape(child) for child in span.children]
 
-    spy = Spy()
-    with make_sharded(table, num_shards=4, executor=spy) as db:
+    with make_sharded(table, num_shards=4) as db:
+        reader = db._reader()
+        evaluate = reader._evaluate
+        traced_calls = []
+
+        def spy(*args, **kwargs):
+            traced_calls.append(obs.current_trace() is not None)
+            return evaluate(*args, **kwargs)
+
+        reader._evaluate = spy
         for report in db.execute_batch(QUERIES, "both"):
             assert report.trace is None
-        assert spy.traced == [False] * 4
+        assert traced_calls == [False] * len(QUERIES)
         traced = db.execute_batch(QUERIES, "both", trace=True)
-        assert spy.traced == [True] * 4
+        assert traced_calls[len(QUERIES):] == [True] * len(QUERIES)
         for query, report in zip(QUERIES, traced):
             single = db.execute(query, "both", trace=True)
             assert shape(report.trace.root) == shape(single.trace.root)
@@ -298,13 +290,8 @@ def test_batch_trace_has_the_execute_shape(table):
             assert len(plan.attributes.get("pruned_shards", [])) == (
                 report.num_pruned
             )
-            shard_ids = [
-                child.attributes["shard"]
-                for child in root.children
-                if "shard" in child.attributes
-            ]
-            assert shard_ids == [
-                s.shard_id for s in report.per_shard if not s.pruned
+            assert [child.name for child in root.children] == [
+                "plan", "execute.bre"
             ]
 
 
@@ -319,8 +306,10 @@ def test_shard_counters_recorded(table):
         assert counters.get("shard.batches", 0) == 1
         assert counters.get("shard.fanout_tasks", 0) > 0
         assert counters.get("shard.pruned", 0) > 0
+        # One engine evaluation per query, whatever the segment count.
+        assert counters.get("engine.queries", 0) == 2 + len(QUERIES)
         histograms = registry.snapshot().histograms
-        assert "shard.fanout_ns" in histograms
+        assert histograms["shard.merge_ns"].count == 2 + len(QUERIES)
 
 
 def test_drop_index_fans_out(table):
@@ -354,7 +343,6 @@ def test_scan_fallback_without_indexes(table, unsharded):
 SURFACE = (
     "execute", "execute_batch", "query", "count", "fetch", "execute_ranked",
     "query_predicate", "explain", "summary", "create_index", "drop_index",
-    "invalidate_cache",
 )
 
 
@@ -418,8 +406,8 @@ def test_surface_conformance(table, tmp_path, num_shards, unit_costs):
             assert f"{num_shards} shards" in got and "shards" not in expected
         analyzed = db.explain(QUERIES[2], analyze=True)
         assert analyzed.startswith(db.explain(QUERIES[2]))
-        assert "\nquery {" in analyzed and "shard=" in analyzed
-        assert "sub-result cache" in db.summary()
+        assert "\nquery {" in analyzed and "execute.bre {index=" in analyzed
+        assert "queries served" in db.summary()
 
         # One set of conveniences: bit-identical answers.
         for query in QUERIES:

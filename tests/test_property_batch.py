@@ -1,24 +1,23 @@
 """Property tests: batching never changes results.
 
 Random two-attribute tables and random workloads (drawn from a small
-interval pool so repeats occur, which is what exercises the sub-result
-cache) are run through ``execute_batch`` under both missing-data semantics
-and three cache budgets — the default, zero (nothing is stored), and
-byte-starved so every store is immediately evicted — and must return
-exactly the record-id sets
-one-by-one ``execute`` produces.  This extends PR 2's "tracing never
-changes results" property to the batch executor.
+interval pool so repeats occur, which is what exercises the VA-file's
+shared interval scans) are run through ``execute_batch`` under both
+missing-data semantics, on an engine and on a three-segment sharded
+database, and must return exactly the record-id sets one-by-one
+``execute`` produces.  This extends "tracing never changes results" to
+the batch executor.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import SubResultCache
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.schema import AttributeSpec, Schema
 from repro.dataset.table import IncompleteTable
 from repro.query.model import Interval, MissingSemantics, RangeQuery
+from repro.shard.sharded import ShardedDatabase
 
 
 @st.composite
@@ -47,7 +46,7 @@ def batch_cases(draw):
         return Interval(lo, hi)
 
     # A small pool of distinct queries sampled with replacement, so the
-    # workload contains repeats (the cache-hit case) by construction.
+    # workload contains repeats (the shared-scan case) by construction.
     pool = [
         RangeQuery({"a": interval(card_a), "b": interval(card_b)})
         for _ in range(draw(st.integers(min_value=1, max_value=4)))
@@ -69,35 +68,27 @@ def _check_equivalence(db, workload, semantics):
 
 @settings(max_examples=40, deadline=None)
 @given(case=batch_cases())
-def test_batch_equals_sequential_with_cache(case):
+def test_batch_equals_sequential(case):
     table, workload = case
     db = IncompleteDatabase(table)
     db.create_index("bre", "bre")
     db.create_index("bee", "bee", ["a"])
-    for semantics in MissingSemantics:
-        _check_equivalence(db, workload, semantics)
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=batch_cases())
-def test_batch_equals_sequential_without_cache(case):
-    table, workload = case
-    db = IncompleteDatabase(table)
-    db.create_index("bre", "bre")
-    db._cache = SubResultCache(max_bytes=0)
-    for semantics in MissingSemantics:
-        _check_equivalence(db, workload, semantics)
-
-
-@settings(max_examples=40, deadline=None)
-@given(case=batch_cases())
-def test_batch_equals_sequential_under_eviction_pressure(case):
-    table, workload = case
-    db = IncompleteDatabase(table)
-    db.create_index("bre", "bre")
     db.create_index("va", "vafile")
-    # A tiny budget forces evictions (or outright refusal to store) on
-    # every put; correctness must not depend on anything staying cached.
-    db._cache = SubResultCache(max_bytes=16)
     for semantics in MissingSemantics:
         _check_equivalence(db, workload, semantics)
+        for using in ("bre", "va"):
+            expected = [db.execute(q, semantics, using) for q in workload]
+            got = db.execute_batch(workload, semantics, using)
+            for exp, act in zip(expected, got):
+                assert np.array_equal(exp.record_ids, act.record_ids)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=batch_cases())
+def test_sharded_batch_equals_sequential(case):
+    table, workload = case
+    with ShardedDatabase(table, num_shards=min(3, table.num_records)) as db:
+        db.create_index("bre", "bre")
+        db.create_index("va", "vafile")
+        for semantics in MissingSemantics:
+            _check_equivalence(db, workload, semantics)

@@ -1,10 +1,11 @@
 """Property tests: sharding never changes results.
 
 Random two-attribute tables, random small workloads, shard counts
-{1, 2, 7} (row ranges of ``np.array_split`` sizes), every semantics (``is_match``, ``not_match`` and
+{1, 2, 7} (row-range segments), every semantics (``is_match``, ``not_match`` and
 the one-pass ``both``), through both ``execute`` and ``execute_batch`` —
-the scatter-gather merge must return exactly the record-id arrays the
-unsharded engine produces, element for element and in the same order.  This is the sharded extension of the
+the one engine the segments are read as must return exactly the
+record-id arrays the unsharded engine produces, element for element and
+in the same order.  This is the sharded extension of the
 "tracing never changes results" / "batching never changes results"
 properties from earlier PRs.
 
@@ -206,7 +207,7 @@ def test_report_conformance(
 
 
 def _span_names(report) -> set:
-    """``(depth, name)`` of every span, so shard fan-out width is ignored."""
+    """``(depth, name)`` of every span."""
     return {(depth, span.name) for depth, span in report.trace.root.walk()}
 
 
@@ -243,9 +244,10 @@ def test_one_query_body(clustered_table, kind, entry, semantics):
                 assert root.name == "query"
                 assert _span_names(got) == _span_names(want)
                 executed = [
-                    span.attributes["shard"] for span in root.children
+                    span for span in root.children
                     if span.name.startswith("execute.")
                 ]
-                assert executed == [
-                    s.shard_id for s in got.per_shard if not s.pruned
-                ]
+                # One evaluation, unless the zone maps skipped every segment.
+                assert len(executed) == (
+                    0 if got.num_pruned == num_shards else 1
+                )

@@ -56,6 +56,34 @@ class TestBuiltOnce:
         assert not hasattr(cls, name)
 
 
+class TestRemovedSurface:
+    """Deleted on purpose, with no alias: the bitmap sub-result cache (a
+    cached interval cost more than recomputing it from decoded bitmaps)
+    and the per-shard fan-out (segments are read as one engine)."""
+
+    @pytest.mark.parametrize("name", ["SubResultCache"])
+    def test_cache_type_is_gone(self, name):
+        assert not hasattr(repro, name)
+        assert not hasattr(repro.core, name)
+
+    @pytest.mark.parametrize(
+        "cls", [repro.IncompleteDatabase, repro.ShardedDatabase]
+    )
+    @pytest.mark.parametrize("name", ["cache_stats", "invalidate_cache"])
+    def test_cache_methods_are_gone(self, cls, name):
+        assert not hasattr(cls, name)
+
+    def test_fan_out_is_gone(self):
+        import repro.core.engine as engine
+        import repro.core.planner as planner
+        import repro.shard.executor as executor
+
+        assert not hasattr(engine, "ShardTask")
+        assert not hasattr(repro.IncompleteDatabase, "_run_task")
+        assert not hasattr(planner, "combine_shard_estimates")
+        assert not hasattr(executor.ShardExecutor, "run")
+
+
 class TestSubpackageExports:
     @pytest.mark.parametrize(
         "module",
