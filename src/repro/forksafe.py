@@ -6,8 +6,9 @@ instant of the fork.  A child that inherits a mid-held lock deadlocks the
 first time it touches the instrument (the owning thread does not exist in
 the child, so the lock is never released).  The objects at risk here are
 the module-level singletons that threads mutate concurrently: the metrics
-registry and its per-instrument locks, the sub-result caches, the workload
-recorder's ring, and the JSONL sink.
+registry and its per-instrument locks, the engines' locks, a sharded
+database's assembly lock, the workload recorder's ring, and the JSONL
+sink.
 
 Instead of banning ``fork`` (a caller embedding the library may fork on
 its own: a pre-forking server, ``multiprocessing`` under its ``fork`` start
@@ -28,6 +29,13 @@ from __future__ import annotations
 
 import os
 import weakref
+
+# numpy loads these on first use (np.median reads np.ma, the planner's fit
+# calls np.linalg).  A child forked while another thread is mid-import
+# inherits that module's import lock held, which no fork hook can reset,
+# and hangs on its first use: so they are loaded before any fork.
+import numpy.linalg  # noqa: F401
+import numpy.ma  # noqa: F401
 
 __all__ = ["register"]
 

@@ -38,6 +38,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from repro import forksafe
 from repro.bitmap.base import BitmapIndex
 from repro.bitvector.wah import GROUP_BITS
 from repro.core.engine import AttachedIndex, IncompleteDatabase, _QuerySurface
@@ -201,6 +202,7 @@ class ShardedDatabase(_QuerySurface):
         self._assembled: IncompleteDatabase | None = None
         self._zone_maps: _ZoneMaps | None = None
         self._assembly_lock = threading.Lock()
+        forksafe.register(self)
         self._closed = False
         #: Set by :meth:`freeze` once this database becomes a published
         #: MVCC snapshot; index DDL then raises instead of mutating state
@@ -213,6 +215,10 @@ class ShardedDatabase(_QuerySurface):
         self._finalizer = weakref.finalize(
             self, _finalize_executor, self._executor_impl
         )
+
+    def _reset_after_fork(self) -> None:
+        # A fork child must not inherit the assembly lock mid-held.
+        self._assembly_lock = threading.Lock()
 
     @classmethod
     def _from_shards(
