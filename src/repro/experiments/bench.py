@@ -9,8 +9,8 @@ prove its speedup (or be caught regressing) by diffing committed numbers:
   once per registered kernel backend with per-case medians and speedups
   versus the ``python`` reference backend.
 * ``fig5_latency`` — the Figure 5(a) query-latency sweep.
-* ``batch_hit_rate`` — the batch executor + sub-result cache experiment.
-* ``sharded_scaling`` — the sharded scatter-gather scaling sweep.
+* ``batch_hit_rate`` — the batch executor experiment (Fig. 4 batch).
+* ``sharded_scaling`` — the sharded (segment) scaling sweep.
 
 Every file records the schema version, the git commit, interpreter/numpy
 versions, the active kernel backend, and the suite's results; see

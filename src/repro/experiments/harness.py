@@ -46,7 +46,7 @@ def time_batch(run: Callable[[], object], repeats: int = 1) -> float:
 
     The batch counterpart of :func:`time_queries`: ``run`` executes the
     entire workload itself (e.g. ``db.execute_batch(queries)``), so warm-up
-    effects inside the batch — sub-result caches filling on the first pass —
+    effects inside the batch — stored bitmaps decoded on the first pass —
     are part of what is measured, and best-of-N only filters scheduler
     noise.
     """

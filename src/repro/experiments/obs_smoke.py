@@ -11,7 +11,7 @@ workload is executing**.  Then validate:
   counters end in ``_total``; summaries carry ``_sum``/``_count``);
 * ``/healthz``, ``/varz``, and ``/workload`` return coherent JSON;
 * the recorder captured exactly one record per executed query (batch
-  members included, sharded scatter-gathers counted once);
+  members included, sharded queries counted once);
 * the slow-query log retained entries with rendered traces.
 
 Exit status is non-zero on any failure, so CI can gate on it::

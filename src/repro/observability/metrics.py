@@ -397,7 +397,7 @@ class _QueryTally:
     With a real registry installed, every :func:`record` in the body adds
     to a plain dict, and the body's end makes one ``Counter.inc`` per
     name, however many operations the query made.  Inside an open tally
-    (a batch, a fan-out, a probe under :func:`suppressed`) the body joins
+    (a batch, a probe under :func:`suppressed`) the body joins
     it.  With nothing listening no tally is opened.  ``__enter__`` returns
     :func:`enabled`: whether the query should size its work at all.  A
     class rather than a generator context manager: every query enters one

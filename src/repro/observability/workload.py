@@ -5,7 +5,7 @@ module answers *which queries* caused it.  A :class:`WorkloadRecorder`
 keeps one normalized :class:`WorkloadRecord` per query executed through
 :meth:`repro.core.engine.IncompleteDatabase.execute` /
 :meth:`~repro.core.engine.IncompleteDatabase.execute_batch` and per
-scatter-gather query on :class:`repro.shard.ShardedDatabase`, in a bounded
+query on :class:`repro.shard.ShardedDatabase`, in a bounded
 in-memory ring, optionally mirrored to a rotating JSONL sink for durable
 history.  :meth:`WorkloadRecorder.summary` aggregates the ring into the
 shape the workload-adaptive advisor consumes: per-attribute and
@@ -16,8 +16,7 @@ Like the metrics registry, the default recorder is a shared no-op
 (:data:`NULL_RECORDER`), so the engine's hot path pays one attribute read
 per query until an operator installs a real recorder with
 :func:`set_recorder` / :func:`use_recorder`.  Recording is thread-safe:
-the engine's batch fan-out and the query service's handlers record from
-several threads.
+the query service's handlers record from several threads.
 """
 
 from __future__ import annotations

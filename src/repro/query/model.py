@@ -66,7 +66,7 @@ class ThreeValued(enum.Enum):
 
     A single-member enum (rather than a bare ``object()``) so the sentinel
     survives pickling and copying: enum members unpickle to the *same*
-    object, keeping ``is BOTH`` checks valid on a shard task or report that
+    object, keeping ``is BOTH`` checks valid on a report or request that
     has been through either.
     """
 
