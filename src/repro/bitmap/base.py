@@ -6,25 +6,42 @@ holds a family of bitvectors ``B_{i,j}`` (one per encoded value, plus the
 missing-value bitmap ``B_{i,0}`` when the attribute has missing data), all in
 a single codec (``none`` | ``wah`` | ``bbc``).
 
-Concrete encodings (:mod:`repro.bitmap.equality`,
-:mod:`repro.bitmap.range_encoded`) implement :meth:`BitmapIndex.evaluate_interval`;
-query execution ANDs the per-attribute interval results, exactly as in the
-paper's Section 4.
+Concrete encodings implement their interval evaluation: BEE and BRE
+(:mod:`repro.bitmap.equality`, :mod:`repro.bitmap.range_encoded`) once, as
+:meth:`AlgebraicBitmapIndex._bounds` over an evaluator, the others as
+:meth:`BitmapIndex.evaluate_interval`; query execution ANDs the
+per-attribute interval results, exactly as in the paper's Section 4.
 """
 
 from __future__ import annotations
 
 import abc
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.bitvector.ops import OpCounter, big_and, make_bitvector, make_zeros
-from repro.bitvector.wah import GROUP_BITS, WahBitVector
+from repro.bitvector.kernels import wah_encoded_length
+from repro.bitvector.ops import (
+    OpCounter,
+    big_and,
+    big_or,
+    make_bitvector,
+    make_zeros,
+)
+from repro.bitvector.wah import (
+    GROUP_BITS,
+    WahBitVector,
+    andnot_groups,
+    invert_groups,
+)
 from repro.bitvector.wah import join as join_wah
 from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, IndexBuildError, QueryError
+from repro.observability import current_trace as _current_trace
+from repro.observability import enabled as _obs_enabled
 from repro.observability import record as _obs_record
 from repro.observability import trace_span as _trace_span
 from repro.observability.metrics import _QueryTally
@@ -35,6 +52,9 @@ from repro.query.model import (
     RangeQuery,
     ThreeValued,
 )
+
+#: The span an interval evaluation opens while no trace is active.
+_NO_SPAN = nullcontext()
 
 #: Pre-built metric names so hot paths don't format strings per call.
 _MISSING_CONSULTED_METRIC = {
@@ -241,6 +261,280 @@ def _bools(vec) -> np.ndarray:
     return vec.decompress().to_bools()
 
 
+class Operators:
+    """The steps of a Figure 2/3 expression, one bitvector operator each.
+
+    Works on every codec, and is the reference the in-place WAH evaluator
+    (:class:`_GroupKernel`) is checked against.  Each step is recorded on
+    ``counter`` (when given) as it runs.  Operands are bitvectors.
+    """
+
+    __slots__ = ("counter",)
+
+    def __init__(self, counter: OpCounter | None = None):
+        self.counter = counter
+
+    def read(self, family: _AttributeBitmaps, j: int):
+        """Stored ``B_{i,j}`` as an operand, counted as touched."""
+        vec = family.bitmap(j)
+        if self.counter is not None:
+            self.counter.record_touch()
+        return vec
+
+    def consult(self, semantics: MissingSemantics) -> None:
+        """Account one read of ``B_{i,0}`` under ``semantics``."""
+        record_missing_consultation(semantics)
+
+    def missing(self, family: _AttributeBitmaps, semantics: MissingSemantics):
+        """``B_{i,0}`` read under ``semantics``; None when nothing is missing."""
+        if not family.has_missing:
+            return None
+        self.consult(semantics)
+        return self.read(family, 0)
+
+    def ones(self, family: _AttributeBitmaps):
+        """The synthesized all-ones bitmap (not a stored read)."""
+        return constant_vector(family, True)
+
+    def union(self, family: _AttributeBitmaps, slots: list[int]):
+        """OR of the stored bitmaps ``slots``, all counted as touched."""
+        return big_or([family.bitmap(j) for j in slots], self.counter)
+
+    def xor(self, a, b):
+        self._binary(a, b)
+        return a ^ b
+
+    def or_(self, a, b):
+        self._binary(a, b)
+        return a | b
+
+    def andnot(self, a, b):
+        self._binary(a, b)
+        return a.andnot(b)
+
+    def not_(self, a):
+        if self.counter is not None:
+            self.counter.record_not(a)
+        return ~a
+
+    def and_all(self, parts: tuple):
+        """The query's AND of one bound's per-dimension operands."""
+        return big_and(parts, self.counter)
+
+    def widen(self, family: _AttributeBitmaps, certain):
+        """``certain OR B_0`` — the possible bound from the certain one."""
+        missing = self.missing(family, MissingSemantics.IS_MATCH)
+        return certain if missing is None else self.or_(certain, missing)
+
+    def narrow(self, family: _AttributeBitmaps, possible):
+        """``possible ANDNOT B_0`` — the certain bound from the possible one.
+
+        Valid because the certain answer never contains a missing row
+        (``certain ∩ B_0 = ∅``) while the possible answer contains all of
+        them, so stripping ``B_0`` recovers certain exactly.
+        """
+        missing = self.missing(family, MissingSemantics.NOT_MATCH)
+        return possible if missing is None else self.andnot(possible, missing)
+
+    def flush(self) -> None:
+        """Report the tallies of the steps since the last flush (none held)."""
+
+    def vectors(self, bounds: tuple) -> tuple:
+        """``bounds`` as bitvectors."""
+        return bounds
+
+    def _binary(self, a, b) -> None:
+        if self.counter is not None:
+            self.counter.record_binary(a, b)
+
+
+class _Ones:
+    """One synthesized all-ones ``B_C`` in a :class:`_GroupKernel` step.
+
+    It shares the constant built once per length (:func:`_constant`), and
+    its stream counts as decoded the first time an operation reads it, as
+    a freshly built constant's would.  It is never WAH-encoded per query.
+    """
+
+    __slots__ = ("vector", "charged")
+
+    def __init__(self, vector: WahBitVector):
+        self.vector = vector
+        self.charged = False
+
+    def words32(self) -> int:
+        return self.vector.words32()
+
+
+class _GroupKernel(Operators):
+    """The same steps as numpy ufuncs on WAH group arrays.
+
+    An operand is a stored :class:`WahBitVector`, a synthesized
+    :class:`_Ones`, or a group array this kernel wrote (an intermediate).
+    Every step writes a fresh array, so an operand is never changed under
+    a bound that still holds it; :meth:`and_all` writes each bound's AND
+    in place into one accumulator of its own.
+
+    The paper's counts are read off the same operands and tallied in
+    plain ints: stored operands are sized by their memoised length,
+    intermediates with ``wah_encoded_length`` and only when ``counter``
+    is given.  :meth:`flush` records each name once, with the totals and
+    names the per-operator path records.  A stored stream is decoded, and
+    charged to ``wah.words_decoded``, by the first operation that reads
+    it, as in :class:`Operators`.
+    """
+
+    __slots__ = (
+        "nbits", "decoded", "is_match", "not_match",
+        "touched", "binary_ops", "not_ops", "words", "wah_ops",
+    )
+
+    def __init__(self, nbits: int, counter: OpCounter | None, observing: bool):
+        super().__init__(counter)
+        self.nbits = nbits
+        #: Streams decoded since the last flush; None when nothing listens.
+        self.decoded: list | None = [] if observing else None
+        #: ``B_{i,0}`` consultations under each semantics.
+        self.is_match = self.not_match = 0
+        self.touched = self.binary_ops = self.not_ops = 0
+        self.words = self.wah_ops = 0
+
+    def read(self, family: _AttributeBitmaps, j: int):
+        self.touched += 1
+        return family.bitmap(j)
+
+    def consult(self, semantics: MissingSemantics) -> None:
+        if semantics is MissingSemantics.IS_MATCH:
+            self.is_match += 1
+        else:
+            self.not_match += 1
+
+    def ones(self, family: _AttributeBitmaps):
+        return _Ones(_constant("wah", family.nbits, True))
+
+    def union(self, family: _AttributeBitmaps, slots: list[int]):
+        vectors = list(map(family.bitmap, slots))
+        self.touched += len(vectors)
+        if len(vectors) == 1:
+            return vectors[0]
+        decoded = self.decoded
+        first, second, *rest = [vec._group_array(decoded) for vec in vectors]
+        acc = np.bitwise_or(first, second)
+        for groups in rest:
+            np.bitwise_or(acc, groups, out=acc)
+        ops = len(vectors) - 1
+        self.wah_ops += ops
+        if self.counter is not None:
+            # Pairwise for two operands; a wider union is charged its
+            # operands and its result, as :func:`big_or` charges it.
+            self.binary_ops += ops
+            self.words += sum([vec.words32() for vec in vectors])
+            if rest:
+                self.words += wah_encoded_length(acc)
+        return acc
+
+    def xor(self, a, b):
+        return self._apply(np.bitwise_xor, a, b)
+
+    def or_(self, a, b):
+        return self._apply(np.bitwise_or, a, b)
+
+    def andnot(self, a, b):
+        return self._apply(andnot_groups, a, b)
+
+    def not_(self, a):
+        self.wah_ops += 1
+        if self.counter is not None:
+            self.not_ops += 1
+            self.words += _size(a)
+        return invert_groups(self._take(a), self.nbits)
+
+    def and_all(self, parts: tuple):
+        acc, owned = parts[0], False
+        for part in parts[1:]:
+            self.wah_ops += 1
+            if self.counter is not None:
+                self.binary_ops += 1
+                self.words += _size(acc) + _size(part)
+            left, right = self._take(acc), self._take(part)
+            if type(part) is _Ones:  # B_C is the AND identity
+                acc = left
+            elif type(acc) is _Ones:
+                acc, owned = right, False
+            else:
+                acc = np.bitwise_and(left, right, out=left if owned else None)
+                owned = True
+        return acc
+
+    def flush(self) -> None:
+        decoded = self.decoded
+        if decoded is None and self.counter is None:
+            return  # nothing listens: the tallies are never read
+        if decoded is not None:
+            if self.wah_ops:
+                _obs_record("wah.ops", self.wah_ops)
+                _obs_record("wah.words_decoded", sum(map(len, decoded)))
+                decoded.clear()
+            if self.is_match:
+                _obs_record(_MISSING_CONSULTED_METRIC[MissingSemantics.IS_MATCH],
+                            self.is_match)
+            if self.not_match:
+                _obs_record(_MISSING_CONSULTED_METRIC[MissingSemantics.NOT_MATCH],
+                            self.not_match)
+        if self.counter is not None:
+            self.counter.record_tally(
+                self.touched, self.binary_ops, self.not_ops, self.words
+            )
+        self.is_match = self.not_match = 0
+        self.touched = self.binary_ops = self.not_ops = 0
+        self.words = self.wah_ops = 0
+
+    def vectors(self, bounds: tuple) -> tuple:
+        # Two bounds that are one operand stay one vector, as they were
+        # one bitvector under the operators.
+        if len(bounds) == 2 and bounds[0] is bounds[1]:
+            return (self._vector(bounds[0]),) * 2
+        return tuple(map(self._vector, bounds))
+
+    def _vector(self, operand) -> WahBitVector:
+        if type(operand) is np.ndarray:
+            return WahBitVector._from_groups(self.nbits, operand)
+        if type(operand) is _Ones:
+            ones = operand.vector
+            if operand.charged:
+                return WahBitVector._from_groups(
+                    self.nbits, ones._group_array(), stored=True
+                )
+            return WahBitVector._from_words(self.nbits, ones.words)
+        return operand
+
+    def _apply(self, ufunc, a, b) -> np.ndarray:
+        self.wah_ops += 1
+        if self.counter is not None:
+            self.binary_ops += 1
+            self.words += _size(a) + _size(b)
+        return ufunc(self._take(a), self._take(b))
+
+    def _take(self, operand) -> np.ndarray:
+        """``operand``'s group array, decoding a stored stream on first read."""
+        if type(operand) is np.ndarray:
+            return operand
+        if type(operand) is _Ones:
+            if not operand.charged:
+                operand.charged = True
+                if self.decoded is not None:
+                    self.decoded.append(operand.vector.words)
+            return operand.vector._group_array()
+        return operand._group_array(self.decoded)
+
+
+def _size(operand) -> int:
+    """Words an operand would occupy as a WAH stream (the paper's currency)."""
+    if type(operand) is np.ndarray:
+        return wah_encoded_length(operand)
+    return operand.words32()
+
+
 class BitmapIndex(abc.ABC):
     """Base class for equality- and range-encoded bitmap indexes.
 
@@ -325,36 +619,7 @@ class BitmapIndex(abc.ABC):
         certain = self.evaluate_interval(
             attribute, interval, MissingSemantics.NOT_MATCH, counter
         )
-        return certain, self._widen_to_possible(
-            self._family(attribute), certain, counter
-        )
-
-    def _widen_to_possible(self, family, certain, counter: OpCounter | None):
-        """``certain OR B_0`` — the possible bound from the certain one."""
-        if not family.has_missing:
-            return certain
-        record_missing_consultation(MissingSemantics.IS_MATCH)
-        missing = family.bitmap(0)
-        if counter is not None:
-            counter.record_touch()
-            counter.record_binary(certain, missing)
-        return certain | missing
-
-    def _narrow_to_certain(self, family, possible, counter: OpCounter | None):
-        """``possible ANDNOT B_0`` — the certain bound from the possible one.
-
-        Valid because the certain answer never contains a missing row
-        (``certain ∩ B_0 = ∅``) while the possible answer contains all of
-        them, so stripping ``B_0`` recovers certain exactly.
-        """
-        if not family.has_missing:
-            return possible
-        record_missing_consultation(MissingSemantics.NOT_MATCH)
-        missing = family.bitmap(0)
-        if counter is not None:
-            counter.record_touch()
-            counter.record_binary(possible, missing)
-        return possible.andnot(missing)
+        return certain, Operators(counter).widen(self._family(attribute), certain)
 
     def evaluate_bounds(
         self,
@@ -373,6 +638,20 @@ class BitmapIndex(abc.ABC):
         return (
             self.evaluate_interval(attribute, interval, semantics, counter),
         )
+
+    def _operators(self, counter: OpCounter | None, observing: bool) -> Operators:
+        """The evaluator a query's steps run on."""
+        return Operators(counter)
+
+    def _column(
+        self,
+        ops: Operators,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics | ThreeValued,
+    ) -> tuple:
+        """One query dimension's bounds, as ``ops`` operands."""
+        return self.evaluate_bounds(attribute, interval, semantics, ops.counter)
 
     # -- accessors ---------------------------------------------------------
 
@@ -479,27 +758,29 @@ class BitmapIndex(abc.ABC):
         subset of ``possible``.
 
         When observability is on (a real metrics registry or an active
-        trace), the query runs under one tally and each interval
-        evaluation inside its own span, which carries that dimension's
-        bitvector/word tallies; otherwise no tally, span or
+        trace), the query runs under one tally; with a trace, each interval
+        evaluation runs inside its own span, which carries that dimension's
+        bitvector/word tallies.  Otherwise no tally, span or
         :class:`OpCounter` is built.
         """
         with _QueryTally() as observing:
             if observing and counter is None:
                 counter = OpCounter()
+            ops = self._operators(counter, observing)
+            trace = _current_trace()
             columns = []
             for name, interval in query.items():
-                with _trace_span(
+                span = _NO_SPAN if trace is None else trace.span(
                     f"{self.encoding}.interval",
                     attribute=name, interval=str(interval),
-                ):
-                    columns.append(self.evaluate_bounds(
-                        name, interval, semantics, counter
-                    ))
-            with _trace_span("bitmap.and", operands=sum(map(len, columns))):
-                return tuple(
-                    big_and(parts, counter) for parts in zip(*columns)
                 )
+                with span:
+                    columns.append(self._column(ops, name, interval, semantics))
+                    ops.flush()
+            with _trace_span("bitmap.and", operands=sum(map(len, columns))):
+                results = tuple(ops.and_all(parts) for parts in zip(*columns))
+                ops.flush()
+            return ops.vectors(results)
 
     def execute(
         self,
@@ -691,13 +972,101 @@ class BitmapIndex(abc.ABC):
         )
 
 
+class AlgebraicBitmapIndex(BitmapIndex):
+    """An encoding whose Figure 2/3 case analysis is written once, in
+    :meth:`_bounds`, over the steps of an evaluator.
+
+    :meth:`evaluate_interval` and :meth:`evaluate_interval_both` run it one
+    bitvector operator at a time on any codec: the reference.  Queries and
+    predicate atoms (:meth:`execute_bounds`, :meth:`evaluate_bounds`) run it
+    in place on the stored group arrays when the codec is WAH, and with the
+    operators otherwise.
+    """
+
+    @abc.abstractmethod
+    def _bounds(
+        self,
+        ops: Operators,
+        family: _AttributeBitmaps,
+        interval: Interval,
+        semantics: MissingSemantics | ThreeValued,
+    ) -> tuple:
+        """One interval's bounds, as ``ops`` operands (one per bound)."""
+
+    def evaluate_interval(
+        self,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics,
+        counter: OpCounter | None = None,
+    ):
+        """Evaluate one query interval with bitvector operators."""
+        ops = Operators(counter)
+        (result,) = self._column(ops, attribute, interval, semantics)
+        return result
+
+    def evaluate_interval_both(
+        self,
+        attribute: str,
+        interval: Interval,
+        counter: OpCounter | None = None,
+    ):
+        """Both bounds of one interval with bitvector operators."""
+        return self._column(Operators(counter), attribute, interval, BOTH)
+
+    def evaluate_bounds(
+        self,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics | ThreeValued,
+        counter: OpCounter | None = None,
+    ) -> tuple:
+        """One interval's bounds as bitvectors, in place on WAH."""
+        ops = self._operators(counter, _obs_enabled())
+        bounds = self._column(ops, attribute, interval, semantics)
+        ops.flush()
+        return ops.vectors(bounds)
+
+    def _operators(self, counter: OpCounter | None, observing: bool) -> Operators:
+        if self._codec == "wah":
+            return _GroupKernel(self._nbits, counter, observing)
+        return Operators(counter)
+
+    def _column(
+        self,
+        ops: Operators,
+        attribute: str,
+        interval: Interval,
+        semantics: MissingSemantics | ThreeValued,
+    ) -> tuple:
+        self._check_interval(attribute, interval)
+        return self._bounds(ops, self._family(attribute), interval, semantics)
+
+
 def constant_vector(family: _AttributeBitmaps, value: bool):
     """An all-``value`` bitvector shaped like ``family``'s bitmaps.
 
     Used for the synthesized bitmaps the encodings drop from storage (the
     all-ones ``B_{i,C}`` of range encoding, or an absent ``B_{i,0}`` when an
     attribute has no missing data).  Synthesized constants are not counted as
-    bitmap accesses.
+    bitmap accesses.  A WAH or verbatim constant is built once per length
+    and value; a WAH one comes as a fresh vector over the shared stream, so
+    the first operation that reads it decodes it, as it would a new
+    constant.  A BBC constant is still encoded per call: the ``bbc.*``
+    encode counters of a query include it.
     """
-    bools = np.full(family.nbits, value, dtype=bool)
-    return make_bitvector(bools, family.codec)
+    if family.codec == "bbc":
+        return make_bitvector(np.full(family.nbits, value, dtype=bool), "bbc")
+    vec = _constant(family.codec, family.nbits, value)
+    if family.codec == "wah":
+        return WahBitVector._from_words(vec.nbits, vec.words)
+    return vec
+
+
+@lru_cache(maxsize=64)
+def _constant(codec: str, nbits: int, value: bool):
+    """The one all-``value`` bitvector of a codec and length.
+
+    Shared safely: no bitvector operator changes its operands.
+    """
+    return make_bitvector(np.full(nbits, value, dtype=bool), codec)

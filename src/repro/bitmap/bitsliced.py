@@ -40,6 +40,7 @@ import numpy as np
 
 from repro.bitmap.base import (
     BitmapIndex,
+    Operators,
     constant_vector,
     record_missing_consultation,
 )
@@ -180,7 +181,7 @@ class BitSlicedIndex(BitmapIndex):
             # contains the missing rows: the possible bound as computed.
             possible = self._less_equal(family, v2, counter)
             return (
-                self._narrow_to_certain(family, possible, counter),
+                Operators(counter).narrow(family, possible),
                 possible,
             )
         if v2 == cardinality:
@@ -194,7 +195,7 @@ class BitSlicedIndex(BitmapIndex):
             if counter is not None:
                 counter.record_binary(high, low)
             certain = high ^ low
-        return certain, self._widen_to_possible(family, certain, counter)
+        return certain, Operators(counter).widen(family, certain)
 
     def bitmaps_for_interval(
         self,

@@ -33,16 +33,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.bitmap.base import (
-    BitmapIndex,
-    constant_vector,
-    record_missing_consultation,
-)
-from repro.bitvector.ops import OpCounter, big_or
-from repro.query.model import Interval, MissingSemantics
+from repro.bitmap.base import AlgebraicBitmapIndex
+from repro.query.model import BOTH, Interval, MissingSemantics
 
 
-class EqualityEncodedBitmapIndex(BitmapIndex):
+class EqualityEncodedBitmapIndex(AlgebraicBitmapIndex):
     """Equality-encoded (BEE) bitmap index over an incomplete table."""
 
     encoding = "equality"
@@ -55,77 +50,42 @@ class EqualityEncodedBitmapIndex(BitmapIndex):
         for j in range(1, cardinality + 1):
             yield j, column == j
 
-    def evaluate_interval(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-        counter: OpCounter | None = None,
-    ):
-        """Evaluate one query interval per Figure 2 of the paper."""
-        self._check_interval(attribute, interval)
-        family = self._family(attribute)
-        cardinality = family.cardinality
-        v1, v2 = interval.lo, interval.hi
-        direct = (v2 - v1) <= cardinality // 2
-
-        if direct:
-            operands = [family.bitmap(j) for j in range(v1, v2 + 1)]
-            if semantics is MissingSemantics.IS_MATCH and family.has_missing:
-                record_missing_consultation(semantics)
-                operands.append(family.bitmap(0))
-            result = big_or(operands, counter)
-        else:
-            outside = self._outside_bitmaps(family, v1, v2)
-            if semantics is MissingSemantics.NOT_MATCH and family.has_missing:
-                record_missing_consultation(semantics)
-                outside.append(family.bitmap(0))
-            if outside:
-                unioned = big_or(outside, counter)
-                if counter is not None:
-                    counter.record_not(unioned)
-                result = ~unioned
-            else:
-                # Full-domain interval with nothing to exclude.
-                result = constant_vector(family, True)
-        return result
-
-    def evaluate_interval_both(
-        self,
-        attribute: str,
-        interval: Interval,
-        counter: OpCounter | None = None,
-    ):
-        """Both bounds from one branch evaluation.
+    def _bounds(self, ops, family, interval, semantics) -> tuple:
+        """One query interval per Figure 2 of the paper, at any arity.
 
         The direct branch's value union is the certain bound (missing rows
         sit in no value bitmap); the complement branch's plain complement
         is the possible bound (missing rows carry 0 in every value bitmap,
-        so the NOT sets them).  Either way the other bound is one missing-
-        bitmap adjustment — the Figure 2 union runs once, not twice.
+        so the NOT sets them).  A single semantics that wants the other
+        bound folds ``B_0`` into the union, as Figure 2 prints it; ``BOTH``
+        runs the union once and derives the other bound with one missing-
+        bitmap adjustment.
         """
-        self._check_interval(attribute, interval)
-        family = self._family(attribute)
         v1, v2 = interval.lo, interval.hi
         if (v2 - v1) <= family.cardinality // 2:
-            operands = [family.bitmap(j) for j in range(v1, v2 + 1)]
-            certain = big_or(operands, counter)
-            return certain, self._widen_to_possible(family, certain, counter)
-        outside = self._outside_bitmaps(family, v1, v2)
-        if outside:
-            unioned = big_or(outside, counter)
-            if counter is not None:
-                counter.record_not(unioned)
-            possible = ~unioned
-        else:
-            possible = constant_vector(family, True)
-        return self._narrow_to_certain(family, possible, counter), possible
+            slots = list(range(v1, v2 + 1))
+            if semantics is MissingSemantics.IS_MATCH:
+                if family.has_missing:
+                    ops.consult(semantics)
+                    slots.append(0)
+                return (ops.union(family, slots),)
+            certain = ops.union(family, slots)
+            if semantics is BOTH:
+                return certain, ops.widen(family, certain)
+            return (certain,)
+        slots = self._outside_slots(family, v1, v2)
+        if semantics is MissingSemantics.NOT_MATCH and family.has_missing:
+            ops.consult(semantics)
+            slots.append(0)
+        # An empty list is the full domain with nothing to exclude.
+        complement = ops.not_(ops.union(family, slots)) if slots else ops.ones(family)
+        if semantics is BOTH:
+            return ops.narrow(family, complement), complement
+        return (complement,)
 
     @staticmethod
-    def _outside_bitmaps(family, v1: int, v2: int) -> list:
-        below = [family.bitmap(j) for j in range(1, v1)]
-        above = [family.bitmap(j) for j in range(v2 + 1, family.cardinality + 1)]
-        return below + above
+    def _outside_slots(family, v1: int, v2: int) -> list[int]:
+        return [*range(1, v1), *range(v2 + 1, family.cardinality + 1)]
 
     def slots_for_interval(
         self,
@@ -142,7 +102,7 @@ class EqualityEncodedBitmapIndex(BitmapIndex):
             slots = list(range(v1, v2 + 1))
             adjusts = semantics is MissingSemantics.IS_MATCH
         else:
-            slots = [*range(1, v1), *range(v2 + 1, family.cardinality + 1)]
+            slots = self._outside_slots(family, v1, v2)
             adjusts = semantics is MissingSemantics.NOT_MATCH
         if adjusts and family.has_missing:
             slots.append(0)

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.bitmap.base import (
     BitmapIndex,
+    Operators,
     constant_vector,
     record_missing_consultation,
 )
@@ -132,8 +133,8 @@ class IntervalEncodedBitmapIndex(BitmapIndex):
         if not family.has_missing:
             return result, result
         if includes_missing:
-            return self._narrow_to_certain(family, result, counter), result
-        return result, self._widen_to_possible(family, result, counter)
+            return Operators(counter).narrow(family, result), result
+        return result, Operators(counter).widen(family, result)
 
     def _window_plan(self, cardinality: int, lo: int, hi: int):
         """How ``[lo, hi]`` combines two stored windows.

@@ -33,16 +33,11 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.bitmap.base import (
-    BitmapIndex,
-    constant_vector,
-    record_missing_consultation,
-)
-from repro.bitvector.ops import OpCounter
-from repro.query.model import Interval, MissingSemantics
+from repro.bitmap.base import AlgebraicBitmapIndex
+from repro.query.model import BOTH, Interval, MissingSemantics
 
 
-class RangeEncodedBitmapIndex(BitmapIndex):
+class RangeEncodedBitmapIndex(AlgebraicBitmapIndex):
     """Range-encoded (BRE) bitmap index over an incomplete table."""
 
     encoding = "range"
@@ -57,116 +52,45 @@ class RangeEncodedBitmapIndex(BitmapIndex):
         for j in range(1, cardinality):
             yield j, column <= j
 
-    def _cumulative(self, family, j: int, counter: OpCounter | None):
+    @staticmethod
+    def _cumulative(ops, family, j: int):
         """``B_{i,j}`` with the dropped all-ones ``B_{i,C}`` synthesized."""
         if j >= family.cardinality:
-            return constant_vector(family, True)
-        vec = family.bitmap(j)
-        if counter is not None:
-            counter.record_touch()
-        return vec
+            return ops.ones(family)
+        return ops.read(family, j)
 
-    def _missing(self, family, semantics, counter: OpCounter | None):
-        """``B_{i,0}``, or an all-zero constant when nothing is missing."""
-        if family.has_missing:
-            record_missing_consultation(semantics)
-            if counter is not None:
-                counter.record_touch()
-            return family.bitmap(0)
-        return None
-
-    def evaluate_interval(
-        self,
-        attribute: str,
-        interval: Interval,
-        semantics: MissingSemantics,
-        counter: OpCounter | None = None,
-    ):
-        """Evaluate one query interval per Figure 3 of the paper."""
-        self._check_interval(attribute, interval)
-        family = self._family(attribute)
-        cardinality = family.cardinality
-        v1, v2 = interval.lo, interval.hi
-        is_match = semantics is MissingSemantics.IS_MATCH
-
-        if v1 == 1:
-            # Includes the domain minimum: B_{v2} already holds values <= v2
-            # and (because missing is the smallest value) the missing records.
-            result = self._cumulative(family, v2, counter)
-            if not is_match:
-                missing = self._missing(family, semantics, counter)
-                if missing is not None:
-                    if counter is not None:
-                        counter.record_binary(result, missing)
-                    result = result ^ missing
-        elif v2 == cardinality:
-            # Includes the domain maximum: complement of B_{v1-1}.  Missing
-            # records have a 1 in B_{v1-1}, so the NOT drops them — re-add
-            # with B_0 only under missing-is-a-match.
-            below = self._cumulative(family, v1 - 1, counter)
-            if counter is not None:
-                counter.record_not(below)
-            result = ~below
-            if is_match:
-                missing = self._missing(family, semantics, counter)
-                if missing is not None:
-                    if counter is not None:
-                        counter.record_binary(result, missing)
-                    result = result | missing
-        else:
-            # Interior interval: consecutive-bitmap XOR; the XOR cancels the
-            # all-ones rows of missing records, so re-add under IS_MATCH.
-            low = self._cumulative(family, v1 - 1, counter)
-            high = self._cumulative(family, v2, counter)
-            if counter is not None:
-                counter.record_binary(high, low)
-            result = high ^ low
-            if is_match:
-                missing = self._missing(family, semantics, counter)
-                if missing is not None:
-                    if counter is not None:
-                        counter.record_binary(result, missing)
-                    result = result | missing
-        return result
-
-    def evaluate_interval_both(
-        self,
-        attribute: str,
-        interval: Interval,
-        counter: OpCounter | None = None,
-    ):
-        """Both bounds from one Figure 3 scenario evaluation.
+    def _bounds(self, ops, family, interval, semantics) -> tuple:
+        """One query interval per Figure 3 of the paper, at any arity.
 
         Each scenario's raw expression already *is* one of the two bounds
         (``B_{v2}`` includes the all-ones missing rows, the complement and
         XOR forms exclude them), so the other bound is a single missing-
         bitmap adjustment on top of the shared cumulative reads.
         """
-        self._check_interval(attribute, interval)
-        family = self._family(attribute)
-        cardinality = family.cardinality
         v1, v2 = interval.lo, interval.hi
-
         if v1 == 1:
-            # B_{v2} holds values <= v2 plus the missing rows: it is the
-            # possible bound as stored.
-            possible = self._cumulative(family, v2, counter)
-            return (
-                self._narrow_to_certain(family, possible, counter),
-                possible,
-            )
-        if v2 == cardinality:
-            below = self._cumulative(family, v1 - 1, counter)
-            if counter is not None:
-                counter.record_not(below)
-            certain = ~below
+            # Includes the domain minimum: B_{v2} already holds values <= v2
+            # and (because missing is the smallest value) the missing
+            # records — the possible bound as stored.
+            possible = self._cumulative(ops, family, v2)
+            if semantics is MissingSemantics.IS_MATCH:
+                return (possible,)
+            missing = ops.missing(family, MissingSemantics.NOT_MATCH)
+            certain = possible if missing is None else ops.xor(possible, missing)
+            return (certain, possible) if semantics is BOTH else (certain,)
+        if v2 == family.cardinality:
+            # Includes the domain maximum: complement of B_{v1-1}.  Missing
+            # records have a 1 in B_{v1-1}, so the NOT drops them.
+            certain = ops.not_(self._cumulative(ops, family, v1 - 1))
         else:
-            low = self._cumulative(family, v1 - 1, counter)
-            high = self._cumulative(family, v2, counter)
-            if counter is not None:
-                counter.record_binary(high, low)
-            certain = high ^ low
-        return certain, self._widen_to_possible(family, certain, counter)
+            # Interior interval: consecutive-bitmap XOR, which cancels the
+            # all-ones rows of missing records.
+            low = self._cumulative(ops, family, v1 - 1)
+            certain = ops.xor(self._cumulative(ops, family, v2), low)
+        if semantics is MissingSemantics.NOT_MATCH:
+            return (certain,)
+        possible = ops.widen(family, certain)
+        return (certain, possible) if semantics is BOTH else (possible,)
 
     def slots_for_interval(
         self,

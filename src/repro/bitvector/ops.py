@@ -96,7 +96,8 @@ class OpCounter:
     Its ``record_*`` methods also report each tally to the metrics sinks
     as it happens (``bitmap.bitvectors_touched``, ``bitmap.binary_ops``,
     ``bitmap.not_ops``, ``bitmap.words_processed``), so the trace span
-    open at that moment and the running query's tally both carry it.
+    open at that moment and the running query's tally both carry it;
+    :meth:`record_tally` reports a whole step's totals at once.
     """
 
     #: Bitmap vectors read as operands (the paper's "bitvectors used").
@@ -132,6 +133,28 @@ class OpCounter:
         self.words_processed += words
         _obs_record("bitmap.not_ops")
         _obs_record("bitmap.words_processed", words)
+
+    def record_tally(
+        self, touched: int, binary_ops: int, not_ops: int, words: int
+    ) -> None:
+        """Account a whole step's tallies at once, one record per name.
+
+        The same totals and names as the per-operation ``record_*`` calls
+        that step would have made: ``words`` is recorded when any
+        operation ran.
+        """
+        if touched:
+            self.bitmaps_touched += touched
+            _obs_record("bitmap.bitvectors_touched", touched)
+        if binary_ops:
+            self.binary_ops += binary_ops
+            _obs_record("bitmap.binary_ops", binary_ops)
+        if not_ops:
+            self.not_ops += not_ops
+            _obs_record("bitmap.not_ops", not_ops)
+        if binary_ops or not_ops:
+            self.words_processed += words
+            _obs_record("bitmap.words_processed", words)
 
     def merge(self, other: "OpCounter") -> None:
         """Accumulate another counter into this one."""

@@ -54,13 +54,16 @@ from repro.observability import record as _obs_record
 _EMPTY_WORDS = np.empty(0, dtype=np.uint32)
 _EMPTY_WORDS.setflags(write=False)
 
+def andnot_groups(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a & ~b`` on group arrays, as a fresh array."""
+    return np.bitwise_and(a, np.bitwise_xor(b, np.uint32(_ALL_ONES_GROUP)))
+
+
 _NP_OPS = {
     "and": np.bitwise_and,
     "or": np.bitwise_or,
     "xor": np.bitwise_xor,
-    "andnot": lambda a, b: np.bitwise_and(
-        a, np.bitwise_xor(b, np.uint32(_ALL_ONES_GROUP))
-    ),
+    "andnot": andnot_groups,
 }
 
 
@@ -301,7 +304,7 @@ class WahBitVector:
 
     def to_indices(self) -> np.ndarray:
         """Sorted positions of the 1-bits."""
-        return np.flatnonzero(self.to_bools())
+        return group_ids(self._group_array(), self._nbits)
 
     def runs(self) -> Iterator[tuple[bool, int, int]]:
         """Yield ``(is_fill, literal_or_fill_value, ngroups)`` per word."""
@@ -375,15 +378,8 @@ class WahBitVector:
         return self._binary_op(other, "xor")
 
     def __invert__(self) -> "WahBitVector":
-        # NOT is XOR with all-ones groups whose last group is masked to the
-        # tail, which keeps the bits past nbits clear.
         decoded: list[np.ndarray] = []
-        groups = np.bitwise_xor(
-            self._group_array(decoded), np.uint32(_ALL_ONES_GROUP)
-        )
-        tail = self._nbits % GROUP_BITS
-        if tail:
-            groups[-1] &= np.uint32((1 << tail) - 1)
+        groups = invert_groups(self._group_array(decoded), self._nbits)
         _record_ops(1, decoded)
         return WahBitVector._from_groups(self._nbits, groups)
 
@@ -452,6 +448,49 @@ def join(pieces: "list[WahBitVector]") -> WahBitVector:
     _obs_record("wah.words_decoded", sum(map(len, decoded)))
     groups.setflags(write=False)
     return WahBitVector._from_groups(nbits, groups, stored=True)
+
+
+#: At or below this share of nonzero groups :func:`group_ids` unpacks only
+#: those groups; above it, one unpack of every group is cheaper.  Measured on
+#: 100k-bit group arrays (``docs/kernels.md``, "The ids kernel").
+SPARSE_GROUP_SHARE = 0.6
+
+
+def group_ids(groups: np.ndarray, nbits: int) -> np.ndarray:
+    """Sorted positions of the 1-bits of a group array (or a view of one).
+
+    Bits past ``nbits`` must be clear, as in every group array here.  A
+    sparse array unpacks only its nonzero groups; a dense one unpacks every
+    group and drops the 32nd bit of each.
+    """
+    groups = groups.astype("<u4", copy=False)
+    if np.count_nonzero(groups) > SPARSE_GROUP_SHARE * len(groups):
+        bits = np.unpackbits(groups.view(np.uint8), bitorder="little").view(bool)
+        bits = bits.reshape(-1, WORD_BITS)[:, :GROUP_BITS].reshape(-1)
+        return np.flatnonzero(bits[:nbits])
+    nonzero = (groups != 0).nonzero()[0]
+    chosen = groups[nonzero]
+    bits = np.unpackbits(chosen.view(np.uint8), bitorder="little").view(bool)
+    ids = bits.nonzero()[0]
+    # Bit p of the unpacked groups is bit p % 32 of group nonzero[p // 32],
+    # i.e. row p + 31 * nonzero[i] - 32 * i for the i-th unpacked group.
+    offsets = nonzero * GROUP_BITS
+    offsets -= np.arange(0, WORD_BITS * len(nonzero), WORD_BITS)
+    ids += np.repeat(offsets, np.bitwise_count(chosen))
+    return ids
+
+
+def invert_groups(groups: np.ndarray, nbits: int) -> np.ndarray:
+    """NOT of a group array, as a fresh array.
+
+    XOR with all-ones groups whose last group is masked to the tail, which
+    keeps the bits past ``nbits`` clear.
+    """
+    out = np.bitwise_xor(groups, np.uint32(_ALL_ONES_GROUP))
+    tail = nbits % GROUP_BITS
+    if tail:
+        out[-1] &= np.uint32((1 << tail) - 1)
+    return out
 
 
 def _record_ops(ops: int, decoded: list[np.ndarray]) -> None:

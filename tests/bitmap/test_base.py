@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.bitmap.base import constant_vector
 from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
-from repro.bitvector.ops import OpCounter
+from repro.bitvector.ops import OpCounter, make_bitvector
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import IndexBuildError, QueryError, ReproError
 from repro.query.model import MissingSemantics, RangeQuery
@@ -92,3 +93,34 @@ class TestExecution:
         index = EqualityEncodedBitmapIndex(paper_table)
         ids = index.execute_ids(RangeQuery.from_bounds({"a1": (3, 3)}))
         assert 3 in ids.tolist()  # missing record matched
+
+
+class TestConstantVector:
+    """Synthesized constants are built once per codec, length and value."""
+
+    @pytest.mark.parametrize("codec", ["wah", "bbc", "none"])
+    def test_matches_a_fresh_build(self, codec):
+        table = generate_uniform_table(100, {"a": 6}, {"a": 0.2}, seed=2)
+        family = RangeEncodedBitmapIndex(table, codec=codec)._family("a")
+        vec = constant_vector(family, True)
+        assert np.array_equal(vec.to_indices(), np.arange(100))
+        assert vec == make_bitvector(np.ones(100, dtype=bool), codec)
+
+    def test_wah_constant_shares_its_stream(self):
+        table = generate_uniform_table(100, {"a": 6}, {"a": 0.2}, seed=2)
+        family = RangeEncodedBitmapIndex(table)._family("a")
+        first, second = constant_vector(family, True), constant_vector(family, True)
+        # Fresh vectors over one stream: each decodes on its first read.
+        assert first is not second and first.words is second.words
+
+    def test_shared_verbatim_constant_survives_every_operator(self):
+        table = generate_uniform_table(100, {"a": 6}, {"a": 0.2}, seed=2)
+        index = RangeEncodedBitmapIndex(table, codec="none")
+        family = index._family("a")
+        ones = constant_vector(family, True)
+        assert constant_vector(family, True) is ones
+        other = index.bitmap("a", 2)
+        for result in (ones & other, ones | other, ones ^ other, ~ones,
+                       ones.andnot(other), other.andnot(ones)):
+            assert result is not ones
+        assert ones.count() == 100
