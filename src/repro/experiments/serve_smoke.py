@@ -22,7 +22,10 @@ validate:
   crash-safety invariant (previous epoch loadable at every instant)
   holds at least at the endpoints of the run;
 * the ``/metrics`` payload is well-formed Prometheus text exposition and
-  carries the ``serve.*`` and ``epoch.*`` instrumentation.
+  carries the ``serve.*`` and ``epoch.*`` instrumentation;
+* every JSON 200 reply is byte for byte ``json.dumps(json.loads(body),
+  sort_keys=True, separators=(",", ": ")) + "\n"`` — the compact form,
+  whichever encoder wrote its id lists.
 
 Exit status is non-zero on any failure, so CI can gate on it::
 
@@ -59,13 +62,41 @@ _READS_PER_READER = 25
 _WRITER_ROUNDS = 4  # each round: append, delete, compact = 3 epochs
 
 
+def _is_compact(body: bytes) -> bool:
+    """Whether ``body`` is exactly the compact JSON ``json.dumps`` writes."""
+    try:
+        text = json.dumps(
+            json.loads(body), sort_keys=True, separators=(",", ": ")
+        )
+    except ValueError:
+        return False
+    return body == (text + "\n").encode("utf-8")
+
+
 class _Client:
-    """One keep-alive connection, the way a real client holds one."""
+    """One keep-alive connection, the way a real client holds one.
+
+    Routes whose 200 reply was not the compact JSON bytes are collected
+    in :attr:`not_compact`.
+    """
 
     def __init__(self, service: QueryService):
         self._conn = http.client.HTTPConnection(
             service.host, service.port, timeout=30
         )
+        self.not_compact: list[str] = []
+
+    def _read(self, route: str, response) -> bytes:
+        body = response.read()
+        if (
+            response.status == 200
+            and response.getheader("Content-Type", "").startswith(
+                "application/json"
+            )
+            and not _is_compact(body)
+        ):
+            self.not_compact.append(route)
+        return body
 
     def get(self, route: str) -> tuple[int, str, str]:
         """Returns (status, content-type, body text)."""
@@ -74,7 +105,7 @@ class _Client:
         return (
             response.status,
             response.getheader("Content-Type", ""),
-            response.read().decode("utf-8"),
+            self._read(route, response).decode("utf-8"),
         )
 
     def post(self, route: str, payload: dict) -> tuple[int, dict]:
@@ -86,7 +117,7 @@ class _Client:
             headers={"Content-Type": "application/json"},
         )
         response = self._conn.getresponse()
-        return response.status, json.loads(response.read())
+        return response.status, json.loads(self._read(route, response))
 
     def close(self) -> None:
         self._conn.close()
@@ -201,6 +232,13 @@ def serve_smoke_main() -> int:
                 thread.join()
 
             _check(not failures, f"non-200 responses: {failures[:5]}")
+            not_compact = [
+                route for client in clients for route in client.not_compact
+            ]
+            _check(
+                not not_compact,
+                f"200 replies not in the compact JSON form: {not_compact[:5]}",
+            )
             expected_epochs = 3 * _WRITER_ROUNDS
             _check(
                 len(epochs) == expected_epochs and sorted(epochs) == epochs,
@@ -283,7 +321,8 @@ def serve_smoke_main() -> int:
         f"+ {expected_epochs} epochs published, {gcs_total} GC'd, zero "
         f"non-200s, zero rejections, {requests} requests over "
         f"{connections} connections, {live_scrapes} live scrapes, "
-        f"{num_samples} Prometheus samples, final generation fsck clean"
+        f"{num_samples} Prometheus samples, every JSON reply compact, "
+        f"final generation fsck clean"
     )
     return 0
 

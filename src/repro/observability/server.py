@@ -66,8 +66,10 @@ class KeepAliveHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # requests must not spam the service's stdout
 
-    def reply(self, body: str, content_type: str, status: int = 200) -> None:
-        data = body.encode("utf-8")
+    def reply(
+        self, body: str | bytes, content_type: str, status: int = 200
+    ) -> None:
+        data = body.encode("utf-8") if isinstance(body, str) else body
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(data)))

@@ -238,14 +238,127 @@ def _parse_limit(body: dict) -> int | None:
 
 
 def _ids_payload(record_ids: np.ndarray, limit: int | None) -> dict:
+    """One id list's reply fields; the ids stay an int64 array until
+    :func:`_compact_json` writes them."""
     matches = len(record_ids)
     if limit is not None:
         record_ids = record_ids[:limit]
     return {
         "matches": matches,
-        "record_ids": record_ids.tolist(),
+        "record_ids": record_ids,
         "truncated": matches > len(record_ids),
     }
+
+
+# -- reply encoding ---------------------------------------------------------
+#
+# A compact reply is ``json.dumps(payload, sort_keys=True, default=str,
+# separators=(",", ": ")) + "\n"`` with every id array written as its list,
+# byte for byte.  Turning a long id array into Python ints and those into
+# JSON is most of a read's encoding time, so long lists are written straight
+# from the array instead (see "Reply encoding" in docs/serving.md).
+
+_COMPACT = (",", ": ")
+
+#: Id lists shorter than this are faster through ``json.dumps``.
+_SHORT_IDS = 150
+
+#: The digit-table encoder writes ids of at most eight digits.
+_ID_LIMIT = 10**8
+
+#: ``"0000"`` .. ``"9999"`` in ASCII, one uint32 per entry.
+_DIGITS4 = (
+    (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+
+#: The first id with one more digit, for digit counts one to eight.
+_DIGIT_ENDS = 10 ** np.arange(1, 9, dtype=np.int64)
+
+#: What ``json.dumps`` writes in a long id list's place.
+_IDS_MARKER = "\x00ids"
+_IDS_TOKEN = json.dumps(_IDS_MARKER).encode("ascii")
+
+
+def _plain(value):
+    """``default=`` for ``json.dumps``: an array as its list, else ``str``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return str(value)
+
+
+def _fast_ids(value) -> bool:
+    """Whether :func:`_ids_json` writes ``value``: a long, ascending int64
+    id list with every id in ``[0, 10**8)``."""
+    return (
+        isinstance(value, np.ndarray)
+        and value.ndim == 1
+        and value.dtype == np.int64
+        and len(value) >= _SHORT_IDS
+        and 0 <= value[0]
+        and value[-1] < _ID_LIMIT
+        and not (value[1:] < value[:-1]).any()
+    )
+
+
+def _ids_json(ids: np.ndarray) -> bytes:
+    """``json.dumps(ids.tolist())`` as bytes, for ids that pass
+    :func:`_fast_ids`.
+
+    Two lookups in a table of four-digit strings give every id its eight
+    zero-padded digits.  The ids ascend, so those of one digit count are
+    a run, and each run copies its last ``d`` digit columns and a comma
+    in one block.
+    """
+    digits = _DIGITS4[np.stack(np.divmod(ids, 10_000), axis=1)].view(np.uint8)
+    ends = np.searchsorted(ids, _DIGIT_ENDS).tolist()
+    out = np.empty(1 + 9 * len(ids), dtype=np.uint8)  # room for the widest
+    out[0] = ord("[")
+    pos = 1
+    for width, start, end in zip(range(1, 9), [0, *ends], ends):
+        if start == end:
+            continue
+        block = out[pos:pos + (end - start) * (width + 1)].reshape(
+            end - start, width + 1
+        )
+        block[:, :width] = digits[start:end, 8 - width:]
+        block[:, width] = ord(",")
+        pos += block.size
+    out[pos - 1] = ord("]")  # over the last comma
+    return out[:pos].tobytes()
+
+
+def _compact_json(payload: dict) -> bytes:
+    """The compact reply body for ``payload`` (see the comment above).
+
+    ``json.dumps`` writes the payload with a marker string in each long id
+    list's place, and :func:`_ids_json` writes the lists spliced in after.
+    A payload that holds the marker string itself is written whole by
+    ``json.dumps``.
+    """
+    parked = []
+
+    def park(value):
+        if _fast_ids(value):
+            parked.append(value)
+            return _IDS_MARKER
+        return _plain(value)
+
+    text = json.dumps(
+        payload, sort_keys=True, default=park, separators=_COMPACT
+    )
+    pieces = (text + "\n").encode("ascii").split(_IDS_TOKEN)
+    if len(pieces) != len(parked) + 1:
+        text = json.dumps(
+            payload, sort_keys=True, default=_plain, separators=_COMPACT
+        )
+        return (text + "\n").encode("ascii")
+    out = [pieces[0]]
+    for ids, piece in zip(parked, pieces[1:]):
+        out += (_ids_json(ids), piece)
+    return b"".join(out)
 
 
 class _ServiceHTTPServer(ThreadingHTTPServer):
@@ -269,6 +382,23 @@ class _ServiceHandler(KeepAliveHandler):
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         self.server.service._handle(self, body_allowed=True)
 
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The HTTP layer's own errors (a malformed request line, an
+        unsupported method, an oversized header) as JSON, not the stdlib's
+        HTML page; the connection closes, as the stdlib's does."""
+        if self.command == "HEAD":
+            super().send_error(code, message, explain)  # headers only
+            return
+        self.close_connection = True
+        error = message or self.responses.get(code, ("error",))[0]
+        if explain:
+            error = f"{error}: {explain}"
+        self.reply(
+            _compact_json({"error": error}),
+            "application/json; charset=utf-8",
+            status=code,
+        )
+
     # -- response helpers ------------------------------------------------
 
     def reply_json(self, payload: dict, status: int = 200) -> None:
@@ -276,14 +406,12 @@ class _ServiceHandler(KeepAliveHandler):
         # a key's colon stays: payloads have a handful of keys, and
         # bench/tests corrupts a reply by matching ``"matches": ``.
         if "pretty=1" in self.path.partition("?")[2].split("&"):
-            layout = {"indent": 2}
+            body = json.dumps(
+                payload, sort_keys=True, default=_plain, indent=2
+            ) + "\n"
         else:
-            layout = {"separators": (",", ": ")}
-        self.reply(
-            json.dumps(payload, sort_keys=True, default=str, **layout) + "\n",
-            "application/json; charset=utf-8",
-            status=status,
-        )
+            body = _compact_json(payload)
+        self.reply(body, "application/json; charset=utf-8", status=status)
 
 
 class QueryService:
@@ -547,8 +675,16 @@ class QueryService:
         """The request body as sent; the connection stays parseable.
 
         A body whose length is unknown or over the cap is not read, so
-        the reply closes the connection instead.
+        the reply closes the connection instead.  That includes a chunked
+        body: ``Transfer-Encoding`` is refused with 411.
         """
+        if "Transfer-Encoding" in handler.headers:
+            handler.close_connection = True
+            raise _Reject(
+                411,
+                "Transfer-Encoding is not supported: send the body with "
+                "a Content-Length header",
+            )
         declared = handler.headers.get("Content-Length") or "0"
         try:
             length = int(declared)

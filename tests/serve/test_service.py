@@ -55,6 +55,21 @@ def _get(url):
         return err.code, err.read().decode("utf-8")
 
 
+def _raw_exchange(service, request: bytes) -> bytes:
+    """Send raw request bytes; everything the server sends until it closes."""
+    reply = b""
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(4096):
+                reply += chunk
+        except ConnectionResetError:
+            pass  # closed with request bytes it never read
+    return reply
+
+
 @contextlib.contextmanager
 def _gated_service(target, **kwargs):
     """A started service whose ``target`` method blocks until released.
@@ -459,6 +474,24 @@ class TestErrors:
         assert b"connection: close" in head.lower()
         assert "Content-Length" in json.loads(body)["error"]
 
+    def test_chunked_body_is_411_and_the_connection_closes(self, service):
+        body = json.dumps({"bounds": {"a": [1, 3]}}).encode("utf-8")
+        reply = _raw_exchange(
+            service,
+            b"POST /count HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n"
+            # Pipelined: must not be answered, nor the chunk-size line
+            # parsed as a request line.
+            + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
+        )
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 411")
+        assert b"connection: close" in head.lower()
+        assert b"content-type: application/json" in head.lower()
+        # One JSON reply and nothing after it.
+        assert "Transfer-Encoding" in json.loads(rest)["error"]
+
     def test_limit_zero_returns_the_count_only(self, service):
         status, body = _post(
             service.url + "/query", {"bounds": {"a": [1, 9]}, "limit": 0}
@@ -636,6 +669,47 @@ class TestAdmission:
         svc = QueryService(database=_db()).start()
         svc.stop()
         svc.stop()
+
+
+class TestHttpLayerErrors:
+    """Errors the stdlib parser raises before a route runs are JSON too."""
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, fragment",
+        [
+            (b"GET /a b HTTP/1.1\r\n\r\n", 400, "Bad request syntax"),
+            (
+                b"PUT /query HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 0\r\n\r\n",
+                501,
+                "Unsupported method ('PUT')",
+            ),
+            (
+                b"GET /healthz HTTP/1.1\r\nX-Big: "
+                + b"x" * 70_000
+                + b"\r\n\r\n",
+                431,
+                "Line too long",
+            ),
+        ],
+        ids=["malformed-request-line", "unsupported-method", "oversized-header"],
+    )
+    def test_error_is_json_with_the_same_status(
+        self, service, request_bytes, status, fragment
+    ):
+        reply = _raw_exchange(service, request_bytes)
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d" % status)
+        headers = head.lower()
+        assert b"content-type: application/json; charset=utf-8" in headers
+        assert b"connection: close" in headers
+        assert b"content-length: %d" % len(body) in headers
+        assert fragment in json.loads(body)["error"]
+
+    def test_head_gets_the_status_and_no_body(self, service):
+        reply = _raw_exchange(service, b"HEAD /healthz HTTP/1.1\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501") and body == b""
 
 
 class TestKeepAlive:
