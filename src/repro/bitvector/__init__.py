@@ -1,18 +1,11 @@
 """Bitvector engine: verbatim, WAH-compressed, and BBC-compressed bitmaps.
 
-Word-level codec work (encode/decode/logical ops/popcount) runs on
-pluggable kernel backends — see :mod:`repro.bitvector.kernels` and
-``docs/kernels.md``.
+Word-level codec work (encode/decode/popcount) is the one coder in
+:mod:`repro.bitvector.kernels` — see ``docs/kernels.md``.
 """
 
 from repro.bitvector.bbc import BbcBitVector
 from repro.bitvector.bitvector import BitVector
-from repro.bitvector.kernels import (
-    available_backends,
-    get_backend,
-    set_backend,
-    use_backend,
-)
 from repro.bitvector.ops import (
     CODECS,
     BitVectorLike,
@@ -32,13 +25,9 @@ __all__ = [
     "CODECS",
     "OpCounter",
     "WahBitVector",
-    "available_backends",
     "big_and",
     "big_or",
-    "get_backend",
     "make_bitvector",
     "make_zeros",
-    "set_backend",
-    "use_backend",
     "words_of",
 ]

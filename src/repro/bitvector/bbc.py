@@ -17,9 +17,9 @@ operations 2–20x slower, and this codec exists to reproduce the *size* side
 of that trade-off (see the compression ablation benchmark).
 
 The token stream is stored as a read-only ``uint8`` numpy array, and the
-encode/decode passes are kernels in :mod:`repro.bitvector.kernels`, so the
-codec benefits from the same pluggable backends as WAH (vectorized numpy by
-default, byte-loop ``python`` reference; see ``docs/kernels.md``).
+encode/decode passes are the vectorized functions in
+:mod:`repro.bitvector.kernels`, tested byte for byte against the byte-loop
+reference coder (see ``docs/kernels.md``).
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class BbcBitVector:
     def compress(cls, vec: BitVector) -> "BbcBitVector":
         """Compress a verbatim bitvector."""
         raw = np.packbits(vec.to_bools(), bitorder="little")
-        data, fill_tokens, literal_tokens = _kernels.get_backend().bbc_encode(raw)
+        data, fill_tokens, literal_tokens = _kernels.bbc_encode(raw)
         _obs_record("bbc.bytes_encoded", len(raw))
         _obs_record("bbc.fill_tokens", fill_tokens)
         _obs_record("bbc.literal_tokens", literal_tokens)
@@ -114,9 +114,7 @@ class BbcBitVector:
     def decompress(self) -> BitVector:
         """Expand back to a verbatim :class:`BitVector`."""
         expected_bytes = (self._nbits + 7) // 8
-        raw, tokens = _kernels.get_backend().bbc_decode(
-            self._data, expected_bytes
-        )
+        raw, tokens = _kernels.bbc_decode(self._data, expected_bytes)
         _obs_record("bbc.tokens_decoded", tokens)
         _obs_record("bbc.bytes_decoded", len(raw))
         bits = np.unpackbits(raw, bitorder="little")

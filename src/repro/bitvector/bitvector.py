@@ -66,9 +66,19 @@ class BitVector:
 
     @classmethod
     def from_indices(cls, nbits: int, indices: np.ndarray) -> "BitVector":
-        """Build a vector with 1-bits exactly at ``indices``."""
+        """Build a vector with 1-bits exactly at ``indices``.
+
+        Every index must lie in ``[0, nbits)``; a negative one would
+        otherwise wrap to a bit counted from the end.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        outside = indices[(indices < 0) | (indices >= nbits)]
+        if len(outside):
+            raise ReproError(
+                f"bit index {int(outside[0])} is outside [0, {nbits})"
+            )
         bools = np.zeros(nbits, dtype=bool)
-        bools[np.asarray(indices, dtype=np.int64)] = True
+        bools[indices] = True
         return cls.from_bools(bools)
 
     @classmethod

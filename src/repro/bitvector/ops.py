@@ -75,8 +75,8 @@ def words_of(vec) -> int:
     to the stored words of its operands.  Each codec reports its own size
     through the ``words32()`` protocol method (verbatim bitvectors count
     their full word extent; WAH counts compressed words; BBC counts payload
-    bytes scaled to words), so new codecs and backends participate in the
-    cost model without registering here.
+    bytes scaled to words), so a new codec participates in the cost model
+    without registering here.
     """
     sizer = getattr(vec, "words32", None)
     if sizer is None:

@@ -10,10 +10,9 @@ word we are dealing with"):
   and the remaining 30 bits store the fill length, counted in 31-bit groups.
 
 Words are stored as a read-only ``numpy`` ``uint32`` array, and every
-encode/decode/count kernel over them lives in
-:mod:`repro.bitvector.kernels` behind a pluggable backend registry
-(``python`` reference, vectorized ``numpy`` default).
-All backends emit identical canonical words; see ``docs/kernels.md``.
+encode/decode/count over them is a function in
+:mod:`repro.bitvector.kernels`, which emits the same canonical words as
+the reference coder it is tested against; see ``docs/kernels.md``.
 
 Compressed is the *storage* form, and the decoded 31-bit group array is the
 *working* form every logical operation runs on, as one ufunc.  A vector
@@ -46,7 +45,6 @@ from repro.bitvector.kernels import (  # noqa: F401  (re-exported API)
     MAX_FILL_GROUPS,
     WORD_BITS,
     _ALL_ONES_GROUP,
-    _Builder,
 )
 from repro.errors import CorruptIndexError, ReproError
 from repro.observability import record as _obs_record
@@ -179,7 +177,7 @@ class WahBitVector:
         groups = self._groups
         if groups is None:
             words = self._words
-            groups = _kernels.get_backend().wah_decode(words, self.ngroups)
+            groups = _kernels.wah_decode(words, self.ngroups)
             if decoded is not None:
                 decoded.append(words)
             if self._stored:
@@ -196,7 +194,7 @@ class WahBitVector:
         padded = np.zeros(ngroups * GROUP_BITS, dtype=bool)
         padded[:nbits] = bools
         groups = _pack_groups(padded, ngroups)
-        return cls._from_words(nbits, _kernels.get_backend().wah_encode(groups))
+        return cls._from_words(nbits, _kernels.wah_encode(groups))
 
     @classmethod
     def zeros(cls, nbits: int) -> "WahBitVector":
@@ -240,7 +238,7 @@ class WahBitVector:
             groups = self._groups
             if groups is None:  # another thread published it meanwhile
                 return self._words
-            words = _kernels.get_backend().wah_encode(groups)
+            words = _kernels.wah_encode(groups)
             words.setflags(write=False)
             _obs_record("wah.words_emitted", len(words))
             self._words = words
@@ -281,7 +279,7 @@ class WahBitVector:
         """Number of 1-bits, off the group array if held, else the stream."""
         groups = self._groups
         if groups is None:
-            return _kernels.get_backend().wah_count(self._words)
+            return _kernels.wah_count(self._words)
         return int(np.bitwise_count(groups).sum(dtype=np.int64))
 
     def density(self) -> float:
@@ -429,7 +427,7 @@ def join(pieces: "list[WahBitVector]") -> WahBitVector:
     for piece in pieces:
         part = piece._groups
         if part is None:
-            part = _kernels.get_backend().wah_decode(piece._words, piece.ngroups)
+            part = _kernels.wah_decode(piece._words, piece.ngroups)
             decoded.append(piece._words)
         elif piece._stored and piece._words is not None:
             piece._groups = None

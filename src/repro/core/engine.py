@@ -836,12 +836,9 @@ class _QuerySurface:
 
     def summary(self) -> str:
         """Multi-line overview: table shape, indexes, query counts."""
-        from repro.bitvector.kernels import get_backend
-
         lines = [
             f"{type(self).__name__}: {self.num_records} records, "
             f"{len(self.schema.names)} attributes",
-            f"  bitvector kernels: {get_backend().name} backend",
         ]
         lines.extend(f"  {line}" for line in self._shard_lines())
         served = self._reader()._query_counts

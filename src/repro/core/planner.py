@@ -28,7 +28,7 @@ import numpy as np
 
 from repro import forksafe
 from repro.bitmap.base import BitmapIndex
-from repro.bitvector.kernels import get_backend
+from repro.bitvector.kernels import wah_decode
 from repro.bitvector.wah import WahBitVector
 from repro.errors import PlanningError
 from repro.observability import activate, enabled, suppressed
@@ -411,12 +411,11 @@ def _decode_ns_per_word(index) -> float:
         return 0.0
     stored = [vec for vec in index.stored_bitmaps() if isinstance(vec, WahBitVector)]
     sample = stored[::max(1, -(-len(stored) // _DECODE_SAMPLE))]
-    decode = get_backend().wah_decode
     runs = []
     for _ in range(_PROBE_RUNS):
         start = time.perf_counter_ns()
         for vec in sample:
-            decode(vec.words, vec.ngroups)
+            wah_decode(vec.words, vec.ngroups)
         runs.append(time.perf_counter_ns() - start)
     total = sum(vec.words32() for vec in sample)
     return min(runs) / total if total else 0.0
@@ -458,14 +457,13 @@ def calibrate(attached) -> UnitCosts:
 
 
 class _Calibrations:
-    """Process-wide :class:`UnitCosts`, one per index kind, codec, kernel
-    backend, power-of-two size class, and whether a sink listens.
+    """Process-wide :class:`UnitCosts`, one per index kind, codec,
+    power-of-two size class, and whether a sink listens.
 
     A probe at one row count cannot tell a per-query cost from a
     per-record one, so each power-of-two row-count class is measured
-    apart.  The backend is in the key, so switching it
-    (``set_backend`` / ``use_backend``) measures afresh; so is whether
-    queries are observed, which decides whether they size their operands.
+    apart.  Whether queries are observed is in the key too, since it
+    decides whether they size their operands.
     """
 
     def __init__(self):
@@ -481,7 +479,6 @@ class _Calibrations:
         key = (
             attached.kind,
             getattr(index, "codec", None),
-            get_backend().name,
             index.num_records.bit_length(),
             enabled(),
         )

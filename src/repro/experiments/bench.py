@@ -5,15 +5,16 @@ tracks across PRs and writes one JSON file per suite, so any change can
 prove its speedup (or be caught regressing) by diffing committed numbers:
 
 * ``micro_ops`` — the WAH kernel micro-benchmarks from
-  ``benchmarks/test_micro_ops.py`` (sparse/dense AND/OR, compress), run
-  once per registered kernel backend with per-case medians and speedups
-  versus the ``python`` reference backend.
+  ``benchmarks/test_micro_ops.py`` (sparse/dense AND/OR, compress): the
+  numpy coder's per-case medians and speedups versus the same work done
+  by the reference coder (:mod:`repro.bitvector.reference`, the
+  ``python`` column).
 * ``fig5_latency`` — the Figure 5(a) query-latency sweep.
 * ``batch_hit_rate`` — the batch executor experiment (Fig. 4 batch).
 * ``sharded_scaling`` — the sharded (segment) scaling sweep.
 
 Every file records the schema version, the git commit, interpreter/numpy
-versions, the active kernel backend, and the suite's results; see
+versions, and the suite's results; see
 ``docs/kernels.md`` for the format and CI wiring.
 
 ``--against BENCH_<area>.json`` turns a run into a regression gate: the
@@ -41,8 +42,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bitvector import kernels
-from repro.bitvector.wah import WahBitVector
+from repro.bitvector import reference
+from repro.bitvector.wah import GROUP_BITS, WahBitVector, _pack_groups
 
 #: Bump when the JSON layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -100,12 +101,30 @@ def _micro_pair(kind: str) -> tuple[WahBitVector, WahBitVector, np.ndarray]:
     return WahBitVector.from_bools(a), WahBitVector.from_bools(b), a
 
 
-def bench_micro_ops(repeats: int) -> dict:
-    """Per-backend medians for the WAH kernel micro-operations.
+def _reference_op(ufunc) -> Callable[..., object]:
+    """``ufunc`` over two vectors' groups, decoded by the reference coder."""
+    return lambda a, b: ufunc(
+        reference.wah_decode(a.words, a.ngroups),
+        reference.wah_decode(b.words, b.ngroups),
+    )
 
-    A stored vector keeps its group array after its first decode, so each
-    timed op gets a cold pair, made outside the timed region: the cases
-    time decode + op per backend, not a warm ufunc.
+
+def _reference_compress(bools: np.ndarray) -> np.ndarray:
+    """``WahBitVector.from_bools``'s packing, then the reference encoder."""
+    ngroups = -(-len(bools) // GROUP_BITS)
+    padded = np.zeros(ngroups * GROUP_BITS, dtype=bool)
+    padded[: len(bools)] = bools
+    return reference.wah_encode(_pack_groups(padded, ngroups))
+
+
+def bench_micro_ops(repeats: int) -> dict:
+    """Medians for the WAH micro-operations: numpy coder vs the reference.
+
+    The ``numpy`` column times the codec's own ops; the ``python`` column
+    times the same work with the reference coder's functions.  A stored
+    vector keeps its group array after its first decode, so each timed op
+    gets a cold pair, made outside the timed region: the cases time
+    decode + op, not a warm ufunc.
     """
     wa_s, wb_s, _ = _micro_pair("sparse")
     wa_d, wb_d, bools_d = _micro_pair("dense")
@@ -116,37 +135,35 @@ def bench_micro_ops(repeats: int) -> dict:
     def dense() -> tuple:
         return _cold(wa_d), _cold(wb_d)
 
-    cases: dict[str, tuple[Callable[[], tuple], Callable[..., object]]] = {
-        "wah_and_sparse": (sparse, operator.and_),
-        "wah_or_sparse": (sparse, operator.or_),
-        "wah_and_dense": (dense, operator.and_),
-        "wah_or_dense": (dense, operator.or_),
-        "wah_compress_dense": (lambda: (bools_d,), WahBitVector.from_bools),
+    # Per case: operand setup, the numpy coder's op, the reference's op.
+    cases: dict[str, tuple[Callable[[], tuple], Callable, Callable]] = {
+        "wah_and_sparse": (sparse, operator.and_, _reference_op(np.bitwise_and)),
+        "wah_or_sparse": (sparse, operator.or_, _reference_op(np.bitwise_or)),
+        "wah_and_dense": (dense, operator.and_, _reference_op(np.bitwise_and)),
+        "wah_or_dense": (dense, operator.or_, _reference_op(np.bitwise_or)),
+        "wah_compress_dense": (
+            lambda: (bools_d,), WahBitVector.from_bools, _reference_compress
+        ),
     }
-    backends: dict[str, dict[str, float]] = {}
-    for backend in kernels.available_backends():
-        with kernels.use_backend(backend):
-            for setup, fn in cases.values():  # warm-up
-                fn(*setup())
-            backends[backend] = {
-                name: round(_median_ms(setup, fn, repeats), 6)
-                for name, (setup, fn) in cases.items()
-            }
-    reference = backends.get("python", {})
-    speedups = {
-        backend: {
-            name: round(reference[name] / med, 2) if med else None
-            for name, med in medians.items()
-            if name in reference
+    medians: dict[str, dict[str, float]] = {}
+    for coder, column in (("python", 2), ("numpy", 1)):
+        for case in cases.values():  # warm-up
+            case[column](*case[0]())
+        medians[coder] = {
+            name: round(_median_ms(case[0], case[column], repeats), 6)
+            for name, case in cases.items()
         }
-        for backend, medians in backends.items()
-        if backend != "python"
-    }
+    ref = medians["python"]
     return {
         "nbits": _MICRO_NBITS,
         "repeats": repeats,
-        "median_ms": backends,
-        "speedup_vs_python": speedups,
+        "median_ms": medians,
+        "speedup_vs_python": {
+            "numpy": {
+                name: round(ref[name] / med, 2) if med else None
+                for name, med in medians["numpy"].items()
+            }
+        },
     }
 
 
@@ -213,8 +230,6 @@ def _write_suite(area: str, results: dict, scale_name: str, out_dir: str) -> str
         "commit": _git_commit(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "backend": kernels.get_backend().name,
-        "backends_available": list(kernels.available_backends()),
         "scale": scale_name,
         "results": results,
     }
@@ -226,11 +241,9 @@ def _write_suite(area: str, results: dict, scale_name: str, out_dir: str) -> str
 
 
 def _check_micro(results: dict) -> list[str]:
-    """Regression guard: the numpy backend must beat the python reference."""
+    """Regression guard: the numpy coder must beat the reference coder."""
     failures = []
     medians = results["median_ms"]
-    if "numpy" not in medians or "python" not in medians:
-        return ["micro_ops: need both numpy and python backends to --check"]
     for case, ref in medians["python"].items():
         med = medians["numpy"].get(case)
         if med is not None and med > ref:
@@ -264,8 +277,8 @@ def bench_main(argv: list[str]) -> int:
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="exit non-zero if the numpy backend is slower than the "
-             "python reference on any micro-op case",
+        help="exit non-zero if the numpy coder is slower than the "
+             "reference coder on any micro-op case",
     )
     parser.add_argument(
         "--against", action="append", default=[], metavar="BENCH_FILE",

@@ -9,8 +9,9 @@ contiguous segments each cover a narrow slice of that attribute's domain
 and the exact per-segment histograms let a query read only the row window
 of the segments that can match.
 
-Reported per segment count (rows are labelled ``sequential/<shards>``, the
-executor name), under both missing semantics:
+Reported per segment count (rows keep their ``sequential/<shards>`` labels,
+which the committed baseline's metric names carry), under both missing
+semantics:
 
 * ``sharded_ms`` — wall-clock for the whole workload through
   :meth:`ShardedDatabase.execute`,

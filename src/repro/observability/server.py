@@ -205,14 +205,11 @@ class TelemetryServer:
         import os
         import platform
 
-        from repro.bitvector.kernels import get_backend
-
         snapshot = get_registry().snapshot()
         payload = {
             "uptime_seconds": round(time.time() - self.started_at, 3),
             "pid": os.getpid(),
             "python": platform.python_version(),
-            "bitvector_backend": get_backend().name,
             "counters": dict(snapshot.counters),
             "gauges": dict(snapshot.gauges),
             "histograms": {

@@ -118,10 +118,7 @@ class SnapshotWriter:
         """Assemble, persist (when disk-backed) and publish; the new epoch.
 
         ``engines`` are the next snapshot's shards in row order, ``rebuilt``
-        of them built from their rows.  The executor is not carried over:
-        each snapshot gets its own inline one, because a shared instance
-        would be closed under the live snapshot when a retiring epoch's
-        database closes.
+        of them built from their rows.
         """
         db = ShardedDatabase._from_shards(engines)
         if self._directory is None:

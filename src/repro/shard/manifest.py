@@ -63,7 +63,7 @@ from repro.core.engine import IncompleteDatabase
 from repro.dataset.io import load_table, save_table
 from repro.errors import CorruptIndexError, ShardError
 from repro.observability import record
-from repro.shard.sharded import ShardedDatabase
+from repro.shard.sharded import ShardedDatabase, _check_executor
 from repro.storage import integrity
 from repro.storage.integrity import crc32, file_crc32, is_framed, parse_frame
 from repro.storage.serialize import (
@@ -440,7 +440,7 @@ def _check_legacy_row_map(
 
 def load_sharded(
     directory: str | os.PathLike,
-    executor=None,
+    executor: str | None = None,
 ) -> ShardedDatabase:
     """Rebuild a :class:`ShardedDatabase` saved by :func:`save_sharded`.
 
@@ -452,8 +452,10 @@ def load_sharded(
     from its table using the options recorded in the manifest, so the
     database still opens and answers queries identically.
 
-    ``executor`` is as on :class:`ShardedDatabase`.
+    ``executor`` is as on :class:`ShardedDatabase`, and is checked before
+    any file is opened.
     """
+    _check_executor(executor)
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
     manifest = _read_manifest(manifest_path)
@@ -500,7 +502,7 @@ def load_sharded(
             f"{manifest_path}: the manifest records {manifest['num_records']} "
             f"rows but its shards hold {start}"
         )
-    db = ShardedDatabase._from_shards(engines, executor=executor)
+    db = ShardedDatabase._from_shards(engines)
     for entry in entries:
         shard = db.shards[entry["shard_id"]]
         _remember_loaded(root, shard.database.table, entry["table"])

@@ -27,13 +27,12 @@ the window's first row.  Histograms are exact, so this never changes
 results.  Predicates are never pruned.
 
 This module adds the segments, the assembly, the zone maps, DDL over every
-segment, the executor handle and the lifecycle (close, freeze).
+segment and the lifecycle (close, freeze).
 """
 
 from __future__ import annotations
 
 import threading
-import weakref
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +46,6 @@ from repro.core.statistics import TableStatistics
 from repro.dataset.table import IncompleteTable, concat_tables, join_tables
 from repro.errors import ShardError
 from repro.query.model import MissingSemantics, RangeQuery
-from repro.shard.executor import ShardExecutor, resolve_executor
 from repro.vafile.vafile import VAFile
 
 __all__ = ["ShardedDatabase"]
@@ -134,18 +132,13 @@ class _ZoneMaps:
         return alive
 
 
-def _finalize_executor(executor: ShardExecutor) -> None:
-    """GC fallback: close the executor handle when the database drops.
-
-    Referenced by ``weakref.finalize`` with the *executor* (never the
-    database) as its argument, so the database itself stays collectible;
-    whatever a custom executor holds is not leaked just because a caller
-    forgot :meth:`ShardedDatabase.close`.
-    """
-    try:
-        executor.close()
-    except Exception:
-        pass
+def _check_executor(executor) -> None:
+    """Accept only ``None`` and ``"sequential"`` for ``executor=``."""
+    if executor is not None and executor != "sequential":
+        raise ShardError(
+            f"unknown shard executor {executor!r}; expected 'sequential' "
+            f"or None (the same)"
+        )
 
 
 class ShardedDatabase(_QuerySurface):
@@ -172,25 +165,26 @@ class ShardedDatabase(_QuerySurface):
         How many segments to create (``>= 1``; one segment is read
         directly, with nothing to assemble).
     executor:
-        A :class:`~repro.shard.executor.ShardExecutor` instance, or
-        ``None`` / ``"sequential"`` for the built-in one.  It evaluates
-        nothing (a read runs on one engine); it is held and closed with
-        the database.
+        ``None`` or ``"sequential"``; anything else raises
+        :class:`~repro.errors.ShardError`.  It selects nothing (a read
+        runs on one engine) and is kept only because the benchmark
+        harness passes it; it goes in a benchmark-only change.
     """
 
     def __init__(
         self,
         table: IncompleteTable,
         num_shards: int = 4,
-        executor: str | ShardExecutor | None = None,
+        executor: str | None = None,
     ):
+        _check_executor(executor)
         engines = [
             IncompleteDatabase(table.take(np.arange(rows.start, rows.stop)))
             for rows in _row_ranges(table.num_records, num_shards)
         ]
-        self._setup(engines, executor)
+        self._setup(engines)
 
-    def _setup(self, engines, executor) -> None:
+    def _setup(self, engines) -> None:
         self._shards: list[_Shard] = []
         start = 0
         for shard_id, engine in enumerate(engines):
@@ -211,10 +205,6 @@ class ShardedDatabase(_QuerySurface):
         #: Epoch number stamped by the serving layer's EpochManager when
         #: this database is published as a snapshot; None outside serving.
         self.snapshot_epoch: int | None = None
-        self._executor_impl = resolve_executor(executor)
-        self._finalizer = weakref.finalize(
-            self, _finalize_executor, self._executor_impl
-        )
 
     def _reset_after_fork(self) -> None:
         # A fork child must not inherit the assembly lock mid-held.
@@ -224,7 +214,6 @@ class ShardedDatabase(_QuerySurface):
     def _from_shards(
         cls,
         engines: Sequence[IncompleteDatabase],
-        executor: str | ShardExecutor | None = None,
     ) -> "ShardedDatabase":
         """Assemble from segment engines, in row order.
 
@@ -235,7 +224,7 @@ class ShardedDatabase(_QuerySurface):
         engines, by reference, for every segment a mutation leaves alone.
         """
         self = cls.__new__(cls)
-        self._setup(engines, executor)
+        self._setup(engines)
         return self
 
     # -- lifecycle -------------------------------------------------------------
@@ -285,16 +274,11 @@ class ShardedDatabase(_QuerySurface):
         """The segment holders, in segment-id order (read-only view)."""
         return tuple(self._shards)
 
-    @property
-    def executor(self) -> ShardExecutor:
-        """The executor handle this database holds."""
-        return self._executor_impl
-
     def close(self) -> None:
-        """Close the executor handle; reads then raise.
+        """Close the database; reads then raise.
 
         Closing twice raises :class:`~repro.errors.ShardError` — a second
-        ``close()`` means two owners think they hold the handle, which is
+        ``close()`` means two owners think they hold the database, which is
         exactly the bug the error should surface.  The context-manager exit
         only closes a still-open database, so ``with`` blocks compose with
         an explicit early ``close()``.
@@ -304,8 +288,6 @@ class ShardedDatabase(_QuerySurface):
                 "this ShardedDatabase has already been closed"
             )
         self._closed = True
-        self._finalizer.detach()
-        self._executor_impl.close()
 
     def _ensure_open(self) -> None:
         if self._closed:

@@ -7,7 +7,8 @@ same case analysis run one bitvector operator at a time
 must give the same ids, the same ``OpCounter`` fields and the same
 registry counters — first-read decodes included — on one index, on an
 index joined from four row ranges (seams on 31-row group boundaries and
-off them) and on a row window, under either kernel backend.
+off them) and on a row window, on the numpy coder and on the reference
+coder (the ``coder`` fixture).
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ import pytest
 
 from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
-from repro.bitvector.kernels import available_backends, use_backend
 from repro.bitvector.ops import OpCounter, big_and
 from repro.bitvector.wah import WahBitVector
 from repro.dataset.synthetic import generate_uniform_table
@@ -92,35 +92,34 @@ def _fields(counter: OpCounter):
             counter.words_processed)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("coder", ["numpy", "python"], indirect=True)
 @pytest.mark.parametrize("layout", ["engine", "aligned", "delete", "window"])
 @pytest.mark.parametrize("semantics", ["is_match", "not_match", "both"])
 @pytest.mark.parametrize("kind", sorted(ENCODINGS))
 def test_in_place_matches_the_operator_reference(
-    kind, semantics, layout, backend, monkeypatch
+    kind, semantics, layout, coder, monkeypatch
 ):
     semantics = resolve_semantics(semantics)
     table = _table()
-    with use_backend(backend):
-        fused, first = _index(kind, layout)
-        reference, _ = _index(kind, layout)
-        stop = first + fused.num_records
-        for bounds in QUERIES:
-            query = RangeQuery.from_bounds(bounds)
-            want = _run(_reference, reference, query, semantics)
-            with monkeypatch.context() as patch:  # no per-operator WAH call
-                patch.setattr(WahBitVector, "_binary_op", _refuse)
-                patch.setattr(WahBitVector, "__invert__", _refuse)
-                got = _run(
-                    lambda ix, q, s, c: ix.execute_bounds(q, s, c),
-                    fused, query, semantics,
-                )
-            assert all(map(np.array_equal, got[0], want[0])), bounds
-            assert _fields(got[1]) == _fields(want[1]), bounds
-            assert got[2] == want[2], bounds
-            # Both agree with a scan of the rows the index covers.
-            oracle = _oracle(table, bounds, semantics, first, stop)
-            assert all(map(np.array_equal, got[0], oracle)), bounds
+    fused, first = _index(kind, layout)
+    reference, _ = _index(kind, layout)
+    stop = first + fused.num_records
+    for bounds in QUERIES:
+        query = RangeQuery.from_bounds(bounds)
+        want = _run(_reference, reference, query, semantics)
+        with monkeypatch.context() as patch:  # no per-operator WAH call
+            patch.setattr(WahBitVector, "_binary_op", _refuse)
+            patch.setattr(WahBitVector, "__invert__", _refuse)
+            got = _run(
+                lambda ix, q, s, c: ix.execute_bounds(q, s, c),
+                fused, query, semantics,
+            )
+        assert all(map(np.array_equal, got[0], want[0])), bounds
+        assert _fields(got[1]) == _fields(want[1]), bounds
+        assert got[2] == want[2], bounds
+        # Both agree with a scan of the rows the index covers.
+        oracle = _oracle(table, bounds, semantics, first, stop)
+        assert all(map(np.array_equal, got[0], oracle)), bounds
 
 
 def _refuse(*args, **kwargs):
@@ -141,34 +140,33 @@ def _oracle(table, bounds, semantics, start, stop):
     return (np.flatnonzero(chosen),)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("coder", ["numpy", "python"], indirect=True)
 @pytest.mark.parametrize("semantics", ["is_match", "not_match", "both"])
 @pytest.mark.parametrize("kind", sorted(ENCODINGS))
-def test_predicate_atoms_match_the_operator_reference(kind, semantics, backend):
+def test_predicate_atoms_match_the_operator_reference(kind, semantics, coder):
     """Atoms through ``evaluate_bounds`` run in place; the tree's
     combinators then run as operators on the vectors they return."""
     semantics = resolve_semantics(semantics)
     predicate = (
         (Atom.of("a", 2, 4) | ~Atom.of("b", 1, 5)) & Atom.of("c", 1, 12)
     ) | (Atom.of("b", 3, 3) & ~Atom.of("a", 1, 8))
-    with use_backend(backend):
-        fused, _ = _index(kind, "engine")
-        reference, _ = _index(kind, "engine")
+    fused, _ = _index(kind, "engine")
+    reference, _ = _index(kind, "engine")
 
-        def run(index, leaf):
-            counter = OpCounter()
-            with use_registry() as registry:
-                bounds = evaluate_tree(predicate, semantics, leaf(index, counter),
-                                       counter)
-            return (tuple(vec.to_indices() for vec in bounds), _fields(counter),
-                    dict(registry.snapshot().counters))
+    def run(index, leaf):
+        counter = OpCounter()
+        with use_registry() as registry:
+            bounds = evaluate_tree(predicate, semantics, leaf(index, counter),
+                                   counter)
+        return (tuple(vec.to_indices() for vec in bounds), _fields(counter),
+                dict(registry.snapshot().counters))
 
-        got = run(fused, lambda ix, c: lambda atom, s: ix.evaluate_bounds(
-            atom.attribute, atom.interval, s, c))
-        want = run(reference, lambda ix, c: lambda atom, s: (
-            ix.evaluate_interval_both(atom.attribute, atom.interval, c)
-            if s is BOTH
-            else (ix.evaluate_interval(atom.attribute, atom.interval, s, c),)))
+    got = run(fused, lambda ix, c: lambda atom, s: ix.evaluate_bounds(
+        atom.attribute, atom.interval, s, c))
+    want = run(reference, lambda ix, c: lambda atom, s: (
+        ix.evaluate_interval_both(atom.attribute, atom.interval, c)
+        if s is BOTH
+        else (ix.evaluate_interval(atom.attribute, atom.interval, s, c),)))
     assert all(map(np.array_equal, got[0], want[0]))
     assert got[1:] == want[1:]
     certain, possible = evaluate_predicate_both(_table(), predicate)

@@ -34,6 +34,16 @@ class TestConstruction:
         vec = BitVector.from_indices(10, np.array([0, 3, 9]))
         assert vec.to_indices().tolist() == [0, 3, 9]
 
+    def test_from_indices_rejects_a_negative_id(self):
+        # A negative id used to wrap to a bit counted from the end.
+        with pytest.raises(ReproError, match="-1"):
+            BitVector.from_indices(10, [-1])
+
+    def test_from_indices_rejects_an_id_past_the_end(self):
+        # An id >= nbits used to raise numpy's bare IndexError.
+        with pytest.raises(ReproError, match="10 is outside"):
+            BitVector.from_indices(10, [3, 10])
+
     def test_empty_vector(self):
         vec = BitVector.zeros(0)
         assert vec.count() == 0

@@ -1,22 +1,20 @@
-"""Kernel backend registry + cross-backend word-identity properties.
+"""The numpy coder against the reference coder, word for word.
 
 The contract of :mod:`repro.bitvector.kernels` is stronger than "same
-bits": every registered backend must emit the exact same canonical word
-stream for every operation.  That is what makes backend choice a pure
-performance knob — equality, hashing, serialization, and the word-based
-cost model are all unaffected by it.
+bits": it must emit the exact same canonical word stream (and BBC byte
+stream) as the one-step-per-word coder in :mod:`repro.bitvector.reference`
+for every input, decode and count every stream the same way, and reject
+every corrupt stream with the same error.  That is what keeps equality,
+hashing, serialization and the word-based cost model independent of how
+the coder is written.  Each property calls both coders directly.
 """
-
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bitvector import kernels
+from repro.bitvector import kernels, reference
 from repro.bitvector.bbc import BbcBitVector
 from repro.bitvector.wah import (
     FILL_BIT_FLAG,
@@ -25,11 +23,8 @@ from repro.bitvector.wah import (
     LITERAL_MASK,
     MAX_FILL_GROUPS,
     WahBitVector,
-    _Builder,
 )
-from repro.errors import CorruptIndexError, ReproError
-
-ALL_BACKENDS = kernels.available_backends()
+from repro.errors import CorruptIndexError
 
 runs = st.lists(
     st.tuples(st.booleans(), st.integers(min_value=1, max_value=80)),
@@ -52,96 +47,22 @@ def _pair_from(run_a, run_b):
     return np.pad(a, (0, n - len(a))), np.pad(b, (0, n - len(b)))
 
 
-def _per_backend(fn):
-    """Run ``fn`` under every registered backend; return {name: result}."""
-    out = {}
-    for name in ALL_BACKENDS:
-        with kernels.use_backend(name):
-            out[name] = fn()
-    return out
-
-
-def _assert_identical_words(by_backend: dict) -> None:
-    reference = by_backend["python"]
-    for name, words in by_backend.items():
-        assert words.dtype == np.uint32, name
-        assert np.array_equal(words, reference), (
-            f"{name} backend words differ from python reference: "
-            f"{words.tolist()} != {reference.tolist()}"
-        )
-
-
-class TestRegistry:
-    def test_python_and_numpy_always_registered(self):
-        assert {"python", "numpy"} <= set(ALL_BACKENDS)
-
-    def test_default_backend_honors_env_or_avoids_python(self):
-        forced = os.environ.get(kernels.BACKEND_ENV_VAR, "").strip()
-        if forced:
-            assert kernels.get_backend().name == forced
-        else:
-            # The reference loop is opt-in.
-            assert kernels.get_backend().name == "numpy"
-
-    def test_set_backend_returns_previous(self):
-        previous = kernels.set_backend("python")
-        try:
-            assert kernels.get_backend().name == "python"
-        finally:
-            kernels.set_backend(previous)
-        assert kernels.get_backend().name == previous
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="unknown bitvector kernel"):
-            kernels.set_backend("fortran")
-
-    def test_use_backend_restores_on_exit(self):
-        before = kernels.get_backend().name
-        with kernels.use_backend("python") as backend:
-            assert backend.name == "python"
-        assert kernels.get_backend().name == before
-
-    def test_use_backend_restores_on_error(self):
-        before = kernels.get_backend().name
-        with pytest.raises(RuntimeError):
-            with kernels.use_backend("python"):
-                raise RuntimeError("boom")
-        assert kernels.get_backend().name == before
-
-
-class TestEnvVarSelection:
-    def _import_in_subprocess(self, value: str | None):
-        env = dict(os.environ)
-        env.pop(kernels.BACKEND_ENV_VAR, None)
-        if value is not None:
-            env[kernels.BACKEND_ENV_VAR] = value
-        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        return subprocess.run(
-            [sys.executable, "-c",
-             "from repro.bitvector import kernels; "
-             "print(kernels.get_backend().name)"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-
-    def _default_in_subprocess(self, value: str | None) -> str:
-        out = self._import_in_subprocess(value)
-        assert out.returncode == 0, out.stderr
-        return out.stdout.strip()
-
-    def test_unregistered_name_fails_the_import(self):
-        out = self._import_in_subprocess("numba")
-        assert out.returncode != 0
-        assert "names an unknown backend" in out.stderr
-
-    def test_env_var_forces_reference_backend(self):
-        assert self._default_in_subprocess("python") == "python"
-
-    def test_empty_env_var_means_default(self):
-        # CI matrix legs export REPRO_BITVECTOR_BACKEND="" for the
-        # non-override combinations; that must not be treated as a name.
-        assert self._default_in_subprocess("") == "numpy"
-        assert self._default_in_subprocess(None) == "numpy"
+def _assert_coders_agree(vec: WahBitVector) -> None:
+    """``vec``'s words are the reference encoding of its groups, and both
+    coders decode and count them the same way."""
+    groups = vec._group_array()
+    words = vec.words
+    expected = reference.wah_encode(groups)
+    assert words.dtype == np.uint32
+    assert np.array_equal(words, expected), (
+        f"numpy words differ from the reference: "
+        f"{words.tolist()} != {expected.tolist()}"
+    )
+    assert np.array_equal(
+        kernels.wah_decode(words, vec.ngroups),
+        reference.wah_decode(words, vec.ngroups),
+    )
+    assert kernels.wah_count(words) == reference.wah_count(words)
 
 
 @settings(max_examples=100, deadline=None)
@@ -150,20 +71,16 @@ def test_binary_ops_word_identical_across_backends(run_a, run_b):
     a, b = _pair_from(run_a, run_b)
     wa, wb = WahBitVector.from_bools(a), WahBitVector.from_bools(b)
     for op in ("__and__", "__or__", "__xor__", "andnot"):
-        _assert_identical_words(
-            _per_backend(lambda op=op: getattr(wa, op)(wb).words)
-        )
+        _assert_coders_agree(getattr(wa, op)(wb))
 
 
 @settings(max_examples=100, deadline=None)
 @given(runs)
 def test_not_and_compress_word_identical_across_backends(run_list):
     bools = _bools_from_runs(run_list)
-    _assert_identical_words(
-        _per_backend(lambda: WahBitVector.from_bools(bools).words)
-    )
     wah = WahBitVector.from_bools(bools)
-    _assert_identical_words(_per_backend(lambda: (~wah).words))
+    _assert_coders_agree(WahBitVector.from_bools(bools))
+    _assert_coders_agree(~wah)
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,60 +92,91 @@ def test_or_many_word_identical_across_backends(run_lists):
                                        (0, n - len(_bools_from_runs(rl)))))
         for rl in run_lists
     ]
-    _assert_identical_words(
-        _per_backend(lambda: WahBitVector.or_many(operands).words)
-    )
+    _assert_coders_agree(WahBitVector.or_many(operands))
 
 
 @settings(max_examples=100, deadline=None)
 @given(runs)
 def test_count_identical_across_backends(run_list):
     bools = _bools_from_runs(run_list)
-    wah = WahBitVector.from_bools(bools)
-    counts = _per_backend(wah.count)
-    assert set(counts.values()) == {int(bools.sum())}
+    words = WahBitVector.from_bools(bools).words
+    assert kernels.wah_count(words) == reference.wah_count(words) == int(
+        bools.sum()
+    )
 
 
 @settings(max_examples=100, deadline=None)
 @given(runs)
 def test_bbc_streams_byte_identical_across_backends(run_list):
     bools = _bools_from_runs(run_list)
-    streams = _per_backend(lambda: BbcBitVector.from_bools(bools).data)
-    reference = streams["python"]
-    for name, data in streams.items():
-        assert np.array_equal(data, reference), name
-    # ... and every backend decodes the reference stream identically.
-    vec = BbcBitVector(len(bools), reference)
-    decoded = _per_backend(lambda: vec.decompress().words.copy())
-    for name, words in decoded.items():
-        assert np.array_equal(words, decoded["python"]), name
+    raw = np.packbits(bools, bitorder="little")
+    data, fills, literals = kernels.bbc_encode(raw)
+    ref_data, ref_fills, ref_literals = reference.bbc_encode(raw)
+    assert np.array_equal(data, ref_data)
+    assert (fills, literals) == (ref_fills, ref_literals)
+    assert np.array_equal(BbcBitVector.from_bools(bools).data, ref_data)
+    # ... and both coders decode the reference stream identically.
+    out, tokens = kernels.bbc_decode(ref_data, len(raw))
+    ref_out, ref_tokens = reference.bbc_decode(ref_data, len(raw))
+    assert np.array_equal(out, raw) and np.array_equal(ref_out, raw)
+    assert tokens == ref_tokens == fills + literals
+
+
+def _corrupt(data: np.ndarray, nbytes: int, kind: str, first: bool):
+    """A BBC stream and expected length with one ``kind`` of fault: a
+    zero-length fill token or a literal token claiming more bytes than
+    follow (before the stream when ``first``, else after it), or a
+    decoded length that is off by one."""
+    if kind == "wrong_length":
+        return data, nbytes - 1 if nbytes and not first else nbytes + 1
+    if kind == "zero_fill":
+        bad = b"\xc0"
+    else:  # a literal token of 5 bytes with 2 left: never a valid prefix
+        bad, first = b"\x05ab", False
+    stream = data.tobytes()
+    return np.frombuffer(bad + stream if first else stream + bad, np.uint8), nbytes
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    runs,
+    st.sampled_from(["zero_fill", "truncated_literal", "wrong_length"]),
+    st.booleans(),
+)
+def test_corrupt_bbc_streams_raise_the_same_error(run_list, kind, first):
+    raw = np.packbits(_bools_from_runs(run_list), bitorder="little")
+    data, nbytes = _corrupt(reference.bbc_encode(raw)[0], len(raw), kind, first)
+    with pytest.raises(CorruptIndexError) as numpy_error:
+        kernels.bbc_decode(data, nbytes)
+    with pytest.raises(CorruptIndexError) as reference_error:
+        reference.bbc_decode(data, nbytes)
+    assert str(numpy_error.value) == str(reference_error.value)
 
 
 class TestFillBoundaries:
     """MAX_FILL_GROUPS edges, exercised at word level (no group expansion)."""
 
     def _giant(self, ngroups: int, bit: int) -> WahBitVector:
-        builder = _Builder()
-        builder.append_fill(ngroups, bit)
-        return WahBitVector(ngroups * GROUP_BITS, builder.words)
+        words: list[int] = []
+        reference.append_fill(words, ngroups, bit)
+        return WahBitVector(ngroups * GROUP_BITS, words)
 
     @pytest.mark.parametrize("ngroups", [
         MAX_FILL_GROUPS - 1, MAX_FILL_GROUPS, MAX_FILL_GROUPS + 1,
         2 * MAX_FILL_GROUPS, 2 * MAX_FILL_GROUPS + 7,
     ])
     def test_giant_fill_runs_encode_identically(self, ngroups):
-        # The numpy encoder's run core and the python reference builder
-        # split over-long fills the same way, next to literals and to each
-        # other.
+        # The numpy encoder's run core and the reference coder split
+        # over-long fills the same way, next to literals and to each other.
         values = np.array([0b101, 0, LITERAL_MASK, 0b11], dtype=np.uint32)
         lengths = np.array([1, ngroups, ngroups, 1], dtype=np.int64)
-        builder = _Builder()
-        builder.append_literal(0b101)
-        builder.append_fill(ngroups, 0)
-        builder.append_fill(ngroups, 1)
-        builder.append_literal(0b11)
+        expected: list[int] = []
+        reference.append_literal(expected, 0b101)
+        reference.append_fill(expected, ngroups, 0)
+        reference.append_fill(expected, ngroups, 1)
+        reference.append_literal(expected, 0b11)
         words = kernels._encode_runs(values, lengths)
-        assert words.tolist() == builder.words
+        assert words.tolist() == expected
         assert kernels.wah_run_words(values, lengths) == len(words)
 
     def test_giant_fill_split_is_canonical(self):
@@ -241,20 +189,23 @@ class TestFillBoundaries:
 
     def test_giant_fill_count_identical(self):
         ones = self._giant(MAX_FILL_GROUPS + 3, 1)
-        counts = _per_backend(ones.count)
-        assert set(counts.values()) == {(MAX_FILL_GROUPS + 3) * GROUP_BITS}
+        expected = (MAX_FILL_GROUPS + 3) * GROUP_BITS
+        assert ones.count() == expected
+        assert kernels.wah_count(ones.words) == expected
+        assert reference.wah_count(ones.words) == expected
 
     def test_literal_next_to_max_fill(self):
-        builder = _Builder()
-        builder.append_fill(MAX_FILL_GROUPS, 0)
-        builder.append_literal(0b101)
+        expected: list[int] = []
+        reference.append_fill(expected, MAX_FILL_GROUPS, 0)
+        reference.append_literal(expected, 0b101)
         nbits = (MAX_FILL_GROUPS + 1) * GROUP_BITS
-        wah = WahBitVector(nbits, builder.words)
+        wah = WahBitVector(nbits, expected)
         values = np.array([0, 0b101], dtype=np.uint32)
         lengths = np.array([MAX_FILL_GROUPS, 1], dtype=np.int64)
-        assert kernels._encode_runs(values, lengths).tolist() == builder.words
+        assert kernels._encode_runs(values, lengths).tolist() == expected
         assert wah.words32() == 2
-        assert set(_per_backend(wah.count).values()) == {2}
+        assert wah.count() == 2
+        assert kernels.wah_count(wah.words) == reference.wah_count(wah.words)
 
 
 class TestEdgeCases:
@@ -268,22 +219,23 @@ class TestEdgeCases:
     ])
     def test_constant_vector_ops_identical(self, make):
         vec = make()
-        _assert_identical_words(_per_backend(lambda: (vec ^ vec).words))
-        _assert_identical_words(_per_backend(lambda: (~vec).words))
+        _assert_coders_agree(vec ^ vec)
+        _assert_coders_agree(~vec)
 
     def test_empty_vector_round_trips_on_all_backends(self):
-        for name in ALL_BACKENDS:
-            with kernels.use_backend(name):
-                vec = WahBitVector.zeros(0)
-                assert vec.words.tolist() == []
-                assert vec.count() == 0
-                assert vec.decompress().nbits == 0
+        vec = WahBitVector.zeros(0)
+        assert vec.words.tolist() == []
+        assert vec.count() == 0
+        assert vec.decompress().nbits == 0
+        empty = np.empty(0, dtype=np.uint32)
+        for coder in (kernels, reference):
+            assert coder.wah_encode(empty).tolist() == []
+            assert coder.wah_decode(empty, 0).tolist() == []
+            assert coder.wah_count(empty) == 0
 
     def test_zero_length_fill_rejected_under_all_backends(self):
-        for name in ALL_BACKENDS:
-            with kernels.use_backend(name):
-                with pytest.raises(CorruptIndexError):
-                    WahBitVector(31 * 2, [FILL_FLAG | 2, FILL_FLAG | 0])
+        with pytest.raises(CorruptIndexError):
+            WahBitVector(31 * 2, [FILL_FLAG | 2, FILL_FLAG | 0])
 
     def test_words_are_read_only(self):
         wah = WahBitVector.ones(100)
@@ -300,9 +252,9 @@ class TestEdgeCases:
 
 
 class TestQueryLevelIdentity:
-    """End-to-end: query answers must not depend on the backend."""
+    """End-to-end: what an engine stores is what the reference would."""
 
-    def test_engine_results_identical_across_backends(self, rng):
+    def test_engine_results_identical_across_backends(self):
         from repro.core.engine import IncompleteDatabase
         from repro.dataset.synthetic import generate_uniform_table
         from repro.query.model import MissingSemantics, RangeQuery
@@ -310,21 +262,19 @@ class TestQueryLevelIdentity:
         table = generate_uniform_table(
             2_000, {"a": 20, "b": 10}, {"a": 0.1, "b": 0.2}, seed=9
         )
-        queries = [
-            RangeQuery.from_bounds({"a": (3, 9), "b": (2, 5)}),
-            RangeQuery.from_bounds({"a": (1, 20)}),
-            RangeQuery.from_bounds({"b": (7, 7)}),
-        ]
-        answers = {}
-        for name in ALL_BACKENDS:
-            with kernels.use_backend(name):
-                db = IncompleteDatabase(table)
-                db.create_index("ix", "bre")
-                answers[name] = [
-                    db.execute(q, semantics).record_ids
-                    for q in queries
-                    for semantics in MissingSemantics
-                ]
-        for name, got in answers.items():
-            for ours, ref in zip(got, answers["python"]):
-                assert np.array_equal(ours, ref), name
+        db = IncompleteDatabase(table)
+        db.create_index("wah", "bre")
+        db.create_index("bbc", "bre", codec="bbc")
+        query = RangeQuery.from_bounds({"a": (3, 9), "b": (2, 5)})
+        for semantics in MissingSemantics:
+            assert np.array_equal(
+                db.execute(query, semantics, using="wah").record_ids,
+                db.execute(query, semantics, using="bbc").record_ids,
+            )
+        for vec in db.get_index("wah").index.stored_bitmaps():
+            _assert_coders_agree(vec)
+        for vec in db.get_index("bbc").index.stored_bitmaps():
+            nbytes = (vec.nbits + 7) // 8
+            raw = reference.bbc_decode(vec.data, nbytes)[0]
+            assert np.array_equal(kernels.bbc_decode(vec.data, nbytes)[0], raw)
+            assert np.array_equal(reference.bbc_encode(raw)[0], vec.data)

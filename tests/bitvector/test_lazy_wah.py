@@ -7,8 +7,8 @@ happens to hold: the words it eventually shows, the size the cost model
 reads before that, counts, ids, equality, hashes, and both interchange
 forms (pickle, the storage payload).  The property below runs random op
 DAGs — stored and derived operands mixed, some intermediates forced into
-stream form along the way — under every registered backend against a
-plain-bool oracle and the ``none`` codec.
+stream form along the way — against a plain-bool oracle and the ``none``
+codec.
 """
 
 import pickle
@@ -122,53 +122,45 @@ def test_lazy_results_match_eager_encoding_on_every_backend(program):
         oracle.append(_apply(op, [oracle[i] for i in operands], None))
         plain.append(_apply(op, [plain[i] for i in operands], BitVector))
 
-    shown = {}
-    for backend in kernels.available_backends():
-        with kernels.use_backend(backend):
-            nodes = [WahBitVector.from_bools(bools) for bools in leaves]
-            for (op, operands, force), bools in zip(steps, oracle[len(leaves):]):
-                node = _apply(op, [nodes[i] for i in operands], WahBitVector)
-                nodes.append(node)
-                assert _tail_is_clear(node), (backend, op)
-                if force:
-                    node.words
+    nodes = [WahBitVector.from_bools(bools) for bools in leaves]
+    for (op, operands, force), bools in zip(steps, oracle[len(leaves):]):
+        node = _apply(op, [nodes[i] for i in operands], WahBitVector)
+        nodes.append(node)
+        assert _tail_is_clear(node), op
+        if force:
+            node.words
 
-            for node, bools, verbatim in zip(nodes, oracle, plain):
-                eager = WahBitVector.from_bools(bools)
-                # The cost model's size, before the stream is first read.
-                assert node.words32() == len(eager.words), backend
-                assert node.count() == verbatim.count() == int(bools.sum())
-                assert np.array_equal(node.to_indices(), verbatim.to_indices())
-                assert np.array_equal(node.to_bools(), bools)
-                assert node.decompress() == verbatim
+    for node, bools, verbatim in zip(nodes, oracle, plain):
+        eager = WahBitVector.from_bools(bools)
+        # The cost model's size, before the stream is first read.
+        assert node.words32() == len(eager.words)
+        assert node.count() == verbatim.count() == int(bools.sum())
+        assert np.array_equal(node.to_indices(), verbatim.to_indices())
+        assert np.array_equal(node.to_bools(), bools)
+        assert node.decompress() == verbatim
 
-                thawed = pickle.loads(pickle.dumps(node))
-                stored = _vector_from_payload(
-                    "wah", nbits, _vector_payload(node)
-                )
-                for copy in (node, thawed, stored):
-                    assert not copy.words.flags.writeable
-                    assert np.array_equal(copy.words, eager.words), backend
-                    assert copy == eager and hash(copy) == hash(eager)
-                    assert copy.words32() == len(eager.words)
-                    assert copy.count() == int(bools.sum())
-                    assert np.array_equal(
-                        copy.to_indices(), np.flatnonzero(bools)
-                    )
-                # A result drops its groups for good once its stream is
-                # built; a stored vector keeps what its first decode built.
-                assert (node._groups is not None) == node._stored
-                assert thawed._groups is not None and stored._groups is not None
+        thawed = pickle.loads(pickle.dumps(node))
+        stored = _vector_from_payload(
+            "wah", nbits, _vector_payload(node)
+        )
+        for copy in (node, thawed, stored):
+            assert not copy.words.flags.writeable
+            assert np.array_equal(copy.words, eager.words)
+            assert copy == eager and hash(copy) == hash(eager)
+            assert copy.words32() == len(eager.words)
+            assert copy.count() == int(bools.sum())
+            assert np.array_equal(
+                copy.to_indices(), np.flatnonzero(bools)
+            )
+        # A result drops its groups for good once its stream is
+        # built; a stored vector keeps what its first decode built.
+        assert (node._groups is not None) == node._stored
+        assert thawed._groups is not None and stored._groups is not None
 
-            # Equality between results agrees with the none codec.
-            for i in range(len(nodes)):
-                for j in range(i + 1, len(nodes)):
-                    assert (nodes[i] == nodes[j]) == (plain[i] == plain[j])
-            shown[backend] = [node.words for node in nodes]
-
-    for backend, streams in shown.items():
-        for words, reference in zip(streams, shown["python"]):
-            assert np.array_equal(words, reference), backend
+    # Equality between results agrees with the none codec.
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            assert (nodes[i] == nodes[j]) == (plain[i] == plain[j])
 
 
 @pytest.mark.parametrize("nbits", LENGTHS)
@@ -251,8 +243,6 @@ class TestEncodedLengthSplitRule:
             [0, 0, 5, 5, LITERAL_MASK, LITERAL_MASK, LITERAL_MASK, 0, 9],
             dtype=np.uint32,
         )
-        for backend in kernels.available_backends():
-            with kernels.use_backend(backend):
-                words = kernels.get_backend().wah_encode(groups)
-            assert kernels.wah_encoded_length(groups) == len(words) == 6
+        words = kernels.wah_encode(groups)
+        assert kernels.wah_encoded_length(groups) == len(words) == 6
         assert kernels.wah_encoded_length(groups[:0]) == 0

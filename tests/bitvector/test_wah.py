@@ -166,12 +166,12 @@ class TestStreamValidation:
 
     def test_max_fill_chunking(self):
         # A fill longer than MAX_FILL_GROUPS must split across words; build
-        # one synthetically via the builder path.
-        from repro.bitvector.wah import _Builder
+        # one synthetically with the reference coder.
+        from repro.bitvector.reference import append_fill
 
-        builder = _Builder()
-        builder.append_fill(MAX_FILL_GROUPS + 5, 0)
-        wah = WahBitVector((MAX_FILL_GROUPS + 5) * GROUP_BITS, builder.words)
+        words: list[int] = []
+        append_fill(words, MAX_FILL_GROUPS + 5, 0)
+        wah = WahBitVector((MAX_FILL_GROUPS + 5) * GROUP_BITS, words)
         assert len(wah.words) == 2
         assert wah.count() == 0
 

@@ -3,7 +3,8 @@
 Vectors built from data, loaded from a file or unpickled keep the group
 array their first decode builds, and every later operation reads it
 directly.  The stream stays the storage form: nothing that reports a size
-or an identity may tell a memoised vector from a fresh one, on any backend.
+or an identity may tell a memoised vector from a fresh one, on either
+coder.
 """
 
 import pickle
@@ -14,19 +15,12 @@ import numpy as np
 import pytest
 
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
-from repro.bitvector import kernels
 from repro.bitvector.wah import GROUP_BITS, WahBitVector
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
 from repro.observability import use_registry
 from repro.query.model import MissingSemantics, RangeQuery
 from repro.storage.serialize import dump_bitmap_index, _vector_payload
-
-
-@pytest.fixture(params=kernels.available_backends())
-def backend(request):
-    with kernels.use_backend(request.param):
-        yield request.param
 
 
 def _bools(seed: int) -> np.ndarray:
@@ -37,7 +31,7 @@ def _bools(seed: int) -> np.ndarray:
     return bools
 
 
-def test_memoised_vector_is_indistinguishable(backend):
+def test_memoised_vector_is_indistinguishable(coder):
     bools = _bools(1)
     fresh, memo = WahBitVector.from_bools(bools), WahBitVector.from_bools(bools)
     assert np.array_equal(memo.to_indices(), np.flatnonzero(bools))
@@ -54,7 +48,7 @@ def test_memoised_vector_is_indistinguishable(backend):
         memo._groups[0] = 0  # shared by every later reader: read-only
 
 
-def test_saved_index_bytes_do_not_move_after_queries(backend):
+def test_saved_index_bytes_do_not_move_after_queries(coder):
     table = generate_uniform_table(
         2000, {"a": 12, "b": 6}, {"a": 0.2, "b": 0.1}, seed=3
     )
@@ -68,7 +62,7 @@ def test_saved_index_bytes_do_not_move_after_queries(backend):
     assert all(map(np.array_equal, answers, again))
 
 
-def test_first_decode_race_gives_identical_answers(backend):
+def test_first_decode_race_gives_identical_answers(coder):
     left, right = _bools(2), _bools(3)
     want = {
         "and": np.flatnonzero(left & right),
@@ -106,7 +100,7 @@ def test_first_decode_race_gives_identical_answers(backend):
         sys.setswitchinterval(interval)
 
 
-def test_cached_result_does_not_regrow(backend):
+def test_cached_result_does_not_regrow(coder):
     """A result whose stream was built (to size, store or compare it)
     drops its groups and does not grow them back by being used."""
     a, b = WahBitVector.from_bools(_bools(4)), WahBitVector.from_bools(_bools(5))
@@ -121,7 +115,7 @@ def test_cached_result_does_not_regrow(backend):
 
 
 @pytest.mark.parametrize("kind", ["bee", "bre"])
-def test_second_pass_decodes_nothing(backend, kind):
+def test_second_pass_decodes_nothing(coder, kind):
     table = generate_uniform_table(
         3000, {"a": 20, "b": 8}, {"a": 0.2, "b": 0.1}, seed=9
     )

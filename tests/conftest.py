@@ -45,6 +45,28 @@ def unit_costs(monkeypatch):
     return costs.update
 
 
+@pytest.fixture(params=["numpy", "python"])
+def coder(request, monkeypatch) -> str:
+    """Run a test once on the numpy coder and once on the reference coder.
+
+    The library has one coder; the ``python`` case patches the reference
+    coder's five functions over it (the codecs call them through the
+    ``repro.bitvector.kernels`` module), so every stream the test builds,
+    decodes or counts goes through the reference instead.
+    """
+    if request.param == "python":
+        from repro.bitvector import kernels, reference
+        from repro.core import planner
+
+        for name in (
+            "wah_encode", "wah_decode", "wah_count", "bbc_encode", "bbc_decode"
+        ):
+            monkeypatch.setattr(kernels, name, getattr(reference, name))
+        # Costs measured on the slower coder must not price later plans.
+        monkeypatch.setattr(planner._CALIBRATIONS, "measured", {})
+    return request.param
+
+
 @pytest.fixture
 def small_table() -> IncompleteTable:
     """A 1000-record mixed-cardinality table with varied missing rates."""

@@ -10,7 +10,7 @@ Two families of guarantees, both pinned against the brute-force oracle:
 * **One-pass both-bounds execution.**  ``semantics="both"`` returns the
   (certain, possible) pair in a single pass, and each bound is exactly
   what the corrected single-semantics run returns — through the engine,
-  the sharded database, every encoding, and every kernel backend.
+  the sharded database and every encoding.
 """
 
 import inspect
@@ -25,7 +25,6 @@ from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.baselines.seqscan import SequentialScan
-from repro.bitvector.kernels import available_backends, use_backend
 from repro.core.engine import IncompleteDatabase, RankedReport
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import QueryError
@@ -631,7 +630,7 @@ class TestShardedBoth:
             sharded.fetch(query, "both")
 
 
-# -- property: random trees x both semantics x executors x backends ----------
+# -- property: random trees x both semantics x executors ---------------------
 
 
 @st.composite
@@ -663,45 +662,41 @@ def _property_table():
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    predicate=predicate_trees(),
-    backend=st.sampled_from(sorted(available_backends())),
-)
-def test_property_three_valued_consistency(predicate, backend):
+@given(predicate=predicate_trees())
+def test_property_three_valued_consistency(predicate):
     """certain subset of possible; both == two corrected single runs;
     bounds coincide wherever only complete columns are touched."""
     table = _property_table()
-    with use_backend(backend):
-        index = RangeEncodedBitmapIndex(table, codec="wah")
-        va = VAFile(table, bits={"a": 2, "b": 2, "c": 2})
-        certain, possible = evaluate_predicate_mask_both(table, predicate)
-        # certain subset of possible
-        assert np.all(possible[certain])
-        # pair == the two corrected single-semantics oracle runs
-        assert np.array_equal(
-            certain,
-            evaluate_predicate_mask(
-                table, predicate, MissingSemantics.NOT_MATCH
-            ),
-        )
-        assert np.array_equal(
-            possible,
-            evaluate_predicate_mask(
-                table, predicate, MissingSemantics.IS_MATCH
-            ),
-        )
-        # bitmap and VA-file one-pass executors agree with the oracle pair
-        b_certain, b_possible = bitmap_bounds(index, predicate, BOTH)
-        assert np.array_equal(b_certain.to_indices(), np.flatnonzero(certain))
-        assert np.array_equal(
-            b_possible.to_indices(), np.flatnonzero(possible)
-        )
-        v_certain, v_possible = vafile_bounds(va, predicate, BOTH)
-        assert np.array_equal(v_certain, certain)
-        assert np.array_equal(v_possible, possible)
-        # complete columns admit no uncertainty
-        if predicate.attributes() == {"c"}:
-            assert np.array_equal(certain, possible)
+    index = RangeEncodedBitmapIndex(table, codec="wah")
+    va = VAFile(table, bits={"a": 2, "b": 2, "c": 2})
+    certain, possible = evaluate_predicate_mask_both(table, predicate)
+    # certain subset of possible
+    assert np.all(possible[certain])
+    # pair == the two corrected single-semantics oracle runs
+    assert np.array_equal(
+        certain,
+        evaluate_predicate_mask(
+            table, predicate, MissingSemantics.NOT_MATCH
+        ),
+    )
+    assert np.array_equal(
+        possible,
+        evaluate_predicate_mask(
+            table, predicate, MissingSemantics.IS_MATCH
+        ),
+    )
+    # bitmap and VA-file one-pass executors agree with the oracle pair
+    b_certain, b_possible = bitmap_bounds(index, predicate, BOTH)
+    assert np.array_equal(b_certain.to_indices(), np.flatnonzero(certain))
+    assert np.array_equal(
+        b_possible.to_indices(), np.flatnonzero(possible)
+    )
+    v_certain, v_possible = vafile_bounds(va, predicate, BOTH)
+    assert np.array_equal(v_certain, certain)
+    assert np.array_equal(v_possible, possible)
+    # complete columns admit no uncertainty
+    if predicate.attributes() == {"c"}:
+        assert np.array_equal(certain, possible)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,7 +3,7 @@
 A sharded database's reads run on one engine assembled from its segments.
 These tests pin the mechanism: each joined bitmap slot is the bitmap built
 over the joined rows (the same canonical stream, whichever seams the
-segments leave and whichever codec and kernel backend), a query is planned
+segments leave, whichever codec and on either coder), a query is planned
 and scanned once over every row, and a zone map narrows the rows the
 chosen index reads to the segments that can match.
 """
@@ -11,7 +11,6 @@ chosen index reads to the segments that can match.
 import numpy as np
 import pytest
 
-from repro.bitvector.kernels import available_backends, use_backend
 from repro.bitvector.wah import WahBitVector
 from repro.core.engine import IncompleteDatabase
 from repro.dataset.reorder import lexicographic_order
@@ -73,22 +72,21 @@ def _writer_seams(db: ShardedDatabase, seams: str) -> ShardedDatabase:
     return manager.current_database
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("coder", ["numpy", "python"], indirect=True)
 @pytest.mark.parametrize("codec", ["wah", "bbc", "none"])
 @pytest.mark.parametrize("seams", ["aligned", "delete", "append", "compact"])
-def test_joined_slot_is_the_bitmap_over_the_joined_rows(backend, codec, seams):
-    with use_backend(backend):
-        db = ShardedDatabase(_table(), num_shards=4)
-        for kind in KINDS:
-            db.create_index(kind, kind, codec=codec)
-        db = _writer_seams(db, seams)
-        starts = [shard.start for shard in db.shards]
-        if seams in ("aligned", "append", "compact"):
-            assert all(start % 31 == 0 for start in starts)
-        else:
-            assert any(start % 31 for start in starts)
-        for kind in KINDS:
-            _assert_slots_join(db, kind)
+def test_joined_slot_is_the_bitmap_over_the_joined_rows(codec, seams, coder):
+    db = ShardedDatabase(_table(), num_shards=4)
+    for kind in KINDS:
+        db.create_index(kind, kind, codec=codec)
+    db = _writer_seams(db, seams)
+    starts = [shard.start for shard in db.shards]
+    if seams in ("aligned", "append", "compact"):
+        assert all(start % 31 == 0 for start in starts)
+    else:
+        assert any(start % 31 for start in starts)
+    for kind in KINDS:
+        _assert_slots_join(db, kind)
 
 
 def test_any_seam_offset_joins():

@@ -477,3 +477,77 @@ def test_every_entry_point_coerces_the_query(table, unsharded, tier, entry):
         for bad in (5, [("a", (2, 4))], "a"):
             with pytest.raises(QueryError, match=type(bad).__name__):
                 method(bad)
+
+
+# -- lifecycle and removed keywords ---------------------------------------------
+
+SMALL = [
+    RangeQuery.from_bounds({"a": (2, 8)}),
+    RangeQuery.from_bounds({"a": (1, 3), "b": (2, 4)}),
+]
+
+
+class TestCloseLifecycle:
+    def test_double_close_raises(self, table):
+        db = ShardedDatabase(table, num_shards=2)
+        db.close()
+        with pytest.raises(ShardError, match="already been closed"):
+            db.close()
+
+    def test_use_after_close_raises(self, table):
+        db = ShardedDatabase(table, num_shards=2)
+        db.create_index("ix", "bre")
+        db.close()
+        with pytest.raises(ShardError, match="closed"):
+            db.execute(SMALL[0])
+        with pytest.raises(ShardError, match="closed"):
+            db.execute_batch(SMALL)
+        with pytest.raises(ShardError, match="closed"):
+            db.create_index("other", "bee")
+        with pytest.raises(ShardError, match="closed"):
+            db.drop_index("ix")
+
+    def test_context_manager_composes_with_early_close(self, table):
+        with ShardedDatabase(table, num_shards=2) as db:
+            db.close()  # __exit__ must not close a second time
+
+
+class TestRemovedKeywords:
+    def test_engine_batch_rejects(self, table):
+        # The engine's batch thread pool is gone; so are its two keywords.
+        db = IncompleteDatabase(table)
+        db.create_index("ix", "bre")
+        for removed in ("max_workers", "parallel"):
+            with pytest.raises(TypeError, match=removed):
+                db.execute_batch(
+                    SMALL, MissingSemantics.IS_MATCH, **{removed: 1}
+                )
+
+    def test_removed_selectors_are_rejected(self, table, tmp_path, monkeypatch):
+        # ``executor=`` takes None or "sequential" and nothing else.
+        with ShardedDatabase(table, num_shards=2, executor="sequential") as db:
+            db.create_index("ix", "bre")
+            save_sharded(db, tmp_path)
+        with load_sharded(tmp_path, executor="sequential") as loaded:
+            assert loaded.num_records == table.num_records
+        for removed in ("threads", "processes", object()):
+            with pytest.raises(ShardError, match="'sequential'"):
+                ShardedDatabase(table, num_shards=2, executor=removed)
+            with pytest.raises(ShardError, match="'sequential'"):
+                load_sharded(tmp_path, executor=removed)
+        with pytest.raises(TypeError, match="parallel"):
+            ShardedDatabase(table, num_shards=2, parallel=True)
+        with pytest.raises(TypeError, match="max_workers"):
+            ShardedDatabase(table, num_shards=2, max_workers=2)
+        # Shards are row ranges: no layout is selectable either.
+        for partitioner in ("contiguous", "round-robin"):
+            with pytest.raises(TypeError, match="partitioner"):
+                ShardedDatabase(table, num_shards=2, partitioner=partitioner)
+        with pytest.raises(TypeError, match="max_workers"):
+            load_sharded(tmp_path, max_workers=2)
+        # The environment selects nothing.
+        monkeypatch.setenv("REPRO_SHARD_EXECUTOR", "processes")
+        with ShardedDatabase(table, num_shards=2) as db:
+            assert not hasattr(db, "executor")
+        with load_sharded(tmp_path) as loaded:
+            assert loaded.num_records == table.num_records

@@ -58,8 +58,10 @@ class TestBuiltOnce:
 
 class TestRemovedSurface:
     """Deleted on purpose, with no alias: the bitmap sub-result cache (a
-    cached interval cost more than recomputing it from decoded bitmaps)
-    and the per-shard fan-out (segments are read as one engine)."""
+    cached interval cost more than recomputing it from decoded bitmaps),
+    the per-shard fan-out (segments are read as one engine), the kernel
+    backend registry (one coder; the reference coder is no backend) and
+    the shard-executor handle (it evaluated nothing)."""
 
     @pytest.mark.parametrize("name", ["SubResultCache"])
     def test_cache_type_is_gone(self, name):
@@ -76,12 +78,56 @@ class TestRemovedSurface:
     def test_fan_out_is_gone(self):
         import repro.core.engine as engine
         import repro.core.planner as planner
-        import repro.shard.executor as executor
 
         assert not hasattr(engine, "ShardTask")
         assert not hasattr(repro.IncompleteDatabase, "_run_task")
         assert not hasattr(planner, "combine_shard_estimates")
-        assert not hasattr(executor.ShardExecutor, "run")
+        assert not [name for name in repro.shard.__all__ if "Executor" in name]
+
+    @pytest.mark.parametrize(
+        "name", ["available_backends", "get_backend", "set_backend", "use_backend"]
+    )
+    def test_backend_registry_is_gone(self, name):
+        import repro.bitvector.kernels as kernels
+
+        assert not hasattr(repro.bitvector, name)
+        assert not hasattr(kernels, name)
+
+    def test_executor_handle_is_gone(self):
+        import importlib
+
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.shard.executor")
+        assert not hasattr(repro.ShardedDatabase, "executor")
+
+    def test_varz_names_no_backend(self):
+        from repro.observability.server import TelemetryServer
+
+        server = TelemetryServer()
+        try:
+            assert "bitvector_backend" not in server.varz()
+        finally:
+            server.stop()
+
+    def test_load_checks_the_executor_before_any_file(self, tmp_path):
+        import json
+
+        from repro.dataset.synthetic import generate_uniform_table
+        from repro.errors import CorruptIndexError, ShardError
+        from repro.shard import load_sharded, save_sharded
+
+        table = generate_uniform_table(300, {"a": 9}, {"a": 0.2}, seed=1)
+        with repro.ShardedDatabase(table, num_shards=2) as db:
+            path = save_sharded(db, tmp_path)
+        entry = json.loads(path.read_text())["shards"][0]["table"]
+        table_path = tmp_path / entry["path"]
+        raw = bytearray(table_path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        table_path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptIndexError):
+            load_sharded(tmp_path)
+        with pytest.raises(ShardError, match="'threads'"):
+            load_sharded(tmp_path, executor="threads")
 
 
 class TestSubpackageExports:
