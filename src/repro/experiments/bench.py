@@ -8,7 +8,7 @@ prove its speedup (or be caught regressing) by diffing committed numbers:
   ``benchmarks/test_micro_ops.py`` (sparse/dense AND/OR, compress): the
   numpy coder's per-case medians and speedups versus the same work done
   by the reference coder (:mod:`repro.bitvector.reference`, the
-  ``python`` column).
+  ``python`` column), each the median of interleaved rounds.
 * ``fig5_latency`` — the Figure 5(a) query-latency sweep.
 * ``batch_hit_rate`` — the batch executor experiment (Fig. 4 batch).
 * ``sharded_scaling`` — the sharded (segment) scaling sweep.
@@ -59,6 +59,9 @@ _SCALES = {
 #: 100k bits, seed 1 at 1% density (sparse), seed 2 at 50% density (dense).
 _MICRO_NBITS = 100_000
 _MICRO_SEEDS = {"sparse": (1, 0.01), "dense": (2, 0.5)}
+
+#: Interleaved python/numpy timing rounds per micro-op case.
+_MICRO_ROUNDS = 7
 
 
 def _git_commit() -> str | None:
@@ -125,6 +128,12 @@ def bench_micro_ops(repeats: int) -> dict:
     vector keeps its group array after its first decode, so each timed op
     gets a cold pair, made outside the timed region: the cases time
     decode + op, not a warm ufunc.
+
+    The two coders are timed in :data:`_MICRO_ROUNDS` interleaved rounds
+    (each a median of ``repeats`` runs per coder and case).  A case's
+    speedup is the median of its rounds' ratios, and its ``median_ms`` the
+    median of its rounds' medians, so a noisy stretch of a shared machine
+    moves one round, not the result.
     """
     wa_s, wb_s, _ = _micro_pair("sparse")
     wa_d, wb_d, bools_d = _micro_pair("dense")
@@ -145,23 +154,34 @@ def bench_micro_ops(repeats: int) -> dict:
             lambda: (bools_d,), WahBitVector.from_bools, _reference_compress
         ),
     }
-    medians: dict[str, dict[str, float]] = {}
-    for coder, column in (("python", 2), ("numpy", 1)):
-        for case in cases.values():  # warm-up
-            case[column](*case[0]())
-        medians[coder] = {
-            name: round(_median_ms(case[0], case[column], repeats), 6)
-            for name, case in cases.items()
+    for setup, fast, ref in cases.values():  # warm-up
+        fast(*setup())
+        ref(*setup())
+    rounds: dict[str, list[tuple[float, float]]] = {name: [] for name in cases}
+    for _ in range(_MICRO_ROUNDS):
+        for name, (setup, fast, ref) in cases.items():
+            rounds[name].append((
+                _median_ms(setup, ref, repeats),
+                _median_ms(setup, fast, repeats),
+            ))
+    medians = {
+        coder: {
+            name: round(statistics.median(pair[column] for pair in pairs), 6)
+            for name, pairs in rounds.items()
         }
-    ref = medians["python"]
+        for coder, column in (("python", 0), ("numpy", 1))
+    }
     return {
         "nbits": _MICRO_NBITS,
         "repeats": repeats,
+        "rounds": _MICRO_ROUNDS,
         "median_ms": medians,
         "speedup_vs_python": {
             "numpy": {
-                name: round(ref[name] / med, 2) if med else None
-                for name, med in medians["numpy"].items()
+                name: round(statistics.median(
+                    ref / fast for ref, fast in pairs
+                ), 2) if all(fast for _, fast in pairs) else None
+                for name, pairs in rounds.items()
             }
         },
     }

@@ -9,14 +9,14 @@ contiguous segments each cover a narrow slice of that attribute's domain
 and the exact per-segment histograms let a query read only the row window
 of the segments that can match.
 
-Reported per segment count (rows keep their ``sequential/<shards>`` labels,
-which the committed baseline's metric names carry), under both missing
-semantics:
+Reported per segment count (each row is labelled by it), under both
+missing semantics:
 
 * ``sharded_ms`` — wall-clock for the whole workload through
-  :meth:`ShardedDatabase.execute`,
-* ``speedup`` — the common 1-shard baseline time over this
-  configuration's time,
+  :meth:`ShardedDatabase.execute` (median of the timing rounds),
+* ``speedup`` — the common 1-segment baseline time over this
+  configuration's time (median of the rounds' ratios; the baseline and
+  every configuration are timed in interleaved rounds),
 * ``pruned_frac`` — fraction of (query, segment) pairs skipped by pruning,
 * ``identical`` — whether every sharded result was bit-identical to the
   unsharded :class:`IncompleteDatabase` (verified in-driver, both
@@ -28,6 +28,9 @@ row window is where the speedup comes from.
 
 from __future__ import annotations
 
+import contextlib
+import statistics
+
 import numpy as np
 
 from repro.core.engine import IncompleteDatabase
@@ -36,6 +39,10 @@ from repro.dataset.synthetic import generate_uniform_table
 from repro.experiments.harness import ExperimentResult, time_batch
 from repro.query.model import MissingSemantics, RangeQuery
 from repro.shard.sharded import ShardedDatabase
+
+
+#: Interleaved timing rounds of the baseline and every row.
+_ROUNDS = 5
 
 
 def _workload(num_queries: int, seed: int = 7) -> list[RangeQuery]:
@@ -85,11 +92,12 @@ def run_fig4_sharded(
             f"Sharded scaling (row ranges): {num_records} records, "
             f"{num_queries} queries, both semantics"
         ),
-        x_label="executor/shards",
+        x_label="segments",
         columns=["sharded_ms", "speedup", "pruned_frac", "identical"],
     )
 
-    def _measure(db: ShardedDatabase, num_shards: int) -> tuple:
+    def _check(db: ShardedDatabase, num_shards: int) -> tuple:
+        """``(pruned fraction, identical)`` over the workload."""
         db.create_index("ix", "bre")
         identical = True
         pruned = 0
@@ -99,27 +107,42 @@ def run_fig4_sharded(
                 if not np.array_equal(report.record_ids, exp.record_ids):
                     identical = False
                 pruned += report.num_pruned
-        total_ms = 0.0
-        for semantics in MissingSemantics:
-            total_ms += time_batch(
+        return pruned / (2 * len(queries) * num_shards), identical
+
+    def _time_ms(db: ShardedDatabase) -> float:
+        return sum(
+            time_batch(
                 lambda s=semantics: [db.execute(q, s) for q in queries],
                 repeats=repeats,
             )
-        pair_count = 2 * len(queries) * num_shards
-        return total_ms, pruned / pair_count, identical
+            for semantics in MissingSemantics
+        )
 
-    # Common baseline: one shard, measured apart from the sweep's own
-    # one-shard row, so the speedup column means the same thing on every row.
-    with ShardedDatabase(table, num_shards=1) as db:
-        baseline_ms, _, _ = _measure(db, 1)
-
-    for num_shards in shard_counts:
-        with ShardedDatabase(table, num_shards=num_shards) as db:
-            total_ms, pruned_frac, identical = _measure(db, num_shards)
+    # Common baseline: one segment, measured apart from the sweep's own
+    # one-segment row, so the speedup column means the same thing on every
+    # row.  Baseline and rows are timed in interleaved rounds; a row's
+    # speedup is the median of its rounds' ratios.
+    with contextlib.ExitStack() as stack:
+        baseline = stack.enter_context(ShardedDatabase(table, num_shards=1))
+        _check(baseline, 1)
+        dbs = {
+            n: stack.enter_context(ShardedDatabase(table, num_shards=n))
+            for n in shard_counts
+        }
+        checks = {n: _check(db, n) for n, db in dbs.items()}
+        base_ms, times = [], {n: [] for n in dbs}
+        for _ in range(_ROUNDS):
+            base_ms.append(_time_ms(baseline))
+            for n, db in dbs.items():
+                times[n].append(_time_ms(db))
+    for num_shards, rows_ms in times.items():
+        pruned_frac, identical = checks[num_shards]
         result.add_row(
-            f"sequential/{num_shards}",
-            round(total_ms, 2),
-            round(baseline_ms / total_ms, 2),
+            num_shards,
+            round(statistics.median(rows_ms), 2),
+            round(statistics.median(
+                base / ms for base, ms in zip(base_ms, rows_ms)
+            ), 2),
             round(pruned_frac, 3),
             identical,
         )

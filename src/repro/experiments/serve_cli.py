@@ -14,9 +14,10 @@ registry and workload recorder, and serves until interrupted (or for
     curl -d '{"rows": {"a": [1, 2], "b": [3, 4]}}' localhost:9096/append
     curl localhost:9096/epochs
 
-See ``docs/serving.md`` for the full endpoint reference, the epoch
-lifecycle, and the admission-control semantics behind ``--max-inflight``
-/ ``--queue-limit`` / ``--deadline-ms``.
+One thread serves every connection and runs reads one at a time, in
+arrival order; writes run on one writer thread.  See ``docs/serving.md``
+for the full endpoint reference, the epoch lifecycle, and the admission
+semantics behind ``--queue-limit`` / ``--deadline-ms``.
 """
 
 from __future__ import annotations
@@ -66,12 +67,9 @@ def serve_main(argv: list[str]) -> int:
         help="demo dataset shard count (default: 4)",
     )
     parser.add_argument(
-        "--max-inflight", type=int, default=1,
-        help="concurrently executing reads (default: 1)",
-    )
-    parser.add_argument(
         "--queue-limit", type=int, default=16,
-        help="requests allowed to wait for a slot before 429s (default: 16)",
+        help="reads a read may have ahead of it in one loop round before "
+             "it is answered 429 (default: 16)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None,
@@ -94,7 +92,6 @@ def serve_main(argv: list[str]) -> int:
             directory=args.directory,
             host=args.host,
             port=args.port,
-            max_inflight=args.max_inflight,
             queue_limit=args.queue_limit,
             default_deadline_ms=args.deadline_ms,
         )
@@ -106,7 +103,6 @@ def serve_main(argv: list[str]) -> int:
             database=db,
             host=args.host,
             port=args.port,
-            max_inflight=args.max_inflight,
             queue_limit=args.queue_limit,
             default_deadline_ms=args.deadline_ms,
         )

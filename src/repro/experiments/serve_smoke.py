@@ -10,7 +10,9 @@ validate:
 
 * every reader and writer request returned 200 — zero 5xx (or any other
   non-200) across the whole run, and zero admission rejections
-  (``serve.rejected.*``) with the service's default one-wide read lane;
+  (``serve.rejected.*``) at the service's default ``queue_limit``;
+* the service runs two threads — its HTTP loop and its writer — at every
+  scrape of the run, however many clients are connected;
 * connections are kept alive: each client thread's whole script rides
   one accepted connection (``serve.connections`` equals the number of
   clients, far below ``serve.requests``);
@@ -199,9 +201,16 @@ def serve_smoke_main() -> int:
             db.create_index("ix", "bre")
             save_sharded(db, directory)
 
-        # Defaults on purpose: one read at a time, 16 queue places — the
-        # readers below must fit without a single rejection.
+        # Defaults on purpose: 16 reads may be ahead of one in a round —
+        # the readers below must fit without a single rejection.
+        before = set(threading.enumerate())
         service = QueryService(directory=directory).start()
+        service_threads = set(threading.enumerate()) - before
+        _check(
+            len(service_threads) == 2,
+            f"service started {sorted(t.name for t in service_threads)}, "
+            f"expected its loop and its writer",
+        )
         # One connection per reader, one for the writer, one for scrapes.
         clients = [_Client(service) for _ in range(_READERS + 2)]
         *reader_clients, writer_client, scraper = clients
@@ -221,13 +230,21 @@ def serve_smoke_main() -> int:
             )
             for thread in threads:
                 thread.start()
-            # Scrape the admission-exempt routes while traffic is running.
+            # Scrape the admission-exempt routes while traffic is running,
+            # and count the service's threads at every scrape.
             live_scrapes = 0
             while any(thread.is_alive() for thread in threads):
                 for route in ("/healthz", "/epochs", "/metrics"):
                     status, _, _ = scraper.get(route)
                     _check(status == 200, f"{route} returned {status} mid-run")
                     live_scrapes += 1
+                extra = set(threading.enumerate()) - before - set(threads)
+                _check(
+                    extra == service_threads,
+                    f"the service runs {sorted(t.name for t in extra)} "
+                    f"with {len(clients)} clients connected, expected "
+                    f"only its loop and its writer",
+                )
             for thread in threads:
                 thread.join()
 
@@ -320,7 +337,8 @@ def serve_smoke_main() -> int:
         f"serve-smoke OK: {_READERS} readers x {_READS_PER_READER} requests "
         f"+ {expected_epochs} epochs published, {gcs_total} GC'd, zero "
         f"non-200s, zero rejections, {requests} requests over "
-        f"{connections} connections, {live_scrapes} live scrapes, "
+        f"{connections} connections on 2 service threads, "
+        f"{live_scrapes} live scrapes, "
         f"{num_samples} Prometheus samples, every JSON reply compact, "
         f"final generation fsck clean"
     )

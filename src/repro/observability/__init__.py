@@ -20,8 +20,9 @@ first-class at runtime:
   no-op by default like the registry;
 * :mod:`repro.observability.slowlog` — a :class:`SlowQueryLog` retaining
   the N worst threshold-crossing queries with their span trees;
-* :mod:`repro.observability.server` — a stdlib HTTP thread serving
-  ``/metrics`` (Prometheus), ``/healthz``, ``/varz``, and ``/workload``.
+* :mod:`repro.observability.server` — the repo's one HTTP loop, and the
+  telemetry endpoint on it serving ``/metrics`` (Prometheus),
+  ``/healthz``, ``/varz``, and ``/workload``.
 
 The metric names and span naming scheme are documented in
 ``docs/observability.md``; ``docs/cost-model.md`` maps each cost-model term

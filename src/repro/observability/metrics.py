@@ -11,8 +11,8 @@ operator installs a real registry with :func:`set_registry` or
 (:class:`_QueryTally`), so a query's counters reach the registry once,
 when it ends, however many operations it made.
 
-Instruments are thread-safe: the query service's handlers and the
-snapshot writer increment counters from several threads, so every
+Instruments are thread-safe: the query service's loop and writer
+threads (and any library caller) increment counters concurrently, so every
 mutation (``inc``/``set``/``observe``) takes a per-instrument lock —
 ``self.value += amount`` spans three bytecodes in CPython and *does* lose
 updates under contention without one.  Instrument creation is

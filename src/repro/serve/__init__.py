@@ -12,8 +12,8 @@ This package turns the library into a server (ROADMAP item 1):
   ``append`` / ``delete`` / ``compact`` / ``create_index`` /
   ``drop_index`` each build the next snapshot from the current one and
   publish it atomically.
-* :class:`~repro.serve.service.QueryService` — a stdlib
-  ``ThreadingHTTPServer`` front end exposing JSON endpoints for range /
+* :class:`~repro.serve.service.QueryService` — a one-thread HTTP loop
+  (plus one writer thread) exposing JSON endpoints for range /
   boolean / batch / count / explain queries (per-request semantics and
   deadline) plus the write operations, with admission control and
   graceful drain.  Every request is metered through ``serve.*`` metrics

@@ -1,10 +1,10 @@
-"""JSON query service over epoch-pinned snapshots (stdlib HTTP).
+"""JSON query service over epoch-pinned snapshots.
 
-:class:`QueryService` is the serving front end of ROADMAP item 1: a
-``ThreadingHTTPServer`` (the same idiom as the telemetry endpoint) whose
-read routes pin the current epoch for exactly the duration of one
-request, and whose write routes go through the serialized
-:class:`~repro.serve.writer.SnapshotWriter`.
+:class:`QueryService` is the serving front end of ROADMAP item 1: the
+repo's one HTTP loop (:class:`~repro.observability.server.HTTPLoop`, the
+telemetry endpoint's too) whose read routes pin the current epoch for
+exactly the duration of one request, and whose write routes go through
+the serialized :class:`~repro.serve.writer.SnapshotWriter`.
 
 Routes (JSON in/out unless noted):
 
@@ -34,15 +34,15 @@ returned record ids), and ``deadline_ms`` (also settable via an
 ``?pretty=1`` on any route indents them.  Connections are HTTP/1.1
 keep-alive.
 
-Admission control: at most ``max_inflight`` reads execute at once — one
-by default, because reads are CPU-bound Python and two handler threads
-sharing the GIL finish fewer requests than one (``docs/serving.md``) —
-and up to ``queue_limit`` more wait their turn.  Beyond that the service
-answers **429** (queue full).  A read whose deadline expires while
-queued gets **408**.  Writes take no read slot: they serialise on the
-:class:`~repro.serve.writer.SnapshotWriter` mutex instead, so a slow
-publish never holds readers out.  Once :meth:`QueryService.stop` starts
-draining, new reads and writes get **503** while in-flight ones finish.
+Threads and admission: one loop thread serves every connection, and
+runs the reads and the introspection routes of each round one after
+another, in arrival order — reads are CPU-bound Python, and two threads
+sharing the GIL finish fewer of them than one (``docs/serving.md``).  A
+read with more than ``queue_limit`` reads ahead of it in its round gets
+**429**; one whose deadline passes before its turn gets **408**.  Writes
+run on the loop's one writer thread, so a slow publish never holds
+readers up.  Once :meth:`QueryService.stop` starts draining, new reads
+and writes get **503** while an in-flight write finishes.
 Every outcome is metered under ``serve.*`` (see
 ``docs/observability.md``) and every executed query flows through the
 installed workload recorder via the engine's own instrumentation.
@@ -52,9 +52,7 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 import time
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +60,7 @@ import numpy as np
 from repro.errors import QueryError, ReproError
 from repro.observability import get_registry, record
 from repro.observability.export import render_prometheus
-from repro.observability.server import KeepAliveHandler
+from repro.observability.server import HTTPLoop, Offload, Request
 from repro.query.boolean import And, Atom, Not, Or, Predicate
 from repro.query.model import BOTH, RangeQuery, resolve_semantics
 from repro.serve.epoch import EpochManager
@@ -361,57 +359,27 @@ def _compact_json(payload: dict) -> bytes:
     return b"".join(out)
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    # Smoke jobs and tests restart services rapidly on the same port;
-    # SO_REUSEADDR keeps a lingering TIME_WAIT socket from failing the
-    # bind (explicit here and in the telemetry server, per policy).
-    allow_reuse_address = True
-    daemon_threads = True
+class _ServiceLoop(HTTPLoop):
+    """The service's HTTP loop: reads run on it, writes on its writer."""
 
+    server_name = "repro-serve/1"
+    methods = frozenset({"GET", "POST"})
+    offloads = True
 
-class _ServiceHandler(KeepAliveHandler):
-    server_version = "repro-serve/1"
+    def __init__(self, service: "QueryService", host: str, port: int):
+        super().__init__(host, port)
+        self.service = service
 
-    def setup(self) -> None:
-        super().setup()
+    @property
+    def max_body(self) -> int:
+        """``_MAX_BODY_BYTES``, read per request so a test can lower it."""
+        return _MAX_BODY_BYTES
+
+    def connected(self) -> None:
         record("serve.connections")
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
-        self.server.service._handle(self, body_allowed=False)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib casing
-        self.server.service._handle(self, body_allowed=True)
-
-    def send_error(self, code, message=None, explain=None) -> None:
-        """The HTTP layer's own errors (a malformed request line, an
-        unsupported method, an oversized header) as JSON, not the stdlib's
-        HTML page; the connection closes, as the stdlib's does."""
-        if self.command == "HEAD":
-            super().send_error(code, message, explain)  # headers only
-            return
-        self.close_connection = True
-        error = message or self.responses.get(code, ("error",))[0]
-        if explain:
-            error = f"{error}: {explain}"
-        self.reply(
-            _compact_json({"error": error}),
-            "application/json; charset=utf-8",
-            status=code,
-        )
-
-    # -- response helpers ------------------------------------------------
-
-    def reply_json(self, payload: dict, status: int = 200) -> None:
-        # indent=None keeps json.dumps on its C encoder.  The space after
-        # a key's colon stays: payloads have a handful of keys, and
-        # bench/tests corrupts a reply by matching ``"matches": ``.
-        if "pretty=1" in self.path.partition("?")[2].split("&"):
-            body = json.dumps(
-                payload, sort_keys=True, default=_plain, indent=2
-            ) + "\n"
-        else:
-            body = _compact_json(payload)
-        self.reply(body, "application/json; charset=utf-8", status=status)
+    def admit(self, request: Request):
+        return self.service._admit(request)
 
 
 class QueryService:
@@ -430,11 +398,9 @@ class QueryService:
     ----------
     host / port:
         Bind address; ``port=0`` picks a free port (read :attr:`port`).
-    max_inflight:
-        Requests allowed to execute concurrently.  Gates the read routes;
-        writes serialise on the snapshot writer instead.
     queue_limit:
-        Reads allowed to wait for a slot before 429s start.
+        Reads a read may have ahead of it in its round before it is
+        answered 429.
     default_deadline_ms:
         Deadline applied when a request does not set its own (``None``
         disables).
@@ -448,7 +414,6 @@ class QueryService:
         directory: str | Path | None = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_inflight: int = 1,
         queue_limit: int = 16,
         default_deadline_ms: float | None = None,
         prefix: str = "repro",
@@ -457,10 +422,8 @@ class QueryService:
             raise ReproError(
                 "pass exactly one of database= or directory="
             )
-        if max_inflight < 1 or queue_limit < 0:
-            raise ReproError(
-                "max_inflight must be >= 1 and queue_limit >= 0"
-            )
+        if queue_limit < 0:
+            raise ReproError("queue_limit must be >= 0")
         if directory is not None:
             from repro.shard.manifest import load_sharded
 
@@ -469,19 +432,15 @@ class QueryService:
         self.writer = SnapshotWriter(self.epochs, directory)
         self.prefix = prefix
         self.started_at = time.time()
-        self._max_inflight = max_inflight
         self._queue_limit = queue_limit
         self._default_deadline_ms = default_deadline_ms
-        self._adm = threading.Condition()
-        #: Requests executing (reads and writes); what a drain waits on.
+        # Loop-thread counters.  Requests executing (a read on the loop,
+        # writes on the writer thread); what a drain waits on.
         self._inflight = 0
-        #: Reads holding one of the ``max_inflight`` slots.
-        self._reading = 0
+        #: Reads parsed in this round that have not run yet.
         self._queued = 0
         self._draining = False
-        self._httpd = _ServiceHTTPServer((host, port), _ServiceHandler)
-        self._httpd.service = self
-        self._thread: threading.Thread | None = None
+        self._httpd = _ServiceLoop(self, host, port)
 
     # -- lifecycle --------------------------------------------------------
 
@@ -501,37 +460,31 @@ class QueryService:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "QueryService":
-        """Start serving on a daemon thread (idempotent); returns self."""
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="repro-serve",
-                daemon=True,
-            )
-            self._thread.start()
+        """Start the loop and writer threads (idempotent); returns self."""
+        self._httpd.start("repro-serve")
         return self
 
     def stop(self, drain_timeout: float = 10.0) -> None:
         """Drain gracefully, then shut down (idempotent).
 
-        New requests are refused with 503 immediately; in-flight requests
-        get up to ``drain_timeout`` seconds to finish before the listener
-        closes.  Every retained snapshot is closed afterwards.
+        New requests are refused with 503 immediately; an in-flight write
+        gets up to ``drain_timeout`` seconds to finish before the listener
+        closes.  A running read always finishes: it runs on the loop
+        thread, which this joins.  Every retained snapshot is closed
+        afterwards.
         """
         deadline = time.monotonic() + drain_timeout
-        with self._adm:
-            self._draining = True
-            self._adm.notify_all()
-            while self._inflight > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._adm.wait(timeout=remaining)
-        if self._thread is not None:
-            self._httpd.shutdown()
-            self._thread.join()
-            self._thread = None
-        self._httpd.server_close()
+        self._draining = True
+        if self._httpd.running:
+            # Once the loop has started a round after the flag was set,
+            # every write has either been refused or counted in _inflight.
+            mark = self._httpd.rounds
+            self._httpd.wake()
+            while (
+                self._httpd.rounds <= mark or self._inflight > 0
+            ) and time.monotonic() < deadline:
+                time.sleep(0.005)
+        self._httpd.stop()
         self.epochs.close()
 
     def __enter__(self) -> "QueryService":
@@ -540,174 +493,147 @@ class QueryService:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- admission control ------------------------------------------------
+    # -- request handling (loop thread) -----------------------------------
 
-    def _admit(self, deadline: float | None, read: bool = True) -> int:
-        """Block until a read slot is free; returns queue-wait ns.
+    def _admit(self, request: Request):
+        """Take one parsed request, in arrival order: its reply, or the
+        step that runs it at its turn in the round.
 
-        Raises :class:`_Reject` with 503 while draining, 429 when the
-        wait queue is full, and 408 when ``deadline`` (monotonic seconds)
-        passes before a slot opens.  A write (``read=False``) takes no
-        slot and never queues here — it is refused only while draining,
-        and counted so the drain waits for it.
+        Introspection answers at its turn whatever the load.  A read
+        with more than ``queue_limit`` reads ahead of it in its round is
+        answered 429; one whose deadline has passed by its turn, 408.
+        While draining, reads and writes are answered 503.
         """
-        wait_start = time.perf_counter_ns()
-        with self._adm:
-            if self._draining:
-                record("serve.rejected.draining")
-                raise _Reject(503, "service is draining")
-            if read and self._reading >= self._max_inflight:
-                if self._queued >= self._queue_limit:
-                    record("serve.rejected.queue_full")
-                    raise _Reject(
-                        429,
-                        f"queue full ({self._queued} waiting on "
-                        f"{self._max_inflight} slots)",
-                    )
-                self._queued += 1
-                get_registry().gauge("serve.queued").inc()
-                try:
-                    while (
-                        self._reading >= self._max_inflight
-                        and not self._draining
-                    ):
-                        timeout = None
-                        if deadline is not None:
-                            timeout = deadline - time.monotonic()
-                            if timeout <= 0:
-                                record("serve.rejected.deadline")
-                                raise _Reject(
-                                    408, "deadline expired while queued"
-                                )
-                        self._adm.wait(timeout=timeout)
-                finally:
-                    self._queued -= 1
-                    get_registry().gauge("serve.queued").dec()
-                if self._draining:
-                    record("serve.rejected.draining")
-                    raise _Reject(503, "service is draining")
-            self._inflight += 1
-            self._reading += read
-        get_registry().gauge("serve.inflight").inc()
-        return time.perf_counter_ns() - wait_start
-
-    def _release(self, read: bool = True) -> None:
-        with self._adm:
-            self._inflight -= 1
-            self._reading -= read
-            self._adm.notify_all()
-        get_registry().gauge("serve.inflight").dec()
-
-    # -- request handling -------------------------------------------------
-
-    def _handle(self, handler: _ServiceHandler, body_allowed: bool) -> None:
-        path = handler.path.split("?", 1)[0].rstrip("/") or "/healthz"
+        path = request.path.rstrip("/") or "/healthz"
         route = _ROUTE_KEYS.get(path)
         record("serve.requests")
         record(f"serve.requests.{route or 'unknown'}")
-        start = time.perf_counter_ns()
         try:
-            # Whatever the route or verb, take the declared body off the
-            # socket first: left unread, it would be parsed as the next
-            # request line of a kept-alive connection.
-            raw = self._read_body(handler)
             if route is None:
-                handler.reply_json(
+                return self._reply(
+                    request,
                     {"error": f"unknown route {path!r}",
                      "routes": sorted(_ROUTE_KEYS)},
                     status=404,
                 )
-                return
-            body = _parse_body(raw) if body_allowed else {}
-            deadline = self._deadline(handler, body)
+            body = _parse_body(request.body) if request.method == "POST" else {}
+            deadline = self._deadline(request, body)
             if path in ("/healthz", "/metrics", "/epochs"):
-                # Introspection stays admission-exempt so operators can
-                # scrape a saturated (or draining) service.
-                payload, content = self._introspect(path)
-            else:
-                read = path in _READ_ROUTES
-                wait_ns = self._admit(deadline, read)
-                try:
-                    if read:
-                        get_registry().histogram("serve.wait_ns").observe(
-                            wait_ns
-                        )
-                    if deadline is not None and time.monotonic() > deadline:
-                        record("serve.rejected.deadline")
-                        raise _Reject(408, "deadline expired")
-                    payload = (
-                        self._read(path, body)
-                        if read
-                        else self._write(path, body)
-                    )
-                    content = None
-                finally:
-                    self._release(read)
-            if content is not None:
-                handler.reply(payload, content)
-            else:
-                handler.reply_json(payload)
-        except _Reject as exc:
-            if exc.status >= 500:
-                record("serve.errors.server")
-            else:
-                record("serve.errors.client")
-            handler.reply_json(
-                {"error": str(exc)}, status=exc.status
-            )
-        except ReproError as exc:
-            record("serve.errors.client")
-            handler.reply_json(
-                {"error": f"{type(exc).__name__}: {exc}"}, status=400
-            )
-        except Exception as exc:  # noqa: BLE001 - last-resort 500
-            record("serve.errors.server")
-            handler.reply_json(
-                {"error": f"internal error: {type(exc).__name__}: {exc}"},
-                status=500,
-            )
-        finally:
-            get_registry().histogram("serve.request_ns").observe(
-                time.perf_counter_ns() - start
-            )
+                return lambda: self._reply(request, *self._introspect(path))
+            self._refuse_if_draining()
+            if path not in _READ_ROUTES:
+                return lambda: self._offload_write(request, path, body)
+            ahead = self._queued
+            if ahead > self._queue_limit:
+                record("serve.rejected.queue_full")
+                raise _Reject(
+                    429,
+                    f"queue full ({ahead} reads ahead of this one, "
+                    f"queue_limit {self._queue_limit})",
+                )
+            self._queued += 1
+            get_registry().gauge("serve.queued").inc()
+            return lambda: self._run_read(request, path, body, deadline, ahead)
+        except Exception as exc:  # noqa: BLE001 - mapped to a status
+            return self._failed(request, exc)
 
-    def _read_body(self, handler: _ServiceHandler) -> bytes:
-        """The request body as sent; the connection stays parseable.
+    def _refuse_if_draining(self) -> None:
+        if self._draining:
+            record("serve.rejected.draining")
+            raise _Reject(503, "service is draining")
 
-        A body whose length is unknown or over the cap is not read, so
-        the reply closes the connection instead.  That includes a chunked
-        body: ``Transfer-Encoding`` is refused with 411.
-        """
-        if "Transfer-Encoding" in handler.headers:
-            handler.close_connection = True
-            raise _Reject(
-                411,
-                "Transfer-Encoding is not supported: send the body with "
-                "a Content-Length header",
-            )
-        declared = handler.headers.get("Content-Length") or "0"
+    def _run_read(self, request: Request, path: str, body: dict,
+                  deadline: int | None, ahead: int):
+        registry = get_registry()
+        self._queued -= 1
+        registry.gauge("serve.queued").dec()
+        now = time.perf_counter_ns()
+        registry.histogram("serve.wait_ns").observe(now - request.parsed_ns)
         try:
-            length = int(declared)
-            if length < 0:
-                raise ValueError(declared)
-        except ValueError:
-            handler.close_connection = True
-            raise _Reject(
-                400,
-                f"Content-Length must be a non-negative integer, "
-                f"got {declared!r}",
-            )
-        if length > _MAX_BODY_BYTES:
-            handler.close_connection = True
-            raise _Reject(400, f"request body over {_MAX_BODY_BYTES} bytes")
-        return handler.rfile.read(length) if length else b""
+            if deadline is not None and now > deadline:
+                record("serve.rejected.deadline")
+                raise _Reject(
+                    408,
+                    "deadline expired while queued" if ahead
+                    else "deadline expired",
+                )
+            self._inflight += 1
+            registry.gauge("serve.inflight").inc()
+            try:
+                return self._reply(request, self._read(path, body))
+            finally:
+                self._inflight -= 1
+                registry.gauge("serve.inflight").dec()
+        except Exception as exc:  # noqa: BLE001 - mapped to a status
+            return self._failed(request, exc)
 
-    def _deadline(self, handler: _ServiceHandler, body: dict) -> float | None:
+    def _offload_write(self, request: Request, path: str, body: dict):
+        """A write's turn: hand it to the writer thread (the snapshot
+        writer serialises writes anyway), or refuse it while draining."""
+        try:
+            self._refuse_if_draining()
+        except _Reject as exc:
+            return self._failed(request, exc)
+        self._inflight += 1
+        get_registry().gauge("serve.inflight").inc()
+        return Offload(
+            lambda: self._run_write(request, path, body), self._write_done
+        )
+
+    def _run_write(self, request: Request, path: str, body: dict):
+        """The write's reply; runs on the writer thread."""
+        try:
+            return self._reply(request, self._write(path, body))
+        except Exception as exc:  # noqa: BLE001 - mapped to a status
+            return self._failed(request, exc)
+
+    def _write_done(self) -> None:
+        self._inflight -= 1
+        get_registry().gauge("serve.inflight").dec()
+
+    def _reply(self, request: Request, payload, content: str | None = None,
+               status: int = 200):
+        """The reply for ``payload`` (JSON unless ``content`` names the
+        type of a text payload); records the request's latency."""
+        if content is not None:
+            data = payload.encode("utf-8")
+        elif "pretty=1" in request.query.split("&"):
+            content = "application/json; charset=utf-8"
+            data = (json.dumps(
+                payload, sort_keys=True, default=_plain, indent=2
+            ) + "\n").encode("utf-8")
+        else:
+            # indent=None keeps json.dumps on its C encoder.  The space
+            # after a key's colon stays: payloads have a handful of keys,
+            # and bench/tests corrupts a reply by matching ``"matches": ``.
+            content = "application/json; charset=utf-8"
+            data = _compact_json(payload)
+        get_registry().histogram("serve.request_ns").observe(
+            time.perf_counter_ns() - request.parsed_ns
+        )
+        return status, content, data
+
+    def _failed(self, request: Request, exc: Exception):
+        """The error reply for ``exc``: its own status for a rejection,
+        400 for a library error, 500 for anything else."""
+        if isinstance(exc, _Reject):
+            status, error = exc.status, str(exc)
+        elif isinstance(exc, ReproError):
+            status, error = 400, f"{type(exc).__name__}: {exc}"
+        else:
+            status = 500
+            error = f"internal error: {type(exc).__name__}: {exc}"
+        record("serve.errors.server" if status >= 500 else "serve.errors.client")
+        return self._reply(request, {"error": error}, status=status)
+
+    def _deadline(self, request: Request, body: dict) -> int | None:
+        """The request's deadline in ``perf_counter_ns``, counted from
+        when it was parsed."""
         field, ms = "deadline_ms", body.get("deadline_ms")
         if ms is not None:
             ms = _json_number(ms, field)
         else:
-            field, ms = "X-Deadline-Ms", handler.headers.get("X-Deadline-Ms")
+            field, ms = "X-Deadline-Ms", request.headers.get("x-deadline-ms")
             if ms is None:
                 ms = self._default_deadline_ms
             if ms is None:
@@ -720,7 +646,7 @@ class QueryService:
             raise _Reject(
                 400, f"{field} must be positive and finite, got {ms}"
             )
-        return time.monotonic() + ms / 1000.0
+        return request.parsed_ns + int(ms * 1e6)
 
     def _introspect(self, path: str):
         if path == "/metrics":

@@ -15,6 +15,7 @@ import pytest
 from repro import observability as obs
 from repro.dataset.synthetic import generate_uniform_table
 from repro.errors import ReproError
+from repro.observability.server import HTTPLoop, Request
 from repro.query.model import MissingSemantics
 from repro.serve import QueryService
 from repro.serve import service as service_module
@@ -68,6 +69,29 @@ def _raw_exchange(service, request: bytes) -> bytes:
         except ConnectionResetError:
             pass  # closed with request bytes it never read
     return reply
+
+
+def _send_posts(service, payloads):
+    """One connection per payload, each with its POST /query sent, in
+    order; read the replies with :func:`_response`."""
+    conns = []
+    for payload in payloads:
+        conn = http.client.HTTPConnection(
+            service.host, service.port, timeout=10
+        )
+        conn.request("POST", "/query", body=json.dumps(payload))
+        conns.append(conn)
+        time.sleep(0.02)  # arrival order is the order sent
+    return conns
+
+
+def _response(conn):
+    """``(status, decoded JSON body)`` of ``conn``'s reply; closes it."""
+    try:
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 @contextlib.contextmanager
@@ -474,6 +498,34 @@ class TestErrors:
         assert b"connection: close" in head.lower()
         assert "Content-Length" in json.loads(body)["error"]
 
+    @pytest.mark.parametrize(
+        "lengths",
+        [("{n}", "{m}"), ("+{n}",), ("{n}, {n}",)],
+        ids=["two-different", "plus-sign", "list"],
+    )
+    def test_unframeable_content_length_is_400_and_closes(
+        self, service, lengths
+    ):
+        # Two readings of the body's length would let the bytes after the
+        # shorter one run as a second, smuggled request.
+        body = json.dumps({"bounds": {"a": [1, 3]}}).encode("utf-8")
+        smuggled = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        headers = b"".join(
+            b"Content-Length: %s\r\n"
+            % value.format(n=len(body), m=len(body) + len(smuggled)).encode()
+            for value in lengths
+        )
+        reply = _raw_exchange(
+            service,
+            b"POST /count HTTP/1.1\r\nHost: x\r\n" + headers + b"\r\n"
+            + body + smuggled,
+        )
+        head, _, rest = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert b"connection: close" in head.lower()
+        # One JSON reply and nothing after it: /healthz never ran.
+        assert "Content-Length" in json.loads(rest)["error"]
+
     def test_chunked_body_is_411_and_the_connection_closes(self, service):
         body = json.dumps({"bounds": {"a": [1, 3]}}).encode("utf-8")
         reply = _raw_exchange(
@@ -503,62 +555,58 @@ class TestErrors:
 
 class TestAdmission:
     def test_queue_full_is_429(self):
-        release = threading.Event()
-        entered = threading.Event()
-        db = _db()
-        svc = QueryService(database=db, max_inflight=1, queue_limit=0)
-
-        original = db.execute
-
-        def slow_execute(*args, **kwargs):
-            entered.set()
-            release.wait(timeout=10)
-            return original(*args, **kwargs)
-
-        db.execute = slow_execute
-        svc.start()
-        try:
-            statuses = []
-
-            def request():
-                status, _ = _post(
-                    svc.url + "/query", {"bounds": {"a": [1, 9]}}
-                )
-                statuses.append(status)
-
-            first = threading.Thread(target=request)
-            first.start()
-            assert entered.wait(timeout=10)
-            # The slot is held and the queue is zero-length: rejected.
-            status, body = _post(svc.url + "/query", {"bounds": {"a": [1, 2]}})
-            assert status == 429 and "queue full" in body["error"]
-            # Introspection is admission-exempt even while saturated.
-            status, _ = _get(svc.url + "/healthz")
-            assert status == 200
-            release.set()
-            first.join()
-            assert statuses == [200]
-        finally:
-            release.set()
-            svc.stop()
-
-    def test_deadline_expiring_in_the_queue_is_408(self):
-        with _gated_service(
-            "_read", max_inflight=1, queue_limit=1
-        ) as (svc, entered, release):
+        # A read holds the loop while two more arrive.  They are parsed in
+        # the next round together, and the second has one read ahead of
+        # it, over queue_limit 0.
+        with _gated_service("_read", queue_limit=0) as (svc, entered, release):
             first = threading.Thread(
                 target=_post, args=(svc.url + "/query", {"bounds": {"a": [1, 9]}})
             )
             first.start()
             assert entered.wait(timeout=10)
-            status, body = _post(
-                svc.url + "/query",
-                {"bounds": {"a": [1, 2]}, "deadline_ms": 50},
-            )
-            assert status == 408 and "while queued" in body["error"]
+            conns = _send_posts(svc, [{"bounds": {"a": [1, 2]}}] * 2)
             release.set()
+            replies = [_response(conn) for conn in conns]
             first.join(timeout=10)
-            assert not first.is_alive()
+        assert [status for status, _ in replies] == [200, 429]
+        assert "queue full" in replies[1][1]["error"]
+
+    def test_deadline_expiring_in_the_queue_is_408(self):
+        # Two reads arrive while a third holds the loop.  The second one's
+        # 50 ms deadline, counted from its parse, passes while the first
+        # of them runs for 150 ms.
+        svc = QueryService(database=_db())
+        entered, release = threading.Event(), threading.Event()
+        original = svc._read
+
+        def read(path, body):
+            if body.get("tag") == "hold":
+                entered.set()
+                release.wait(timeout=10)
+            elif body.get("tag") == "slow":
+                time.sleep(0.15)
+            return original(path, body)
+
+        svc._read = read
+        svc.start()
+        try:
+            first = threading.Thread(target=_post, args=(
+                svc.url + "/query", {"bounds": {"a": [1, 9]}, "tag": "hold"}
+            ))
+            first.start()
+            assert entered.wait(timeout=10)
+            conns = _send_posts(svc, [
+                {"bounds": {"a": [1, 9]}, "tag": "slow"},
+                {"bounds": {"a": [1, 2]}, "deadline_ms": 50},
+            ])
+            release.set()
+            (slow, _), (status, body) = [_response(conn) for conn in conns]
+            first.join(timeout=10)
+        finally:
+            release.set()
+            svc.stop()
+        assert slow == 200
+        assert status == 408 and "while queued" in body["error"]
 
     def test_default_service_runs_one_read_at_a_time(self):
         svc = QueryService(database=_db())
@@ -609,7 +657,7 @@ class TestAdmission:
 
     def test_reads_proceed_while_a_write_is_mid_publish(self):
         with _gated_service(
-            "writer.compact", max_inflight=1, queue_limit=0
+            "writer.compact", queue_limit=0
         ) as (svc, entered, release):
             outcome = []
             writer = threading.Thread(
@@ -659,11 +707,9 @@ class TestAdmission:
         svc.stop()
         # The admission gate flips before the listener closes; simulate a
         # request that raced past the socket by calling the gate directly.
-        from repro.serve.service import _Reject
-
-        with pytest.raises(_Reject) as err:
-            svc._admit(None)
-        assert err.value.status == 503
+        request = Request("POST", "/query", {}, b'{"bounds": {"a": [1, 9]}}')
+        status, _, body = svc._admit(request)
+        assert status == 503 and "draining" in json.loads(body)["error"]
 
     def test_stop_is_idempotent(self):
         svc = QueryService(database=_db()).start()
@@ -776,7 +822,7 @@ class TestKeepAlive:
             conn.close()
 
     def test_idle_connection_times_out(self, service, monkeypatch):
-        monkeypatch.setattr(service_module._ServiceHandler, "timeout", 0.1)
+        monkeypatch.setattr(HTTPLoop, "idle_timeout", 0.1)
         with socket.create_connection(
             (service.host, service.port), timeout=10
         ) as sock:
