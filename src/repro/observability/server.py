@@ -48,6 +48,7 @@ a runnable demo service.
 from __future__ import annotations
 
 import collections
+import errno
 import json
 import queue
 import selectors
@@ -79,6 +80,18 @@ _RECENT_RECORDS = 50
 #: Longest request or header line, and most header lines (the stdlib's).
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+
+#: Seconds :meth:`HTTPLoop.stop` gives queued replies (and a running
+#: write) to finish.
+_FLUSH_TIMEOUT = 1.0
+
+#: Seconds the loop stops accepting after ``accept`` ran out of file
+#: descriptors or buffers; the listener stays readable meanwhile, so
+#: watching it would spin the loop.
+_ACCEPT_BACKOFF = 0.05
+_ACCEPT_EXHAUSTED = frozenset(
+    {errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM}
+)
 
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 
@@ -150,8 +163,8 @@ class _Conn:
         self.inbuf = bytearray()
         #: Where to resume looking for the end of the header block.
         self.scanned = 0
-        #: ``(method, target, headers, body start, body end)`` once the
-        #: header block is parsed and the body is not all in yet.
+        #: ``(method, target, headers, body start, body end, close)`` once
+        #: the header block is parsed and the body is not all in yet.
         self.pending: tuple | None = None
         #: Reply bytes the socket has not taken yet.
         self.out: memoryview | None = None
@@ -211,7 +224,9 @@ class HTTPLoop:
         self._next_sweep = self._now
         self._date = (0, "")
         self._stopping = False
-        self._flush_timeout = 1.0
+        #: When to watch the listener again after running out of
+        #: descriptors (None: it is watched).
+        self._accept_paused_until: float | None = None
         self._thread: threading.Thread | None = None
         self._writer: threading.Thread | None = None
         self._closed = False
@@ -254,15 +269,14 @@ class HTTPLoop:
         except OSError:
             pass  # full: a wake-up is already pending; closed: stopped
 
-    def stop(self, flush_timeout: float = 1.0) -> None:
+    def stop(self) -> None:
         """Stop the loop, close every connection and the socket; idempotent.
 
-        Replies already queued get up to ``flush_timeout`` seconds to go
-        out first.
+        Replies already queued get up to :data:`_FLUSH_TIMEOUT` seconds to
+        go out first.
         """
         if self._thread is not None:
             self._stopping = True
-            self._flush_timeout = flush_timeout
             self.wake()
             self._thread.join()
             self._thread = None
@@ -270,7 +284,7 @@ class HTTPLoop:
             self._jobs.put(None)
             # A write still running past the drain is left to finish on its
             # daemon thread; its reply has nowhere to go.
-            self._writer.join(timeout=flush_timeout)
+            self._writer.join(timeout=_FLUSH_TIMEOUT)
             self._writer = None
         if not self._closed:
             self._closed = True
@@ -286,13 +300,23 @@ class HTTPLoop:
     def _serve_forever(self) -> None:
         while not self._stopping:
             self._round()
-        self._flush_all(time.monotonic() + self._flush_timeout)
+        self._flush_all(time.monotonic() + _FLUSH_TIMEOUT)
 
     def _round(self) -> None:
         self.rounds += 1
         timeout = 0 if self._ready else min(1.0, self.idle_timeout)
+        if self._accept_paused_until is not None:
+            timeout = max(
+                0.0, min(timeout, self._accept_paused_until - self._now)
+            )
         events = self._selector.select(timeout)
         self._now = time.monotonic()
+        if (
+            self._accept_paused_until is not None
+            and self._now >= self._accept_paused_until
+        ):
+            self._accept_paused_until = None
+            self._selector.register(self.socket, selectors.EVENT_READ, "accept")
         for key, mask in events:
             conn = key.data
             if conn == "accept":
@@ -338,13 +362,24 @@ class HTTPLoop:
         while True:
             try:
                 sock, _ = self.socket.accept()
-            except (BlockingIOError, ConnectionAbortedError):
+            except BlockingIOError:
                 return
-            sock.setblocking(False)
-            # Headers and body leave in one send; TCP_NODELAY covers
-            # replies larger than a segment, whose tail would otherwise
-            # wait out the client's delayed ACK (~40 ms).
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError as exc:
+                # One connection is lost (reset before it was taken, or no
+                # descriptor for it); the loop serves on.
+                if exc.errno in _ACCEPT_EXHAUSTED:
+                    self._selector.unregister(self.socket)
+                    self._accept_paused_until = self._now + _ACCEPT_BACKOFF
+                return
+            try:
+                sock.setblocking(False)
+                # Headers and body leave in one send; TCP_NODELAY covers
+                # replies larger than a segment, whose tail would otherwise
+                # wait out the client's delayed ACK (~40 ms).
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:
+                sock.close()  # the peer is already gone
+                continue
             conn = _Conn(sock, self._now)
             self._conns.add(conn)
             self._watch(conn)
@@ -365,14 +400,20 @@ class HTTPLoop:
         self._ready[conn] = None
 
     def _watch(self, conn: _Conn) -> None:
-        """Watch for writes while output waits, else for reads unless parked."""
+        """Watch for writes while output waits, else for reads unless
+        parked or its input already holds bytes left to parse.
+
+        Input is read only while the parser waits for bytes, so a client
+        that pipelines faster than it is served is held back by its
+        socket buffer, not by ``conn.inbuf``.
+        """
         if conn.out is not None:
             events = selectors.EVENT_WRITE
-        elif conn.parked:
+        elif conn.parked or conn in self._ready:
             events = 0
         else:
             events = selectors.EVENT_READ
-        if events == conn.events:
+        if events == conn.events or conn.sock is None:
             return
         if conn.events == 0:
             self._selector.register(conn.sock, events, conn)
@@ -419,12 +460,15 @@ class HTTPLoop:
             if conn.pending is None:
                 head = self._parse_head(conn)
                 if head is None:
+                    self._watch(conn)
                     return None
                 conn.pending = head
-            method, target, headers, start, end = conn.pending
+            method, target, headers, start, end, close = conn.pending
             if len(conn.inbuf) < end:
+                self._watch(conn)
                 return None
             conn.pending = None
+            conn.close_after = close
             body = bytes(conn.inbuf[start:end])
             del conn.inbuf[:end]
             conn.scanned = 0
@@ -489,7 +533,7 @@ class HTTPLoop:
             headers.setdefault(name, value)
         method, target, _ = words
         connection = headers.get("connection", "").lower()
-        conn.close_after = connection == "close" or (
+        close = connection == "close" or (
             version < (1, 1) and connection != "keep-alive"
         )
         if method not in self.methods:
@@ -530,7 +574,7 @@ class HTTPLoop:
             len(buf) < start + length
         ):
             self._send(conn, b"HTTP/1.1 100 Continue\r\n\r\n")
-        return method, target, headers, start, start + length
+        return method, target, headers, start, start + length, close
 
     # -- replies -------------------------------------------------------------
 
@@ -588,13 +632,14 @@ class HTTPLoop:
         if conn.close_after:
             self._close(conn)
             return
-        self._watch(conn)
         if conn.inbuf:
             self._ready[conn] = None
+        self._watch(conn)
 
     def _flush_all(self, deadline: float) -> None:
         """On stop: send what is queued, for at most until ``deadline``."""
-        self._selector.unregister(self.socket)
+        if self._accept_paused_until is None:
+            self._selector.unregister(self.socket)
         self._selector.unregister(self._wake_r)
         for conn in list(self._conns):
             if conn.out is None:

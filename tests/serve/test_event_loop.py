@@ -1,10 +1,12 @@
 """The one-thread HTTP loop under awkward clients.
 
-Idle, slow, pipelining, non-reading and vanishing clients, a deadline
-that passes inside a round, the service's fixed thread count, and exact
-counters with more clients than cores.
+Idle, slow, pipelining, non-reading and vanishing clients, a listener
+out of file descriptors, a deadline that passes inside a round, the
+service's fixed thread count, and exact counters with more clients than
+cores.
 """
 
+import errno
 import http.client
 import json
 import socket
@@ -158,6 +160,67 @@ def test_pipelined_requests_are_answered_in_order(service):
     assert json.loads(second)["current_epoch"] == 1
     assert len(json.loads(third)["record_ids"]) == 1
     assert rest == b""
+
+
+def test_a_pipelining_client_is_held_back_by_its_socket(service):
+    # ~4 MB of pipelined requests, read as they are answered: the loop
+    # reads a connection only while its parser waits for bytes, so the
+    # input buffer never holds more than one recv past a request.
+    request = (
+        b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Pad: "
+        + b"x" * 4000 + b"\r\n\r\n"
+    )
+    count = 1000
+    loop = service._httpd
+    high = [0]
+    original = loop._recv
+
+    def recv(conn):
+        original(conn)
+        high[0] = max(high[0], len(conn.inbuf))
+
+    loop._recv = recv
+    with socket.create_connection(
+        (service.host, service.port), timeout=10
+    ) as sock:
+        sender = threading.Thread(target=sock.sendall, args=(request * count,))
+        sender.start()
+        replies = b""
+        while replies.count(b"HTTP/1.1 200 OK\r\n") < count:
+            chunk = sock.recv(65536)
+            assert chunk, "the service closed the connection"
+            replies += chunk
+        sender.join(timeout=10)
+    assert high[0] < 256 * 1024
+
+
+def test_a_listener_out_of_descriptors_backs_off_and_serves_on(
+    service, monkeypatch
+):
+    listener = service._httpd.socket
+    original = socket.socket.accept
+    failing_until = time.monotonic() + 0.2
+    failures = []
+
+    def accept(self):
+        if self is listener and time.monotonic() < failing_until:
+            failures.append(time.monotonic())
+            raise OSError(errno.EMFILE, "Too many open files")
+        return original(self)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    conn = _connect(service)
+    try:
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+    finally:
+        conn.close()
+    # The listener stayed readable throughout: the loop paused rather
+    # than retrying it every round.
+    assert 1 <= len(failures) <= 10
+    assert service._httpd._thread.is_alive()
 
 
 @pytest.fixture(scope="module")

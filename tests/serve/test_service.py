@@ -555,9 +555,9 @@ class TestErrors:
 
 class TestAdmission:
     def test_queue_full_is_429(self):
-        # A read holds the loop while two more arrive.  They are parsed in
-        # the next round together, and the second has one read ahead of
-        # it, over queue_limit 0.
+        # A read holds the loop while two more and a /healthz arrive.  They
+        # are parsed in the next round together; the second read has one
+        # read ahead of it, over queue_limit 0.
         with _gated_service("_read", queue_limit=0) as (svc, entered, release):
             first = threading.Thread(
                 target=_post, args=(svc.url + "/query", {"bounds": {"a": [1, 9]}})
@@ -565,11 +565,18 @@ class TestAdmission:
             first.start()
             assert entered.wait(timeout=10)
             conns = _send_posts(svc, [{"bounds": {"a": [1, 2]}}] * 2)
+            health = http.client.HTTPConnection(
+                svc.host, svc.port, timeout=10
+            )
+            health.request("GET", "/healthz")
             release.set()
             replies = [_response(conn) for conn in conns]
+            health_status, _ = _response(health)
             first.join(timeout=10)
         assert [status for status, _ in replies] == [200, 429]
         assert "queue full" in replies[1][1]["error"]
+        # Introspection is admission-exempt even while saturated.
+        assert health_status == 200
 
     def test_deadline_expiring_in_the_queue_is_408(self):
         # Two reads arrive while a third holds the loop.  The second one's
@@ -614,12 +621,16 @@ class TestAdmission:
         running = []
         overlaps = []
         original = svc._read
+        first_entered, others_sent = threading.Event(), threading.Event()
 
         def tracked_read(path, body):
             with lock:
                 running.append(path)
                 overlaps.append(len(running))
             try:
+                if len(overlaps) == 1:
+                    first_entered.set()
+                    others_sent.wait(timeout=10)
                 time.sleep(0.05)
                 return original(path, body)
             finally:
@@ -636,21 +647,33 @@ class TestAdmission:
         with obs.use_registry() as registry:
             svc.start()
             try:
-                threads = [
-                    threading.Thread(target=request, args=(route,))
-                    for route in ("/query", "/count", "/explain")
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=10)
-                    assert not thread.is_alive()
+                first = threading.Thread(target=request, args=("/query",))
+                first.start()
+                assert first_entered.wait(timeout=10)
+                # Sent while the first read holds the loop, so the loop
+                # parses both in one round and runs them one after the
+                # other.
+                conns = []
+                for route in ("/count", "/explain"):
+                    conn = http.client.HTTPConnection(
+                        svc.host, svc.port, timeout=10
+                    )
+                    conn.request("POST", route, body=json.dumps(
+                        {"bounds": {"a": [1, 9]}}
+                    ))
+                    conns.append(conn)
+                others_sent.set()
+                statuses += [_response(conn)[0] for conn in conns]
+                first.join(timeout=10)
+                assert not first.is_alive()
             finally:
+                others_sent.set()
                 svc.stop()
             snapshot = registry.snapshot()
         assert statuses == [200, 200, 200]
         assert overlaps == [1, 1, 1]
-        # The reads that waited for the lane show it as queue time.
+        # The read parsed behind another in its round shows that one's
+        # run as queue time.
         waits = snapshot.histograms["serve.wait_ns"]
         assert waits.count == 3 and waits.max >= 0.04e9
         assert "serve.rejected.queue_full" not in snapshot.counters
