@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -291,8 +291,46 @@ def _as_query(query) -> RangeQuery:
 #: What an untraced item's execution runs under instead of its trace.
 _UNTRACED = nullcontext()
 
-#: Plans memoized per database before the memo starts over.
-_PLAN_MEMO_LIMIT = 4096
+#: Plans a database's memo holds before it evicts its oldest: one entry
+#: per ``(item, semantics, using)``, room for the served op set's 6,725.
+_PLAN_MEMO_LIMIT = 8192
+
+
+class _PlanMemo:
+    """Resolved plans by ``(item, semantics, using)``, oldest out first.
+
+    A lookup takes no lock.  An insert into a full memo drops the oldest
+    entry (a dict keeps insertion order), and inserts and clears take the
+    memo's lock, so two threads evicting at once never drop the same key
+    and an eviction never iterates a dict a clear is emptying.
+    """
+
+    __slots__ = ("_plans", "_lock", "__weakref__")
+
+    def __init__(self):
+        self._plans: dict = {}
+        self._lock = threading.Lock()
+        forksafe.register(self)
+
+    def _reset_after_fork(self) -> None:
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._plans)
+
+    def get(self, key):
+        return self._plans.get(key)
+
+    def put(self, key, plan) -> None:
+        with self._lock:
+            plans = self._plans
+            if len(plans) >= _PLAN_MEMO_LIMIT and key not in plans:
+                del plans[next(iter(plans))]
+            plans[key] = plan
+
+    def clear(self) -> None:
+        with self._lock:
+            self._plans.clear()
 
 
 class _QuerySurface:
@@ -303,7 +341,8 @@ class _QuerySurface:
     attachment order: what ``index_names``, coverage and ``using=`` read),
     ``_attached(name)`` (the entry whose index answers over every row),
     ``_reader()`` (the engine whose table, scan and tallies a read uses)
-    and ``_plan_memo`` (a dict it clears whenever its index set changes).
+    and ``_plan_memo`` (a :class:`_PlanMemo` it clears whenever its index
+    set changes).
     Planning, the one query body (:meth:`_run`) and every entry point over
     it, the estimates, ``explain`` and ``summary`` are defined here over
     those.  An engine is one segment starting at row 0; a sharded database
@@ -312,14 +351,14 @@ class _QuerySurface:
     """
 
     _statistics = None
-    _plan_memo: dict
+    _plan_memo: _PlanMemo
     #: Each segment's first row id.
     _starts: tuple[int, ...] = (0,)
     #: The workload records' ``source`` and the batch counters' prefix.
     _source = "engine"
 
     def _read_fence(self):
-        """Held by :meth:`_plan` so no plan is memoized across a DDL swap.
+        """Held while planning so no plan is memoized across a DDL swap.
 
         DDL is the one change a database sees while queries run (its rows
         never change), and an engine's DDL is what the fence orders, so
@@ -376,7 +415,9 @@ class _QuerySurface:
         bitstring decides.  The entry returned is the registry's: name,
         kind, attributes and options.
         """
-        return self._plan(_as_query(query), resolve_semantics(semantics))[0]
+        return self._resolve_plan(
+            _as_query(query), resolve_semantics(semantics), None
+        )[0]
 
     def _covering(self, item) -> list[AttachedIndex]:
         """The attached indexes that can serve a range query or predicate.
@@ -394,20 +435,16 @@ class _QuerySurface:
         ]
 
     def _plan(self, item, semantics) -> tuple:
-        """``(chosen, ranking, estimate of chosen)``.
+        """``(chosen, ranking, estimate of chosen)``, ranked afresh.
 
         ``item`` is a :class:`RangeQuery` or a predicate; ``chosen`` None
         is the scan fallback.  The costable covering indexes are ranked
         over every row and the one chooser
-        (:func:`~repro.core.planner.choose_plan`) picks.  Memoized per
-        ``(item, semantics)`` in ``_plan_memo`` until the index set
-        changes.
+        (:func:`~repro.core.planner.choose_plan`) picks.  Nothing is
+        memoized here: :meth:`_resolve_plan` keeps what a query runs on,
+        and ``explain`` prints a fresh ranking.
         """
-        key = (item, semantics)
         with self._read_fence():
-            plan = self._plan_memo.get(key)
-            if plan is not None:
-                return plan
             covering = self._covering(item)
             ranking = rank_plans(
                 [
@@ -421,9 +458,7 @@ class _QuerySurface:
             estimate = None if chosen is None else next(
                 (p for p in ranking if p.index_name == chosen.name), None
             )
-            plan = (chosen, ranking, estimate)
-            self._memoize(key, plan)
-        return plan
+        return chosen, ranking, estimate
 
     def _resolve_plan(self, item, semantics, using: str | None) -> tuple:
         """The ``(chosen, forced, estimate, zone)`` an item runs on.
@@ -432,8 +467,8 @@ class _QuerySurface:
         onto an index with no tree evaluator runs as a ground-truth scan
         (``chosen`` None).  Anything but a :class:`RangeQuery` must be a
         :class:`~repro.query.boolean.Predicate`.  ``zone`` is
-        :meth:`_zone`'s.  Memoized beside :meth:`_plan`'s entries, per
-        ``(item, semantics, using)``.
+        :meth:`_zone`'s.  Memoized in ``_plan_memo``, one entry per
+        ``(item, semantics, using)``, until the index set changes.
         """
         if not isinstance(item, (RangeQuery, Predicate)):
             raise QueryError(
@@ -443,26 +478,26 @@ class _QuerySurface:
         plan = self._plan_memo.get(key)
         if plan is not None:
             return plan
-        if using is None:
-            chosen, _, estimate = self._plan(item, semantics)
-        else:
-            estimate = None
-            if isinstance(item, RangeQuery):
-                chosen = self._forced_index(using, item.attributes)
+        with self._read_fence():
+            if using is None:
+                chosen, _, estimate = self._plan(item, semantics)
+                if estimate is not None:
+                    # A run reads only its numbers; ``explain`` re-ranks.
+                    estimate = replace(estimate, detail="")
             else:
-                chosen = self._forced_index(using, item.attributes())
-                if not isinstance(chosen.index, (BitmapIndex, VAFile)):
-                    chosen = None
-        plan = (chosen, using is not None, estimate, self._zone(item, semantics))
-        self._memoize(key, plan)
+                estimate = None
+                if isinstance(item, RangeQuery):
+                    chosen = self._forced_index(using, item.attributes)
+                else:
+                    chosen = self._forced_index(using, item.attributes())
+                    if not isinstance(chosen.index, (BitmapIndex, VAFile)):
+                        chosen = None
+            plan = (
+                chosen, using is not None, estimate,
+                self._zone(item, semantics),
+            )
+            self._plan_memo.put(key, plan)
         return plan
-
-    def _memoize(self, key, plan) -> None:
-        """Remember ``plan`` (the caller holds the read fence); the memo
-        starts over when full."""
-        if len(self._plan_memo) >= _PLAN_MEMO_LIMIT:
-            self._plan_memo.clear()
-        self._plan_memo[key] = plan
 
     # -- execution -----------------------------------------------------------
 
@@ -896,7 +931,7 @@ class IncompleteDatabase(_QuerySurface):
         # it (a "torn generation").  The table itself never changes.
         self._rwlock = ReadWriteLock()
         # Cleared under the write lock by every DDL.
-        self._plan_memo: dict = {}
+        self._plan_memo = _PlanMemo()
         forksafe.register(self._rwlock)
         forksafe.register(self)
 

@@ -9,7 +9,10 @@ Runs a mixed workload through :class:`~repro.shard.ShardedDatabase` at
 * at any shard count the run's ``engine.queries`` differs from its number
   of queries — every query must run exactly once, on the one engine the
   segments are read as (a per-segment fan-out would count once per
-  segment).
+  segment), or
+* replaying the same queries a second time ranks plans for more than
+  ``REPLAN_LIMIT`` of the items it evaluates (``planner.rankings``
+  against ``engine.queries``): a repeated item must hit the plan memo.
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
@@ -31,6 +34,9 @@ from repro.shard.sharded import ShardedDatabase
 
 #: Shard counts the smoke run sweeps (7 does not divide the table evenly).
 SHARD_COUNTS = (1, 2, 4, 7)
+
+#: The share of a replay's items that may be planned again.
+REPLAN_LIMIT = 0.10
 
 
 def _workload(seed: int, num_queries: int) -> list[RangeQuery]:
@@ -85,13 +91,16 @@ def main(argv: list[str] | None = None) -> int:
     failures = 0
     items = 2 * len(queries) * len(MissingSemantics)
     for num_shards in SHARD_COUNTS:
-        with use_registry() as registry, ShardedDatabase(
-            table, num_shards=num_shards
-        ) as db:
+        with ShardedDatabase(table, num_shards=num_shards) as db:
             db.create_index("ix", "bre")
-            failures += _divergences(
-                db, f"{num_shards} shards", queries, expected
-            )
+            with use_registry() as registry:
+                failures += _divergences(
+                    db, f"{num_shards} shards", queries, expected
+                )
+            with use_registry() as replay:
+                failures += _divergences(
+                    db, f"{num_shards} shards, replayed", queries, expected
+                )
         counters = registry.snapshot().counters
         evaluated = counters.get("engine.queries", 0)
         print(
@@ -105,6 +114,21 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"FAIL: {num_shards} shards: {evaluated} engine evaluations "
                 f"for {items} queries — each query must run once",
+                file=sys.stderr,
+            )
+        replayed = replay.snapshot().counters
+        replanned = replayed.get("planner.rankings", 0)
+        reevaluated = replayed.get("engine.queries", 0)
+        print(
+            f"shard smoke ({num_shards} shards, replayed): {replanned} "
+            f"plans ranked for {reevaluated} evaluations"
+        )
+        if replanned > REPLAN_LIMIT * reevaluated:
+            failures += 1
+            print(
+                f"FAIL: {num_shards} shards: the replay ranked {replanned} "
+                f"plans for {reevaluated} evaluations (limit "
+                f"{REPLAN_LIMIT:.0%}) — repeated items must hit the plan memo",
                 file=sys.stderr,
             )
     if failures:

@@ -40,7 +40,12 @@ import numpy as np
 from repro import forksafe
 from repro.bitmap.base import BitmapIndex
 from repro.bitvector.wah import GROUP_BITS
-from repro.core.engine import AttachedIndex, IncompleteDatabase, _QuerySurface
+from repro.core.engine import (
+    AttachedIndex,
+    IncompleteDatabase,
+    _PlanMemo,
+    _QuerySurface,
+)
 from repro.core.planner import semantics_for_costing
 from repro.core.statistics import TableStatistics
 from repro.dataset.table import IncompleteTable, concat_tables, join_tables
@@ -192,7 +197,7 @@ class ShardedDatabase(_QuerySurface):
             start += engine.num_records
         self._num_records = start
         self._starts = tuple(shard.start for shard in self._shards)
-        self._plan_memo: dict[tuple, tuple] = {}
+        self._plan_memo = _PlanMemo()
         self._assembled: IncompleteDatabase | None = None
         self._zone_maps: _ZoneMaps | None = None
         self._assembly_lock = threading.Lock()

@@ -311,6 +311,7 @@ class TestErrors:
         )
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(request, timeout=10)
+        err.value.close()
         assert err.value.code == 400
 
     def test_unknown_semantics_is_400(self, service):
