@@ -107,7 +107,7 @@ def main() -> None:
         # again and reuses every shard whose range is unchanged.
         epoch = writer.compact()
         with manager.pin() as pin:
-            sizes = [shard.database.num_records for shard in pin.database.shards]
+            sizes = [segment.num_records for segment in pin.database.segments]
         print(f"epoch {epoch}: compacted into shards of {sizes} records")
     finally:
         manager.close()

@@ -1,10 +1,11 @@
 """The :class:`IncompleteDatabase` facade: one table, many indexes.
 
-This is the library's top-level entry point.  It owns an
-:class:`~repro.dataset.table.IncompleteTable`, lets the caller attach any of
-the access methods implemented in this package under a name, executes
-queries under either missing-data semantics through a uniform interface, and
-can explain/compare plans.
+This is the library's top-level entry point and its one database type.
+It holds an :class:`~repro.dataset.table.IncompleteTable` as an ordered
+tuple of row-range segments (:mod:`repro.core.segment`; one by default),
+lets the caller attach any of the access methods implemented in this
+package under a name, executes queries under either missing-data
+semantics through a uniform interface, and can explain/compare plans.
 
 Every access method answers with exactly the same record-id set (verified by
 the test suite against the brute-force oracle); they differ in index size
@@ -23,16 +24,8 @@ import numpy as np
 
 from repro import forksafe
 from repro import observability as obs
-from repro.baselines.bitstring import BitstringAugmentedIndex
-from repro.baselines.gridfile import GridFileIndex
-from repro.baselines.mosaic import MosaicIndex
-from repro.baselines.sentinel_rtree import SentinelRTreeIndex
 from repro.baselines.seqscan import SequentialScan
 from repro.bitmap.base import BitmapIndex
-from repro.bitmap.bitsliced import BitSlicedIndex
-from repro.bitmap.equality import EqualityEncodedBitmapIndex
-from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
-from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.bitvector.ops import OpCounter
 from repro.core.planner import (
     choose_plan,
@@ -40,10 +33,18 @@ from repro.core.planner import (
     semantics_for_costing,
     unit_costs,
 )
+from repro.core.segment import (
+    _BUILDERS,
+    AttachedIndex,
+    Segment,
+    ZoneMaps,
+    join_index,
+    join_segments,
+)
 from repro.core.statistics import TableStatistics
 from repro.core.sync import ReadWriteLock
 from repro.dataset.table import IncompleteTable
-from repro.errors import QueryError, ReproError
+from repro.errors import QueryError, ReproError, ShardError
 from repro.observability.metrics import _QueryTally
 from repro.query.boolean import Predicate, evaluate_predicate
 from repro.query.model import (
@@ -53,53 +54,6 @@ from repro.query.model import (
     resolve_semantics,
 )
 from repro.vafile.vafile import VAFile
-
-#: Index kind -> builder.  Builders take (table, attributes, **options).
-_BUILDERS: dict[str, Callable] = {
-    "bee": lambda table, attributes, **opts: EqualityEncodedBitmapIndex(
-        table, attributes, **opts
-    ),
-    "bre": lambda table, attributes, **opts: RangeEncodedBitmapIndex(
-        table, attributes, **opts
-    ),
-    "bie": lambda table, attributes, **opts: IntervalEncodedBitmapIndex(
-        table, attributes, **opts
-    ),
-    "bsl": lambda table, attributes, **opts: BitSlicedIndex(
-        table, attributes, **opts
-    ),
-    "vafile": lambda table, attributes, **opts: VAFile(table, attributes, **opts),
-    "mosaic": lambda table, attributes, **opts: MosaicIndex(
-        table, attributes, **opts
-    ),
-    "rtree-sentinel": lambda table, attributes, **opts: SentinelRTreeIndex(
-        table, attributes, **opts
-    ),
-    "bitstring": lambda table, attributes, **opts: BitstringAugmentedIndex(
-        table, attributes, **opts
-    ),
-    "gridfile": lambda table, attributes, **opts: GridFileIndex(
-        table, attributes, **opts
-    ),
-}
-
-
-@dataclass(frozen=True, slots=True)
-class AttachedIndex:
-    """An index registered with an :class:`IncompleteDatabase`."""
-
-    name: str
-    kind: str
-    index: object
-    attributes: tuple[str, ...]
-    #: Constructor options the index was built with (``codec=``, ``bits=``,
-    #: ...).  Kept so writer-path mutations can rebuild the index faithfully
-    #: over a new table; empty for indexes attached without them.
-    options: dict = field(default_factory=dict)
-
-    def covers(self, query: RangeQuery) -> bool:
-        """Whether every query attribute is indexed by this index."""
-        return set(query.attributes) <= set(self.attributes)
 
 
 class ShardReportSlice(NamedTuple):
@@ -333,48 +287,395 @@ class _PlanMemo:
             self._plans.clear()
 
 
-class _QuerySurface:
-    """What an engine and a sharded database say once.
+class _NoCacheStats(NamedTuple):
+    hits: int = 0
+    misses: int = 0
 
-    A subclass provides ``num_records``, ``table``, ``statistics``, ``_rows``
-    (rows by ascending id), ``_catalog`` (the attached indexes by name, in
-    attachment order: what ``index_names``, coverage and ``using=`` read),
-    ``_attached(name)`` (the entry whose index answers over every row),
-    ``_reader()`` (the engine whose table, scan and tallies a read uses)
-    and ``_plan_memo`` (a :class:`_PlanMemo` it clears whenever its index
-    set changes).
-    Planning, the one query body (:meth:`_run`) and every entry point over
-    it, the estimates, ``explain`` and ``summary`` are defined here over
-    those.  An engine is one segment starting at row 0; a sharded database
-    adds its segments' zone maps (:meth:`_zone`) and row starts, and
-    nothing else.
+
+class _NoSubResultCache:
+    """Tallies of a sub-result cache that no longer exists: always zero."""
+
+    def stats(self) -> _NoCacheStats:
+        return _NoCacheStats()
+
+
+_NO_CACHE = _NoSubResultCache()
+
+
+class IncompleteDatabase:
+    """A queryable incomplete table with pluggable access methods.
+
+    Parameters
+    ----------
+    table:
+        The data to serve, held as one segment.  A sequential-scan
+        fallback is always available.
+
+    A database is an ordered tuple of :class:`~repro.core.segment.Segment`
+    records (``segments``): segment *k* holds the global rows
+    ``[start_k, start_k + n_k)`` and the indexes built over them, and every
+    segment holds the same index set.  Segments are what the snapshot
+    writer rebuilds or shares and what a save writes
+    (:mod:`repro.serve.writer`, :mod:`repro.shard.manifest`).  Reads run on
+    the only segment; with several, on one segment joined from all of
+    them on the first read (:func:`~repro.core.segment.join_segments`),
+    and the segments' exact histograms act as zone maps: when a range
+    query can match no row of the segments at either end, the chosen index
+    evaluates only the row *window* spanning the rest and its ids shift by
+    the window's first row.  Histograms are exact, so this never changes
+    results.
+
+    One read/write lock orders index DDL against queries (a database's
+    rows never change: new rows arrive as a new snapshot), one plan memo
+    and one set of query counts serve every read, and a database can be
+    closed, or frozen into a published snapshot that refuses DDL.
     """
 
-    _statistics = None
-    _plan_memo: _PlanMemo
-    #: Each segment's first row id.
-    _starts: tuple[int, ...] = (0,)
-    #: The workload records' ``source`` and the batch counters' prefix.
-    _source = "engine"
+    def __init__(self, table: IncompleteTable):
+        self._init_segments([Segment(0, table)])
 
-    def _read_fence(self):
-        """Held while planning so no plan is memoized across a DDL swap.
+    @classmethod
+    def from_segments(cls, segments: Sequence[Segment]) -> "IncompleteDatabase":
+        """A database over ``segments``, in row order.
 
-        DDL is the one change a database sees while queries run (its rows
-        never change), and an engine's DDL is what the fence orders, so
-        only an engine overrides this with a real one.
+        Each segment's rows follow the previous one's; a segment whose
+        ``start`` disagrees is re-stamped (its table and indexes shared).
+        The loader passes segments read back as serialized, and the
+        snapshot writer the current snapshot's for every segment a
+        mutation leaves alone.
         """
-        return nullcontext()
+        self = cls.__new__(cls)
+        self._init_segments(segments)
+        return self
 
-    def _zone(self, item, semantics):
-        """The rows a zone map leaves ``item``: ``(start, stop, skipped
-        segments)``, or None to read every row.  One segment has none."""
-        return None
+    def _init_segments(self, segments: Sequence[Segment]) -> None:
+        if not segments:
+            raise ReproError("a database needs at least one segment")
+        names = tuple(segments[0].indexes)
+        stamped = []
+        start = 0
+        for k, segment in enumerate(segments):
+            if tuple(segment.indexes) != names:
+                raise ReproError(
+                    f"segment {k} holds indexes {list(segment.indexes)}, "
+                    f"segment 0 holds {list(names)}"
+                )
+            if segment.start != start:
+                segment = replace(segment, start=start)
+            stamped.append(segment)
+            start += segment.num_records
+        self._segments: tuple[Segment, ...] = tuple(stamped)
+        self._num_records = start
+        #: The segment reads run on: the only one, or all of them joined
+        #: (on the first read).
+        self._reader: Segment | None = stamped[0] if len(stamped) == 1 else None
+        self._statistics: TableStatistics | None = None
+        self._zone_maps: ZoneMaps | None = None
+        self._query_counts: dict[str, int] = {}
+        self._counts_lock = threading.Lock()
+        self._assembly_lock = threading.Lock()
+        # DDL fence: queries hold the shared side, index DDL the exclusive
+        # side, so a reader mid-batch never sees the index set change under
+        # it (a "torn generation") and no plan is memoized across DDL.
+        self._rwlock = ReadWriteLock()
+        # Cleared under the write lock by every DDL.
+        self._plan_memo = _PlanMemo()
+        forksafe.register(self._rwlock)
+        forksafe.register(self)
+        self._closed = False
+        #: Set by :meth:`freeze` once this database becomes a published
+        #: MVCC snapshot; index DDL then raises instead of mutating state
+        #: readers may have pinned.
+        self._frozen = False
+        #: Epoch number stamped by the serving layer's EpochManager when
+        #: this database is published as a snapshot; None outside serving.
+        self.snapshot_epoch: int | None = None
+
+    def _reset_after_fork(self) -> None:
+        # A fork child must not inherit the tally or assembly lock mid-held
+        # by a parent thread; the counts themselves carry over.
+        self._counts_lock = threading.Lock()
+        self._assembly_lock = threading.Lock()
+
+    @property
+    def sub_result_cache(self) -> _NoSubResultCache:
+        """Zero tallies: there is no sub-result cache.
+
+        Kept only because ``bench/layers.py``'s batch probe still reads
+        ``sub_result_cache.stats().hits`` / ``.misses``; it goes in a
+        benchmark-only change.
+        """
+        return _NO_CACHE
+
+    # -- lifecycle -------------------------------------------------------------
+
+    def close(self) -> None:
+        """Close the database; reads and DDL then raise.
+
+        Closing twice raises :class:`~repro.errors.ShardError` — a second
+        ``close()`` means two owners think they hold the database, which is
+        exactly the bug the error should surface.  The context-manager exit
+        only closes a still-open database, so ``with`` blocks compose with
+        an explicit early ``close()``.
+        """
+        if self._closed:
+            raise ShardError("this database has already been closed")
+        self._closed = True
+
+    def _ensure_open(self) -> None:
+        if self._closed:
+            raise ShardError("this database has been closed")
+
+    def freeze(self) -> "IncompleteDatabase":
+        """Mark this database an immutable snapshot; returns ``self``.
+
+        A frozen database still answers every query, but index DDL raises
+        :class:`~repro.errors.ShardError`.  The serving layer freezes each
+        database before publishing it as an epoch, so nothing can mutate
+        state a pinned reader depends on — writers build a *new* database
+        and publish that instead.
+        """
+        self._frozen = True
+        return self
+
+    @property
+    def frozen(self) -> bool:
+        """True once :meth:`freeze` has made this a published snapshot."""
+        return self._frozen
+
+    def __enter__(self) -> "IncompleteDatabase":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if not self._closed:
+            self.close()
+
+    # -- index management ------------------------------------------------------
+
+    def _ensure_mutable(self) -> None:
+        self._ensure_open()
+        if self._frozen:
+            raise ShardError(
+                "this database is a frozen snapshot (published as epoch "
+                f"{self.snapshot_epoch}); build a new snapshot instead of "
+                "mutating it"
+            )
+
+    def _check_registration(
+        self, name: str, kind: str, overwrite: bool
+    ) -> None:
+        """Refuse DDL on a closed or frozen database, a taken name (unless
+        overwriting) and an unknown kind."""
+        self._ensure_mutable()
+        if name in self._segments[0].indexes and not overwrite:
+            raise ReproError(
+                f"an index named {name!r} already exists "
+                f"(pass overwrite=True to replace it)"
+            )
+        if kind not in _BUILDERS:
+            raise ReproError(
+                f"unknown index kind {kind!r}; expected one of {sorted(_BUILDERS)}"
+            )
+
+    def _install(self, segments: Sequence[Segment], name: str) -> None:
+        """Swap in ``segments``, whose index ``name`` changed.
+
+        The caller holds the write lock.  A joined reader keeps its table
+        and every other joined index; only ``name`` is joined again.
+        """
+        with self._assembly_lock:
+            self._segments = tuple(segments)
+            reader = self._reader
+            if len(self._segments) == 1:
+                self._reader = self._segments[0]
+            elif reader is not None:
+                indexes = {
+                    key: value for key, value in reader.indexes.items()
+                    if key != name
+                }
+                if name in self._segments[0].indexes:
+                    indexes[name] = join_index(
+                        self._segments, reader.table, name
+                    )
+                self._reader = replace(reader, indexes=indexes)
+            self._plan_memo.clear()
+
+    def create_index(
+        self,
+        name: str,
+        kind: str,
+        attributes: Iterable[str] | None = None,
+        overwrite: bool = False,
+        **options,
+    ) -> AttachedIndex:
+        """Build and attach an index, over every segment.
+
+        Parameters
+        ----------
+        name:
+            Registry name, unique per database.  Re-using a name raises
+            unless ``overwrite=True``, which replaces the old index
+            atomically from the planner's point of view — it never sees a
+            half-registered entry.
+        kind:
+            One of ``bee``, ``bre``, ``bie``, ``bsl``, ``vafile``,
+            ``mosaic``, ``rtree-sentinel``, ``bitstring``, ``gridfile``.
+        attributes:
+            Attributes to cover; defaults to the whole schema.
+        overwrite:
+            Replace an existing index of the same name instead of raising.
+        options:
+            Passed to the index constructor (e.g. ``codec="wah"`` for
+            bitmaps, ``bits={...}`` for VA-files).
+
+        Returns the first segment's entry; name, kind, attributes and
+        options are the same on every segment.
+        """
+        self._check_registration(name, kind, overwrite)
+        with self._rwlock.write():
+            segments = [
+                segment.with_index(
+                    segment.build(name, kind, attributes, options)
+                )
+                for segment in self._segments
+            ]
+            self._install(segments, name)
+        return segments[0].indexes[name]
+
+    def attach_index(
+        self,
+        name: str,
+        kind: str,
+        index: object,
+        attributes: Iterable[str] | None = None,
+        overwrite: bool = False,
+        options: Mapping | None = None,
+    ) -> AttachedIndex:
+        """Register an already-built index over every row.
+
+        The same uniqueness rules as :meth:`create_index` apply.  An index
+        whose record count disagrees with the table is rejected — a loaded
+        index file that covers the wrong number of rows would otherwise
+        answer queries with silently wrong record ids.  Only a one-segment
+        database takes one: a database of several segments holds an index
+        per segment (build it with :meth:`create_index`).
+        """
+        self._check_registration(name, kind, overwrite)
+        with self._rwlock.write():
+            if len(self._segments) != 1:
+                raise ReproError(
+                    f"attach_index needs a one-segment database; this one "
+                    f"has {len(self._segments)} segments"
+                )
+            (segment,) = self._segments
+            attached = segment.attach(name, kind, index, attributes, options)
+            self._install([segment.with_index(attached)], name)
+        return attached
+
+    def drop_index(self, name: str) -> None:
+        """Detach an index by name, from every segment."""
+        self._ensure_mutable()
+        if name not in self._segments[0].indexes:
+            raise ReproError(f"no index named {name!r}")
+        with self._rwlock.write():
+            self._install(
+                [segment.without_index(name) for segment in self._segments],
+                name,
+            )
+
+    def get_index(self, name: str) -> AttachedIndex:
+        """The attached index ``name``, answering over every row."""
+        attached = self._read_segment().indexes.get(name)
+        if attached is None:
+            raise ReproError(f"no index named {name!r}")
+        return attached
+
+    # -- data -----------------------------------------------------------------
+
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The segments, in row order."""
+        return self._segments
+
+    @property
+    def num_shards(self) -> int:
+        """Number of segments."""
+        return len(self._segments)
+
+    @property
+    def num_records(self) -> int:
+        """Number of records across every segment."""
+        return self._num_records
 
     @property
     def schema(self):
         """The table schema."""
-        return self.table.schema
+        return self._segments[0].table.schema
+
+    @property
+    def table(self) -> IncompleteTable:
+        """Every row, in id order: the table reads run on."""
+        return self._read_segment().table
+
+    @property
+    def statistics(self) -> TableStatistics:
+        """Whole-table histograms: the segments' exact histograms, summed."""
+        if self._statistics is None:
+            self._statistics = TableStatistics.summed(
+                [segment.statistics for segment in self._segments]
+            )
+        return self._statistics
+
+    def _rows(self, ids: np.ndarray) -> IncompleteTable:
+        """The rows with ascending ``ids``, as a new table."""
+        return self.table.take(ids)
+
+    @property
+    def index_names(self) -> tuple[str, ...]:
+        """Names of attached indexes, in attachment order."""
+        return tuple(self._segments[0].indexes)
+
+    def _read_segment(self) -> Segment:
+        """The segment every read runs on, joined on the first read."""
+        reader = self._reader
+        if reader is None:
+            with self._assembly_lock:
+                reader = self._reader
+                if reader is None:
+                    reader = join_segments(self._segments, self.statistics)
+                    self._reader = reader
+        return reader
+
+    def _zone(self, item, semantics):
+        """The row span a range query's surviving segments cover.
+
+        ``(start, stop, skipped)``: the rows from the first to the last
+        segment the zone maps leave the query, and the segments outside
+        them (``start == stop`` when none survives); None when every
+        segment survives, for a predicate, or with one segment.
+        """
+        segments = self._segments
+        if len(segments) < 2 or not isinstance(item, RangeQuery):
+            return None
+        if self._zone_maps is None:
+            self._zone_maps = ZoneMaps(
+                [segment.statistics for segment in segments]
+            )
+        alive = self._zone_maps.alive(item, semantics_for_costing(semantics))
+        if alive.all():
+            return None
+        survivors = np.flatnonzero(alive)
+        if not len(survivors):
+            return 0, 0, tuple(range(len(segments)))
+        first, last = int(survivors[0]), int(survivors[-1])
+        skipped = tuple(
+            k for k in range(len(segments)) if k < first or k > last
+        )
+        return segments[first].start, segments[last].start + (
+            segments[last].num_records
+        ), skipped
+
+    # -- planning -------------------------------------------------------------
 
     def estimate_count(
         self,
@@ -384,14 +685,9 @@ class _QuerySurface:
         """Estimated matches without executing (GS product estimator)."""
         return self.statistics.estimate_count(_as_query(query), semantics)
 
-    @property
-    def index_names(self) -> tuple[str, ...]:
-        """Names of attached indexes, in attachment order."""
-        return tuple(self._catalog)
-
     def _forced_index(self, using: str, attributes) -> AttachedIndex:
         """The index ``using=`` names, checked to cover ``attributes``."""
-        chosen = self._catalog.get(using)
+        chosen = self._segments[0].indexes.get(using)
         if chosen is None:
             raise ReproError(f"no index named {using!r}")
         uncovered = set(attributes) - set(chosen.attributes)
@@ -412,19 +708,20 @@ class _QuerySurface:
         Covering indexes with a cost model (bitmaps, VA-files) compete on
         predicted time (see :func:`repro.core.planner.choose_plan`); if
         none is costable, the fixed order MOSAIC > R-tree > grid file >
-        bitstring decides.  The entry returned is the registry's: name,
-        kind, attributes and options.
+        bitstring decides.  The entry returned is :meth:`get_index`'s: its
+        index answers over every row, whatever the segment count.
         """
-        return self._resolve_plan(
+        chosen = self._resolve_plan(
             _as_query(query), resolve_semantics(semantics), None
         )[0]
+        return None if chosen is None else self.get_index(chosen.name)
 
     def _covering(self, item) -> list[AttachedIndex]:
         """The attached indexes that can serve a range query or predicate.
 
         Only bitmap indexes and VA-files evaluate predicate trees.
         """
-        indexes = self._catalog.values()
+        indexes = self._segments[0].indexes.values()
         if isinstance(item, RangeQuery):
             return [ix for ix in indexes if ix.covers(item)]
         attributes = item.attributes()
@@ -444,11 +741,11 @@ class _QuerySurface:
         memoized here: :meth:`_resolve_plan` keeps what a query runs on,
         and ``explain`` prints a fresh ranking.
         """
-        with self._read_fence():
+        with self._rwlock.read():
             covering = self._covering(item)
             ranking = rank_plans(
                 [
-                    self._attached(ix.name) for ix in covering
+                    self.get_index(ix.name) for ix in covering
                     if isinstance(ix.index, (BitmapIndex, VAFile))
                 ],
                 item,
@@ -478,7 +775,7 @@ class _QuerySurface:
         plan = self._plan_memo.get(key)
         if plan is not None:
             return plan
-        with self._read_fence():
+        with self._rwlock.read():
             if using is None:
                 chosen, _, estimate = self._plan(item, semantics)
                 if estimate is not None:
@@ -577,25 +874,26 @@ class _QuerySurface:
 
     def _slices(self, widest: np.ndarray, skipped) -> tuple:
         """One :class:`ShardReportSlice` per segment of an answer."""
-        starts = self._starts
-        if len(starts) == 1:
+        segments = self._segments
+        if len(segments) == 1:
             return (ShardReportSlice(0, False, len(widest)),)
-        cuts = [0, *np.searchsorted(widest, starts[1:]).tolist(), len(widest)]
+        starts = [segment.start for segment in segments[1:]]
+        cuts = [0, *np.searchsorted(widest, starts).tolist(), len(widest)]
         return tuple(
             ShardReportSlice(k, k in skipped, cuts[k + 1] - cuts[k])
-            for k in range(len(starts))
+            for k in range(len(segments))
         )
 
     def _run(
         self, items, semantics, using: str | None, trace: bool, batch: bool
     ) -> list[QueryReport]:
-        """Plan and evaluate ``items`` on one engine; one report per item.
+        """Plan and evaluate ``items`` on the read segment; one report each.
 
         The one query body.  Each item is planned once (memoized) and
-        evaluated once by :meth:`IncompleteDatabase._evaluate` on the
-        reader; when a zone map skips segments at either end the chosen
-        index evaluates only the rows between (a *window*) and the ids
-        shift by the window's first row.  ``elapsed_ns`` is an item's
+        evaluated once by :meth:`_evaluate` over the read segment; when a
+        zone map skips segments at either end the chosen index evaluates
+        only the rows between (a *window*) and the ids shift by the
+        window's first row.  ``elapsed_ns`` is an item's
         plan, evaluation and shift.  A traced item's tree is ``query`` →
         ``plan`` and one ``execute.<kind>``.  All of it runs under the read
         fence and one tally.
@@ -607,10 +905,13 @@ class _QuerySurface:
             and isinstance(items[0], RangeQuery)
         )
         tracing = trace or (recording and recorder.wants_trace)
-        sharded = self._source == "shard"
-        segments = len(self._starts)
-        with self._read_fence(), _QueryTally() as observing:
-            reader = self._reader()
+        segments = len(self._segments)
+        # Counted as a sharded read when there is more than one segment.
+        sharded = segments > 1
+        source = "shard" if sharded else "engine"
+        self._ensure_open()
+        with self._rwlock.read(), _QueryTally() as observing:
+            reader = self._read_segment()
             masks: dict | None = {} if batch else None
             reports = []
             for item in items:
@@ -627,9 +928,13 @@ class _QuerySurface:
                             item, semantics, using
                         )
                         attached = (
-                            None if chosen is None else self._attached(chosen.name)
+                            None if chosen is None
+                            else reader.indexes[chosen.name]
                         )
-                        index = reader._scan if attached is None else attached.index
+                        index = (
+                            SequentialScan(reader.table) if attached is None
+                            else attached.index
+                        )
                         first, skipped = 0, ()
                         if zone is not None:
                             rows_start, rows_stop, skipped_there = zone
@@ -660,7 +965,7 @@ class _QuerySurface:
                             shared = masks.setdefault(
                                 (name, first, index.num_records), {}
                             )
-                        ids = reader._evaluate(
+                        ids = self._evaluate(
                             item, attached, index, estimate, semantics, shared
                         )
                 shift_start = time.perf_counter_ns()
@@ -685,7 +990,7 @@ class _QuerySurface:
                     qtrace.close()
                 if recording:
                     recorder.record_query(
-                        source=self._source,
+                        source=source,
                         batch=batch,
                         query=item,
                         semantics=semantics,
@@ -700,15 +1005,33 @@ class _QuerySurface:
                     )
                 reports.append(report)
             if batch:
-                obs.record(f"{self._source}.batches")
-                obs.record(f"{self._source}.batch_queries", len(items))
+                obs.record(f"{source}.batches")
+                obs.record(f"{source}.batch_queries", len(items))
             elif observing and sharded:
                 obs.record("shard.queries")
         return reports
 
     def _shard_lines(self, query=None, costing=None) -> list[str]:
-        """Lines ``explain`` / ``summary`` add when there are segments."""
-        return []
+        """What ``summary`` and (given a query) ``explain`` say of the
+        segments: nothing when there is one."""
+        if len(self._segments) == 1:
+            return []
+        lines = [
+            f"{self.num_shards} shards (row-range segments, read as one)"
+        ]
+        zone = None if query is None else self._zone(query, costing)
+        pruned = [] if zone is None else list(zone[2])
+        for k, segment in enumerate(self._segments):
+            line = f"  shard {k}: {segment.num_records} records"
+            if k in pruned:
+                line += " (pruned)"
+            lines.append(line)
+        if query is not None:
+            lines.append(
+                f"pruned shards: {pruned if pruned else '(none)'} "
+                f"of {self.num_shards}"
+            )
+        return lines
 
     def explain(
         self,
@@ -725,8 +1048,8 @@ class _QuerySurface:
 
         ``semantics="both"`` explains the one-pass pair execution: costing
         runs under the possible bound (which dominates the pair's work)
-        and the single chosen plan serves both bounds.  A sharded database
-        adds its segments and which of them the query skips.
+        and the single chosen plan serves both bounds.  A database of
+        several segments adds them and which of them the query skips.
         """
         query = _as_query(query)
         semantics = resolve_semantics(semantics)
@@ -756,7 +1079,7 @@ class _QuerySurface:
         else:
             lines.append(f"plan: index {chosen.name!r} ({chosen.kind})")
             if chosen.kind in ("bee", "bre", "bie", "bsl"):
-                index = self._attached(chosen.name).index
+                index = self.get_index(chosen.name).index
                 total = sum(
                     index.bitmaps_for_interval(name, interval, costing)
                     for name, interval in query.items()
@@ -773,7 +1096,7 @@ class _QuerySurface:
             if plans:
                 lines.append("unit costs (measured): " + "; ".join(
                     f"{plan.index_name} "
-                    f"{unit_costs(self._attached(plan.index_name)).describe()}"
+                    f"{unit_costs(self.get_index(plan.index_name)).describe()}"
                     for plan in plans
                 ))
         if analyze:
@@ -846,8 +1169,8 @@ class _QuerySurface:
         certain rows score 1.0.  Rows are returned by descending
         probability (ties by record id), filtered to ``probability >=
         threshold`` and capped at ``limit`` when given.  The histograms are
-        the *whole table's*, so a sharded database scores every row exactly
-        as the engine does however many segments hold the rows.
+        the *whole table's*, so every row scores the same however many
+        segments hold the rows.
         """
         query = _as_query(query)
         report = self.execute(query, BOTH, using)
@@ -876,12 +1199,12 @@ class _QuerySurface:
             f"{len(self.schema.names)} attributes",
         ]
         lines.extend(f"  {line}" for line in self._shard_lines())
-        served = self._reader()._query_counts
-        if not self._catalog:
+        served = self._query_counts
+        if not self.index_names:
             lines.append("  indexes: (none; queries fall back to scan)")
         else:
             lines.append("  indexes:")
-            for ix in self._catalog.values():
+            for ix in self._segments[0].indexes.values():
                 attrs = ", ".join(ix.attributes)
                 count = served.get(ix.name, 0)
                 lines.append(
@@ -891,210 +1214,6 @@ class _QuerySurface:
         if served.get("<scan>"):
             lines.append(f"  sequential scans: {served['<scan>']}")
         return "\n".join(lines)
-
-
-class _NoCacheStats(NamedTuple):
-    hits: int = 0
-    misses: int = 0
-
-
-class _NoSubResultCache:
-    """Tallies of a sub-result cache that no longer exists: always zero."""
-
-    def stats(self) -> _NoCacheStats:
-        return _NoCacheStats()
-
-
-_NO_CACHE = _NoSubResultCache()
-
-
-class IncompleteDatabase(_QuerySurface):
-    """A queryable incomplete table with pluggable access methods.
-
-    Parameters
-    ----------
-    table:
-        The data to serve.  A sequential-scan fallback is always available.
-
-    An engine is one segment, starting at row 0; the entry points are
-    :class:`_QuerySurface`'s and reach :meth:`_evaluate`.
-    """
-
-    def __init__(self, table: IncompleteTable):
-        self._table = table
-        self._indexes: dict[str, AttachedIndex] = {}
-        self._scan = SequentialScan(table)
-        self._query_counts: dict[str, int] = {}
-        self._counts_lock = threading.Lock()
-        # DDL fence: queries hold the shared side, index DDL the exclusive
-        # side, so a reader mid-batch never sees the index set change under
-        # it (a "torn generation").  The table itself never changes.
-        self._rwlock = ReadWriteLock()
-        # Cleared under the write lock by every DDL.
-        self._plan_memo = _PlanMemo()
-        forksafe.register(self._rwlock)
-        forksafe.register(self)
-
-    def _reset_after_fork(self) -> None:
-        # A fork child must not inherit the tally lock mid-held by a parent
-        # thread (every query takes it); the counts themselves carry over.
-        self._counts_lock = threading.Lock()
-
-    @property
-    def sub_result_cache(self) -> _NoSubResultCache:
-        """Zero tallies: there is no sub-result cache.
-
-        ``bench/layers.py``'s batch probe still reads
-        ``sub_result_cache.stats().hits`` / ``.misses``.
-        """
-        return _NO_CACHE
-
-    def _check_registration(
-        self, name: str, kind: str, overwrite: bool
-    ) -> None:
-        """Reject a taken name (unless overwriting) and an unknown kind."""
-        if name in self._indexes and not overwrite:
-            raise ReproError(
-                f"an index named {name!r} already exists "
-                f"(pass overwrite=True to replace it)"
-            )
-        if kind not in _BUILDERS:
-            raise ReproError(
-                f"unknown index kind {kind!r}; expected one of {sorted(_BUILDERS)}"
-            )
-
-    def _register(
-        self, name: str, kind: str, index: object, attributes, options=None
-    ) -> AttachedIndex:
-        """Install a built index; the caller holds the write lock."""
-        attrs = (
-            tuple(attributes)
-            if attributes is not None
-            else tuple(getattr(index, "attributes", self._table.schema.names))
-        )
-        attached = AttachedIndex(
-            name=name, kind=kind, index=index, attributes=attrs,
-            options=dict(options or {}),
-        )
-        self._indexes[name] = attached
-        self._plan_memo.clear()
-        return attached
-
-    def create_index(
-        self,
-        name: str,
-        kind: str,
-        attributes: Iterable[str] | None = None,
-        overwrite: bool = False,
-        **options,
-    ) -> AttachedIndex:
-        """Build and attach an index.
-
-        Parameters
-        ----------
-        name:
-            Registry name, unique per database.  Re-using a name raises
-            unless ``overwrite=True``, which replaces the old index
-            atomically from the planner's point of view — it never sees a
-            half-registered entry.
-        kind:
-            One of ``bee``, ``bre``, ``bie``, ``bsl``, ``vafile``,
-            ``mosaic``, ``rtree-sentinel``, ``bitstring``, ``gridfile``.
-        attributes:
-            Attributes to cover; defaults to the whole schema.
-        overwrite:
-            Replace an existing index of the same name instead of raising.
-        options:
-            Passed to the index constructor (e.g. ``codec="wah"`` for
-            bitmaps, ``bits={...}`` for VA-files).
-        """
-        self._check_registration(name, kind, overwrite)
-        attrs = tuple(attributes) if attributes is not None else self._table.schema.names
-        with self._rwlock.write():
-            index = _BUILDERS[kind](self._table, list(attrs), **options)
-            return self._register(name, kind, index, attrs, options)
-
-    def attach_index(
-        self,
-        name: str,
-        kind: str,
-        index: object,
-        attributes: Iterable[str] | None = None,
-        overwrite: bool = False,
-        options: Mapping | None = None,
-    ) -> AttachedIndex:
-        """Register an already-built index (e.g. one loaded from disk).
-
-        The storage layer (:mod:`repro.storage`, shard manifests) builds
-        index objects without going through :meth:`create_index`; this is
-        the hatch that registers them under a name.  The same uniqueness
-        rules as :meth:`create_index` apply.  An
-        index whose record count disagrees with the table is rejected —
-        a loaded index file that covers the wrong number of rows would
-        otherwise answer queries with silently wrong record ids.
-        """
-        self._check_registration(name, kind, overwrite)
-        covered = getattr(index, "num_records", None)
-        if covered is not None and covered != self._table.num_records:
-            raise ReproError(
-                f"index {name!r} covers {covered} records but the table "
-                f"has {self._table.num_records}; it was built over a "
-                f"different table"
-            )
-        with self._rwlock.write():
-            return self._register(name, kind, index, attributes, options)
-
-    def drop_index(self, name: str) -> None:
-        """Detach an index by name."""
-        if name not in self._indexes:
-            raise ReproError(f"no index named {name!r}")
-        with self._rwlock.write():
-            del self._indexes[name]
-            self._plan_memo.clear()
-
-    def get_index(self, name: str) -> AttachedIndex:
-        """Look up an attached index."""
-        try:
-            return self._indexes[name]
-        except KeyError:
-            raise ReproError(f"no index named {name!r}")
-
-    # -- the surface's data ---------------------------------------------------
-
-    @property
-    def table(self) -> IncompleteTable:
-        """The table this engine serves."""
-        return self._table
-
-    @property
-    def num_records(self) -> int:
-        """Number of records in the table."""
-        return self._table.num_records
-
-    @property
-    def statistics(self):
-        """Lazy whole-table histograms (see :mod:`repro.core.statistics`)."""
-        if self._statistics is None:
-            self._statistics = TableStatistics(self._table)
-        return self._statistics
-
-    def _rows(self, ids: np.ndarray) -> IncompleteTable:
-        return self._table.take(ids)
-
-    # -- the surface's reader -------------------------------------------------
-
-    @property
-    def _catalog(self) -> dict[str, AttachedIndex]:
-        return self._indexes
-
-    def _attached(self, name: str) -> AttachedIndex:
-        return self._indexes[name]
-
-    def _reader(self) -> "IncompleteDatabase":
-        return self
-
-    def _read_fence(self):
-        return self._rwlock.read()
 
     # -- the evaluation step ---------------------------------------------------
 
@@ -1120,7 +1239,7 @@ class IncompleteDatabase(_QuerySurface):
             if not query:
                 if attached is None:
                     ids = tuple(
-                        evaluate_predicate(self._table, item, bound)
+                        evaluate_predicate(self.table, item, bound)
                         for bound in semantics.bounds
                     )
                 else:
@@ -1167,14 +1286,12 @@ class IncompleteDatabase(_QuerySurface):
             obs.record("planner.actual_items", track.words_processed)
         return ids
 
-    # -- introspection ---------------------------------------------------------
-
     def __repr__(self) -> str:
         kinds = ", ".join(
-            f"{ix.name}:{ix.kind}" for ix in self._indexes.values()
+            f"{ix.name}:{ix.kind}" for ix in self._segments[0].indexes.values()
         )
         return (
-            f"IncompleteDatabase(records={self._table.num_records}, "
-            f"attributes={len(self._table.schema.names)}, "
-            f"indexes=[{kinds}])"
+            f"{type(self).__name__}(records={self._num_records}, "
+            f"attributes={len(self.schema.names)}, "
+            f"shards={self.num_shards}, indexes=[{kinds}])"
         )

@@ -27,7 +27,12 @@ validate:
   carries the ``serve.*`` and ``epoch.*`` instrumentation;
 * every JSON 200 reply is byte for byte ``json.dumps(json.loads(body),
   sort_keys=True, separators=(",", ": ")) + "\n"`` — the compact form,
-  whichever encoder wrote its id lists.
+  whichever encoder wrote its id lists;
+* any database is saved and served, not just one of several segments: a
+  one-segment ``IncompleteDatabase(table)`` is saved, served from its
+  directory, appended to and deleted from over HTTP, answers every read
+  exactly as the ground truth over the mirrored rows, and reloads as one
+  segment that fsck passes.
 
 Exit status is non-zero on any failure, so CI can gate on it::
 
@@ -46,15 +51,19 @@ from pathlib import Path
 import numpy as np
 
 from repro import observability as obs
+from repro.core.engine import IncompleteDatabase
 from repro.dataset.synthetic import generate_uniform_table
+from repro.dataset.table import IncompleteTable, concat_tables
 from repro.experiments.obs_smoke import (
     SmokeFailure,
     _check,
     validate_prometheus,
 )
-from repro.query.model import MissingSemantics
+from repro.query.ground_truth import evaluate
+from repro.query.model import MissingSemantics, RangeQuery
 from repro.serve import QueryService
-from repro.shard import ShardedDatabase, save_sharded
+from repro.shard import ShardedDatabase, load_sharded, save_sharded
+from repro.storage import verify_sharded
 
 _RECORDS = 6_000
 _SCHEMA = {"a": 50, "b": 20}
@@ -188,6 +197,63 @@ def _writer(client: _Client, failures: list, epochs: list) -> None:
                 failures.append((route, status, payload.get("error")))
             else:
                 epochs.append(payload["epoch"])
+
+
+def _one_segment_round_trip(directory: Path) -> int:
+    """Save, serve, write and reload a one-segment database; the number
+    of reads checked against the ground truth."""
+    table = generate_uniform_table(_RECORDS // 3, _SCHEMA, _MISSING, seed=22)
+    db = IncompleteDatabase(table)
+    db.create_index("ix", "bre")
+    db.create_index("va", "vafile")
+    save_sharded(db, directory)
+    rng = np.random.default_rng(23)
+    rows = {
+        "a": [int(v) for v in rng.integers(0, 51, 40)],
+        "b": [int(v) for v in rng.integers(0, 21, 40)],
+    }
+    mirror = concat_tables(table, IncompleteTable(table.schema, {
+        name: np.asarray(column) for name, column in rows.items()
+    }))
+    deleted = sorted({int(v) for v in rng.integers(0, mirror.num_records, 25)})
+    mirror = mirror.take(np.setdiff1d(np.arange(mirror.num_records), deleted))
+    service = QueryService(directory=directory).start()
+    client = _Client(service)
+    checked = 0
+    try:
+        for route, body in (
+            ("/append", {"rows": rows}), ("/delete", {"record_ids": deleted}),
+        ):
+            status, payload = client.post(route, body)
+            _check(status == 200, f"one segment: {route} returned {status}")
+        for lo in range(1, 46, 5):
+            for semantics in MissingSemantics:
+                bounds = {"a": [lo, lo + 5], "b": [1, 12]}
+                status, payload = client.post("/query", {
+                    "bounds": bounds, "semantics": semantics.value,
+                })
+                expected = evaluate(mirror, RangeQuery.from_bounds(
+                    {name: tuple(pair) for name, pair in bounds.items()}
+                ), semantics)
+                _check(
+                    status == 200
+                    and payload["record_ids"] == expected.tolist(),
+                    f"one segment: {bounds} under {semantics.value} "
+                    f"disagrees with the ground truth",
+                )
+                checked += 1
+    finally:
+        client.close()
+        service.stop()
+    with load_sharded(directory) as loaded:
+        _check(
+            loaded.num_shards == 1
+            and loaded.num_records == mirror.num_records,
+            f"one segment reloaded as {loaded!r}",
+        )
+    report = verify_sharded(directory)
+    _check(report.ok, f"one-segment fsck failed:\n{report.format()}")
+    return checked
 
 
 def serve_smoke_main() -> int:
@@ -328,10 +394,9 @@ def serve_smoke_main() -> int:
             gen_dirs == [f"gen-{epochs[-1]:06d}"],
             f"expected only the final generation on disk, found {gen_dirs}",
         )
-        from repro.storage import verify_sharded
-
         report = verify_sharded(directory)
         _check(report.ok, f"post-run fsck failed:\n{report.format()}")
+        one_segment_reads = _one_segment_round_trip(Path(tmp) / "one")
 
     print(
         f"serve-smoke OK: {_READERS} readers x {_READS_PER_READER} requests "
@@ -340,7 +405,8 @@ def serve_smoke_main() -> int:
         f"{connections} connections on 2 service threads, "
         f"{live_scrapes} live scrapes, "
         f"{num_samples} Prometheus samples, every JSON reply compact, "
-        f"final generation fsck clean"
+        f"final generation fsck clean; one-segment database saved, "
+        f"written and served, {one_segment_reads} reads exact"
     )
     return 0
 

@@ -710,8 +710,8 @@ class TelemetryServer:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port`).
     database:
-        Optional engine or sharded database; when given, ``/varz`` includes
-        its record count and index names under ``"database"``.
+        Optional database; when given, ``/varz`` includes its record
+        count, index names and segment count under ``"database"``.
     prefix:
         Prometheus metric-name prefix for ``/metrics``.
     """
@@ -824,9 +824,7 @@ class TelemetryServer:
         if database is not None:
             info: dict = {"records": database.num_records}
             info["indexes"] = list(database.index_names)
-            num_shards = getattr(database, "num_shards", None)
-            if num_shards is not None:
-                info["shards"] = num_shards
+            info["shards"] = database.num_shards
             payload["database"] = info
         return payload
 

@@ -4,8 +4,7 @@ The metrics registry answers *how much* work the process has done; this
 module answers *which queries* caused it.  A :class:`WorkloadRecorder`
 keeps one normalized :class:`WorkloadRecord` per query executed through
 :meth:`repro.core.engine.IncompleteDatabase.execute` /
-:meth:`~repro.core.engine.IncompleteDatabase.execute_batch` and per
-query on :class:`repro.shard.ShardedDatabase`, in a bounded
+:meth:`~repro.core.engine.IncompleteDatabase.execute_batch`, in a bounded
 in-memory ring, optionally mirrored to a rotating JSONL sink for durable
 history.  :meth:`WorkloadRecorder.summary` aggregates the ring into the
 shape the workload-adaptive advisor consumes: per-attribute and
@@ -66,7 +65,7 @@ class WorkloadRecord:
     """
 
     ts: float
-    source: str  # "engine" or "shard"
+    source: str  # "shard" on a database of several segments, else "engine"
     batch: bool
     intervals: tuple[tuple[str, int, int], ...]
     semantics: str

@@ -3,7 +3,7 @@
 This package turns the library into a server (ROADMAP item 1):
 
 * :class:`~repro.serve.epoch.EpochManager` — readers pin an immutable
-  snapshot (a frozen :class:`~repro.shard.ShardedDatabase`) on entry and
+  snapshot (a frozen :class:`~repro.core.engine.IncompleteDatabase`) on entry and
   unpin on exit; writers publish a *new* snapshot; stale snapshots are
   garbage-collected only when their pin count drops to zero.  Disk-backed
   snapshots reuse the PR-5 generation-directory commit protocol, so a

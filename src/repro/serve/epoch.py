@@ -1,9 +1,10 @@
 """Epoch-based MVCC snapshot management for the serving layer.
 
 An *epoch* is one immutable published state of the database: a frozen
-:class:`~repro.shard.ShardedDatabase` plus (when disk-backed) the
-generation directory holding its files.  It is how a served database
-changes, since no published engine or index is ever changed in place:
+:class:`~repro.core.engine.IncompleteDatabase` (any database, one segment
+or several) plus (when disk-backed) the generation directory holding its
+files.  It is how a served database changes, since no published segment
+or index is ever changed in place:
 
 1. Readers :meth:`~EpochManager.pin` the current epoch on entry and
    release it on exit; a pinned snapshot never changes underneath them.
@@ -30,10 +31,10 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.engine import IncompleteDatabase
 from repro.errors import ReproError, ShardError
 from repro.observability import get_registry, record
 from repro.shard.manifest import MANIFEST_NAME, _generation_of
-from repro.shard.sharded import ShardedDatabase
 
 __all__ = ["EpochManager", "EpochStats", "PinnedEpoch"]
 
@@ -57,7 +58,7 @@ class _EpochState:
     __slots__ = ("epoch", "database", "gen_dir", "pins")
 
     def __init__(
-        self, epoch: int, database: ShardedDatabase, gen_dir: Path | None
+        self, epoch: int, database: IncompleteDatabase, gen_dir: Path | None
     ):
         self.epoch = epoch
         self.database = database
@@ -85,7 +86,7 @@ class PinnedEpoch:
         return self._state.epoch
 
     @property
-    def database(self) -> ShardedDatabase:
+    def database(self) -> IncompleteDatabase:
         return self._state.database
 
     def release(self) -> None:
@@ -120,7 +121,7 @@ class EpochManager:
 
     def __init__(
         self,
-        database: ShardedDatabase,
+        database: IncompleteDatabase,
         directory: str | Path | None = None,
     ):
         self._lock = threading.Lock()
@@ -186,7 +187,7 @@ class EpochManager:
         return self._current
 
     @property
-    def current_database(self) -> ShardedDatabase:
+    def current_database(self) -> IncompleteDatabase:
         """The current epoch's snapshot (for non-pinning introspection)."""
         with self._lock:
             return self._epochs[self._current].database
@@ -215,7 +216,7 @@ class EpochManager:
 
     def publish(
         self,
-        database: ShardedDatabase,
+        database: IncompleteDatabase,
         gen_dir: str | Path | None = None,
         epoch: int | None = None,
     ) -> int:

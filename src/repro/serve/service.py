@@ -57,6 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.engine import IncompleteDatabase
 from repro.errors import QueryError, ReproError
 from repro.observability import get_registry, record
 from repro.observability.export import render_prometheus
@@ -65,7 +66,6 @@ from repro.query.boolean import And, Atom, Not, Or, Predicate
 from repro.query.model import BOTH, RangeQuery, resolve_semantics
 from repro.serve.epoch import EpochManager
 from repro.serve.writer import SnapshotWriter
-from repro.shard.sharded import ShardedDatabase
 
 __all__ = ["QueryService"]
 
@@ -387,7 +387,8 @@ class QueryService:
 
     Exactly one of ``database`` / ``directory`` selects the data:
 
-    * ``database`` — serve an existing (open) :class:`ShardedDatabase`;
+    * ``database`` — serve an existing (open) :class:`IncompleteDatabase`,
+      one segment or several;
       snapshots stay memory-only and the service takes ownership (the
       epoch manager closes each snapshot when its epoch is GC'd).
     * ``directory`` — open a :func:`~repro.shard.manifest.save_sharded`
@@ -410,7 +411,7 @@ class QueryService:
 
     def __init__(
         self,
-        database: ShardedDatabase | None = None,
+        database: IncompleteDatabase | None = None,
         directory: str | Path | None = None,
         host: str = "127.0.0.1",
         port: int = 0,

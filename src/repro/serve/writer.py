@@ -1,27 +1,29 @@
 """The serialized writer path: derive the next snapshot, publish it.
 
-This is the one code path that changes a table's rows: engines and
+This is the one code path that changes a table's rows: segments and
 indexes are fixed once built, and writers never mutate a published
 snapshot.  Every operation here derives the next
-:class:`~repro.shard.ShardedDatabase` from the current epoch's (frozen)
-one, shard by shard, and hands it to the
-:class:`~repro.serve.epoch.EpochManager`.  Readers holding a pin keep
-querying their epoch untouched; new readers see the new one.
+:class:`~repro.core.engine.IncompleteDatabase` from the current epoch's
+(frozen) one, segment by segment, and hands it to the
+:class:`~repro.serve.epoch.EpochManager`.  Any database is written, one
+segment or several.  Readers holding a pin keep querying their epoch
+untouched; new readers see the new one.
 
-A mutation rebuilds only the shards whose rows it changes; every other
-shard's engine (its table and built index objects) is shared by reference
-with the previous snapshot, which is safe because no published engine is
-ever mutated:
+A mutation rebuilds only the segments whose rows it changes; every other
+segment record (its table and built index objects) is shared by
+reference with the previous snapshot, which is safe because no published
+segment is ever mutated:
 
 * ``append`` puts the new rows, which take the next ids, in the **last**
-  shard;
-* ``delete`` rebuilds only the shards holding a deleted id from their
-  survivors and drops a shard it empties (later shards just start earlier);
-* ``compact`` cuts the rows into equal ranges again and reuses every shard
-  whose ``(start, size)`` comes out unchanged;
-* ``create_index`` / ``drop_index`` give each shard a new engine over the
-  same table and the same other index objects, and build or drop only the
-  named index.
+  segment;
+* ``delete`` rebuilds only the segments holding a deleted id from their
+  survivors and drops a segment it empties (later segments just start
+  earlier);
+* ``compact`` cuts the rows into equal ranges again and reuses every
+  segment whose ``(start, size)`` comes out unchanged;
+* ``create_index`` / ``drop_index`` run the database's own DDL on a new,
+  unfrozen database over the same segments, which builds or drops only
+  the named index.
 
 Disk-backed writers persist through
 :func:`~repro.shard.manifest.save_sharded` with ``gc_stale=False``, which
@@ -52,38 +54,9 @@ from repro.errors import QueryError, ReproError
 from repro.observability import observe, record
 from repro.serve.epoch import EpochManager
 from repro.shard.manifest import MANIFEST_NAME, save_sharded
-from repro.shard.sharded import ShardedDatabase, _row_ranges
+from repro.shard.sharded import _row_ranges
 
 __all__ = ["SnapshotWriter"]
-
-
-def _rebuilt(
-    like: IncompleteDatabase, table: IncompleteTable
-) -> IncompleteDatabase:
-    """A new engine over ``table`` with every index of ``like`` built afresh.
-
-    Each index keeps the kind, attributes and options ``like`` recorded.
-    """
-    engine = IncompleteDatabase(table)
-    for name in like.index_names:
-        spec = like.get_index(name)
-        engine.create_index(name, spec.kind, spec.attributes, **spec.options)
-    return engine
-
-
-def _reattached(
-    engine: IncompleteDatabase, without: str
-) -> IncompleteDatabase:
-    """A new engine sharing ``engine``'s table and indexes but ``without``."""
-    fresh = IncompleteDatabase(engine.table)
-    for name in engine.index_names:
-        if name != without:
-            spec = engine.get_index(name)
-            fresh.attach_index(
-                name, spec.kind, spec.index, spec.attributes,
-                options=spec.options,
-            )
-    return fresh
 
 
 class SnapshotWriter:
@@ -108,19 +81,11 @@ class SnapshotWriter:
         self._directory = Path(directory) if directory is not None else None
         self._mutex = threading.Lock()
 
-    def _publish(
-        self,
-        current: ShardedDatabase,
-        engines: list[IncompleteDatabase],
-        rebuilt: int,
-        start_ns: int,
-    ) -> int:
-        """Assemble, persist (when disk-backed) and publish; the new epoch.
+    def _publish(self, db: IncompleteDatabase, rebuilt: int, start_ns: int) -> int:
+        """Persist ``db`` (when disk-backed) and publish it; the new epoch.
 
-        ``engines`` are the next snapshot's shards in row order, ``rebuilt``
-        of them built from their rows.
+        ``rebuilt`` of its segments were built from their rows.
         """
-        db = ShardedDatabase._from_shards(engines)
         if self._directory is None:
             epoch = self._manager.publish(db)
         else:
@@ -137,7 +102,7 @@ class SnapshotWriter:
                 epoch=generation,
             )
         record("writer.shards_rebuilt", rebuilt)
-        record("writer.shards_reused", len(engines) - rebuilt)
+        record("writer.shards_reused", db.num_shards - rebuilt)
         observe("epoch.publish_ns", time.perf_counter_ns() - start_ns)
         return epoch
 
@@ -149,7 +114,7 @@ class SnapshotWriter:
         """Append rows in a new epoch; returns the epoch number.
 
         Existing record ids are stable; new rows take the next ids and join
-        the last shard, the only one rebuilt.
+        the last segment, the only one rebuilt.
         """
         with self._mutex:
             start = time.perf_counter_ns()
@@ -161,10 +126,12 @@ class SnapshotWriter:
                 )
             if rows.num_records == 0:
                 raise QueryError("no rows to append")
-            engines = [shard.database for shard in current.shards]
-            last = engines[-1]
-            engines[-1] = _rebuilt(last, concat_tables(last.table, rows))
-            return self._publish(current, engines, 1, start)
+            segments = list(current.segments)
+            last = segments[-1]
+            segments[-1] = last.over(concat_tables(last.table, rows))
+            return self._publish(
+                IncompleteDatabase.from_segments(segments), 1, start
+            )
 
     def delete(self, record_ids: Iterable[int]) -> int:
         """Remove rows by record id in a new epoch; returns the epoch.
@@ -172,8 +139,8 @@ class SnapshotWriter:
         Removal is physical: surviving rows are renumbered densely (the
         id of a surviving row shifts down past each removed predecessor).
         Readers pinned to older epochs keep the old numbering.
-        Only the shards holding a removed row are rebuilt; a shard left
-        with no rows is dropped.
+        Only the segments holding a removed row are rebuilt; a segment
+        left with no rows is dropped.
         """
         with self._mutex:
             start = time.perf_counter_ns()
@@ -191,51 +158,57 @@ class SnapshotWriter:
                     "refusing to publish an empty snapshot (the mutation "
                     "would delete every row)"
                 )
-            engines = []
+            segments = []
             rebuilt = 0
-            for shard, hit in zip(current.shards, current._runs(ids)):
-                engine = shard.database
+            starts = [segment.start for segment in current.segments[1:]]
+            for segment, hit in zip(
+                current.segments, np.split(ids, np.searchsorted(ids, starts))
+            ):
                 if hit.size:
-                    if hit.size == engine.num_records:
+                    if hit.size == segment.num_records:
                         continue
                     survivors = np.delete(
-                        np.arange(engine.num_records), hit - shard.start
+                        np.arange(segment.num_records), hit - segment.start
                     )
-                    engine = _rebuilt(engine, engine.table.take(survivors))
+                    segment = segment.over(segment.table.take(survivors))
                     rebuilt += 1
-                engines.append(engine)
-            return self._publish(current, engines, rebuilt, start)
+                segments.append(segment)
+            return self._publish(
+                IncompleteDatabase.from_segments(segments), rebuilt, start
+            )
 
     def compact(self) -> int:
         """Cut the rows into equal ranges again, in a fresh epoch.
 
-        Appends since the last compaction sit in the last shard; this lays
-        the rows out as ``ShardedDatabase(table, num_shards)`` would,
-        rebuilding only the shards whose ``(start, size)`` changes.
+        Appends since the last compaction sit in the last segment; this
+        lays the rows out as ``ShardedDatabase(table, num_shards)`` would,
+        rebuilding only the segments whose ``(start, size)`` changes.
         Returns the new epoch number.
         """
         with self._mutex:
             start = time.perf_counter_ns()
             current = self._manager.current_database
             reusable = {
-                (shard.start, shard.database.num_records): shard.database
-                for shard in current.shards
+                (segment.start, segment.num_records): segment
+                for segment in current.segments
             }
-            like = current.shards[0].database
-            engines = []
+            like = current.segments[0]
+            segments = []
             rebuilt = 0
             for rows in _row_ranges(
                 current.num_records,
                 min(current.num_shards, current.num_records),
             ):
-                engine = reusable.get((rows.start, len(rows)))
-                if engine is None:
-                    engine = _rebuilt(
-                        like, current._rows(np.arange(rows.start, rows.stop))
+                segment = reusable.get((rows.start, len(rows)))
+                if segment is None:
+                    segment = like.over(
+                        _rows_between(current, rows.start, rows.stop)
                     )
                     rebuilt += 1
-                engines.append(engine)
-            return self._publish(current, engines, rebuilt, start)
+                segments.append(segment)
+            return self._publish(
+                IncompleteDatabase.from_segments(segments), rebuilt, start
+            )
 
     def create_index(
         self,
@@ -247,33 +220,37 @@ class SnapshotWriter:
     ) -> int:
         """Publish a new epoch with one more index; returns the epoch.
 
-        Only ``name`` is built, on every shard; the tables and the other
+        Only ``name`` is built, on every segment; the tables and the other
         indexes are shared with the current snapshot.
         """
         with self._mutex:
             start = time.perf_counter_ns()
-            current = self._manager.current_database
-            if name in current.index_names and not overwrite:
-                raise ReproError(
-                    f"an index named {name!r} already exists "
-                    f"(pass overwrite=True to replace it)"
-                )
-            engines = []
-            for shard in current.shards:
-                engine = _reattached(shard.database, without=name)
-                engine.create_index(name, kind, attributes, **options)
-                engines.append(engine)
-            return self._publish(current, engines, 0, start)
+            db = IncompleteDatabase.from_segments(
+                self._manager.current_database.segments
+            )
+            db.create_index(
+                name, kind, attributes, overwrite=overwrite, **options
+            )
+            return self._publish(db, 0, start)
 
     def drop_index(self, name: str) -> int:
         """Publish a new epoch without ``name``; returns the epoch."""
         with self._mutex:
             start = time.perf_counter_ns()
-            current = self._manager.current_database
-            if name not in current.index_names:
-                raise ReproError(f"no index named {name!r}")
-            engines = [
-                _reattached(shard.database, without=name)
-                for shard in current.shards
-            ]
-            return self._publish(current, engines, 0, start)
+            db = IncompleteDatabase.from_segments(
+                self._manager.current_database.segments
+            )
+            db.drop_index(name)
+            return self._publish(db, 0, start)
+
+
+def _rows_between(db: IncompleteDatabase, start: int, stop: int) -> IncompleteTable:
+    """A copy of ``db``'s rows ``[start, stop)``, read from its segments."""
+    return concat_tables(*(
+        segment.table.rows(
+            max(start, segment.start) - segment.start,
+            min(stop, segment.start + segment.num_records) - segment.start,
+        )
+        for segment in db.segments
+        if segment.start < stop and start < segment.start + segment.num_records
+    ))

@@ -1,6 +1,6 @@
-"""Row-range segments for incomplete tables, read as one engine.
+"""Saving and loading databases, and cutting a table into segments.
 
-See :mod:`repro.shard.sharded` for the execution model, and
+See :mod:`repro.core.segment` for the segment record and
 ``docs/sharding.md`` for the segment layout and the manifest format.
 """
 

@@ -1,4 +1,4 @@
-"""Persist and restore a :class:`~repro.shard.ShardedDatabase`.
+"""Persist and restore an :class:`~repro.core.engine.IncompleteDatabase`.
 
 Layout on disk (all paths relative to the manifest's directory)::
 
@@ -8,9 +8,10 @@ Layout on disk (all paths relative to the manifest's directory)::
     gen-000001/shard-1/...
 
 ``manifest.json`` is the source of truth: it names the full-table schema
-and, for every shard in row order, its table file and the ``(name, kind,
-attributes, options, file)`` of each serialized index.  Shard *k* owns the
-global rows that follow shard *k - 1*'s, so no row-id map is stored.  Only
+and, for every shard (segment) in row order, its table file and the
+``(name, kind, attributes, options, file)`` of each serialized index.
+Shard *k* owns the global rows that follow shard *k - 1*'s, so no row-id
+map is stored.  Only
 the serializable index kinds — the WAH/BBC bitmap encodings (``bee``,
 ``bre``, ``bie``) and ``vafile`` — can be persisted; other kinds raise
 :class:`~repro.errors.ShardError` at save time so a manifest never goes out
@@ -31,7 +32,7 @@ Crash safety and integrity (see ``docs/persistence.md``):
 * every file is written through the checksummed ``RPF1`` frame and its
   whole-file CRC32 and size are **recorded in the manifest**, which also
   carries a checksum over its own canonical JSON (``self_crc32``);
-* saving over an existing sharded directory requires ``overwrite=True`` —
+* saving over an existing saved directory requires ``overwrite=True`` —
   refusing beats silently mixing shard files from two different saves;
 * loading degrades gracefully: a corrupt or missing *index* file is
   reported (``storage.index_rebuilds`` counter + ``RuntimeWarning``) and
@@ -41,15 +42,13 @@ Crash safety and integrity (see ``docs/persistence.md``):
 
 Loading reads shard tables and indexes back as serialized, so indexes stay
 aligned with their rows.  Malformed manifests are rejected with errors
-naming the offending shard.  A v1/v2 manifest (a ``partitioner`` name and a
-``rows.npy`` id map per shard) loads only when it is ``contiguous`` and
-every map, checked against the file, is its shard's row range; any other
-layout is a ``ShardError`` naming its partitioner.
+naming the offending shard.  Only version 3 loads: a v1/v2 manifest (a
+``partitioner`` name and a ``rows.npy`` id map per shard) is an
+unsupported-version ``ShardError``.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import shutil
@@ -57,15 +56,14 @@ import warnings
 import weakref
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.engine import IncompleteDatabase
+from repro.core.segment import Segment
 from repro.dataset.io import load_table, save_table
 from repro.errors import CorruptIndexError, ShardError
 from repro.observability import record
-from repro.shard.sharded import ShardedDatabase, _check_executor
+from repro.shard.sharded import _check_executor
 from repro.storage import integrity
-from repro.storage.integrity import crc32, file_crc32, is_framed, parse_frame
+from repro.storage.integrity import crc32, file_crc32
 from repro.storage.serialize import (
     load_bitmap_index_file,
     load_vafile_file,
@@ -78,7 +76,6 @@ __all__ = ["MANIFEST_NAME", "load_sharded", "save_sharded"]
 MANIFEST_NAME = "manifest.json"
 _FORMAT = "repro-shard-manifest"
 _VERSION = 3
-_SUPPORTED_VERSIONS = frozenset({1, 2, 3})
 
 #: Index kinds the manifest can persist, mapped to their writers.
 _BITMAP_KINDS = frozenset({"bee", "bre", "bie"})
@@ -138,9 +135,8 @@ def _file_record(root: Path, relative: str) -> dict:
 
 
 def _file_fields(entry) -> tuple[str, int | None, int | None]:
-    """``(path, crc32, bytes)`` from a record or a bare v1 path string."""
-    if isinstance(entry, str):
-        return entry, None, None
+    """``(path, crc32, bytes)`` of a manifest file record (a file whose
+    record lacks either number fails its check)."""
     return entry["path"], entry.get("crc32"), entry.get("bytes")
 
 
@@ -214,24 +210,24 @@ class _Placer:
 
 
 def _remember_loaded(root: Path, owner, fields) -> None:
-    """Note a file :func:`load_sharded` read ``owner`` from, if checksummed."""
+    """Note the file :func:`load_sharded` read ``owner`` from."""
     rel, crc, nbytes = _file_fields(fields)
-    if crc is not None:
-        _committed[owner] = (
-            root.resolve(), {"path": rel, "crc32": crc, "bytes": nbytes}
-        )
+    _committed[owner] = (
+        root.resolve(), {"path": rel, "crc32": crc, "bytes": nbytes}
+    )
 
 
 def save_sharded(
-    db: ShardedDatabase,
+    db: IncompleteDatabase,
     directory: str | os.PathLike,
     overwrite: bool = False,
     gc_stale: bool = True,
 ) -> Path:
-    """Write ``db`` (shard tables and indexes, in row order) under ``directory``.
+    """Write ``db`` (segment tables and indexes, in row order) under ``directory``.
 
-    Returns the manifest path.  The directory is created if needed.  If it
-    already holds a sharded database (or stray ``gen-*``/``shard-*``
+    Any database saves, one segment or several.  Returns the manifest
+    path.  The directory is created if needed.  If it already holds a
+    saved database (or stray ``gen-*``/``shard-*``
     subdirectories from one), the save refuses with :class:`ShardError`
     unless ``overwrite=True``; with it, the new state is written into a
     fresh generation directory, committed by atomically replacing
@@ -245,14 +241,17 @@ def save_sharded(
 
     ``gc_stale=False`` leaves previous generation directories on disk after
     the commit.  The serving layer's :class:`~repro.serve.EpochManager`
-    uses this: readers may still hold a pinned epoch whose engines mmap
+    uses this: readers may still hold a pinned epoch whose segments mmap
     files in an older generation, so stale generations are garbage-collected
     only when their pin count drops to zero (orphans stay benign to both
     ``fsck`` and :func:`load_sharded`).
+
+    The ``*_sharded`` names are kept only because the benchmark harness
+    imports them; a benchmark-only change renames this pair.
     """
     root = Path(directory)
-    for name in db.index_names:
-        kind = db.shards[0].database.get_index(name).kind
+    for attached in db.segments[0].indexes.values():
+        name, kind = attached.name, attached.kind
         if kind not in _BITMAP_KINDS and kind != "vafile":
             raise ShardError(
                 f"index {name!r} has kind {kind!r}, which cannot be "
@@ -263,7 +262,7 @@ def save_sharded(
     previous = _owned_entries(root)
     if (manifest_path.exists() or previous) and not overwrite:
         raise ShardError(
-            f"{root} already holds a sharded database save; pass "
+            f"{root} already holds a saved database; pass "
             f"overwrite=True to replace it"
         )
     generation = 1 + max(
@@ -275,12 +274,12 @@ def save_sharded(
     root.mkdir(parents=True, exist_ok=True)
     placer = _Placer(root)
     shard_entries = []
-    for shard in db.shards:
-        shard_rel = f"{gen_rel}/{_shard_dir(shard.shard_id)}"
+    for shard_id, segment in enumerate(db.segments):
+        shard_rel = f"{gen_rel}/{_shard_dir(shard_id)}"
         (root / shard_rel).mkdir(parents=True, exist_ok=True)
-        table = shard.database.table
+        table = segment.table
         entry = {
-            "shard_id": shard.shard_id,
+            "shard_id": shard_id,
             "num_records": table.num_records,
             "table": placer.place(
                 table, f"{shard_rel}/table.npz",
@@ -288,8 +287,7 @@ def save_sharded(
             ),
             "indexes": [],
         }
-        for name in db.index_names:
-            attached = shard.database.get_index(name)
+        for name, attached in segment.indexes.items():
             save = (
                 save_bitmap_index if attached.kind in _BITMAP_KINDS
                 else save_vafile
@@ -348,23 +346,22 @@ def _read_manifest(manifest_path: Path) -> dict:
             f"{manifest.get('format')!r}"
         )
     version = manifest.get("version")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _VERSION:
         raise ShardError(
             f"{manifest_path}: unsupported manifest version {version!r} "
-            f"(this build reads {sorted(_SUPPORTED_VERSIONS)})"
+            f"(this build reads [{_VERSION}])"
         )
-    if version >= 2:
-        recorded = manifest.get("self_crc32")
-        body = {k: v for k, v in manifest.items() if k != "self_crc32"}
-        canonical = json.dumps(body, indent=2, sort_keys=True)
-        actual = crc32(canonical.encode("utf-8"))
-        if recorded != actual:
-            record("storage.checksum_failures")
-            raise ShardError(
-                f"{manifest_path}: manifest checksum mismatch "
-                f"(recorded {recorded}, content hashes to {actual}); "
-                f"the manifest has been corrupted or hand-edited"
-            )
+    recorded = manifest.get("self_crc32")
+    body = {k: v for k, v in manifest.items() if k != "self_crc32"}
+    canonical = json.dumps(body, indent=2, sort_keys=True)
+    actual = crc32(canonical.encode("utf-8"))
+    if recorded != actual:
+        record("storage.checksum_failures")
+        raise ShardError(
+            f"{manifest_path}: manifest checksum mismatch "
+            f"(recorded {recorded}, content hashes to {actual}); "
+            f"the manifest has been corrupted or hand-edited"
+        )
     return manifest
 
 
@@ -394,10 +391,8 @@ def _verify_recorded_crc(
     """Check a file against the CRC/size the manifest recorded for it."""
     if not path.exists():
         raise CorruptIndexError(f"{context}: {path} is missing")
-    if recorded_crc is None:
-        return  # v1 manifest: nothing recorded
     actual_crc, actual_bytes = file_crc32(path)
-    if recorded_bytes is not None and actual_bytes != recorded_bytes:
+    if actual_bytes != recorded_bytes:
         record("storage.checksum_failures")
         raise CorruptIndexError(
             f"{context}: {path} is {actual_bytes} bytes but the manifest "
@@ -411,139 +406,92 @@ def _verify_recorded_crc(
         )
 
 
-def _check_legacy_row_map(
-    root: Path, entry: dict, start: int, num_rows: int, context: str
-) -> None:
-    """A v1/v2 shard's ``rows.npy`` id map must be exactly its row range."""
-    rel, crc, nbytes = _file_fields(entry["rows"])
-    path = root / rel
-    _verify_recorded_crc(path, crc, nbytes, context)
-    try:
-        data = path.read_bytes()
-        if is_framed(data):
-            data = b"".join(p for _, p in parse_frame(data, source=str(path)))
-        else:
-            record("storage.legacy_loads")
-        rows = np.load(io.BytesIO(data), allow_pickle=False)
-    except CorruptIndexError as exc:
-        raise CorruptIndexError(f"{context}: {exc}") from exc
-    except (ValueError, OSError, EOFError) as exc:
-        raise CorruptIndexError(
-            f"{context}: corrupt row-map file {path} ({exc})"
-        ) from exc
-    if not np.array_equal(rows, np.arange(start, start + num_rows)):
-        raise ShardError(
-            f"{context}: row map {path} is not the shard's row range "
-            f"{start}..{start + num_rows - 1}; only row-range layouts load"
-        )
-
-
 def load_sharded(
     directory: str | os.PathLike,
     executor: str | None = None,
-) -> ShardedDatabase:
-    """Rebuild a :class:`ShardedDatabase` saved by :func:`save_sharded`.
+) -> IncompleteDatabase:
+    """Rebuild a database saved by :func:`save_sharded`.
 
     Table files are load-bearing: if one is missing or fails its checksum
-    the load raises :class:`CorruptIndexError` naming the file and shard
-    (so is a v1/v2 row-map file).  Index files are derived state: a
-    corrupt or missing index file is reported (``RuntimeWarning`` +
-    ``storage.index_rebuilds`` counter) and that shard's index is rebuilt
-    from its table using the options recorded in the manifest, so the
-    database still opens and answers queries identically.
+    the load raises :class:`CorruptIndexError` naming the file and shard.
+    Index files are derived state: a corrupt or missing index file is
+    reported (``RuntimeWarning`` + ``storage.index_rebuilds`` counter) and
+    that shard's index is rebuilt from its table using the options
+    recorded in the manifest, so the database still opens and answers
+    queries identically.  An index that does not cover its shard's rows
+    is refused.
 
-    ``executor`` is as on :class:`ShardedDatabase`, and is checked before
-    any file is opened.
+    ``executor`` is ``None`` or ``"sequential"`` and selects nothing; it
+    is checked before any file is opened.  It and the ``*_sharded`` names
+    are kept only because the benchmark harness passes and imports them;
+    they go in a benchmark-only change.
     """
     _check_executor(executor)
     root = Path(directory)
     manifest_path = root / MANIFEST_NAME
     manifest = _read_manifest(manifest_path)
-    partitioner = manifest.get("partitioner", "contiguous")
-    if partitioner != "contiguous":
-        raise ShardError(
-            f"{manifest_path}: shards laid out by the {partitioner!r} "
-            f"partitioner cannot be loaded; shards must be row ranges "
-            f"('contiguous')"
-        )
     attributes = [
         (entry["name"], int(entry["cardinality"]))
         for entry in manifest["attributes"]
     ]
-    entries = _check_shard_entries(manifest, manifest_path)
-    engines = []
+    segments = []
     start = 0
-    for entry in entries:
+    for entry in _check_shard_entries(manifest, manifest_path):
         context = f"shard {entry['shard_id']}"
         table_rel, table_crc, table_bytes = _file_fields(entry["table"])
         _verify_recorded_crc(root / table_rel, table_crc, table_bytes, context)
         try:
-            shard_table = load_table(root / table_rel)
+            table = load_table(root / table_rel)
         except FileNotFoundError:
             raise CorruptIndexError(
                 f"{context}: {root / table_rel} is missing"
             )
         except CorruptIndexError as exc:
             raise CorruptIndexError(f"{context}: {exc}") from exc
-        if [
-            (spec.name, spec.cardinality) for spec in shard_table.schema
-        ] != attributes:
+        if [(spec.name, spec.cardinality) for spec in table.schema] != attributes:
             raise ShardError(
                 f"{context}: table schema disagrees with the manifest"
             )
-        if "rows" in entry:
-            _check_legacy_row_map(
-                root, entry, start, shard_table.num_records, context
+        _remember_loaded(root, table, entry["table"])
+        segment = Segment(start, table)
+        for index_entry in entry["indexes"]:
+            segment = segment.with_index(
+                _load_index(root, segment, index_entry, context)
             )
-        start += shard_table.num_records
-        engines.append(IncompleteDatabase(shard_table))
+        segments.append(segment)
+        start += table.num_records
     if start != int(manifest["num_records"]):
         raise ShardError(
             f"{manifest_path}: the manifest records {manifest['num_records']} "
             f"rows but its shards hold {start}"
         )
-    db = ShardedDatabase._from_shards(engines)
-    for entry in entries:
-        shard = db.shards[entry["shard_id"]]
-        _remember_loaded(root, shard.database.table, entry["table"])
-        for index_entry in entry["indexes"]:
-            kind = index_entry["kind"]
-            if kind not in _BITMAP_KINDS and kind != "vafile":
-                raise ShardError(
-                    f"manifest names unloadable index kind {kind!r}"
-                )
-            rel, crc, nbytes = _file_fields(index_entry["file"])
-            path = root / rel
-            try:
-                _verify_recorded_crc(
-                    path, crc, nbytes, f"shard {entry['shard_id']}"
-                )
-                if kind in _BITMAP_KINDS:
-                    index = load_bitmap_index_file(path)
-                else:
-                    index = load_vafile_file(path, shard.database.table)
-            except CorruptIndexError as exc:
-                record("storage.index_rebuilds")
-                warnings.warn(
-                    f"shard {entry['shard_id']}: index "
-                    f"{index_entry['name']!r} could not be loaded ({exc}); "
-                    f"rebuilding it from the shard table",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                shard.database.create_index(
-                    index_entry["name"],
-                    kind,
-                    attributes=index_entry["attributes"],
-                    **index_entry.get("options", {}),
-                )
-                continue
-            shard.database.attach_index(
-                index_entry["name"],
-                kind,
-                index,
-                attributes=index_entry["attributes"],
-                options=index_entry.get("options", {}),
-            )
-            _remember_loaded(root, index, index_entry["file"])
-    return db
+    return IncompleteDatabase.from_segments(segments)
+
+
+def _load_index(root: Path, segment: Segment, entry: dict, context: str):
+    """The manifest's index ``entry`` over ``segment``: loaded, or rebuilt
+    from the segment's table when its file is corrupt or missing."""
+    name, kind = entry["name"], entry["kind"]
+    if kind not in _BITMAP_KINDS and kind != "vafile":
+        raise ShardError(f"manifest names unloadable index kind {kind!r}")
+    options = entry.get("options", {})
+    rel, crc, nbytes = _file_fields(entry["file"])
+    path = root / rel
+    try:
+        _verify_recorded_crc(path, crc, nbytes, context)
+        if kind in _BITMAP_KINDS:
+            index = load_bitmap_index_file(path)
+        else:
+            index = load_vafile_file(path, segment.table)
+    except CorruptIndexError as exc:
+        record("storage.index_rebuilds")
+        warnings.warn(
+            f"{context}: index {name!r} could not be loaded ({exc}); "
+            f"rebuilding it from the shard table",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return segment.build(name, kind, entry["attributes"], options)
+    attached = segment.attach(name, kind, index, entry["attributes"], options)
+    _remember_loaded(root, index, entry["file"])
+    return attached

@@ -1,4 +1,4 @@
-"""Offline integrity verification for saved sharded databases.
+"""Offline integrity verification for saved databases.
 
 :func:`verify_sharded` walks a directory written by
 :func:`repro.shard.manifest.save_sharded` and reports, per file, one of
@@ -148,7 +148,7 @@ def _finding_with_deep(
 def verify_sharded(
     directory: str | os.PathLike, deep: bool = False
 ) -> FsckReport:
-    """Walk a saved sharded database and report per-file integrity.
+    """Walk a saved database and report per-file integrity.
 
     Checks the manifest itself (JSON, format/version tags, self-checksum,
     shard-id catalog shape), then every referenced file, then
@@ -198,16 +198,13 @@ def verify_sharded(
                 return lambda path: load_vafile_file(path, shard_table)
             return None
 
-        for role, parser in (("rows", None), ("table", table_parser)):
-            if role not in entry:
-                continue  # only a v1/v2 manifest lists a row-id map
-            rel, crc, nbytes = _file_fields(entry[role])
-            path = root / rel
-            referenced.add(path)
-            finding = _finding_with_deep(
-                path, crc, nbytes, parser if deep else None
-            )
-            report.add(finding.path, finding.status, finding.detail)
+        rel, crc, nbytes = _file_fields(entry["table"])
+        path = root / rel
+        referenced.add(path)
+        finding = _finding_with_deep(
+            path, crc, nbytes, table_parser if deep else None
+        )
+        report.add(finding.path, finding.status, finding.detail)
         for index_entry in entry["indexes"]:
             rel, crc, nbytes = _file_fields(index_entry["file"])
             path = root / rel

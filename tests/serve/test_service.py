@@ -9,7 +9,6 @@ import time
 import urllib.error
 import urllib.request
 
-import numpy as np
 import pytest
 
 from repro import observability as obs
@@ -156,6 +155,43 @@ class TestConstruction:
                 svc.url + "/query", {"bounds": {"a": [2, 6]}}
             )
             assert status == 200 and body["epoch"] == 1
+        finally:
+            svc.stop()
+
+
+    def test_a_one_segment_database_saves_writes_and_serves(self, tmp_path):
+        """A plain ``IncompleteDatabase`` goes the whole way: saved,
+        loaded, written through the snapshot writer and served."""
+        from repro.core.engine import IncompleteDatabase
+        from repro.dataset.table import concat_tables
+        from repro.query.ground_truth import evaluate
+        from repro.query.model import RangeQuery
+        from repro.serve import EpochManager, SnapshotWriter
+        from repro.shard import load_sharded
+
+        table, extra = _table(), _table(seed=10, n=40)
+        db = IncompleteDatabase(table)
+        db.create_index("ix", "bre")
+        db.create_index("va", "vafile")
+        save_sharded(db, tmp_path)
+        loaded = load_sharded(tmp_path)
+        assert loaded.num_shards == 1 and loaded.index_names == ("ix", "va")
+        manager = EpochManager(loaded, tmp_path)
+        SnapshotWriter(manager, tmp_path).append(extra)
+        manager.close()
+        mirror = concat_tables(table, extra)
+        svc = QueryService(database=load_sharded(tmp_path)).start()
+        try:
+            for semantics in MissingSemantics:
+                for bounds in ({"a": [2, 6]}, {"a": [1, 4], "b": [2, 3]}):
+                    status, body = _post(svc.url + "/query", {
+                        "bounds": bounds, "semantics": semantics.value,
+                    })
+                    assert status == 200, body
+                    expected = evaluate(mirror, RangeQuery.from_bounds(
+                        {k: tuple(v) for k, v in bounds.items()}
+                    ), semantics)
+                    assert body["record_ids"] == expected.tolist()
         finally:
             svc.stop()
 
@@ -480,7 +516,7 @@ class TestErrors:
         assert field in body["error"], body
         assert service.epochs.current_epoch == epoch  # nothing published
         with service.epochs.pin() as pin:
-            ix = pin.database.shards[0].database.get_index("ix")
+            ix = pin.database.segments[0].indexes["ix"]
             assert (ix.kind, pin.database.index_names) == ("bre", ("ix",))
 
     def test_non_numeric_content_length_is_400(self, service):

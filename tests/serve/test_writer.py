@@ -130,8 +130,8 @@ class TestMutations:
         manager, writer = served
         writer.create_index("bbc", "bre", codec="bbc")
         writer.append({"a": [5], "b": [2]})
-        for shard in manager.current_database.shards:
-            attached = shard.database.get_index("bbc")
+        for segment in manager.current_database.segments:
+            attached = segment.indexes["bbc"]
             assert attached.options == {"codec": "bbc"}
             assert attached.index.codec == "bbc"
 
@@ -169,7 +169,7 @@ class TestAppendEqualsRebuild:
         ]
         db = ShardedDatabase(base, num_shards=2)
         db.create_index("ix", kind, codec=codec)
-        assert not db.shards[-1].database.get_index("ix").index.has_missing(
+        assert not db.segments[-1].indexes["ix"].index.has_missing(
             "c"
         )
         manager = EpochManager(db)
@@ -180,7 +180,7 @@ class TestAppendEqualsRebuild:
             fresh = IncompleteDatabase(concat_tables(base, *chunks))
             fresh.create_index("ix", kind, codec=codec)
             appended = manager.current_database
-            last = appended.shards[-1].database.get_index("ix").index
+            last = appended.segments[-1].indexes["ix"].index
             assert last.has_missing("c") == (case != "chunk")
             for query in _APPEND_QUERIES:
                 for semantics in ("is_match", "not_match", "both"):
@@ -284,8 +284,7 @@ class TestShardGranularWrites:
             writer.append({"a": [3, 4], "b": [1, 0]})
         after = manager.current_database
         assert [
-            new.database is old.database
-            for new, old in zip(after.shards, before.shards)
+            new is old for new, old in zip(after.segments, before.segments)
         ] == [True, True, True, False]
         assert sorted(count_builds) == ["bre", "vafile"]  # the last shard
         counters = registry.snapshot().counters
@@ -326,16 +325,17 @@ class TestShardGranularWrites:
             ] == touched
             after = manager.current_database
             hit = {
-                shard.shard_id for shard in before.shards
+                k for k, segment in enumerate(before.segments)
                 if any(
-                    shard.start <= i < shard.start + shard.database.num_records
+                    segment.start <= i < segment.start + segment.num_records
                     for i in ids
                 )
             }
-            for old, new in zip(before.shards, after.shards):
-                assert (new.database is old.database) == (
-                    old.shard_id not in hit
-                )
+            for k, (old, new) in enumerate(
+                zip(before.segments, after.segments)
+            ):
+                assert (new.table is old.table) == (k not in hit)
+                assert (new.indexes is old.indexes) == (k not in hit)
             keep = np.setdiff1d(np.arange(200), ids)
             _assert_answers(after, before.table.take(keep))
         finally:
@@ -346,11 +346,17 @@ class TestShardGranularWrites:
         try:
             writer = SnapshotWriter(manager)
             before = manager.current_database
-            emptied = np.arange(before.shards[1].start, before.shards[2].start)
+            emptied = np.arange(
+                before.segments[1].start, before.segments[2].start
+            )
             writer.delete(emptied)
             after = manager.current_database
             assert after.num_shards == 3
-            assert after.shards[1].database is before.shards[2].database
+            # Shard 2 moves up: a new start, the same rows and indexes.
+            moved, kept = after.segments[1], before.segments[2]
+            assert moved.start == kept.start - len(emptied)
+            assert moved.table is kept.table
+            assert moved.indexes is kept.indexes
             keep = np.setdiff1d(np.arange(200), emptied)
             _assert_answers(after, before.table.take(keep))
         finally:
@@ -364,19 +370,19 @@ class TestShardGranularWrites:
             writer.append({"a": [3, 4, 0], "b": [1, 2, 3]})
             writer.append(_table(seed=6, n=10))
             appended = manager.current_database
-            for old, new in zip(before.shards[:3], appended.shards):
-                assert new.database is old.database
+            for old, new in zip(before.segments[:3], appended.segments):
+                assert new is old
             # 200 rows are 7 groups of 31: segments of 2, 2, 2, 1 groups.
-            assert appended.shards[3].start == 186
-            assert appended.shards[3].database.num_records == 14 + 13
+            assert appended.segments[3].start == 186
+            assert appended.segments[3].num_records == 14 + 13
             _assert_answers(appended, appended.table)
 
             writer.compact()
             compacted = manager.current_database
             # 213 rows are 7 groups again; the last segment ends at row 213.
             assert [
-                (shard.start, shard.database.num_records)
-                for shard in compacted.shards
+                (segment.start, segment.num_records)
+                for segment in compacted.segments
             ] == [(0, 62), (62, 62), (124, 62), (186, 27)]
             _assert_answers(compacted, appended.table)
         finally:
@@ -414,9 +420,9 @@ class TestShardGranularWrites:
             SnapshotWriter(manager).compact()
             assert count_builds == []
             assert all(
-                new.database is old.database
+                new is old
                 for new, old in zip(
-                    manager.current_database.shards, before.shards
+                    manager.current_database.segments, before.segments
                 )
             )
         finally:
@@ -434,12 +440,9 @@ class TestShardGranularWrites:
             assert count_builds == ["bee"] * 4
             after = manager.current_database
             assert after.index_names == ("va", "bee")
-            for old, new in zip(before.shards, after.shards):
-                assert new.database.table is old.database.table
-                assert (
-                    new.database.get_index("va").index
-                    is old.database.get_index("va").index
-                )
+            for old, new in zip(before.segments, after.segments):
+                assert new.table is old.table
+                assert new.indexes["va"] is old.indexes["va"]
             _assert_answers(after, before.table)
         finally:
             manager.close()

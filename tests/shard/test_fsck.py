@@ -27,8 +27,8 @@ def saved(tmp_path):
 def _file_of(root, shard, role):
     manifest = json.loads((root / "manifest.json").read_text())
     entry = manifest["shards"][shard]
-    if role in ("rows", "table"):
-        return root / entry[role]["path"]
+    if role == "table":
+        return root / entry["table"]["path"]
     (ix,) = [i for i in entry["indexes"] if i["name"] == role]
     return root / ix["file"]["path"]
 
@@ -49,21 +49,12 @@ class TestVerdicts:
         assert len(report.paths("ok")) == 7
         assert not [p for p in report.paths("ok") if p.endswith("rows.npy")]
 
-    def test_legacy_row_maps_are_checked(self, saved, v2_layout):
-        v2_layout(saved)
-        report = verify_sharded(saved)
-        assert report.ok
-        rows = [p for p in report.paths("ok") if p.endswith("rows.npy")]
-        assert len(rows) == 2 and len(report.paths("ok")) == 9
-
     def test_deep_clean_directory_is_all_ok(self, saved):
         report = verify_sharded(saved, deep=True)
         assert report.ok
 
-    @pytest.mark.parametrize("role", ["rows", "table", "ix", "va"])
-    def test_corrupt_file_flagged_exactly(self, saved, role, v2_layout):
-        if role == "rows":
-            v2_layout(saved)  # only a v2 manifest lists a row map
+    @pytest.mark.parametrize("role", ["table", "ix", "va"])
+    def test_corrupt_file_flagged_exactly(self, saved, role):
         target = _file_of(saved, 1, role)
         _flip(target)
         report = verify_sharded(saved)

@@ -1,16 +1,13 @@
 """Shard manifest round-trips: save, load, and query identically."""
 
 import json
-import shutil
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.core.engine import IncompleteDatabase
 from repro.dataset.reorder import lexicographic_order
 from repro.dataset.synthetic import generate_uniform_table
-from repro.errors import CorruptIndexError, ShardError
+from repro.errors import ShardError
 from repro.query.model import MissingSemantics
 from repro.storage import verify_sharded
 from repro.shard.manifest import (
@@ -67,7 +64,7 @@ def test_round_trip_preserves_table(table, tmp_path):
         save_sharded(db, tmp_path)
     with load_sharded(tmp_path) as loaded:
         # 1500 rows are 49 groups of 31, cut 13, 12, 12, 12.
-        assert [shard.start for shard in loaded.shards] == [0, 403, 775, 1147]
+        assert [segment.start for segment in loaded.segments] == [0, 403, 775, 1147]
         for name in table.schema.names:
             assert np.array_equal(
                 loaded.table.column(name), table.column(name)
@@ -124,21 +121,6 @@ def test_load_rejects_bad_format(table, tmp_path):
     manifest["format"] = "something-else"
     path.write_text(json.dumps(manifest))
     with pytest.raises(ShardError, match="format"):
-        load_sharded(tmp_path)
-
-
-def test_load_rejects_corrupt_rows(table, tmp_path, v2_layout):
-    """A v2 row map is still load-bearing where a manifest lists one."""
-    with ShardedDatabase(table, num_shards=2) as db:
-        db.create_index("ix", "bre")
-        path = save_sharded(db, tmp_path)
-    v2_layout(tmp_path)
-    manifest = json.loads(path.read_text())
-    rows_path = tmp_path / manifest["shards"][0]["rows"]["path"]
-    raw = bytearray(rows_path.read_bytes())
-    raw[len(raw) // 2] ^= 0xFF
-    rows_path.write_bytes(bytes(raw))
-    with pytest.raises(CorruptIndexError, match="shard 0"):
         load_sharded(tmp_path)
 
 
@@ -200,20 +182,6 @@ class TestMalformedManifest:
         with pytest.raises(ShardError, match="contiguous"):
             load_sharded(tmp_path)
 
-    def test_row_claimed_by_two_shards_rejected(
-        self, table, tmp_path, v2_layout
-    ):
-        # A v2 manifest labelled contiguous whose shard 1 map claims shard
-        # 0's rows: the loader checks the file, not the label.
-        with ShardedDatabase(table, num_shards=2) as db:
-            db.create_index("ix", "bre")
-            save_sharded(db, tmp_path)
-        v2_layout(tmp_path, rows={0: np.arange(775), 1: np.arange(775)})
-        with pytest.raises(
-            ShardError, match="shard 1: row map .* row range 775..1499"
-        ):
-            load_sharded(tmp_path)
-
     def test_unowned_rows_rejected(self, table, tmp_path):
         with ShardedDatabase(table, num_shards=2) as db:
             db.create_index("ix", "bre")
@@ -239,66 +207,24 @@ class TestMalformedManifest:
             load_sharded(tmp_path)
 
 
-class TestLegacyManifests:
-    """Versions 1 and 2 stored a partitioner name and a row map per shard."""
-
-    #: Saved by the version-2 writer: 240 rows in 3 contiguous shards,
-    #: ``bre`` (codec bbc), ``bee`` and ``va`` (vafile) on each.
-    FIXTURE = Path(__file__).parent / "data" / "v2-contiguous"
-
-    def test_v2_directory_loads_bit_identically(self, tmp_path):
-        root = tmp_path / "v2"
-        shutil.copytree(self.FIXTURE, root)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 2
-        assert all("rows" in entry for entry in manifest["shards"])
-        table = generate_uniform_table(
-            240, {"a": 9, "b": 5}, {"a": 0.25, "b": 0.1}, seed=29
-        )
-        engine = IncompleteDatabase(table)
-        with load_sharded(root) as loaded:
-            assert loaded.num_records == 240
-            assert [shard.start for shard in loaded.shards] == [0, 80, 160]
-            assert loaded.index_names == ("bre", "bee", "va")
-            assert loaded.shards[0].database.get_index("bre").options == {
-                "codec": "bbc"
-            }
-            for name in table.schema.names:
-                assert np.array_equal(
-                    loaded.table.column(name), table.column(name)
-                )
-            queries = [{"a": (2, 6)}, {"a": (1, 9), "b": (2, 3)}, {"b": (5, 5)}]
-            for semantics in ("is_match", "not_match", "both"):
-                for query in queries:
-                    expected = engine.execute(query, semantics).bound_ids
-                    for index in loaded.index_names:
-                        got = loaded.execute(query, semantics, using=index)
-                        assert len(got.bound_ids) == len(expected)
-                        for a, b in zip(got.bound_ids, expected):
-                            assert np.array_equal(a, b)
-        assert verify_sharded(root).ok
-
-    def test_resaving_a_v2_directory_writes_v3(self, tmp_path):
-        root = tmp_path / "v2"
-        shutil.copytree(self.FIXTURE, root)
-        with load_sharded(root) as loaded:
-            expected = loaded.execute({"a": (2, 6)}).record_ids
-            save_sharded(loaded, root, overwrite=True)
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        assert manifest["version"] == 3 and "partitioner" not in manifest
-        assert not list(root.rglob("rows.npy"))
-        with load_sharded(root) as again:
-            assert np.array_equal(
-                again.execute({"a": (2, 6)}).record_ids, expected
-            )
-
-    @pytest.mark.parametrize("partitioner", ["round-robin", "missing-density"])
-    def test_other_partitioners_are_a_named_error(
-        self, table, tmp_path, v2_layout, partitioner
+class TestVersion:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_v1_v2_manifests_are_an_unsupported_version(
+        self, table, tmp_path, version
     ):
+        # The legacy layouts (a partitioner name and a rows.npy map per
+        # shard) no longer load: only version 3 does.
         with ShardedDatabase(table, num_shards=2) as db:
             db.create_index("ix", "bre")
-            save_sharded(db, tmp_path)
-        v2_layout(tmp_path, partitioner=partitioner)
-        with pytest.raises(ShardError, match=repr(partitioner)):
+            path = save_sharded(db, tmp_path)
+
+        def downgrade(manifest):
+            manifest["version"] = version
+            manifest["partitioner"] = "contiguous"
+
+        rewrite_manifest(path, downgrade)
+        with pytest.raises(
+            ShardError, match=f"unsupported manifest version {version}"
+        ):
             load_sharded(tmp_path)
+        assert not verify_sharded(tmp_path).ok

@@ -1,6 +1,6 @@
-"""Segments read as one engine: joined bitmaps, one plan, row windows.
+"""Segments read as one: joined bitmaps, one plan, row windows.
 
-A sharded database's reads run on one engine assembled from its segments.
+A database of several segments reads on one segment joined from them.
 These tests pin the mechanism: each joined bitmap slot is the bitmap built
 over the joined rows (the same canonical stream, whichever seams the
 segments leave, whichever codec and on either coder), a query is planned
@@ -13,6 +13,7 @@ import pytest
 
 from repro.bitvector.wah import WahBitVector
 from repro.core.engine import IncompleteDatabase
+from repro.core.segment import Segment
 from repro.dataset.reorder import lexicographic_order
 from repro.dataset.synthetic import generate_uniform_table
 from repro.observability import use_registry
@@ -41,10 +42,10 @@ def _same_bitmap(joined, built) -> bool:
 
 def _assert_slots_join(db: ShardedDatabase, name: str) -> None:
     engine = IncompleteDatabase(db.table)
-    spec = db.shards[0].database.get_index(name)
+    spec = db.segments[0].indexes[name]
     engine.create_index(name, spec.kind, spec.attributes, **spec.options)
     built = engine.get_index(name).index
-    joined = db._attached(name).index
+    joined = db.get_index(name).index
     assert joined.num_records == built.num_records == db.num_records
     for attribute in built.attributes:
         assert joined.has_missing(attribute) == built.has_missing(attribute)
@@ -80,7 +81,7 @@ def test_joined_slot_is_the_bitmap_over_the_joined_rows(codec, seams, coder):
     for kind in KINDS:
         db.create_index(kind, kind, codec=codec)
     db = _writer_seams(db, seams)
-    starts = [shard.start for shard in db.shards]
+    starts = [segment.start for segment in db.segments]
     if seams in ("aligned", "append", "compact"):
         assert all(start % 31 == 0 for start in starts)
     else:
@@ -93,14 +94,18 @@ def test_any_seam_offset_joins():
     """Segments of every length 1..31 around a seam join exactly."""
     table = _table(n=200)
     for first in range(1, 32):
-        engines = [
-            IncompleteDatabase(table.take(np.arange(0, first))),
-            IncompleteDatabase(table.take(np.arange(first, 2 * first + 5))),
-            IncompleteDatabase(table.take(np.arange(2 * first + 5, 200))),
+        segments = [
+            Segment(0, table.take(np.arange(lo, hi)))
+            for lo, hi in ((0, first), (first, 2 * first + 5),
+                           (2 * first + 5, 200))
         ]
-        for engine in engines:
-            engine.create_index("bre", "bre")
-        db = ShardedDatabase._from_shards(engines)
+        db = IncompleteDatabase.from_segments([
+            segment.with_index(segment.build("bre", "bre"))
+            for segment in segments
+        ])
+        assert [segment.start for segment in db.segments] == [
+            0, first, 2 * first + 5
+        ]
         _assert_slots_join(db, "bre")
 
 
@@ -108,16 +113,16 @@ def test_a_joined_slot_is_held_once():
     """The join keeps one decoded copy: the segments hold only streams."""
     db = ShardedDatabase(_table(), num_shards=4)
     db.create_index("bre", "bre")
-    joined = db._attached("bre").index
+    joined = db.get_index("bre").index
     vec = joined._family("a").bitmap(3)
     assert vec._groups is not None
-    for shard in db.shards:
-        part = shard.database.get_index("bre").index.bitmap("a", 3)
+    for segment in db.segments:
+        part = segment.indexes["bre"].index.bitmap("a", 3)
         assert part._groups is None and part._words is not None
     # The joined table's columns are the segments' rows, held once.
-    column = db._reader().table.column("a")
-    for shard in db.shards:
-        assert np.shares_memory(shard.database.table.column("a"), column)
+    column = db.table.column("a")
+    for segment in db.segments:
+        assert np.shares_memory(segment.table.column("a"), column)
 
 
 def _vafile_db(table, num_shards, unit_costs):

@@ -2,6 +2,7 @@
 error propagation out of the one evaluation, and the query API surface."""
 
 import inspect
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.dataset.synthetic import generate_uniform_table
 from repro.dataset.table import IncompleteTable
 from repro.errors import DomainError, PlanningError, QueryError, ShardError
 from repro.observability import use_registry
+from repro.query.ground_truth import evaluate
 from repro.query.model import MissingSemantics, RangeQuery
 from repro.serve import EpochManager, SnapshotWriter
 from repro.shard.manifest import load_sharded, save_sharded
@@ -81,19 +83,19 @@ def test_layout_covers_every_row(table, num_shards):
         assert db.num_shards == num_shards
         assert db.num_records == table.num_records
         stop = 0
-        for shard in db.shards:
-            assert shard.start == stop
-            stop += shard.database.num_records
+        for segment in db.segments:
+            assert segment.start == stop
+            stop += segment.num_records
         assert stop == table.num_records
 
 
 def test_shards_are_row_ranges(table):
     with ShardedDatabase(table, num_shards=4) as db:
-        for shard in db.shards:
-            rows = np.arange(shard.start, shard.start + shard.database.num_records)
+        for segment in db.segments:
+            rows = np.arange(segment.start, segment.start + segment.num_records)
             for name in table.schema.names:
                 assert np.array_equal(
-                    shard.database.table.column(name),
+                    segment.table.column(name),
                     table.column(name)[rows],
                 )
 
@@ -102,13 +104,13 @@ def test_row_counts_balanced_within_one(table):
     # Balanced within one 31-row group: 997 rows are 33 groups, cut
     # 9, 8, 8, 8, and the last segment ends at the last row.
     with ShardedDatabase(table.take(np.arange(997)), num_shards=4) as db:
-        sizes = [shard.database.num_records for shard in db.shards]
-        starts = [shard.start for shard in db.shards]
+        sizes = [segment.num_records for segment in db.segments]
+        starts = [segment.start for segment in db.segments]
     assert sizes == [279, 248, 248, 222]
     assert all(start % 31 == 0 for start in starts)
     # Fewer groups than segments: cut row by row instead.
     with ShardedDatabase(table.take(np.arange(90)), num_shards=4) as db:
-        sizes = [shard.database.num_records for shard in db.shards]
+        sizes = [segment.num_records for segment in db.segments]
     assert sizes == [23, 23, 22, 22]
 
 
@@ -120,12 +122,16 @@ def test_invalid_shard_counts(table):
 
 
 def test_rows_table_and_statistics_read_the_shards(table, unsharded):
-    """No whole-table copy is kept: ``table`` concatenates on demand,
-    ``statistics`` sums the shards' histograms, and ``_rows`` splits ids at
-    the shard starts."""
+    """The rows are held once: ``table`` is the joined read segment's,
+    whose columns the segments view, ``statistics`` sums the shards'
+    histograms, and ``_rows`` takes ids across the shard starts."""
     with make_sharded(table, num_shards=7) as db:
         assert "_table" not in vars(db)
-        assert db.table is not db.table
+        assert db.table is db.table
+        for segment in db.segments:
+            assert np.shares_memory(
+                segment.table.column("a"), db.table.column("a")
+            )
         for name in table.schema.names:
             assert np.array_equal(db.table.column(name), table.column(name))
             assert np.array_equal(
@@ -133,7 +139,7 @@ def test_rows_table_and_statistics_read_the_shards(table, unsharded):
                 unsharded.statistics.attribute(name).counts,
             )
         assert db.statistics.num_records == table.num_records
-        starts = [shard.start for shard in db.shards]
+        starts = [segment.start for segment in db.segments]
         ids = np.unique(np.concatenate([
             starts, np.subtract(starts[1:], 1), [table.num_records - 1],
             np.arange(0, table.num_records, 37),
@@ -222,7 +228,7 @@ def test_worker_exceptions_unwrapped(table):
         def explode(*args, **kwargs):
             raise sentinel
 
-        db._reader()._evaluate = explode
+        db._evaluate = explode
         with pytest.raises(PlanningError) as info:
             db.execute({"a": (1, 30)})
         assert info.value is sentinel
@@ -267,15 +273,14 @@ def test_batch_trace_has_the_execute_shape(table):
         return span.name, [shape(child) for child in span.children]
 
     with make_sharded(table, num_shards=4) as db:
-        reader = db._reader()
-        evaluate = reader._evaluate
+        evaluate = db._evaluate
         traced_calls = []
 
         def spy(*args, **kwargs):
             traced_calls.append(obs.current_trace() is not None)
             return evaluate(*args, **kwargs)
 
-        reader._evaluate = spy
+        db._evaluate = spy
         for report in db.execute_batch(QUERIES, "both"):
             assert report.trace is None
         assert traced_calls == [False] * len(QUERIES)
@@ -319,6 +324,71 @@ def test_drop_index_fans_out(table):
         assert report.index_name == "<scan>"
         with pytest.raises(Exception, match="no index named"):
             db.drop_index("ix")
+
+
+@pytest.mark.parametrize("num_shards", [1, 2])
+def test_no_plan_is_memoized_across_a_concurrent_drop(table, num_shards):
+    """A query planned onto ``x`` while ``drop_index("x")`` runs finishes
+    on ``x`` before the drop, and nothing memoized names ``x`` after it:
+    the same query then runs on the scan and still matches the oracle."""
+    query = {"a": (2, 5)}
+    truth = evaluate(table, RangeQuery.from_bounds(query), MissingSemantics.IS_MATCH)
+    with ShardedDatabase(table, num_shards=num_shards) as db:
+        db.create_index("x", "bre")
+        plan = db._plan
+        reached, release = threading.Event(), threading.Event()
+
+        def paused(*args):
+            chosen = plan(*args)
+            reached.set()
+            release.wait(10)
+            return chosen
+
+        db._plan = paused
+        answers, errors = [], []
+
+        def run(work):
+            try:
+                answers.append(work())
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        reader = threading.Thread(target=run, args=(lambda: db.execute(query),))
+        reader.start()
+        assert reached.wait(10)
+        dropper = threading.Thread(target=run, args=(lambda: db.drop_index("x"),))
+        dropper.start()
+        dropper.join(0.2)  # DDL waits for the read that is planning
+        release.set()
+        reader.join(10)
+        dropper.join(10)
+        assert not reader.is_alive() and not dropper.is_alive()
+        del db._plan
+        assert errors == []
+        (report,) = [a for a in answers if a is not None]
+        assert report.index_name == "x"
+        assert np.array_equal(report.record_ids, truth)
+        assert db.index_names == ()
+        for _ in range(2):
+            again = db.execute(query)
+            assert again.index_name == "<scan>"
+            assert np.array_equal(again.record_ids, truth)
+        assert len(db._plan_memo) == 1
+
+
+@pytest.mark.parametrize("num_shards", [None, 2])
+def test_summary_keeps_query_counts_across_ddl(table, num_shards):
+    db = (
+        IncompleteDatabase(table) if num_shards is None
+        else ShardedDatabase(table, num_shards=num_shards)
+    )
+    db.create_index("x", "bre")
+    for query in QUERIES[:3]:
+        db.execute(query, using="x")
+    db.create_index("y", "vafile")
+    assert "x (bre) on [a, b] — 3 queries served" in db.summary()
+    db.drop_index("y")
+    assert "x (bre) on [a, b] — 3 queries served" in db.summary()
 
 
 def test_closed_database_rejects_parallel_work(table):
@@ -378,7 +448,7 @@ def test_surface_conformance(table, tmp_path, num_shards, unit_costs):
             "fetch", "execute_ranked",
         ):
             assert inherited not in ShardedDatabase.__dict__
-            assert inherited not in IncompleteDatabase.__dict__
+            assert inherited in IncompleteDatabase.__dict__
 
         # One registry: same value, type and order after the same DDL ...
         _ddl(engine)
@@ -390,7 +460,7 @@ def test_surface_conformance(table, tmp_path, num_shards, unit_costs):
         save_sharded(db, tmp_path)
         with load_sharded(tmp_path) as loaded:
             assert loaded.index_names == engine.index_names
-            assert loaded.shards[0].database.get_index("bbc").options == {
+            assert loaded.segments[0].indexes["bbc"].options == {
                 "codec": "bbc"
             }
 
@@ -403,7 +473,9 @@ def test_surface_conformance(table, tmp_path, num_shards, unit_costs):
             assert _line(got, "->").split(":")[0] == (
                 _line(expected, "->").split(":")[0]
             )
-            assert f"{num_shards} shards" in got and "shards" not in expected
+            # Segment lines appear only with more than one segment.
+            assert ("shards" in got) == (num_shards > 1)
+            assert "shards" not in expected
         analyzed = db.explain(QUERIES[2], analyze=True)
         assert analyzed.startswith(db.explain(QUERIES[2]))
         assert "\nquery {" in analyzed and "execute.bre {index=" in analyzed
@@ -438,8 +510,8 @@ def test_surface_conformance(table, tmp_path, num_shards, unit_costs):
         writer.compact()
         snapshot = manager.current_database
         assert snapshot.index_names == engine.index_names
-        for shard in snapshot.shards:
-            rebuilt = shard.database.get_index("bbc")
+        for segment in snapshot.segments:
+            rebuilt = segment.indexes["bbc"]
             assert rebuilt.options == {"codec": "bbc"}
             assert rebuilt.index.codec == "bbc"
     finally:
@@ -468,6 +540,8 @@ def test_every_entry_point_coerces_the_query(table, unsharded, tier, entry):
             assert from_mapping == from_query
         elif entry == "choose_index":
             assert from_mapping.name == from_query.name == "ix"
+            # The entry's index answers over every row, not one segment's.
+            assert from_mapping.index.num_records == table.num_records
         elif entry == "fetch":
             assert from_mapping.num_records == from_query.num_records
         else:

@@ -93,6 +93,22 @@ class TestRemovedSurface:
         assert not hasattr(repro.bitvector, name)
         assert not hasattr(kernels, name)
 
+    def test_one_database_type(self):
+        # No query surface split: a database of several segments is an
+        # IncompleteDatabase, and its segments are records, not engines.
+        import repro.core.engine as engine
+        from repro.dataset.synthetic import generate_uniform_table
+
+        assert not hasattr(engine, "_QuerySurface")
+        table = generate_uniform_table(300, {"a": 9}, {"a": 0.2}, seed=1)
+        db = repro.ShardedDatabase(table, num_shards=2)
+        assert isinstance(db, repro.IncompleteDatabase)
+        assert type(db).__mro__[1:] == repro.IncompleteDatabase.__mro__
+        for segment in db.segments:
+            assert not isinstance(segment, repro.IncompleteDatabase)
+            assert not hasattr(segment, "_rwlock")
+            assert not hasattr(segment, "_plan_memo")
+
     def test_executor_handle_is_gone(self):
         import importlib
 
