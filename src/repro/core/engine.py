@@ -39,11 +39,10 @@ from repro.core.segment import (
     Segment,
     ZoneMaps,
     join_index,
-    join_segments,
 )
 from repro.core.statistics import TableStatistics
 from repro.core.sync import ReadWriteLock
-from repro.dataset.table import IncompleteTable
+from repro.dataset.table import IncompleteTable, join_tables
 from repro.errors import QueryError, ReproError, ShardError
 from repro.observability.metrics import _QueryTally
 from repro.query.boolean import Predicate, evaluate_predicate
@@ -317,9 +316,10 @@ class IncompleteDatabase:
     segment holds the same index set.  Segments are what the snapshot
     writer rebuilds or shares and what a save writes
     (:mod:`repro.serve.writer`, :mod:`repro.shard.manifest`).  Reads run on
-    the only segment; with several, on one segment joined from all of
-    them on the first read (:func:`~repro.core.segment.join_segments`),
-    and the segments' exact histograms act as zone maps: when a range
+    the only segment; with several, on one segment whose table joins
+    theirs on the first read and whose indexes join one by one as reads
+    choose them (:func:`~repro.core.segment.join_index`), and the
+    segments' exact histograms act as zone maps: when a range
     query can match no row of the segments at either end, the chosen index
     evaluates only the row *window* spanning the rest and its ids shift by
     the window's first row.  Histograms are exact, so this never changes
@@ -367,7 +367,7 @@ class IncompleteDatabase:
         self._segments: tuple[Segment, ...] = tuple(stamped)
         self._num_records = start
         #: The segment reads run on: the only one, or all of them joined
-        #: (on the first read).
+        #: (the table on the first read, each index on its first use).
         self._reader: Segment | None = stamped[0] if len(stamped) == 1 else None
         self._statistics: TableStatistics | None = None
         self._zone_maps: ZoneMaps | None = None
@@ -477,27 +477,17 @@ class IncompleteDatabase:
                 f"unknown index kind {kind!r}; expected one of {sorted(_BUILDERS)}"
             )
 
-    def _install(self, segments: Sequence[Segment], name: str) -> None:
-        """Swap in ``segments``, whose index ``name`` changed.
+    def _install(self, segments: Sequence[Segment]) -> None:
+        """Swap in ``segments`` after DDL; the caller holds the write lock.
 
-        The caller holds the write lock.  A joined reader keeps its table
-        and every other joined index; only ``name`` is joined again.
+        Plans start over, and with several segments the next read joins
+        again.
         """
         with self._assembly_lock:
             self._segments = tuple(segments)
-            reader = self._reader
-            if len(self._segments) == 1:
-                self._reader = self._segments[0]
-            elif reader is not None:
-                indexes = {
-                    key: value for key, value in reader.indexes.items()
-                    if key != name
-                }
-                if name in self._segments[0].indexes:
-                    indexes[name] = join_index(
-                        self._segments, reader.table, name
-                    )
-                self._reader = replace(reader, indexes=indexes)
+            self._reader = (
+                self._segments[0] if len(self._segments) == 1 else None
+            )
             self._plan_memo.clear()
 
     def create_index(
@@ -539,7 +529,7 @@ class IncompleteDatabase:
                 )
                 for segment in self._segments
             ]
-            self._install(segments, name)
+            self._install(segments)
         return segments[0].indexes[name]
 
     def attach_index(
@@ -569,7 +559,7 @@ class IncompleteDatabase:
                 )
             (segment,) = self._segments
             attached = segment.attach(name, kind, index, attributes, options)
-            self._install([segment.with_index(attached)], name)
+            self._install([segment.with_index(attached)])
         return attached
 
     def drop_index(self, name: str) -> None:
@@ -579,15 +569,31 @@ class IncompleteDatabase:
             raise ReproError(f"no index named {name!r}")
         with self._rwlock.write():
             self._install(
-                [segment.without_index(name) for segment in self._segments],
-                name,
+                [segment.without_index(name) for segment in self._segments]
             )
 
     def get_index(self, name: str) -> AttachedIndex:
         """The attached index ``name``, answering over every row."""
+        with self._rwlock.read():
+            if name not in self._segments[0].indexes:
+                raise ReproError(f"no index named {name!r}")
+            return self._attached(name)
+
+    def _attached(self, name: str) -> AttachedIndex:
+        """The read segment's entry for the attached index ``name``.
+
+        With several segments it is joined from theirs on first use, so an
+        index no read chooses is never joined.  The caller holds the read
+        lock, so no DDL resets the read segment meanwhile.
+        """
         attached = self._read_segment().indexes.get(name)
         if attached is None:
-            raise ReproError(f"no index named {name!r}")
+            with self._assembly_lock:
+                reader = self._reader
+                attached = reader.indexes.get(name)
+                if attached is None:
+                    attached = join_index(self._segments, reader.table, name)
+                    self._reader = reader.with_index(attached)
         return attached
 
     # -- data -----------------------------------------------------------------
@@ -636,13 +642,17 @@ class IncompleteDatabase:
         return tuple(self._segments[0].indexes)
 
     def _read_segment(self) -> Segment:
-        """The segment every read runs on, joined on the first read."""
+        """The segment every read runs on: the only one, or one over the
+        segments' joined table, made on the first read without indexes
+        (:meth:`_attached` joins them)."""
         reader = self._reader
         if reader is None:
             with self._assembly_lock:
                 reader = self._reader
                 if reader is None:
-                    reader = join_segments(self._segments, self.statistics)
+                    reader = Segment(0, join_tables(
+                        [segment.table for segment in self._segments]
+                    ), {}, self.statistics)
                     self._reader = reader
         return reader
 
@@ -711,10 +721,11 @@ class IncompleteDatabase:
         bitstring decides.  The entry returned is :meth:`get_index`'s: its
         index answers over every row, whatever the segment count.
         """
-        chosen = self._resolve_plan(
-            _as_query(query), resolve_semantics(semantics), None
-        )[0]
-        return None if chosen is None else self.get_index(chosen.name)
+        with self._rwlock.read():
+            chosen = self._resolve_plan(
+                _as_query(query), resolve_semantics(semantics), None
+            )[0]
+            return None if chosen is None else self._attached(chosen.name)
 
     def _covering(self, item) -> list[AttachedIndex]:
         """The attached indexes that can serve a range query or predicate.
@@ -745,7 +756,7 @@ class IncompleteDatabase:
             covering = self._covering(item)
             ranking = rank_plans(
                 [
-                    self.get_index(ix.name) for ix in covering
+                    self._attached(ix.name) for ix in covering
                     if isinstance(ix.index, (BitmapIndex, VAFile))
                 ],
                 item,
@@ -929,7 +940,7 @@ class IncompleteDatabase:
                         )
                         attached = (
                             None if chosen is None
-                            else reader.indexes[chosen.name]
+                            else self._attached(chosen.name)
                         )
                         index = (
                             SequentialScan(reader.table) if attached is None

@@ -9,7 +9,8 @@ segment whose rows it keeps and a change makes new records.  Segments are
 the unit of writes, files and hard links (:mod:`repro.serve.writer`,
 :mod:`repro.shard.manifest`); they hold no lock, plan memo or scan, and
 no query runs on one of a database's segments.  Reads run on the only
-segment, or on one segment joined from all of them on the first read.
+segment, or on one segment joined from all of them on the first read,
+whose indexes join one by one as reads choose them (:func:`join_index`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.bitmap.equality import EqualityEncodedBitmapIndex
 from repro.bitmap.interval_encoded import IntervalEncodedBitmapIndex
 from repro.bitmap.range_encoded import RangeEncodedBitmapIndex
 from repro.core.statistics import TableStatistics
-from repro.dataset.table import IncompleteTable, join_tables
+from repro.dataset.table import IncompleteTable
 from repro.errors import ReproError
 from repro.query.model import MissingSemantics, RangeQuery
 from repro.vafile.vafile import VAFile
@@ -161,22 +162,6 @@ class Segment:
             name: fresh.build(name, spec.kind, spec.attributes, spec.options)
             for name, spec in self.indexes.items()
         })
-
-
-def join_segments(
-    segments: Sequence[Segment], statistics: TableStatistics
-) -> Segment:
-    """The one segment holding every row of ``segments``, in order.
-
-    Table columns concatenate and each segment is left holding views of
-    its rows, so the rows are held once; every index joins (see
-    :func:`join_index`).  ``statistics`` describes the joined rows.
-    """
-    table = join_tables([segment.table for segment in segments])
-    return Segment(0, table, {
-        name: join_index(segments, table, name)
-        for name in segments[0].indexes
-    }, statistics)
 
 
 def join_index(

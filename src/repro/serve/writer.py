@@ -202,7 +202,7 @@ class SnapshotWriter:
                 segment = reusable.get((rows.start, len(rows)))
                 if segment is None:
                     segment = like.over(
-                        _rows_between(current, rows.start, rows.stop)
+                        current._rows(np.arange(rows.start, rows.stop))
                     )
                     rebuilt += 1
                 segments.append(segment)
@@ -243,14 +243,3 @@ class SnapshotWriter:
             db.drop_index(name)
             return self._publish(db, 0, start)
 
-
-def _rows_between(db: IncompleteDatabase, start: int, stop: int) -> IncompleteTable:
-    """A copy of ``db``'s rows ``[start, stop)``, read from its segments."""
-    return concat_tables(*(
-        segment.table.rows(
-            max(start, segment.start) - segment.start,
-            min(stop, segment.start + segment.num_records) - segment.start,
-        )
-        for segment in db.segments
-        if segment.start < stop and start < segment.start + segment.num_records
-    ))

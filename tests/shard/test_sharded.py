@@ -391,6 +391,40 @@ def test_summary_keeps_query_counts_across_ddl(table, num_shards):
     assert "x (bre) on [a, b] — 3 queries served" in db.summary()
 
 
+def test_an_index_no_read_chooses_is_never_joined(table, monkeypatch):
+    """With several segments each index joins on its first use: reads the
+    planner sends to ``bre``, ``table`` and ``choose_index`` build no
+    mosaic over the joined rows, even after DDL; forcing the mosaic builds
+    it once."""
+    from repro.core import segment as segment_module
+
+    query = {"a": (3, 7)}
+    truth = evaluate(table, RangeQuery.from_bounds(query), MissingSemantics.IS_MATCH)
+    db = ShardedDatabase(table, num_shards=2)
+    db.create_index("mosaic", "mosaic")
+    db.create_index("bre", "bre")
+    built = []
+    build = segment_module._BUILDERS["mosaic"]
+
+    def counting(rows, attributes, **options):
+        built.append(rows.num_records)
+        return build(rows, attributes, **options)
+
+    monkeypatch.setitem(segment_module._BUILDERS, "mosaic", counting)
+    report = db.execute(query)
+    assert report.index_name == "bre"
+    assert np.array_equal(report.record_ids, truth)
+    assert db.table.num_records == table.num_records
+    assert db.choose_index(query).name == "bre"
+    db.create_index("va", "vafile")
+    assert db.execute(query).index_name in ("bre", "va")
+    assert built == []
+    for _ in range(2):
+        forced = db.execute(query, using="mosaic")
+        assert np.array_equal(forced.record_ids, truth)
+    assert built == [table.num_records]
+
+
 def test_closed_database_rejects_parallel_work(table):
     db = make_sharded(table, num_shards=4)
     db.execute({"a": (1, 30)})
