@@ -176,11 +176,21 @@ class _JoinedBitmaps(_AttributeBitmaps):
     of the joined one is zeros.  Every other slot depends on the value
     alone, so every range stores it.  :attr:`unread` prices a slot's join
     as the decode of its ranges' stored words.
+
+    ``carried`` holds WAH slots an earlier join already read, over rows
+    whose first ``kept`` ranges are these ones: such a slot copies their
+    groups from it and decodes only the ranges after them, and it is
+    priced so.
     """
 
-    __slots__ = ("parts", "_slots")
+    __slots__ = ("parts", "_slots", "carried", "kept")
 
-    def __init__(self, parts: list[_AttributeBitmaps]):
+    def __init__(
+        self,
+        parts: list[_AttributeBitmaps],
+        carried: Mapping[int, WahBitVector] | None = None,
+        kept: int = 0,
+    ):
         first = parts[0]
         self.parts = parts
         self.cardinality = first.cardinality
@@ -191,10 +201,17 @@ class _JoinedBitmaps(_AttributeBitmaps):
         self._slots = (0,) * self.has_missing + tuple(
             j for j in first.slots if j
         )
+        self.kept = kept
+        self.carried = {}
         self.unread = {}
         if self.codec == "wah":
+            if kept and carried:
+                self.carried = {
+                    j: vec for j, vec in carried.items() if j in self._slots
+                }
             for j in self._slots:
-                self.unread[j] = sum(part.unread.get(j, 0) for part in parts)
+                read = parts[kept:] if j in self.carried else parts
+                self.unread[j] = sum(part.unread.get(j, 0) for part in read)
 
     @property
     def slots(self):
@@ -206,16 +223,21 @@ class _JoinedBitmaps(_AttributeBitmaps):
             if j not in self._slots:
                 return super().stored(j)
             vec = self.vectors.setdefault(j, self._join(j))
+            self.carried.pop(j, None)
         return vec
 
     def _join(self, j: int):
+        head = self.carried.get(j)
+        kept = 0 if head is None else self.kept
         pieces = [
             part.stored(j) if part.has_bitmap(j)
             else make_zeros(part.nbits, self.codec)
-            for part in self.parts
+            for part in self.parts[kept:]
         ]
         if self.codec == "wah":
-            return join_wah(pieces)
+            return join_wah(
+                pieces, head, sum(part.nbits for part in self.parts[:kept])
+            )
         return make_bitvector(
             np.concatenate([_bools(piece) for piece in pieces]), self.codec
         )
@@ -896,22 +918,41 @@ class BitmapIndex(abc.ABC):
     # -- row ranges ------------------------------------------------------------
 
     @classmethod
-    def join(cls, parts: "list[BitmapIndex]") -> "BitmapIndex":
+    def join(
+        cls, parts: "list[BitmapIndex]", carried: tuple | None = None
+    ) -> "BitmapIndex":
         """The index over ``parts``' rows laid end to end.
 
         ``parts`` are one encoding and codec over consecutive row ranges of
         one table.  Nothing is joined here: each slot joins its parts'
         bitmaps on its first read (the planner prices that as a decode).
+        ``carried`` is ``(kept, slots)``: an earlier join's
+        :meth:`joined_slots` over rows whose first ``kept`` ranges are
+        ``parts[:kept]``, whose groups those slots copy instead.
         """
+        kept, slots = carried or (0, {})
         first = parts[0]
         index = cls.__new__(cls)
         index._codec = first._codec
         index._nbits = sum(part._nbits for part in parts)
         index._attrs = {
-            name: _JoinedBitmaps([part._attrs[name] for part in parts])
+            name: _JoinedBitmaps(
+                [part._attrs[name] for part in parts], slots.get(name), kept
+            )
             for name in first._attrs
         }
         return index
+
+    def joined_slots(self) -> dict[str, dict[int, WahBitVector]]:
+        """The WAH slots joined so far, by attribute: what a later join
+        over the same leading rows copies (empty unless this index was
+        joined from row ranges)."""
+        return {
+            name: dict(family.vectors)
+            for name, family in self._attrs.items()
+            if isinstance(family, _JoinedBitmaps) and family.codec == "wah"
+            and family.vectors
+        }
 
     def window(self, start: int, stop: int) -> tuple["BitmapIndex", int]:
         """This index over rows ``[start, stop)`` widened to whole 31-bit

@@ -24,9 +24,10 @@ asks for :attr:`WahBitVector.words` (storage, ``nbytes()``, ``==``,
 ``hash``, pickling); then it drops the groups and never keeps them again.
 A bitmap joined from consecutive row ranges (:func:`join`) is stored but
 starts as a group array; it keeps its groups, builds the stream only when
-asked, and sizes itself once.  Everything that reports a size or an
-identity reads the stream (or, for a joined bitmap, the length that stream
-has).
+asked, and sizes itself once.  A join can start from an earlier joined
+bitmap whose leading rows it shares, copying those groups.  Everything
+that reports a size or an identity reads the stream (or, for a joined
+bitmap, the length that stream has).
 """
 
 from __future__ import annotations
@@ -411,19 +412,32 @@ class WahBitVector:
         )
 
 
-def join(pieces: "list[WahBitVector]") -> WahBitVector:
+def join(
+    pieces: "list[WahBitVector]",
+    head: WahBitVector | None = None,
+    head_bits: int = 0,
+) -> WahBitVector:
     """The bitmap over the pieces' rows laid end to end, as one stored vector.
 
     Each piece's group array is used once and not kept: a stored piece
     that held its groups drops them.  Where the rows before a piece fill
     whole 31-bit groups, its groups are copied as they are; elsewhere (the
-    seams a delete leaves) they are shifted into place.  The result is the
-    canonical bitmap of the joined rows.
+    seams a delete leaves) they are shifted into place.  ``head``, when
+    given, is a joined bitmap whose first ``head_bits`` bits are the rows
+    before the pieces: those are copied from its group array, not decoded.
+    The result is the canonical bitmap of the joined rows.
     """
-    nbits = sum(piece._nbits for piece in pieces)
+    nbits = head_bits + sum(piece._nbits for piece in pieces)
     groups = np.zeros((nbits + GROUP_BITS - 1) // GROUP_BITS, dtype=np.uint32)
     decoded: list[np.ndarray] = []
     start = 0
+    if head is not None:
+        whole, tail = divmod(head_bits, GROUP_BITS)
+        source = head._group_array(decoded)
+        groups[:whole] = source[:whole]
+        if tail:
+            groups[whole] = source[whole] & np.uint32((1 << tail) - 1)
+        start = head_bits
     for piece in pieces:
         part = piece._groups
         if part is None:

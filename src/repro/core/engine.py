@@ -248,14 +248,20 @@ _UNTRACED = nullcontext()
 #: per ``(item, semantics, using)``, room for the served op set's 6,725.
 _PLAN_MEMO_LIMIT = 8192
 
+#: The zone of a plan carried from an earlier snapshot: not yet worked out
+#: over this one's segments.
+_UNZONED = object()
+
 
 class _PlanMemo:
     """Resolved plans by ``(item, semantics, using)``, oldest out first.
 
     A lookup takes no lock.  An insert into a full memo drops the oldest
-    entry (a dict keeps insertion order), and inserts and clears take the
-    memo's lock, so two threads evicting at once never drop the same key
-    and an eviction never iterates a dict a clear is emptying.
+    entry (a dict keeps insertion order), and inserts, clears and copies
+    take the memo's lock, so two threads evicting at once never drop the
+    same key and a copy never iterates a dict an eviction is changing.
+    DDL starts a new memo; a row write's snapshot starts with a copy
+    (:meth:`carried`).
     """
 
     __slots__ = ("_plans", "_lock", "__weakref__")
@@ -284,6 +290,33 @@ class _PlanMemo:
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
+
+    def carried(self) -> "_PlanMemo":
+        """A new memo holding these plans, each zoned again on first use."""
+        memo = _PlanMemo()
+        with self._lock:
+            memo._plans = {
+                key: (chosen, forced, estimate, _UNZONED)
+                for key, (chosen, forced, estimate, _) in self._plans.items()
+            }
+        return memo
+
+
+class _Choice(NamedTuple):
+    """The index a plan runs on, by name: a plan holds no index object, so
+    one carried to a later snapshot keeps nothing of this one alive."""
+
+    name: str
+    kind: str
+
+
+def _index_set(segment: Segment) -> list[tuple]:
+    """What a plan depends on of ``segment``'s indexes: names, kinds,
+    attributes and options, in attachment order."""
+    return [
+        (ix.name, ix.kind, ix.attributes, ix.options)
+        for ix in segment.indexes.values()
+    ]
 
 
 class _NoCacheStats(NamedTuple):
@@ -341,12 +374,44 @@ class IncompleteDatabase:
         Each segment's rows follow the previous one's; a segment whose
         ``start`` disagrees is re-stamped (its table and indexes shared).
         The loader passes segments read back as serialized, and the
-        snapshot writer the current snapshot's for every segment a
-        mutation leaves alone.
+        snapshot writer's DDL the current snapshot's (its row writes go
+        through :meth:`_successor`).
         """
         self = cls.__new__(cls)
         self._init_segments(segments)
         return self
+
+    def _successor(self, segments: Sequence[Segment]) -> "IncompleteDatabase":
+        """The next snapshot over ``segments``, keeping what this one paid for.
+
+        With the same index set, it starts with a copy of these plans:
+        they name indexes, and a name means the same index over the new
+        rows, so a plan only changes time there, never answers (each
+        plan's zone is worked out again on its first use).  Each bitmap
+        slot this database has joined is carried to the next join of its
+        index, which copies the groups of the leading segments the two
+        share (the same records, so the same rows at the same starts) and
+        decodes only the rest.  What it carries refers to neither this
+        database nor its joined indexes, so no chain of snapshots stays
+        alive.  Another index set starts cold, as after DDL.
+        """
+        db = IncompleteDatabase.from_segments(segments)
+        if _index_set(db._segments[0]) != _index_set(self._segments[0]):
+            return db
+        db._plan_memo = self._plan_memo.carried()
+        kept = 0
+        for old, new in zip(self._segments, db._segments):
+            if old is not new:
+                break
+            kept += 1
+        reader = self._reader
+        if kept and reader is not None:
+            for name, attached in reader.indexes.items():
+                if isinstance(attached.index, BitmapIndex):
+                    slots = attached.index.joined_slots()
+                    if slots:
+                        db._carried[name] = (kept, slots)
+        return db
 
     def _init_segments(self, segments: Sequence[Segment]) -> None:
         if not segments:
@@ -378,8 +443,12 @@ class IncompleteDatabase:
         # side, so a reader mid-batch never sees the index set change under
         # it (a "torn generation") and no plan is memoized across DDL.
         self._rwlock = ReadWriteLock()
-        # Cleared under the write lock by every DDL.
+        # Replaced under the write lock by every DDL.
         self._plan_memo = _PlanMemo()
+        #: Index name -> ``(kept, slots)``: the bitmap slots a predecessor
+        #: joined over this database's first ``kept`` segments, which the
+        #: index's join copies (:meth:`_successor`).
+        self._carried: dict[str, tuple] = {}
         forksafe.register(self._rwlock)
         forksafe.register(self)
         self._closed = False
@@ -480,15 +549,17 @@ class IncompleteDatabase:
     def _install(self, segments: Sequence[Segment]) -> None:
         """Swap in ``segments`` after DDL; the caller holds the write lock.
 
-        Plans start over, and with several segments the next read joins
-        again.
+        Plans start over in a new memo (a snapshot that copied the old one
+        keeps its own), and with several segments the next read joins
+        again, carrying nothing.
         """
         with self._assembly_lock:
             self._segments = tuple(segments)
             self._reader = (
                 self._segments[0] if len(self._segments) == 1 else None
             )
-            self._plan_memo.clear()
+            self._plan_memo = _PlanMemo()
+            self._carried = {}
 
     def create_index(
         self,
@@ -592,7 +663,10 @@ class IncompleteDatabase:
                 reader = self._reader
                 attached = reader.indexes.get(name)
                 if attached is None:
-                    attached = join_index(self._segments, reader.table, name)
+                    attached = join_index(
+                        self._segments, reader.table, name,
+                        self._carried.pop(name, None),
+                    )
                     self._reader = reader.with_index(attached)
         return attached
 
@@ -774,9 +848,11 @@ class IncompleteDatabase:
         ``using`` forces a covering index (no estimate); a predicate forced
         onto an index with no tree evaluator runs as a ground-truth scan
         (``chosen`` None).  Anything but a :class:`RangeQuery` must be a
-        :class:`~repro.query.boolean.Predicate`.  ``zone`` is
-        :meth:`_zone`'s.  Memoized in ``_plan_memo``, one entry per
-        ``(item, semantics, using)``, until the index set changes.
+        :class:`~repro.query.boolean.Predicate`.  ``chosen`` names the
+        index (a :class:`_Choice`) and ``zone`` is :meth:`_zone`'s.
+        Memoized in ``_plan_memo``, one entry per ``(item, semantics,
+        using)``, until the index set changes; a plan carried from an
+        earlier snapshot only has its zone worked out.
         """
         if not isinstance(item, (RangeQuery, Predicate)):
             raise QueryError(
@@ -784,28 +860,36 @@ class IncompleteDatabase:
             )
         key = (item, semantics, using)
         plan = self._plan_memo.get(key)
-        if plan is not None:
+        if plan is not None and plan[3] is not _UNZONED:
             return plan
         with self._rwlock.read():
-            if using is None:
-                chosen, _, estimate = self._plan(item, semantics)
-                if estimate is not None:
-                    # A run reads only its numbers; ``explain`` re-ranks.
-                    estimate = replace(estimate, detail="")
-            else:
-                estimate = None
-                if isinstance(item, RangeQuery):
-                    chosen = self._forced_index(using, item.attributes)
-                else:
-                    chosen = self._forced_index(using, item.attributes())
-                    if not isinstance(chosen.index, (BitmapIndex, VAFile)):
-                        chosen = None
-            plan = (
-                chosen, using is not None, estimate,
-                self._zone(item, semantics),
+            chosen, forced, estimate = (
+                plan[:3] if plan is not None
+                else self._choose(item, semantics, using)
             )
+            plan = (chosen, forced, estimate, self._zone(item, semantics))
             self._plan_memo.put(key, plan)
         return plan
+
+    def _choose(self, item, semantics, using: str | None) -> tuple:
+        """``(chosen, forced, estimate)`` of a plan: :meth:`_resolve_plan`'s
+        less the zone; the caller holds the read lock."""
+        if using is None:
+            chosen, _, estimate = self._plan(item, semantics)
+            if estimate is not None:
+                # A run reads only its numbers; ``explain`` re-ranks.
+                estimate = replace(estimate, detail="")
+        else:
+            estimate = None
+            if isinstance(item, RangeQuery):
+                chosen = self._forced_index(using, item.attributes)
+            else:
+                chosen = self._forced_index(using, item.attributes())
+                if not isinstance(chosen.index, (BitmapIndex, VAFile)):
+                    chosen = None
+        if chosen is not None:
+            chosen = _Choice(chosen.name, chosen.kind)
+        return chosen, using is not None, estimate
 
     # -- execution -----------------------------------------------------------
 

@@ -165,21 +165,27 @@ class Segment:
 
 
 def join_index(
-    segments: Sequence[Segment], table: IncompleteTable, name: str
+    segments: Sequence[Segment],
+    table: IncompleteTable,
+    name: str,
+    carried: tuple | None = None,
 ) -> AttachedIndex:
     """Index ``name`` over the joined ``table``, from the segments' parts.
 
     A bitmap index joins its parts' slots on each slot's first read (a
     plain copy where segments are cut on 31-row group boundaries, a shift
-    at the seams a delete leaves); a VA-file concatenates its codes
-    unless its segments quantize differently.  Anything else is built over
-    ``table``.
+    at the seams a delete leaves); ``carried`` is ``(kept, slots)``, the
+    slots an earlier snapshot joined over the same first ``kept``
+    segments, which each slot copies instead of decoding them
+    (:meth:`~repro.bitmap.base.BitmapIndex.join`).  A VA-file
+    concatenates its codes unless its segments quantize differently.
+    Anything else is built over ``table``.
     """
     spec = segments[0].indexes[name]
     parts = [segment.indexes[name].index for segment in segments]
     index = None
     if isinstance(spec.index, BitmapIndex):
-        index = type(spec.index).join(parts)
+        index = type(spec.index).join(parts, carried)
     elif isinstance(spec.index, VAFile):
         index = VAFile.join(parts, table)
     if index is None:
@@ -194,25 +200,29 @@ class ZoneMaps:
 
     ``prefix[name][k, v]`` counts segment *k*'s rows whose code is below
     ``v`` (code 0 is missing), so one query attribute checks every segment
-    in a few array operations.
+    in a few array operations.  An attribute every segment holds every
+    value of rules no segment out, and is not checked at all.
     """
 
     def __init__(self, statistics: Sequence[TableStatistics]):
         self._statistics = statistics
-        self._prefix: dict[str, np.ndarray] = {}
+        self._prefix: dict[str, np.ndarray | None] = {}
 
     def _sums(self, name: str) -> np.ndarray | None:
-        prefix = self._prefix.get(name)
-        if prefix is None:
-            try:
-                counts = np.stack([
-                    stats.attribute(name).counts for stats in self._statistics
-                ])
-            except Exception:
-                return None
+        """``name``'s prefix sums; None when they rule nothing out."""
+        if name in self._prefix:
+            return self._prefix[name]
+        try:
+            counts = np.stack([
+                stats.attribute(name).counts for stats in self._statistics
+            ])
+        except Exception:
+            return None
+        prefix = None
+        if not (counts[:, 1:] > 0).all():
             prefix = np.zeros((counts.shape[0], counts.shape[1] + 1), np.int64)
             np.cumsum(counts, axis=1, out=prefix[:, 1:])
-            self._prefix[name] = prefix
+        self._prefix[name] = prefix
         return prefix
 
     def alive(self, query: RangeQuery, semantics: MissingSemantics) -> np.ndarray:

@@ -12,7 +12,13 @@ Runs a mixed workload through :class:`~repro.shard.ShardedDatabase` at
   segment), or
 * replaying the same queries a second time ranks plans for more than
   ``REPLAN_LIMIT`` of the items it evaluates (``planner.rankings``
-  against ``engine.queries``): a repeated item must hit the plan memo.
+  against ``engine.queries``): a repeated item must hit the plan memo, or
+* after a warm 4-segment database takes an append through
+  :class:`~repro.serve.SnapshotWriter`, replaying the queries on the new
+  snapshot ranks plans for more than ``REPLAN_LIMIT`` of them (the
+  snapshot starts with its predecessor's plans), or decodes more stored
+  WAH words (``wah.words_decoded``) than the segments the append rebuilt
+  hold (each joined bitmap copies the segments the append left alone).
 
 Usage (what ``.github/workflows/ci.yml`` runs)::
 
@@ -30,6 +36,7 @@ from repro.dataset.reorder import lexicographic_order
 from repro.dataset.synthetic import generate_uniform_table
 from repro.observability import use_registry
 from repro.query.model import MissingSemantics, RangeQuery
+from repro.serve import EpochManager, SnapshotWriter
 from repro.shard.sharded import ShardedDatabase
 
 #: Shard counts the smoke run sweeps (7 does not divide the table evenly).
@@ -37,6 +44,9 @@ SHARD_COUNTS = (1, 2, 4, 7)
 
 #: The share of a replay's items that may be planned again.
 REPLAN_LIMIT = 0.10
+
+#: Rows the replay-after-a-write leg appends.
+APPEND_ROWS = 500
 
 
 def _workload(seed: int, num_queries: int) -> list[RangeQuery]:
@@ -71,6 +81,66 @@ def _divergences(db, label: str, queries, expected) -> int:
                         f"ids, unsharded {exp.num_matches}",
                         file=sys.stderr,
                     )
+    return failures
+
+
+def _replay_after_a_write(table, queries) -> int:
+    """Warm 4 segments, append through the writer, replay; count problems."""
+    rows = generate_uniform_table(
+        APPEND_ROWS, {"a": 30, "b": 12}, {"a": 0.1, "b": 0.25}, seed=2007
+    )
+    db = ShardedDatabase(table, num_shards=4)
+    db.create_index("ix", "bre")
+    for semantics in MissingSemantics:
+        for query in queries:
+            db.execute(query, semantics)
+    manager = EpochManager(db)
+    try:
+        SnapshotWriter(manager).append(rows)
+        snapshot = manager.current_database
+        engine = IncompleteDatabase(snapshot.table)
+        engine.create_index("ix", "bre")
+        expected = {
+            semantics: [engine.execute(q, semantics) for q in queries]
+            for semantics in MissingSemantics
+        }
+        with use_registry() as replay:
+            failures = _divergences(
+                snapshot, "4 shards, after an append", queries, expected
+            )
+        rebuilt = sum(
+            vec.words32()
+            for segment in snapshot.segments
+            if not any(segment is old for old in db.segments)
+            for vec in segment.indexes["ix"].index.stored_bitmaps()
+        )
+    finally:
+        manager.close()
+    counters = replay.snapshot().counters
+    ranked = counters.get("planner.rankings", 0)
+    evaluated = counters.get("engine.queries", 0)
+    decoded = counters.get("wah.words_decoded", 0)
+    print(
+        f"shard smoke (4 shards, replayed after an append): {ranked} plans "
+        f"ranked for {evaluated} evaluations, {decoded} WAH words decoded "
+        f"(the rebuilt segments store {rebuilt})"
+    )
+    if ranked > REPLAN_LIMIT * evaluated:
+        failures += 1
+        print(
+            f"FAIL: after an append, the replay ranked {ranked} plans for "
+            f"{evaluated} evaluations (limit {REPLAN_LIMIT:.0%}) — a write "
+            f"must carry its predecessor's plans",
+            file=sys.stderr,
+        )
+    if decoded > rebuilt:
+        failures += 1
+        print(
+            f"FAIL: after an append, the replay decoded {decoded} WAH "
+            f"words, more than the {rebuilt} the rebuilt segments store — "
+            f"a joined bitmap must copy the segments the write left alone",
+            file=sys.stderr,
+        )
     return failures
 
 
@@ -131,6 +201,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{REPLAN_LIMIT:.0%}) — repeated items must hit the plan memo",
                 file=sys.stderr,
             )
+    failures += _replay_after_a_write(table, queries)
     if failures:
         print(f"shard smoke FAILED ({failures} problem(s))", file=sys.stderr)
         return 1

@@ -25,6 +25,14 @@ segment is ever mutated:
   unfrozen database over the same segments, which builds or drops only
   the named index.
 
+A row write keeps the index set, so its snapshot also keeps what the
+current one paid for at read time
+(:meth:`~repro.core.engine.IncompleteDatabase._successor`): it starts with
+a copy of the current plans, and each bitmap slot the current snapshot
+joined copies the groups of the leading segments the write left alone, so
+only the bitmaps of the segments after those are decoded again.  DDL
+starts cold.
+
 Disk-backed writers persist through
 :func:`~repro.shard.manifest.save_sharded` with ``gc_stale=False``, which
 hard-links the files of everything shared into the new generation
@@ -130,7 +138,7 @@ class SnapshotWriter:
             last = segments[-1]
             segments[-1] = last.over(concat_tables(last.table, rows))
             return self._publish(
-                IncompleteDatabase.from_segments(segments), 1, start
+                current._successor(segments), 1, start
             )
 
     def delete(self, record_ids: Iterable[int]) -> int:
@@ -174,7 +182,7 @@ class SnapshotWriter:
                     rebuilt += 1
                 segments.append(segment)
             return self._publish(
-                IncompleteDatabase.from_segments(segments), rebuilt, start
+                current._successor(segments), rebuilt, start
             )
 
     def compact(self) -> int:
@@ -207,7 +215,7 @@ class SnapshotWriter:
                     rebuilt += 1
                 segments.append(segment)
             return self._publish(
-                IncompleteDatabase.from_segments(segments), rebuilt, start
+                current._successor(segments), rebuilt, start
             )
 
     def create_index(
